@@ -1,7 +1,13 @@
 """Shared fixtures: the worked 2x2 CARMA(2,0) example and a random corpus."""
 
 import json
+import os
 import pathlib
+
+# One BLAS thread: on the suite's tiny matrices threading only adds outliers.
+# Set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the production code routes: residues by
 contour quadrature instead of the Vandermonde linear system, Gramians by
 adaptive quadrature instead of Sylvester solves, autocovariances through
-the full state-space Lyapunov equation instead of per-component sums.
+the full state-space Lyapunov equation instead of per-component sums,
+paths by the per-step component recursion with one ``expm`` per jump
+instead of the chunked eigenbasis scan.
 """
 
 import numpy as np
@@ -148,3 +150,50 @@ def block_bootstrap_sd(Y, lags, block_len, n_boot, seed):
         gammas = empirical_acvf(resampled, max(lags))
         stats.append(np.stack([gammas[l] for l in lags]))
     return np.std(np.stack(stats), axis=0, ddof=1)
+
+
+def component_recursion(decomp, driver, h, n_steps, stationary_start, chunk):
+    """Reference simulator: ``Y_k,n = e^{h R_k} Y_k,n-1 + N_k,n`` one grid step
+    at a time in component coordinates, with ``expm`` per jump.
+
+    It draws from the seeded generator in the order ``sim.simulate`` does
+    (compound-Poisson counts, offsets and jumps ``chunk`` steps at a time),
+    so for the same seed both give the same path up to rounding.
+    """
+    from mcarma_ou import sim
+
+    rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
+    p, d = decomp.p, decomp.d
+    T_inv = np.linalg.inv(decomp.transform)
+    exp_hR = [scipy.linalg.expm(h * comp.R) for comp in decomp.components]
+    x0 = sim._initial_state(decomp, rng, stationary_start)
+    y = np.reshape(T_inv @ x0.astype(complex), (p, d))
+    n = n_steps - 1
+    if driver.kind == "brownian":
+        Q = sim.state_innovation_gramian(decomp, driver.sigma_L, h)
+        W = T_inv @ sim._psd_factor(Q, "innovation Gramian")
+        stacked = np.reshape(W @ rng.standard_normal((p * d, n)), (p, d, n))
+        innovations = [stacked[:, :, i] for i in range(n)]
+    else:
+        jump_factor = sim._psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
+        innovations = []
+        for lo in range(0, n, chunk):
+            counts = rng.poisson(driver.rate * h, size=min(chunk, n - lo))
+            offsets = rng.uniform(0.0, h, size=counts.sum())
+            jumps = jump_factor @ rng.standard_normal((jump_factor.shape[0], counts.sum()))
+            j = 0
+            for count in counts:
+                innov = np.zeros((p, d), dtype=complex)
+                for _ in range(count):
+                    for k, comp in enumerate(decomp.components):
+                        innov[k] += scipy.linalg.expm((h - offsets[j]) * comp.R) @ (
+                            comp.residue @ jumps[:, j])
+                    j += 1
+                innovations.append(innov)
+    Y = np.empty((n_steps, d))
+    Y[0] = y.sum(axis=0).real
+    for i, innov in enumerate(innovations, start=1):
+        for k in range(p):
+            y[k] = exp_hR[k] @ y[k] + innov[k]
+        Y[i] = y.sum(axis=0).real
+    return Y

@@ -204,6 +204,22 @@ class TestVerify:
         _, out_b, _ = run(capsys, *args)
         assert out_a == out_b
 
+    def test_large_coefficient_model_passes(self, capsys, tmp_path, corpus):
+        # corpus model #143 (coefficients up to about 6e6, gamma(0) entries
+        # about 1e7): the innovation Gramian's rounding and the asymmetry of
+        # gamma(0) are judged relative to their own scale
+        model = corpus[143]
+        doc = {
+            "A": [c.real.tolist() for c in model.A.coeffs],
+            "B": [c.real.tolist() for c in model.B.coeffs],
+            "sigma_L": np.asarray(model.sigma_L).tolist(),
+            "driver": {"kind": "brownian"},
+        }
+        code, out, _ = run(capsys, "verify", write_model(tmp_path, doc))
+        assert code == 0
+        assert "acvf-symmetry" in out
+        assert out.strip().splitlines()[-1] == "verification: PASS"
+
 
 class TestOutFile:
     def test_json_written_to_path(self, capsys, tmp_path, example_model_file):

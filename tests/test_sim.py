@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from mcarma_ou import matpoly, mcarma, sampling, sim
-from mcarma_ou.exceptions import NotStationaryError, TooShortError
+from mcarma_ou.exceptions import CholeskyFailError, NotStationaryError, TooShortError
 
 from conftest import random_stable_model
-from oracles import clt_band_for_zero_lags
+from oracles import clt_band_for_zero_lags, component_recursion
 
 
 def scalar_poly(*coeffs):
@@ -25,6 +28,14 @@ def example_decomp(example_model, example_set_12):
 
 def brownian(seed, sigma):
     return sim.DriverSpec(kind="brownian", seed=seed, sigma_L=sigma)
+
+
+def reference_gap(decomp, driver, h, n_steps, stationary_start=True, chunk=sim.CHUNK):
+    """max|Y - Y_ref| / max|Y_ref| against the per-step component recursion."""
+    got = sim.simulate(decomp, driver, h, n_steps, stationary_start=stationary_start)
+    want = component_recursion(decomp, driver, h, n_steps, stationary_start, chunk)
+    assert got.Y.shape == want.shape
+    return float(np.max(np.abs(got.Y - want)) / np.max(np.abs(want)))
 
 
 class TestReproducibility:
@@ -246,9 +257,118 @@ class TestPsdRepair:
         assert np.allclose(factor @ factor.T, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_large_negative_eigenvalue_aborts(self):
-        from mcarma_ou.exceptions import CholeskyFailError
         with pytest.raises(CholeskyFailError):
             sim._psd_factor(np.diag([1.0, -1e-6]), "test matrix")
+
+    @pytest.mark.parametrize("mat", [np.diag([1.0, -5e-13]), np.diag([1.0, -1e-6]),
+                                     np.diag([2.0, 1.0]), np.zeros((2, 2))])
+    def test_scale_invariant(self, mat):
+        def passes(m):
+            try:
+                sim._psd_factor(m, "test matrix")
+            except CholeskyFailError:
+                return False
+            return True
+
+        want = passes(mat)
+        for c in 10.0 ** np.arange(-8, 9):
+            assert passes(c * mat) == want
+
+    def test_large_gramian_clipped(self, corpus):
+        # corpus model #143: the innovation Gramian at h = 0.1 has eigenvalue
+        # -2.2e-9 against a largest one of 9.7e6, rounding at that scale
+        model = corpus[143]
+        decomp = mcarma.decompose(model, model.solvent_set())
+        path = sim.simulate(decomp, brownian(143, model.sigma_L), 0.1, 2000,
+                            stationary_start=True)
+        assert np.all(np.isfinite(path.Y))
+        assert path.max_imag <= sim.IMAG_TOL_PATH * np.max(np.abs(path.Y))
+
+
+class TestModalEngine:
+    """``sim.simulate`` against the per-step component recursion."""
+
+    def test_brownian_matches_reference_carma2x2(self, example_decomp):
+        gap = reference_gap(example_decomp, brownian(5, np.eye(2)), 0.1, 5000)
+        assert gap <= 1e-11
+
+    @pytest.mark.parametrize("index", [8, 17])
+    def test_brownian_matches_reference_d3p3(self, corpus, index):
+        model = corpus[index]
+        assert (model.d, model.p) == (3, 3)
+        decomp = mcarma.decompose(model, model.solvent_set())
+        gap = reference_gap(decomp, brownian(index, model.sigma_L), 0.1, 5000)
+        assert gap <= 1e-11
+
+    @pytest.mark.parametrize("n_steps", [1, 2, sim.CHUNK, sim.CHUNK + 1, sim.CHUNK + 2,
+                                         2 * sim.CHUNK + 1])
+    def test_chunk_boundaries(self, example_decomp, n_steps):
+        gap = reference_gap(example_decomp, brownian(11, np.eye(2)), 0.1, n_steps)
+        assert gap <= 1e-11
+
+    def test_compound_poisson_matches_reference(self, example_decomp):
+        driver = sim.DriverSpec(kind="compound_poisson", seed=21, rate=10.0,
+                                jump_cov=0.1 * np.eye(2))
+        assert reference_gap(example_decomp, driver, 0.1, sim.CHUNK + 5) <= 1e-11
+
+    def test_compound_poisson_empty_chunks(self, example_decomp, monkeypatch):
+        # about 0.5 jumps per 16-step chunk: some chunks draw none
+        monkeypatch.setattr(sim, "CHUNK", 16)
+        empty = []
+        draw = sim._jump_innovations
+
+        def spy(*args):
+            w = draw(*args)
+            empty.append(not np.any(w))
+            return w
+
+        monkeypatch.setattr(sim, "_jump_innovations", spy)
+        driver = sim.DriverSpec(kind="compound_poisson", seed=8, rate=0.3,
+                                jump_cov=np.eye(2))
+        gap = reference_gap(example_decomp, driver, 0.1, 400, stationary_start=False,
+                            chunk=16)
+        assert gap <= 1e-11
+        assert any(empty) and not all(empty)
+
+    def test_compound_poisson_takes_no_expm(self, example_decomp, monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return expm(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        driver = sim.DriverSpec(kind="compound_poisson", seed=2, rate=10.0,
+                                jump_cov=0.1 * np.eye(2))
+        sim.simulate(example_decomp, driver, 0.1, 1000)
+        assert calls == []
+
+    @pytest.mark.parametrize("h", [1.0, 2.0])
+    def test_non_stationary_no_overflow(self, h):
+        # root +0.5: in 100 steps the path reaches about 2e21 (h = 1) or 3e43
+        # (h = 2), finite, while e^{0.5 h CHUNK} overflows at h = 2; no power
+        # of e^{h lam} beyond the path length may be formed
+        model = scalar_model([1, -0.5], [1.0])
+        decomp = mcarma.decompose(model, model.solvent_set())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = reference_gap(decomp, brownian(3, np.array([[1.0]])), h, 100,
+                                stationary_start=False)
+        assert gap <= 1e-11
+
+    def test_compound_poisson_cross_acvf(self, example_decomp):
+        # d = 2: the cross terms of gamma(l) match the stationary ACVF too
+        h, n = 0.1, 100_000
+        driver = sim.DriverSpec(kind="compound_poisson", seed=606, rate=10.0,
+                                jump_cov=0.1 * np.eye(2))
+        path = sim.simulate(example_decomp, driver, h, n, stationary_start=True)
+        got = sim.empirical_acvf(path, 3)
+        want = mcarma.stationary_acvf(example_decomp, [k * h for k in range(4)])
+        tau = 2.0 / (1.0 - np.exp(-h))
+        band = 4.0 * np.linalg.norm(want[0]) * np.sqrt(tau / n)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) < band
 
 
 class TestRectangularDriver:

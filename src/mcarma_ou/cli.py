@@ -7,8 +7,9 @@ covariance and a driver block; see ``models/carma2x2.json`` for the
 canonical instance.
 
 Exit codes: 0 success, 1 input error (parse/shape), 2 numerical
-certification failure, with the failed invariant named on stderr.  All
-emitted floats carry 17 significant digits so files round-trip exactly.
+certification failure, with the failed invariant named on stderr.  Floats
+round-trip exactly: JSON output writes them by ``repr`` (through
+``json.dumps``) and CSV output with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def load_model_file(path, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# output formatting (17 significant digits, round-trip safe)
+# output formatting (round-trip safe)
 
 def _fmt(x):
     if isinstance(x, float):
@@ -123,51 +124,9 @@ def _to_jsonable(obj):
         return [_to_jsonable(v) for v in obj]
     return obj
 
-def _write_json(obj, indent, out):
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
-            _write_json(val, indent + 2, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        inline = all(isinstance(v, (int, float, str, bool)) or v is None for v in obj)
-        if inline:
-            out.append("[" + ", ".join(_scalar(v) for v in obj) + "]")
-        else:
-            out.append("[\n")
-            for i, val in enumerate(obj):
-                out.append(pad + "  ")
-                _write_json(val, indent + 2, out)
-                out.append(",\n" if i < len(obj) - 1 else "\n")
-            out.append(pad + "]")
-    else:
-        out.append(_scalar(obj))
-
-def _scalar(v):
-    if isinstance(v, bool) or v is None:
-        return json.dumps(v)
-    if isinstance(v, float):
-        if not np.isfinite(v):
-            return "Infinity" if v > 0 else ("-Infinity" if v < 0 else "NaN")
-        return _fmt(v)
-    if isinstance(v, int):
-        return str(v)
-    return json.dumps(v)
-
 def dumps_json(obj):
-    """Serialize with every float at 17 significant digits."""
-    out = []
-    _write_json(_to_jsonable(obj), 0, out)
-    return "".join(out) + "\n"
+    """Serialize to indented JSON; ``json.dumps`` writes floats by ``repr``."""
+    return json.dumps(_to_jsonable(obj), indent=2) + "\n"
 
 def _emit(text, out_path):
     if out_path in (None, "-"):

@@ -15,7 +15,7 @@ after the fact, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,18 +168,34 @@ class LatentPair:
 
 @dataclass(frozen=True)
 class Solvent:
-    """A certified right solvent with its residual ``||A_R(R)||_F``."""
+    """A certified right solvent with its residual ``||A_R(R)||_F``.
+
+    Carries its eigenbasis ``R = P diag(spectrum) P^{-1}``, taken once on
+    construction; every function of R the package needs (``expm``, the OU
+    Gramians of ``mcarma.ou_gramian``, the simulation's modal recursion) is
+    evaluated through it.
+    """
 
     R: np.ndarray
     multiplicity: int
     residual_norm: float
+    spectrum: np.ndarray = field(init=False, repr=False)
+    P: np.ndarray = field(init=False, repr=False)
+    P_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "R", _readonly(_as_complex(self.R)))
+        R = _readonly(_as_complex(self.R))
+        spectrum, P = np.linalg.eig(R)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "spectrum", _readonly(spectrum))
+        object.__setattr__(self, "P", _readonly(P))
+        object.__setattr__(self, "P_inv", _readonly(np.linalg.inv(P)))
 
-    @property
-    def spectrum(self):
-        return np.linalg.eigvals(self.R)
+    def expm(self, t):
+        """``e^{tR} = P diag(e^{t spectrum}) P^{-1}``; for an array of times,
+        one matrix per time along the leading axes."""
+        scales = np.exp(np.multiply.outer(t, self.spectrum))[..., None, :]
+        return (self.P * scales) @ self.P_inv
 
 
 @dataclass(frozen=True)
@@ -400,6 +416,11 @@ def certify_solvent_set(A, mats):
     ------
     SolventResidualError, IncompleteSetError, SingularVandermondeError
     """
+    return _certify(A, mats, [pr.root for pr in latent_roots(A)])
+
+
+def _certify(A, mats, roots):
+    """``certify_solvent_set`` against latent roots the caller already has."""
     mats = [_as_complex(R) for R in mats]
     p = A.degree
     d = A.order[0]
@@ -424,8 +445,7 @@ def certify_solvent_set(A, mats):
                 raise IncompleteSetError(
                     f"spectra of solvents {i} and {j} overlap (gap {gap:.2e})")
     union = np.concatenate(spectra)
-    target = np.array([pr.root for pr in latent_roots(A)])
-    err = eig_multiset_distance(union, target)
+    err = eig_multiset_distance(union, np.array(roots))
     if err > TOL_EIG:
         raise IncompleteSetError(
             f"union of solvent spectra misses latent roots by {err:.3e}")
@@ -476,7 +496,7 @@ def solvents_from_latents(A, pairs=None, grouping=None):
             raise SingularGroupError(f"latent-vector matrix condition {cond:.3e}")
         L = np.diag([pairs[i].root for i in group])
         mats.append(P @ L @ np.linalg.inv(P))
-    return certify_solvent_set(A, mats)
+    return _certify(A, mats, [pr.root for pr in pairs])
 
 
 def solvent_set(A, grouping=None):

@@ -13,9 +13,16 @@ Ornstein-Uhlenbeck processes
 
     Y_k(t) = e^{R_k t} Y_k(0) + int_0^t e^{R_k (t-u)} Res_k dL(u),
 
-and the stationary autocovariance splits into per-component Sylvester
-solutions.  The decomposition is certified here through the similarity
-transform T = V(R_1, ..., R_p).
+and the stationary autocovariance splits into per-component OU Gramians.
+The decomposition is certified here through the similarity transform
+T = V(R_1, ..., R_p).
+
+Every matrix function of a solvent is evaluated in its eigenbasis
+R_k = P_k diag(lam_k) P_k^{-1}, which each ``matpoly.Solvent`` carries:
+``e^{t R_k}`` by ``Solvent.expm`` and the OU Gramians by ``ou_gramian``
+(Moler & Van Loan, "Nineteen dubious ways to compute the exponential of a
+matrix, twenty-five years later", SIAM Rev. 45 (2003), method 14; its error
+grows with cond(P_k), which ``matpoly.solvents_from_latents`` bounds).
 """
 
 from __future__ import annotations
@@ -183,9 +190,13 @@ def build_state_space(model):
 
 @dataclass(frozen=True)
 class OuComponent:
-    R: np.ndarray
+    solvent: matpoly.Solvent
     residue: np.ndarray
     y0: np.ndarray
+
+    @property
+    def R(self):
+        return self.solvent.R
 
 
 @dataclass(frozen=True)
@@ -257,9 +268,31 @@ def decompose(model, S, x0=None):
         raise ImaginaryLeakError(f"similarity certificate failed at {worst:.3e}")
 
     comps = tuple(
-        OuComponent(R, res, y0[k * d:(k + 1) * d])
-        for k, (R, res) in enumerate(pf.pairs))
+        OuComponent(sol, res, y0[k * d:(k + 1) * d])
+        for k, (sol, res) in enumerate(zip(S.solvents, pf.residue_matrices)))
     return OuDecomposition(comps, T, model, ss, pf, S)
+
+
+def _real_sum(decomp, times, mats, what):
+    """``sum_k e^{t R_k} X_k`` with ``X_k = mats[k]`` for every t in ``times``,
+    for the whole time grid at once.
+
+    Each sum is certified real: its imaginary part must stay below 1e-9 of
+    its largest term (the exact sum is real only up to roundoff amplified by
+    the term magnitudes).  Returns the real sums and those term scales.
+    """
+    times = np.asarray(times, dtype=float)
+    terms = np.stack([c.solvent.expm(times) @ X  # (p, len(times), d, m)
+                      for c, X in zip(decomp.components, mats)])
+    scale = np.abs(terms).max(axis=(0, 2, 3), initial=1.0)
+    out = terms.sum(axis=0)
+    for t, leak, sc in zip(times, np.abs(out.imag).max(axis=(1, 2), initial=0.0), scale):
+        if leak > IMAG_TOL_KERNEL * sc:
+            raise ImaginaryLeakError(
+                f"{what} imaginary part {leak:.3e} at t = {t} (term scale {sc:.3e}); "
+                "grouping is not conjugate-closed or the solvent set is badly "
+                "conditioned")
+    return out.real.copy(), scale
 
 
 def kernel(decomp, t):
@@ -267,37 +300,42 @@ def kernel(decomp, t):
 
     Equals ``C* e^{A* t} B*``; the identity is exercised by the
     verification suite rather than recomputed here.  The imaginary part is
-    certified below 1e-9 relative to the largest summand (the exact sum is
-    real only up to roundoff amplified by the term magnitudes) and
-    stripped.
+    certified below 1e-9 relative to the largest summand and stripped.
     """
     if t < 0:
         raise ValueError("kernel is defined for t >= 0")
-    out = np.zeros((decomp.d, decomp.model.m), dtype=complex)
-    term_scale = 1.0
-    for comp in decomp.components:
-        term = scipy.linalg.expm(t * comp.R) @ comp.residue
-        term_scale = max(term_scale, float(np.max(np.abs(term))))
-        out = out + term
-    leak = float(np.max(np.abs(out.imag)))
-    if leak > IMAG_TOL_KERNEL * term_scale:
-        raise ImaginaryLeakError(
-            f"kernel imaginary part {leak:.3e} (term scale {term_scale:.3e}); "
-            "grouping is not conjugate-closed or the solvent set is badly "
-            "conditioned")
-    return out.real
+    out, _ = _real_sum(decomp, [t], [c.residue for c in decomp.components], "kernel")
+    return out[0]
 
 
-def component_cross_gramian(R_i, R_j, M):
-    """Solve ``R_i X + X R_j^H = -M`` for the infinite-horizon OU integral
-    ``X = int_0^inf e^{u R_i} M e^{u R_j^H} du``."""
-    lhs = np.linalg.eigvals(R_i)
-    rhs = np.linalg.eigvals(R_j)
-    gap = np.min(np.abs(lhs[:, None] + rhs.conj()[None, :]))
-    if gap < 1e-12:
-        raise SylvesterSingularError(
-            f"spectra of R_i and -R_j^H nearly intersect (gap {gap:.2e})")
-    return scipy.linalg.solve_sylvester(R_i, R_j.conj().T, -M)
+def ou_gramian(s_i, s_j, M, h=np.inf):
+    """OU Gramian ``int_0^h e^{u R_i} M e^{u R_j^H} du`` of two solvents.
+
+    With ``R_i = P_i diag(lam) P_i^{-1}`` and ``R_j = P_j diag(mu) P_j^{-1}``
+    the integral is ``P_i ((P_i^{-1} M P_j^{-H}) * W) P_j^H`` (elementwise
+    product) with, for ``z_ab = lam_a + conj(mu_b)``, the weights
+    ``W = expm1(h z) / z`` (``h`` where z = 0), or ``W = -1/z`` for h = inf.
+    ``expm1`` keeps the small-h and near-collision weights accurate to
+    rounding, where forming ``e^{h z} - 1`` would cancel.
+
+    Raises
+    ------
+    SylvesterSingularError
+        For h = inf, if some z is within 1e-12 of zero (the spectra of R_i
+        and -R_j^H nearly intersect and the integral diverges).
+    """
+    z = s_i.spectrum[:, None] + s_j.spectrum.conj()[None, :]
+    if np.isinf(h):
+        gap = np.min(np.abs(z))
+        if gap < 1e-12:
+            raise SylvesterSingularError(
+                f"spectra of R_i and -R_j^H nearly intersect (gap {gap:.2e})")
+        W = -1.0 / z
+    else:
+        zero = z == 0
+        W = np.where(zero, h, np.expm1(h * z) / np.where(zero, 1.0, z))
+    K = s_i.P_inv @ M @ s_j.P_inv.conj().T
+    return s_i.P @ (K * W) @ s_j.P.conj().T
 
 
 def stationary_component_covariances(decomp):
@@ -305,14 +343,11 @@ def stationary_component_covariances(decomp):
     Sigma_L Res_j^H e^{u R_j^H} du`` entering the stationary ACVF."""
     sigma_L = decomp.model.sigma_L
     comps = decomp.components
-    out = []
-    for ci in comps:
-        acc = np.zeros((decomp.d, decomp.d), dtype=complex)
-        for cj in comps:
-            M = ci.residue @ sigma_L @ cj.residue.conj().T
-            acc = acc + component_cross_gramian(ci.R, cj.R, M)
-        out.append(acc)
-    return out
+    return [
+        sum(ou_gramian(ci.solvent, cj.solvent,
+                       ci.residue @ sigma_L @ cj.residue.conj().T)
+            for cj in comps)
+        for ci in comps]
 
 
 def stationary_acvf(decomp, lags):
@@ -336,30 +371,20 @@ def stationary_acvf(decomp, lags):
     """
     if not decomp.model.stationary:
         raise NotStationaryError("stationary ACVF needs all latent roots with Re < 0")
-    sigmas = stationary_component_covariances(decomp)
-    out = []
-    for lag in lags:
-        if lag < 0:
-            raise ValueError("lags must be nonnegative")
-        acc = np.zeros((decomp.d, decomp.d), dtype=complex)
-        term_scale = 1.0
-        for comp, sig in zip(decomp.components, sigmas):
-            term = scipy.linalg.expm(lag * comp.R) @ sig
-            term_scale = max(term_scale, float(np.max(np.abs(term))))
-            acc = acc + term
-        leak = float(np.max(np.abs(acc.imag)))
-        if leak > IMAG_TOL_KERNEL * term_scale:
-            raise ImaginaryLeakError(f"ACVF imaginary part {leak:.3e} at lag {lag}")
-        acc = acc.real
+    lags = np.asarray(list(lags), dtype=float)
+    if np.any(lags < 0):
+        raise ValueError("lags must be nonnegative")
+    gammas, term_scale = _real_sum(
+        decomp, lags, stationary_component_covariances(decomp), "ACVF")
+    for lag, acc, scale in zip(lags, gammas, term_scale):
         if lag == 0:
             sym_err = np.max(np.abs(acc - acc.T))
-            if sym_err > 1e-10 * term_scale:
+            if sym_err > 1e-10 * scale:
                 raise ImaginaryLeakError(f"gamma(0) asymmetric by {sym_err:.3e}")
             if np.min(np.linalg.eigvalsh(0.5 * (acc + acc.T))) < -1e-10 * max(
                     1.0, np.trace(acc)):
                 raise ImaginaryLeakError("gamma(0) not positive semidefinite")
-        out.append(acc)
-    return out
+    return list(gammas)
 
 
 def stationary_state_covariance(ss, sigma_L):

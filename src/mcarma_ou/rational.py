@@ -140,7 +140,7 @@ class PartialFraction:
         return len(self.pairs)
 
 
-def residues(F, S, statespace=None):
+def residues(F, S):
     """Matrix residues of F at the solvents of a certified SolventSet.
 
     Parameters
@@ -148,9 +148,6 @@ def residues(F, S, statespace=None):
     F : RationalLeftMatrix
         Must carry a positive irreducibility certificate.
     S : matpoly.SolventSet
-    statespace : (A#, B#) pair, optional
-        Reused when the caller already built the sharp system; by default
-        ``A# X = B#`` is solved by forward block substitution.
 
     Returns
     -------
@@ -159,11 +156,7 @@ def residues(F, S, statespace=None):
     if not F.irreducible:
         raise NotIrreducibleError(f"rank deficiency at latent root {F.witness}")
     d = F.A.order[0]
-    if statespace is None:
-        X = solve_sharp(F.A, F.B)
-    else:
-        A_sharp, B_sharp = statespace
-        X = np.linalg.solve(A_sharp, B_sharp)
+    X = solve_sharp(F.A, F.B)
     try:
         stacked = np.linalg.solve(S.V, X)
     except np.linalg.LinAlgError as err:

@@ -11,6 +11,9 @@ with an autocovariance built from the finite-horizon innovation Gramians
     Sigma_{nu,mu}^{(h)} = int_0^h e^{R_nu u} Res_nu Sigma_L Res_mu^H
                           e^{R_mu^H u} du.
 
+Exponentials and Gramians are evaluated in the solvents' eigenbases
+(``matpoly.Solvent.expm`` and ``mcarma.ou_gramian``).
+
 An MA(p-1) representative of that noise is fitted by the multivariate
 innovations algorithm; the invertible (minimum-phase) representative is
 the one the iteration converges to.
@@ -21,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import matpoly
+from . import matpoly, mcarma
 from .exceptions import (
     AliasedSamplingError,
     ImaginaryLeakError,
@@ -83,7 +85,7 @@ def sampled_solvent_matrices(S, h):
                     roots[i] - roots[j]) > ALIAS_TOL:
                 raise AliasedSamplingError(
                     f"latent roots {roots[i]:.6g} and {roots[j]:.6g} alias at h={h}")
-    return [scipy.linalg.expm(-h * R) for R in S.matrices]
+    return [s.expm(-h) for s in S.solvents]
 
 
 def varma_ar(S, h):
@@ -131,39 +133,18 @@ def varma_ar(S, h):
     return psi, phi, {"cond_sampled_V": cond_V, "ar_residual": residual}
 
 
-def finite_gramian(R_nu, res_nu, R_mu, res_mu, sigma_L, h):
-    """Innovation Gramian ``int_0^h e^{R_nu u} M e^{R_mu^H u} du`` with
-    ``M = Res_nu Sigma_L Res_mu^H``.
-
-    Solved through the Sylvester identity ``R_nu X + X R_mu^H =
-    e^{R_nu h} M e^{R_mu^H h} - M`` when the spectra allow it, otherwise
-    through a Van Loan block-exponential integral (the spectra of R_nu and
-    -R_mu^H can intersect for non-stationary models).
-    """
-    M = res_nu @ sigma_L @ res_mu.conj().T
-    RmuH = R_mu.conj().T
-    lhs = np.linalg.eigvals(R_nu)
-    rhs = np.linalg.eigvals(R_mu)
-    gap = np.min(np.abs(lhs[:, None] + rhs.conj()[None, :]))
-    if gap > 1e-8:
-        rhs_mat = scipy.linalg.expm(h * R_nu) @ M @ scipy.linalg.expm(h * RmuH) - M
-        return scipy.linalg.solve_sylvester(R_nu, RmuH, rhs_mat)
-    d = R_nu.shape[0]
-    block = np.zeros((2 * d, 2 * d), dtype=complex)
-    block[:d, :d] = -R_nu
-    block[:d, d:] = M
-    block[d:, d:] = RmuH
-    top_right = scipy.linalg.expm(h * block)[:d, d:]
-    return scipy.linalg.expm(h * R_nu) @ top_right
+def finite_gramian(s_nu, res_nu, s_mu, res_mu, sigma_L, h):
+    """Innovation Gramian ``int_0^h e^{R_nu u} M e^{R_mu^H u} du`` of the
+    solvents ``s_nu``, ``s_mu`` with ``M = Res_nu Sigma_L Res_mu^H``."""
+    return mcarma.ou_gramian(s_nu, s_mu, res_nu @ sigma_L @ res_mu.conj().T, h)
 
 
-def innovation_gramians(Rs, residues, sigma_L, h):
+def innovation_gramians(solvents, residues, sigma_L, h):
     """All p x p cross Gramians ``Sigma_{nu,mu}^{(h)}`` as a nested list."""
-    p = len(Rs)
     return [
-        [finite_gramian(Rs[i], residues[i], Rs[j], residues[j], sigma_L, h)
-         for j in range(p)]
-        for i in range(p)]
+        [finite_gramian(s_nu, res_nu, s_mu, res_mu, sigma_L, h)
+         for s_mu, res_mu in zip(solvents, residues)]
+        for s_nu, res_nu in zip(solvents, residues)]
 
 
 def noise_acvf(S, pf, phi, sigma_L, h):
@@ -179,13 +160,12 @@ def noise_acvf(S, pf, phi, sigma_L, h):
     which vanishes for l >= p.  Imaginary parts are certified below 1e-9
     and stripped; gamma_U(0) is certified symmetric PSD.
     """
-    Rs = pf.solvent_matrices
-    res = pf.residue_matrices
-    p = len(Rs)
-    d = Rs[0].shape[0]
-    gram = innovation_gramians(Rs, res, sigma_L, h)
+    sols = S.solvents
+    p = len(sols)
+    d = S.block_dim
+    gram = innovation_gramians(sols, pf.residue_matrices, sigma_L, h)
 
-    exp_h = [[scipy.linalg.expm(h * s * R) for s in range(p)] for R in Rs]
+    exp_h = [[sol.expm(h * s) for s in range(p)] for sol in sols]
     coeff = [[None] * p for _ in range(p)]  # coeff[s][k] = C_{s,k}
     for k in range(p):
         for s in range(p):

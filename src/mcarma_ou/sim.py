@@ -114,10 +114,9 @@ def state_innovation_gramian(decomp, sigma_L, h):
     """Real pd x pd covariance of the stacked state innovation over one step,
     ``T [Sigma_{nu,mu}^{(h)}] T^H`` with the component Gramians from the
     sampling module."""
-    pf = decomp.partial_fraction
-    blocks = sampling.innovation_gramians(
-        pf.solvent_matrices, pf.residue_matrices, sigma_L, h)
-    G = np.block(blocks)
+    comps = decomp.components
+    G = np.block(sampling.innovation_gramians(
+        [c.solvent for c in comps], [c.residue for c in comps], sigma_L, h))
     T = decomp.transform
     Q = T @ G @ T.conj().T
     return np.real(Q)
@@ -140,12 +139,13 @@ def _modal_form(decomp):
     Returns the stacked latent roots ``lam`` (length pd), the block diagonal
     ``blkdiag(P_k)^{-1}`` that maps component coordinates to modal ones, and
     the d x pd read-out ``hstack(P_k)``; the read-out sums the components
-    because ``C* T = (I, ..., I)``.  The solvent spectra are certified
-    distinct, so each ``P_k`` is well posed.
+    because ``C* T = (I, ..., I)``.  Each ``matpoly.Solvent`` carries its
+    eigenbasis.
     """
-    lams, Ps = zip(*(np.linalg.eig(comp.R) for comp in decomp.components))
-    P_inv = scipy.linalg.block_diag(*[np.linalg.inv(P) for P in Ps])
-    return np.concatenate(lams), P_inv, np.hstack(Ps)
+    sols = [comp.solvent for comp in decomp.components]
+    return (np.concatenate([s.spectrum for s in sols]),
+            scipy.linalg.block_diag(*[s.P_inv for s in sols]),
+            np.hstack([s.P for s in sols]))
 
 
 def _scan(w, powers, z_prev):

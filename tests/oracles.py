@@ -1,11 +1,12 @@
 """Independent numerical oracles used to cross-check the library paths.
 
-Everything here deliberately avoids the production code routes: residues by
-contour quadrature instead of the Vandermonde linear system, Gramians by
-adaptive quadrature instead of Sylvester solves, autocovariances through
-the full state-space Lyapunov equation instead of per-component sums,
-paths by the per-step component recursion with one ``expm`` per jump
-instead of the chunked eigenbasis scan.
+Each oracle takes a different route from the production code: residues by
+contour quadrature instead of the Vandermonde linear system; Gramians by
+adaptive quadrature of ``scipy.linalg.expm`` products instead of the
+eigenbasis formula of ``mcarma.ou_gramian``; autocovariances through the
+full state-space Lyapunov equation instead of per-component sums; paths by
+the per-step component recursion with one ``expm`` per jump instead of the
+chunked eigenbasis scan.
 """
 
 import numpy as np
@@ -93,7 +94,7 @@ def noise_acvf_from_continuous(decomp, phi, h, p, d):
 
 def noise_acvf_quadrature(pf, phi, sigma_L, h):
     """Sampled-noise autocovariances with every innovation Gramian computed
-    by adaptive quadrature instead of Sylvester/Van Loan solves."""
+    by adaptive quadrature and every exponential by ``scipy.linalg.expm``."""
     import scipy.linalg
 
     p = len(pf.pairs)

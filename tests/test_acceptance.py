@@ -144,7 +144,7 @@ def test_criterion_6_noise_dependence(example_model, example_set_12):
     start = time.perf_counter()
     h = 0.1
 
-    # d = 1: adaptive quadrature against the closed Sylvester route
+    # d = 1: adaptive quadrature against the closed eigenbasis route
     model1 = mcarma.McarmaModel.build(
         scalar_poly(1, 3, 2), scalar_poly(1.0), np.array([[1.0]]))
     S1 = model1.solvent_set()

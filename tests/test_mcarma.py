@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -266,10 +268,33 @@ class TestStationaryAcvf:
         for ci in comps:
             for cj in comps:
                 M = ci.residue @ np.eye(2) @ cj.residue.conj().T
-                got = mcarma.component_cross_gramian(ci.R, cj.R, M)
+                got = mcarma.ou_gramian(ci.solvent, cj.solvent, M)
                 want = quad_infinite_gramian(ci.R, ci.residue, cj.R, cj.residue,
                                              np.eye(2))
                 assert np.max(np.abs(got - want)) < 1e-9
+
+    @pytest.mark.parametrize("z", [0.0, 1e-9, 1e-7, 1e-5])
+    def test_gramian_near_collision(self, z):
+        # lam + conj(mu) = z: the weight int_0^h e^{uz} du = expm1(hz)/z must
+        # keep full relative accuracy as z -> 0, where e^{hz} - 1 cancels
+        h = 0.7
+        s_i = matpoly.Solvent(np.array([[z]]), 1, 0.0)
+        s_j = matpoly.Solvent(np.array([[0.0]]), 1, 0.0)
+        got = mcarma.ou_gramian(s_i, s_j, np.eye(1), h)[0, 0]
+        want = h if z == 0.0 else math.expm1(h * z) / z
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_gramian_time_rescaling(self, c):
+        # u -> u / c: c G(c R_i, c R_j, M, h / c) = G(R_i, R_j, M, h)
+        M = RES1 @ RES2.T
+        h = 0.4
+        sols = [matpoly.Solvent(R, 1, 0.0) for R in (R1, R2)]
+        scaled = [matpoly.Solvent(c * R, 1, 0.0) for R in (R1, R2)]
+        for horizon in (h, np.inf):
+            want = mcarma.ou_gramian(sols[0], sols[1], M, horizon)
+            got = c * mcarma.ou_gramian(scaled[0], scaled[1], M, horizon / c)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lyapunov_oracle_random(self, seed):

@@ -7,7 +7,8 @@ from mcarma_ou import matpoly, mcarma, rational, sampling
 from mcarma_ou.exceptions import AliasedSamplingError, NoConvergenceError, NotPDError
 
 from conftest import random_stable_model
-from oracles import noise_acvf_from_continuous, quad_finite_gramian
+from oracles import (noise_acvf_from_continuous, noise_acvf_quadrature,
+                     quad_finite_gramian)
 
 
 def scalar_poly(*coeffs):
@@ -97,28 +98,34 @@ class TestVarmaAr:
             assert np.isrealobj(f)
 
 
+def solvent(R):
+    """A bare Solvent (no polynomial to certify against) for Gramian tests."""
+    return matpoly.Solvent(np.asarray(R), 1, 0.0)
+
+
 class TestGramians:
-    def test_sylvester_vs_quadrature(self, example_model, example_set_12):
+    def test_finite_gramian_vs_quadrature(self, example_model, example_set_12):
         F = example_model.rational_fraction()
         pf = rational.residues(F, example_set_12)
         h = 0.4
-        for (R_nu, res_nu) in pf.pairs:
-            for (R_mu, res_mu) in pf.pairs:
-                got = sampling.finite_gramian(R_nu, res_nu, R_mu, res_mu,
+        pairs = list(zip(example_set_12.solvents, pf.residue_matrices))
+        for (s_nu, res_nu) in pairs:
+            for (s_mu, res_mu) in pairs:
+                got = sampling.finite_gramian(s_nu, res_nu, s_mu, res_mu,
                                               np.eye(2), h)
-                want = quad_finite_gramian(R_nu, res_nu, R_mu, res_mu,
+                want = quad_finite_gramian(s_nu.R, res_nu, s_mu.R, res_mu,
                                            np.eye(2), h)
                 assert np.max(np.abs(got - want)) < 1e-9
 
     def test_van_loan_fallback_spectra_collision(self):
         # R_nu = 0.5, R_mu = -0.5: sigma(R_nu) meets sigma(-R_mu^H), the
-        # Sylvester operator is singular and the block-exponential path runs
+        # Sylvester operator is singular and the weight of z = 0 is h
         R_nu = np.array([[0.5 + 0j]])
         R_mu = np.array([[-0.5 + 0j]])
         res = np.array([[1.0 + 0j]])
         sigma = np.array([[1.0]])
         h = 0.7
-        got = sampling.finite_gramian(R_nu, res, R_mu, res, sigma, h)
+        got = sampling.finite_gramian(solvent(R_nu), res, solvent(R_mu), res, sigma, h)
         want = quad_finite_gramian(R_nu, res, R_mu, res, sigma, h)
         assert np.max(np.abs(got - want)) < 1e-10
         # analytic: int_0^h e^{0.5u} e^{-0.5u} du = h
@@ -133,15 +140,15 @@ class TestGramians:
         sigma = np.eye(2)
         h = 0.3
         M = res_nu @ sigma @ res_mu.conj().T
-        sylv = sampling.finite_gramian(
-            R_nu.astype(complex), res_nu, R_mu.astype(complex), res_mu, sigma, h)
+        modal = sampling.finite_gramian(
+            solvent(R_nu), res_nu, solvent(R_mu), res_mu, sigma, h)
         d = 2
         block = np.zeros((2 * d, 2 * d), dtype=complex)
         block[:d, :d] = -R_nu
         block[:d, d:] = M
         block[d:, d:] = R_mu.conj().T
         vanloan = scipy.linalg.expm(h * R_nu) @ scipy.linalg.expm(h * block)[:d, d:]
-        assert np.max(np.abs(sylv - vanloan)) < 1e-11
+        assert np.max(np.abs(modal - vanloan)) < 1e-11
 
 
 class TestNoiseAcvf:
@@ -209,6 +216,18 @@ class TestNoiseAcvf:
                                 example_model.sigma_L, h)
         for x, y in zip(a, b):
             assert np.max(np.abs(x - y)) <= 1e-8
+
+    @pytest.mark.parametrize("h", [0.01, 0.05, 0.25, 2.0])
+    def test_h_sweep_vs_quadrature(self, example_model, h):
+        S = example_model.solvent_set()
+        decomp = mcarma.decompose(example_model, S)
+        _, phi, _ = sampling.varma_ar(S, h)
+        got = sampling.noise_acvf(S, decomp.partial_fraction, phi,
+                                  example_model.sigma_L, h)
+        want = noise_acvf_quadrature(decomp.partial_fraction, phi,
+                                     example_model.sigma_L, h)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-10 * max(1.0, np.max(np.abs(w)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_vs_continuous_route(self, seed):
@@ -306,3 +325,18 @@ class TestSampledVarma:
         decomp = mcarma.decompose(model, model.solvent_set())
         sv = sampling.sampled_varma(decomp, 0.1)
         assert not sv.schur_stable
+
+    def test_takes_no_expm_or_sylvester(self, example_model, monkeypatch):
+        calls = []
+        for name in ("expm", "solve_sylvester"):
+            original = getattr(scipy.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counting)
+        decomp = mcarma.decompose(example_model, example_model.solvent_set())
+        mcarma.stationary_acvf(decomp, [0.1 * k for k in range(11)])
+        sampling.sampled_varma(decomp, 0.1)
+        assert calls == []

@@ -284,6 +284,19 @@ class TestPsdRepair:
         assert np.all(np.isfinite(path.Y))
         assert path.max_imag <= sim.IMAG_TOL_PATH * np.max(np.abs(path.Y))
 
+    def test_small_step_gramian_factors(self, corpus):
+        # corpus model #125 at h = 0.01: a Gramian solved from the Sylvester
+        # right-hand side e^{hR} M e^{hR^H} - M lost its small eigenvalues to
+        # cancellation (-1.2e-12 against a largest one of 0.21) and failed to
+        # factor; the expm1 weights of mcarma.ou_gramian do not cancel
+        model = corpus[125]
+        decomp = mcarma.decompose(model, model.solvent_set())
+        vals = np.linalg.eigvalsh(sim.state_innovation_gramian(decomp, model.sigma_L, 0.01))
+        assert vals[0] >= -sim.PSD_CLIP * vals[-1]
+        path = sim.simulate(decomp, brownian(125, model.sigma_L), 0.01, 2000,
+                            stationary_start=True)
+        assert np.all(np.isfinite(path.Y))
+
 
 class TestModalEngine:
     """``sim.simulate`` against the per-step component recursion."""

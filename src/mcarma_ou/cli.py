@@ -19,9 +19,8 @@ import json
 import sys
 
 import numpy as np
-import scipy.linalg
 
-from . import matpoly, mcarma, rational, sampling, sim
+from . import matpoly, mcarma, rational, sampling, sim, verify
 from .exceptions import CertificationError, ModelFileError
 
 
@@ -246,114 +245,36 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # verification suite
 
-def _rel_err(got, want):
-    scale = max(1.0, float(np.linalg.norm(want)))
-    return float(np.linalg.norm(np.asarray(got) - np.asarray(want)) / scale)
-
 def run_verification(model, driver, h, steps, seed):
-    """Run the invariant suite and return [(name, measured, bound, ok)]."""
-    checks = []
+    """Run the ``verify`` checks in row order; return ``([Check], decomp)``.
 
-    def record(name, measured, bound, smaller_is_better=True):
-        ok = measured <= bound if smaller_is_better else measured >= bound
-        checks.append((name, float(measured), float(bound), bool(ok)))
-
+    The Monte-Carlo row needs a Brownian driver: its band is the Gaussian
+    CLT band (compound-Poisson sample ACVFs carry an extra kurtosis term).
+    """
     S = model.solvent_set()
-    scale_ap = max(1.0, float(np.linalg.norm(model.A.coeffs[-1])))
-    record("solvent-residual",
-           max(s.residual_norm for s in S.solvents), 1e-9 * scale_ap)
-
-    ss = mcarma.build_state_space(model)
-    record("statespace-identity", ss.sharp_residual, ss.sharp_bound)
-
     decomp = mcarma.decompose(model, S)
-    tgrid = np.linspace(0.0, 5.0, 51)
-    kernel_err = 0.0
-    kernel_imag = 0.0
-    for t in tgrid:
-        ssk = ss.C_star @ scipy.linalg.expm(t * ss.A_star) @ ss.B_star
-        total = np.zeros_like(ssk, dtype=complex)
-        for comp in decomp.components:
-            total = total + scipy.linalg.expm(t * comp.R) @ comp.residue
-        kernel_imag = max(kernel_imag, float(np.max(np.abs(total.imag))))
-        kernel_err = max(kernel_err, float(np.linalg.norm(total.real - ssk)))
-    record("kernel-identity", kernel_err,
-           1e-8 * (1.0 + float(np.linalg.norm(ss.B_star))))
-    record("kernel-realness", kernel_imag, 1e-9)
-
-    pf = decomp.partial_fraction
-    radius = 2.0 * max(abs(pr.root) for pr in model.latent_pairs)
-    pf_err = 0.0
-    for angle in np.linspace(0.0, 2 * np.pi, 20, endpoint=False):
-        z = radius * np.exp(1j * (angle + 0.05))
-        direct = np.linalg.solve(model.A.eval(z), model.B.eval(z))
-        pf_err = max(pf_err, _rel_err(rational.eval_partial_fraction(pf, z), direct))
-    record("pf-reconstruction", pf_err, 1e-8)
-
+    checks = [verify.check_solvent_residual(model, S),
+              verify.check_statespace_identity(decomp.statespace),
+              verify.check_kernel_identity(decomp),
+              verify.check_kernel_realness(decomp),
+              verify.check_pf_reconstruction(decomp)]
     if model.stationary:
         lags = [k * h for k in range(11)]
         gammas = mcarma.stationary_acvf(decomp, lags)
-        pi = mcarma.stationary_state_covariance(ss, model.sigma_L)
-        oracle_err = 0.0
-        for lag, gamma in zip(lags, gammas):
-            oracle = ss.C_star @ scipy.linalg.expm(lag * ss.A_star) @ pi @ ss.C_star.T
-            oracle_err = max(oracle_err, _rel_err(gamma, oracle))
-        record("acvf-lyapunov-oracle", oracle_err, 1e-8)
-        record("acvf-symmetry", float(np.max(np.abs(gammas[0] - gammas[0].T))),
-               1e-10 * max(1.0, float(np.max(np.abs(gammas[0])))))
-
+        checks += [verify.check_acvf_lyapunov(decomp, lags, gammas),
+                   verify.check_acvf_symmetry(gammas[0])]
     sv = sampling.sampled_varma(decomp, h)
-    record("varma-ar-structure", sv.ar_residual, 1e-8)
-
-    ma_err = 0.0
-    for lag in range(model.p):
-        ma_err = max(ma_err, _rel_err(
-            sampling.ma_acvf(sv.theta, sv.sigma_eps, lag), sv.gamma_U[lag]))
-    record("ma-roundtrip", ma_err, 1e-6)
-    record("ma-invertibility", sv.ma_margin, 1e-6, smaller_is_better=False)
-
+    checks += [verify.check_varma_ar(sv.ar_residual),
+               verify.check_ma_roundtrip(sv.gamma_U, sv.theta, sv.sigma_eps),
+               verify.check_ma_invertibility(sv.ma_margin)]
     if model.stationary:
-        # independent route to gamma_U through the continuous-time ACVF
-        p = model.p
-        needed = sorted({abs(l - i + j) for l in range(p)
-                         for i in range(p + 1) for j in range(p + 1)})
-        gamma_y = dict(zip(needed, mcarma.stationary_acvf(
-            decomp, [u * h for u in needed])))
-
-        def gy(u):
-            return gamma_y[u] if u >= 0 else gamma_y[-u].T
-
-        phi_t = [np.eye(model.d)] + [-f for f in sv.phi]
-        noise_err = 0.0
-        for lag in range(p):
-            acc = np.zeros((model.d, model.d))
-            for i in range(p + 1):
-                for j in range(p + 1):
-                    acc += phi_t[i] @ gy(lag - i + j) @ phi_t[j].T
-            noise_err = max(noise_err, _rel_err(sv.gamma_U[lag], acc))
-        record("noise-acvf-consistency", noise_err, 1e-7)
-
-    # Monte-Carlo: the extracted noise is (p-1)-dependent.  The 99% band
-    # below is the Gaussian CLT band, exact for the Brownian driver only
-    # (compound-Poisson sample ACVFs carry an extra kurtosis term).
-    if model.stationary and driver.kind == "brownian":
-        p = model.p
-        driver_mc = sim.DriverSpec(kind="brownian", seed=seed,
-                                   sigma_L=driver.sigma_L)
-        path = sim.simulate(decomp, driver_mc, h, steps, stationary_start=True)
-        U = sim.extract_noise(path, list(sv.phi))
-        n_eff = U.shape[0]
-        centered = U - U.mean(axis=0)
-        band_var = sum(
-            np.outer(np.diag(sampling.acvf_at_lag(list(sv.gamma_U), u)),
-                     np.diag(sampling.acvf_at_lag(list(sv.gamma_U), u)))
-            for u in range(-(p - 1), p))
-        band = 2.5758 * np.sqrt(band_var / n_eff)
-        worst_ratio = 0.0
-        for lag in range(p, p + 4):
-            est = centered[lag:].T @ centered[:n_eff - lag] / n_eff
-            worst_ratio = max(worst_ratio, float(np.max(np.abs(est) / band)))
-        record("noise-lag-p-zero", worst_ratio, 1.0)
+        checks.append(verify.check_noise_acvf(decomp, sv.phi, sv.gamma_U, h))
+        if driver.kind == "brownian":
+            driver_mc = sim.DriverSpec(kind="brownian", seed=seed,
+                                       sigma_L=driver.sigma_L)
+            path = sim.simulate(decomp, driver_mc, h, steps, stationary_start=True)
+            checks.append(verify.check_noise_lag_p_zero(
+                sim.extract_noise(path, list(sv.phi)), sv.gamma_U))
     return checks, decomp
 
 def cmd_verify(args):

@@ -31,7 +31,7 @@ from .exceptions import (
 )
 
 TOL_SOLVENT = 1e-9      # residual bound, relative to max(1, ||A_p||_F)
-TOL_EIG = 1e-8          # absolute eigenvalue matching tolerance
+TOL_EIG = 1e-8          # eigenvalue matching; latent residual per backward_scale
 COND_GROUP_MAX = 1e10   # latent-vector group condition bound
 COND_EIGVEC_MAX = 1e12  # companion eigenvector matrix condition bound
 COND_VANDERMONDE_MAX = 1e12
@@ -255,6 +255,13 @@ def companion_matrix(A):
     return C
 
 
+def backward_scale(P, lam):
+    """``sum_i ||P_i||_F |lam|^(deg - i)``, which bounds the rounding of
+    ``P(lam)`` and scales with it under ``P_i -> c^i P_i``, ``lam -> c lam``
+    (Tisseur, Linear Algebra Appl. 309 (2000)); ``lam`` may be an array."""
+    return np.polyval([float(np.linalg.norm(c)) for c in P.coeffs], np.abs(lam))
+
+
 def latent_roots(A):
     """Latent roots and right latent vectors of a monic lambda-matrix.
 
@@ -271,7 +278,7 @@ def latent_roots(A):
     ------
     DefectiveCompanionError
         If the companion eigenvector matrix has condition number above
-        1e12; solvents must not be built from such a decomposition.
+        1e12, or some ``||A(lam) v|| > TOL_EIG * backward_scale(A, lam)``.
     """
     C = companion_matrix(A)
     d = A.order[0]
@@ -281,7 +288,7 @@ def latent_roots(A):
         raise DefectiveCompanionError(
             f"companion eigenvector condition {cond:.3e} exceeds {COND_EIGVEC_MAX:.0e}")
     pairs = []
-    for lam, vec in zip(vals, vecs.T):
+    for lam, vec, scale in zip(vals, vecs.T, backward_scale(A, vals)):
         lead = vec[:d]
         norm = np.linalg.norm(lead)
         if norm == 0.0:
@@ -292,8 +299,7 @@ def latent_roots(A):
         phase = lead[k] / abs(lead[k])
         lead = lead / phase
         res = float(np.linalg.norm(A.eval(lam) @ lead))
-        scale = np.linalg.norm(A.eval(lam))
-        if res > TOL_EIG * max(1.0, scale):
+        if res > TOL_EIG * scale:
             raise DefectiveCompanionError(
                 f"latent pair residual {res:.3e} at root {lam:.6g}")
         pairs.append(LatentPair(complex(lam), lead, res))

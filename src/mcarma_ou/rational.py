@@ -64,20 +64,23 @@ def check_irreducible(A, B, pairs=None):
     Returns ``(True, None)`` when ``[A(lam) | B(lam)]`` has full row rank d
     at each latent root lam, else ``(False, lam)`` for the first failure.
     Coprimeness can only fail on the spectrum of A, so checking the latent
-    roots is exhaustive.
+    roots is exhaustive.  Each block is divided by its backward-error scale
+    (``matpoly.backward_scale``), so rescaling time does not change the
+    verdict.
     """
     if pairs is None:
         pairs = matpoly.latent_roots(A)
     d = A.order[0]
-    coeff_scale = max(
-        max(float(np.linalg.norm(c)) for c in A.coeffs),
-        max(float(np.linalg.norm(c)) for c in B.coeffs))
-    for pr in pairs:
-        stacked = np.hstack([A.eval(pr.root), B.eval(pr.root)])
+    roots = np.array([pr.root for pr in pairs])
+    tiny = np.finfo(float).tiny  # a zero scale goes with an exactly zero block
+    scale_a = np.maximum(matpoly.backward_scale(A, roots), tiny)
+    scale_b = np.maximum(matpoly.backward_scale(B, roots), tiny)
+    for pr, sa, sb in zip(pairs, scale_a, scale_b):
+        stacked = np.hstack([A.eval(pr.root) / sa, B.eval(pr.root) / sb])
         s = np.linalg.svd(stacked, compute_uv=False)
-        # absolute floor: at a common zero the whole stacked row vanishes and
+        # floor: at a common zero the whole stacked row vanishes and
         # sigma_max itself collapses, which the relative test alone misses
-        if s[0] <= 1e-12 * coeff_scale or s[d - 1] <= RANK_TOL * s[0]:
+        if s[0] <= 1e-12 or s[d - 1] <= RANK_TOL * s[0]:
             return False, pr.root
     return True, None
 

@@ -133,16 +133,10 @@ def varma_ar(S, h):
     return psi, phi, {"cond_sampled_V": cond_V, "ar_residual": residual}
 
 
-def finite_gramian(s_nu, res_nu, s_mu, res_mu, sigma_L, h):
-    """Innovation Gramian ``int_0^h e^{R_nu u} M e^{R_mu^H u} du`` of the
-    solvents ``s_nu``, ``s_mu`` with ``M = Res_nu Sigma_L Res_mu^H``."""
-    return mcarma.ou_gramian(s_nu, s_mu, res_nu @ sigma_L @ res_mu.conj().T, h)
-
-
 def innovation_gramians(solvents, residues, sigma_L, h):
     """All p x p cross Gramians ``Sigma_{nu,mu}^{(h)}`` as a nested list."""
     return [
-        [finite_gramian(s_nu, res_nu, s_mu, res_mu, sigma_L, h)
+        [mcarma.ou_gramian(s_nu, s_mu, res_nu @ sigma_L @ res_mu.conj().T, h)
          for s_mu, res_mu in zip(solvents, residues)]
         for s_nu, res_nu in zip(solvents, residues)]
 

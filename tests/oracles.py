@@ -1,12 +1,12 @@
-"""Independent numerical oracles used to cross-check the library paths.
+"""Test-only numerical oracles used to cross-check the library paths.
 
 Each oracle takes a different route from the production code: residues by
-contour quadrature instead of the Vandermonde linear system; Gramians by
-adaptive quadrature of ``scipy.linalg.expm`` products instead of the
-eigenbasis formula of ``mcarma.ou_gramian``; autocovariances through the
-full state-space Lyapunov equation instead of per-component sums; paths by
-the per-step component recursion with one ``expm`` per jump instead of the
-chunked eigenbasis scan.
+contour quadrature instead of the Vandermonde linear system; Gramians and
+the sampled-noise ACVF by adaptive quadrature of ``scipy.linalg.expm``
+products instead of the eigenbasis formula of ``mcarma.ou_gramian``; paths
+by the per-step component recursion with one ``expm`` per jump instead of
+the chunked eigenbasis scan.  The oracles that ``mcarma-ou verify`` runs
+too live in ``mcarma_ou.verify``.
 """
 
 import numpy as np
@@ -60,43 +60,9 @@ def quad_infinite_gramian(R_nu, res_nu, R_mu, res_mu, sigma_L):
     return quad_finite_gramian(R_nu, res_nu, R_mu, res_mu, sigma_L, horizon)
 
 
-def lyapunov_acvf(ss, sigma_L, lags):
-    """gamma(l) = C* e^{A* l} Pi C*^T with Pi from the state Lyapunov equation."""
-    pi = scipy.linalg.solve_continuous_lyapunov(
-        ss.A_star, -ss.B_star @ sigma_L @ ss.B_star.T)
-    pi = 0.5 * (pi + pi.T)
-    return [ss.C_star @ scipy.linalg.expm(lag * ss.A_star) @ pi @ ss.C_star.T
-            for lag in lags]
-
-
-def noise_acvf_from_continuous(decomp, phi, h, p, d):
-    """gamma_U through the continuous-time ACVF: U_n = sum_i Phi~_i Y_{n-i}."""
-    from mcarma_ou import mcarma
-
-    needed = sorted({abs(l - i + j) for l in range(p)
-                     for i in range(p + 1) for j in range(p + 1)})
-    gamma_y = dict(zip(needed, mcarma.stationary_acvf(
-        decomp, [u * h for u in needed])))
-
-    def gy(u):
-        return gamma_y[u] if u >= 0 else gamma_y[-u].T
-
-    phi_t = [np.eye(d)] + [-f for f in phi]
-    out = []
-    for lag in range(p):
-        acc = np.zeros((d, d))
-        for i in range(p + 1):
-            for j in range(p + 1):
-                acc += phi_t[i] @ gy(lag - i + j) @ phi_t[j].T
-        out.append(acc)
-    return out
-
-
 def noise_acvf_quadrature(pf, phi, sigma_L, h):
     """Sampled-noise autocovariances with every innovation Gramian computed
     by adaptive quadrature and every exponential by ``scipy.linalg.expm``."""
-    import scipy.linalg
-
     p = len(pf.pairs)
     d = pf.pairs[0][0].shape[0]
     gram = [[quad_finite_gramian(pf.pairs[i][0], pf.pairs[i][1],
@@ -120,19 +86,6 @@ def noise_acvf_quadrature(pf, phi, sigma_L, h):
                     acc += coeff[r + lag][nu] @ gram[nu][mu] @ coeff[r][mu].conj().T
         out.append(acc.real)
     return out
-
-
-def clt_band_for_zero_lags(gamma_U, n_eff, level=2.5758):
-    """Entrywise CLT band for sample autocovariances at lags >= p of a
-    (p-1)-dependent series with known ACVF."""
-    from mcarma_ou.sampling import acvf_at_lag
-
-    p = len(gamma_U)
-    var = sum(
-        np.outer(np.diag(acvf_at_lag(list(gamma_U), u)),
-                 np.diag(acvf_at_lag(list(gamma_U), u)))
-        for u in range(-(p - 1), p))
-    return level * np.sqrt(var / n_eff)
 
 
 def block_bootstrap_sd(Y, lags, block_len, n_boot, seed):

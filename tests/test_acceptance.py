@@ -9,17 +9,12 @@ import time
 import numpy as np
 import scipy.linalg
 
-from mcarma_ou import matpoly, mcarma, rational, sampling, sim
+from mcarma_ou import matpoly, mcarma, rational, sampling, sim, verify
 
 from conftest import (
     A2, R1, R2, R3, R4, RES1, RES2, RES3, RES4,
 )
-from oracles import (
-    block_bootstrap_sd,
-    clt_band_for_zero_lags,
-    lyapunov_acvf,
-    noise_acvf_quadrature,
-)
+from oracles import block_bootstrap_sd, noise_acvf_quadrature
 
 
 def report(criterion, label, measured, bound, elapsed, larger_ok=False):
@@ -29,6 +24,13 @@ def report(criterion, label, measured, bound, elapsed, larger_ok=False):
           f"{'PASS' if ok else 'FAIL'} (measured {measured:.3e} {rel} {bound:.3e}, "
           f"{elapsed:.2f} s)")
     assert ok, f"criterion {criterion} ({label}): {measured:.3e} vs bound {bound:.3e}"
+
+
+def report_worst(criterion, checks, elapsed, larger_ok=False):
+    """Report the tightest of one ``verify`` row's checks over many models."""
+    pick = min if larger_ok else max
+    worst = pick(checks, key=lambda c: c.measured / c.bound)
+    report(criterion, worst.name, worst.measured, worst.bound, elapsed, larger_ok)
 
 
 def scalar_poly(*coeffs):
@@ -71,43 +73,21 @@ def test_criterion_2_solvent_certificates(example_poly, corpus):
 
 def test_criterion_3_kernel_identity(example_model, example_set_12, corpus):
     start = time.perf_counter()
-    tgrid = np.linspace(0.0, 5.0, 51)
-
-    def worst_for(decomp):
-        ss = decomp.statespace
-        bound = 1e-8 * (1.0 + np.linalg.norm(ss.B_star))
-        worst = 0.0
-        for t in tgrid:
-            oracle = ss.C_star @ scipy.linalg.expm(t * ss.A_star) @ ss.B_star
-            err = np.linalg.norm(mcarma.kernel(decomp, t) - oracle)
-            worst = max(worst, err / bound)
-        return worst
-
-    ratio = worst_for(mcarma.decompose(example_model, example_set_12))
-    for model in corpus:
-        ratio = max(ratio, worst_for(mcarma.decompose(model, model.solvent_set())))
-    elapsed = time.perf_counter() - start
-    report(3, "kernel-identity(worst err/bound)", float(ratio), 1.0, elapsed)
+    checks = [verify.check_kernel_identity(mcarma.decompose(model, S))
+              for model, S in [(example_model, example_set_12)]
+              + [(m, m.solvent_set()) for m in corpus]]
+    report_worst(3, checks, time.perf_counter() - start)
 
 
 def test_criterion_4_acvf_oracle(example_model, example_set_12, corpus):
     start = time.perf_counter()
-    h = 0.1
-
-    def worst_for(model, S):
+    lags = [k * 0.1 for k in range(11)]
+    checks = []
+    for model, S in [(example_model, example_set_12)] + [(m, m.solvent_set()) for m in corpus]:
         decomp = mcarma.decompose(model, S)
-        lags = [k * h for k in range(11)]
-        got = mcarma.stationary_acvf(decomp, lags)
-        want = lyapunov_acvf(decomp.statespace, model.sigma_L, lags)
-        return max(
-            np.linalg.norm(g - w) / max(1.0, np.linalg.norm(w))
-            for g, w in zip(got, want))
-
-    worst = worst_for(example_model, example_set_12)
-    for model in corpus:
-        worst = max(worst, worst_for(model, model.solvent_set()))
-    elapsed = time.perf_counter() - start
-    report(4, "acvf-lyapunov-oracle", float(worst), 1e-8, elapsed)
+        checks.append(verify.check_acvf_lyapunov(
+            decomp, lags, mcarma.stationary_acvf(decomp, lags)))
+    report_worst(4, checks, time.perf_counter() - start)
 
 
 def test_criterion_5_sampled_ar_structure(example_set_12, corpus):
@@ -168,42 +148,24 @@ def test_criterion_6_noise_dependence(example_model, example_set_12):
     # Monte Carlo: extracted noise has vanishing ACVF at lags p..p+3
     driver = sim.DriverSpec(kind="brownian", seed=0, sigma_L=np.eye(2))
     path = sim.simulate(decomp, driver, h, 100_000, stationary_start=True)
-    U = sim.extract_noise(path, list(phi2))
-    centered = U - U.mean(axis=0)
-    n_eff = U.shape[0]
-    band = clt_band_for_zero_lags(got2, n_eff)  # 99% level
-    worst_ratio = 0.0
-    for lag in range(2, 6):
-        est = centered[lag:].T @ centered[:n_eff - lag] / n_eff
-        worst_ratio = max(worst_ratio, float(np.max(np.abs(est) / band)))
+    lag_check = verify.check_noise_lag_p_zero(sim.extract_noise(path, list(phi2)), got2)
     elapsed = time.perf_counter() - start
     report(6, "noise-quadrature-d1", float(err1), 1e-7, elapsed)
     report(6, "noise-quadrature-d2", float(err2), 1e-6, elapsed)
-    report(6, "noise-lag-p-zero(99% band ratio)", worst_ratio, 1.0, elapsed)
+    report_worst(6, [lag_check], elapsed)
     report(6, "noise-runtime", elapsed, 120.0, elapsed)
 
 
 def test_criterion_7_ma_roundtrip(corpus):
     start = time.perf_counter()
-    h = 0.25
-    worst = 0.0
-    worst_margin = np.inf
+    roundtrip, invertibility = [], []
     for model in corpus:
-        S = model.solvent_set()
-        decomp = mcarma.decompose(model, S)
-        _, phi, _ = sampling.varma_ar(S, h)
-        gamma = sampling.noise_acvf(S, decomp.partial_fraction, phi,
-                                    model.sigma_L, h)
-        theta, sigma_eps, margin = sampling.fit_ma(gamma)
-        for lag in range(len(gamma)):
-            got = sampling.ma_acvf(theta, sigma_eps, lag)
-            worst = max(worst, np.max(np.abs(got - gamma[lag])) /
-                        max(1.0, np.max(np.abs(gamma[lag]))))
-        worst_margin = min(worst_margin, margin)
+        sv = sampling.sampled_varma(mcarma.decompose(model, model.solvent_set()), 0.25)
+        roundtrip.append(verify.check_ma_roundtrip(sv.gamma_U, sv.theta, sv.sigma_eps))
+        invertibility.append(verify.check_ma_invertibility(sv.ma_margin))
     elapsed = time.perf_counter() - start
-    report(7, "ma-roundtrip", float(worst), 1e-6, elapsed)
-    report(7, "ma-invertibility-margin", float(worst_margin), 1e-6, elapsed,
-           larger_ok=True)
+    report_worst(7, roundtrip, elapsed)
+    report_worst(7, invertibility, elapsed, larger_ok=True)
 
 
 def test_criterion_8_solvent_set_consistency(

@@ -12,6 +12,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def verify_rows(out):
+    """(name, measured, bound, status) of each row of ``verify`` output."""
+    return [(name, float(measured.split("=")[1]), float(bound.split("=")[1]), status)
+            for name, measured, bound, status in map(str.split, out.splitlines()[:-1])]
+
+
 def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -197,6 +203,25 @@ class TestVerify:
             assert name in out
         assert "FAIL" not in out
 
+    def test_golden_rows(self, capsys, example_model_file):
+        # every row in order with its bound to 4 significant digits; only
+        # ma-invertibility passes by measuring at least its bound
+        code, out, _ = run(capsys, "verify", example_model_file)
+        assert code == 0
+        golden = [
+            ("solvent-residual", 8.775e-8), ("statespace-identity", 1e-12),
+            ("kernel-identity", 2.414e-8), ("kernel-realness", 1e-9),
+            ("pf-reconstruction", 1e-8), ("acvf-lyapunov-oracle", 1e-8),
+            ("acvf-symmetry", 2.636e-10), ("varma-ar-structure", 1e-8),
+            ("ma-roundtrip", 1e-6), ("ma-invertibility", 1e-6),
+            ("noise-acvf-consistency", 1e-7), ("noise-lag-p-zero", 1.0)]
+        rows = verify_rows(out)
+        assert [(r[0], f"{r[2]:.3e}") for r in rows] == [
+            (name, f"{bound:.3e}") for name, bound in golden]
+        for name, measured, bound, status in rows:
+            assert status == "PASS"
+            assert measured >= bound if name == "ma-invertibility" else measured <= bound
+
     def test_deterministic_given_seed(self, capsys, example_model_file):
         args = ("verify", example_model_file, "--h", "0.1", "--steps", "20000",
                 "--seed", "5")
@@ -254,6 +279,11 @@ class TestVerifyNonStationary:
         assert "kernel-identity" in out
         assert "acvf-lyapunov-oracle" not in out
         assert "FAIL" not in out
+        # no stationary or Monte-Carlo row; the others keep their order
+        assert [r[0] for r in verify_rows(out)] == [
+            "solvent-residual", "statespace-identity", "kernel-identity",
+            "kernel-realness", "pf-reconstruction", "varma-ar-structure",
+            "ma-roundtrip", "ma-invertibility"]
 
 
 class TestModelLoading:

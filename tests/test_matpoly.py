@@ -68,6 +68,14 @@ class TestLatentRoots:
         roots = sorted(pr.root.real for pr in matpoly.latent_roots(scalar_poly(1, 3, 2)))
         assert_allclose(roots, [-2.0, -1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_scalar_quadratic_time_rescaling(self, c):
+        # (z + c)(z + 2c): A(lam) vanishes at a root, so the latent residual
+        # is judged against the backward-error scale of the coefficients
+        A = scalar_poly(1, 3 * c, 2 * c * c)
+        roots = sorted(pr.root.real for pr in matpoly.latent_roots(A))
+        assert_allclose(roots, [-2 * c, -c], rtol=1e-12)
+
     def test_first_order(self):
         rng = np.random.default_rng(3)
         M = rng.standard_normal((3, 3))

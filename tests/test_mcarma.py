@@ -5,11 +5,11 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from mcarma_ou import matpoly, mcarma
+from mcarma_ou import matpoly, mcarma, verify
 from mcarma_ou.exceptions import NotStationaryError, SharpIdentityError
 
 from conftest import R1, R2, RES1, RES2, random_stable_model
-from oracles import lyapunov_acvf, quad_infinite_gramian
+from oracles import quad_infinite_gramian
 
 
 def scalar_poly(*coeffs):
@@ -109,6 +109,13 @@ class TestStateSpace:
 
 
 class TestDecompose:
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_time_rescaling_example(self, example_model, c):
+        # [A(lam) | I] has full rank at every c, however large A(lam) gets
+        model = rescale_time(example_model, c)
+        assert model.rational_fraction().irreducible
+        mcarma.decompose(model, model.solvent_set())
+
     def test_example_residues(self, example_decomp_12):
         assert_allclose(example_decomp_12.components[0].residue.real, RES1, atol=1e-9)
         assert_allclose(example_decomp_12.components[1].residue.real, RES2, atol=1e-9)
@@ -155,11 +162,7 @@ class TestKernel:
                         atol=1e-12)
 
     def test_matches_state_space_exponential(self, example_decomp_12):
-        ss = example_decomp_12.statespace
-        bound = 1e-8 * (1.0 + np.linalg.norm(ss.B_star))
-        for t in np.linspace(0.0, 5.0, 51):
-            oracle = ss.C_star @ scipy.linalg.expm(t * ss.A_star) @ ss.B_star
-            assert np.linalg.norm(mcarma.kernel(example_decomp_12, t) - oracle) <= bound
+        assert verify.check_kernel_identity(example_decomp_12).ok
 
     def test_solvent_sets_agree(self, example_decomp_12, example_decomp_34):
         for t in np.linspace(0.0, 5.0, 21):
@@ -196,11 +199,7 @@ class TestKernel:
         rng = np.random.default_rng(800 + seed)
         model = random_stable_model(rng)
         decomp = mcarma.decompose(model, model.solvent_set())
-        ss = decomp.statespace
-        bound = 1e-8 * (1.0 + np.linalg.norm(ss.B_star))
-        for t in np.linspace(0.0, 5.0, 26):
-            oracle = ss.C_star @ scipy.linalg.expm(t * ss.A_star) @ ss.B_star
-            assert np.linalg.norm(mcarma.kernel(decomp, t) - oracle) <= bound
+        assert verify.check_kernel_identity(decomp, np.linspace(0.0, 5.0, 26)).ok
 
 
 class TestStationaryAcvf:
@@ -226,18 +225,13 @@ class TestStationaryAcvf:
             assert abs(g[0, 0] - want) < 1e-14
 
     def test_example_lag_zero_vs_lyapunov(self, example_decomp_12):
-        got = mcarma.stationary_acvf(example_decomp_12, [0.0])[0]
-        ss = example_decomp_12.statespace
-        want = lyapunov_acvf(ss, np.eye(2), [0.0])[0]
-        assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+        got = mcarma.stationary_acvf(example_decomp_12, [0.0])
+        assert verify.check_acvf_lyapunov(example_decomp_12, [0.0], got).ok
 
     def test_lyapunov_oracle_on_lag_grid(self, example_decomp_12):
-        h = 0.1
-        lags = [k * h for k in range(11)]
+        lags = [k * 0.1 for k in range(11)]
         got = mcarma.stationary_acvf(example_decomp_12, lags)
-        want = lyapunov_acvf(example_decomp_12.statespace, np.eye(2), lags)
-        for g, w in zip(got, want):
-            assert np.linalg.norm(g - w) <= 1e-8 * max(1.0, np.linalg.norm(w))
+        assert verify.check_acvf_lyapunov(example_decomp_12, lags, got).ok
 
     def test_solvent_sets_agree(self, example_decomp_12, example_decomp_34):
         lags = [0.0, 0.25, 1.0]
@@ -303,9 +297,7 @@ class TestStationaryAcvf:
         decomp = mcarma.decompose(model, model.solvent_set())
         lags = [0.0, 0.2, 0.7, 1.4]
         got = mcarma.stationary_acvf(decomp, lags)
-        want = lyapunov_acvf(decomp.statespace, model.sigma_L, lags)
-        for g, w in zip(got, want):
-            assert np.linalg.norm(g - w) <= 1e-8 * max(1.0, np.linalg.norm(w))
+        assert verify.check_acvf_lyapunov(decomp, lags, got).ok
 
 
 class TestModelValidation:

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from mcarma_ou import matpoly, rational
+from mcarma_ou import matpoly, mcarma, rational, verify
 from mcarma_ou.exceptions import NotIrreducibleError, PoleHitError
 
 from conftest import A2, RES1, RES2, RES3, RES4, random_stable_model
@@ -41,6 +41,19 @@ class TestIrreducible:
         ok, witness = rational.check_irreducible(A, B)
         assert not ok
         assert abs(witness - (-1.0)) < 1e-8
+
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_common_scalar_root_time_rescaling(self, c):
+        # (z + c)(z + 2c) over z + c: a common zero at every time scale
+        ok, witness = rational.check_irreducible(scalar_poly(1, 3 * c, 2 * c * c),
+                                                 scalar_poly(1, c))
+        assert not ok
+        assert abs(witness + c) < 1e-8 * c
+
+    def test_zero_root(self):
+        # A_p = 0 puts a root at 0, where A's backward-error scale vanishes
+        assert rational.check_irreducible(scalar_poly(1, 1, 0), scalar_poly(1))[0]
+        assert not rational.check_irreducible(scalar_poly(1, 1, 0), scalar_poly(1, 0))[0]
 
     def test_coprime_scalar(self):
         ok, witness = rational.check_irreducible(scalar_poly(1, 3, 2), scalar_poly(1))
@@ -142,17 +155,9 @@ class TestEvalPartialFraction:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reconstruction_random(self, seed):
-        rng = np.random.default_rng(500 + seed)
-        model = random_stable_model(rng)
-        F = model.rational_fraction()
-        pf = rational.residues(F, model.solvent_set())
-        radius = 2.0 * max(abs(pr.root) for pr in model.latent_pairs)
-        for theta in np.linspace(0, 2 * np.pi, 20, endpoint=False):
-            z = radius * np.exp(1j * (theta + 0.03))
-            direct = np.linalg.solve(F.A.eval(z), F.B.eval(z))
-            got = rational.eval_partial_fraction(pf, z)
-            assert np.linalg.norm(got - direct) <= 1e-8 * max(
-                1.0, np.linalg.norm(direct))
+        model = random_stable_model(np.random.default_rng(500 + seed))
+        decomp = mcarma.decompose(model, model.solvent_set())
+        assert verify.check_pf_reconstruction(decomp).ok
 
 
 class TestRealnessAndShapes:

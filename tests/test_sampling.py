@@ -3,12 +3,11 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from mcarma_ou import matpoly, mcarma, rational, sampling
+from mcarma_ou import matpoly, mcarma, rational, sampling, verify
 from mcarma_ou.exceptions import AliasedSamplingError, NoConvergenceError, NotPDError
 
 from conftest import random_stable_model
-from oracles import (noise_acvf_from_continuous, noise_acvf_quadrature,
-                     quad_finite_gramian)
+from oracles import noise_acvf_quadrature, quad_finite_gramian
 
 
 def scalar_poly(*coeffs):
@@ -111,13 +110,12 @@ class TestGramians:
         pairs = list(zip(example_set_12.solvents, pf.residue_matrices))
         for (s_nu, res_nu) in pairs:
             for (s_mu, res_mu) in pairs:
-                got = sampling.finite_gramian(s_nu, res_nu, s_mu, res_mu,
-                                              np.eye(2), h)
+                got = mcarma.ou_gramian(s_nu, s_mu, res_nu @ res_mu.conj().T, h)
                 want = quad_finite_gramian(s_nu.R, res_nu, s_mu.R, res_mu,
                                            np.eye(2), h)
                 assert np.max(np.abs(got - want)) < 1e-9
 
-    def test_van_loan_fallback_spectra_collision(self):
+    def test_spectra_collision_vs_quadrature(self):
         # R_nu = 0.5, R_mu = -0.5: sigma(R_nu) meets sigma(-R_mu^H), the
         # Sylvester operator is singular and the weight of z = 0 is h
         R_nu = np.array([[0.5 + 0j]])
@@ -125,13 +123,13 @@ class TestGramians:
         res = np.array([[1.0 + 0j]])
         sigma = np.array([[1.0]])
         h = 0.7
-        got = sampling.finite_gramian(solvent(R_nu), res, solvent(R_mu), res, sigma, h)
+        got = mcarma.ou_gramian(solvent(R_nu), solvent(R_mu), res @ sigma @ res.conj().T, h)
         want = quad_finite_gramian(R_nu, res, R_mu, res, sigma, h)
         assert np.max(np.abs(got - want)) < 1e-10
         # analytic: int_0^h e^{0.5u} e^{-0.5u} du = h
         assert abs(got[0, 0] - h) < 1e-12
 
-    def test_van_loan_agrees_with_sylvester_when_both_apply(self):
+    def test_matches_block_exponential(self):
         rng = np.random.default_rng(13)
         R_nu = rng.standard_normal((2, 2)) - 2 * np.eye(2)
         R_mu = rng.standard_normal((2, 2)) - 2 * np.eye(2)
@@ -140,8 +138,7 @@ class TestGramians:
         sigma = np.eye(2)
         h = 0.3
         M = res_nu @ sigma @ res_mu.conj().T
-        modal = sampling.finite_gramian(
-            solvent(R_nu), res_nu, solvent(R_mu), res_mu, sigma, h)
+        modal = mcarma.ou_gramian(solvent(R_nu), solvent(R_mu), M, h)
         d = 2
         block = np.zeros((2 * d, 2 * d), dtype=complex)
         block[:d, :d] = -R_nu
@@ -170,30 +167,9 @@ class TestNoiseAcvf:
         h = 0.5
         _, phi, _ = sampling.varma_ar(S, h)
         got = sampling.noise_acvf(S, pf, phi, model.sigma_L, h)
-        # quadrature for the Gramians, same dependence structure
-        p = 2
-        gram = [[quad_finite_gramian(pf.pairs[i][0], pf.pairs[i][1],
-                                     pf.pairs[j][0], pf.pairs[j][1],
-                                     model.sigma_L, h)
-                 for j in range(p)] for i in range(p)]
-        coeff = []
-        for s in range(p):
-            row = []
-            for k in range(p):
-                acc = scipy.linalg.expm(h * s * pf.pairs[k][0]).astype(complex)
-                for j in range(1, s + 1):
-                    acc -= phi[j - 1] @ scipy.linalg.expm(h * (s - j) * pf.pairs[k][0])
-                row.append(acc)
-            coeff.append(row)
-        for lag in range(p):
-            acc = np.zeros((1, 1), dtype=complex)
-            for r in range(p - lag):
-                for nu in range(p):
-                    for mu in range(p):
-                        acc += coeff[r + lag][nu] @ gram[nu][mu] @ \
-                            coeff[r][mu].conj().T
-            assert abs(got[lag][0, 0] - acc[0, 0].real) < 1e-7 * max(
-                1.0, abs(acc[0, 0]))
+        want = noise_acvf_quadrature(pf, phi, model.sigma_L, h)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) < 1e-7 * max(1.0, np.max(np.abs(w)))
 
     def test_example_vs_continuous_route(self, example_model, example_set_12):
         decomp = mcarma.decompose(example_model, example_set_12)
@@ -201,7 +177,7 @@ class TestNoiseAcvf:
         _, phi, _ = sampling.varma_ar(example_set_12, h)
         got = sampling.noise_acvf(example_set_12, decomp.partial_fraction, phi,
                                   example_model.sigma_L, h)
-        want = noise_acvf_from_continuous(decomp, phi, h, 2, 2)
+        want = verify.noise_acvf_from_continuous(decomp, phi, h)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-7 * max(1.0, np.max(np.abs(w)))
 
@@ -239,7 +215,7 @@ class TestNoiseAcvf:
         _, phi, _ = sampling.varma_ar(S, h)
         got = sampling.noise_acvf(S, decomp.partial_fraction, phi,
                                   model.sigma_L, h)
-        want = noise_acvf_from_continuous(decomp, phi, h, 2, 2)
+        want = verify.noise_acvf_from_continuous(decomp, phi, h)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-6 * max(1.0, np.max(np.abs(w)))
 
@@ -270,17 +246,10 @@ class TestFitMa:
 
     def test_scalar_carma_roundtrip(self):
         model = scalar_model([1, 3, 2], [1.0])
-        S = model.solvent_set()
-        pf = rational.residues(model.rational_fraction(), S)
-        h = 0.5
-        _, phi, _ = sampling.varma_ar(S, h)
-        gamma = sampling.noise_acvf(S, pf, phi, model.sigma_L, h)
-        theta, sigma_eps, margin = sampling.fit_ma(gamma)
-        for lag in range(2):
-            got = sampling.ma_acvf(theta, sigma_eps, lag)
-            assert np.max(np.abs(got - gamma[lag])) < 1e-6 * max(
-                1.0, np.max(np.abs(gamma[lag])))
-        assert margin > 1e-6
+        sv = sampling.sampled_varma(mcarma.decompose(model, model.solvent_set()), 0.5)
+        check = verify.check_ma_roundtrip(sv.gamma_U, sv.theta, sv.sigma_eps)
+        assert check.measured < check.bound
+        assert sv.ma_margin > 1e-6
 
     def test_rejects_indefinite_gamma0(self):
         with pytest.raises(NotPDError):
@@ -295,18 +264,10 @@ class TestFitMa:
     def test_roundtrip_random(self, seed):
         rng = np.random.default_rng(1200 + seed)
         model = random_stable_model(rng, d=2, p=int(rng.integers(2, 4)))
-        S = model.solvent_set()
-        decomp = mcarma.decompose(model, S)
-        h = 0.25
-        _, phi, _ = sampling.varma_ar(S, h)
-        gamma = sampling.noise_acvf(S, decomp.partial_fraction, phi,
-                                    model.sigma_L, h)
-        theta, sigma_eps, margin = sampling.fit_ma(gamma)
-        for lag in range(len(gamma)):
-            got = sampling.ma_acvf(theta, sigma_eps, lag)
-            assert np.max(np.abs(got - gamma[lag])) < 1e-6 * max(
-                1.0, np.max(np.abs(gamma[lag])))
-        assert margin > 1e-6
+        sv = sampling.sampled_varma(mcarma.decompose(model, model.solvent_set()), 0.25)
+        check = verify.check_ma_roundtrip(sv.gamma_U, sv.theta, sv.sigma_eps)
+        assert check.measured < check.bound
+        assert sv.ma_margin > 1e-6
 
 
 class TestSampledVarma:

@@ -5,11 +5,11 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from mcarma_ou import matpoly, mcarma, sampling, sim
+from mcarma_ou import matpoly, mcarma, sampling, sim, verify
 from mcarma_ou.exceptions import CholeskyFailError, NotStationaryError, TooShortError
 
 from conftest import random_stable_model
-from oracles import clt_band_for_zero_lags, component_recursion
+from oracles import component_recursion
 
 
 def scalar_poly(*coeffs):
@@ -160,7 +160,7 @@ class TestExtractNoise:
         # lags 0..p-1 match the analytic values inside a generous CLT band
         for lag in range(2):
             est = centered[lag:].T @ centered[:n_eff - lag] / n_eff
-            band = clt_band_for_zero_lags(list(sv.gamma_U), n_eff, level=4.0) + \
+            band = verify.clt_band_for_zero_lags(sv.gamma_U, n_eff, level=4.0) + \
                 4.0 * np.abs(sv.gamma_U[lag]) / np.sqrt(n_eff)
             assert np.all(np.abs(est - sv.gamma_U[lag]) < band)
 
@@ -169,13 +169,9 @@ class TestExtractNoise:
         path = sim.simulate(example_decomp, brownian(31337, np.eye(2)), h, n,
                             stationary_start=True)
         sv = sampling.sampled_varma(example_decomp, h)
-        U = sim.extract_noise(path, list(sv.phi))
-        centered = U - U.mean(axis=0)
-        n_eff = U.shape[0]
-        band = clt_band_for_zero_lags(list(sv.gamma_U), n_eff)  # 99% level
-        for lag in range(2, 6):
-            est = centered[lag:].T @ centered[:n_eff - lag] / n_eff
-            assert np.all(np.abs(est) < band)
+        check = verify.check_noise_lag_p_zero(sim.extract_noise(path, list(sv.phi)),
+                                              sv.gamma_U)
+        assert check.measured < check.bound
 
     def test_noise_whiteness_on_statespace_recursion(self, example_model,
                                                      example_decomp):
@@ -185,13 +181,9 @@ class TestExtractNoise:
         path = sim.simulate_statespace_twin(example_decomp, np.eye(2), h, n,
                                             seed=90210, stationary_start=True)
         sv = sampling.sampled_varma(example_decomp, h)
-        U = sim.extract_noise(path, list(sv.phi))
-        centered = U - U.mean(axis=0)
-        n_eff = U.shape[0]
-        band = clt_band_for_zero_lags(list(sv.gamma_U), n_eff)
-        for lag in range(2, 6):
-            est = centered[lag:].T @ centered[:n_eff - lag] / n_eff
-            assert np.all(np.abs(est) < band)
+        check = verify.check_noise_lag_p_zero(sim.extract_noise(path, list(sv.phi)),
+                                              sv.gamma_U)
+        assert check.measured < check.bound
 
 
 class TestDistributionalExactness:

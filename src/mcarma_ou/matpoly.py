@@ -93,12 +93,6 @@ class LambdaMatrix:
     def is_real(self):
         return bool(max(np.max(np.abs(c.imag)) for c in self.coeffs) <= 1e-14)
 
-    def real_coeffs(self):
-        """Coefficient list with imaginary parts stripped (must be real)."""
-        if not self.is_real:
-            raise ValueError("lambda-matrix has genuinely complex coefficients")
-        return [np.array(c.real) for c in self.coeffs]
-
     def eval(self, lam):
         """Evaluate at a complex scalar by Horner's scheme."""
         out = np.array(self.coeffs[0])

@@ -1,6 +1,5 @@
 """Shared fixtures: the worked 2x2 CARMA(2,0) example and a random corpus."""
 
-import json
 import os
 import pathlib
 
@@ -155,14 +154,3 @@ def corpus():
         p = [1, 2, 3][(i // 3) % 3]
         models.append(random_stable_model(rng, d=d, p=p))
     return models
-
-
-@pytest.fixture(scope="session")
-def small_corpus(corpus):
-    """Cheaper slice for the more expensive oracle comparisons."""
-    return corpus[:48]
-
-
-def load_example_json():
-    with open(MODELS_DIR / "carma2x2.json") as fh:
-        return json.load(fh)

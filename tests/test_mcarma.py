@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -164,6 +165,15 @@ class TestKernel:
     def test_matches_state_space_exponential(self, example_decomp_12):
         assert verify.check_kernel_identity(example_decomp_12).ok
 
+    def test_imaginary_leak_fails_rows_without_raising(self, example_decomp_12):
+        # a residue scaled by 1j breaks conjugate closure of the OU sum
+        first, *rest = example_decomp_12.components
+        leaky = dataclasses.replace(example_decomp_12, components=(
+            dataclasses.replace(first, residue=1j * first.residue), *rest))
+        identity = verify.check_kernel_identity(leaky)
+        assert identity.measured == np.inf and not identity.ok
+        assert not verify.check_kernel_realness(leaky).ok
+
     def test_solvent_sets_agree(self, example_decomp_12, example_decomp_34):
         for t in np.linspace(0.0, 5.0, 21):
             a = mcarma.kernel(example_decomp_12, t)
@@ -199,7 +209,7 @@ class TestKernel:
         rng = np.random.default_rng(800 + seed)
         model = random_stable_model(rng)
         decomp = mcarma.decompose(model, model.solvent_set())
-        assert verify.check_kernel_identity(decomp, np.linspace(0.0, 5.0, 26)).ok
+        assert verify.check_kernel_identity(decomp).ok
 
 
 class TestStationaryAcvf:

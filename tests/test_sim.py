@@ -160,8 +160,8 @@ class TestExtractNoise:
         # lags 0..p-1 match the analytic values inside a generous CLT band
         for lag in range(2):
             est = centered[lag:].T @ centered[:n_eff - lag] / n_eff
-            band = verify.clt_band_for_zero_lags(sv.gamma_U, n_eff, level=4.0) + \
-                4.0 * np.abs(sv.gamma_U[lag]) / np.sqrt(n_eff)
+            band = (4.0 / verify.Z_99) * verify.clt_band_for_zero_lags(sv.gamma_U, n_eff) \
+                + 4.0 * np.abs(sv.gamma_U[lag]) / np.sqrt(n_eff)
             assert np.all(np.abs(est - sv.gamma_U[lag]) < band)
 
     def test_noise_vanishes_beyond_lag_p(self, example_model, example_decomp):

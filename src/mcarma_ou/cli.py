@@ -265,7 +265,7 @@ def run_verification(model, driver, h, steps, seed):
                    verify.check_acvf_symmetry(gammas[0])]
     sv = sampling.sampled_varma(decomp, h)
     checks += [verify.check_varma_ar(sv.ar_residual),
-               verify.check_ma_roundtrip(sv.gamma_U, sv.theta, sv.sigma_eps),
+               verify.check_ma_roundtrip(sv.ma_roundtrip),
                verify.check_ma_invertibility(sv.ma_margin)]
     if model.stationary:
         checks.append(verify.check_noise_acvf(decomp, sv.phi, sv.gamma_U, h))

@@ -378,14 +378,24 @@ def default_grouping(pairs, d, conjugate_closed=True):
 
 def eig_multiset_distance(a, b):
     """Largest pairwise distance under the optimal matching of two
-    eigenvalue multisets (robust against sort-order flips of near ties)."""
-    import scipy.optimize
+    eigenvalue multisets (robust against sort-order flips of near ties).
 
+    When every point of one set lies within delta of the other set, both
+    ways, and 2 delta is below the smallest separation of ``b``, matching
+    each point to its nearest is a bijection that minimizes every distance
+    on its own: delta is the answer and no assignment is solved.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         return np.inf
     cost = np.abs(a[:, None] - b[None, :])
+    near = max(cost.min(axis=0).max(), cost.min(axis=1).max())
+    gaps = np.abs(b[:, None] - b[None, :]) + np.diag(np.full(len(b), np.inf))
+    if 2.0 * near < gaps.min():
+        return float(near)
+    import scipy.optimize
+
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
@@ -560,10 +570,3 @@ def linear_factorization(solvents):
         partial = identity_shift(Rk_star) * partial
     return factors
 
-
-def expand_factors(factors):
-    """Multiply linear factors right-to-left into one lambda-matrix."""
-    out = identity_shift(factors[0])
-    for R in factors[1:]:
-        out = identity_shift(R) * out
-    return out

@@ -14,9 +14,18 @@ with an autocovariance built from the finite-horizon innovation Gramians
 Exponentials and Gramians are evaluated in the solvents' eigenbases
 (``matpoly.Solvent.expm`` and ``mcarma.ou_gramian``).
 
-An MA(p-1) representative of that noise is fitted by the multivariate
-innovations algorithm; the invertible (minimum-phase) representative is
-the one the iteration converges to.
+The invertible MA(p-1) factor of that noise is the steady state of the
+Kalman filter of its covariance realization: with the block up-shift A,
+C = [I 0 ... 0] and G = [gamma_U(1); ...; gamma_U(p-1)], the state
+covariance P solves the Faurre Riccati equation
+
+    P = A P A^T + (G - A P C^T) (gamma_U(0) - C P C^T)^{-1} (G - A P C^T)^T,
+
+whose stabilizing solution gives Sigma_eps = gamma_U(0) - C P C^T and the
+gain K = (G - A P C^T) Sigma_eps^{-1} = [Theta_1; ...; Theta_{p-1}].  It is
+computed by the structure-preserving doubling algorithm (Chu, Fan, Lin &
+Wang 2004), which converges quadratically where the innovations recursion
+converges linearly at a rate tending to 1 as h -> 0.
 """
 
 from __future__ import annotations
@@ -37,9 +46,9 @@ from .exceptions import (
 ALIAS_TOL = 1e-10
 AR_RESIDUAL_TOL = 1e-8
 IMAG_TOL = 1e-9
-INNOVATIONS_TOL = 1e-10
-INNOVATIONS_MAXIT = 10000
-PSD_SEQUENCE_ORDER = 50
+DOUBLING_TOL = 1e-13
+DOUBLING_MAXIT = 64
+MA_ROUNDTRIP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,8 +59,10 @@ class SampledVarma:
     Psi_0 = I implied; ``phi`` the normalized coefficients of
     ``Phi(z) = I - Phi_1 z - ... - Phi_p z^p``; ``gamma_U`` the noise
     autocovariances at lags 0..p-1 (zero beyond by construction);
-    ``theta``/``sigma_eps`` the fitted invertible MA(p-1); and
-    ``ma_margin`` the distance of the MA zeros to the closed unit disc.
+    ``theta``/``sigma_eps`` the fitted invertible MA(p-1); ``ma_margin``
+    the distance of the MA zeros to the closed unit disc; ``ma_steps`` the
+    doubling steps of the MA fit and ``ma_roundtrip`` its certified round
+    trip error (``ma_roundtrip_error``).
     """
 
     h: float
@@ -64,6 +75,8 @@ class SampledVarma:
     cond_sampled_V: float
     ar_residual: float
     ma_margin: float
+    ma_steps: int
+    ma_roundtrip: float
 
 
 def sampled_solvent_matrices(S, h):
@@ -192,33 +205,71 @@ def noise_acvf(S, pf, phi, sigma_L, h):
     return out
 
 
-def acvf_at_lag(gammas, lag):
-    """gamma(lag) of a finite ACVF list, extended by gamma(-l) = gamma(l)^T and zero."""
-    q = len(gammas) - 1
-    if lag > q or lag < -q:
-        d = gammas[0].shape[0]
-        return np.zeros((d, d))
-    return gammas[lag] if lag >= 0 else gammas[-lag].T
+def _riccati_doubling(gammas):
+    """Stabilizing solution P of the MA(q) Faurre Riccati equation.
 
-
-def _check_psd_sequence(gammas, order=PSD_SEQUENCE_ORDER):
+    With X = -P the equation is the filter DARE with F = A, H = C, Q = 0,
+    R = gamma(0) and S = G.  Removing the cross term gives
+    ``X = F~ X (I + C^T R^{-1} C X)^{-1} F~^T + Q~`` with F~ = A - G R^{-1} C
+    and Q~ = -G R^{-1} G^T, and doubling on (A_k, G_k, H_k) from
+    (F~^T, C^T R^{-1} C, Q~) squares the closed loop at each step while H_k
+    tends to X.  Returns (P, steps).
+    """
     d = gammas[0].shape[0]
-    T = np.zeros((order * d, order * d))
-    for i in range(order):
-        for j in range(order):
-            T[i * d:(i + 1) * d, j * d:(j + 1) * d] = acvf_at_lag(gammas, i - j)
-    if np.min(np.linalg.eigvalsh(0.5 * (T + T.T))) < -1e-8 * max(1.0, np.trace(T) / order):
-        raise NotPDError(
-            f"gamma_U is not a valid PSD autocovariance sequence (order {order})")
+    n = d * (len(gammas) - 1)
+    G = np.vstack(gammas[1:])
+    Rinv = np.linalg.inv(gammas[0])
+    Ak = np.eye(n, k=-d)  # A^T - C^T R^{-1} G^T
+    Ak[:d] -= Rinv @ G.T
+    Gk = np.zeros((n, n))
+    Gk[:d, :d] = Rinv
+    Hk = -G @ Rinv @ G.T
+    eye = np.eye(n)
+    for step in range(1, DOUBLING_MAXIT + 1):
+        try:
+            W = np.linalg.solve(eye + Gk @ Hk, np.hstack([Ak, Gk]))
+        except np.linalg.LinAlgError:
+            raise NoConvergenceError(
+                f"MA doubling broke down at step {step}: I + G_k H_k is singular"
+            ) from None
+        WA, WG = W[:, :n], W[:, n:]
+        H_next = Hk + Ak.T @ Hk @ WA
+        Gk = Gk + Ak @ WG @ Ak.T
+        Ak = Ak @ WA
+        H_next = 0.5 * (H_next + H_next.T)
+        change = float(np.linalg.norm(H_next - Hk))
+        Hk = H_next
+        if change <= DOUBLING_TOL * float(np.linalg.norm(Hk)):
+            return -Hk, step
+    raise NoConvergenceError(
+        f"MA doubling did not settle in {DOUBLING_MAXIT} steps")
+
+
+def ma_roundtrip_error(gamma_U, theta, sigma_eps):
+    """Round trip of an MA factor: the MA autocovariances of ``(theta,
+    sigma_eps)`` against gamma_U over all lags, as the larger of the
+    Frobenius error relative to ``max(1, ||gamma||_F)`` and the elementwise
+    error relative to ``max(1, max|gamma|)``."""
+    err = 0.0
+    for lag, want in enumerate(gamma_U):
+        got = ma_acvf(theta, sigma_eps, lag)
+        diff = got - want
+        err = max(err,
+                  float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(want))),
+                  float(np.max(np.abs(diff))) / max(1.0, float(np.max(np.abs(want)))))
+    return err
 
 
 def fit_ma(gamma_U):
     """Fit the invertible MA(p-1) representative of a (p-1)-dependent noise.
 
-    Runs the multivariate innovations algorithm on the truncated ACVF until
-    successive coefficient iterates settle, then certifies the round trip
-    ``Gamma(l) = sum_k Theta_{k+l} Sigma_eps Theta_k^T`` and the location of
-    the MA zeros.
+    Solves the steady state of the noise's innovations filter, the Faurre
+    Riccati equation of the module docstring, by doubling, reads off
+    ``Sigma_eps = gamma(0) - C P C^T`` and ``[Theta_1; ...; Theta_q] =
+    (G - A P C^T) Sigma_eps^{-1}``, and certifies the round trip
+    ``gamma(l) = sum_k Theta_{k+l} Sigma_eps Theta_k^T`` to
+    ``MA_ROUNDTRIP_TOL`` by ``ma_roundtrip_error``.  The invertibility margin
+    is measured, not enforced.
 
     Parameters
     ----------
@@ -226,79 +277,50 @@ def fit_ma(gamma_U):
 
     Returns
     -------
-    (theta, sigma_eps, margin) : p-1 MA coefficient matrices, the
-    innovation covariance, and the invertibility margin min|zero| - 1 of
-    ``det Theta(z)`` (inf when Theta(z) has no finite zeros).
+    (theta, sigma_eps, margin, info) : p-1 MA coefficient matrices, the
+    innovation covariance, the invertibility margin min|zero| - 1 of
+    ``det Theta(z)`` (inf when Theta(z) has no finite zeros), and
+    ``{"steps": doubling steps, "roundtrip": round trip error}``.
 
     Raises
     ------
-    NotPDError, NoConvergenceError
+    NotPDError
+        If gamma(0) or Sigma_eps is not positive definite: gamma_U has no
+        MA factor.
+    NoConvergenceError
+        If the doubling breaks down or does not settle in
+        ``DOUBLING_MAXIT`` steps (no stabilizing solution, as when the
+        spectral density of gamma_U is negative somewhere), or the round
+        trip exceeds its bound.
     """
     gammas = [np.asarray(g, dtype=float) for g in gamma_U]
     d = gammas[0].shape[0]
     q = len(gammas) - 1
-    g0 = gammas[0]
-    if np.min(np.linalg.eigvalsh(0.5 * (g0 + g0.T))) <= 1e-10 * np.trace(g0):
+    g0 = 0.5 * (gammas[0] + gammas[0].T)
+    if np.min(np.linalg.eigvalsh(g0)) <= 1e-10 * np.trace(g0):
         raise NotPDError("gamma_U(0) is not positive definite")
-    if q == 0:
-        return [], 0.5 * (g0 + g0.T), np.inf
-    _check_psd_sequence(gammas)
-
-    scale = max(1.0, float(np.linalg.norm(g0)))
-    v = [0.5 * (g0 + g0.T)]
-    thetas = {}  # n -> list of q matrices theta_{n,1..q}
-    prev_row, prev_v = None, None
-    converged_at = None
-    for n in range(1, INNOVATIONS_MAXIT + 1):
-        row = [np.zeros((d, d)) for _ in range(q)]
-        for k in range(max(0, n - q), n):
-            acc = np.array(acvf_at_lag(gammas, n - k))
-            for j in range(max(0, n - q, k - q), k):
-                acc -= row[n - j - 1] @ v[j] @ thetas[k][k - j - 1].T
-            row[n - k - 1] = np.linalg.solve(v[k].T, acc.T).T
-        vn = np.array(v[0])
-        for j in range(max(0, n - q), n):
-            vn -= row[n - j - 1] @ v[j] @ row[n - j - 1].T
-        vn = 0.5 * (vn + vn.T)
-        thetas[n] = row
-        v.append(vn)
-        if n - q - 1 in thetas:
-            del thetas[n - q - 1]
-        if prev_row is not None and n > q:
-            diff = max(
-                max(np.max(np.abs(row[s] - prev_row[s])) for s in range(q)),
-                np.max(np.abs(vn - prev_v)))
-            if diff < INNOVATIONS_TOL * scale:
-                converged_at = n
-                break
-        prev_row, prev_v = row, vn
-    if converged_at is None:
+    theta, sigma_eps, steps, margin = [], g0, 0, np.inf
+    if q > 0:
+        P, steps = _riccati_doubling([g0] + gammas[1:])
+        sigma_eps = g0 - P[:d, :d]
+        if np.min(np.linalg.eigvalsh(sigma_eps)) <= 1e-10 * np.trace(g0):
+            raise NotPDError("the doubling solution's innovation covariance "
+                             "is not positive definite")
+        shifted_P = np.vstack([P[d:, :d], np.zeros((d, d))])  # A P C^T
+        K = np.linalg.solve(sigma_eps, (np.vstack(gammas[1:]) - shifted_P).T).T
+        theta = [K[j * d:(j + 1) * d] for j in range(q)]
+        # the filter's closed loop A - K C is the companion matrix of the
+        # reversed MA polynomial: its eigenvalues are the reciprocal zeros
+        # of det Theta(z), and those at 0 are zeros at infinity
+        closed_loop = np.eye(q * d, k=d) - K @ np.eye(d, q * d)
+        rho = float(np.max(np.abs(np.linalg.eigvals(closed_loop))))
+        if rho > 1e-12:
+            margin = 1.0 / rho - 1.0
+    roundtrip = ma_roundtrip_error(gammas, theta, sigma_eps)
+    if not roundtrip <= MA_ROUNDTRIP_TOL:
         raise NoConvergenceError(
-            f"innovations iteration did not settle in {INNOVATIONS_MAXIT} steps")
-
-    theta = [np.array(t) for t in thetas[converged_at]]
-    sigma_eps = v[converged_at]
-    margin = ma_invertibility_margin(theta)
-    return theta, sigma_eps, margin
-
-
-def ma_invertibility_margin(theta):
-    """min |z| - 1 over the zeros of ``det(I + Theta_1 z + ... + Theta_q z^q)``.
-
-    The zeros are the reciprocals of the eigenvalues of the companion
-    matrix of the reversed (monic) polynomial; eigenvalues at zero
-    correspond to zeros at infinity and are dropped.
-    """
-    if not theta:
-        return np.inf
-    d = theta[0].shape[0]
-    reversed_poly = matpoly.LambdaMatrix(
-        tuple([np.eye(d, dtype=complex)] + [np.asarray(t, dtype=complex) for t in theta]))
-    mu = np.linalg.eigvals(matpoly.companion_matrix(reversed_poly))
-    mu = mu[np.abs(mu) > 1e-12]
-    if len(mu) == 0:
-        return np.inf
-    return float(1.0 / np.max(np.abs(mu)) - 1.0)
+            f"MA factor round trip {roundtrip:.3e} exceeds {MA_ROUNDTRIP_TOL:.0e}")
+    return theta, sigma_eps, margin, {"steps": steps, "roundtrip": roundtrip}
 
 
 def ma_acvf(theta, sigma_eps, lag):
@@ -320,7 +342,7 @@ def sampled_varma(decomp, h):
     psi, phi, info = varma_ar(S, h)
     gamma = noise_acvf(S, decomp.partial_fraction, phi,
                        decomp.model.sigma_L, h)
-    theta, sigma_eps, margin = fit_ma(gamma)
+    theta, sigma_eps, margin, ma_info = fit_ma(gamma)
     schur = all(pr.root.real < 0.0 for pr in decomp.model.latent_pairs)
     return SampledVarma(
         h=h,
@@ -333,4 +355,6 @@ def sampled_varma(decomp, h):
         cond_sampled_V=info["cond_sampled_V"],
         ar_residual=info["ar_residual"],
         ma_margin=margin,
+        ma_steps=ma_info["steps"],
+        ma_roundtrip=ma_info["roundtrip"],
     )

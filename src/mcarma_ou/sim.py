@@ -292,38 +292,3 @@ def attach_noise(path, phi):
 
     return dataclasses.replace(path, U=extract_noise(path, phi))
 
-
-def simulate_statespace_twin(decomp, sigma_L, h, n_steps, seed, stationary_start=False):
-    """Independent reference simulator: advance ``X_n = e^{A* h} X_{n-1} +
-    eta_n`` in the real state space with the one-step state Gramian computed
-    by Van Loan's block exponential, and read off ``Y_n = C* X_n``.
-
-    Used to validate that the component recursion matches the exact sampled
-    state space law; not the production path.
-    """
-    ss = decomp.statespace
-    nd = ss.dim
-    A, B = ss.A_star, ss.B_star
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    BSB = B @ sigma_L @ B.T
-    block = np.zeros((2 * nd, 2 * nd))
-    block[:nd, :nd] = -A
-    block[:nd, nd:] = BSB
-    block[nd:, nd:] = A.T
-    big = scipy.linalg.expm(h * block)
-    eAh = scipy.linalg.expm(h * A)
-    Q = eAh @ big[:nd, nd:]
-    factor = _psd_factor(np.real(Q), "state Gramian")
-
-    if stationary_start:
-        pi = mcarma.stationary_state_covariance(ss, sigma_L)
-        x = _psd_factor(pi, "stationary state covariance") @ rng.standard_normal(nd)
-    else:
-        x = np.zeros(nd)
-    Y = np.empty((n_steps, ss.C_star.shape[0]))
-    Y[0] = ss.C_star @ x
-    noise = factor @ rng.standard_normal((nd, n_steps - 1))
-    for n in range(1, n_steps):
-        x = eAh @ x + noise[:, n - 1]
-        Y[n] = ss.C_star @ x
-    return PathGrid(h=h, n_steps=n_steps, Y=Y, max_imag=0.0)

@@ -146,15 +146,10 @@ def check_varma_ar(ar_residual):
     return _check("varma-ar-structure", ar_residual, 1e-8)
 
 
-def check_ma_roundtrip(gamma_U, theta, sigma_eps):
-    """MA autocovariances of ``(theta, sigma_eps)`` against gamma_U, the larger
-    of the Frobenius and the elementwise relative error."""
-    err = 0.0
-    for lag, want in enumerate(gamma_U):
-        got = sampling.ma_acvf(theta, sigma_eps, lag)
-        err = max(err, _rel_err(got, want),
-                  np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
-    return _check("ma-roundtrip", err, 1e-6)
+def check_ma_roundtrip(roundtrip):
+    """An MA round trip error (``sampling.ma_roundtrip_error``) against the
+    bound ``fit_ma`` certifies."""
+    return _check("ma-roundtrip", roundtrip, sampling.MA_ROUNDTRIP_TOL)
 
 
 def check_ma_invertibility(margin):

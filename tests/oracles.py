@@ -4,14 +4,23 @@ Each oracle takes a different route from the production code: residues by
 contour quadrature instead of the Vandermonde linear system; Gramians and
 the sampled-noise ACVF by adaptive quadrature of ``scipy.linalg.expm``
 products instead of the eigenbasis formula of ``mcarma.ou_gramian``; paths
-by the per-step component recursion with one ``expm`` per jump instead of
-the chunked eigenbasis scan.  The oracles that ``mcarma-ou verify`` runs
-too live in ``mcarma_ou.verify``.
+by the per-step component recursion with one ``expm`` per jump, or by the
+real state-space recursion, instead of the chunked eigenbasis scan; the MA
+factor of a (p-1)-dependent noise by the multivariate innovations recursion
+instead of doubling on its Riccati equation; a lambda-matrix by multiplying
+out its linear factors.  The oracles that ``mcarma-ou verify`` runs too live
+in ``mcarma_ou.verify``.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad_vec
+
+from mcarma_ou import matpoly, mcarma, sim
+from mcarma_ou.exceptions import NoConvergenceError
+
+INNOVATIONS_TOL = 1e-10
+INNOVATIONS_MAXIT = 10000
 
 
 def contour_residue(A, B, own_spectrum, other_spectrum, nodes=256):
@@ -90,8 +99,6 @@ def noise_acvf_quadrature(pf, phi, sigma_L, h):
 
 def block_bootstrap_sd(Y, lags, block_len, n_boot, seed):
     """Circular block bootstrap standard deviations of sample ACVFs."""
-    from mcarma_ou.sim import empirical_acvf
-
     rng = np.random.default_rng(seed)
     n = Y.shape[0]
     n_blocks = int(np.ceil(n / block_len))
@@ -101,7 +108,7 @@ def block_bootstrap_sd(Y, lags, block_len, n_boot, seed):
         starts = rng.integers(0, n, size=n_blocks)
         pieces = [doubled[s:s + block_len] for s in starts]
         resampled = np.vstack(pieces)[:n]
-        gammas = empirical_acvf(resampled, max(lags))
+        gammas = sim.empirical_acvf(resampled, max(lags))
         stats.append(np.stack([gammas[l] for l in lags]))
     return np.std(np.stack(stats), axis=0, ddof=1)
 
@@ -114,8 +121,6 @@ def component_recursion(decomp, driver, h, n_steps, stationary_start, chunk):
     (compound-Poisson counts, offsets and jumps ``chunk`` steps at a time),
     so for the same seed both give the same path up to rounding.
     """
-    from mcarma_ou import sim
-
     rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
     p, d = decomp.p, decomp.d
     T_inv = np.linalg.inv(decomp.transform)
@@ -151,3 +156,103 @@ def component_recursion(decomp, driver, h, n_steps, stationary_start, chunk):
             y[k] = exp_hR[k] @ y[k] + innov[k]
         Y[i] = y.sum(axis=0).real
     return Y
+
+
+def simulate_statespace_twin(decomp, sigma_L, h, n_steps, seed, stationary_start=False):
+    """Independent reference simulator: advance ``X_n = e^{A* h} X_{n-1} +
+    eta_n`` in the real state space with the one-step state Gramian computed
+    by Van Loan's block exponential, and read off ``Y_n = C* X_n``.
+
+    Used to validate that the component recursion matches the exact sampled
+    state space law; not the production path.
+    """
+    ss = decomp.statespace
+    nd = ss.dim
+    A, B = ss.A_star, ss.B_star
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    BSB = B @ sigma_L @ B.T
+    block = np.zeros((2 * nd, 2 * nd))
+    block[:nd, :nd] = -A
+    block[:nd, nd:] = BSB
+    block[nd:, nd:] = A.T
+    big = scipy.linalg.expm(h * block)
+    eAh = scipy.linalg.expm(h * A)
+    Q = eAh @ big[:nd, nd:]
+    factor = sim._psd_factor(np.real(Q), "state Gramian")
+
+    if stationary_start:
+        pi = mcarma.stationary_state_covariance(ss, sigma_L)
+        x = sim._psd_factor(pi, "stationary state covariance") @ rng.standard_normal(nd)
+    else:
+        x = np.zeros(nd)
+    Y = np.empty((n_steps, ss.C_star.shape[0]))
+    Y[0] = ss.C_star @ x
+    noise = factor @ rng.standard_normal((nd, n_steps - 1))
+    for n in range(1, n_steps):
+        x = eAh @ x + noise[:, n - 1]
+        Y[n] = ss.C_star @ x
+    return sim.PathGrid(h=h, n_steps=n_steps, Y=Y, max_imag=0.0)
+
+
+def expand_factors(factors):
+    """Multiply linear factors right-to-left into one lambda-matrix."""
+    out = matpoly.identity_shift(factors[0])
+    for R in factors[1:]:
+        out = matpoly.identity_shift(R) * out
+    return out
+
+
+def acvf_at_lag(gammas, lag):
+    """gamma(lag) of a finite ACVF list, extended by gamma(-l) = gamma(l)^T and zero."""
+    q = len(gammas) - 1
+    if lag > q or lag < -q:
+        d = gammas[0].shape[0]
+        return np.zeros((d, d))
+    return gammas[lag] if lag >= 0 else gammas[-lag].T
+
+
+def innovations_ma(gamma_U):
+    """Invertible MA(q) factor ``(theta, sigma_eps)`` of a q-dependent ACVF by
+    the multivariate innovations recursion (Brockwell & Davis, section 11.4),
+    run until successive coefficient iterates settle.
+
+    The recursion is the time-varying Kalman filter whose steady state
+    ``sampling.fit_ma`` solves by doubling; it converges linearly, at a rate
+    that tends to 1 as the MA zeros approach the unit circle.
+    """
+    gammas = [np.asarray(g, dtype=float) for g in gamma_U]
+    d = gammas[0].shape[0]
+    q = len(gammas) - 1
+    g0 = gammas[0]
+    scale = max(1.0, float(np.linalg.norm(g0)))
+    v = [0.5 * (g0 + g0.T)]
+    thetas = {}  # n -> list of q matrices theta_{n,1..q}
+    prev_row, prev_v = None, None
+    converged_at = None
+    for n in range(1, INNOVATIONS_MAXIT + 1):
+        row = [np.zeros((d, d)) for _ in range(q)]
+        for k in range(max(0, n - q), n):
+            acc = np.array(acvf_at_lag(gammas, n - k))
+            for j in range(max(0, n - q, k - q), k):
+                acc -= row[n - j - 1] @ v[j] @ thetas[k][k - j - 1].T
+            row[n - k - 1] = np.linalg.solve(v[k].T, acc.T).T
+        vn = np.array(v[0])
+        for j in range(max(0, n - q), n):
+            vn -= row[n - j - 1] @ v[j] @ row[n - j - 1].T
+        vn = 0.5 * (vn + vn.T)
+        thetas[n] = row
+        v.append(vn)
+        if n - q - 1 in thetas:
+            del thetas[n - q - 1]
+        if prev_row is not None and n > q:
+            diff = max(
+                max(np.max(np.abs(row[s] - prev_row[s])) for s in range(q)),
+                np.max(np.abs(vn - prev_v)))
+            if diff < INNOVATIONS_TOL * scale:
+                converged_at = n
+                break
+        prev_row, prev_v = row, vn
+    if converged_at is None:
+        raise NoConvergenceError(
+            f"innovations iteration did not settle in {INNOVATIONS_MAXIT} steps")
+    return [np.array(t) for t in thetas[converged_at]], v[converged_at]

@@ -161,7 +161,8 @@ def test_criterion_7_ma_roundtrip(corpus):
     roundtrip, invertibility = [], []
     for model in corpus:
         sv = sampling.sampled_varma(mcarma.decompose(model, model.solvent_set()), 0.25)
-        roundtrip.append(verify.check_ma_roundtrip(sv.gamma_U, sv.theta, sv.sigma_eps))
+        roundtrip.append(verify.check_ma_roundtrip(
+            sampling.ma_roundtrip_error(sv.gamma_U, sv.theta, sv.sigma_eps)))
         invertibility.append(verify.check_ma_invertibility(sv.ma_margin))
     elapsed = time.perf_counter() - start
     report_worst(7, roundtrip, elapsed)

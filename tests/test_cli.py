@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 import scipy.linalg
 
+import mcarma_ou
 from mcarma_ou import cli, mcarma
 
 
@@ -22,6 +28,16 @@ def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def model_doc(model):
+    """A model file document for a library model with a Brownian driver."""
+    return {
+        "A": [c.real.tolist() for c in model.A.coeffs],
+        "B": [c.real.tolist() for c in model.B.coeffs],
+        "sigma_L": np.asarray(model.sigma_L).tolist(),
+        "driver": {"kind": "brownian"},
+    }
 
 
 FIRST_ORDER = {
@@ -156,6 +172,16 @@ class TestVarma:
         assert doc["schur_stable"] is True
         assert doc["Theta"] == []
 
+    @pytest.mark.parametrize("h", ["0.01", "0.05"])
+    def test_no_ma_factor_exit_two(self, capsys, tmp_path, corpus, h):
+        # corpus #143's gamma_U at these h has no invertible MA factor
+        code, out, err = run(capsys, "varma", write_model(tmp_path, model_doc(corpus[143])),
+                             "--h", h)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("certification failure: NoConvergence")
+        assert "Traceback" not in err
+
     def test_example_payload(self, capsys, example_model_file):
         code, out, _ = run(capsys, "varma", example_model_file, "--h", "0.1")
         assert code == 0
@@ -233,17 +259,24 @@ class TestVerify:
         # corpus model #143 (coefficients up to about 6e6, gamma(0) entries
         # about 1e7): the innovation Gramian's rounding and the asymmetry of
         # gamma(0) are judged relative to their own scale
-        model = corpus[143]
-        doc = {
-            "A": [c.real.tolist() for c in model.A.coeffs],
-            "B": [c.real.tolist() for c in model.B.coeffs],
-            "sigma_L": np.asarray(model.sigma_L).tolist(),
-            "driver": {"kind": "brownian"},
-        }
-        code, out, _ = run(capsys, "verify", write_model(tmp_path, doc))
+        code, out, _ = run(capsys, "verify", write_model(tmp_path, model_doc(corpus[143])))
         assert code == 0
         assert "acvf-symmetry" in out
         assert out.strip().splitlines()[-1] == "verification: PASS"
+
+
+class TestColdPath:
+    def test_verify_imports_no_optimizer(self, example_model_file):
+        src = str(pathlib.Path(mcarma_ou.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys; from mcarma_ou import cli; "
+                  f"code = cli.main(['verify', {example_model_file!r}]); "
+                  "assert code == 0; "
+                  "assert 'scipy.optimize' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOutFile:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from mcarma_ou import matpoly
@@ -13,6 +14,7 @@ from mcarma_ou.exceptions import (
 )
 
 from conftest import A1, A2, R1, R2, R3, R4, random_stable_model
+from oracles import expand_factors
 
 
 def scalar_poly(*coeffs):
@@ -174,6 +176,18 @@ class TestCertify:
         assert np.isfinite(example_set_12.cond_V)
         assert np.isfinite(example_set_34.cond_V)
 
+    @pytest.mark.parametrize("size", [1e-10, 1e-3, 1.0])
+    def test_multiset_distance_is_assignment_distance(self, size):
+        # small moves take the nearest-point path, a unit move the assignment
+        rng = np.random.default_rng(17)
+        roots = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        moved = roots + size * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        spectrum = rng.permutation(moved)
+        cost = np.abs(spectrum[:, None] - roots[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        assert matpoly.eig_multiset_distance(spectrum, roots) == cost[rows, cols].max()
+        assert matpoly.eig_multiset_distance(spectrum[1:], roots) == np.inf
+
 
 class TestVandermonde:
     def test_first_order(self):
@@ -248,7 +262,7 @@ class TestLinearFactorization:
 
     def test_example_product(self, example_poly, example_set_12):
         factors = matpoly.linear_factorization(example_set_12)
-        product = matpoly.expand_factors(factors)
+        product = expand_factors(factors)
         for got, want in zip(product.coeffs, example_poly.coeffs):
             assert np.linalg.norm(got - want) < 1e-8 * max(1.0, np.linalg.norm(want))
 
@@ -257,6 +271,6 @@ class TestLinearFactorization:
         rng = np.random.default_rng(300 + seed)
         model = random_stable_model(rng, d=2, p=3)
         S = matpoly.solvent_set(model.A)
-        product = matpoly.expand_factors(matpoly.linear_factorization(S))
+        product = expand_factors(matpoly.linear_factorization(S))
         for got, want in zip(product.coeffs, model.A.coeffs):
             assert np.linalg.norm(got - want) < 1e-8 * max(1.0, np.linalg.norm(want))

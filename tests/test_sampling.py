@@ -7,7 +7,24 @@ from mcarma_ou import matpoly, mcarma, rational, sampling, verify
 from mcarma_ou.exceptions import AliasedSamplingError, NoConvergenceError, NotPDError
 
 from conftest import random_stable_model
-from oracles import noise_acvf_quadrature, quad_finite_gramian
+from oracles import innovations_ma, noise_acvf_quadrature, quad_finite_gramian
+
+# Corpus inputs (model index, h) on which the innovations recursion does not
+# settle in its 10^4 steps: their MA zeros lie 8e-5 to 4e-4 outside the unit
+# circle, where its linear rate tends to 1.
+INNOVATIONS_STALLS = [(14, 0.01), (34, 0.01), (35, 0.01), (61, 0.01), (77, 0.01),
+                      (79, 0.01), (139, 0.01), (26, 0.01), (26, 0.05)]
+# The gamma_U of corpus #143 at these h has a spectral density that is
+# slightly negative near frequency 0 (about -5e-11 and -1e-10 of its largest
+# eigenvalue): no invertible MA factor of it exists.
+NO_MA_FACTOR = [(143, 0.01), (143, 0.05)]
+
+
+@pytest.fixture(scope="module")
+def corpus_decomps(corpus):
+    """Corpus index -> decomposition, for the models with an MA part (p >= 2)."""
+    return {i: mcarma.decompose(m, m.solvent_set())
+            for i, m in enumerate(corpus) if m.p >= 2}
 
 
 def scalar_poly(*coeffs):
@@ -223,7 +240,7 @@ class TestNoiseAcvf:
 class TestFitMa:
     def test_first_order_passthrough(self):
         g0 = np.array([[2.0]])
-        theta, sigma_eps, margin = sampling.fit_ma([g0])
+        theta, sigma_eps, margin, _ = sampling.fit_ma([g0])
         assert theta == []
         assert_allclose(sigma_eps, g0)
         assert margin == np.inf
@@ -231,7 +248,7 @@ class TestFitMa:
     def test_scalar_ma1_identity(self):
         theta = 0.5
         gammas = [np.array([[1 + theta ** 2]]), np.array([[theta]])]
-        fitted, sigma_eps, margin = sampling.fit_ma(gammas)
+        fitted, sigma_eps, margin, _ = sampling.fit_ma(gammas)
         assert abs(fitted[0][0, 0] - theta) < 1e-8
         assert abs(sigma_eps[0, 0] - 1.0) < 1e-8
         assert margin > 1e-6  # zero at -2, outside the unit disc
@@ -240,14 +257,15 @@ class TestFitMa:
         # theta = 2 and theta = 0.5 share the ACVF shape; the invertible
         # representative has theta = 0.5 with rescaled innovation variance
         gammas = [np.array([[1 + 4.0]]), np.array([[2.0]])]
-        fitted, sigma_eps, _ = sampling.fit_ma(gammas)
+        fitted, sigma_eps, _, _ = sampling.fit_ma(gammas)
         assert abs(fitted[0][0, 0] - 0.5) < 1e-6
         assert abs(sigma_eps[0, 0] - 4.0) < 1e-5
 
     def test_scalar_carma_roundtrip(self):
         model = scalar_model([1, 3, 2], [1.0])
         sv = sampling.sampled_varma(mcarma.decompose(model, model.solvent_set()), 0.5)
-        check = verify.check_ma_roundtrip(sv.gamma_U, sv.theta, sv.sigma_eps)
+        check = verify.check_ma_roundtrip(
+            sampling.ma_roundtrip_error(sv.gamma_U, sv.theta, sv.sigma_eps))
         assert check.measured < check.bound
         assert sv.ma_margin > 1e-6
 
@@ -265,9 +283,55 @@ class TestFitMa:
         rng = np.random.default_rng(1200 + seed)
         model = random_stable_model(rng, d=2, p=int(rng.integers(2, 4)))
         sv = sampling.sampled_varma(mcarma.decompose(model, model.solvent_set()), 0.25)
-        check = verify.check_ma_roundtrip(sv.gamma_U, sv.theta, sv.sigma_eps)
+        check = verify.check_ma_roundtrip(
+            sampling.ma_roundtrip_error(sv.gamma_U, sv.theta, sv.sigma_eps))
         assert check.measured < check.bound
         assert sv.ma_margin > 1e-6
+
+    @pytest.mark.parametrize("h", [0.25, 2.0])
+    def test_matches_innovations_oracle(self, corpus_decomps, h):
+        for i, decomp in corpus_decomps.items():
+            sv = sampling.sampled_varma(decomp, h)
+            theta, sigma_eps = innovations_ma(sv.gamma_U)
+            theta_scale = max(1.0, max(np.max(np.abs(t)) for t in theta))
+            for got, want in zip(sv.theta, theta):
+                assert np.max(np.abs(got - want)) <= 1e-6 * theta_scale, i
+            assert np.max(np.abs(sv.sigma_eps - sigma_eps)) <= 1e-6 * max(
+                1.0, np.max(np.abs(sv.gamma_U[0]))), i
+
+    @pytest.mark.parametrize("h", [0.01, 0.05, 0.25, 2.0])
+    def test_h_sweep_certificates(self, corpus_decomps, h):
+        for i, decomp in corpus_decomps.items():
+            if (i, h) in NO_MA_FACTOR:
+                continue
+            sv = sampling.sampled_varma(decomp, h)
+            assert verify.check_ma_roundtrip(sampling.ma_roundtrip_error(
+                sv.gamma_U, sv.theta, sv.sigma_eps)).ok, i
+            assert verify.check_ma_invertibility(sv.ma_margin).ok, i
+            assert 1 <= sv.ma_steps <= sampling.DOUBLING_MAXIT
+
+    @pytest.mark.parametrize("index, h", INNOVATIONS_STALLS)
+    def test_near_unit_circle_zeros_fit(self, corpus_decomps, index, h):
+        sv = sampling.sampled_varma(corpus_decomps[index], h)
+        assert sv.ma_roundtrip <= 1e-6
+        assert sv.ma_roundtrip == sampling.ma_roundtrip_error(
+            sv.gamma_U, sv.theta, sv.sigma_eps)
+        assert sv.ma_margin >= 1e-6
+
+    @pytest.mark.parametrize("index, h", NO_MA_FACTOR)
+    def test_no_invertible_factor_raises(self, corpus_decomps, index, h):
+        with pytest.raises(NoConvergenceError):
+            sampling.sampled_varma(corpus_decomps[index], h)
+
+    def test_unit_root_settles_on_the_circle(self):
+        # theta = 1: the factor exists but is not invertible; doubling
+        # converges linearly there, and the margin shows it
+        theta, sigma_eps, margin, info = sampling.fit_ma(
+            [np.array([[2.0]]), np.array([[1.0]])])
+        assert abs(theta[0][0, 0] - 1.0) < 1e-6
+        assert abs(sigma_eps[0, 0] - 1.0) < 1e-6
+        assert margin < 1e-6
+        assert info["roundtrip"] <= 1e-6
 
 
 class TestSampledVarma:
@@ -280,6 +344,9 @@ class TestSampledVarma:
         assert sv.sigma_eps.shape == (2, 2)
         assert sv.ar_residual <= 1e-8
         assert np.isfinite(sv.cond_sampled_V)
+        assert 1 <= sv.ma_steps <= sampling.DOUBLING_MAXIT
+        assert sv.ma_roundtrip == sampling.ma_roundtrip_error(
+            sv.gamma_U, sv.theta, sv.sigma_eps) <= sampling.MA_ROUNDTRIP_TOL
 
     def test_schur_flag_tracks_stability(self):
         model = scalar_model([1, -0.5], [1.0])  # unstable root +0.5

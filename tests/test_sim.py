@@ -9,7 +9,7 @@ from mcarma_ou import matpoly, mcarma, sampling, sim, verify
 from mcarma_ou.exceptions import CholeskyFailError, NotStationaryError, TooShortError
 
 from conftest import random_stable_model
-from oracles import component_recursion
+from oracles import component_recursion, simulate_statespace_twin
 
 
 def scalar_poly(*coeffs):
@@ -178,7 +178,7 @@ class TestExtractNoise:
         # the AR coefficients also whiten paths from the exact sampled state
         # recursion, which never touches the solvent machinery
         h, n = 0.1, 100_000
-        path = sim.simulate_statespace_twin(example_decomp, np.eye(2), h, n,
+        path = simulate_statespace_twin(example_decomp, np.eye(2), h, n,
                                             seed=90210, stationary_start=True)
         sv = sampling.sampled_varma(example_decomp, h)
         check = verify.check_noise_lag_p_zero(sim.extract_noise(path, list(sv.phi)),
@@ -191,7 +191,7 @@ class TestDistributionalExactness:
         h, n = 0.1, 60_000
         a = sim.simulate(example_decomp, brownian(51, np.eye(2)), h, n,
                          stationary_start=True)
-        b = sim.simulate_statespace_twin(example_decomp, np.eye(2), h, n,
+        b = simulate_statespace_twin(example_decomp, np.eye(2), h, n,
                                          seed=52, stationary_start=True)
         ga = sim.empirical_acvf(a, 1)
         gb = sim.empirical_acvf(b, 1)

@@ -228,16 +228,17 @@ def cmd_simulate(args):
         path = sim.attach_noise(path, phi)
         U = path.U
         header += [f"U_{i + 1}" for i in range(d)]
+    # one % per row writes what _fmt writes value by value
+    row = "%d" + ",%.17g" * d
+    Y = path.Y.tolist()
     lines = [",".join(header)]
-    p = model.p
-    for n in range(path.n_steps):
-        row = [str(n)] + [_fmt(float(v)) for v in path.Y[n]]
-        if U is not None:
-            if n >= p:
-                row += [_fmt(float(v)) for v in U[n - p]]
-            else:
-                row += [""] * d
-        lines.append(",".join(row))
+    if U is None:
+        lines += [row % (n, *y) for n, y in enumerate(Y)]
+    else:
+        p = model.p
+        lines += [(row + "," * d) % (n, *y) for n, y in enumerate(Y[:p])]
+        lines += [(row + ",%.17g" * d) % (n, *y, *u)
+                  for n, (y, u) in enumerate(zip(Y[p:], U.tolist()), start=p)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

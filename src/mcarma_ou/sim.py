@@ -11,8 +11,9 @@ of the block covariance alone would not pin down the joint law.
 
 The recursion runs in the solvents' eigenbasis ``R_k = P_k L_k P_k^{-1}``,
 where it is pd scalar complex AR(1) recursions; they are solved CHUNK steps
-at a time by a vectorised doubling scan, so no Python code runs per step
-and no ``expm`` is taken per jump.
+at a time by a blocked scan (:func:`_scan`): batched matrix products
+against per-mode triangular Toeplitz stacks of powers of ``e^{h lam}``, so
+no Python code runs per step and no ``expm`` is taken per jump.
 
 Reproducibility: one path owns one seeded PCG64 generator; identical seeds
 give bit-identical paths.  A Brownian path for a given seed equals that of
@@ -26,6 +27,7 @@ For parallel paths split the seed with
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,8 @@ log = logging.getLogger(__name__)
 
 PSD_CLIP = 1e-12  # relative to the largest eigenvalue magnitude, see _psd_factor
 IMAG_TOL_PATH = 1e-8
-CHUNK = 1024  # grid steps per vectorised block of the modal recursion
+CHUNK = 1024  # grid steps per pass of the modal recursion; bounds powers and memory
+BLOCK = 32  # steps per block of the blocked scan, see _scan
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,8 @@ class DriverSpec:
 class PathGrid:
     """A simulated path on the grid 0, h, ..., (n_steps-1) h.
 
+    ``max_imag`` is the largest imaginary residue of the modal read-out and
+    ``imag_bound`` its certified bound, ``IMAG_TOL_PATH * max(1, max|Y|)``.
     ``U`` carries the AR-residual noise sequence when it was requested via
     :func:`attach_noise`; it is None otherwise.
     """
@@ -86,6 +91,7 @@ class PathGrid:
     n_steps: int
     Y: np.ndarray
     max_imag: float
+    imag_bound: float
     U: np.ndarray | None = None
 
 
@@ -148,20 +154,65 @@ def _modal_form(decomp):
             np.hstack([s.P for s in sols]))
 
 
-def _scan(w, powers, z_prev):
-    """Turn the innovations ``w`` (pd, L) of one chunk into the states
-    ``z_j = a z_{j-1} + w_j`` started from ``z_prev``, in place.
+def _toeplitz_stack(powers):
+    """``K[k, i, j] = powers[k, j - i]`` for j >= i and 0 below the diagonal.
 
-    A log-step doubling scan: after the pass with shift s every column holds
-    its last 2s innovations with their powers of a.  ``powers[:, s-1]`` is
-    ``a^s``; only s <= L is used, so no power beyond the chunk overflows.
+    The lag is clipped at 0 before the lookup, so the lower triangle reads
+    ``powers[:, 0]`` before it is zeroed and never forms a negative power.
     """
-    L = w.shape[1]
-    s = 1
-    while s < L:
-        w[:, s:] += powers[:, s - 1:s] * w[:, :-s]
-        s *= 2
-    w += powers[:, :L] * z_prev[:, None]
+    size = powers.shape[1]
+    lag = np.arange(size) - np.arange(size)[:, None]
+    return powers[:, np.maximum(lag, 0)] * (lag >= 0)
+
+
+def _transfer_stacks(h_lam, n):
+    """The per-mode stacks :func:`_scan` needs for a path of n steps.
+
+    Within a block ``e^{(j - i) h lam}`` (BLOCK x BLOCK); across the at most
+    CHUNK / BLOCK block ends of a chunk, the same on ``e^{BLOCK h lam}``; and
+    ``e^{(j + 1) h lam}``, j < BLOCK, which carries a block's incoming state
+    to its steps.  Each power is one ``np.exp`` of ``h lam`` times its lag;
+    lags are clipped at the path length, so no power of an unstable root
+    beyond the path is formed (a clipped entry only reaches the padding
+    columns of a chunk shorter than BLOCK, which are dropped).
+    """
+    ends = -(-min(CHUNK, n) // BLOCK)
+    powers = np.exp(np.outer(h_lam, np.minimum(np.arange(BLOCK + 1), n)))
+    block_powers = np.exp(np.outer(BLOCK * h_lam, np.minimum(np.arange(ends), n // BLOCK)))
+    return _toeplitz_stack(powers[:, :BLOCK]), _toeplitz_stack(block_powers), powers[:, 1:]
+
+
+def _scan(w, z_prev, stacks):
+    """States ``z_j = a z_{j-1} + w_j`` of one chunk of innovations ``w``
+    (pd, L), L <= CHUNK, started from ``z_prev``; ``a = e^{h lam}``.
+
+    A two-level blocked scan.  The chunk, zero-padded to M whole blocks, is
+    reshaped to (pd, M, BLOCK), and one batched product with the Toeplitz
+    stack runs every block's recursion from zero.  The state entering each
+    block follows from the same construction on ``a^BLOCK`` over the vector
+    (z_prev, block ends), and is added to its block times ``a^(j + 1)``.
+    """
+    local, across, lift = stacks
+    pd_dim, L = w.shape
+    m = -(-L // BLOCK)
+    if L % BLOCK:
+        w = np.concatenate([w, np.zeros((pd_dim, m * BLOCK - L), dtype=complex)], axis=1)
+    z = np.matmul(w.reshape(pd_dim, m, BLOCK), local)
+    ends = np.empty((pd_dim, 1, m), dtype=complex)
+    ends[:, 0, 0] = z_prev
+    ends[:, 0, 1:] = z[:, :-1, -1]
+    entering = np.matmul(ends, across[:, :m, :m])
+    z += entering.reshape(pd_dim, m, 1) * lift[:, None, :]
+    return z.reshape(pd_dim, m * BLOCK)[:, :L]
+
+
+def _complex_times_real(E, x):
+    """``E @ x`` for complex E and real x, as two real products written into
+    one complex array (``E @ x`` itself would cast x to complex)."""
+    w = np.empty((E.shape[0], x.shape[1]), dtype=complex)
+    w.real = E.real @ x
+    w.imag = E.imag @ x
+    return w
 
 
 def _jump_innovations(rng, rate, h, lam, G, L):
@@ -178,7 +229,8 @@ def _jump_innovations(rng, rate, h, lam, G, L):
     w = np.zeros((lam.size, L), dtype=complex)
     if total:
         ages = h - rng.uniform(0.0, h, size=total)
-        kicks = np.exp(np.outer(lam, ages)) * (G @ rng.standard_normal((G.shape[1], total)))
+        kicks = np.exp(np.outer(lam, ages)) * _complex_times_real(
+            G, rng.standard_normal((G.shape[1], total)))
         hit = np.flatnonzero(counts)
         w[:, hit] = np.add.reduceat(kicks, np.cumsum(counts)[hit] - counts[hit], axis=1)
     return w
@@ -189,7 +241,9 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
 
     The sum runs as pd scalar recursions ``z_n = e^{h lam} z_{n-1} + e_n`` in
     the solvents' eigenbasis (see :func:`_modal_form`), CHUNK steps at a
-    time, and is read out as ``Y_n = Re sum_k P_k z_{k,n}``.
+    time by the blocked scan :func:`_scan`, and is read out as
+    ``Y_n = Re sum_k P_k z_{k,n}``.  Each call logs the driver kind, the
+    steps, pd and its wall time at DEBUG.
 
     Parameters
     ----------
@@ -210,6 +264,7 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     """
     if h <= 0 or n_steps < 1:
         raise ValueError("need h > 0 and n_steps >= 1")
+    start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
     lam, P_inv, readout = _modal_form(decomp)
     to_modal = P_inv @ np.linalg.inv(decomp.transform)
@@ -227,7 +282,7 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
         xi = rng.standard_normal((lam.size, n))
 
         def innovations(lo, hi):
-            return E @ xi[:, lo:hi]
+            return _complex_times_real(E, xi[:, lo:hi])
     else:
         jump_factor = _psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
         G = P_inv @ np.vstack([comp.residue for comp in decomp.components]) @ jump_factor
@@ -235,25 +290,25 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
         def innovations(lo, hi):
             return _jump_innovations(rng, driver.rate, h, lam, G, hi - lo)
 
-    powers = np.exp(np.outer(h * lam, np.arange(1, min(CHUNK, n) + 1)))
+    stacks = _transfer_stacks(h * lam, n)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        w = innovations(lo, hi)
-        _scan(w, powers, z)
-        z = w[:, -1]
-        out = readout @ w
+        states = _scan(innovations(lo, hi), z, stacks)
+        z = states[:, -1]
+        out = readout @ states
         max_imag = max(max_imag, float(np.max(np.abs(out.imag))))
         Y[lo + 1:hi + 1] = out.real.T
 
-    yscale = max(1.0, float(np.max(np.abs(Y))))
-    if max_imag > IMAG_TOL_PATH * yscale:
+    imag_bound = IMAG_TOL_PATH * max(1.0, float(np.max(np.abs(Y))))
+    if max_imag > imag_bound:
         raise CholeskyFailError(
-            f"path imaginary residue {max_imag:.3e} exceeds "
-            f"{IMAG_TOL_PATH * yscale:.3e}")
+            f"path imaginary residue {max_imag:.3e} exceeds {imag_bound:.3e}")
     if not np.all(np.isfinite(Y)):
         raise CholeskyFailError("simulated path has non-finite entries")
     Y.setflags(write=False)
-    return PathGrid(h=h, n_steps=n_steps, Y=Y, max_imag=max_imag)
+    log.debug("simulate: %s driver, %d steps, pd=%d, %.6f s",
+              driver.kind, n_steps, lam.size, time.perf_counter() - start)
+    return PathGrid(h=h, n_steps=n_steps, Y=Y, max_imag=max_imag, imag_bound=imag_bound)
 
 
 def empirical_acvf(path, max_lag):

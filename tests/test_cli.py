@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import mcarma_ou
-from mcarma_ou import cli, mcarma
+from mcarma_ou import cli, mcarma, sampling, sim
 
 
 def run(capsys, *argv):
@@ -211,6 +211,31 @@ class TestSimulate:
         # noise columns are blank before lag p
         assert lines[1].endswith(",,")
         assert lines[3].count(",") == 4 and not lines[3].endswith(",")
+
+    @pytest.mark.parametrize("emit_noise", [False, True])
+    def test_rows_match_per_value_format(self, capsys, example_model_file, emit_noise):
+        # the row writer gives the text of _fmt applied value by value, the
+        # blank U cells of n < p included
+        flags = ["--emit-noise"] if emit_noise else []
+        code, out, _ = run(capsys, "simulate", example_model_file, "--h", "0.1",
+                           "--steps", "300", "--seed", "9", "--stationary-start", *flags)
+        assert code == 0
+        model, driver = cli.load_model_file(example_model_file, seed=9)
+        decomp = mcarma.decompose(model, model.solvent_set())
+        path = sim.simulate(decomp, driver, 0.1, 300, stationary_start=True)
+        d, p = model.d, model.p
+        header = ["n"] + [f"Y_{i + 1}" for i in range(d)]
+        if emit_noise:
+            _, phi, _ = sampling.varma_ar(decomp.solvent_set, 0.1)
+            U = sim.extract_noise(path, phi)
+            header += [f"U_{i + 1}" for i in range(d)]
+        lines = [",".join(header)]
+        for n in range(300):
+            row = [str(n)] + [cli._fmt(float(v)) for v in path.Y[n]]
+            if emit_noise:
+                row += [cli._fmt(float(v)) for v in U[n - p]] if n >= p else [""] * d
+            lines.append(",".join(row))
+        assert out == "\n".join(lines) + "\n"
 
     def test_floats_roundtrip(self, capsys, example_model_file):
         code, out, _ = run(capsys, "simulate", example_model_file, "--h", "0.1",

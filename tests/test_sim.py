@@ -305,11 +305,41 @@ class TestModalEngine:
         gap = reference_gap(decomp, brownian(index, model.sigma_L), 0.1, 5000)
         assert gap <= 1e-11
 
-    @pytest.mark.parametrize("n_steps", [1, 2, sim.CHUNK, sim.CHUNK + 1, sim.CHUNK + 2,
-                                         2 * sim.CHUNK + 1])
+    @pytest.mark.parametrize("n_steps", [1, 2, sim.BLOCK + 1, sim.BLOCK + 2,
+                                         sim.CHUNK - sim.BLOCK, sim.CHUNK, sim.CHUNK + 1,
+                                         sim.CHUNK + 2, 2 * sim.CHUNK + 1])
     def test_chunk_boundaries(self, example_decomp, n_steps):
         gap = reference_gap(example_decomp, brownian(11, np.eye(2)), 0.1, n_steps)
         assert gap <= 1e-11
+
+    @pytest.mark.parametrize("kind", ["brownian", "compound_poisson"])
+    def test_innovations_formed_a_chunk_at_a_time(self, example_decomp, monkeypatch, kind):
+        # the innovations of a whole path would add pd * n complex numbers to
+        # the peak memory (about 14 MB at pd = 9, n = 1e5): no _scan call and
+        # no innovations draw may see more than CHUNK steps
+        seen = []
+
+        def spy(fn):
+            def wrapped(*args):
+                out = fn(*args)
+                seen.append((fn.__name__, out.shape[1]))
+                return out
+            return wrapped
+
+        if kind == "brownian":
+            draw = "_complex_times_real"
+            driver = brownian(4, np.eye(2))
+        else:
+            draw = "_jump_innovations"
+            driver = sim.DriverSpec(kind="compound_poisson", seed=4, rate=2.0,
+                                    jump_cov=0.5 * np.eye(2))
+        for name in ("_scan", draw):
+            monkeypatch.setattr(sim, name, spy(getattr(sim, name)))
+        n_steps = 3 * sim.CHUNK + 7
+        sim.simulate(example_decomp, driver, 0.1, n_steps)
+        assert {name for name, _ in seen} == {"_scan", draw}
+        assert max(width for _, width in seen) <= sim.CHUNK
+        assert sum(width for name, width in seen if name == "_scan") == n_steps - 1
 
     def test_compound_poisson_matches_reference(self, example_decomp):
         driver = sim.DriverSpec(kind="compound_poisson", seed=21, rate=10.0,
@@ -362,6 +392,18 @@ class TestModalEngine:
                                 stationary_start=False)
         assert gap <= 1e-11
 
+    def test_short_unstable_path_no_overflow(self):
+        # root +0.5 at h = 100: e^{50 n} is finite for the 2 steps of this
+        # path but not for a block of BLOCK steps, so the transfer stacks
+        # must clip their powers at the path length
+        model = scalar_model([1, -0.5], [1.0])
+        decomp = mcarma.decompose(model, model.solvent_set())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = reference_gap(decomp, brownian(3, np.array([[1.0]])), 100.0, 3,
+                                stationary_start=False)
+        assert gap <= 1e-11
+
     def test_compound_poisson_cross_acvf(self, example_decomp):
         # d = 2: the cross terms of gamma(l) match the stationary ACVF too
         h, n = 0.1, 100_000
@@ -374,6 +416,43 @@ class TestModalEngine:
         band = 4.0 * np.linalg.norm(want[0]) * np.sqrt(tau / n)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < band
+
+
+class TestBlockedScan:
+    # modes: fast (|a| = e^-20), slow (h |lam| = 1e-4), a rotation near
+    # Nyquist, an unstable root, and a damped rotation
+    H_LAM = np.array([-20.0, -1e-4, -0.01 + 1j * (np.pi - 1e-3), 0.05, -0.3 + 0.7j])
+
+    @pytest.mark.parametrize("length", [1, sim.BLOCK - 1, sim.BLOCK, sim.BLOCK + 1,
+                                        sim.CHUNK - 1, sim.CHUNK])
+    def test_matches_step_recursion(self, length):
+        rng = np.random.default_rng(length)
+        shape = (self.H_LAM.size, length)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z_prev = rng.standard_normal(self.H_LAM.size) + 1j * rng.standard_normal(self.H_LAM.size)
+        got = sim._scan(w, z_prev, sim._transfer_stacks(self.H_LAM, length))
+        a, z = np.exp(self.H_LAM), z_prev
+        want = np.empty_like(w)
+        for j in range(length):
+            z = a * z + w[:, j]
+            want[:, j] = z
+        assert got.shape == want.shape
+        gap = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert np.all(gap <= 1e-12)
+
+
+class TestObservability:
+    def test_path_carries_certificate_and_logs(self, example_decomp, caplog):
+        with caplog.at_level("DEBUG", logger=sim.log.name):
+            path = sim.simulate(example_decomp, brownian(6, np.eye(2)), 0.1, 3000)
+            sim.simulate(example_decomp, brownian(6, np.eye(2)), 0.1, 20)
+        assert path.max_imag <= path.imag_bound
+        assert path.imag_bound == sim.IMAG_TOL_PATH * max(1.0, np.max(np.abs(path.Y)))
+        records = [r for r in caplog.records
+                   if r.name == sim.log.name and r.levelname == "DEBUG"]
+        assert len(records) == 2
+        assert "brownian" in records[0].getMessage()
+        assert "3000 steps" in records[0].getMessage()
 
 
 class TestRectangularDriver:

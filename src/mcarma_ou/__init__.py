@@ -34,15 +34,14 @@ from .mcarma import (
     OuDecomposition,
     StateSpace,
     build_state_space,
+    component_gramians,
     decompose,
     kernel,
     stationary_acvf,
-    stationary_state_covariance,
 )
 from .sampling import (
     SampledVarma,
     fit_ma,
-    innovation_gramians,
     noise_acvf,
     sampled_varma,
     varma_ar,
@@ -79,13 +78,13 @@ __all__ = [
     "check_irreducible",
     "coeffs_from_solvents",
     "companion_matrix",
+    "component_gramians",
     "decompose",
     "default_grouping",
     "empirical_acvf",
     "eval_partial_fraction",
     "extract_noise",
     "fit_ma",
-    "innovation_gramians",
     "kernel",
     "latent_roots",
     "linear_factorization",
@@ -96,7 +95,6 @@ __all__ = [
     "solvent_set",
     "solvents_from_latents",
     "stationary_acvf",
-    "stationary_state_covariance",
     "vandermonde",
     "varma_ar",
 ]

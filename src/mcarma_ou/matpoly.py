@@ -94,14 +94,17 @@ class LambdaMatrix:
         return bool(max(np.max(np.abs(c.imag)) for c in self.coeffs) <= 1e-14)
 
     def eval(self, lam):
-        """Evaluate at a complex scalar by Horner's scheme."""
+        """Evaluate at a complex scalar by Horner's scheme; for an array of
+        scalars, one matrix per entry along the leading axes."""
+        lam = np.asarray(lam)[..., None, None]
         out = np.array(self.coeffs[0])
         for block in self.coeffs[1:]:
             out = out * lam + block
         return out
 
     def eval_right(self, Z):
-        """Right-substitute a square matrix: ``A0 Z^p + A1 Z^(p-1) + ... + Ap``.
+        """Right-substitute a square matrix: ``A0 Z^p + A1 Z^(p-1) + ... + Ap``;
+        for a stack of matrices (..., d, d), one result per matrix.
 
         Right substitution does not commute with scalar evaluation at
         eigenvalues of ``Z`` unless d = 1.
@@ -199,26 +202,36 @@ class SolventSet:
     Certified on construction: disjoint spectra whose union matches the
     latent roots, small right-substitution residuals, and a nonsingular
     block Vandermonde matrix (``cond_V`` reported).
+
+    Also carries the solvents' eigenbases stacked along a leading axis,
+    ``spectrum`` (p, d) and ``P``, ``P_inv`` (p, d, d), so that ``expm`` and
+    ``mcarma.ou_gramian`` take all p solvents in one call.
     """
 
     solvents: tuple
     V: np.ndarray
     cond_V: float
+    spectrum: np.ndarray = field(init=False, repr=False)
+    P: np.ndarray = field(init=False, repr=False)
+    P_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "V", _readonly(_as_complex(self.V)))
+        for name in ("spectrum", "P", "P_inv"):
+            stacked = np.stack([getattr(s, name) for s in self.solvents])
+            object.__setattr__(self, name, _readonly(stacked))
+
+    # e^{tR_k} of every solvent: for an array of times the result is
+    # indexed (time, solvent, d, d)
+    expm = Solvent.expm
 
     @property
     def matrices(self):
         return [s.R for s in self.solvents]
 
     @property
-    def spectra(self):
-        return [s.spectrum for s in self.solvents]
-
-    @property
     def roots(self):
-        return np.concatenate(self.spectra)
+        return self.spectrum.reshape(-1)
 
     @property
     def block_dim(self):
@@ -521,6 +534,12 @@ def coeffs_from_solvent_matrices(mats):
     ``[A_p, ..., A_1] = -[R_1^p, ..., R_p^p] V^{-1}`` without certifying the
     input; use :func:`coeffs_from_solvents` for the certified route.
     """
+    return vandermonde_solve(mats)[0]
+
+
+def vandermonde_solve(mats):
+    """:func:`coeffs_from_solvent_matrices` and the condition number of the
+    block Vandermonde matrix it inverts, which it certifies below 1e12."""
     mats = [_as_complex(R) for R in mats]
     p = len(mats)
     d = mats[0].shape[0]
@@ -534,7 +553,7 @@ def coeffs_from_solvent_matrices(mats):
     # X carries [A_p, ..., A_1]; unpack into descending-power order
     for j in range(p - 1, -1, -1):
         coeffs.append(X[:, j * d:(j + 1) * d])
-    return LambdaMatrix(tuple(coeffs))
+    return LambdaMatrix(tuple(coeffs)), float(cond_V)
 
 
 def coeffs_from_solvents(solvents):

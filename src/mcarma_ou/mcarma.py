@@ -23,14 +23,17 @@ R_k = P_k diag(lam_k) P_k^{-1}, which each ``matpoly.Solvent`` carries:
 (Moler & Van Loan, "Nineteen dubious ways to compute the exponential of a
 matrix, twenty-five years later", SIAM Rev. 45 (2003), method 14; its error
 grows with cond(P_k), which ``matpoly.solvents_from_latents`` bounds).
+A ``matpoly.SolventSet`` stacks the p eigenbases, so the p^2 Gramians of
+all solvent pairs (``component_gramians``) and the modal sums over all
+lags (``stationary_acvf``, ``kernel``) are each a few stacked products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 
 from . import matpoly, rational
 from .exceptions import (
@@ -223,6 +226,11 @@ class OuDecomposition:
     def d(self):
         return self.components[0].R.shape[0]
 
+    @property
+    def residues(self):
+        """The residues Res_k stacked (p, d, m)."""
+        return np.stack([c.residue for c in self.components])
+
 
 def decompose(model, S, x0=None):
     """Split an MCARMA model into p OU components along a solvent set.
@@ -257,9 +265,11 @@ def decompose(model, S, x0=None):
     leak = np.max(np.abs((T @ y0).imag))
     if leak > IMAG_TOL_INIT:
         raise ImaginaryLeakError(f"initial-state realness violated by {leak:.3e}")
-    R_diag = scipy.linalg.block_diag(*[R for R, _ in pf.pairs])
+    # A* T = T diag(R_k), block column by block column: A* T_k = T_k R_k
+    columns = T.reshape(p * d, p, d).swapaxes(0, 1)
     scale = max(1.0, np.linalg.norm(ss.A_star) * np.linalg.norm(T))
-    sim_err = np.linalg.norm(ss.A_star @ T - T @ R_diag) / scale
+    sim_err = np.linalg.norm(
+        ss.A_star @ columns - columns @ np.stack(pf.solvent_matrices)) / scale
     res_err = np.linalg.norm(ss.B_star - T @ np.vstack(pf.residue_matrices)) / max(
         1.0, np.linalg.norm(ss.B_star))
     row_err = np.linalg.norm(ss.C_star @ T - np.hstack([np.eye(d)] * p))
@@ -273,19 +283,20 @@ def decompose(model, S, x0=None):
     return OuDecomposition(comps, T, model, ss, pf, S)
 
 
-def _real_sum(decomp, times, mats, what):
+def _real_sum(S, times, mats, what):
     """``sum_k e^{t R_k} X_k`` with ``X_k = mats[k]`` for every t in ``times``,
-    for the whole time grid at once.
+    as one modal product over the whole time grid: the terms are
+    ``P_k diag(e^{t lam_k}) (P_k^{-1} X_k)``.
 
     Each sum is certified real: its imaginary part must stay below 1e-9 of
     its largest term (the exact sum is real only up to roundoff amplified by
     the term magnitudes).  Returns the real sums and those term scales.
     """
     times = np.asarray(times, dtype=float)
-    terms = np.stack([c.solvent.expm(times) @ X  # (p, len(times), d, m)
-                      for c, X in zip(decomp.components, mats)])
-    scale = np.abs(terms).max(axis=(0, 2, 3), initial=1.0)
-    out = terms.sum(axis=0)
+    scales = np.exp(np.multiply.outer(times, S.spectrum))[..., None, :]
+    terms = (S.P * scales) @ (S.P_inv @ mats)  # (len(times), p, d, m)
+    scale = np.abs(terms).max(axis=(1, 2, 3), initial=1.0)
+    out = terms.sum(axis=1)
     for t, leak, sc in zip(times, np.abs(out.imag).max(axis=(1, 2), initial=0.0), scale):
         if leak > IMAG_TOL_KERNEL * sc:
             raise ImaginaryLeakError(
@@ -304,7 +315,7 @@ def kernel(decomp, t):
     """
     if t < 0:
         raise ValueError("kernel is defined for t >= 0")
-    out, _ = _real_sum(decomp, [t], [c.residue for c in decomp.components], "kernel")
+    out, _ = _real_sum(decomp.solvent_set, [t], decomp.residues, "kernel")
     return out[0]
 
 
@@ -318,13 +329,18 @@ def ou_gramian(s_i, s_j, M, h=np.inf):
     ``expm1`` keeps the small-h and near-collision weights accurate to
     rounding, where forming ``e^{h z} - 1`` would cancel.
 
+    ``s_i`` and ``s_j`` may also be stacks of eigenbases, as a
+    ``matpoly.SolventSet`` carries them: their ``spectrum`` (..., d) and
+    ``P``, ``P_inv`` (..., d, d) broadcast with ``M`` (..., d, d) over the
+    leading axes, one Gramian per stack entry (see ``component_gramians``).
+
     Raises
     ------
     SylvesterSingularError
         For h = inf, if some z is within 1e-12 of zero (the spectra of R_i
         and -R_j^H nearly intersect and the integral diverges).
     """
-    z = s_i.spectrum[:, None] + s_j.spectrum.conj()[None, :]
+    z = s_i.spectrum[..., :, None] + s_j.spectrum.conj()[..., None, :]
     if np.isinf(h):
         gap = np.min(np.abs(z))
         if gap < 1e-12:
@@ -334,24 +350,29 @@ def ou_gramian(s_i, s_j, M, h=np.inf):
     else:
         zero = z == 0
         W = np.where(zero, h, np.expm1(h * z) / np.where(zero, 1.0, z))
-    K = s_i.P_inv @ M @ s_j.P_inv.conj().T
-    return s_i.P @ (K * W) @ s_j.P.conj().T
+    K = s_i.P_inv @ M @ s_j.P_inv.conj().swapaxes(-1, -2)
+    return s_i.P @ (K * W) @ s_j.P.conj().swapaxes(-1, -2)
 
 
-def stationary_component_covariances(decomp):
-    """The per-component sums ``Sigma_i = sum_j int_0^inf e^{u R_i} Res_i
-    Sigma_L Res_j^H e^{u R_j^H} du`` entering the stationary ACVF."""
-    sigma_L = decomp.model.sigma_L
-    comps = decomp.components
-    return [
-        sum(ou_gramian(ci.solvent, cj.solvent,
-                       ci.residue @ sigma_L @ cj.residue.conj().T)
-            for cj in comps)
-        for ci in comps]
+def component_gramians(S, residues, sigma_L, h=np.inf):
+    """The p x p OU Gramians ``int_0^h e^{u R_i} Res_i Sigma_L Res_j^H
+    e^{u R_j^H} du`` of all pairs of a solvent set, stacked (p, p, d, d) by
+    (i, j), from one ``ou_gramian`` call.
+
+    For finite h they are the cross covariances Sigma_{i,j}^{(h)} of the
+    components' innovations over one sampling step; for h = inf, those of
+    the stationary components.
+    """
+    res = np.stack(residues)
+    M = res[:, None] @ sigma_L @ res.conj().swapaxes(1, 2)
+    rows = SimpleNamespace(spectrum=S.spectrum[:, None], P=S.P[:, None],
+                           P_inv=S.P_inv[:, None])
+    return ou_gramian(rows, S, M, h)
 
 
 def stationary_acvf(decomp, lags):
-    """Stationary autocovariance ``gamma(l) = sum_i e^{l R_i} Sigma_i``.
+    """Stationary autocovariance ``gamma(l) = sum_i e^{l R_i} Sigma_i`` with
+    ``Sigma_i = sum_j int_0^inf e^{u R_i} Res_i Sigma_L Res_j^H e^{u R_j^H} du``.
 
     Parameters
     ----------
@@ -374,8 +395,9 @@ def stationary_acvf(decomp, lags):
     lags = np.asarray(list(lags), dtype=float)
     if np.any(lags < 0):
         raise ValueError("lags must be nonnegative")
-    gammas, term_scale = _real_sum(
-        decomp, lags, stationary_component_covariances(decomp), "ACVF")
+    S = decomp.solvent_set
+    sigmas = component_gramians(S, decomp.residues, decomp.model.sigma_L).sum(axis=1)
+    gammas, term_scale = _real_sum(S, lags, sigmas, "ACVF")
     for lag, acc, scale in zip(lags, gammas, term_scale):
         if lag == 0:
             sym_err = np.max(np.abs(acc - acc.T))
@@ -385,10 +407,3 @@ def stationary_acvf(decomp, lags):
                     1.0, np.trace(acc)):
                 raise ImaginaryLeakError("gamma(0) not positive semidefinite")
     return list(gammas)
-
-
-def stationary_state_covariance(ss, sigma_L):
-    """State covariance Pi solving ``A* Pi + Pi A*^T = -B* Sigma_L B*^T``."""
-    rhs = -ss.B_star @ sigma_L @ ss.B_star.T
-    pi = scipy.linalg.solve_continuous_lyapunov(ss.A_star, rhs)
-    return 0.5 * (pi + pi.T)

@@ -66,22 +66,22 @@ def check_irreducible(A, B, pairs=None):
     Coprimeness can only fail on the spectrum of A, so checking the latent
     roots is exhaustive.  Each block is divided by its backward-error scale
     (``matpoly.backward_scale``), so rescaling time does not change the
-    verdict.
+    verdict.  One stacked SVD covers all roots.
     """
     if pairs is None:
         pairs = matpoly.latent_roots(A)
     d = A.order[0]
     roots = np.array([pr.root for pr in pairs])
     tiny = np.finfo(float).tiny  # a zero scale goes with an exactly zero block
-    scale_a = np.maximum(matpoly.backward_scale(A, roots), tiny)
-    scale_b = np.maximum(matpoly.backward_scale(B, roots), tiny)
-    for pr, sa, sb in zip(pairs, scale_a, scale_b):
-        stacked = np.hstack([A.eval(pr.root) / sa, B.eval(pr.root) / sb])
-        s = np.linalg.svd(stacked, compute_uv=False)
-        # floor: at a common zero the whole stacked row vanishes and
-        # sigma_max itself collapses, which the relative test alone misses
-        if s[0] <= 1e-12 or s[d - 1] <= RANK_TOL * s[0]:
-            return False, pr.root
+    scale_a = np.maximum(matpoly.backward_scale(A, roots), tiny)[:, None, None]
+    scale_b = np.maximum(matpoly.backward_scale(B, roots), tiny)[:, None, None]
+    stacked = np.concatenate([A.eval(roots) / scale_a, B.eval(roots) / scale_b], axis=2)
+    s = np.linalg.svd(stacked, compute_uv=False)
+    # floor: at a common zero the whole stacked row vanishes and sigma_max
+    # itself collapses, which the relative test alone misses
+    failed = (s[:, 0] <= 1e-12) | (s[:, d - 1] <= RANK_TOL * s[:, 0])
+    if failed.any():
+        return False, pairs[int(np.argmax(failed))].root
     return True, None
 
 

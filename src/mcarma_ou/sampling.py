@@ -11,8 +11,10 @@ with an autocovariance built from the finite-horizon innovation Gramians
     Sigma_{nu,mu}^{(h)} = int_0^h e^{R_nu u} Res_nu Sigma_L Res_mu^H
                           e^{R_mu^H u} du.
 
-Exponentials and Gramians are evaluated in the solvents' eigenbases
-(``matpoly.Solvent.expm`` and ``mcarma.ou_gramian``).
+Exponentials and Gramians are evaluated in the solvents' eigenbases,
+stacked over all p solvents (``matpoly.SolventSet.expm`` and
+``mcarma.component_gramians``), and gamma_U sums its terms as one batched
+product per lag.
 
 The invertible MA(p-1) factor of that noise is the steady state of the
 Kalman filter of its covariance realization: with the block up-shift A,
@@ -30,6 +32,8 @@ converges linearly at a rate tending to 1 as h -> 0.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +46,8 @@ from .exceptions import (
     NotPDError,
     SingularVandermondeError,
 )
+
+log = logging.getLogger(__name__)
 
 ALIAS_TOL = 1e-10
 AR_RESIDUAL_TOL = 1e-8
@@ -91,14 +97,13 @@ def sampled_solvent_matrices(S, h):
     """
     roots = S.roots
     sampled = np.exp(-h * roots)
-    n = len(sampled)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(sampled[i] - sampled[j]) < ALIAS_TOL and abs(
-                    roots[i] - roots[j]) > ALIAS_TOL:
-                raise AliasedSamplingError(
-                    f"latent roots {roots[i]:.6g} and {roots[j]:.6g} alias at h={h}")
-    return [s.expm(-h) for s in S.solvents]
+    aliased = np.triu((np.abs(sampled[:, None] - sampled) < ALIAS_TOL)
+                      & (np.abs(roots[:, None] - roots) > ALIAS_TOL), 1)
+    if aliased.any():
+        i, j = np.argwhere(aliased)[0]
+        raise AliasedSamplingError(
+            f"latent roots {roots[i]:.6g} and {roots[j]:.6g} alias at h={h}")
+    return S.expm(-h)
 
 
 def varma_ar(S, h):
@@ -119,10 +124,9 @@ def varma_ar(S, h):
     if h <= 0:
         raise ValueError("sampling step h must be positive")
     mats = sampled_solvent_matrices(S, h)
-    psi_poly = matpoly.coeffs_from_solvent_matrices(mats)
-    cond_V = float(np.linalg.cond(matpoly.vandermonde(mats)))
+    psi_poly, cond_V = matpoly.vandermonde_solve(mats)
 
-    residual = max(float(np.linalg.norm(psi_poly.eval_right(E))) for E in mats)
+    residual = max(float(np.linalg.norm(r)) for r in psi_poly.eval_right(mats))
     scale = max(1.0, max(float(np.linalg.norm(c)) for c in psi_poly.coeffs))
     if residual > AR_RESIDUAL_TOL * scale:
         raise SingularVandermondeError(
@@ -146,14 +150,6 @@ def varma_ar(S, h):
     return psi, phi, {"cond_sampled_V": cond_V, "ar_residual": residual}
 
 
-def innovation_gramians(solvents, residues, sigma_L, h):
-    """All p x p cross Gramians ``Sigma_{nu,mu}^{(h)}`` as a nested list."""
-    return [
-        [mcarma.ou_gramian(s_nu, s_mu, res_nu @ sigma_L @ res_mu.conj().T, h)
-         for s_mu, res_mu in zip(solvents, residues)]
-        for s_nu, res_nu in zip(solvents, residues)]
-
-
 def noise_acvf(S, pf, phi, sigma_L, h):
     """Autocovariances gamma_U(0..p-1) of the sampled AR residual noise.
 
@@ -164,33 +160,29 @@ def noise_acvf(S, pf, phi, sigma_L, h):
         gamma_U(l) = sum_{r=0}^{p-1-l} sum_{nu,mu}
                      C_{r+l,nu} Sigma_{nu,mu}^{(h)} C_{r,mu}^H,
 
-    which vanishes for l >= p.  Imaginary parts are certified below 1e-9
-    and stripped; gamma_U(0) is certified symmetric PSD.
+    which vanishes for l >= p.  All C_{s,k} and all Gramians are formed at
+    once, and the terms of one lag are one batched product, summed in the
+    order (r, nu, mu) by a cumulative sum (``np.sum`` would reorder it).
+    Imaginary parts are certified below 1e-9 of the largest term so far and
+    stripped; gamma_U(0) is certified symmetric PSD.
     """
-    sols = S.solvents
-    p = len(sols)
+    p = len(S)
     d = S.block_dim
-    gram = innovation_gramians(sols, pf.residue_matrices, sigma_L, h)
+    gram = mcarma.component_gramians(S, pf.residue_matrices, sigma_L, h)
 
-    exp_h = [[sol.expm(h * s) for s in range(p)] for sol in sols]
-    coeff = [[None] * p for _ in range(p)]  # coeff[s][k] = C_{s,k}
-    for k in range(p):
-        for s in range(p):
-            acc = np.array(exp_h[k][s])
-            for j in range(1, s + 1):
-                acc -= phi[j - 1] @ exp_h[k][s - j]
-            coeff[s][k] = acc
+    exp_h = S.expm(h * np.arange(p))  # exp_h[s, k] = e^{h s R_k}
+    coeff = exp_h.copy()  # coeff[s, k] = C_{s,k}
+    for j in range(1, p):
+        coeff[j:] -= phi[j - 1] @ exp_h[:p - j]
+    coeff_H = coeff.conj().swapaxes(-1, -2)
 
     out = []
     term_scale = 1.0
     for lag in range(p):
-        acc = np.zeros((d, d), dtype=complex)
-        for r in range(p - lag):
-            for nu in range(p):
-                for mu in range(p):
-                    term = coeff[r + lag][nu] @ gram[nu][mu] @ coeff[r][mu].conj().T
-                    term_scale = max(term_scale, float(np.max(np.abs(term))))
-                    acc += term
+        terms = coeff[lag:, :, None] @ gram @ coeff_H[:p - lag, None, :]
+        terms = terms.reshape(-1, d, d)  # in the order (r, nu, mu)
+        term_scale = max(term_scale, float(np.max(np.abs(terms))))
+        acc = np.cumsum(terms, axis=0)[-1]
         leak = float(np.max(np.abs(acc.imag)))
         if leak > IMAG_TOL * term_scale:
             raise ImaginaryLeakError(f"gamma_U imaginary part {leak:.3e} at lag {lag}")
@@ -337,12 +329,22 @@ def ma_acvf(theta, sigma_eps, lag):
 
 
 def sampled_varma(decomp, h):
-    """Full sampled-VARMA summary (Psi, Phi, gamma_U, Theta, Sigma_eps)."""
+    """Full sampled-VARMA summary (Psi, Phi, gamma_U, Theta, Sigma_eps).
+
+    Each call logs the seconds of ``varma_ar``, ``noise_acvf`` and
+    ``fit_ma`` and the doubling steps at DEBUG.
+    """
     S = decomp.solvent_set
+    start = time.perf_counter()
     psi, phi, info = varma_ar(S, h)
+    ar_done = time.perf_counter()
     gamma = noise_acvf(S, decomp.partial_fraction, phi,
                        decomp.model.sigma_L, h)
+    noise_done = time.perf_counter()
     theta, sigma_eps, margin, ma_info = fit_ma(gamma)
+    log.debug("sampled_varma: h=%g, varma_ar %.6f s, noise_acvf %.6f s, "
+              "fit_ma %.6f s, %d doubling steps", h, ar_done - start,
+              noise_done - ar_done, time.perf_counter() - noise_done, ma_info["steps"])
     schur = all(pr.root.real < 0.0 for pr in decomp.model.latent_pairs)
     return SampledVarma(
         h=h,

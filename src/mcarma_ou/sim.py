@@ -31,9 +31,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import mcarma, sampling
+from . import mcarma
 from .exceptions import CholeskyFailError, NotStationaryError, TooShortError
 
 log = logging.getLogger(__name__)
@@ -118,13 +117,13 @@ def _psd_factor(mat, what):
 
 def state_innovation_gramian(decomp, sigma_L, h):
     """Real pd x pd covariance of the stacked state innovation over one step,
-    ``T [Sigma_{nu,mu}^{(h)}] T^H`` with the component Gramians from the
-    sampling module."""
-    comps = decomp.components
-    G = np.block(sampling.innovation_gramians(
-        [c.solvent for c in comps], [c.residue for c in comps], sigma_L, h))
+    ``T [Sigma_{nu,mu}^{(h)}] T^H`` with the component Gramians of
+    ``mcarma.component_gramians``; for h = inf, the stationary state
+    covariance Pi."""
+    pd_dim = decomp.p * decomp.d
+    G = mcarma.component_gramians(decomp.solvent_set, decomp.residues, sigma_L, h)
     T = decomp.transform
-    Q = T @ G @ T.conj().T
+    Q = T @ G.swapaxes(1, 2).reshape(pd_dim, pd_dim) @ T.conj().T
     return np.real(Q)
 
 
@@ -134,8 +133,7 @@ def _initial_state(decomp, rng, stationary_start):
         return np.zeros(pd_dim)
     if not decomp.model.stationary:
         raise NotStationaryError("stationary start requires a stable model")
-    pi = mcarma.stationary_state_covariance(
-        decomp.statespace, decomp.model.sigma_L)
+    pi = state_innovation_gramian(decomp, decomp.model.sigma_L, np.inf)
     return _psd_factor(pi, "stationary state covariance") @ rng.standard_normal(pd_dim)
 
 
@@ -145,13 +143,14 @@ def _modal_form(decomp):
     Returns the stacked latent roots ``lam`` (length pd), the block diagonal
     ``blkdiag(P_k)^{-1}`` that maps component coordinates to modal ones, and
     the d x pd read-out ``hstack(P_k)``; the read-out sums the components
-    because ``C* T = (I, ..., I)``.  Each ``matpoly.Solvent`` carries its
-    eigenbasis.
+    because ``C* T = (I, ..., I)``.  The solvent set carries the stacked
+    eigenbases.
     """
-    sols = [comp.solvent for comp in decomp.components]
-    return (np.concatenate([s.spectrum for s in sols]),
-            scipy.linalg.block_diag(*[s.P_inv for s in sols]),
-            np.hstack([s.P for s in sols]))
+    S = decomp.solvent_set
+    p, d = S.P.shape[:2]
+    P_inv = np.zeros((p, d, p, d), dtype=complex)
+    P_inv[np.arange(p), :, np.arange(p)] = S.P_inv
+    return S.roots, P_inv.reshape(p * d, p * d), S.P.swapaxes(0, 1).reshape(d, p * d)
 
 
 def _toeplitz_stack(powers):

@@ -55,9 +55,16 @@ def statespace_kernel(ss, t):
     return ss.C_star @ scipy.linalg.expm(t * ss.A_star) @ ss.B_star
 
 
+def stationary_state_covariance(ss, sigma_L):
+    """State covariance Pi solving ``A* Pi + Pi A*^T = -B* Sigma_L B*^T``."""
+    rhs = -ss.B_star @ sigma_L @ ss.B_star.T
+    pi = scipy.linalg.solve_continuous_lyapunov(ss.A_star, rhs)
+    return 0.5 * (pi + pi.T)
+
+
 def lyapunov_acvf(ss, sigma_L, lags):
     """``gamma(l) = C* e^{A* l} Pi C*^T``, Pi from the Lyapunov equation."""
-    pi = mcarma.stationary_state_covariance(ss, sigma_L)
+    pi = stationary_state_covariance(ss, sigma_L)
     return [ss.C_star @ scipy.linalg.expm(lag * ss.A_star) @ pi @ ss.C_star.T
             for lag in lags]
 

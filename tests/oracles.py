@@ -8,16 +8,18 @@ by the per-step component recursion with one ``expm`` per jump, or by the
 real state-space recursion, instead of the chunked eigenbasis scan; the MA
 factor of a (p-1)-dependent noise by the multivariate innovations recursion
 instead of doubling on its Riccati equation; a lambda-matrix by multiplying
-out its linear factors.  The oracles that ``mcarma-ou verify`` runs too live
-in ``mcarma_ou.verify``.
+out its linear factors.  ``noise_acvf_loop`` is the per-term loop that
+``sampling.noise_acvf`` replaced by batched products, kept to show that the
+batched sum rounds exactly as the loop does.  The oracles that ``mcarma-ou
+verify`` runs too live in ``mcarma_ou.verify``.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad_vec
 
-from mcarma_ou import matpoly, mcarma, sim
-from mcarma_ou.exceptions import NoConvergenceError
+from mcarma_ou import matpoly, mcarma, sampling, sim, verify
+from mcarma_ou.exceptions import ImaginaryLeakError, NoConvergenceError, NotPDError
 
 INNOVATIONS_TOL = 1e-10
 INNOVATIONS_MAXIT = 10000
@@ -94,6 +96,50 @@ def noise_acvf_quadrature(pf, phi, sigma_L, h):
                 for mu in range(p):
                     acc += coeff[r + lag][nu] @ gram[nu][mu] @ coeff[r][mu].conj().T
         out.append(acc.real)
+    return out
+
+
+def noise_acvf_loop(S, pf, phi, sigma_L, h):
+    """``sampling.noise_acvf`` as one 2-d product per term: every Gramian by
+    its own ``mcarma.ou_gramian`` call, every ``C_{s,k}`` and every term of
+    gamma_U in a Python loop, with the same certificates."""
+    sols = S.solvents
+    p = len(sols)
+    d = S.block_dim
+    gram = [[mcarma.ou_gramian(s_nu, s_mu, res_nu @ sigma_L @ res_mu.conj().T, h)
+             for s_mu, res_mu in zip(sols, pf.residue_matrices)]
+            for s_nu, res_nu in zip(sols, pf.residue_matrices)]
+
+    exp_h = [[sol.expm(h * s) for s in range(p)] for sol in sols]
+    coeff = [[None] * p for _ in range(p)]  # coeff[s][k] = C_{s,k}
+    for k in range(p):
+        for s in range(p):
+            acc = np.array(exp_h[k][s])
+            for j in range(1, s + 1):
+                acc -= phi[j - 1] @ exp_h[k][s - j]
+            coeff[s][k] = acc
+
+    out = []
+    term_scale = 1.0
+    for lag in range(p):
+        acc = np.zeros((d, d), dtype=complex)
+        for r in range(p - lag):
+            for nu in range(p):
+                for mu in range(p):
+                    term = coeff[r + lag][nu] @ gram[nu][mu] @ coeff[r][mu].conj().T
+                    term_scale = max(term_scale, float(np.max(np.abs(term))))
+                    acc += term
+        leak = float(np.max(np.abs(acc.imag)))
+        if leak > sampling.IMAG_TOL * term_scale:
+            raise ImaginaryLeakError(f"gamma_U imaginary part {leak:.3e} at lag {lag}")
+        out.append(acc.real)
+
+    g0 = out[0]
+    if np.max(np.abs(g0 - g0.T)) > 1e-9 * term_scale:
+        raise ImaginaryLeakError("gamma_U(0) asymmetric")
+    out[0] = 0.5 * (g0 + g0.T)
+    if np.min(np.linalg.eigvalsh(out[0])) < -1e-10 * term_scale:
+        raise NotPDError("gamma_U(0) not positive semidefinite")
     return out
 
 
@@ -181,7 +227,7 @@ def simulate_statespace_twin(decomp, sigma_L, h, n_steps, seed, stationary_start
     factor = sim._psd_factor(np.real(Q), "state Gramian")
 
     if stationary_start:
-        pi = mcarma.stationary_state_covariance(ss, sigma_L)
+        pi = verify.stationary_state_covariance(ss, sigma_L)
         x = sim._psd_factor(pi, "stationary state covariance") @ rng.standard_normal(nd)
     else:
         x = np.zeros(nd)

@@ -291,17 +291,25 @@ class TestVerify:
 
 
 class TestColdPath:
-    def test_verify_imports_no_optimizer(self, example_model_file):
+    @staticmethod
+    def run_child(script):
+        """Run ``script`` in a fresh interpreter that imports this package."""
         src = str(pathlib.Path(mcarma_ou.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        script = ("import sys; from mcarma_ou import cli; "
-                  f"code = cli.main(['verify', {example_model_file!r}]); "
-                  "assert code == 0; "
-                  "assert 'scipy.optimize' not in sys.modules")
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_verify_imports_no_optimizer(self, example_model_file):
+        self.run_child("import sys; from mcarma_ou import cli; "
+                       f"code = cli.main(['verify', {example_model_file!r}]); "
+                       "assert code == 0; "
+                       "assert 'scipy.optimize' not in sys.modules")
+
+    def test_import_leaves_scipy_out(self):
+        # only the verification oracles (mcarma_ou.verify) import scipy
+        self.run_child("import sys, mcarma_ou; assert 'scipy' not in sys.modules")
 
 
 class TestOutFile:

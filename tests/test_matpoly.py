@@ -116,7 +116,7 @@ class TestSolventsFromLatents:
         S = matpoly.solvents_from_latents(example_poly, pairs, [[0, 1], [2, 3]])
         for sol in S.solvents:
             assert sol.residual_norm < 1e-9 * np.linalg.norm(A2)
-        spectra = [np.sort(s.real) for s in S.spectra]
+        spectra = [np.sort(s.real) for s in S.spectrum]
         assert_allclose(spectra[0], [-2, -1], atol=1e-9)
         assert_allclose(spectra[1], [-4, -3], atol=1e-9)
         # with simple latent roots the solvent of a given spectrum is unique

@@ -300,6 +300,34 @@ class TestStationaryAcvf:
             got = c * mcarma.ou_gramian(scaled[0], scaled[1], M, horizon / c)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("h", [0.05, 1.0, np.inf])
+    def test_stacked_gramians_equal_pair_calls(self, corpus, h):
+        for index, model in enumerate(corpus):
+            decomp = mcarma.decompose(model, model.solvent_set())
+            got = mcarma.component_gramians(decomp.solvent_set, decomp.residues,
+                                            model.sigma_L, h)
+            for i, ci in enumerate(decomp.components):
+                for j, cj in enumerate(decomp.components):
+                    M = ci.residue @ model.sigma_L @ cj.residue.conj().T
+                    want = mcarma.ou_gramian(ci.solvent, cj.solvent, M, h)
+                    assert np.array_equal(got[i, j], want), (index, i, j)
+
+    def test_matches_per_component_sum(self, corpus):
+        # gamma(l) = sum_i e^{l R_i} Sigma_i, one component and one pair at a time
+        lags = [0.25 * k for k in range(11)]
+        for index, model in enumerate(corpus):
+            decomp = mcarma.decompose(model, model.solvent_set())
+            comps = decomp.components
+            sigmas = [sum(mcarma.ou_gramian(ci.solvent, cj.solvent,
+                                            ci.residue @ model.sigma_L @ cj.residue.conj().T)
+                          for cj in comps) for ci in comps]
+            want = [sum(c.solvent.expm(lag) @ s for c, s in zip(comps, sigmas)).real
+                    for lag in lags]
+            got = mcarma.stationary_acvf(decomp, lags)
+            scale = np.max(np.abs(want[0]))
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-12 * scale, index
+
     @pytest.mark.parametrize("seed", range(6))
     def test_lyapunov_oracle_random(self, seed):
         rng = np.random.default_rng(900 + seed)

@@ -50,6 +50,17 @@ class TestIrreducible:
         assert not ok
         assert abs(witness + c) < 1e-8 * c
 
+    def test_witness_is_first_failing_root(self):
+        # (z+1)(z+2)(z+3) over (z+1)(z+2): the rank test fails at -1 and -2
+        A = scalar_poly(1, 6, 11, 6)
+        B = scalar_poly(1, 3, 2)
+        pairs = matpoly.latent_roots(A)
+        assert [round(pr.root.real) for pr in pairs] == [-1, -2, -3]
+        for order in (pairs, pairs[::-1]):
+            ok, witness = rational.check_irreducible(A, B, order)
+            assert not ok
+            assert witness == next(pr.root for pr in order if round(pr.root.real) != -3)
+
     def test_zero_root(self):
         # A_p = 0 puts a root at 0, where A's backward-error scale vanishes
         assert rational.check_irreducible(scalar_poly(1, 1, 0), scalar_poly(1))[0]

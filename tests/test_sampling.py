@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,12 @@ from mcarma_ou import matpoly, mcarma, rational, sampling, verify
 from mcarma_ou.exceptions import AliasedSamplingError, NoConvergenceError, NotPDError
 
 from conftest import random_stable_model
-from oracles import innovations_ma, noise_acvf_quadrature, quad_finite_gramian
+from oracles import (
+    innovations_ma,
+    noise_acvf_loop,
+    noise_acvf_quadrature,
+    quad_finite_gramian,
+)
 
 # Corpus inputs (model index, h) on which the innovations recursion does not
 # settle in its 10^4 steps: their MA zeros lie 8e-5 to 4e-4 outside the unit
@@ -82,6 +89,8 @@ class TestVarmaAr:
             E = scipy.linalg.expm(-h * R)
             assert np.linalg.norm(poly.eval_right(E)) <= 1e-8
         assert info["ar_residual"] <= 1e-8
+        mats = sampling.sampled_solvent_matrices(example_set_12, h)
+        assert info["cond_sampled_V"] == np.linalg.cond(matpoly.vandermonde(mats))
 
     def test_sampled_companion_spectrum(self, example_set_12):
         h = 0.3
@@ -222,6 +231,17 @@ class TestNoiseAcvf:
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-10 * max(1.0, np.max(np.abs(w)))
 
+    @pytest.mark.parametrize("h", [0.01, 0.05, 0.25, 1.0])
+    def test_batched_sum_equals_loop(self, corpus_decomps, h):
+        # the batched products and the ordered cumulative sum round exactly
+        # as one 2-d product per term summed in a loop
+        for i, decomp in corpus_decomps.items():
+            S, pf, sigma_L = decomp.solvent_set, decomp.partial_fraction, decomp.model.sigma_L
+            _, phi, _ = sampling.varma_ar(S, h)
+            got = sampling.noise_acvf(S, pf, phi, sigma_L, h)
+            want = noise_acvf_loop(S, pf, phi, sigma_L, h)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), i
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_vs_continuous_route(self, seed):
         rng = np.random.default_rng(1100 + seed)
@@ -347,6 +367,20 @@ class TestSampledVarma:
         assert 1 <= sv.ma_steps <= sampling.DOUBLING_MAXIT
         assert sv.ma_roundtrip == sampling.ma_roundtrip_error(
             sv.gamma_U, sv.theta, sv.sigma_eps) <= sampling.MA_ROUNDTRIP_TOL
+
+    def test_logs_stage_times_at_debug(self, example_model, caplog):
+        decomp = mcarma.decompose(example_model, example_model.solvent_set())
+        with caplog.at_level(logging.INFO, logger="mcarma_ou.sampling"):
+            sampling.sampled_varma(decomp, 0.1)
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="mcarma_ou.sampling"):
+            sv = sampling.sampled_varma(decomp, 0.1)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        for stage in ("varma_ar", "noise_acvf", "fit_ma"):
+            assert stage in message
+        assert f"{sv.ma_steps} doubling steps" in message
 
     def test_schur_flag_tracks_stability(self):
         model = scalar_model([1, -0.5], [1.0])  # unstable root +0.5

@@ -487,6 +487,14 @@ class TestGramianConsistency:
         want = sla.expm(h * ss.A_star) @ sla.expm(h * block)[:nd, nd:]
         assert np.max(np.abs(Q - want)) < 1e-12
 
+    def test_stationary_covariance_matches_lyapunov(self, corpus):
+        # h = inf gives the stationary start's Pi without a Lyapunov solve
+        for index, model in enumerate(corpus):
+            decomp = mcarma.decompose(model, model.solvent_set())
+            got = sim.state_innovation_gramian(decomp, model.sigma_L, np.inf)
+            want = verify.stationary_state_covariance(decomp.statespace, model.sigma_L)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), index
+
     @pytest.mark.parametrize("seed", range(3))
     def test_state_gramian_random(self, seed):
         rng = np.random.default_rng(1300 + seed)

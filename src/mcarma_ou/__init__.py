@@ -23,7 +23,6 @@ from .matpoly import (
     vandermonde,
 )
 from .rational import (
-    PartialFraction,
     RationalLeftMatrix,
     check_irreducible,
     eval_partial_fraction,
@@ -65,7 +64,6 @@ __all__ = [
     "McarmaModel",
     "ModelFileError",
     "OuDecomposition",
-    "PartialFraction",
     "PathGrid",
     "RationalLeftMatrix",
     "SampledVarma",

@@ -60,8 +60,6 @@ def load_model_file(path, seed=0):
             raise ModelFileError(f"missing key {key!r}")
 
     a_coeffs = _coeff_list(doc["A"], "A")
-    if np.max(np.abs(a_coeffs[0] - np.eye(a_coeffs[0].shape[0]))) > 1e-12:
-        raise ModelFileError("A[0] must be the identity (monic AR polynomial)")
     b_coeffs = _coeff_list(doc["B"], "B")
     sigma_L = _matrix(doc["sigma_L"], "sigma_L")
     mean_L = doc.get("mean_L")
@@ -176,7 +174,7 @@ def cmd_decompose(args):
     decomp = mcarma.decompose(model, S)
     payload = _solvent_payload(S)
     payload["components"] = [
-        {"R": c.R, "residue": c.residue} for c in decomp.components]
+        {"R": R, "residue": res} for R, res in zip(S.matrices, decomp.residues)]
     payload["irreducible"] = True
     _emit(dumps_json(payload), args.out)
     return 0

@@ -15,7 +15,8 @@ Ornstein-Uhlenbeck processes
 
 and the stationary autocovariance splits into per-component OU Gramians.
 The decomposition is certified here through the similarity transform
-T = V(R_1, ..., R_p).
+T = V(R_1, ..., R_p).  An ``OuDecomposition`` holds the pairs (R_k, Res_k)
+once, as a solvent set and its residue stack (``rational.residues``).
 
 Every matrix function of a solvent is evaluated in its eigenbasis
 R_k = P_k diag(lam_k) P_k^{-1}, which each ``matpoly.Solvent`` carries:
@@ -145,27 +146,11 @@ class StateSpace:
         return self.A_star.shape[0]
 
 
-def beta_coefficients(A, B):
-    """The stacked blocks of B*: zeros up to index p-q-1, then the recursion
-
-    ``beta_{p-j} = -sum_{i=1}^{p-j-1} A_i beta_{p-j-i} + B_{q-j}``.
-    """
-    p, q = A.degree, B.degree
-    d, m = B.order
-    beta = [np.zeros((d, m), dtype=complex) for _ in range(p + 1)]  # beta[0] unused
-    for n in range(p - q, p + 1):
-        acc = np.array(B.coeffs[q - (p - n)])
-        for i in range(1, n):
-            acc -= A.coeffs[i] @ beta[n - i]
-        beta[n] = acc
-    return beta[1:]
-
-
 def build_state_space(model):
     """Assemble (A*, B*, C*, A#, B#) and certify the identity A# B* = B#.
 
-    ``beta_coefficients`` is forward substitution on A#, so the identity is
-    exact up to rounding.  It is certified as
+    B* is ``rational.solve_sharp``, forward substitution on A#, so the
+    identity is exact up to rounding.  It is certified as
     ``max|A# B* - B#| <= SHARP_IDENTITY_TOL * max(|A#| |B*|)`` with absolute
     values taken elementwise: the rounding error of a computed product is
     bounded by a multiple of the unit roundoff times ``|A#| |B*|`` (Higham,
@@ -174,10 +159,9 @@ def build_state_space(model):
     violation raises ``SharpIdentityError``.
     """
     A, B = model.A, model.B
-    p, d, m = model.p, model.d, model.m
+    p, d = model.p, model.d
     A_star = matpoly.companion_matrix(A).real
-    beta = beta_coefficients(A, B)
-    B_star = np.vstack(beta).real
+    B_star = rational.solve_sharp(A, B).real
     C_star = np.zeros((d, p * d))
     C_star[:, :d] = np.eye(d)
     A_sharp, B_sharp = rational.sharp_matrices(A, B)
@@ -192,44 +176,33 @@ def build_state_space(model):
 
 
 @dataclass(frozen=True)
-class OuComponent:
-    solvent: matpoly.Solvent
-    residue: np.ndarray
-    y0: np.ndarray
-
-    @property
-    def R(self):
-        return self.solvent.R
-
-
-@dataclass(frozen=True)
 class OuDecomposition:
     """Certified OU-sum representation of an MCARMA model.
 
+    Component k is R_k = ``solvent_set.solvents[k]`` with the read-only
+    ``residues[k]`` and ``y0[k]``, stacked (p, d, m) and (p, d).
     ``transform`` is the block Vandermonde T with A* = T diag(R_k) T^{-1},
     B* = T stack(Res_k) and C* T = (I, ..., I); the initial values satisfy
     the realness constraint T stack(Y_k(0)) in R^{pd}.
     """
 
-    components: tuple
-    transform: np.ndarray
     model: McarmaModel
     statespace: StateSpace
-    partial_fraction: rational.PartialFraction
     solvent_set: matpoly.SolventSet
+    residues: np.ndarray
+    y0: np.ndarray
 
     @property
     def p(self):
-        return len(self.components)
+        return len(self.solvent_set)
 
     @property
     def d(self):
-        return self.components[0].R.shape[0]
+        return self.solvent_set.block_dim
 
     @property
-    def residues(self):
-        """The residues Res_k stacked (p, d, m)."""
-        return np.stack([c.residue for c in self.components])
+    def transform(self):
+        return self.solvent_set.V
 
 
 def decompose(model, S, x0=None):
@@ -243,7 +216,7 @@ def decompose(model, S, x0=None):
     x0 : real state vector of length p*d, optional
         Initial state; the component initials are the blocks of T^{-1} x0
         (zero by default), which satisfies the realness constraint by
-        construction.
+        construction, certified to ``IMAG_TOL_INIT`` of ``max(1, |T| |y0|)``.
 
     Raises
     ------
@@ -251,7 +224,7 @@ def decompose(model, S, x0=None):
         When A and B fail the left-coprimeness certificate.
     """
     F = model.rational_fraction()
-    pf = rational.residues(F, S)
+    residues = rational.residues(F, S)
     ss = build_state_space(model)
     T = S.V
     p, d = model.p, model.d
@@ -263,24 +236,25 @@ def decompose(model, S, x0=None):
     y0 = np.linalg.solve(T, x0.astype(complex))
 
     leak = np.max(np.abs((T @ y0).imag))
-    if leak > IMAG_TOL_INIT:
-        raise ImaginaryLeakError(f"initial-state realness violated by {leak:.3e}")
+    bound = IMAG_TOL_INIT * max(1.0, float(np.max(np.abs(T) @ np.abs(y0))))
+    if leak > bound:
+        raise ImaginaryLeakError(
+            f"initial-state realness violated by {leak:.3e} > {bound:.3e}")
     # A* T = T diag(R_k), block column by block column: A* T_k = T_k R_k
     columns = T.reshape(p * d, p, d).swapaxes(0, 1)
     scale = max(1.0, np.linalg.norm(ss.A_star) * np.linalg.norm(T))
     sim_err = np.linalg.norm(
-        ss.A_star @ columns - columns @ np.stack(pf.solvent_matrices)) / scale
-    res_err = np.linalg.norm(ss.B_star - T @ np.vstack(pf.residue_matrices)) / max(
+        ss.A_star @ columns - columns @ np.stack(S.matrices)) / scale
+    res_err = np.linalg.norm(ss.B_star - T @ residues.reshape(p * d, -1)) / max(
         1.0, np.linalg.norm(ss.B_star))
     row_err = np.linalg.norm(ss.C_star @ T - np.hstack([np.eye(d)] * p))
     worst = max(sim_err, res_err, row_err)
     if worst > SIMILARITY_TOL:
         raise ImaginaryLeakError(f"similarity certificate failed at {worst:.3e}")
 
-    comps = tuple(
-        OuComponent(sol, res, y0[k * d:(k + 1) * d])
-        for k, (sol, res) in enumerate(zip(S.solvents, pf.residue_matrices)))
-    return OuDecomposition(comps, T, model, ss, pf, S)
+    y0 = y0.reshape(p, d)
+    y0.setflags(write=False)
+    return OuDecomposition(model, ss, S, residues, y0)
 
 
 def _real_sum(S, times, mats, what):
@@ -363,7 +337,7 @@ def component_gramians(S, residues, sigma_L, h=np.inf):
     components' innovations over one sampling step; for h = inf, those of
     the stationary components.
     """
-    res = np.stack(residues)
+    res = np.asarray(residues)
     M = res[:, None] @ sigma_L @ res.conj().swapaxes(1, 2)
     rows = SimpleNamespace(spectrum=S.spectrum[:, None], P=S.P[:, None],
                            P_inv=S.P_inv[:, None])

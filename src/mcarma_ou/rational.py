@@ -6,11 +6,13 @@ fraction expansion ``F(z) = sum_k (z I - R_k)^{-1} Res_k``.
 
 The residues come from the linear system
 
-    stack(Res_1, ..., Res_p) = V(R_1, ..., R_p)^{-1} [A#]^{-1} B#,
+    stack(Res_1, ..., Res_p) = V(R_1, ..., R_p)^{-1} B*,   B* = [A#]^{-1} B#,
 
 where ``A#`` is the unit lower block triangular Toeplitz matrix built from
-the coefficients of A (solved by forward block substitution; its only
-eigenvalue is 1) and ``B#`` stacks the coefficients of B under zero padding.
+the coefficients of A (solved by forward block substitution, ``solve_sharp``,
+also for the state space; its only eigenvalue is 1) and ``B#`` stacks the
+coefficients of B under zero padding.  A partial fraction is a
+``matpoly.SolventSet`` with its (p, d, m) residue stack.
 """
 
 from __future__ import annotations
@@ -121,28 +123,6 @@ def solve_sharp(A, B):
     return X
 
 
-@dataclass(frozen=True)
-class PartialFraction:
-    """Solvent/residue pairs of a block partial fraction expansion."""
-
-    pairs: tuple  # of (R_k, Res_k)
-
-    @property
-    def solvent_matrices(self):
-        return [R for R, _ in self.pairs]
-
-    @property
-    def residue_matrices(self):
-        return [res for _, res in self.pairs]
-
-    @property
-    def poles(self):
-        return np.concatenate([np.linalg.eigvals(R) for R, _ in self.pairs])
-
-    def __len__(self):
-        return len(self.pairs)
-
-
 def residues(F, S):
     """Matrix residues of F at the solvents of a certified SolventSet.
 
@@ -154,35 +134,33 @@ def residues(F, S):
 
     Returns
     -------
-    PartialFraction
+    Read-only complex array (p, d, m): ``Res_k`` of ``S.solvents[k]``.
     """
     if not F.irreducible:
         raise NotIrreducibleError(f"rank deficiency at latent root {F.witness}")
-    d = F.A.order[0]
     X = solve_sharp(F.A, F.B)
     try:
         stacked = np.linalg.solve(S.V, X)
     except np.linalg.LinAlgError as err:
         raise SingularVandermondeError(str(err)) from None
-    pairs = tuple(
-        (sol.R, stacked[k * d:(k + 1) * d, :]) for k, sol in enumerate(S.solvents))
-    return PartialFraction(pairs)
+    res = stacked.reshape(len(S), S.block_dim, X.shape[1])
+    res.setflags(write=False)
+    return res
 
 
-def eval_partial_fraction(pf, lam):
+def eval_partial_fraction(S, residues, lam):
     """Evaluate ``sum_k (lam I - R_k)^{-1} Res_k`` by p dense solves.
 
     Raises
     ------
     PoleHitError
-        If ``lam`` is within 1e-10 of a pole.
+        If ``lam`` is within 1e-10 of a pole (a latent root ``S.roots``).
     """
-    gap = np.min(np.abs(pf.poles - lam))
+    gap = np.min(np.abs(S.roots - lam))
     if gap < POLE_TOL:
         raise PoleHitError(f"evaluation point within {gap:.2e} of a pole")
-    d = pf.pairs[0][0].shape[0]
-    eye = np.eye(d, dtype=complex)
-    out = np.zeros_like(pf.pairs[0][1])
-    for R, res in pf.pairs:
+    eye = np.eye(S.block_dim, dtype=complex)
+    out = np.zeros_like(residues[0])
+    for R, res in zip(S.matrices, residues):
         out = out + np.linalg.solve(lam * eye - R, res)
     return out

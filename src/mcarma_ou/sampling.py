@@ -150,7 +150,7 @@ def varma_ar(S, h):
     return psi, phi, {"cond_sampled_V": cond_V, "ar_residual": residual}
 
 
-def noise_acvf(S, pf, phi, sigma_L, h):
+def noise_acvf(S, residues, phi, sigma_L, h):
     """Autocovariances gamma_U(0..p-1) of the sampled AR residual noise.
 
     The noise splits as ``U_n = sum_{r=0}^{p-1} W_{r,n-r}`` with iid rows
@@ -168,7 +168,7 @@ def noise_acvf(S, pf, phi, sigma_L, h):
     """
     p = len(S)
     d = S.block_dim
-    gram = mcarma.component_gramians(S, pf.residue_matrices, sigma_L, h)
+    gram = mcarma.component_gramians(S, residues, sigma_L, h)
 
     exp_h = S.expm(h * np.arange(p))  # exp_h[s, k] = e^{h s R_k}
     coeff = exp_h.copy()  # coeff[s, k] = C_{s,k}
@@ -338,8 +338,7 @@ def sampled_varma(decomp, h):
     start = time.perf_counter()
     psi, phi, info = varma_ar(S, h)
     ar_done = time.perf_counter()
-    gamma = noise_acvf(S, decomp.partial_fraction, phi,
-                       decomp.model.sigma_L, h)
+    gamma = noise_acvf(S, decomp.residues, phi, decomp.model.sigma_L, h)
     noise_done = time.perf_counter()
     theta, sigma_eps, margin, ma_info = fit_ma(gamma)
     log.debug("sampled_varma: h=%g, varma_ar %.6f s, noise_acvf %.6f s, "

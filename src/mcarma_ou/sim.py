@@ -284,7 +284,7 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
             return _complex_times_real(E, xi[:, lo:hi])
     else:
         jump_factor = _psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
-        G = P_inv @ np.vstack([comp.residue for comp in decomp.components]) @ jump_factor
+        G = P_inv @ decomp.residues.reshape(lam.size, -1) @ jump_factor
 
         def innovations(lo, hi):
             return _jump_innovations(rng, driver.rate, h, lam, G, hi - lo)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from . import mcarma, rational, sampling
+from . import matpoly, mcarma, rational, sampling
 from .exceptions import ImaginaryLeakError
 
 KERNEL_TIMES = np.linspace(0.0, 5.0, 51)
@@ -101,7 +101,7 @@ def clt_band_for_zero_lags(gamma_U, n_eff):
 def check_solvent_residual(model, S):
     scale = max(1.0, float(np.linalg.norm(model.A.coeffs[-1])))
     return _check("solvent-residual",
-                  max(s.residual_norm for s in S.solvents), 1e-9 * scale)
+                  max(s.residual_norm for s in S.solvents), matpoly.TOL_SOLVENT * scale)
 
 
 def check_statespace_identity(ss):
@@ -122,8 +122,9 @@ def check_kernel_identity(decomp):
 
 def check_kernel_realness(decomp):
     """Imaginary part of ``sum_k e^{t R_k} Res_k`` before it is stripped."""
-    total = sum(c.solvent.expm(KERNEL_TIMES) @ c.residue for c in decomp.components)
-    return _check("kernel-realness", np.max(np.abs(total.imag)), 1e-9)
+    terms = decomp.solvent_set.expm(KERNEL_TIMES) @ decomp.residues
+    return _check("kernel-realness", np.max(np.abs(terms.sum(axis=1).imag)),
+                  mcarma.IMAG_TOL_KERNEL)
 
 
 def check_pf_reconstruction(decomp):
@@ -131,7 +132,8 @@ def check_pf_reconstruction(decomp):
     model = decomp.model
     radius = 2.0 * max(abs(pr.root) for pr in model.latent_pairs)
     angles = np.linspace(0.0, 2 * np.pi, 20, endpoint=False)
-    err = max(_rel_err(rational.eval_partial_fraction(decomp.partial_fraction, z),
+    err = max(_rel_err(rational.eval_partial_fraction(decomp.solvent_set,
+                                                      decomp.residues, z),
                        np.linalg.solve(model.A.eval(z), model.B.eval(z)))
               for z in radius * np.exp(1j * (angles + 0.05)))
     return _check("pf-reconstruction", err, 1e-8)
@@ -150,7 +152,7 @@ def check_acvf_symmetry(gamma0):
 
 
 def check_varma_ar(ar_residual):
-    return _check("varma-ar-structure", ar_residual, 1e-8)
+    return _check("varma-ar-structure", ar_residual, sampling.AR_RESIDUAL_TOL)
 
 
 def check_ma_roundtrip(roundtrip):

@@ -71,21 +71,21 @@ def quad_infinite_gramian(R_nu, res_nu, R_mu, res_mu, sigma_L):
     return quad_finite_gramian(R_nu, res_nu, R_mu, res_mu, sigma_L, horizon)
 
 
-def noise_acvf_quadrature(pf, phi, sigma_L, h):
+def noise_acvf_quadrature(S, residues, phi, sigma_L, h):
     """Sampled-noise autocovariances with every innovation Gramian computed
     by adaptive quadrature and every exponential by ``scipy.linalg.expm``."""
-    p = len(pf.pairs)
-    d = pf.pairs[0][0].shape[0]
-    gram = [[quad_finite_gramian(pf.pairs[i][0], pf.pairs[i][1],
-                                 pf.pairs[j][0], pf.pairs[j][1], sigma_L, h)
+    R = S.matrices
+    p = len(R)
+    d = R[0].shape[0]
+    gram = [[quad_finite_gramian(R[i], residues[i], R[j], residues[j], sigma_L, h)
              for j in range(p)] for i in range(p)]
     coeff = []
     for s in range(p):
         row = []
         for k in range(p):
-            acc = scipy.linalg.expm(h * s * pf.pairs[k][0]).astype(complex)
+            acc = scipy.linalg.expm(h * s * R[k]).astype(complex)
             for j in range(1, s + 1):
-                acc -= phi[j - 1] @ scipy.linalg.expm(h * (s - j) * pf.pairs[k][0])
+                acc -= phi[j - 1] @ scipy.linalg.expm(h * (s - j) * R[k])
             row.append(acc)
         coeff.append(row)
     out = []
@@ -99,7 +99,7 @@ def noise_acvf_quadrature(pf, phi, sigma_L, h):
     return out
 
 
-def noise_acvf_loop(S, pf, phi, sigma_L, h):
+def noise_acvf_loop(S, residues, phi, sigma_L, h):
     """``sampling.noise_acvf`` as one 2-d product per term: every Gramian by
     its own ``mcarma.ou_gramian`` call, every ``C_{s,k}`` and every term of
     gamma_U in a Python loop, with the same certificates."""
@@ -107,8 +107,8 @@ def noise_acvf_loop(S, pf, phi, sigma_L, h):
     p = len(sols)
     d = S.block_dim
     gram = [[mcarma.ou_gramian(s_nu, s_mu, res_nu @ sigma_L @ res_mu.conj().T, h)
-             for s_mu, res_mu in zip(sols, pf.residue_matrices)]
-            for s_nu, res_nu in zip(sols, pf.residue_matrices)]
+             for s_mu, res_mu in zip(sols, residues)]
+            for s_nu, res_nu in zip(sols, residues)]
 
     exp_h = [[sol.expm(h * s) for s in range(p)] for sol in sols]
     coeff = [[None] * p for _ in range(p)]  # coeff[s][k] = C_{s,k}
@@ -170,7 +170,8 @@ def component_recursion(decomp, driver, h, n_steps, stationary_start, chunk):
     rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
     p, d = decomp.p, decomp.d
     T_inv = np.linalg.inv(decomp.transform)
-    exp_hR = [scipy.linalg.expm(h * comp.R) for comp in decomp.components]
+    comps = list(zip(decomp.solvent_set.matrices, decomp.residues))
+    exp_hR = [scipy.linalg.expm(h * R) for R, _ in comps]
     x0 = sim._initial_state(decomp, rng, stationary_start)
     y = np.reshape(T_inv @ x0.astype(complex), (p, d))
     n = n_steps - 1
@@ -190,9 +191,9 @@ def component_recursion(decomp, driver, h, n_steps, stationary_start, chunk):
             for count in counts:
                 innov = np.zeros((p, d), dtype=complex)
                 for _ in range(count):
-                    for k, comp in enumerate(decomp.components):
-                        innov[k] += scipy.linalg.expm((h - offsets[j]) * comp.R) @ (
-                            comp.residue @ jumps[:, j])
+                    for k, (R, res) in enumerate(comps):
+                        innov[k] += scipy.linalg.expm((h - offsets[j]) * R) @ (
+                            res @ jumps[:, j])
                     j += 1
                 innovations.append(innov)
     Y = np.empty((n_steps, d))

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import mcarma_ou
-from mcarma_ou import cli, mcarma, sampling, sim
+from mcarma_ou import cli, mcarma, rational, sampling, sim
 
 
 def run(capsys, *argv):
@@ -96,6 +96,13 @@ class TestSolvents:
         assert code == 1
         assert "monic" in err
 
+    def test_non_square_ar_rejected(self, capsys, tmp_path):
+        doc = dict(FIRST_ORDER)
+        doc["A"] = [[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0]]]
+        code, _, err = run(capsys, "solvents", write_model(tmp_path, doc))
+        assert code == 1
+        assert "monic" in err and "Traceback" not in err
+
     def test_repeated_root_exit_two(self, capsys, tmp_path):
         doc = {
             "A": [[[1, 0], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [0, 1]]],
@@ -118,14 +125,14 @@ class TestDecompose:
 
     def test_sharp_identity_failure_exit_two(self, capsys, example_model_file,
                                              monkeypatch):
-        exact = mcarma.beta_coefficients
+        exact = rational.solve_sharp
 
         def perturbed(A, B):
-            beta = exact(A, B)
-            beta[0] = beta[0] + 1e-6
-            return beta
+            X = exact(A, B)
+            X[:A.order[0]] += 1e-6  # the first block of B*
+            return X
 
-        monkeypatch.setattr(mcarma, "beta_coefficients", perturbed)
+        monkeypatch.setattr(rational, "solve_sharp", perturbed)
         code, out, err = run(capsys, "decompose", example_model_file)
         assert code == 2
         assert out == ""

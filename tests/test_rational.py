@@ -21,12 +21,12 @@ def example_fraction(example_poly):
 
 
 @pytest.fixture(scope="module")
-def pf_12(example_fraction, example_set_12):
+def res_12(example_fraction, example_set_12):
     return rational.residues(example_fraction, example_set_12)
 
 
 @pytest.fixture(scope="module")
-def pf_34(example_fraction, example_set_34):
+def res_34(example_fraction, example_set_34):
     return rational.residues(example_fraction, example_set_34)
 
 
@@ -92,13 +92,13 @@ class TestSharpSystem:
 
 
 class TestResidues:
-    def test_example_pair_12(self, pf_12):
-        assert_allclose(pf_12.residue_matrices[0].real, RES1, atol=1e-9)
-        assert_allclose(pf_12.residue_matrices[1].real, RES2, atol=1e-9)
+    def test_example_pair_12(self, res_12):
+        assert_allclose(res_12[0].real, RES1, atol=1e-9)
+        assert_allclose(res_12[1].real, RES2, atol=1e-9)
 
-    def test_example_pair_34(self, pf_34):
-        assert_allclose(pf_34.residue_matrices[0].real, RES3, atol=1e-9)
-        assert_allclose(pf_34.residue_matrices[1].real, RES4, atol=1e-9)
+    def test_example_pair_34(self, res_34):
+        assert_allclose(res_34[0].real, RES3, atol=1e-9)
+        assert_allclose(res_34[1].real, RES4, atol=1e-9)
 
     def test_scalar_residues_match_derivative_formula(self):
         # res at r is B(r)/A'(r) in dimension one
@@ -106,15 +106,15 @@ class TestResidues:
         B = scalar_poly(1)
         F = rational.RationalLeftMatrix.build(A, B)
         S = matpoly.solvent_set(A)
-        pf = rational.residues(F, S)
-        for R, res in pf.pairs:
+        for R, res in zip(S.matrices, rational.residues(F, S)):
             r = R[0, 0]
             expected = B.eval(r)[0, 0] / A.derivative().eval(r)[0, 0]
             assert abs(res[0, 0] - expected) < 1e-12
 
-    def test_contour_quadrature_cross_check(self, example_fraction, pf_12):
-        spectra = [np.linalg.eigvals(R) for R in pf_12.solvent_matrices]
-        for k, (_, res) in enumerate(pf_12.pairs):
+    def test_contour_quadrature_cross_check(self, example_fraction, example_set_12,
+                                            res_12):
+        spectra = [np.linalg.eigvals(R) for R in example_set_12.matrices]
+        for k, res in enumerate(res_12):
             other = np.concatenate([s for i, s in enumerate(spectra) if i != k])
             quad = contour_residue(example_fraction.A, example_fraction.B,
                                    spectra[k], other)
@@ -126,42 +126,41 @@ class TestResidues:
         model = random_stable_model(rng, d=2, p=2)
         F = model.rational_fraction()
         S = model.solvent_set()
-        pf = rational.residues(F, S)
-        spectra = [np.linalg.eigvals(R) for R in pf.solvent_matrices]
-        for k, (_, res) in enumerate(pf.pairs):
+        spectra = [np.linalg.eigvals(R) for R in S.matrices]
+        for k, res in enumerate(rational.residues(F, S)):
             other = np.concatenate([s for i, s in enumerate(spectra) if i != k])
             quad = contour_residue(F.A, F.B, spectra[k], other)
             assert np.max(np.abs(res - quad)) < 1e-7 * max(1.0, np.max(np.abs(res)))
 
 
 class TestEvalPartialFraction:
-    def test_example_at_zero(self, pf_12):
-        want = np.linalg.inv(A2)
-        assert_allclose(rational.eval_partial_fraction(pf_12, 0.0).real, want,
-                        atol=1e-12)
-        assert np.max(np.abs(rational.eval_partial_fraction(pf_12, 0.0).imag)) < 1e-12
+    def test_example_at_zero(self, example_set_12, res_12):
+        got = rational.eval_partial_fraction(example_set_12, res_12, 0.0)
+        assert_allclose(got.real, np.linalg.inv(A2), atol=1e-12)
+        assert np.max(np.abs(got.imag)) < 1e-12
 
-    def test_decay_at_infinity(self, pf_12):
-        small = np.linalg.norm(rational.eval_partial_fraction(pf_12, 1e8))
+    def test_decay_at_infinity(self, example_set_12, res_12):
+        small = np.linalg.norm(rational.eval_partial_fraction(example_set_12, res_12, 1e8))
         assert small < 1e-6
 
-    def test_solvent_sets_agree_off_spectrum(self, pf_12, pf_34):
+    def test_solvent_sets_agree_off_spectrum(self, example_set_12, res_12,
+                                             example_set_34, res_34):
         z = 1.0 + 1.0j
-        a = rational.eval_partial_fraction(pf_12, z)
-        b = rational.eval_partial_fraction(pf_34, z)
+        a = rational.eval_partial_fraction(example_set_12, res_12, z)
+        b = rational.eval_partial_fraction(example_set_34, res_34, z)
         assert np.max(np.abs(a - b)) < 1e-10
 
-    def test_pole_hit(self, pf_12):
+    def test_pole_hit(self, example_set_12, res_12):
         with pytest.raises(PoleHitError):
-            rational.eval_partial_fraction(pf_12, -1.0)
+            rational.eval_partial_fraction(example_set_12, res_12, -1.0)
 
-    def test_reconstruction_on_circle(self, example_fraction, pf_12):
+    def test_reconstruction_on_circle(self, example_fraction, example_set_12, res_12):
         radius = 2.0 * 4.0  # twice the largest latent root magnitude
         for theta in np.linspace(0, 2 * np.pi, 20, endpoint=False):
             z = radius * np.exp(1j * (theta + 0.03))
             direct = np.linalg.solve(example_fraction.A.eval(z),
                                      example_fraction.B.eval(z))
-            got = rational.eval_partial_fraction(pf_12, z)
+            got = rational.eval_partial_fraction(example_set_12, res_12, z)
             assert np.linalg.norm(got - direct) <= 1e-8 * np.linalg.norm(direct) + 1e-15
 
     @pytest.mark.parametrize("seed", range(4))
@@ -172,9 +171,10 @@ class TestEvalPartialFraction:
 
 
 class TestRealnessAndShapes:
-    def test_exponential_sum_real_on_grid(self, pf_12):
+    def test_exponential_sum_real_on_grid(self, example_set_12, res_12):
         for t in np.arange(0.0, 5.01, 0.25):
-            total = sum(scipy.linalg.expm(t * R) @ res for R, res in pf_12.pairs)
+            total = sum(scipy.linalg.expm(t * R) @ res
+                        for R, res in zip(example_set_12.matrices, res_12))
             assert np.max(np.abs(total.imag)) < 1e-9
 
     def test_rectangular_numerator(self):
@@ -184,8 +184,8 @@ class TestRealnessAndShapes:
         B = matpoly.LambdaMatrix((rng.standard_normal((2, 3)),))
         F = rational.RationalLeftMatrix.build(model.A, B)
         S = model.solvent_set()
-        pf = rational.residues(F, S)
-        assert pf.residue_matrices[0].shape == (2, 3)
+        res = rational.residues(F, S)
+        assert res.shape == (2, 2, 3)
         z = 1.5 + 0.5j
         direct = np.linalg.solve(model.A.eval(z), B.eval(z))
-        assert_allclose(rational.eval_partial_fraction(pf, z), direct, atol=1e-10)
+        assert_allclose(rational.eval_partial_fraction(S, res, z), direct, atol=1e-10)

@@ -131,9 +131,8 @@ def solvent(R):
 class TestGramians:
     def test_finite_gramian_vs_quadrature(self, example_model, example_set_12):
         F = example_model.rational_fraction()
-        pf = rational.residues(F, example_set_12)
         h = 0.4
-        pairs = list(zip(example_set_12.solvents, pf.residue_matrices))
+        pairs = list(zip(example_set_12.solvents, rational.residues(F, example_set_12)))
         for (s_nu, res_nu) in pairs:
             for (s_mu, res_mu) in pairs:
                 got = mcarma.ou_gramian(s_nu, s_mu, res_nu @ res_mu.conj().T, h)
@@ -179,9 +178,9 @@ class TestNoiseAcvf:
         model = scalar_model([1, 2], [1.5], sigma=0.8)
         S = model.solvent_set()
         F = model.rational_fraction()
-        pf = rational.residues(F, S)
+        residues = rational.residues(F, S)
         _, phi, _ = sampling.varma_ar(S, 0.5)
-        gamma = sampling.noise_acvf(S, pf, phi, model.sigma_L, 0.5)
+        gamma = sampling.noise_acvf(S, residues, phi, model.sigma_L, 0.5)
         assert len(gamma) == 1
         want = 1.5 ** 2 * 0.8 * (1 - np.exp(-2 * 2 * 0.5)) / (2 * 2)
         assert abs(gamma[0][0, 0] - want) < 1e-12
@@ -189,11 +188,11 @@ class TestNoiseAcvf:
     def test_scalar_carma20_vs_quadrature(self):
         model = scalar_model([1, 3, 2], [1.0])
         S = model.solvent_set()
-        pf = rational.residues(model.rational_fraction(), S)
+        residues = rational.residues(model.rational_fraction(), S)
         h = 0.5
         _, phi, _ = sampling.varma_ar(S, h)
-        got = sampling.noise_acvf(S, pf, phi, model.sigma_L, h)
-        want = noise_acvf_quadrature(pf, phi, model.sigma_L, h)
+        got = sampling.noise_acvf(S, residues, phi, model.sigma_L, h)
+        want = noise_acvf_quadrature(S, residues, phi, model.sigma_L, h)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-7 * max(1.0, np.max(np.abs(w)))
 
@@ -201,7 +200,7 @@ class TestNoiseAcvf:
         decomp = mcarma.decompose(example_model, example_set_12)
         h = 0.1
         _, phi, _ = sampling.varma_ar(example_set_12, h)
-        got = sampling.noise_acvf(example_set_12, decomp.partial_fraction, phi,
+        got = sampling.noise_acvf(example_set_12, decomp.residues, phi,
                                   example_model.sigma_L, h)
         want = verify.noise_acvf_from_continuous(decomp, phi, h)
         for g, w in zip(got, want):
@@ -212,9 +211,9 @@ class TestNoiseAcvf:
         d12 = mcarma.decompose(example_model, example_set_12)
         d34 = mcarma.decompose(example_model, example_set_34)
         _, phi, _ = sampling.varma_ar(example_set_12, h)
-        a = sampling.noise_acvf(example_set_12, d12.partial_fraction, phi,
+        a = sampling.noise_acvf(example_set_12, d12.residues, phi,
                                 example_model.sigma_L, h)
-        b = sampling.noise_acvf(example_set_34, d34.partial_fraction, phi,
+        b = sampling.noise_acvf(example_set_34, d34.residues, phi,
                                 example_model.sigma_L, h)
         for x, y in zip(a, b):
             assert np.max(np.abs(x - y)) <= 1e-8
@@ -224,9 +223,9 @@ class TestNoiseAcvf:
         S = example_model.solvent_set()
         decomp = mcarma.decompose(example_model, S)
         _, phi, _ = sampling.varma_ar(S, h)
-        got = sampling.noise_acvf(S, decomp.partial_fraction, phi,
+        got = sampling.noise_acvf(S, decomp.residues, phi,
                                   example_model.sigma_L, h)
-        want = noise_acvf_quadrature(decomp.partial_fraction, phi,
+        want = noise_acvf_quadrature(S, decomp.residues, phi,
                                      example_model.sigma_L, h)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-10 * max(1.0, np.max(np.abs(w)))
@@ -236,10 +235,10 @@ class TestNoiseAcvf:
         # the batched products and the ordered cumulative sum round exactly
         # as one 2-d product per term summed in a loop
         for i, decomp in corpus_decomps.items():
-            S, pf, sigma_L = decomp.solvent_set, decomp.partial_fraction, decomp.model.sigma_L
+            S, residues, sigma_L = decomp.solvent_set, decomp.residues, decomp.model.sigma_L
             _, phi, _ = sampling.varma_ar(S, h)
-            got = sampling.noise_acvf(S, pf, phi, sigma_L, h)
-            want = noise_acvf_loop(S, pf, phi, sigma_L, h)
+            got = sampling.noise_acvf(S, residues, phi, sigma_L, h)
+            want = noise_acvf_loop(S, residues, phi, sigma_L, h)
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), i
 
     @pytest.mark.parametrize("seed", range(4))
@@ -250,8 +249,7 @@ class TestNoiseAcvf:
         decomp = mcarma.decompose(model, S)
         h = 0.3
         _, phi, _ = sampling.varma_ar(S, h)
-        got = sampling.noise_acvf(S, decomp.partial_fraction, phi,
-                                  model.sigma_L, h)
+        got = sampling.noise_acvf(S, decomp.residues, phi, model.sigma_L, h)
         want = verify.noise_acvf_from_continuous(decomp, phi, h)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-6 * max(1.0, np.max(np.abs(w)))

@@ -10,10 +10,8 @@ from .exceptions import CertificationError, ModelFileError
 from .matpoly import (
     LambdaMatrix,
     LatentPair,
-    Solvent,
     SolventSet,
     certify_solvent_set,
-    coeffs_from_solvents,
     companion_matrix,
     default_grouping,
     latent_roots,
@@ -67,14 +65,12 @@ __all__ = [
     "PathGrid",
     "RationalLeftMatrix",
     "SampledVarma",
-    "Solvent",
     "SolventSet",
     "StateSpace",
     "attach_noise",
     "build_state_space",
     "certify_solvent_set",
     "check_irreducible",
-    "coeffs_from_solvents",
     "companion_matrix",
     "component_gramians",
     "decompose",

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import matpoly, mcarma, rational, sampling, sim, verify
+from . import matpoly, mcarma, rational, sampling, sim
 from .exceptions import CertificationError, ModelFileError
 
 
@@ -149,12 +149,12 @@ def _solvent_payload(S):
     return {
         "solvents": [
             {
-                "R": s.R,
-                "spectrum": sorted([complex(z) for z in s.spectrum],
+                "R": R,
+                "spectrum": sorted([complex(z) for z in spectrum],
                                    key=lambda z: (-z.real, -z.imag)),
-                "residual_norm": float(s.residual_norm),
+                "residual_norm": float(norm),
             }
-            for s in S.solvents
+            for R, spectrum, norm in zip(S.matrices, S.spectrum, S.residual_norms)
         ],
         "cond_V": float(S.cond_V),
         "tolerances": {"solvent_residual": matpoly.TOL_SOLVENT,
@@ -249,7 +249,11 @@ def run_verification(model, driver, h, steps, seed):
 
     The Monte-Carlo row needs a Brownian driver: its band is the Gaussian
     CLT band (compound-Poisson sample ACVFs carry an extra kurtosis term).
+    ``mcarma_ou.verify`` is imported here, so only this command loads its
+    scipy oracles.
     """
+    from . import verify
+
     S = model.solvent_set()
     decomp = mcarma.decompose(model, S)
     checks = [verify.check_solvent_residual(model, S),

@@ -9,13 +9,17 @@ This module computes latent roots through the block companion matrix, builds
 solvents from grouped latent pairs, and recovers coefficients and linear
 factorizations from a certified solvent set.
 
+A ``SolventSet`` holds the solvents and their eigenbases as read-only
+stacks; an eigenbasis is the group of latent pairs its solvent is built
+from, or, for bare matrices, comes from one stacked ``eig``.
+
 All arithmetic is done in complex double precision; realness is certified
 after the fact, never assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,70 +168,31 @@ class LatentPair:
 
 
 @dataclass(frozen=True)
-class Solvent:
-    """A certified right solvent with its residual ``||A_R(R)||_F``.
-
-    Carries its eigenbasis ``R = P diag(spectrum) P^{-1}``, taken once on
-    construction; every function of R the package needs (``expm``, the OU
-    Gramians of ``mcarma.ou_gramian``, the simulation's modal recursion) is
-    evaluated through it.
-    """
-
-    R: np.ndarray
-    multiplicity: int
-    residual_norm: float
-    spectrum: np.ndarray = field(init=False, repr=False)
-    P: np.ndarray = field(init=False, repr=False)
-    P_inv: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        R = _readonly(_as_complex(self.R))
-        spectrum, P = np.linalg.eig(R)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "spectrum", _readonly(spectrum))
-        object.__setattr__(self, "P", _readonly(P))
-        object.__setattr__(self, "P_inv", _readonly(np.linalg.inv(P)))
-
-    def expm(self, t):
-        """``e^{tR} = P diag(e^{t spectrum}) P^{-1}``; for an array of times,
-        one matrix per time along the leading axes."""
-        scales = np.exp(np.multiply.outer(t, self.spectrum))[..., None, :]
-        return (self.P * scales) @ self.P_inv
-
-
-@dataclass(frozen=True)
 class SolventSet:
-    """A complete set of p regular right solvents with its Vandermonde matrix.
+    """A complete set of p regular right solvents, held as read-only stacks.
 
-    Certified on construction: disjoint spectra whose union matches the
-    latent roots, small right-substitution residuals, and a nonsingular
-    block Vandermonde matrix (``cond_V`` reported).
-
-    Also carries the solvents' eigenbases stacked along a leading axis,
-    ``spectrum`` (p, d) and ``P``, ``P_inv`` (p, d, d), so that ``expm`` and
+    ``matrices`` (p, d, d) holds the solvents R_k, each with its eigenbasis
+    ``R_k = P_k diag(spectrum_k) P_k^{-1}`` stacked as ``spectrum`` (p, d)
+    and ``P``, ``P_inv`` (p, d, d), so that ``expm`` and
     ``mcarma.ou_gramian`` take all p solvents in one call.
+    ``residual_norms`` (p,) are the certified ``||A_R(R_k)||_F`` and ``V`` the
+    block Vandermonde matrix with its certified condition number ``cond_V``.
+    Built by ``solvents_from_latents`` or ``certify_solvent_set``.
     """
 
-    solvents: tuple
+    matrices: np.ndarray
+    spectrum: np.ndarray
+    P: np.ndarray
+    P_inv: np.ndarray
+    residual_norms: np.ndarray
     V: np.ndarray
     cond_V: float
-    spectrum: np.ndarray = field(init=False, repr=False)
-    P: np.ndarray = field(init=False, repr=False)
-    P_inv: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "V", _readonly(_as_complex(self.V)))
-        for name in ("spectrum", "P", "P_inv"):
-            stacked = np.stack([getattr(s, name) for s in self.solvents])
-            object.__setattr__(self, name, _readonly(stacked))
-
-    # e^{tR_k} of every solvent: for an array of times the result is
-    # indexed (time, solvent, d, d)
-    expm = Solvent.expm
-
-    @property
-    def matrices(self):
-        return [s.R for s in self.solvents]
+    def expm(self, t):
+        """``e^{tR_k} = P_k diag(e^{t spectrum_k}) P_k^{-1}`` of every solvent:
+        for an array of times the result is indexed (time, solvent, d, d)."""
+        scales = np.exp(np.multiply.outer(t, self.spectrum))[..., None, :]
+        return (self.P * scales) @ self.P_inv
 
     @property
     def roots(self):
@@ -235,10 +200,10 @@ class SolventSet:
 
     @property
     def block_dim(self):
-        return self.solvents[0].R.shape[0]
+        return self.matrices.shape[1]
 
     def __len__(self):
-        return len(self.solvents)
+        return self.matrices.shape[0]
 
 
 def companion_matrix(A):
@@ -428,63 +393,80 @@ def vandermonde(mats):
     return V
 
 
+def _residual_norms(A, mats):
+    """``||A_R(R_k)||_F`` of a stack of candidate solvents, each certified
+    below ``TOL_SOLVENT * max(1, ||A_p||_F)``."""
+    scale = max(1.0, float(np.linalg.norm(A.coeffs[-1])))
+    norms = np.array([np.linalg.norm(r) for r in A.eval_right(mats)])
+    worst = float(norms.max())
+    if worst > TOL_SOLVENT * scale:
+        raise SolventResidualError(
+            f"||A_R(R)||_F = {worst:.3e} exceeds {TOL_SOLVENT * scale:.3e}")
+    return norms
+
+
+def _vandermonde_cond(V):
+    """cond(V), certified at most ``COND_VANDERMONDE_MAX``."""
+    cond_V = float(np.linalg.cond(V))
+    if not np.isfinite(cond_V) or cond_V > COND_VANDERMONDE_MAX:
+        raise SingularVandermondeError(f"cond(V) = {cond_V:.3e}")
+    return cond_V
+
+
+def _certified_set(mats, spectrum, P, P_inv, residual_norms):
+    """The tail both construction routes share: the block Vandermonde matrix
+    of solvents whose residuals are certified, its cond(V) certificate, and
+    the read-only stacks."""
+    V = vandermonde(mats)
+    cond_V = _vandermonde_cond(V)
+    stacks = (mats, spectrum, P, P_inv, residual_norms, V)
+    return SolventSet(*(_readonly(a) for a in stacks), cond_V)
+
+
 def certify_solvent_set(A, mats):
     """Certify p candidate matrices as a complete set of regular right solvents.
 
     Checks, in order: right-substitution residuals against ``A``, pairwise
-    disjoint spectra whose union matches the latent roots of ``A``, and a
-    well-conditioned block Vandermonde matrix.
+    disjoint spectra whose union matches the latent roots of ``A`` (one
+    stacked ``eig`` of the candidates, which also gives their eigenbases),
+    and a well-conditioned block Vandermonde matrix.
 
     Raises
     ------
     SolventResidualError, IncompleteSetError, SingularVandermondeError
     """
-    return _certify(A, mats, [pr.root for pr in latent_roots(A)])
-
-
-def _certify(A, mats, roots):
-    """``certify_solvent_set`` against latent roots the caller already has."""
-    mats = [_as_complex(R) for R in mats]
     p = A.degree
     d = A.order[0]
     if len(mats) != p:
         raise IncompleteSetError(f"need {p} solvents, got {len(mats)}")
-    if any(R.shape != (d, d) for R in mats):
+    if any(np.shape(R) != (d, d) for R in mats):
         raise IncompleteSetError("solvent block shape mismatch")
-    scale = max(1.0, float(np.linalg.norm(A.coeffs[-1])))
-    solvents = []
-    for R in mats:
-        res = float(np.linalg.norm(A.eval_right(R)))
-        if res > TOL_SOLVENT * scale:
-            raise SolventResidualError(
-                f"||A_R(R)||_F = {res:.3e} exceeds {TOL_SOLVENT * scale:.3e}")
-        solvents.append(Solvent(R, 1, res))
+    mats = _as_complex(mats)
+    residual_norms = _residual_norms(A, mats)
+    spectrum, P = np.linalg.eig(mats)
 
-    spectra = [s.spectrum for s in solvents]
-    for i in range(p):
-        for j in range(i + 1, p):
-            gap = min(abs(a - b) for a in spectra[i] for b in spectra[j])
-            if gap <= TOL_EIG:
-                raise IncompleteSetError(
-                    f"spectra of solvents {i} and {j} overlap (gap {gap:.2e})")
-    union = np.concatenate(spectra)
-    err = eig_multiset_distance(union, np.array(roots))
+    gaps = np.abs(spectrum[:, None, :, None] - spectrum[None, :, None, :]).min(axis=(2, 3))
+    overlap = np.triu(gaps <= TOL_EIG, 1)
+    if overlap.any():
+        i, j = np.argwhere(overlap)[0]
+        raise IncompleteSetError(
+            f"spectra of solvents {i} and {j} overlap (gap {gaps[i, j]:.2e})")
+    roots = np.array([pr.root for pr in latent_roots(A)])
+    err = eig_multiset_distance(spectrum.reshape(-1), roots)
     if err > TOL_EIG:
         raise IncompleteSetError(
             f"union of solvent spectra misses latent roots by {err:.3e}")
-
-    V = vandermonde([s.R for s in solvents])
-    cond_V = float(np.linalg.cond(V))
-    if not np.isfinite(cond_V) or cond_V > COND_VANDERMONDE_MAX:
-        raise SingularVandermondeError(f"cond(V) = {cond_V:.3e}")
-    return SolventSet(tuple(solvents), V, cond_V)
+    return _certified_set(mats, spectrum, P, np.linalg.inv(P), residual_norms)
 
 
 def solvents_from_latents(A, pairs=None, grouping=None):
     """Build a certified SolventSet from grouped latent pairs.
 
-    Each group of d latent pairs yields ``R_k = P_k L_k P_k^{-1}`` with
-    ``P_k`` the stacked latent vectors and ``L_k`` the diagonal of roots.
+    Group k of d latent pairs gives the eigenbasis of its solvent: the
+    latent vectors are the columns of ``P_k`` and the roots its spectrum,
+    so ``R_k = P_k diag(spectrum_k) P_k^{-1}``.  The spectra partition the
+    latent roots by construction; the residuals and the block Vandermonde
+    matrix are certified.
 
     Parameters
     ----------
@@ -497,7 +479,7 @@ def solvents_from_latents(A, pairs=None, grouping=None):
 
     Raises
     ------
-    DuplicateLatentRootError, SingularGroupError, IncompleteSetError,
+    DuplicateLatentRootError, SingularGroupError, SolventResidualError,
     SingularVandermondeError
     """
     if pairs is None:
@@ -509,17 +491,16 @@ def solvents_from_latents(A, pairs=None, grouping=None):
         grouping = default_grouping(pairs, d, conjugate_closed=A.is_real)
     if len(grouping) != p or sorted(i for g in grouping for i in g) != list(range(p * d)):
         raise ValueError("grouping must partition the latent pairs into p groups of d")
-    mats = []
-    for group in grouping:
-        if len(group) != d:
-            raise ValueError("every group must have exactly d latent pairs")
-        P = np.column_stack([pairs[i].vector for i in group])
-        cond = _cond_columns([pairs[i].vector for i in group])
-        if not np.isfinite(cond) or cond > COND_GROUP_MAX:
-            raise SingularGroupError(f"latent-vector matrix condition {cond:.3e}")
-        L = np.diag([pairs[i].root for i in group])
-        mats.append(P @ L @ np.linalg.inv(P))
-    return _certify(A, mats, [pr.root for pr in pairs])
+    if any(len(group) != d for group in grouping):
+        raise ValueError("every group must have exactly d latent pairs")
+    spectrum = np.array([[pairs[i].root for i in group] for group in grouping])
+    P = np.array([np.column_stack([pairs[i].vector for i in group]) for group in grouping])
+    worst = float(np.linalg.cond(P).max())
+    if not np.isfinite(worst) or worst > COND_GROUP_MAX:
+        raise SingularGroupError(f"latent-vector matrix condition {worst:.3e}")
+    P_inv = np.linalg.inv(P)
+    mats = (P * spectrum[:, None, :]) @ P_inv
+    return _certified_set(mats, spectrum, P, P_inv, _residual_norms(A, mats))
 
 
 def solvent_set(A, grouping=None):
@@ -532,7 +513,8 @@ def coeffs_from_solvent_matrices(mats):
 
     Implements the block Vandermonde inversion
     ``[A_p, ..., A_1] = -[R_1^p, ..., R_p^p] V^{-1}`` without certifying the
-    input; use :func:`coeffs_from_solvents` for the certified route.
+    solvents; pass ``S.matrices`` of a certified SolventSet for the
+    certified route.
     """
     return vandermonde_solve(mats)[0]
 
@@ -545,25 +527,18 @@ def vandermonde_solve(mats):
     d = mats[0].shape[0]
     V = vandermonde(mats)
     row = np.hstack([np.linalg.matrix_power(R, p) for R in mats])
-    cond_V = np.linalg.cond(V)
-    if not np.isfinite(cond_V) or cond_V > COND_VANDERMONDE_MAX:
-        raise SingularVandermondeError(f"cond(V) = {cond_V:.3e}")
+    cond_V = _vandermonde_cond(V)
     X = -np.linalg.solve(V.T, row.T).T
     coeffs = [np.eye(d, dtype=complex)]
     # X carries [A_p, ..., A_1]; unpack into descending-power order
     for j in range(p - 1, -1, -1):
         coeffs.append(X[:, j * d:(j + 1) * d])
-    return LambdaMatrix(tuple(coeffs)), float(cond_V)
+    return LambdaMatrix(tuple(coeffs)), cond_V
 
 
-def coeffs_from_solvents(solvents):
-    """Recover the monic lambda-matrix from a certified SolventSet."""
-    mats = solvents.matrices if isinstance(solvents, SolventSet) else list(solvents)
-    return coeffs_from_solvent_matrices(mats)
-
-
-def linear_factorization(solvents):
-    """Linear factors ``[R_1, R_2*, ..., R_p*]`` of the recovered polynomial.
+def linear_factorization(mats):
+    """Linear factors ``[R_1, R_2*, ..., R_p*]`` of the polynomial with the
+    complete solvent set ``mats`` (e.g. ``S.matrices``).
 
     The product ``(z I - R_p*) ... (z I - R_2*)(z I - R_1)`` reproduces the
     polynomial; each transformed factor is
@@ -575,8 +550,7 @@ def linear_factorization(solvents):
     SingularFactorError
         If some partial product ``M_k(R_k)`` is numerically singular.
     """
-    mats = solvents.matrices if isinstance(solvents, SolventSet) else [
-        _as_complex(R) for R in solvents]
+    mats = [_as_complex(R) for R in mats]
     factors = [mats[0]]
     partial = identity_shift(mats[0])
     for k in range(1, len(mats)):
@@ -588,4 +562,3 @@ def linear_factorization(solvents):
         factors.append(Rk_star)
         partial = identity_shift(Rk_star) * partial
     return factors
-

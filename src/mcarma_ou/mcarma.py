@@ -19,14 +19,14 @@ T = V(R_1, ..., R_p).  An ``OuDecomposition`` holds the pairs (R_k, Res_k)
 once, as a solvent set and its residue stack (``rational.residues``).
 
 Every matrix function of a solvent is evaluated in its eigenbasis
-R_k = P_k diag(lam_k) P_k^{-1}, which each ``matpoly.Solvent`` carries:
-``e^{t R_k}`` by ``Solvent.expm`` and the OU Gramians by ``ou_gramian``
-(Moler & Van Loan, "Nineteen dubious ways to compute the exponential of a
-matrix, twenty-five years later", SIAM Rev. 45 (2003), method 14; its error
-grows with cond(P_k), which ``matpoly.solvents_from_latents`` bounds).
-A ``matpoly.SolventSet`` stacks the p eigenbases, so the p^2 Gramians of
-all solvent pairs (``component_gramians``) and the modal sums over all
-lags (``stationary_acvf``, ``kernel``) are each a few stacked products.
+R_k = P_k diag(lam_k) P_k^{-1}, which a ``matpoly.SolventSet`` carries
+stacked over all p solvents: ``e^{t R_k}`` by ``SolventSet.expm`` and the
+OU Gramians by ``ou_gramian`` (Moler & Van Loan, "Nineteen dubious ways to
+compute the exponential of a matrix, twenty-five years later", SIAM Rev. 45
+(2003), method 14; its error grows with cond(P_k), which
+``matpoly.solvents_from_latents`` bounds).  So the p^2 Gramians of all
+solvent pairs (``component_gramians``) and the modal sums over all lags
+(``stationary_acvf``, ``kernel``) are each a few stacked products.
 """
 
 from __future__ import annotations
@@ -146,10 +146,12 @@ class StateSpace:
         return self.A_star.shape[0]
 
 
-def build_state_space(model):
-    """Assemble (A*, B*, C*, A#, B#) and certify the identity A# B* = B#.
+def build_state_space(F):
+    """Assemble (A*, B*, C*, A#, B#) of a fraction ``F = A^{-1} B`` (a
+    ``rational.RationalLeftMatrix``, e.g. ``model.rational_fraction()``) and
+    certify the identity A# B* = B#.
 
-    B* is ``rational.solve_sharp``, forward substitution on A#, so the
+    B* is the real part of ``F.B_star``, forward substitution on A#, so the
     identity is exact up to rounding.  It is certified as
     ``max|A# B* - B#| <= SHARP_IDENTITY_TOL * max(|A#| |B*|)`` with absolute
     values taken elementwise: the rounding error of a computed product is
@@ -158,10 +160,10 @@ def build_state_space(model):
     the certificate does not depend on the scale of the coefficients.  A
     violation raises ``SharpIdentityError``.
     """
-    A, B = model.A, model.B
-    p, d = model.p, model.d
+    A, B = F.A, F.B
+    p, d = A.degree, A.order[0]
     A_star = matpoly.companion_matrix(A).real
-    B_star = rational.solve_sharp(A, B).real
+    B_star = F.B_star.real
     C_star = np.zeros((d, p * d))
     C_star[:, :d] = np.eye(d)
     A_sharp, B_sharp = rational.sharp_matrices(A, B)
@@ -179,7 +181,7 @@ def build_state_space(model):
 class OuDecomposition:
     """Certified OU-sum representation of an MCARMA model.
 
-    Component k is R_k = ``solvent_set.solvents[k]`` with the read-only
+    Component k is R_k = ``solvent_set.matrices[k]`` with the read-only
     ``residues[k]`` and ``y0[k]``, stacked (p, d, m) and (p, d).
     ``transform`` is the block Vandermonde T with A* = T diag(R_k) T^{-1},
     B* = T stack(Res_k) and C* T = (I, ..., I); the initial values satisfy
@@ -225,7 +227,7 @@ def decompose(model, S, x0=None):
     """
     F = model.rational_fraction()
     residues = rational.residues(F, S)
-    ss = build_state_space(model)
+    ss = build_state_space(F)
     T = S.V
     p, d = model.p, model.d
     if x0 is None:
@@ -244,7 +246,7 @@ def decompose(model, S, x0=None):
     columns = T.reshape(p * d, p, d).swapaxes(0, 1)
     scale = max(1.0, np.linalg.norm(ss.A_star) * np.linalg.norm(T))
     sim_err = np.linalg.norm(
-        ss.A_star @ columns - columns @ np.stack(S.matrices)) / scale
+        ss.A_star @ columns - columns @ S.matrices) / scale
     res_err = np.linalg.norm(ss.B_star - T @ residues.reshape(p * d, -1)) / max(
         1.0, np.linalg.norm(ss.B_star))
     row_err = np.linalg.norm(ss.C_star @ T - np.hstack([np.eye(d)] * p))

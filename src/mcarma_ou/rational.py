@@ -9,9 +9,10 @@ The residues come from the linear system
     stack(Res_1, ..., Res_p) = V(R_1, ..., R_p)^{-1} B*,   B* = [A#]^{-1} B#,
 
 where ``A#`` is the unit lower block triangular Toeplitz matrix built from
-the coefficients of A (solved by forward block substitution, ``solve_sharp``,
-also for the state space; its only eigenvalue is 1) and ``B#`` stacks the
-coefficients of B under zero padding.  A partial fraction is a
+the coefficients of A (its only eigenvalue is 1) and ``B#`` stacks the
+coefficients of B under zero padding.  B* is solved once per fraction, by
+forward block substitution (``solve_sharp``), and the state space of
+``mcarma.build_state_space`` reads the same stack.  A partial fraction is a
 ``matpoly.SolventSet`` with its (p, d, m) residue stack.
 """
 
@@ -36,13 +37,16 @@ class RationalLeftMatrix:
     root of A); ``witness`` holds an offending latent root when it fails.
     The rank threshold is ``RANK_TOL * sigma_max``, reported alongside the
     certificate because the coprimeness notion itself carries no canonical
-    numerical tolerance.
+    numerical tolerance.  ``B_star`` is the read-only complex (pd, m) stack
+    ``[A#]^{-1} B#`` (``solve_sharp``), solved once here for both the
+    residues and the state space.
     """
 
     A: matpoly.LambdaMatrix
     B: matpoly.LambdaMatrix
     irreducible: bool
     witness: complex | None
+    B_star: np.ndarray
 
     @classmethod
     def build(cls, A, B, pairs=None):
@@ -53,7 +57,9 @@ class RationalLeftMatrix:
         if B.degree > A.degree - 1:
             raise ValueError("strict properness requires deg B <= deg A - 1")
         ok, witness = check_irreducible(A, B, pairs)
-        return cls(A, B, ok, witness)
+        B_star = solve_sharp(A, B)
+        B_star.setflags(write=False)
+        return cls(A, B, ok, witness, B_star)
 
     @property
     def order(self):
@@ -110,13 +116,15 @@ def sharp_matrices(A, B):
 
 
 def solve_sharp(A, B):
-    """Forward block substitution for ``A# X = B#`` (unit triangular, exact)."""
+    """Forward block substitution for ``A# X = B#`` (unit triangular, exact),
+    reading the blocks of A# and B# from the coefficients."""
     p = A.degree
     d = A.order[0]
-    _, B_sharp = sharp_matrices(A, B)
-    X = np.zeros_like(B_sharp)
+    m = B.order[1]
+    offset = p - (B.degree + 1)  # leading zero blocks of B#
+    X = np.zeros((p * d, m), dtype=complex)
     for i in range(p):
-        acc = np.array(B_sharp[i * d:(i + 1) * d, :])
+        acc = np.array(B.coeffs[i - offset]) if i >= offset else np.zeros((d, m), complex)
         for j in range(i):
             acc -= A.coeffs[i - j] @ X[j * d:(j + 1) * d, :]
         X[i * d:(i + 1) * d, :] = acc
@@ -134,16 +142,15 @@ def residues(F, S):
 
     Returns
     -------
-    Read-only complex array (p, d, m): ``Res_k`` of ``S.solvents[k]``.
+    Read-only complex array (p, d, m): ``Res_k`` of ``S.matrices[k]``.
     """
     if not F.irreducible:
         raise NotIrreducibleError(f"rank deficiency at latent root {F.witness}")
-    X = solve_sharp(F.A, F.B)
     try:
-        stacked = np.linalg.solve(S.V, X)
+        stacked = np.linalg.solve(S.V, F.B_star)
     except np.linalg.LinAlgError as err:
         raise SingularVandermondeError(str(err)) from None
-    res = stacked.reshape(len(S), S.block_dim, X.shape[1])
+    res = stacked.reshape(len(S), S.block_dim, -1)
     res.setflags(write=False)
     return res
 

@@ -344,7 +344,6 @@ def sampled_varma(decomp, h):
     log.debug("sampled_varma: h=%g, varma_ar %.6f s, noise_acvf %.6f s, "
               "fit_ma %.6f s, %d doubling steps", h, ar_done - start,
               noise_done - ar_done, time.perf_counter() - noise_done, ma_info["steps"])
-    schur = all(pr.root.real < 0.0 for pr in decomp.model.latent_pairs)
     return SampledVarma(
         h=h,
         psi=tuple(psi),
@@ -352,7 +351,7 @@ def sampled_varma(decomp, h):
         gamma_U=tuple(gamma),
         theta=tuple(theta),
         sigma_eps=sigma_eps,
-        schur_stable=schur,
+        schur_stable=decomp.model.stationary,
         cond_sampled_V=info["cond_sampled_V"],
         ar_residual=info["ar_residual"],
         ma_margin=margin,

@@ -17,7 +17,10 @@ no Python code runs per step and no ``expm`` is taken per jump.
 
 Reproducibility: one path owns one seeded PCG64 generator; identical seeds
 give bit-identical paths.  A Brownian path for a given seed equals that of
-earlier releases up to rounding.  A compound-Poisson path for a given seed
+earlier releases up to rounding, except where a Gramian is singular to
+rounding and ``_psd_factor`` falls back to its eigenvector factor: a
+rounding change can pick another square root there, which gives another
+path of the same law.  A compound-Poisson path for a given seed
 differs from releases that simulated step by step, because the jump counts,
 offsets and sizes are now drawn a chunk at a time; its law is unchanged.
 For parallel paths split the seed with
@@ -127,13 +130,15 @@ def state_innovation_gramian(decomp, sigma_L, h):
     return np.real(Q)
 
 
-def _initial_state(decomp, rng, stationary_start):
-    pd_dim = decomp.p * decomp.d
-    if not stationary_start:
-        return np.zeros(pd_dim)
+def _stationary_state(decomp, rng):
+    """A draw of X(0) from the stationary Gaussian state law."""
+    if np.any(decomp.y0):
+        raise ValueError("stationary_start draws the initial state: "
+                         "decompose without x0")
     if not decomp.model.stationary:
         raise NotStationaryError("stationary start requires a stable model")
     pi = state_innovation_gramian(decomp, decomp.model.sigma_L, np.inf)
+    pd_dim = decomp.p * decomp.d
     return _psd_factor(pi, "stationary state covariance") @ rng.standard_normal(pd_dim)
 
 
@@ -252,10 +257,12 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     n_steps : number of grid points (the path includes t = 0)
     stationary_start : bool
         Draw X(0) from the stationary Gaussian state law instead of
-        starting at zero.  Exact for the Brownian driver; for the compound
-        Poisson driver the stationary law has no closed form and the
-        Gaussian draw is a documented approximation (alternatively burn in
-        for about 20 / |max Re latent root| time units).
+        starting at the decomposition's initial values ``decomp.y0`` (the
+        components of its x0, zero by default), which must then be zero.
+        Exact for the Brownian driver; for the compound Poisson driver the
+        stationary law has no closed form and the Gaussian draw is a
+        documented approximation (alternatively burn in for about
+        20 / |max Re latent root| time units).
 
     Returns
     -------
@@ -268,7 +275,10 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     lam, P_inv, readout = _modal_form(decomp)
     to_modal = P_inv @ np.linalg.inv(decomp.transform)
 
-    z = to_modal @ _initial_state(decomp, rng, stationary_start)
+    if stationary_start:
+        z = to_modal @ _stationary_state(decomp, rng)
+    else:
+        z = P_inv @ decomp.y0.reshape(-1)
     y0 = readout @ z
     Y = np.empty((n_steps, decomp.d))
     Y[0] = y0.real

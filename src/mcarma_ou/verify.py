@@ -100,8 +100,7 @@ def clt_band_for_zero_lags(gamma_U, n_eff):
 
 def check_solvent_residual(model, S):
     scale = max(1.0, float(np.linalg.norm(model.A.coeffs[-1])))
-    return _check("solvent-residual",
-                  max(s.residual_norm for s in S.solvents), matpoly.TOL_SOLVENT * scale)
+    return _check("solvent-residual", S.residual_norms.max(), matpoly.TOL_SOLVENT * scale)
 
 
 def check_statespace_identity(ss):

@@ -14,6 +14,8 @@ batched sum rounds exactly as the loop does.  The oracles that ``mcarma-ou
 verify`` runs too live in ``mcarma_ou.verify``.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad_vec
@@ -23,6 +25,26 @@ from mcarma_ou.exceptions import ImaginaryLeakError, NoConvergenceError, NotPDEr
 
 INNOVATIONS_TOL = 1e-10
 INNOVATIONS_MAXIT = 10000
+
+
+def eigenbasis(R):
+    """One matrix with its eigenbasis ``R = P diag(spectrum) P^{-1}``, in the
+    form ``mcarma.ou_gramian`` reads, for Gramians of bare matrices."""
+    R = np.asarray(R, dtype=complex)
+    spectrum, P = np.linalg.eig(R)
+    return SimpleNamespace(R=R, spectrum=spectrum, P=P, P_inv=np.linalg.inv(P))
+
+
+def components(S):
+    """The entries of a solvent set's stacks, one ``eigenbasis``-like view
+    per solvent, so that solvents can be taken one or two at a time."""
+    return [SimpleNamespace(R=R, spectrum=spectrum, P=P, P_inv=P_inv)
+            for R, spectrum, P, P_inv in zip(S.matrices, S.spectrum, S.P, S.P_inv)]
+
+
+def expm_eig(b, t):
+    """``e^{tR}`` of one ``eigenbasis`` or ``components`` entry."""
+    return (b.P * np.exp(t * b.spectrum)) @ b.P_inv
 
 
 def contour_residue(A, B, own_spectrum, other_spectrum, nodes=256):
@@ -103,14 +125,14 @@ def noise_acvf_loop(S, residues, phi, sigma_L, h):
     """``sampling.noise_acvf`` as one 2-d product per term: every Gramian by
     its own ``mcarma.ou_gramian`` call, every ``C_{s,k}`` and every term of
     gamma_U in a Python loop, with the same certificates."""
-    sols = S.solvents
+    sols = components(S)
     p = len(sols)
     d = S.block_dim
     gram = [[mcarma.ou_gramian(s_nu, s_mu, res_nu @ sigma_L @ res_mu.conj().T, h)
              for s_mu, res_mu in zip(sols, residues)]
             for s_nu, res_nu in zip(sols, residues)]
 
-    exp_h = [[sol.expm(h * s) for s in range(p)] for sol in sols]
+    exp_h = [[expm_eig(sol, h * s) for s in range(p)] for sol in sols]
     coeff = [[None] * p for _ in range(p)]  # coeff[s][k] = C_{s,k}
     for k in range(p):
         for s in range(p):
@@ -172,8 +194,10 @@ def component_recursion(decomp, driver, h, n_steps, stationary_start, chunk):
     T_inv = np.linalg.inv(decomp.transform)
     comps = list(zip(decomp.solvent_set.matrices, decomp.residues))
     exp_hR = [scipy.linalg.expm(h * R) for R, _ in comps]
-    x0 = sim._initial_state(decomp, rng, stationary_start)
-    y = np.reshape(T_inv @ x0.astype(complex), (p, d))
+    if stationary_start:
+        y = np.reshape(T_inv @ sim._stationary_state(decomp, rng).astype(complex), (p, d))
+    else:
+        y = np.array(decomp.y0)
     n = n_steps - 1
     if driver.kind == "brownian":
         Q = sim.state_innovation_gramian(decomp, driver.sigma_L, h)

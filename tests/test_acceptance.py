@@ -63,8 +63,8 @@ def test_criterion_2_solvent_certificates(example_poly, corpus):
     for model in corpus:
         S = model.solvent_set()
         scale = max(1.0, np.linalg.norm(model.A.coeffs[-1]))
-        for sol in S.solvents:
-            res = np.linalg.norm(model.A.eval_right(sol.R))
+        for R in S.matrices:
+            res = np.linalg.norm(model.A.eval_right(R))
             worst_rel = max(worst_rel, res / scale)
     elapsed = time.perf_counter() - start
     report(2, "solvent-residuals(200-model corpus)", float(worst_rel), 1e-9, elapsed)

@@ -114,8 +114,7 @@ class TestSolventsFromLatents:
         pairs = matpoly.latent_roots(example_poly)
         # roots sorted descending: -1, -2, -3, -4
         S = matpoly.solvents_from_latents(example_poly, pairs, [[0, 1], [2, 3]])
-        for sol in S.solvents:
-            assert sol.residual_norm < 1e-9 * np.linalg.norm(A2)
+        assert np.all(S.residual_norms < 1e-9 * np.linalg.norm(A2))
         spectra = [np.sort(s.real) for s in S.spectrum]
         assert_allclose(spectra[0], [-2, -1], atol=1e-9)
         assert_allclose(spectra[1], [-4, -3], atol=1e-9)
@@ -163,6 +162,57 @@ class TestSolventsFromLatents:
             matpoly.solvents_from_latents(example_poly, tweaked, [[0, 1], [2, 3]])
 
 
+class TestStackedRepresentation:
+    @staticmethod
+    def assert_consistent(S, roots):
+        rebuilt = (S.P * S.spectrum[:, None, :]) @ S.P_inv
+        scale = np.max(np.abs(S.matrices), axis=(1, 2))
+        assert np.all(np.max(np.abs(rebuilt - S.matrices), axis=(1, 2)) <= 1e-12 * scale)
+        assert matpoly.eig_multiset_distance(S.roots, roots) <= 1e-12 * max(
+            1.0, np.max(np.abs(roots)))
+
+    def test_both_routes_on_corpus(self, corpus):
+        for index, model in enumerate(corpus):
+            roots = model.latent_root_values
+            S = model.solvent_set()
+            self.assert_consistent(S, roots)
+            certified = matpoly.certify_solvent_set(model.A, S.matrices)
+            self.assert_consistent(certified, roots)
+            assert np.array_equal(certified.matrices, S.matrices), index
+            assert np.array_equal(certified.residual_norms, S.residual_norms), index
+            assert certified.cond_V == S.cond_V, index
+
+    def test_latent_route_agrees_with_certified_matrices(self, example_poly, example_set_12):
+        pairs = matpoly.latent_roots(example_poly)
+        S = matpoly.solvents_from_latents(example_poly, pairs, [[0, 1], [2, 3]])
+        # R = P diag(lam) P^{-1} rounds at about cond(P) eps max|lam| (1.8e-13)
+        tol = 1e-12
+        assert_allclose(S.matrices, example_set_12.matrices, rtol=0, atol=tol)
+        assert_allclose(S.V, example_set_12.V, rtol=0, atol=tol)
+        assert_allclose(S.residual_norms, example_set_12.residual_norms, rtol=0, atol=tol)
+        assert abs(S.cond_V - example_set_12.cond_V) <= tol * example_set_12.cond_V
+        assert_allclose(np.sort_complex(S.roots), np.sort_complex(example_set_12.roots),
+                        rtol=0, atol=tol)
+        assert_allclose(S.expm(0.3), example_set_12.expm(0.3), rtol=0, atol=tol)
+
+    def test_latent_route_takes_no_eig(self, example_poly, monkeypatch):
+        pairs = matpoly.latent_roots(example_poly)
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("eig called on the latent route")
+
+        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        S = matpoly.solvents_from_latents(example_poly, pairs)
+        assert S.spectrum.shape == (2, 2)
+
+    def test_stacks_are_read_only(self, example_set_12):
+        S = example_set_12
+        for name in ("matrices", "spectrum", "P", "P_inv", "residual_norms", "V"):
+            with pytest.raises(ValueError):
+                getattr(S, name).flat[0] = 0.0
+        assert (len(S), S.block_dim) == (2, 2)
+
+
 class TestCertify:
     def test_wrong_matrix_rejected(self, example_poly):
         with pytest.raises(SolventResidualError):
@@ -207,12 +257,12 @@ class TestVandermonde:
 
 class TestCoeffsFromSolvents:
     def test_example_pair_12(self, example_set_12):
-        A = matpoly.coeffs_from_solvents(example_set_12)
+        A = matpoly.coeffs_from_solvent_matrices(example_set_12.matrices)
         assert_allclose(A.coeffs[1].real, A1, atol=1e-10)
         assert_allclose(A.coeffs[2].real, A2, atol=1e-10)
 
     def test_example_pair_34(self, example_set_34):
-        A = matpoly.coeffs_from_solvents(example_set_34)
+        A = matpoly.coeffs_from_solvent_matrices(example_set_34.matrices)
         assert_allclose(A.coeffs[1].real, A1, atol=1e-10)
         assert_allclose(A.coeffs[2].real, A2, atol=1e-10)
 
@@ -229,7 +279,7 @@ class TestCoeffsFromSolvents:
                                     p=int(rng.integers(2, 4)))
         A = model.A
         S = matpoly.solvent_set(A)
-        back = matpoly.coeffs_from_solvents(S)
+        back = matpoly.coeffs_from_solvent_matrices(S.matrices)
         for got, want in zip(back.coeffs, A.coeffs):
             scale = max(1.0, np.linalg.norm(want))
             assert np.linalg.norm(got - want) < 1e-8 * scale
@@ -239,7 +289,7 @@ class TestCoeffsFromSolvents:
         rng = np.random.default_rng(200 + seed)
         model = random_stable_model(rng, d=2, p=2)
         S = matpoly.solvent_set(model.A)  # default grouping is conjugate closed
-        back = matpoly.coeffs_from_solvents(S)
+        back = matpoly.coeffs_from_solvent_matrices(S.matrices)
         assert max(np.max(np.abs(c.imag)) for c in back.coeffs) < 1e-10
 
     def test_spectrum_matches_latent_roots(self, example_poly, example_set_12):
@@ -261,7 +311,7 @@ class TestLinearFactorization:
         assert_allclose(sorted(f[0, 0].real for f in factors), [-2.0, -1.0])
 
     def test_example_product(self, example_poly, example_set_12):
-        factors = matpoly.linear_factorization(example_set_12)
+        factors = matpoly.linear_factorization(example_set_12.matrices)
         product = expand_factors(factors)
         for got, want in zip(product.coeffs, example_poly.coeffs):
             assert np.linalg.norm(got - want) < 1e-8 * max(1.0, np.linalg.norm(want))
@@ -271,6 +321,6 @@ class TestLinearFactorization:
         rng = np.random.default_rng(300 + seed)
         model = random_stable_model(rng, d=2, p=3)
         S = matpoly.solvent_set(model.A)
-        product = expand_factors(matpoly.linear_factorization(S))
+        product = expand_factors(matpoly.linear_factorization(S.matrices))
         for got, want in zip(product.coeffs, model.A.coeffs):
             assert np.linalg.norm(got - want) < 1e-8 * max(1.0, np.linalg.norm(want))

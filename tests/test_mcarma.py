@@ -10,7 +10,7 @@ from mcarma_ou import matpoly, mcarma, rational, verify
 from mcarma_ou.exceptions import NotStationaryError, SharpIdentityError
 
 from conftest import R1, R2, RES1, RES2, random_stable_model
-from oracles import quad_infinite_gramian
+from oracles import components, eigenbasis, expm_eig, quad_infinite_gramian
 
 
 def scalar_poly(*coeffs):
@@ -47,7 +47,7 @@ def example_decomp_34(example_model, example_set_34):
 
 class TestStateSpace:
     def test_example_b_star(self, example_model):
-        ss = mcarma.build_state_space(example_model)
+        ss = mcarma.build_state_space(example_model.rational_fraction())
         assert_allclose(ss.B_star[:2], np.zeros((2, 2)))
         assert_allclose(ss.B_star[2:], np.eye(2))
         assert_allclose(ss.C_star, np.hstack([np.eye(2), np.zeros((2, 2))]))
@@ -58,7 +58,7 @@ class TestStateSpace:
         model = mcarma.McarmaModel.build(
             matpoly.LambdaMatrix((np.eye(2), -M)),
             matpoly.LambdaMatrix((np.eye(2),)), np.eye(2))
-        ss = mcarma.build_state_space(model)
+        ss = mcarma.build_state_space(model.rational_fraction())
         assert_allclose(ss.A_star, M, atol=1e-14)
         assert_allclose(ss.B_star, np.eye(2))
         assert_allclose(ss.C_star, np.eye(2))
@@ -67,7 +67,7 @@ class TestStateSpace:
     def test_sharp_identity_random(self, seed):
         rng = np.random.default_rng(600 + seed)
         model = random_stable_model(rng)
-        ss = mcarma.build_state_space(model)
+        ss = mcarma.build_state_space(model.rational_fraction())
         assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
 
     def test_sharp_identity_large_coefficients(self, corpus):
@@ -75,20 +75,20 @@ class TestStateSpace:
         # rounding residual (1.7e-12) exceeds any absolute bound of 1e-12
         model = corpus[143]
         assert (model.d, model.p) == (3, 3)
-        ss = mcarma.build_state_space(model)
+        ss = mcarma.build_state_space(model.rational_fraction())
         assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
         mcarma.decompose(model, model.solvent_set())
 
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2, 1e4])
     def test_sharp_identity_time_rescaling_example(self, example_model, c):
-        ss = mcarma.build_state_space(rescale_time(example_model, c))
+        ss = mcarma.build_state_space(rescale_time(example_model, c).rational_fraction())
         assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
 
     # c = 1e4 is left out: McarmaModel.build rejects the rescaled #143 in
     # latent_roots (DefectiveCompanion) before the state space is formed.
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2])
     def test_sharp_identity_time_rescaling_corpus(self, corpus, c):
-        ss = mcarma.build_state_space(rescale_time(corpus[143], c))
+        ss = mcarma.build_state_space(rescale_time(corpus[143], c).rational_fraction())
         assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
 
     def test_sharp_identity_violation_is_typed(self, example_model, monkeypatch):
@@ -101,10 +101,10 @@ class TestStateSpace:
 
         monkeypatch.setattr(rational, "solve_sharp", perturbed)
         with pytest.raises(SharpIdentityError, match="SharpIdentity"):
-            mcarma.build_state_space(example_model)
+            mcarma.build_state_space(example_model.rational_fraction())
 
     def test_companion_spectrum_is_latent(self, example_model):
-        ss = mcarma.build_state_space(example_model)
+        ss = mcarma.build_state_space(example_model.rational_fraction())
         got = np.sort(np.linalg.eigvals(ss.A_star).real)
         assert_allclose(got, [-4, -3, -2, -1], atol=1e-8)
 
@@ -146,6 +146,23 @@ class TestDecompose:
             decomp = mcarma.decompose(model, S, x0)
             stacked = decomp.y0.reshape(-1)
             assert np.max(np.abs(S.V @ stacked - x0)) <= 1e-10 * np.max(np.abs(x0))
+
+    def test_one_sharp_solve_per_decompose(self, example_model, example_set_12,
+                                           monkeypatch):
+        calls = []
+        for name in ("solve_sharp", "sharp_matrices"):
+            original = getattr(rational, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(rational, name, counted)
+        decomp = mcarma.decompose(example_model, example_set_12)
+        assert sorted(calls) == ["sharp_matrices", "solve_sharp"]
+        # the residues and B* come from the same forward substitution
+        assert np.array_equal(decomp.statespace.B_star,
+                              rational.solve_sharp(example_model.A, example_model.B).real)
 
     def test_decomposition_is_read_only(self, example_model, example_set_12):
         decomp = mcarma.decompose(example_model, example_set_12, np.ones(4))
@@ -287,7 +304,7 @@ class TestStationaryAcvf:
             mcarma.stationary_acvf(decomp, [0.0])
 
     def test_component_gramian_vs_quadrature(self, example_decomp_12):
-        comps = list(zip(example_decomp_12.solvent_set.solvents,
+        comps = list(zip(components(example_decomp_12.solvent_set),
                          example_decomp_12.residues))
         for s_i, res_i in comps:
             for s_j, res_j in comps:
@@ -301,8 +318,8 @@ class TestStationaryAcvf:
         # lam + conj(mu) = z: the weight int_0^h e^{uz} du = expm1(hz)/z must
         # keep full relative accuracy as z -> 0, where e^{hz} - 1 cancels
         h = 0.7
-        s_i = matpoly.Solvent(np.array([[z]]), 1, 0.0)
-        s_j = matpoly.Solvent(np.array([[0.0]]), 1, 0.0)
+        s_i = eigenbasis([[z]])
+        s_j = eigenbasis([[0.0]])
         got = mcarma.ou_gramian(s_i, s_j, np.eye(1), h)[0, 0]
         want = h if z == 0.0 else math.expm1(h * z) / z
         assert abs(got - want) <= 1e-13 * want
@@ -312,8 +329,8 @@ class TestStationaryAcvf:
         # u -> u / c: c G(c R_i, c R_j, M, h / c) = G(R_i, R_j, M, h)
         M = RES1 @ RES2.T
         h = 0.4
-        sols = [matpoly.Solvent(R, 1, 0.0) for R in (R1, R2)]
-        scaled = [matpoly.Solvent(c * R, 1, 0.0) for R in (R1, R2)]
+        sols = [eigenbasis(R) for R in (R1, R2)]
+        scaled = [eigenbasis(c * R) for R in (R1, R2)]
         for horizon in (h, np.inf):
             want = mcarma.ou_gramian(sols[0], sols[1], M, horizon)
             got = c * mcarma.ou_gramian(scaled[0], scaled[1], M, horizon / c)
@@ -325,7 +342,7 @@ class TestStationaryAcvf:
             decomp = mcarma.decompose(model, model.solvent_set())
             got = mcarma.component_gramians(decomp.solvent_set, decomp.residues,
                                             model.sigma_L, h)
-            comps = list(zip(decomp.solvent_set.solvents, decomp.residues))
+            comps = list(zip(components(decomp.solvent_set), decomp.residues))
             for i, (s_i, res_i) in enumerate(comps):
                 for j, (s_j, res_j) in enumerate(comps):
                     M = res_i @ model.sigma_L @ res_j.conj().T
@@ -337,11 +354,11 @@ class TestStationaryAcvf:
         lags = [0.25 * k for k in range(11)]
         for index, model in enumerate(corpus):
             decomp = mcarma.decompose(model, model.solvent_set())
-            comps = list(zip(decomp.solvent_set.solvents, decomp.residues))
+            comps = list(zip(components(decomp.solvent_set), decomp.residues))
             sigmas = [sum(mcarma.ou_gramian(s_i, s_j,
                                             res_i @ model.sigma_L @ res_j.conj().T)
                           for s_j, res_j in comps) for s_i, res_i in comps]
-            want = [sum(s.expm(lag) @ sig for (s, _), sig in zip(comps, sigmas)).real
+            want = [sum(expm_eig(s, lag) @ sig for (s, _), sig in zip(comps, sigmas)).real
                     for lag in lags]
             got = mcarma.stationary_acvf(decomp, lags)
             scale = np.max(np.abs(want[0]))

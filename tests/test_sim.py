@@ -79,6 +79,53 @@ class TestDegenerateCases:
         assert path.max_imag <= 1e-8
 
 
+class TestInitialState:
+    X0 = np.array([1.0, 2.0, 3.0, 4.0])
+
+    @staticmethod
+    def unstable_model(example_model):
+        """carma2x2 with time reversed, A_i -> (-1)^i A_i: roots +1 .. +4."""
+        A = matpoly.LambdaMatrix(tuple((-1) ** i * a
+                                       for i, a in enumerate(example_model.A.coeffs)))
+        return mcarma.McarmaModel.build(A, example_model.B, example_model.sigma_L)
+
+    @pytest.mark.parametrize("unstable", [False, True])
+    def test_zero_driver_follows_state_space(self, example_model, unstable):
+        # Y_n = C* e^{n h A*} x0, the paper's representation for any roots
+        model = self.unstable_model(example_model) if unstable else example_model
+        decomp = mcarma.decompose(model, model.solvent_set(), self.X0)
+        h, n = 0.1, 40
+        path = sim.simulate(decomp, brownian(0, np.zeros((2, 2))), h, n)
+        ss = decomp.statespace
+        want = np.array([ss.C_star @ scipy.linalg.expm(k * h * ss.A_star) @ self.X0
+                         for k in range(n)])
+        assert np.max(np.abs(path.Y - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["brownian", "compound_poisson"])
+    def test_initial_state_superposes(self, example_model, example_decomp, kind):
+        # same seed, same noise: the paths from x0 and from zero differ by
+        # the deterministic response, and a zero x0 changes nothing
+        driver = (brownian(5, np.eye(2)) if kind == "brownian" else
+                  sim.DriverSpec(kind="compound_poisson", seed=5, rate=2.0,
+                                 jump_cov=0.5 * np.eye(2)))
+        S = example_decomp.solvent_set
+        zero = sim.simulate(example_decomp, driver, 0.1, 300)
+        explicit_zero = sim.simulate(mcarma.decompose(example_model, S, np.zeros(4)),
+                                     driver, 0.1, 300)
+        assert np.array_equal(zero.Y, explicit_zero.Y)
+        assert np.all(zero.Y[0] == 0.0)
+        moved = sim.simulate(mcarma.decompose(example_model, S, self.X0), driver, 0.1, 300)
+        free = sim.simulate(mcarma.decompose(example_model, S, self.X0),
+                            brownian(0, np.zeros((2, 2))), 0.1, 300)
+        assert np.max(np.abs(moved.Y - zero.Y - free.Y)) <= 1e-12 * np.max(np.abs(moved.Y))
+
+    def test_stationary_start_with_initial_state_rejected(self, example_model,
+                                                          example_set_12):
+        decomp = mcarma.decompose(example_model, example_set_12, self.X0)
+        with pytest.raises(ValueError, match="stationary_start"):
+            sim.simulate(decomp, brownian(0, np.eye(2)), 0.1, 10, stationary_start=True)
+
+
 class TestScalarOu:
     def test_lag_one_autocorrelation(self):
         a, h, n = 1.0, 0.2, 100_000

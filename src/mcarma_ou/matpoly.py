@@ -20,6 +20,7 @@ after the fact, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +86,7 @@ class LambdaMatrix:
         d, m = self.order
         return d == m
 
-    @property
+    @cached_property
     def monic(self):
         """True when square and the leading coefficient is the identity."""
         d, m = self.order
@@ -93,7 +94,7 @@ class LambdaMatrix:
             return False
         return bool(np.max(np.abs(self.coeffs[0] - np.eye(d))) <= 1e-14)
 
-    @property
+    @cached_property
     def is_real(self):
         return bool(max(np.max(np.abs(c.imag)) for c in self.coeffs) <= 1e-14)
 
@@ -219,11 +220,8 @@ def companion_matrix(A):
     d = A.order[0]
     if p < 1:
         raise ValueError("companion matrix requires degree >= 1")
-    C = np.zeros((p * d, p * d), dtype=complex)
-    for i in range(p - 1):
-        C[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = np.eye(d)
-    for j in range(p):
-        C[(p - 1) * d:, j * d:(j + 1) * d] = -A.coeffs[p - j]
+    C = np.eye(p * d, k=d, dtype=complex)
+    C[(p - 1) * d:] = -np.hstack(A.coeffs[:0:-1])
     return C
 
 
@@ -231,7 +229,7 @@ def backward_scale(P, lam):
     """``sum_i ||P_i||_F |lam|^(deg - i)``, which bounds the rounding of
     ``P(lam)`` and scales with it under ``P_i -> c^i P_i``, ``lam -> c lam``
     (Tisseur, Linear Algebra Appl. 309 (2000)); ``lam`` may be an array."""
-    return np.polyval([float(np.linalg.norm(c)) for c in P.coeffs], np.abs(lam))
+    return np.polyval(np.linalg.norm(P.coeffs, axis=(1, 2)), np.abs(lam))
 
 
 def latent_roots(A):
@@ -255,7 +253,7 @@ def latent_roots(A):
     C = companion_matrix(A)
     d = A.order[0]
     vals, vecs = np.linalg.eig(C)
-    cond = np.linalg.cond(vecs)
+    cond = float(_cond(vecs))
     if not np.isfinite(cond) or cond > COND_EIGVEC_MAX:
         raise DefectiveCompanionError(
             f"companion eigenvector condition {cond:.3e} exceeds {COND_EIGVEC_MAX:.0e}")
@@ -293,13 +291,14 @@ def _check_distinct(roots):
                     f"roots {roots[i]:.8g} and {roots[j]:.8g} closer than {tol:.2e}")
 
 
-def _cond_columns(cols):
-    """sigma_max / sigma_min of a stack of column vectors."""
-    M = np.column_stack(cols)
+def _cond(M):
+    """2-norm condition number sigma_max / sigma_min of a matrix, or of each
+    matrix of a stack, from one SVD; inf where sigma_min is 0."""
     s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
+    smax, smin = s[..., 0], s[..., -1]
+    if smin.all():
+        return smax / smin
+    return np.where(smin > 0, smax, np.inf) / np.where(smin > 0, smin, 1.0)
 
 
 def default_grouping(pairs, d, conjugate_closed=True):
@@ -311,27 +310,48 @@ def default_grouping(pairs, d, conjugate_closed=True):
     latent-vector matrix best conditioned.  Conjugate pairs are only split
     when no group has two free slots, so the resulting solvents are real
     whenever the grouping allows it.
+
+    Only a real choice is scored.  For d = 1 or p = 1 there is one grouping,
+    returned directly.  Otherwise the candidates of a placement are the
+    groups with room, counting only the first empty one (every empty group
+    scores the same); a single candidate takes the roots unscored, and
+    candidates of equal size are scored by one stacked SVD.
     """
     n = len(pairs)
     if n % d != 0:
         raise ValueError("number of latent pairs must be a multiple of d")
     p = n // d
+    if d == 1 or p == 1:
+        return [list(range(k * d, (k + 1) * d)) for k in range(p)]
     roots = [pr.root for pr in pairs]
+    vectors = np.array([pr.vector for pr in pairs]).T  # column i is pair i's vector
     tol = _distinct_tol(roots)
     groups = [[] for _ in range(p)]
     assigned = [False] * n
 
     def place(indices):
-        vecs = [pairs[i].vector for i in indices]
-        best, best_cond = None, None
+        cands, has_empty = [], False
         for g, members in enumerate(groups):
-            if len(members) + len(indices) > d:
-                continue
-            cond = _cond_columns([pairs[i].vector for i in members] + vecs)
-            if best is None or cond < best_cond - 1e-12:
-                best, best_cond = g, cond
-        if best is None:
+            if len(members) + len(indices) <= d and (members or not has_empty):
+                cands.append(g)
+                has_empty = has_empty or not members
+        if not cands:
             return False
+        best = cands[0]
+        if len(cands) > 1:
+            cols = [groups[g] + indices for g in cands]
+            by_size = {}
+            for a, c in enumerate(cols):
+                by_size.setdefault(len(c), []).append(a)
+            conds = [0.0] * len(cands)
+            for at in by_size.values():
+                stack = vectors[:, [cols[a] for a in at]].transpose(1, 0, 2)
+                for a, cond in zip(at, _cond(stack).tolist()):
+                    conds[a] = cond
+            best_cond = conds[0]
+            for g, cond in zip(cands[1:], conds[1:]):
+                if cond < best_cond - 1e-12:
+                    best, best_cond = g, cond
         groups[best].extend(indices)
         for i in indices:
             assigned[i] = True
@@ -378,26 +398,36 @@ def eig_multiset_distance(a, b):
     return float(cost[rows, cols].max())
 
 
+def _powers(mats, n):
+    """``R_k^i`` for i = 0..n of a stack of matrices (p, d, d), indexed
+    (i, k): one stacked product per power, ``R_k^i = R_k^(i-1) R_k``."""
+    p, d = mats.shape[:2]
+    out = np.empty((n + 1, p, d, d), dtype=complex)
+    out[0] = np.eye(d)
+    if n >= 1:
+        out[1] = mats
+    for i in range(2, n + 1):
+        np.matmul(out[i - 1], mats, out=out[i])
+    return out
+
+
+def _block_vandermonde(powers):
+    """Block matrix with block (i, k) = ``powers[i, k]``."""
+    p, d = powers.shape[1:3]
+    return powers.transpose(0, 2, 1, 3).reshape(p * d, p * d)
+
+
 def vandermonde(mats):
     """Block Vandermonde matrix: block (i, k) is ``R_k^(i-1)``, i, k = 1..p."""
-    mats = [_as_complex(R) for R in mats]
-    p = len(mats)
-    d = mats[0].shape[0]
-    V = np.zeros((p * d, p * d), dtype=complex)
-    for k, R in enumerate(mats):
-        power = np.eye(d, dtype=complex)
-        for i in range(p):
-            V[i * d:(i + 1) * d, k * d:(k + 1) * d] = power
-            if i < p - 1:
-                power = power @ R
-    return V
+    mats = _as_complex(mats)
+    return _block_vandermonde(_powers(mats, len(mats) - 1))
 
 
 def _residual_norms(A, mats):
     """``||A_R(R_k)||_F`` of a stack of candidate solvents, each certified
     below ``TOL_SOLVENT * max(1, ||A_p||_F)``."""
     scale = max(1.0, float(np.linalg.norm(A.coeffs[-1])))
-    norms = np.array([np.linalg.norm(r) for r in A.eval_right(mats)])
+    norms = np.linalg.norm(A.eval_right(mats), axis=(1, 2))
     worst = float(norms.max())
     if worst > TOL_SOLVENT * scale:
         raise SolventResidualError(
@@ -407,7 +437,7 @@ def _residual_norms(A, mats):
 
 def _vandermonde_cond(V):
     """cond(V), certified at most ``COND_VANDERMONDE_MAX``."""
-    cond_V = float(np.linalg.cond(V))
+    cond_V = float(_cond(V))
     if not np.isfinite(cond_V) or cond_V > COND_VANDERMONDE_MAX:
         raise SingularVandermondeError(f"cond(V) = {cond_V:.3e}")
     return cond_V
@@ -486,16 +516,19 @@ def solvents_from_latents(A, pairs=None, grouping=None):
         pairs = latent_roots(A)
     d = A.order[0]
     p = A.degree
-    _check_distinct([pr.root for pr in pairs])
+    roots = np.array([pr.root for pr in pairs])
+    _check_distinct(roots)
     if grouping is None:
         grouping = default_grouping(pairs, d, conjugate_closed=A.is_real)
     if len(grouping) != p or sorted(i for g in grouping for i in g) != list(range(p * d)):
         raise ValueError("grouping must partition the latent pairs into p groups of d")
     if any(len(group) != d for group in grouping):
         raise ValueError("every group must have exactly d latent pairs")
-    spectrum = np.array([[pairs[i].root for i in group] for group in grouping])
-    P = np.array([np.column_stack([pairs[i].vector for i in group]) for group in grouping])
-    worst = float(np.linalg.cond(P).max())
+    index = np.array(grouping)
+    spectrum = roots[index]
+    vectors = np.array([pr.vector for pr in pairs])
+    P = np.ascontiguousarray(vectors[index].swapaxes(1, 2))  # columns: the group's vectors
+    worst = float(_cond(P).max())
     if not np.isfinite(worst) or worst > COND_GROUP_MAX:
         raise SingularGroupError(f"latent-vector matrix condition {worst:.3e}")
     P_inv = np.linalg.inv(P)
@@ -522,12 +555,12 @@ def coeffs_from_solvent_matrices(mats):
 def vandermonde_solve(mats):
     """:func:`coeffs_from_solvent_matrices` and the condition number of the
     block Vandermonde matrix it inverts, which it certifies below 1e12."""
-    mats = [_as_complex(R) for R in mats]
-    p = len(mats)
-    d = mats[0].shape[0]
-    V = vandermonde(mats)
-    row = np.hstack([np.linalg.matrix_power(R, p) for R in mats])
+    mats = _as_complex(mats)
+    p, d = mats.shape[:2]
+    powers = _powers(mats, p)
+    V = _block_vandermonde(powers[:p])
     cond_V = _vandermonde_cond(V)
+    row = powers[p].transpose(1, 0, 2).reshape(d, p * d)
     X = -np.linalg.solve(V.T, row.T).T
     coeffs = [np.eye(d, dtype=complex)]
     # X carries [A_p, ..., A_1]; unpack into descending-power order
@@ -555,7 +588,7 @@ def linear_factorization(mats):
     partial = identity_shift(mats[0])
     for k in range(1, len(mats)):
         Mk = partial.eval_right(mats[k])
-        cond = np.linalg.cond(Mk)
+        cond = float(_cond(Mk))
         if not np.isfinite(cond) or cond > COND_VANDERMONDE_MAX:
             raise SingularFactorError(f"M_{k + 1}(R_{k + 1}) condition {cond:.3e}")
         Rk_star = Mk @ mats[k] @ np.linalg.inv(Mk)

@@ -103,11 +103,10 @@ def sharp_matrices(A, B):
     d = A.order[0]
     m = B.order[1]
     q = B.degree
-    A_sharp = np.zeros((p * d, p * d), dtype=complex)
-    for i in range(p):
-        for j in range(i + 1):
-            block = np.eye(d) if i == j else A.coeffs[i - j]
-            A_sharp[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
+    A_sharp = np.eye(p * d, dtype=complex)
+    for i in range(1, p):
+        for j in range(i):
+            A_sharp[i * d:(i + 1) * d, j * d:(j + 1) * d] = A.coeffs[i - j]
     B_sharp = np.zeros((p * d, m), dtype=complex)
     offset = (p - (q + 1)) * d
     for k in range(q + 1):
@@ -156,7 +155,7 @@ def residues(F, S):
 
 
 def eval_partial_fraction(S, residues, lam):
-    """Evaluate ``sum_k (lam I - R_k)^{-1} Res_k`` by p dense solves.
+    """Evaluate ``sum_k (lam I - R_k)^{-1} Res_k`` by one stacked solve.
 
     Raises
     ------
@@ -166,8 +165,5 @@ def eval_partial_fraction(S, residues, lam):
     gap = np.min(np.abs(S.roots - lam))
     if gap < POLE_TOL:
         raise PoleHitError(f"evaluation point within {gap:.2e} of a pole")
-    eye = np.eye(S.block_dim, dtype=complex)
-    out = np.zeros_like(residues[0])
-    for R, res in zip(S.matrices, residues):
-        out = out + np.linalg.solve(lam * eye - R, res)
-    return out
+    shifted = lam * np.eye(S.block_dim, dtype=complex) - S.matrices
+    return np.linalg.solve(shifted, residues).sum(axis=0)

@@ -18,9 +18,9 @@ no Python code runs per step and no ``expm`` is taken per jump.
 Reproducibility: one path owns one seeded PCG64 generator; identical seeds
 give bit-identical paths.  A Brownian path for a given seed equals that of
 earlier releases up to rounding, except where a Gramian is singular to
-rounding and ``_psd_factor`` falls back to its eigenvector factor: a
-rounding change can pick another square root there, which gives another
-path of the same law.  A compound-Poisson path for a given seed
+rounding and ``_psd_factor`` falls back to its symmetric square root:
+that factor moves continuously with the Gramian, so a rounding change moves
+the path only slightly.  A compound-Poisson path for a given seed
 differs from releases that simulated step by step, because the jump counts,
 offsets and sizes are now drawn a chunk at a time; its law is unchanged.
 For parallel paths split the seed with
@@ -100,9 +100,14 @@ class PathGrid:
 def _psd_factor(mat, what):
     """Factor a (nearly) PSD matrix.
 
-    Negative eigenvalues down to ``-PSD_CLIP * max|eig|`` are rounding and
-    are clipped with a warning; anything more negative aborts.  The bound
-    scales with the matrix, so ``c * mat`` passes or fails as ``mat`` does.
+    Cholesky where it succeeds.  Otherwise the symmetric PSD square root
+    ``V diag(sqrt(vals)) V^T`` of the eigendecomposition: unlike the
+    eigenvector factor ``V diag(sqrt(vals))`` it does not depend on the
+    arbitrary eigenvectors of a cluster of near-zero eigenvalues, so a
+    rounding change of ``mat`` moves it continuously.  Negative eigenvalues
+    down to ``-PSD_CLIP * max|eig|`` are rounding and are clipped with a
+    warning; anything more negative aborts.  The bound scales with the
+    matrix, so ``c * mat`` passes or fails as ``mat`` does.
     """
     mat = 0.5 * (mat + mat.T)
     try:
@@ -115,7 +120,7 @@ def _psd_factor(mat, what):
         raise CholeskyFailError(f"{what} has eigenvalue {np.min(vals):.3e} < -{bound:.3e}")
     if np.min(vals) < 0.0:
         log.warning("clipping %s eigenvalues at %.3e", what, np.min(vals))
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
 def state_innovation_gramian(decomp, sigma_L, h):

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+from collections import Counter
 
 # One BLAS thread: on the suite's tiny matrices threading only adds outliers.
 # Set before numpy loads OpenBLAS.
@@ -154,3 +155,33 @@ def corpus():
         p = [1, 2, 3][(i // 3) % 3]
         models.append(random_stable_model(rng, d=d, p=p))
     return models
+
+
+HARD_CLASSES = ((4, 3), (5, 4), (6, 4), (4, 6), (8, 3))
+
+
+@pytest.fixture(scope="session")
+def hard_regime():
+    """60 random stable models, 12 in each (d, p) of ``HARD_CLASSES``."""
+    rng = np.random.default_rng(7)
+    return [random_stable_model(rng, d=d, p=p) for d, p in HARD_CLASSES for _ in range(12)]
+
+
+# the numpy.linalg functions that factor a matrix (cond by its own SVD)
+LINALG_FACTORIZATIONS = ("cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh",
+                         "inv", "lstsq", "matrix_power", "pinv", "qr", "slogdet", "solve",
+                         "svd")
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Calls of each ``numpy.linalg`` factorization made while the test runs,
+    counted through wrappers on the ``np.linalg`` namespace."""
+    calls = Counter()
+    for name in LINALG_FACTORIZATIONS:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

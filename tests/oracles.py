@@ -10,8 +10,10 @@ factor of a (p-1)-dependent noise by the multivariate innovations recursion
 instead of doubling on its Riccati equation; a lambda-matrix by multiplying
 out its linear factors.  ``noise_acvf_loop`` is the per-term loop that
 ``sampling.noise_acvf`` replaced by batched products, kept to show that the
-batched sum rounds exactly as the loop does.  The oracles that ``mcarma-ou
-verify`` runs too live in ``mcarma_ou.verify``.
+batched sum rounds exactly as the loop does, and ``greedy_grouping`` the
+grouping walk that ``matpoly.default_grouping`` replaced by scoring only
+real choices, kept to show that the groups are the same.  The oracles that
+``mcarma-ou verify`` runs too live in ``mcarma_ou.verify``.
 """
 
 from types import SimpleNamespace
@@ -263,6 +265,52 @@ def simulate_statespace_twin(decomp, sigma_L, h, n_steps, seed, stationary_start
         x = eAh @ x + noise[:, n - 1]
         Y[n] = ss.C_star @ x
     return sim.PathGrid(h=h, n_steps=n_steps, Y=Y, max_imag=0.0, imag_bound=0.0)
+
+
+def greedy_grouping(pairs, d, conjugate_closed=True):
+    """The greedy grouping of ``matpoly.default_grouping`` as first written:
+    every group with room, empty or not, is scored by the condition number
+    of its partial latent-vector matrix, one SVD each, also when d = 1 or
+    p = 1 leave no choice."""
+    n = len(pairs)
+    p = n // d
+    roots = [pr.root for pr in pairs]
+    tol = 1e-8 * (1.0 + max(abs(r) for r in roots))
+    groups = [[] for _ in range(p)]
+    assigned = [False] * n
+
+    def cond_columns(cols):
+        s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+        return np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
+
+    def place(indices):
+        vecs = [pairs[i].vector for i in indices]
+        best, best_cond = None, None
+        for g, members in enumerate(groups):
+            if len(members) + len(indices) > d:
+                continue
+            cond = cond_columns([pairs[i].vector for i in members] + vecs)
+            if best is None or cond < best_cond - 1e-12:
+                best, best_cond = g, cond
+        if best is None:
+            return False
+        groups[best].extend(indices)
+        for i in indices:
+            assigned[i] = True
+        return True
+
+    for i in range(n):
+        if assigned[i]:
+            continue
+        lam = roots[i]
+        if conjugate_closed and abs(lam.imag) > tol:
+            partner = next((j for j in range(n) if j != i and not assigned[j]
+                            and abs(roots[j] - lam.conjugate()) < tol), None)
+            if partner is not None and place([i, partner]):
+                continue
+        if not place([i]):
+            raise AssertionError("greedy grouping ran out of free slots")
+    return [sorted(g) for g in groups]
 
 
 def expand_factors(factors):

@@ -14,7 +14,7 @@ from mcarma_ou.exceptions import (
 )
 
 from conftest import A1, A2, R1, R2, R3, R4, random_stable_model
-from oracles import expand_factors
+from oracles import expand_factors, greedy_grouping
 
 
 def scalar_poly(*coeffs):
@@ -160,6 +160,32 @@ class TestSolventsFromLatents:
         ]
         with pytest.raises(SingularGroupError):
             matpoly.solvents_from_latents(example_poly, tweaked, [[0, 1], [2, 3]])
+
+
+class TestDefaultGrouping:
+    """The grouping scores only real choices and keeps the greedy groups."""
+
+    @staticmethod
+    def groups(model, grouping):
+        return grouping(list(model.latent_pairs), model.d, conjugate_closed=model.A.is_real)
+
+    def test_same_groups_as_greedy_on_corpus(self, corpus):
+        for model in corpus:
+            assert (self.groups(model, matpoly.default_grouping)
+                    == self.groups(model, greedy_grouping))
+
+    def test_same_groups_as_greedy_on_hard_regime(self, hard_regime):
+        for model in hard_regime:
+            assert (self.groups(model, matpoly.default_grouping)
+                    == self.groups(model, greedy_grouping))
+
+    def test_no_factorization_without_a_choice(self, corpus, linalg_calls):
+        unique = [m for m in corpus if m.d == 1 or m.p == 1]
+        assert {m.d for m in unique} == {1, 2, 3} and {m.p for m in unique} == {1, 2, 3}
+        for model in unique:
+            got = self.groups(model, matpoly.default_grouping)
+            assert got == [list(range(k * model.d, (k + 1) * model.d)) for k in range(model.p)]
+        assert sum(linalg_calls.values()) == 0
 
 
 class TestStackedRepresentation:

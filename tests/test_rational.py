@@ -169,6 +169,23 @@ class TestEvalPartialFraction:
         decomp = mcarma.decompose(model, model.solvent_set())
         assert verify.check_pf_reconstruction(decomp).ok
 
+    @pytest.mark.parametrize("index", [None, 8, 143])
+    def test_reconstruction_row_on_named_models(self, index, example_model, corpus):
+        # carma2x2, then corpus #8 and #143 (d = p = 3; #143's coefficients
+        # reach 6e6), through the stacked solve of eval_partial_fraction
+        model = example_model if index is None else corpus[index]
+        check = verify.check_pf_reconstruction(mcarma.decompose(model, model.solvent_set()))
+        assert check.bound == 1e-8
+        assert check.ok, check
+
+    def test_stacked_solve_is_the_sum_of_solves(self, corpus):
+        model = corpus[8]
+        S = model.solvent_set()
+        res = mcarma.decompose(model, S).residues
+        z = 0.3 + 0.7j
+        want = sum(np.linalg.solve(z * np.eye(3) - R, r) for R, r in zip(S.matrices, res))
+        assert_allclose(rational.eval_partial_fraction(S, res, z), want, rtol=1e-14, atol=0)
+
 
 class TestRealnessAndShapes:
     def test_exponential_sum_real_on_grid(self, example_set_12, res_12):

@@ -299,6 +299,26 @@ class TestPsdRepair:
         with pytest.raises(CholeskyFailError):
             sim._psd_factor(np.diag([1.0, -1e-6]), "test matrix")
 
+    def test_fallback_factor_is_continuous(self, corpus):
+        # corpus #143 at h = 0.1: the innovation Gramian has eigenvalues from
+        # -2.6e-9 to 9.7e6, so Cholesky fails and the eigenvalue route runs
+        model = corpus[143]
+        decomp = mcarma.decompose(model, model.solvent_set())
+        Q = sim.state_innovation_gramian(decomp, model.sigma_L, 0.1)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(0.5 * (Q + Q.T))
+        factor = sim._psd_factor(Q, "innovation Gramian")
+        vals, vecs = np.linalg.eigh(0.5 * (Q + Q.T))
+        clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+        scale = np.max(np.abs(Q))
+        assert np.max(np.abs(factor @ factor.T - clipped)) <= 1e-12 * scale
+        for seed in range(3):
+            E = np.random.default_rng(seed).standard_normal(Q.shape)
+            E = (E + E.T) / np.linalg.norm(E + E.T, 2)
+            for eps in (1e-15, 1e-14, 1e-13, 1e-12):
+                moved = sim._psd_factor(Q + eps * scale * E, "innovation Gramian")
+                assert np.max(np.abs(moved - factor)) <= 1e-6 * np.max(np.abs(factor))
+
     @pytest.mark.parametrize("mat", [np.diag([1.0, -5e-13]), np.diag([1.0, -1e-6]),
                                      np.diag([2.0, 1.0]), np.zeros((2, 2))])
     def test_scale_invariant(self, mat):

@@ -17,6 +17,8 @@ and the stationary autocovariance splits into per-component OU Gramians.
 The decomposition is certified here through the similarity transform
 T = V(R_1, ..., R_p).  An ``OuDecomposition`` holds the pairs (R_k, Res_k)
 once, as a solvent set and its residue stack (``rational.residues``).
+A ``McarmaModel`` builds its fraction A^{-1} B, state space and default
+solvent set once, on first use; ``decompose`` forms only what depends on S.
 
 Every matrix function of a solvent is evaluated in its eigenbasis
 R_k = P_k diag(lam_k) P_k^{-1}, which a ``matpoly.SolventSet`` carries
@@ -32,6 +34,7 @@ solvent pairs (``component_gramians``) and the modal sums over all lags
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,6 +71,9 @@ class McarmaModel:
     The driver is assumed zero-mean with ``Var L(1) = sigma_L``; models with
     a nonzero driver mean are rejected at validation.  ``stationary`` holds
     iff every latent root of A has strictly negative real part.
+    ``fraction``, ``statespace`` and the default ``solvent_set()`` are built
+    on first use and kept; a failing certificate keeps nothing and raises
+    again on the next use.
     """
 
     A: matpoly.LambdaMatrix
@@ -119,10 +125,23 @@ class McarmaModel:
         return np.array([pr.root for pr in self.latent_pairs])
 
     def solvent_set(self, grouping=None):
+        """The kept default solvent set, or a new one of ``grouping``."""
+        if grouping is None:
+            return self._default_solvent_set
         return matpoly.solvents_from_latents(self.A, list(self.latent_pairs), grouping)
 
-    def rational_fraction(self):
+    @cached_property
+    def _default_solvent_set(self):
+        return matpoly.solvents_from_latents(self.A, list(self.latent_pairs))
+
+    @cached_property
+    def fraction(self):
+        """``A^{-1} B`` with its coprimeness certificate and B*."""
         return rational.RationalLeftMatrix.build(self.A, self.B, list(self.latent_pairs))
+
+    @cached_property
+    def statespace(self):
+        return build_state_space(self.fraction)
 
 
 @dataclass(frozen=True)
@@ -148,7 +167,7 @@ class StateSpace:
 
 def build_state_space(F):
     """Assemble (A*, B*, C*, A#, B#) of a fraction ``F = A^{-1} B`` (a
-    ``rational.RationalLeftMatrix``, e.g. ``model.rational_fraction()``) and
+    ``rational.RationalLeftMatrix``, e.g. ``model.fraction``) and
     certify the identity A# B* = B#.
 
     B* is the real part of ``F.B_star``, forward substitution on A#, so the
@@ -186,6 +205,8 @@ class OuDecomposition:
     ``transform`` is the block Vandermonde T with A* = T diag(R_k) T^{-1},
     B* = T stack(Res_k) and C* T = (I, ..., I); the initial values satisfy
     the realness constraint T stack(Y_k(0)) in R^{pd}.
+    ``similarity_residual`` and ``similarity_bound`` are the measured value
+    and the bound of that certificate (see ``decompose``).
     """
 
     model: McarmaModel
@@ -193,6 +214,8 @@ class OuDecomposition:
     solvent_set: matpoly.SolventSet
     residues: np.ndarray
     y0: np.ndarray
+    similarity_residual: float
+    similarity_bound: float
 
     @property
     def p(self):
@@ -210,6 +233,9 @@ class OuDecomposition:
 def decompose(model, S, x0=None):
     """Split an MCARMA model into p OU components along a solvent set.
 
+    The fraction and state space are the model's; the residues, the
+    similarity certificate (within ``SIMILARITY_TOL``) and y0 are formed here.
+
     Parameters
     ----------
     model : McarmaModel
@@ -226,9 +252,8 @@ def decompose(model, S, x0=None):
     NotIrreducibleError
         When A and B fail the left-coprimeness certificate.
     """
-    F = model.rational_fraction()
-    residues = rational.residues(F, S)
-    ss = build_state_space(F)
+    residues = rational.residues(model.fraction, S)
+    ss = model.statespace
     T = S.V
     p, d = model.p, model.d
     if x0 is None:
@@ -257,7 +282,7 @@ def decompose(model, S, x0=None):
 
     y0 = y0.reshape(p, d)
     y0.setflags(write=False)
-    return OuDecomposition(model, ss, S, residues, y0)
+    return OuDecomposition(model, ss, S, residues, y0, worst, SIMILARITY_TOL)
 
 
 def _real_sum(S, times, mats, what):

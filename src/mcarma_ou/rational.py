@@ -61,10 +61,6 @@ class RationalLeftMatrix:
         B_star.setflags(write=False)
         return cls(A, B, ok, witness, B_star)
 
-    @property
-    def order(self):
-        return (self.A.order[0], self.B.order[1])
-
 
 def check_irreducible(A, B, pairs=None):
     """Left-coprimeness rank test at every latent root of A.

@@ -145,6 +145,11 @@ def random_stable_model(rng, d=None, p=None, q=None, min_sep=0.1):
     raise RuntimeError("could not draw a stable model")
 
 
+def fresh(model):
+    """A new model from the same coefficients, with nothing built yet."""
+    return mcarma.McarmaModel.build(model.A, model.B, model.sigma_L)
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """200 random stable models spanning d, p in {1,2,3}, separation >= 0.1."""

@@ -5,6 +5,11 @@ is bound by call overhead on small matrices, so the number of
 ``numpy.linalg`` factorizations it makes is a cost that does not depend on
 the machine.  These tests pin the counts reached so far: a change that adds
 a factorization to the op fails here.
+
+The first op on a model also builds what the model keeps (its default
+solvent set, fraction and state space); a later op on the same model reuses
+them.  Both are counted on a freshly built model, so the order in which
+tests touch the shared fixtures does not matter.
 """
 
 from collections import Counter
@@ -12,6 +17,8 @@ from collections import Counter
 import pytest
 
 from mcarma_ou import mcarma, sampling
+
+from conftest import fresh
 
 H = 0.25
 LAGS = [k * H for k in range(11)]
@@ -22,6 +29,11 @@ BUDGET = {
     "carma2x2": Counter(svd=8, solve=5, inv=2, eigvalsh=4, eigvals=1),
     "corpus-8": Counter(svd=13, solve=6, inv=2, eigvalsh=4, eigvals=1),
 }
+# the second op on the same model
+WARM_BUDGET = {
+    "carma2x2": Counter(svd=2, solve=5, inv=1, eigvalsh=4, eigvals=1),
+    "corpus-8": Counter(svd=2, solve=6, inv=1, eigvalsh=4, eigvals=1),
+}
 
 
 def fit_op(model):
@@ -30,14 +42,27 @@ def fit_op(model):
     return sampling.sampled_varma(decomp, H)
 
 
-@pytest.mark.parametrize("name", sorted(BUDGET))
-def test_fit_op_within_budget(name, example_model, corpus, linalg_calls):
-    model = example_model if name == "carma2x2" else corpus[8]
+def op_calls(model, linalg_calls):
+    """Factorizations of one fit op, without the doubling steps' solves."""
     linalg_calls.clear()
     steps = fit_op(model).ma_steps
     linalg_calls["solve"] -= steps
-    over = linalg_calls - BUDGET[name]
+    return +linalg_calls
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_fit_op_within_budget(name, example_model, corpus, linalg_calls):
+    model = fresh(example_model if name == "carma2x2" else corpus[8])
+    over = op_calls(model, linalg_calls) - BUDGET[name]
     assert not over, f"{name}: factorizations over budget {dict(over)}"
+
+
+@pytest.mark.parametrize("name", sorted(WARM_BUDGET))
+def test_second_fit_op_within_warm_budget(name, example_model, corpus, linalg_calls):
+    model = fresh(example_model if name == "carma2x2" else corpus[8])
+    op_calls(model, linalg_calls)
+    over = op_calls(model, linalg_calls) - WARM_BUDGET[name]
+    assert not over, f"{name}: second op over budget {dict(over)}"
 
 
 def test_decompose_solves_only_the_residues(example_model, corpus, linalg_calls):

@@ -6,10 +6,16 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from mcarma_ou import matpoly, mcarma, rational, verify
-from mcarma_ou.exceptions import NotStationaryError, SharpIdentityError
+from mcarma_ou import matpoly, mcarma, rational, sampling, verify
+from mcarma_ou.exceptions import (
+    DuplicateLatentRootError,
+    ImaginaryLeakError,
+    NotIrreducibleError,
+    NotStationaryError,
+    SharpIdentityError,
+)
 
-from conftest import R1, R2, RES1, RES2, random_stable_model
+from conftest import R1, R2, R3, RES1, RES2, fresh, random_stable_model
 from oracles import components, eigenbasis, expm_eig, quad_infinite_gramian
 
 
@@ -47,7 +53,7 @@ def example_decomp_34(example_model, example_set_34):
 
 class TestStateSpace:
     def test_example_b_star(self, example_model):
-        ss = mcarma.build_state_space(example_model.rational_fraction())
+        ss = mcarma.build_state_space(example_model.fraction)
         assert_allclose(ss.B_star[:2], np.zeros((2, 2)))
         assert_allclose(ss.B_star[2:], np.eye(2))
         assert_allclose(ss.C_star, np.hstack([np.eye(2), np.zeros((2, 2))]))
@@ -58,7 +64,7 @@ class TestStateSpace:
         model = mcarma.McarmaModel.build(
             matpoly.LambdaMatrix((np.eye(2), -M)),
             matpoly.LambdaMatrix((np.eye(2),)), np.eye(2))
-        ss = mcarma.build_state_space(model.rational_fraction())
+        ss = mcarma.build_state_space(model.fraction)
         assert_allclose(ss.A_star, M, atol=1e-14)
         assert_allclose(ss.B_star, np.eye(2))
         assert_allclose(ss.C_star, np.eye(2))
@@ -67,7 +73,7 @@ class TestStateSpace:
     def test_sharp_identity_random(self, seed):
         rng = np.random.default_rng(600 + seed)
         model = random_stable_model(rng)
-        ss = mcarma.build_state_space(model.rational_fraction())
+        ss = mcarma.build_state_space(model.fraction)
         assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
 
     def test_sharp_identity_large_coefficients(self, corpus):
@@ -75,20 +81,20 @@ class TestStateSpace:
         # rounding residual (1.7e-12) exceeds any absolute bound of 1e-12
         model = corpus[143]
         assert (model.d, model.p) == (3, 3)
-        ss = mcarma.build_state_space(model.rational_fraction())
+        ss = mcarma.build_state_space(model.fraction)
         assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
         mcarma.decompose(model, model.solvent_set())
 
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2, 1e4])
     def test_sharp_identity_time_rescaling_example(self, example_model, c):
-        ss = mcarma.build_state_space(rescale_time(example_model, c).rational_fraction())
+        ss = mcarma.build_state_space(rescale_time(example_model, c).fraction)
         assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
 
     # c = 1e4 is left out: McarmaModel.build rejects the rescaled #143 in
     # latent_roots (DefectiveCompanion) before the state space is formed.
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2])
     def test_sharp_identity_time_rescaling_corpus(self, corpus, c):
-        ss = mcarma.build_state_space(rescale_time(corpus[143], c).rational_fraction())
+        ss = mcarma.build_state_space(rescale_time(corpus[143], c).fraction)
         assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
 
     def test_sharp_identity_violation_is_typed(self, example_model, monkeypatch):
@@ -100,11 +106,13 @@ class TestStateSpace:
             return X
 
         monkeypatch.setattr(rational, "solve_sharp", perturbed)
+        # a fresh model: the session fixture may already hold its exact B*
+        model = fresh(example_model)
         with pytest.raises(SharpIdentityError, match="SharpIdentity"):
-            mcarma.build_state_space(example_model.rational_fraction())
+            mcarma.build_state_space(model.fraction)
 
     def test_companion_spectrum_is_latent(self, example_model):
-        ss = mcarma.build_state_space(example_model.rational_fraction())
+        ss = mcarma.build_state_space(example_model.fraction)
         got = np.sort(np.linalg.eigvals(ss.A_star).real)
         assert_allclose(got, [-4, -3, -2, -1], atol=1e-8)
 
@@ -114,7 +122,7 @@ class TestDecompose:
     def test_time_rescaling_example(self, example_model, c):
         # [A(lam) | I] has full rank at every c, however large A(lam) gets
         model = rescale_time(example_model, c)
-        assert model.rational_fraction().irreducible
+        assert model.fraction.irreducible
         mcarma.decompose(model, model.solvent_set())
 
     def test_example_residues(self, example_decomp_12):
@@ -148,7 +156,7 @@ class TestDecompose:
             assert np.max(np.abs(S.V @ stacked - x0)) <= 1e-10 * np.max(np.abs(x0))
 
     def test_one_sharp_solve_per_decompose(self, example_model, example_set_12,
-                                           monkeypatch):
+                                           example_set_34, monkeypatch):
         calls = []
         for name in ("solve_sharp", "sharp_matrices"):
             original = getattr(rational, name)
@@ -158,11 +166,17 @@ class TestDecompose:
                 return original(*args)
 
             monkeypatch.setattr(rational, name, counted)
-        decomp = mcarma.decompose(example_model, example_set_12)
+        model = fresh(example_model)
+        decomp = mcarma.decompose(model, example_set_12)
         assert sorted(calls) == ["sharp_matrices", "solve_sharp"]
+        # a second decomposition, along the other solvent set, reuses both
+        calls.clear()
+        other = mcarma.decompose(model, example_set_34)
+        assert calls == []
+        assert other.statespace is decomp.statespace
         # the residues and B* come from the same forward substitution
         assert np.array_equal(decomp.statespace.B_star,
-                              rational.solve_sharp(example_model.A, example_model.B).real)
+                              rational.solve_sharp(model.A, model.B).real)
 
     def test_decomposition_is_read_only(self, example_model, example_set_12):
         decomp = mcarma.decompose(example_model, example_set_12, np.ones(4))
@@ -191,6 +205,72 @@ class TestDecompose:
         stacked = decomp.residues.reshape(T.shape[0], -1)
         assert np.linalg.norm(ss.B_star - T @ stacked) <= 1e-9 * max(
             1.0, np.linalg.norm(ss.B_star))
+
+
+    def test_similarity_certificate_is_kept(self, corpus, monkeypatch):
+        model = corpus[8]
+        decomp = mcarma.decompose(model, model.solvent_set())
+        assert decomp.similarity_bound == mcarma.SIMILARITY_TOL
+        assert 0.0 < decomp.similarity_residual <= decomp.similarity_bound
+        # the stored value is the one the certificate measures
+        monkeypatch.setattr(mcarma, "SIMILARITY_TOL", 0.0)
+        with pytest.raises(ImaginaryLeakError,
+                           match=f"failed at {decomp.similarity_residual:.3e}"):
+            mcarma.decompose(model, model.solvent_set())
+
+
+class TestModelCache:
+    """What depends on the model alone is built once, on first use."""
+
+    def test_default_solvent_set_is_kept(self, example_model):
+        model = fresh(example_model)
+        S = model.solvent_set()
+        assert model.solvent_set() is S
+        # an explicit grouping builds a new set and leaves the default alone
+        grouping = [[0, 3], [1, 2]]
+        other = model.solvent_set(grouping)
+        assert other is not S and model.solvent_set(grouping) is not other
+        assert_allclose(other.matrices[0].real, R3, atol=1e-9)
+        assert model.solvent_set() is S
+
+    def test_fraction_and_state_space_are_kept(self, example_model):
+        model = fresh(example_model)
+        a = mcarma.decompose(model, model.solvent_set())
+        b = mcarma.decompose(model, model.solvent_set([[0, 3], [1, 2]]))
+        assert model.statespace is a.statespace is b.statespace
+        assert model.fraction is model.fraction
+        assert np.array_equal(model.statespace.B_star, model.fraction.B_star.real)
+
+    def test_not_coprime_raises_on_every_decompose(self):
+        # A = (z + 1)(z + 2) and B = z + 1 share the root -1
+        model = scalar_model([1, 3, 2], [1, 1])
+        S = model.solvent_set()
+        for _ in range(2):
+            with pytest.raises(NotIrreducibleError):
+                mcarma.decompose(model, S)
+
+    def test_failing_default_set_raises_on_every_call(self):
+        # diag((z + 1)(z + 2), (z + 1)(z + 3)): the root -1 is double
+        model = mcarma.McarmaModel.build(
+            matpoly.LambdaMatrix((np.eye(2), np.diag([3.0, 4.0]), np.diag([2.0, 3.0]))),
+            matpoly.LambdaMatrix((np.eye(2),)), np.eye(2))
+        for _ in range(2):
+            with pytest.raises(DuplicateLatentRootError):
+                model.solvent_set()
+
+    def test_second_fit_equals_first(self, corpus):
+        h = 0.25
+        lags = [k * h for k in range(11)]
+        for index, model in enumerate(corpus):
+            model = fresh(model)
+            ops = []
+            for _ in range(2):
+                decomp = mcarma.decompose(model, model.solvent_set())
+                sv = sampling.sampled_varma(decomp, h)
+                ops.append([decomp.residues, mcarma.stationary_acvf(decomp, lags),
+                            sv.psi, sv.phi, sv.gamma_U, sv.theta, sv.sigma_eps])
+            for first, second in zip(*ops):
+                assert np.array_equal(first, second), index
 
 
 class TestKernel:

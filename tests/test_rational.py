@@ -124,7 +124,7 @@ class TestResidues:
     def test_contour_quadrature_random(self, seed):
         rng = np.random.default_rng(400 + seed)
         model = random_stable_model(rng, d=2, p=2)
-        F = model.rational_fraction()
+        F = model.fraction
         S = model.solvent_set()
         spectra = [np.linalg.eigvals(R) for R in S.matrices]
         for k, res in enumerate(rational.residues(F, S)):

@@ -20,26 +20,29 @@ import sys
 
 import numpy as np
 
-from . import matpoly, mcarma, rational, sampling, sim
+from . import matpoly, mcarma, sampling, sim, tolerances as tol
 from .exceptions import CertificationError, ModelFileError
 
 
 # ---------------------------------------------------------------------------
 # model file handling
 
-def _matrix(obj, name):
+def _array(obj, name, ndim=2):
+    """``obj`` as a finite float array of ``ndim`` dimensions (any if None)."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as err:
         raise ModelFileError(f"{name} is not numeric: {err}") from None
-    if arr.ndim != 2:
-        raise ModelFileError(f"{name} must be a 2-d matrix")
+    if ndim is not None and arr.ndim != ndim:
+        raise ModelFileError(f"{name} must have {ndim} dimensions")
+    if not np.isfinite(arr).all():
+        raise ModelFileError(f"{name} has a non-finite entry")
     return arr
 
 def _coeff_list(obj, name):
     if not isinstance(obj, list) or not obj:
         raise ModelFileError(f"{name} must be a non-empty list of matrices")
-    mats = [_matrix(c, f"{name}[{i}]") for i, c in enumerate(obj)]
+    mats = [_array(c, f"{name}[{i}]") for i, c in enumerate(obj)]
     if any(m.shape != mats[0].shape for m in mats):
         raise ModelFileError(f"{name} blocks must share one shape")
     return mats
@@ -61,8 +64,10 @@ def load_model_file(path, seed=0):
 
     a_coeffs = _coeff_list(doc["A"], "A")
     b_coeffs = _coeff_list(doc["B"], "B")
-    sigma_L = _matrix(doc["sigma_L"], "sigma_L")
+    sigma_L = _array(doc["sigma_L"], "sigma_L")
     mean_L = doc.get("mean_L")
+    if mean_L is not None:
+        mean_L = _array(mean_L, "mean_L", ndim=None)
 
     try:
         model = mcarma.McarmaModel.build(
@@ -83,9 +88,10 @@ def load_model_file(path, seed=0):
     elif kind == "compound_poisson":
         if "rate" not in driver_doc or "jump_cov" not in driver_doc:
             raise ModelFileError("compound_poisson driver needs rate and jump_cov")
-        rate = float(driver_doc["rate"])
-        jump_cov = _matrix(driver_doc["jump_cov"], "driver.jump_cov")
-        if np.max(np.abs(rate * jump_cov - sigma_L)) > 1e-10 * max(1.0, np.max(np.abs(sigma_L))):
+        rate = float(_array(driver_doc["rate"], "driver.rate", ndim=0))
+        jump_cov = _array(driver_doc["jump_cov"], "driver.jump_cov")
+        bound = tol.DRIVER_MATCH * max(1.0, np.max(np.abs(sigma_L)))
+        if not np.max(np.abs(rate * jump_cov - sigma_L)) <= bound:
             raise ModelFileError("rate * jump_cov must equal sigma_L (Var L(1))")
         driver = sim.DriverSpec(kind="compound_poisson", seed=seed,
                                 rate=rate, jump_cov=jump_cov)
@@ -157,9 +163,9 @@ def _solvent_payload(S):
             for R, spectrum, norm in zip(S.matrices, S.spectrum, S.residual_norms)
         ],
         "cond_V": float(S.cond_V),
-        "tolerances": {"solvent_residual": matpoly.TOL_SOLVENT,
-                       "eigenvalue_match": matpoly.TOL_EIG,
-                       "coprimeness_rank": rational.RANK_TOL},
+        "tolerances": {"solvent_residual": tol.SOLVENT_RESIDUAL,
+                       "eigenvalue_match": tol.EIG_MATCH,
+                       "coprimeness_rank": tol.COPRIME_RANK},
     }
 
 def cmd_solvents(args):
@@ -331,10 +337,17 @@ def build_parser():
     add("verify", cmd_verify, h=True, steps=True, seed=True)
     return parser
 
+def _check_steps(args):
+    if "h" in args and not 0.0 < args.h < np.inf:
+        raise ModelFileError(f"--h must be positive and finite, got {args.h}")
+    if "steps" in args and args.steps < 1:
+        raise ModelFileError(f"--steps must be at least 1, got {args.steps}")
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_steps(args)
         return args.fn(args)
     except ModelFileError as err:
         print(f"input error: {err}", file=sys.stderr)

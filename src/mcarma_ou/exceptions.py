@@ -8,7 +8,8 @@ the violated invariant in ``invariant``.
 
 
 class ModelFileError(ValueError):
-    """Model file cannot be parsed or has inconsistent shapes."""
+    """A model file or a command-line value is malformed: unparsable,
+    inconsistent in shape, non-finite or out of range."""
 
 
 class CertificationError(ValueError):

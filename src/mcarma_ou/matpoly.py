@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import tolerances as tol
 from .exceptions import (
     DefectiveCompanionError,
     DuplicateLatentRootError,
@@ -34,12 +35,6 @@ from .exceptions import (
     SingularVandermondeError,
     SolventResidualError,
 )
-
-TOL_SOLVENT = 1e-9      # residual bound, relative to max(1, ||A_p||_F)
-TOL_EIG = 1e-8          # eigenvalue matching; latent residual per backward_scale
-COND_GROUP_MAX = 1e10   # latent-vector group condition bound
-COND_EIGVEC_MAX = 1e12  # companion eigenvector matrix condition bound
-COND_VANDERMONDE_MAX = 1e12
 
 
 def _as_complex(mat):
@@ -92,11 +87,11 @@ class LambdaMatrix:
         d, m = self.order
         if d != m:
             return False
-        return bool(np.max(np.abs(self.coeffs[0] - np.eye(d))) <= 1e-14)
+        return bool(np.max(np.abs(self.coeffs[0] - np.eye(d))) <= tol.STRUCTURE)
 
     @cached_property
     def is_real(self):
-        return bool(max(np.max(np.abs(c.imag)) for c in self.coeffs) <= 1e-14)
+        return bool(max(np.max(np.abs(c.imag)) for c in self.coeffs) <= tol.STRUCTURE)
 
     def eval(self, lam):
         """Evaluate at a complex scalar by Horner's scheme; for an array of
@@ -248,15 +243,12 @@ def latent_roots(A):
     ------
     DefectiveCompanionError
         If the companion eigenvector matrix has condition number above
-        1e12, or some ``||A(lam) v|| > TOL_EIG * backward_scale(A, lam)``.
+        ``tolerances.CONDITION``, or a latent pair residual exceeds its bound.
     """
     C = companion_matrix(A)
     d = A.order[0]
     vals, vecs = np.linalg.eig(C)
-    cond = float(_cond(vecs))
-    if not np.isfinite(cond) or cond > COND_EIGVEC_MAX:
-        raise DefectiveCompanionError(
-            f"companion eigenvector condition {cond:.3e} exceeds {COND_EIGVEC_MAX:.0e}")
+    tol.certify(DefectiveCompanionError, "cond(eigenvectors)", float(_cond(vecs)), tol.CONDITION)
     pairs = []
     for lam, vec, scale in zip(vals, vecs.T, backward_scale(A, vals)):
         lead = vec[:d]
@@ -269,26 +261,14 @@ def latent_roots(A):
         phase = lead[k] / abs(lead[k])
         lead = lead / phase
         res = float(np.linalg.norm(A.eval(lam) @ lead))
-        if res > TOL_EIG * scale:
-            raise DefectiveCompanionError(
-                f"latent pair residual {res:.3e} at root {lam:.6g}")
+        tol.certify(DefectiveCompanionError, "latent residual", res, tol.LATENT_RESIDUAL * scale)
         pairs.append(LatentPair(complex(lam), lead, res))
     pairs.sort(key=lambda pr: (-pr.root.real, -pr.root.imag))
     return pairs
 
 
 def _distinct_tol(roots):
-    return 1e-8 * (1.0 + max(abs(r) for r in roots))
-
-
-def _check_distinct(roots):
-    roots = [complex(r) for r in roots]
-    tol = _distinct_tol(roots)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < tol:
-                raise DuplicateLatentRootError(
-                    f"roots {roots[i]:.8g} and {roots[j]:.8g} closer than {tol:.2e}")
+    return tol.EIG_MATCH * (1.0 + max(abs(r) for r in roots))
 
 
 def _cond(M):
@@ -325,7 +305,7 @@ def default_grouping(pairs, d, conjugate_closed=True):
         return [list(range(k * d, (k + 1) * d)) for k in range(p)]
     roots = [pr.root for pr in pairs]
     vectors = np.array([pr.vector for pr in pairs]).T  # column i is pair i's vector
-    tol = _distinct_tol(roots)
+    near = _distinct_tol(roots)
     groups = [[] for _ in range(p)]
     assigned = [False] * n
 
@@ -350,7 +330,7 @@ def default_grouping(pairs, d, conjugate_closed=True):
                     conds[a] = cond
             best_cond = conds[0]
             for g, cond in zip(cands[1:], conds[1:]):
-                if cond < best_cond - 1e-12:
+                if cond < best_cond - tol.GROUPING_TIE:
                     best, best_cond = g, cond
         groups[best].extend(indices)
         for i in indices:
@@ -361,10 +341,10 @@ def default_grouping(pairs, d, conjugate_closed=True):
         if assigned[i]:
             continue
         lam = roots[i]
-        if conjugate_closed and abs(lam.imag) > tol:
+        if conjugate_closed and abs(lam.imag) > near:
             partner = None
             for j in range(n):
-                if j != i and not assigned[j] and abs(roots[j] - lam.conjugate()) < tol:
+                if j != i and not assigned[j] and abs(roots[j] - lam.conjugate()) < near:
                     partner = j
                     break
             if partner is not None and place([i, partner]):
@@ -425,22 +405,11 @@ def vandermonde(mats):
 
 def _residual_norms(A, mats):
     """``||A_R(R_k)||_F`` of a stack of candidate solvents, each certified
-    below ``TOL_SOLVENT * max(1, ||A_p||_F)``."""
+    below ``tolerances.SOLVENT_RESIDUAL * max(1, ||A_p||_F)``."""
     scale = max(1.0, float(np.linalg.norm(A.coeffs[-1])))
     norms = np.linalg.norm(A.eval_right(mats), axis=(1, 2))
-    worst = float(norms.max())
-    if worst > TOL_SOLVENT * scale:
-        raise SolventResidualError(
-            f"||A_R(R)||_F = {worst:.3e} exceeds {TOL_SOLVENT * scale:.3e}")
+    tol.certify(SolventResidualError, "||A_R(R)||_F", norms, tol.SOLVENT_RESIDUAL * scale)
     return norms
-
-
-def _vandermonde_cond(V):
-    """cond(V), certified at most ``COND_VANDERMONDE_MAX``."""
-    cond_V = float(_cond(V))
-    if not np.isfinite(cond_V) or cond_V > COND_VANDERMONDE_MAX:
-        raise SingularVandermondeError(f"cond(V) = {cond_V:.3e}")
-    return cond_V
 
 
 def _certified_set(mats, spectrum, P, P_inv, residual_norms):
@@ -448,7 +417,8 @@ def _certified_set(mats, spectrum, P, P_inv, residual_norms):
     of solvents whose residuals are certified, its cond(V) certificate, and
     the read-only stacks."""
     V = vandermonde(mats)
-    cond_V = _vandermonde_cond(V)
+    cond_V = float(_cond(V))
+    tol.certify(SingularVandermondeError, "cond(V)", cond_V, tol.CONDITION)
     stacks = (mats, spectrum, P, P_inv, residual_norms, V)
     return SolventSet(*(_readonly(a) for a in stacks), cond_V)
 
@@ -476,16 +446,12 @@ def certify_solvent_set(A, mats):
     spectrum, P = np.linalg.eig(mats)
 
     gaps = np.abs(spectrum[:, None, :, None] - spectrum[None, :, None, :]).min(axis=(2, 3))
-    overlap = np.triu(gaps <= TOL_EIG, 1)
-    if overlap.any():
-        i, j = np.argwhere(overlap)[0]
-        raise IncompleteSetError(
-            f"spectra of solvents {i} and {j} overlap (gap {gaps[i, j]:.2e})")
+    gaps[np.tril_indices(p)] = np.inf
+    tol.certify(IncompleteSetError, "spectrum gap", gaps, np.nextafter(tol.EIG_MATCH, np.inf),
+                at_least=True)
     roots = np.array([pr.root for pr in latent_roots(A)])
     err = eig_multiset_distance(spectrum.reshape(-1), roots)
-    if err > TOL_EIG:
-        raise IncompleteSetError(
-            f"union of solvent spectra misses latent roots by {err:.3e}")
+    tol.certify(IncompleteSetError, "distance to the latent roots", err, tol.EIG_MATCH)
     return _certified_set(mats, spectrum, P, np.linalg.inv(P), residual_norms)
 
 
@@ -517,7 +483,9 @@ def solvents_from_latents(A, pairs=None, grouping=None):
     d = A.order[0]
     p = A.degree
     roots = np.array([pr.root for pr in pairs])
-    _check_distinct(roots)
+    gaps = np.abs(np.subtract.outer(roots, roots))
+    gaps[np.tril_indices(len(roots))] = np.inf  # each pair once
+    tol.certify(DuplicateLatentRootError, "root gap", gaps, _distinct_tol(roots), at_least=True)
     if grouping is None:
         grouping = default_grouping(pairs, d, conjugate_closed=A.is_real)
     if len(grouping) != p or sorted(i for g in grouping for i in g) != list(range(p * d)):
@@ -528,9 +496,7 @@ def solvents_from_latents(A, pairs=None, grouping=None):
     spectrum = roots[index]
     vectors = np.array([pr.vector for pr in pairs])
     P = np.ascontiguousarray(vectors[index].swapaxes(1, 2))  # columns: the group's vectors
-    worst = float(_cond(P).max())
-    if not np.isfinite(worst) or worst > COND_GROUP_MAX:
-        raise SingularGroupError(f"latent-vector matrix condition {worst:.3e}")
+    tol.certify(SingularGroupError, "cond(P_k)", _cond(P), tol.GROUP_CONDITION)
     P_inv = np.linalg.inv(P)
     mats = (P * spectrum[:, None, :]) @ P_inv
     return _certified_set(mats, spectrum, P, P_inv, _residual_norms(A, mats))
@@ -554,12 +520,13 @@ def coeffs_from_solvent_matrices(mats):
 
 def vandermonde_solve(mats):
     """:func:`coeffs_from_solvent_matrices` and the condition number of the
-    block Vandermonde matrix it inverts, which it certifies below 1e12."""
+    block Vandermonde matrix it inverts, certified at most ``tolerances.CONDITION``."""
     mats = _as_complex(mats)
     p, d = mats.shape[:2]
     powers = _powers(mats, p)
     V = _block_vandermonde(powers[:p])
-    cond_V = _vandermonde_cond(V)
+    cond_V = float(_cond(V))
+    tol.certify(SingularVandermondeError, "cond(V)", cond_V, tol.CONDITION)
     row = powers[p].transpose(1, 0, 2).reshape(d, p * d)
     X = -np.linalg.solve(V.T, row.T).T
     coeffs = [np.eye(d, dtype=complex)]
@@ -588,9 +555,7 @@ def linear_factorization(mats):
     partial = identity_shift(mats[0])
     for k in range(1, len(mats)):
         Mk = partial.eval_right(mats[k])
-        cond = float(_cond(Mk))
-        if not np.isfinite(cond) or cond > COND_VANDERMONDE_MAX:
-            raise SingularFactorError(f"M_{k + 1}(R_{k + 1}) condition {cond:.3e}")
+        tol.certify(SingularFactorError, "cond(M_k(R_k))", float(_cond(Mk)), tol.CONDITION)
         Rk_star = Mk @ mats[k] @ np.linalg.inv(Mk)
         factors.append(Rk_star)
         partial = identity_shift(Rk_star) * partial

@@ -39,7 +39,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import matpoly, rational
+from . import matpoly, rational, tolerances as tol
 from .exceptions import (
     ImaginaryLeakError,
     NotStationaryError,
@@ -47,19 +47,14 @@ from .exceptions import (
     SylvesterSingularError,
 )
 
-IMAG_TOL_KERNEL = 1e-9
-IMAG_TOL_INIT = 1e-10
-SIMILARITY_TOL = 1e-9
-SHARP_IDENTITY_TOL = 1e-12  # relative to max(|A#| |B*|), see build_state_space
 
-
-def _real_psd(mat, name, tol=1e-12):
+def _real_psd(mat, name):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square")
-    if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
+    if not np.max(np.abs(mat - mat.T)) <= tol.INPUT_COVARIANCE * max(1.0, np.max(np.abs(mat))):
         raise ValueError(f"{name} must be symmetric")
-    if np.min(np.linalg.eigvalsh(mat)) < -tol:
+    if not np.min(np.linalg.eigvalsh(mat)) >= -tol.INPUT_COVARIANCE:
         raise ValueError(f"{name} must be positive semidefinite")
     return 0.5 * (mat + mat.T)
 
@@ -172,7 +167,7 @@ def build_state_space(F):
 
     B* is the real part of ``F.B_star``, forward substitution on A#, so the
     identity is exact up to rounding.  It is certified as
-    ``max|A# B* - B#| <= SHARP_IDENTITY_TOL * max(|A#| |B*|)`` with absolute
+    ``max|A# B* - B#| <= tolerances.SHARP_IDENTITY * max(|A#| |B*|)`` with absolute
     values taken elementwise: the rounding error of a computed product is
     bounded by a multiple of the unit roundoff times ``|A#| |B*|`` (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.5), so
@@ -188,9 +183,8 @@ def build_state_space(F):
     A_sharp, B_sharp = rational.sharp_matrices(A, B)
     A_sharp, B_sharp = A_sharp.real, B_sharp.real
     err = float(np.max(np.abs(A_sharp @ B_star - B_sharp)))
-    bound = SHARP_IDENTITY_TOL * float(np.max(np.abs(A_sharp) @ np.abs(B_star)))
-    if err > bound:
-        raise SharpIdentityError(f"A# B* - B# deviates by {err:.3e} > {bound:.3e}")
+    bound = tol.SHARP_IDENTITY * float(np.max(np.abs(A_sharp) @ np.abs(B_star)))
+    tol.certify(SharpIdentityError, "max|A# B* - B#|", err, bound)
     for arr in (A_star, B_star, C_star, A_sharp, B_sharp):
         arr.setflags(write=False)
     return StateSpace(A_star, B_star, C_star, A_sharp, B_sharp, err, bound)
@@ -234,7 +228,7 @@ def decompose(model, S, x0=None):
     """Split an MCARMA model into p OU components along a solvent set.
 
     The fraction and state space are the model's; the residues, the
-    similarity certificate (within ``SIMILARITY_TOL``) and y0 are formed here.
+    similarity certificate (within ``tolerances.SIMILARITY``) and y0 are formed here.
 
     Parameters
     ----------
@@ -244,7 +238,7 @@ def decompose(model, S, x0=None):
     x0 : real state vector of length p*d, optional
         Initial state; the component initials are the blocks of T^{-1} x0,
         which satisfies the realness constraint by construction, certified
-        to ``IMAG_TOL_INIT`` of ``max(1, |T| |y0|)``.  Without x0 they are
+        to ``tolerances.INIT_LEAK`` of ``max(1, |T| |y0|)``.  Without x0 they are
         zero, which needs neither the solve nor the certificate.
 
     Raises
@@ -260,14 +254,12 @@ def decompose(model, S, x0=None):
         y0 = np.zeros(p * d, dtype=complex)
     else:
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (p * d,):
-            raise ValueError(f"x0 must have length {p * d}")
+        if x0.shape != (p * d,) or not np.isfinite(x0).all():
+            raise ValueError(f"x0 must be {p * d} finite values")
         y0 = np.linalg.solve(T, x0.astype(complex))
         leak = np.max(np.abs((T @ y0).imag))
-        bound = IMAG_TOL_INIT * max(1.0, float(np.max(np.abs(T) @ np.abs(y0))))
-        if leak > bound:
-            raise ImaginaryLeakError(
-                f"initial-state realness violated by {leak:.3e} > {bound:.3e}")
+        bound = tol.INIT_LEAK * max(1.0, float(np.max(np.abs(T) @ np.abs(y0))))
+        tol.certify(ImaginaryLeakError, "initial-state imaginary part", leak, bound)
     # A* T = T diag(R_k), block column by block column: A* T_k = T_k R_k
     columns = T.reshape(p * d, p, d).swapaxes(0, 1)
     scale = max(1.0, np.linalg.norm(ss.A_star) * np.linalg.norm(T))
@@ -276,13 +268,12 @@ def decompose(model, S, x0=None):
     res_err = np.linalg.norm(ss.B_star - T @ residues.reshape(p * d, -1)) / max(
         1.0, np.linalg.norm(ss.B_star))
     row_err = np.linalg.norm(ss.C_star @ T - np.hstack([np.eye(d)] * p))
-    worst = max(sim_err, res_err, row_err)
-    if worst > SIMILARITY_TOL:
-        raise ImaginaryLeakError(f"similarity certificate failed at {worst:.3e}")
+    worst = np.array([sim_err, res_err, row_err]).max()  # a NaN propagates
+    tol.certify(ImaginaryLeakError, "similarity residual", worst, tol.SIMILARITY)
 
     y0 = y0.reshape(p, d)
     y0.setflags(write=False)
-    return OuDecomposition(model, ss, S, residues, y0, worst, SIMILARITY_TOL)
+    return OuDecomposition(model, ss, S, residues, y0, worst, tol.SIMILARITY)
 
 
 def _real_sum(S, times, mats, what):
@@ -290,21 +281,17 @@ def _real_sum(S, times, mats, what):
     as one modal product over the whole time grid: the terms are
     ``P_k diag(e^{t lam_k}) (P_k^{-1} X_k)``.
 
-    Each sum is certified real: its imaginary part must stay below 1e-9 of
-    its largest term (the exact sum is real only up to roundoff amplified by
-    the term magnitudes).  Returns the real sums and those term scales.
+    Each imaginary part, ``what``, is certified below ``tolerances.IMAG_LEAK``
+    of its sum's largest term (the exact sum is real only up to roundoff
+    amplified by the term magnitudes).  Returns the real sums and those scales.
     """
     times = np.asarray(times, dtype=float)
     scales = np.exp(np.multiply.outer(times, S.spectrum))[..., None, :]
     terms = (S.P * scales) @ (S.P_inv @ mats)  # (len(times), p, d, m)
     scale = np.abs(terms).max(axis=(1, 2, 3), initial=1.0)
     out = terms.sum(axis=1)
-    for t, leak, sc in zip(times, np.abs(out.imag).max(axis=(1, 2), initial=0.0), scale):
-        if leak > IMAG_TOL_KERNEL * sc:
-            raise ImaginaryLeakError(
-                f"{what} imaginary part {leak:.3e} at t = {t} (term scale {sc:.3e}); "
-                "grouping is not conjugate-closed or the solvent set is badly "
-                "conditioned")
+    tol.certify(ImaginaryLeakError, what, np.abs(out.imag).max(axis=(1, 2), initial=0.0),
+                tol.IMAG_LEAK * scale)
     return out.real.copy(), scale
 
 
@@ -313,11 +300,11 @@ def kernel(decomp, t):
 
     Equals ``C* e^{A* t} B*``; the identity is exercised by the
     verification suite rather than recomputed here.  The imaginary part is
-    certified below 1e-9 relative to the largest summand and stripped.
+    certified below ``tolerances.IMAG_LEAK`` of the largest summand and stripped.
     """
     if t < 0:
         raise ValueError("kernel is defined for t >= 0")
-    out, _ = _real_sum(decomp.solvent_set, [t], decomp.residues, "kernel")
+    out, _ = _real_sum(decomp.solvent_set, [t], decomp.residues, "kernel imaginary part")
     return out[0]
 
 
@@ -339,15 +326,13 @@ def ou_gramian(s_i, s_j, M, h=np.inf):
     Raises
     ------
     SylvesterSingularError
-        For h = inf, if some z is within 1e-12 of zero (the spectra of R_i
-        and -R_j^H nearly intersect and the integral diverges).
+        For h = inf, if some z is within ``tolerances.SYLVESTER_GAP`` of zero
+        (the spectra of R_i and -R_j^H nearly intersect and the integral diverges).
     """
     z = s_i.spectrum[..., :, None] + s_j.spectrum.conj()[..., None, :]
     if np.isinf(h):
         gap = np.min(np.abs(z))
-        if gap < 1e-12:
-            raise SylvesterSingularError(
-                f"spectra of R_i and -R_j^H nearly intersect (gap {gap:.2e})")
+        tol.certify(SylvesterSingularError, "min|z|", gap, tol.SYLVESTER_GAP, at_least=True)
         W = -1.0 / z
     else:
         zero = z == 0
@@ -379,7 +364,7 @@ def stationary_acvf(decomp, lags):
     Parameters
     ----------
     decomp : OuDecomposition
-    lags : iterable of nonnegative reals
+    lags : iterable of finite nonnegative reals
 
     Returns
     -------
@@ -395,17 +380,16 @@ def stationary_acvf(decomp, lags):
     if not decomp.model.stationary:
         raise NotStationaryError("stationary ACVF needs all latent roots with Re < 0")
     lags = np.asarray(list(lags), dtype=float)
-    if np.any(lags < 0):
-        raise ValueError("lags must be nonnegative")
+    if not ((lags >= 0) & (lags < np.inf)).all():
+        raise ValueError("lags must be finite and nonnegative")
     S = decomp.solvent_set
     sigmas = component_gramians(S, decomp.residues, decomp.model.sigma_L).sum(axis=1)
-    gammas, term_scale = _real_sum(S, lags, sigmas, "ACVF")
+    gammas, term_scale = _real_sum(S, lags, sigmas, "ACVF imaginary part")
     for lag, acc, scale in zip(lags, gammas, term_scale):
         if lag == 0:
-            sym_err = np.max(np.abs(acc - acc.T))
-            if sym_err > 1e-10 * scale:
-                raise ImaginaryLeakError(f"gamma(0) asymmetric by {sym_err:.3e}")
-            if np.min(np.linalg.eigvalsh(0.5 * (acc + acc.T))) < -1e-10 * max(
-                    1.0, np.trace(acc)):
-                raise ImaginaryLeakError("gamma(0) not positive semidefinite")
+            tol.certify(ImaginaryLeakError, "gamma(0) asymmetry", np.max(np.abs(acc - acc.T)),
+                        tol.ACVF_ASYMMETRY * scale)
+            tol.certify(ImaginaryLeakError, "gamma(0) min eig",
+                        np.min(np.linalg.eigvalsh(0.5 * (acc + acc.T))),
+                        -tol.PSD_FLOOR * max(1.0, np.trace(acc)), at_least=True)
     return list(gammas)

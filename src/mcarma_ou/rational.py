@@ -22,11 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matpoly
+from . import matpoly, tolerances as tol
 from .exceptions import NotIrreducibleError, PoleHitError, SingularVandermondeError
-
-RANK_TOL = 1e-8      # relative singular-value threshold for the coprimeness test
-POLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -35,11 +32,11 @@ class RationalLeftMatrix:
 
     ``irreducible`` is a computed certificate (rank test at every latent
     root of A); ``witness`` holds an offending latent root when it fails.
-    The rank threshold is ``RANK_TOL * sigma_max``, reported alongside the
-    certificate because the coprimeness notion itself carries no canonical
-    numerical tolerance.  ``B_star`` is the read-only complex (pd, m) stack
-    ``[A#]^{-1} B#`` (``solve_sharp``), solved once here for both the
-    residues and the state space.
+    The rank threshold is ``tol.COPRIME_RANK * sigma_max``, reported alongside
+    the certificate because the coprimeness notion itself carries no
+    canonical numerical tolerance.  ``B_star`` is the read-only complex
+    (pd, m) stack ``[A#]^{-1} B#`` (``solve_sharp``), solved once here for
+    both the residues and the state space.
     """
 
     A: matpoly.LambdaMatrix
@@ -82,8 +79,8 @@ def check_irreducible(A, B, pairs=None):
     stacked = np.concatenate([A.eval(roots) / scale_a, B.eval(roots) / scale_b], axis=2)
     s = np.linalg.svd(stacked, compute_uv=False)
     # floor: at a common zero the whole stacked row vanishes and sigma_max
-    # itself collapses, which the relative test alone misses
-    failed = (s[:, 0] <= 1e-12) | (s[:, d - 1] <= RANK_TOL * s[:, 0])
+    # itself collapses, which the relative test alone misses; NaN fails
+    failed = ~((s[:, 0] > tol.COPRIME_FLOOR) & (s[:, d - 1] > tol.COPRIME_RANK * s[:, 0]))
     if failed.any():
         return False, pairs[int(np.argmax(failed))].root
     return True, None
@@ -156,10 +153,9 @@ def eval_partial_fraction(S, residues, lam):
     Raises
     ------
     PoleHitError
-        If ``lam`` is within 1e-10 of a pole (a latent root ``S.roots``).
+        If ``lam`` is within ``tol.POLE_GAP`` of a pole (a latent root ``S.roots``).
     """
     gap = np.min(np.abs(S.roots - lam))
-    if gap < POLE_TOL:
-        raise PoleHitError(f"evaluation point within {gap:.2e} of a pole")
+    tol.certify(PoleHitError, "distance to a pole", gap, tol.POLE_GAP, at_least=True)
     shifted = lam * np.eye(S.block_dim, dtype=complex) - S.matrices
     return np.linalg.solve(shifted, residues).sum(axis=0)

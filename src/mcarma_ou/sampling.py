@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matpoly, mcarma
+from . import matpoly, mcarma, tolerances as tol
 from .exceptions import (
     AliasedSamplingError,
     ImaginaryLeakError,
@@ -49,12 +49,7 @@ from .exceptions import (
 
 log = logging.getLogger(__name__)
 
-ALIAS_TOL = 1e-10
-AR_RESIDUAL_TOL = 1e-8
-IMAG_TOL = 1e-9
-DOUBLING_TOL = 1e-13
 DOUBLING_MAXIT = 64
-MA_ROUNDTRIP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,12 +92,9 @@ def sampled_solvent_matrices(S, h):
     """
     roots = S.roots
     sampled = np.exp(-h * roots)
-    aliased = np.triu((np.abs(sampled[:, None] - sampled) < ALIAS_TOL)
-                      & (np.abs(roots[:, None] - roots) > ALIAS_TOL), 1)
-    if aliased.any():
-        i, j = np.argwhere(aliased)[0]
-        raise AliasedSamplingError(
-            f"latent roots {roots[i]:.6g} and {roots[j]:.6g} alias at h={h}")
+    distinct = np.triu(np.abs(roots[:, None] - roots) > tol.ALIAS, 1)
+    gaps = np.where(distinct, np.abs(sampled[:, None] - sampled), np.inf)
+    tol.certify(AliasedSamplingError, "sampled root gap", gaps, tol.ALIAS, at_least=True)
     return S.expm(-h)
 
 
@@ -114,35 +106,30 @@ def varma_ar(S, h):
     Psi_{p-j}``.  Psi_p is invertible because it is, up to sign, a product
     of matrix exponentials; its conditioning is still checked.  The
     right-substitution residuals of Psi at every sampled solvent are
-    certified below 1e-8.
+    certified below ``tolerances.AR_RESIDUAL`` of the largest coefficient.
 
     Returns
     -------
     (psi, phi, info) : lists of p real matrices each, plus a dict with the
     sampled Vandermonde condition number and the worst AR residual.
     """
-    if h <= 0:
-        raise ValueError("sampling step h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("sampling step h must be positive and finite")
     mats = sampled_solvent_matrices(S, h)
     psi_poly, cond_V = matpoly.vandermonde_solve(mats)
 
     coeffs = np.array(psi_poly.coeffs)
     residual = float(np.linalg.norm(psi_poly.eval_right(mats), axis=(1, 2)).max())
     scale = max(1.0, float(np.linalg.norm(coeffs, axis=(1, 2)).max()))
-    if residual > AR_RESIDUAL_TOL * scale:
-        raise SingularVandermondeError(
-            f"sampled AR residual {residual:.3e} (cond V = {cond_V:.3e})")
-
+    tol.certify(SingularVandermondeError, "AR residual", residual, tol.AR_RESIDUAL * scale)
     leak = float(np.abs(coeffs.imag).max())
-    if leak > IMAG_TOL * scale:
-        raise ImaginaryLeakError(f"AR coefficients imaginary part {leak:.3e}")
+    tol.certify(ImaginaryLeakError, "AR imaginary part", leak, tol.IMAG_LEAK * scale)
     psi = list(coeffs[1:].real.copy())  # Psi_1 .. Psi_p
 
     psi_p = psi[-1]
     s = np.linalg.svd(psi_p, compute_uv=False)
     cond_psi_p = s[0] / s[-1] if s[-1] > 0 else np.inf
-    if not np.isfinite(cond_psi_p) or cond_psi_p > 1e12:
-        raise SingularVandermondeError(f"Psi_p condition {cond_psi_p:.3e}")
+    tol.certify(SingularVandermondeError, "cond(Psi_p)", cond_psi_p, tol.CONDITION)
     p = len(psi)
     d = psi_p.shape[0]
     phi = []
@@ -165,8 +152,8 @@ def noise_acvf(S, residues, phi, sigma_L, h):
     which vanishes for l >= p.  All C_{s,k} and all Gramians are formed at
     once, and the terms of one lag are one batched product, summed in the
     order (r, nu, mu) by a cumulative sum (``np.sum`` would reorder it).
-    Imaginary parts are certified below 1e-9 of the largest term so far and
-    stripped; gamma_U(0) is certified symmetric PSD.
+    Imaginary parts are certified below ``tolerances.IMAG_LEAK`` of the largest
+    term so far and stripped; gamma_U(0) is certified symmetric PSD.
     """
     p = len(S)
     d = S.block_dim
@@ -186,16 +173,15 @@ def noise_acvf(S, residues, phi, sigma_L, h):
         term_scale = max(term_scale, float(np.max(np.abs(terms))))
         acc = np.cumsum(terms, axis=0)[-1]
         leak = float(np.max(np.abs(acc.imag)))
-        if leak > IMAG_TOL * term_scale:
-            raise ImaginaryLeakError(f"gamma_U imaginary part {leak:.3e} at lag {lag}")
+        tol.certify(ImaginaryLeakError, "gamma_U imaginary part", leak, tol.IMAG_LEAK * term_scale)
         out.append(acc.real)
 
     g0 = out[0]
-    if np.max(np.abs(g0 - g0.T)) > 1e-9 * term_scale:
-        raise ImaginaryLeakError("gamma_U(0) asymmetric")
+    tol.certify(ImaginaryLeakError, "gamma_U(0) asymmetry", np.max(np.abs(g0 - g0.T)),
+                tol.IMAG_LEAK * term_scale)
     out[0] = 0.5 * (g0 + g0.T)
-    if np.min(np.linalg.eigvalsh(out[0])) < -1e-10 * term_scale:
-        raise NotPDError("gamma_U(0) not positive semidefinite")
+    tol.certify(NotPDError, "gamma_U(0) min eig", np.min(np.linalg.eigvalsh(out[0])),
+                -tol.PSD_FLOOR * term_scale, at_least=True)
     return out
 
 
@@ -237,7 +223,7 @@ def _riccati_doubling(gammas):
         diff = (H_next - Hk).ravel()
         Hk = H_next
         flat = Hk.ravel()
-        if np.sqrt(diff @ diff) <= DOUBLING_TOL * np.sqrt(flat @ flat):
+        if np.sqrt(diff @ diff) <= tol.DOUBLING * np.sqrt(flat @ flat):
             return -Hk, step
     raise NoConvergenceError(
         f"MA doubling did not settle in {DOUBLING_MAXIT} steps")
@@ -275,8 +261,8 @@ def fit_ma(gamma_U):
     ``Sigma_eps = gamma(0) - C P C^T`` and ``[Theta_1; ...; Theta_q] =
     (G - A P C^T) Sigma_eps^{-1}``, and certifies the round trip
     ``gamma(l) = sum_k Theta_{k+l} Sigma_eps Theta_k^T`` to
-    ``MA_ROUNDTRIP_TOL`` by ``ma_roundtrip_error``.  The invertibility margin
-    is measured, not enforced.
+    ``tolerances.MA_ROUNDTRIP`` by ``ma_roundtrip_error``.  The invertibility
+    margin is measured, not enforced.
 
     Parameters
     ----------
@@ -304,15 +290,15 @@ def fit_ma(gamma_U):
     d = gammas[0].shape[0]
     q = len(gammas) - 1
     g0 = 0.5 * (gammas[0] + gammas[0].T)
-    if np.min(np.linalg.eigvalsh(g0)) <= 1e-10 * np.trace(g0):
-        raise NotPDError("gamma_U(0) is not positive definite")
+    floor = np.nextafter(tol.PD_FLOOR * np.trace(g0), np.inf)  # strict: a zero gamma_U(0) fails
+    tol.certify(NotPDError, "gamma_U(0) min eig", np.min(np.linalg.eigvalsh(g0)), floor,
+                at_least=True)
     theta, sigma_eps, steps, margin = [], g0, 0, np.inf
     if q > 0:
         P, steps = _riccati_doubling([g0] + gammas[1:])
         sigma_eps = g0 - P[:d, :d]
-        if np.min(np.linalg.eigvalsh(sigma_eps)) <= 1e-10 * np.trace(g0):
-            raise NotPDError("the doubling solution's innovation covariance "
-                             "is not positive definite")
+        tol.certify(NotPDError, "Sigma_eps min eig", np.min(np.linalg.eigvalsh(sigma_eps)), floor,
+                    at_least=True)
         shifted_P = np.vstack([P[d:, :d], np.zeros((d, d))])  # A P C^T
         K = np.linalg.solve(sigma_eps, (np.vstack(gammas[1:]) - shifted_P).T).T
         theta = [K[j * d:(j + 1) * d] for j in range(q)]
@@ -321,12 +307,10 @@ def fit_ma(gamma_U):
         # of det Theta(z), and those at 0 are zeros at infinity
         closed_loop = np.eye(q * d, k=d) - K @ np.eye(d, q * d)
         rho = float(np.max(np.abs(np.linalg.eigvals(closed_loop))))
-        if rho > 1e-12:
+        if rho > tol.ZERO_AT_INFINITY:
             margin = 1.0 / rho - 1.0
     roundtrip = ma_roundtrip_error(gammas, theta, sigma_eps)
-    if not roundtrip <= MA_ROUNDTRIP_TOL:
-        raise NoConvergenceError(
-            f"MA factor round trip {roundtrip:.3e} exceeds {MA_ROUNDTRIP_TOL:.0e}")
+    tol.certify(NoConvergenceError, "MA factor round trip", roundtrip, tol.MA_ROUNDTRIP)
     return theta, sigma_eps, margin, {"steps": steps, "roundtrip": roundtrip}
 
 

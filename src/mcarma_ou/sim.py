@@ -35,13 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mcarma
+from . import mcarma, tolerances as tol
 from .exceptions import CholeskyFailError, NotStationaryError, TooShortError
 
 log = logging.getLogger(__name__)
 
-PSD_CLIP = 1e-12  # relative to the largest eigenvalue magnitude, see _psd_factor
-IMAG_TOL_PATH = 1e-8
 CHUNK = 1024  # grid steps per pass of the modal recursion; bounds powers and memory
 BLOCK = 32  # steps per block of the blocked scan, see _scan
 
@@ -84,7 +82,7 @@ class PathGrid:
     """A simulated path on the grid 0, h, ..., (n_steps-1) h.
 
     ``max_imag`` is the largest imaginary residue of the modal read-out and
-    ``imag_bound`` its certified bound, ``IMAG_TOL_PATH * max(1, max|Y|)``.
+    ``imag_bound`` its certified bound, ``tolerances.PATH_LEAK * max(1, max|Y|)``.
     ``U`` carries the AR-residual noise sequence when it was requested via
     :func:`attach_noise`; it is None otherwise.
     """
@@ -105,9 +103,9 @@ def _psd_factor(mat, what):
     eigenvector factor ``V diag(sqrt(vals))`` it does not depend on the
     arbitrary eigenvectors of a cluster of near-zero eigenvalues, so a
     rounding change of ``mat`` moves it continuously.  Negative eigenvalues
-    down to ``-PSD_CLIP * max|eig|`` are rounding and are clipped with a
-    warning; anything more negative aborts.  The bound scales with the
-    matrix, so ``c * mat`` passes or fails as ``mat`` does.
+    down to ``-tolerances.PSD_CLIP * max|eig|`` are rounding and are
+    clipped with a warning; anything more negative aborts.  The bound scales
+    with the matrix, so ``c * mat`` passes or fails as ``mat`` does.
     """
     mat = 0.5 * (mat + mat.T)
     try:
@@ -115,9 +113,8 @@ def _psd_factor(mat, what):
     except np.linalg.LinAlgError:
         pass
     vals, vecs = np.linalg.eigh(mat)
-    bound = PSD_CLIP * float(np.max(np.abs(vals)))
-    if np.min(vals) < -bound:
-        raise CholeskyFailError(f"{what} has eigenvalue {np.min(vals):.3e} < -{bound:.3e}")
+    tol.certify(CholeskyFailError, f"{what} min eig", np.min(vals),
+                -tol.PSD_CLIP * float(np.max(np.abs(vals))), at_least=True)
     if np.min(vals) < 0.0:
         log.warning("clipping %s eigenvalues at %.3e", what, np.min(vals))
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
@@ -258,7 +255,7 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     ----------
     decomp : mcarma.OuDecomposition
     driver : DriverSpec
-    h : positive step size
+    h : finite positive step size
     n_steps : number of grid points (the path includes t = 0)
     stationary_start : bool
         Draw X(0) from the stationary Gaussian state law instead of
@@ -273,8 +270,8 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     -------
     PathGrid
     """
-    if h <= 0 or n_steps < 1:
-        raise ValueError("need h > 0 and n_steps >= 1")
+    if not 0 < h < np.inf or n_steps < 1:
+        raise ValueError("need a finite h > 0 and n_steps >= 1")
     start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
     lam, P_inv, readout = _modal_form(decomp)
@@ -313,12 +310,10 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
         max_imag = max(max_imag, float(np.max(np.abs(out.imag))))
         Y[lo + 1:hi + 1] = out.real.T
 
-    imag_bound = IMAG_TOL_PATH * max(1.0, float(np.max(np.abs(Y))))
-    if max_imag > imag_bound:
-        raise CholeskyFailError(
-            f"path imaginary residue {max_imag:.3e} exceeds {imag_bound:.3e}")
     if not np.all(np.isfinite(Y)):
         raise CholeskyFailError("simulated path has non-finite entries")
+    imag_bound = tol.PATH_LEAK * max(1.0, float(np.max(np.abs(Y))))
+    tol.certify(CholeskyFailError, "path imaginary residue", max_imag, imag_bound)
     Y.setflags(write=False)
     log.debug("simulate: %s driver, %d steps, pd=%d, %.6f s",
               driver.kind, n_steps, lam.size, time.perf_counter() - start)

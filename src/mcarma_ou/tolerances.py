@@ -1,0 +1,80 @@
+"""The tolerance policy: every certificate bound, and the one comparison.
+
+One line per bound, ``NAME = value  # quantity; scale``: the bound is
+``value * scale``, scaled as the rounding of what it judges (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., section 3.5, for products;
+Tisseur, Linear Algebra Appl. 309 (2000), ``matpoly.backward_scale``, for
+matrix polynomials).  ``abs`` marks a bound that is not scale-free: rescaling
+time can change its verdict.  A certificate holds when ``measured <= bound``,
+or ``>=`` for a bound marked ``at least``, elementwise, so a NaN fails; one
+marked ``exceeded`` is strict and passes ``np.nextafter(bound, np.inf)``.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+STRUCTURE = 1e-14         # max|A_0 - I| (monic), max|Im A_i| (real); 1; abs
+LATENT_RESIDUAL = 1e-8    # ||A(lam) v|| of each latent pair; backward_scale(A, lam)
+CONDITION = 1e12          # cond of companion eigenvectors, V, M_k(R_k), Psi_p; 1
+GROUPING_TIE = 1e-12      # condition gain that places latent pairs in a later group; 1
+GROUP_CONDITION = 1e10    # cond(P_k) of the latent vectors of each solvent; 1
+SOLVENT_RESIDUAL = 1e-9   # ||A_R(R_k)||_F of each solvent; max(1, ||A_p||_F); abs
+EIG_MATCH = 1e-8          # gap at which two eigenvalues are one; 1 + max|lam|, 1 (solvents); abs
+COPRIME_RANK = 1e-8       # sigma_d of [A(lam) | B(lam)], scaled blocks (exceeded); sigma_max
+COPRIME_FLOOR = 1e-12     # sigma_max of that row, blocks over backward_scale (exceeded); 1
+POLE_GAP = 1e-10          # distance of an evaluation point to a latent root (at least); 1; abs
+INPUT_COVARIANCE = 1e-12  # asymmetry, -min eig of sigma_L; max(1, max|sigma_L|), 1; abs
+SHARP_IDENTITY = 1e-12    # max|A# B* - B#|; max(|A#| |B*|)
+INIT_LEAK = 1e-10         # max|Im T y0| of the component initials; max(1, max(|T| |y0|)); abs
+SIMILARITY = 1e-9         # A* T - T diag(R_k), B* - T Res, C* T - (I..I); see decompose; abs
+IMAG_LEAK = 1e-9          # Im of a real sum, gamma_U(0) asymmetry; max(1, top term), verify 1; abs
+ACVF_ASYMMETRY = 1e-10    # gamma(0) asymmetry; max(1, top term), verify max(1, max|gamma(0)|); abs
+PSD_FLOOR = 1e-10         # -min eig of gamma(0), gamma_U(0); max(1, trace), max(1, top term); abs
+SYLVESTER_GAP = 1e-12     # min|lam_a + conj(mu_b)| of a Gramian over [0, inf) (at least); 1; abs
+ALIAS = 1e-10             # |e^{-h lam_i} - e^{-h lam_j}|, lam_i, lam_j apart (at least); 1; abs
+AR_RESIDUAL = 1e-8        # max_k ||Psi_R(e^{-h R_k})||_F; max(1, max ||Psi_j||_F), verify 1; abs
+DOUBLING = 1e-13          # ||H_{k+1} - H_k||_F, when the MA doubling stops; ||H_{k+1}||_F
+PD_FLOOR = 1e-10          # min eig of gamma_U(0) and of Sigma_eps (exceeded); trace gamma_U(0)
+ZERO_AT_INFINITY = 1e-12  # spectral radius at or below which det Theta has no finite zero; 1; abs
+MA_ROUNDTRIP = 1e-6       # MA round trip error; max(1, ||gamma_U(l)||), see fit_ma; abs
+PSD_CLIP = 1e-12          # -min eig of a Gramian factored with clipping; max|eig|
+PATH_LEAK = 1e-8          # imaginary residue of a path's modal read-out; max(1, max|Y|); abs
+DRIVER_MATCH = 1e-10      # max|rate jump_cov - sigma_L| in a file; max(1, max|sigma_L|); abs
+ORACLE = 1e-8             # kernel, fraction, ACVF vs oracle; 1 + ||B*||, max(1, ||want||); abs
+NOISE_ACVF = 1e-7         # gamma_U against the continuous-time route; max(1, ||want||); abs
+MA_MARGIN = 1e-6          # min|zero of det Theta| - 1 (at least); 1
+CLT_BAND = 1.0            # sample ACVF of the noise at lags p..p+3; its 99% CLT band
+
+
+class Check(NamedTuple):
+    """One ``verify`` row: ``ok`` is ``measured <= bound``, or ``>=`` for a margin."""
+
+    name: str
+    measured: float
+    bound: float
+    ok: bool
+
+
+def _ok(measured, bound, at_least):
+    return measured >= bound if at_least else measured <= bound
+
+
+def check(name, measured, bound, at_least=False):
+    """The ``verify`` row ``name`` of a scalar measurement."""
+    measured, bound = float(measured), float(bound)
+    return Check(name, measured, bound, _ok(measured, bound, at_least))
+
+
+def certify(error, what, measured, bound, at_least=False):
+    """Raise ``error`` unless ``measured <= bound`` (``>=`` with ``at_least``)
+    everywhere, naming ``what``, the first failing entry and its bound."""
+    ok = _ok(measured, bound, at_least)
+    if ok.all() if type(ok) is np.ndarray else ok:
+        return
+    at = np.unravel_index(np.argmin(ok), np.shape(ok))
+    m, b = np.broadcast_arrays(measured, bound)
+    where = str([int(i) for i in at]) if at else ""
+    raise error(f"{what}{where} = {m[at]:.3e} {'below' if at_least else 'exceeds'} {b[at]:.3e}")

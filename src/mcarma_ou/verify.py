@@ -8,38 +8,21 @@ continuous-time ACVF, and the Gaussian CLT band of the sample ACVF of a
 (p-1)-dependent noise at lags >= p.
 
 Each ``check_*`` function measures one row of ``mcarma-ou verify`` and
-returns a ``Check``.  ``cli.run_verification`` is the ordered list of these
-calls and the tests call the same functions, so a bound cannot differ
-between what the command certifies and what the tests assert.
+returns a ``tolerances.Check``.  ``cli.run_verification`` is the ordered
+list of these calls and the tests call the same functions, so a bound
+cannot differ between what the command certifies and what the tests assert.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 import scipy.linalg
 
-from . import matpoly, mcarma, rational, sampling
+from . import mcarma, rational, tolerances as tol
 from .exceptions import ImaginaryLeakError
 
 KERNEL_TIMES = np.linspace(0.0, 5.0, 51)
 Z_99 = 2.5758  # two-sided 99% normal quantile
-
-
-class Check(NamedTuple):
-    """``ok`` is ``measured <= bound``, or ``>=`` for a margin."""
-
-    name: str
-    measured: float
-    bound: float
-    ok: bool
-
-
-def _check(name, measured, bound, at_least=False):
-    measured, bound = float(measured), float(bound)
-    return Check(name, measured, bound,
-                 measured >= bound if at_least else measured <= bound)
 
 
 def _rel_err(got, want):
@@ -100,11 +83,11 @@ def clt_band_for_zero_lags(gamma_U, n_eff):
 
 def check_solvent_residual(model, S):
     scale = max(1.0, float(np.linalg.norm(model.A.coeffs[-1])))
-    return _check("solvent-residual", S.residual_norms.max(), matpoly.TOL_SOLVENT * scale)
+    return tol.check("solvent-residual", S.residual_norms.max(), tol.SOLVENT_RESIDUAL * scale)
 
 
 def check_statespace_identity(ss):
-    return _check("statespace-identity", ss.sharp_residual, ss.sharp_bound)
+    return tol.check("statespace-identity", ss.sharp_residual, ss.sharp_bound)
 
 
 def check_kernel_identity(decomp):
@@ -112,18 +95,17 @@ def check_kernel_identity(decomp):
     realness certificate measures inf, so the remaining rows still run."""
     ss = decomp.statespace
     try:
-        err = max(np.linalg.norm(mcarma.kernel(decomp, t) - statespace_kernel(ss, t))
-                  for t in KERNEL_TIMES)
+        err = np.max([np.linalg.norm(mcarma.kernel(decomp, t) - statespace_kernel(ss, t))
+                      for t in KERNEL_TIMES])
     except ImaginaryLeakError:
         err = np.inf
-    return _check("kernel-identity", err, 1e-8 * (1.0 + np.linalg.norm(ss.B_star)))
+    return tol.check("kernel-identity", err, tol.ORACLE * (1.0 + np.linalg.norm(ss.B_star)))
 
 
 def check_kernel_realness(decomp):
     """Imaginary part of ``sum_k e^{t R_k} Res_k`` before it is stripped."""
     terms = decomp.solvent_set.expm(KERNEL_TIMES) @ decomp.residues
-    return _check("kernel-realness", np.max(np.abs(terms.sum(axis=1).imag)),
-                  mcarma.IMAG_TOL_KERNEL)
+    return tol.check("kernel-realness", np.max(np.abs(terms.sum(axis=1).imag)), tol.IMAG_LEAK)
 
 
 def check_pf_reconstruction(decomp):
@@ -131,43 +113,43 @@ def check_pf_reconstruction(decomp):
     model = decomp.model
     radius = 2.0 * max(abs(pr.root) for pr in model.latent_pairs)
     angles = np.linspace(0.0, 2 * np.pi, 20, endpoint=False)
-    err = max(_rel_err(rational.eval_partial_fraction(decomp.solvent_set,
-                                                      decomp.residues, z),
-                       np.linalg.solve(model.A.eval(z), model.B.eval(z)))
-              for z in radius * np.exp(1j * (angles + 0.05)))
-    return _check("pf-reconstruction", err, 1e-8)
+    err = np.max([_rel_err(rational.eval_partial_fraction(decomp.solvent_set,
+                                                          decomp.residues, z),
+                           np.linalg.solve(model.A.eval(z), model.B.eval(z)))
+                  for z in radius * np.exp(1j * (angles + 0.05))])
+    return tol.check("pf-reconstruction", err, tol.ORACLE)
 
 
 def check_acvf_lyapunov(decomp, lags, gammas):
     """``gammas = mcarma.stationary_acvf(decomp, lags)`` against Lyapunov."""
     want = lyapunov_acvf(decomp.statespace, decomp.model.sigma_L, lags)
-    return _check("acvf-lyapunov-oracle",
-                  max(_rel_err(g, w) for g, w in zip(gammas, want)), 1e-8)
+    return tol.check("acvf-lyapunov-oracle",
+                     np.max([_rel_err(g, w) for g, w in zip(gammas, want)]), tol.ORACLE)
 
 
 def check_acvf_symmetry(gamma0):
-    return _check("acvf-symmetry", np.max(np.abs(gamma0 - gamma0.T)),
-                  1e-10 * max(1.0, float(np.max(np.abs(gamma0)))))
+    return tol.check("acvf-symmetry", np.max(np.abs(gamma0 - gamma0.T)),
+                     tol.ACVF_ASYMMETRY * max(1.0, float(np.max(np.abs(gamma0)))))
 
 
 def check_varma_ar(ar_residual):
-    return _check("varma-ar-structure", ar_residual, sampling.AR_RESIDUAL_TOL)
+    return tol.check("varma-ar-structure", ar_residual, tol.AR_RESIDUAL)
 
 
 def check_ma_roundtrip(roundtrip):
     """An MA round trip error (``sampling.ma_roundtrip_error``) against the
     bound ``fit_ma`` certifies."""
-    return _check("ma-roundtrip", roundtrip, sampling.MA_ROUNDTRIP_TOL)
+    return tol.check("ma-roundtrip", roundtrip, tol.MA_ROUNDTRIP)
 
 
 def check_ma_invertibility(margin):
-    return _check("ma-invertibility", margin, 1e-6, at_least=True)
+    return tol.check("ma-invertibility", margin, tol.MA_MARGIN, at_least=True)
 
 
 def check_noise_acvf(decomp, phi, gamma_U, h):
     want = noise_acvf_from_continuous(decomp, phi, h)
-    return _check("noise-acvf-consistency",
-                  max(_rel_err(g, w) for g, w in zip(gamma_U, want)), 1e-7)
+    return tol.check("noise-acvf-consistency",
+                     np.max([_rel_err(g, w) for g, w in zip(gamma_U, want)]), tol.NOISE_ACVF)
 
 
 def check_noise_lag_p_zero(U, gamma_U):
@@ -176,6 +158,6 @@ def check_noise_lag_p_zero(U, gamma_U):
     p, n = len(gamma_U), U.shape[0]
     centered = U - U.mean(axis=0)
     band = clt_band_for_zero_lags(gamma_U, n)
-    return _check("noise-lag-p-zero", max(
+    return tol.check("noise-lag-p-zero", np.max([
         np.max(np.abs(centered[lag:].T @ centered[:n - lag] / n) / band)
-        for lag in range(p, p + 4)), 1.0)
+        for lag in range(p, p + 4)]), tol.CLT_BAND)

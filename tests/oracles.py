@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad_vec
 
-from mcarma_ou import matpoly, mcarma, sampling, sim, verify
+from mcarma_ou import matpoly, mcarma, sim, tolerances, verify
 from mcarma_ou.exceptions import ImaginaryLeakError, NoConvergenceError, NotPDError
 
 INNOVATIONS_TOL = 1e-10
@@ -154,7 +154,7 @@ def noise_acvf_loop(S, residues, phi, sigma_L, h):
                     term_scale = max(term_scale, float(np.max(np.abs(term))))
                     acc += term
         leak = float(np.max(np.abs(acc.imag)))
-        if leak > sampling.IMAG_TOL * term_scale:
+        if leak > tolerances.IMAG_LEAK * term_scale:
             raise ImaginaryLeakError(f"gamma_U imaginary part {leak:.3e} at lag {lag}")
         out.append(acc.real)
 

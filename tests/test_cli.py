@@ -48,6 +48,17 @@ FIRST_ORDER = {
 }
 
 
+def set_entry(doc, path, value):
+    """``doc`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
 class TestSolvents:
     def test_example_model(self, capsys, example_model_file):
         code, out, _ = run(capsys, "solvents", example_model_file)
@@ -88,6 +99,27 @@ class TestSolvents:
         doc["A"] = [[[1, 0], [0, 1]], [[3.0, -1.0]]]  # ragged
         code, _, err = run(capsys, "solvents", write_model(tmp_path, doc))
         assert code == 1
+
+    @pytest.mark.parametrize("path", [
+        ("A", 1, 0, 0), ("B", 0, 1, 1), ("sigma_L", 0, 0), ("mean_L", 1),
+        ("driver", "rate"), ("driver", "jump_cov", 1, 0)], ids=lambda p: "-".join(map(str, p)))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entry_rejected(self, capsys, tmp_path, path, value):
+        doc = dict(FIRST_ORDER, mean_L=[0.0, 0.0], driver={
+            "kind": "compound_poisson", "rate": 2.0, "jump_cov": [[0.5, 0], [0, 0.5]]})
+        model_file = write_model(tmp_path, set_entry(doc, path, value))
+        code, out, err = run(capsys, "verify", model_file)
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and "non-finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("varma", "--h", "0"), ("varma", "--h", "nan"), ("varma", "--h", "inf"),
+        ("acvf", "--h", "nan"), ("acvf", "--h", "-0.1"), ("simulate", "--steps", "0"),
+        ("verify", "--h", "inf")], ids=" ".join)
+    def test_bad_step_rejected(self, capsys, example_model_file, argv):
+        code, out, err = run(capsys, argv[0], example_model_file, *argv[1:])
+        assert code == 1 and out == ""
+        assert err.startswith("input error: --")
 
     def test_nonmonic_rejected(self, capsys, tmp_path):
         doc = dict(FIRST_ORDER)

@@ -248,6 +248,13 @@ class TestCertify:
         with pytest.raises((IncompleteSetError, SolventResidualError)):
             matpoly.certify_solvent_set(example_poly, [R1, R1])
 
+    def test_nan_entry_rejected(self, example_poly):
+        # the NaN residual fails its bound before eig would meet the NaN
+        R = R2.copy()
+        R[0, 1] = np.nan
+        with pytest.raises(SolventResidualError):
+            matpoly.certify_solvent_set(example_poly, [R1, R])
+
     def test_example_pairs_certify(self, example_set_12, example_set_34):
         assert np.isfinite(example_set_12.cond_V)
         assert np.isfinite(example_set_34.cond_V)

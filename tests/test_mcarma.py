@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from mcarma_ou import matpoly, mcarma, rational, sampling, verify
+from mcarma_ou import matpoly, mcarma, rational, sampling, tolerances, verify
 from mcarma_ou.exceptions import (
     DuplicateLatentRootError,
     ImaginaryLeakError,
@@ -74,7 +74,7 @@ class TestStateSpace:
         rng = np.random.default_rng(600 + seed)
         model = random_stable_model(rng)
         ss = mcarma.build_state_space(model.fraction)
-        assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
+        assert sharp_relative_residual(ss) <= tolerances.SHARP_IDENTITY
 
     def test_sharp_identity_large_coefficients(self, corpus):
         # corpus model #143 (d=3, p=3) has coefficients up to ~6e6: its
@@ -82,20 +82,20 @@ class TestStateSpace:
         model = corpus[143]
         assert (model.d, model.p) == (3, 3)
         ss = mcarma.build_state_space(model.fraction)
-        assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
+        assert sharp_relative_residual(ss) <= tolerances.SHARP_IDENTITY
         mcarma.decompose(model, model.solvent_set())
 
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2, 1e4])
     def test_sharp_identity_time_rescaling_example(self, example_model, c):
         ss = mcarma.build_state_space(rescale_time(example_model, c).fraction)
-        assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
+        assert sharp_relative_residual(ss) <= tolerances.SHARP_IDENTITY
 
     # c = 1e4 is left out: McarmaModel.build rejects the rescaled #143 in
     # latent_roots (DefectiveCompanion) before the state space is formed.
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2])
     def test_sharp_identity_time_rescaling_corpus(self, corpus, c):
         ss = mcarma.build_state_space(rescale_time(corpus[143], c).fraction)
-        assert sharp_relative_residual(ss) <= mcarma.SHARP_IDENTITY_TOL
+        assert sharp_relative_residual(ss) <= tolerances.SHARP_IDENTITY
 
     def test_sharp_identity_violation_is_typed(self, example_model, monkeypatch):
         exact = rational.solve_sharp
@@ -142,6 +142,11 @@ class TestDecompose:
         stacked = decomp.y0.reshape(-1)
         assert_allclose(example_set_12.V @ stacked, x0, atol=1e-10)
         assert np.max(np.abs((example_set_12.V @ stacked).imag)) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_state_rejected(self, example_model, example_set_12, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mcarma.decompose(example_model, example_set_12, np.array([1.0, bad, 0.0, 0.0]))
 
     # the rounding of Im(T y0) scales with x0: on corpus #8 it is 1.2e-10 at
     # c = 1e4 and 7.2e-7 at c = 1e8, both about 7e-17 of max(|T| |y0|)
@@ -210,12 +215,12 @@ class TestDecompose:
     def test_similarity_certificate_is_kept(self, corpus, monkeypatch):
         model = corpus[8]
         decomp = mcarma.decompose(model, model.solvent_set())
-        assert decomp.similarity_bound == mcarma.SIMILARITY_TOL
+        assert decomp.similarity_bound == tolerances.SIMILARITY
         assert 0.0 < decomp.similarity_residual <= decomp.similarity_bound
         # the stored value is the one the certificate measures
-        monkeypatch.setattr(mcarma, "SIMILARITY_TOL", 0.0)
+        monkeypatch.setattr(tolerances, "SIMILARITY", 0.0)
         with pytest.raises(ImaginaryLeakError,
-                           match=f"failed at {decomp.similarity_residual:.3e}"):
+                           match=f"similarity residual = {decomp.similarity_residual:.3e}"):
             mcarma.decompose(model, model.solvent_set())
 
 
@@ -376,6 +381,18 @@ class TestStationaryAcvf:
         g0 = mcarma.stationary_acvf(example_decomp_12, [0.0])[0]
         assert np.max(np.abs(g0 - g0.T)) <= 1e-10
         assert np.min(np.linalg.eigvalsh(g0)) >= -1e-12
+
+    def test_zero_driver_zero_acvf(self, example_model):
+        # the PSD floor of gamma(0) is met with equality
+        model = mcarma.McarmaModel.build(example_model.A, example_model.B, np.zeros((2, 2)))
+        decomp = mcarma.decompose(model, model.solvent_set())
+        gammas = mcarma.stationary_acvf(decomp, [0.0, 0.5])
+        assert all(np.all(g == 0.0) for g in gammas)
+
+    @pytest.mark.parametrize("lag", [-0.1, np.nan, np.inf])
+    def test_lag_outside_nonnegative_reals_rejected(self, example_decomp_12, lag):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mcarma.stationary_acvf(example_decomp_12, [0.0, lag])
 
     def test_not_stationary_rejected(self):
         model = scalar_model([1, -0.5], [1.0])  # root +0.5

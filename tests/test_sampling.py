@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from mcarma_ou import matpoly, mcarma, rational, sampling, verify
+from mcarma_ou import matpoly, mcarma, rational, sampling, tolerances, verify
 from mcarma_ou.exceptions import (
     AliasedSamplingError,
     CertificationError,
@@ -128,6 +128,11 @@ class TestVarmaAr:
         got = np.linalg.eigvals(comp)
         want = np.exp(-h * example_set_12.roots)
         assert matpoly.eig_multiset_distance(got, want) < 1e-7
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+    def test_step_outside_positive_reals_rejected(self, example_set_12, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sampling.varma_ar(example_set_12, h)
 
     def test_aliasing_detected(self):
         h = 1.0
@@ -389,7 +394,7 @@ class TestSampledVarma:
         assert np.isfinite(sv.cond_sampled_V)
         assert 1 <= sv.ma_steps <= sampling.DOUBLING_MAXIT
         assert sv.ma_roundtrip == sampling.ma_roundtrip_error(
-            sv.gamma_U, sv.theta, sv.sigma_eps) <= sampling.MA_ROUNDTRIP_TOL
+            sv.gamma_U, sv.theta, sv.sigma_eps) <= tolerances.MA_ROUNDTRIP
 
     def test_logs_stage_times_at_debug(self, example_model, caplog):
         decomp = mcarma.decompose(example_model, example_model.solvent_set())
@@ -404,6 +409,14 @@ class TestSampledVarma:
         for stage in ("varma_ar", "noise_acvf", "fit_ma"):
             assert stage in message
         assert f"{sv.ma_steps} doubling steps" in message
+
+    def test_zero_driver_has_no_ma_factor(self, example_model):
+        # gamma_U(0) = 0 meets the PSD floor of noise_acvf with equality and
+        # fails the strict positive-definite floor of fit_ma
+        model = mcarma.McarmaModel.build(example_model.A, example_model.B, np.zeros((2, 2)))
+        decomp = mcarma.decompose(model, model.solvent_set())
+        with pytest.raises(NotPDError, match="gamma_U\\(0\\) min eig = 0.000e\\+00"):
+            sampling.sampled_varma(decomp, 0.1)
 
     def test_schur_flag_tracks_stability(self):
         model = scalar_model([1, -0.5], [1.0])  # unstable root +0.5

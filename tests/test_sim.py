@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from mcarma_ou import matpoly, mcarma, sampling, sim, verify
+from mcarma_ou import matpoly, mcarma, sampling, sim, tolerances, verify
 from mcarma_ou.exceptions import CholeskyFailError, NotStationaryError, TooShortError
 
 from conftest import random_stable_model
@@ -64,6 +64,19 @@ class TestDegenerateCases:
         driver = brownian(0, np.zeros((2, 2)))
         path = sim.simulate(decomp, driver, 0.1, 200)
         assert np.max(np.abs(path.Y)) == 0.0
+
+    def test_zero_driver_stationary_start_zero_path(self, example_model):
+        # the all-zero state covariance and Gramian factor to zero
+        model = mcarma.McarmaModel.build(example_model.A, example_model.B, np.zeros((2, 2)))
+        decomp = mcarma.decompose(model, model.solvent_set())
+        path = sim.simulate(decomp, brownian(0, model.sigma_L), 0.1, 200,
+                            stationary_start=True)
+        assert np.max(np.abs(path.Y)) == 0.0
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+    def test_step_outside_positive_reals_rejected(self, example_decomp, h):
+        with pytest.raises(ValueError, match="finite h > 0"):
+            sim.simulate(example_decomp, brownian(0, np.eye(2)), h, 10)
 
     def test_stationary_start_needs_stability(self):
         model = scalar_model([1, -0.5], [1.0])
@@ -341,7 +354,7 @@ class TestPsdRepair:
         path = sim.simulate(decomp, brownian(143, model.sigma_L), 0.1, 2000,
                             stationary_start=True)
         assert np.all(np.isfinite(path.Y))
-        assert path.max_imag <= sim.IMAG_TOL_PATH * np.max(np.abs(path.Y))
+        assert path.max_imag <= tolerances.PATH_LEAK * np.max(np.abs(path.Y))
 
     def test_small_step_gramian_factors(self, corpus):
         # corpus model #125 at h = 0.01: a Gramian solved from the Sylvester
@@ -351,7 +364,7 @@ class TestPsdRepair:
         model = corpus[125]
         decomp = mcarma.decompose(model, model.solvent_set())
         vals = np.linalg.eigvalsh(sim.state_innovation_gramian(decomp, model.sigma_L, 0.01))
-        assert vals[0] >= -sim.PSD_CLIP * vals[-1]
+        assert vals[0] >= -tolerances.PSD_CLIP * vals[-1]
         path = sim.simulate(decomp, brownian(125, model.sigma_L), 0.01, 2000,
                             stationary_start=True)
         assert np.all(np.isfinite(path.Y))
@@ -514,7 +527,7 @@ class TestObservability:
             path = sim.simulate(example_decomp, brownian(6, np.eye(2)), 0.1, 3000)
             sim.simulate(example_decomp, brownian(6, np.eye(2)), 0.1, 20)
         assert path.max_imag <= path.imag_bound
-        assert path.imag_bound == sim.IMAG_TOL_PATH * max(1.0, np.max(np.abs(path.Y)))
+        assert path.imag_bound == tolerances.PATH_LEAK * max(1.0, np.max(np.abs(path.Y)))
         records = [r for r in caplog.records
                    if r.name == sim.log.name and r.levelname == "DEBUG"]
         assert len(records) == 2

@@ -1,0 +1,111 @@
+"""The tolerance policy: one table in ``mcarma_ou.tolerances``, one comparison."""
+
+import pathlib
+import re
+import tokenize
+
+import numpy as np
+import pytest
+
+from mcarma_ou import tolerances
+from mcarma_ou.exceptions import ImaginaryLeakError
+
+SRC = pathlib.Path(tolerances.__file__).parent
+# one table line: NAME = value  # quantity; scale[, scale ...][; abs]
+ROW = re.compile(r"([A-Z][A-Z0-9_]*) = (\S+) +# ([^;]+); ([^;]+?)(; abs)?")
+
+
+def tokens(path):
+    with open(path) as fh:
+        return list(tokenize.generate_tokens(fh.readline))
+
+
+def table():
+    """``{name: (value, quantity, scale, abs)}`` of the policy table."""
+    rows = {}
+    for line in (SRC / "tolerances.py").read_text().splitlines():
+        match = ROW.fullmatch(line)
+        if match:
+            name, value, quantity, scale, absolute = match.groups()
+            rows[name] = (float(value), quantity, scale, absolute is not None)
+    return rows
+
+
+def other_modules():
+    return [path for path in sorted(SRC.glob("*.py")) if path.name != "tolerances.py"]
+
+
+class TestOnePlace:
+    def test_no_exponent_literal_outside_the_table(self):
+        # docstrings and comments are not NUMBER tokens
+        found = [f"{path.name}:{tok.start[0]} {tok.string}"
+                 for path in other_modules() for tok in tokens(path)
+                 if tok.type == tokenize.NUMBER and "e" in tok.string.lower()
+                 and not tok.string.lower().startswith("0x")]
+        assert found == []
+
+    def test_every_constant_is_a_table_row(self):
+        constants = {name: value for name, value in vars(tolerances).items()
+                     if name.isupper() and isinstance(value, float)}
+        rows = table()
+        assert constants.keys() == rows.keys()
+        assert all(rows[name][0] == value for name, value in constants.items())
+
+    def test_every_row_is_read(self):
+        read = {tok.string for path in other_modules() for tok in tokens(path)
+                if tok.type == tokenize.NAME}
+        assert sorted(set(table()) - read) == []
+
+    def test_bounds_that_are_not_scale_free_are_marked(self):
+        # absolute on a quantity that scales with time, or with a scale
+        # floored at 1 (the open half of making every certificate scale-free)
+        rows = table()
+        for name in ("STRUCTURE", "EIG_MATCH", "POLE_GAP", "SYLVESTER_GAP", "ALIAS",
+                     "SOLVENT_RESIDUAL", "AR_RESIDUAL", "MA_ROUNDTRIP"):
+            assert rows[name][3], name
+        for name in ("LATENT_RESIDUAL", "CONDITION", "SHARP_IDENTITY", "PSD_CLIP"):
+            assert not rows[name][3], name
+
+
+class TestComparison:
+    @pytest.mark.parametrize("at_least", [False, True])
+    def test_nan_fails(self, at_least):
+        assert not tolerances.check("row", np.nan, 1.0, at_least).ok
+        with pytest.raises(ImaginaryLeakError, match="nan"):
+            tolerances.certify(ImaginaryLeakError, "leak", np.nan, 1.0, at_least)
+        with pytest.raises(ImaginaryLeakError, match=r"leak\[1\] = nan"):
+            tolerances.certify(ImaginaryLeakError, "leak", np.array([1.0, np.nan]),
+                               1.0, at_least)
+
+    def test_equality_passes_both_ways(self):
+        tolerances.certify(ImaginaryLeakError, "leak", 1.0, 1.0)
+        tolerances.certify(ImaginaryLeakError, "gap", 1.0, 1.0, at_least=True)
+        assert tolerances.check("row", 1.0, 1.0).ok
+        assert tolerances.check("margin", 1.0, 1.0, at_least=True).ok
+
+    def test_message_carries_measured_and_bound(self):
+        with pytest.raises(ImaginaryLeakError,
+                           match=r"^ImaginaryLeak: leak = 2\.000e\+00 exceeds 1\.000e\+00$"):
+            tolerances.certify(ImaginaryLeakError, "leak", 2.0, 1.0)
+        with pytest.raises(ImaginaryLeakError, match=r"gap = 1\.000e-13 below 1\.000e-12$"):
+            tolerances.certify(ImaginaryLeakError, "gap", 1e-13, 1e-12, at_least=True)
+
+    def test_stacked_comparison_is_elementwise(self):
+        # the first failing entry is reported with its own bound
+        bound = np.array([[1.0, 2.0], [3.0, 4.0]])
+        tolerances.certify(ImaginaryLeakError, "leak", bound, bound)
+        with pytest.raises(ImaginaryLeakError, match=r"leak\[1, 0\] = 3\.500e\+00 exceeds "
+                                                     r"3\.000e\+00"):
+            tolerances.certify(ImaginaryLeakError, "leak", np.array([[0.5], [3.5]]), bound)
+
+    def test_pass_formats_no_message(self):
+        class Unformattable:
+            def __format__(self, spec):
+                raise AssertionError("formatted on the pass path")
+
+        tolerances.certify(ImaginaryLeakError, Unformattable(), 0.5, 1.0)
+
+    def test_check_is_a_row(self):
+        row = tolerances.check("row", np.float64(0.5), 1)
+        assert row == ("row", 0.5, 1.0, True)
+        assert type(row.measured) is float and type(row.bound) is float

@@ -16,7 +16,6 @@ from .matpoly import (
     default_grouping,
     latent_roots,
     linear_factorization,
-    solvent_set,
     solvents_from_latents,
     vandermonde,
 )
@@ -46,7 +45,6 @@ from .sampling import (
 from .sim import (
     DriverSpec,
     PathGrid,
-    attach_noise,
     empirical_acvf,
     extract_noise,
     simulate,
@@ -67,7 +65,6 @@ __all__ = [
     "SampledVarma",
     "SolventSet",
     "StateSpace",
-    "attach_noise",
     "build_state_space",
     "certify_solvent_set",
     "check_irreducible",
@@ -86,7 +83,6 @@ __all__ = [
     "residues",
     "sampled_varma",
     "simulate",
-    "solvent_set",
     "solvents_from_latents",
     "stationary_acvf",
     "vandermonde",

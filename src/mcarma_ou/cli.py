@@ -89,6 +89,8 @@ def load_model_file(path, seed=0):
         if "rate" not in driver_doc or "jump_cov" not in driver_doc:
             raise ModelFileError("compound_poisson driver needs rate and jump_cov")
         rate = float(_array(driver_doc["rate"], "driver.rate", ndim=0))
+        if not rate > 0:
+            raise ModelFileError(f"driver.rate must be positive, got {rate!r}")
         jump_cov = _array(driver_doc["jump_cov"], "driver.jump_cov")
         bound = tol.DRIVER_MATCH * max(1.0, np.max(np.abs(sigma_L)))
         if not np.max(np.abs(rate * jump_cov - sigma_L)) <= bound:
@@ -108,28 +110,18 @@ def _fmt(x):
         return f"{x:.17g}"
     return str(x)
 
-def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return {"re": _to_jsonable(obj.real), "im": _to_jsonable(obj.imag)}
-        return [_to_jsonable(row) for row in obj.tolist()] if obj.ndim else float(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
+def _json_default(obj):
+    """What ``json`` cannot encode itself: complex values (scalars or arrays)
+    as ``{"re", "im"}``, arrays as nested lists, numpy scalars as Python's."""
+    if np.iscomplexobj(obj):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 def dumps_json(obj):
     """Serialize to indented JSON; ``json.dumps`` writes floats by ``repr``."""
-    return json.dumps(_to_jsonable(obj), indent=2) + "\n"
+    return json.dumps(obj, indent=2, default=_json_default) + "\n"
 
 def _emit(text, out_path):
     if out_path in (None, "-"):
@@ -150,6 +142,13 @@ def _parse_grouping(spec_str):
         return [[int(i) for i in group] for group in grouping]
     except (TypeError, ValueError) as err:
         raise ModelFileError(f"bad grouping: {err}") from None
+
+def _decomposition(args):
+    """The model file's OU decomposition along the ``--grouping`` solvent
+    set, and its driver (seeded by ``--seed`` where the command has one)."""
+    model, driver = load_model_file(args.model, seed=getattr(args, "seed", 0))
+    S = model.solvent_set(_parse_grouping(args.grouping))
+    return mcarma.decompose(model, S), driver
 
 def _solvent_payload(S):
     return {
@@ -175,9 +174,8 @@ def cmd_solvents(args):
     return 0
 
 def cmd_decompose(args):
-    model, _ = load_model_file(args.model)
-    S = model.solvent_set(_parse_grouping(args.grouping))
-    decomp = mcarma.decompose(model, S)
+    decomp, _ = _decomposition(args)
+    S = decomp.solvent_set
     payload = _solvent_payload(S)
     payload["components"] = [
         {"R": R, "residue": res} for R, res in zip(S.matrices, decomp.residues)]
@@ -186,23 +184,19 @@ def cmd_decompose(args):
     return 0
 
 def cmd_acvf(args):
-    model, _ = load_model_file(args.model)
-    S = model.solvent_set(_parse_grouping(args.grouping))
-    decomp = mcarma.decompose(model, S)
+    decomp, _ = _decomposition(args)
     lags = [k * args.h for k in range(args.lags + 1)]
     gammas = mcarma.stationary_acvf(decomp, lags)
     lines = ["lag,i,j,value"]
     for lag, gamma in zip(lags, gammas):
-        for i in range(model.d):
-            for j in range(model.d):
+        for i in range(decomp.d):
+            for j in range(decomp.d):
                 lines.append(f"{_fmt(lag)},{i},{j},{_fmt(float(gamma[i, j]))}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 def cmd_varma(args):
-    model, _ = load_model_file(args.model)
-    S = model.solvent_set(_parse_grouping(args.grouping))
-    decomp = mcarma.decompose(model, S)
+    decomp, _ = _decomposition(args)
     sv = sampling.sampled_varma(decomp, args.h)
     payload = {
         "h": float(sv.h),
@@ -219,18 +213,15 @@ def cmd_varma(args):
     return 0
 
 def cmd_simulate(args):
-    model, driver = load_model_file(args.model, seed=args.seed)
-    S = model.solvent_set(_parse_grouping(args.grouping))
-    decomp = mcarma.decompose(model, S)
+    decomp, driver = _decomposition(args)
     path = sim.simulate(decomp, driver, args.h, args.steps,
                         stationary_start=args.stationary_start)
-    d = model.d
+    d = decomp.d
     header = ["n"] + [f"Y_{i + 1}" for i in range(d)]
     U = None
     if args.emit_noise:
-        _, phi, _ = sampling.varma_ar(S, args.h)
-        path = sim.attach_noise(path, phi)
-        U = path.U
+        _, phi, _ = sampling.varma_ar(decomp.solvent_set, args.h)
+        U = sim.extract_noise(path, phi)
         header += [f"U_{i + 1}" for i in range(d)]
     # one % per row writes what _fmt writes value by value
     row = "%d" + ",%.17g" * d
@@ -239,7 +230,7 @@ def cmd_simulate(args):
     if U is None:
         lines += [row % (n, *y) for n, y in enumerate(Y)]
     else:
-        p = model.p
+        p = decomp.p
         lines += [(row + "," * d) % (n, *y) for n, y in enumerate(Y[:p])]
         lines += [(row + ",%.17g" * d) % (n, *y, *u)
                   for n, (y, u) in enumerate(zip(Y[p:], U.tolist()), start=p)]
@@ -251,7 +242,7 @@ def cmd_simulate(args):
 # verification suite
 
 def run_verification(model, driver, h, steps, seed):
-    """Run the ``verify`` checks in row order; return ``([Check], decomp)``.
+    """Run the ``verify`` checks in row order; return the list of ``Check``.
 
     The Monte-Carlo row needs a Brownian driver: its band is the Gaussian
     CLT band (compound-Poisson sample ACVFs carry an extra kurtosis term).
@@ -284,11 +275,11 @@ def run_verification(model, driver, h, steps, seed):
             path = sim.simulate(decomp, driver_mc, h, steps, stationary_start=True)
             checks.append(verify.check_noise_lag_p_zero(
                 sim.extract_noise(path, list(sv.phi)), sv.gamma_U))
-    return checks, decomp
+    return checks
 
 def cmd_verify(args):
     model, driver = load_model_file(args.model, seed=args.seed)
-    checks, _ = run_verification(model, driver, args.h, args.steps, args.seed)
+    checks = run_verification(model, driver, args.h, args.steps, args.seed)
     width = max(len(name) for name, *_ in checks)
     all_ok = True
     for name, measured, bound, ok in checks:
@@ -342,6 +333,8 @@ def _check_steps(args):
         raise ModelFileError(f"--h must be positive and finite, got {args.h}")
     if "steps" in args and args.steps < 1:
         raise ModelFileError(f"--steps must be at least 1, got {args.steps}")
+    if "lags" in args and args.lags < 0:
+        raise ModelFileError(f"--lags must be at least 0, got {args.lags}")
 
 def main(argv=None):
     parser = build_parser()

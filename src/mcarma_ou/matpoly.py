@@ -412,13 +412,21 @@ def _residual_norms(A, mats):
     return norms
 
 
-def _certified_set(mats, spectrum, P, P_inv, residual_norms):
-    """The tail both construction routes share: the block Vandermonde matrix
-    of solvents whose residuals are certified, its cond(V) certificate, and
-    the read-only stacks."""
-    V = vandermonde(mats)
+def _certified_vandermonde(powers):
+    """The block Vandermonde matrix of the p solvents whose ``_powers`` are
+    ``powers`` (at least p of them), with its condition number, certified at
+    most ``tolerances.CONDITION``."""
+    V = _block_vandermonde(powers[:powers.shape[1]])
     cond_V = float(_cond(V))
     tol.certify(SingularVandermondeError, "cond(V)", cond_V, tol.CONDITION)
+    return V, cond_V
+
+
+def _certified_set(mats, spectrum, P, P_inv, residual_norms):
+    """The tail both construction routes share: the certified block
+    Vandermonde matrix of solvents whose residuals are certified, and the
+    read-only stacks."""
+    V, cond_V = _certified_vandermonde(_powers(mats, len(mats) - 1))
     stacks = (mats, spectrum, P, P_inv, residual_norms, V)
     return SolventSet(*(_readonly(a) for a in stacks), cond_V)
 
@@ -502,11 +510,6 @@ def solvents_from_latents(A, pairs=None, grouping=None):
     return _certified_set(mats, spectrum, P, P_inv, _residual_norms(A, mats))
 
 
-def solvent_set(A, grouping=None):
-    """Latent roots -> grouped solvents -> certified SolventSet, in one call."""
-    return solvents_from_latents(A, latent_roots(A), grouping)
-
-
 def coeffs_from_solvent_matrices(mats):
     """Monic lambda-matrix with the given complete solvent set.
 
@@ -524,9 +527,7 @@ def vandermonde_solve(mats):
     mats = _as_complex(mats)
     p, d = mats.shape[:2]
     powers = _powers(mats, p)
-    V = _block_vandermonde(powers[:p])
-    cond_V = float(_cond(V))
-    tol.certify(SingularVandermondeError, "cond(V)", cond_V, tol.CONDITION)
+    V, cond_V = _certified_vandermonde(powers)
     row = powers[p].transpose(1, 0, 2).reshape(d, p * d)
     X = -np.linalg.solve(V.T, row.T).T
     coeffs = [np.eye(d, dtype=complex)]

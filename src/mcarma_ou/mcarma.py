@@ -302,8 +302,8 @@ def kernel(decomp, t):
     verification suite rather than recomputed here.  The imaginary part is
     certified below ``tolerances.IMAG_LEAK`` of the largest summand and stripped.
     """
-    if t < 0:
-        raise ValueError("kernel is defined for t >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"kernel is defined for finite t >= 0, got {t}")
     out, _ = _real_sum(decomp.solvent_set, [t], decomp.residues, "kernel imaginary part")
     return out[0]
 

@@ -229,24 +229,29 @@ def _riccati_doubling(gammas):
         f"MA doubling did not settle in {DOUBLING_MAXIT} steps")
 
 
+def _ma_acvfs(theta, sigma_eps, n_lags):
+    """MA autocovariances ``sum_b Theta_{b+l} Sigma_eps Theta_b^T``
+    (Theta_0 = I) at lags l = 0..n_lags-1, stacked (n_lags, d, d).
+
+    All lags are one stacked pass: the products ``Theta_a Sigma_eps
+    Theta_b^T`` of every pair, and per lag l the sum over b of those with
+    a = b + l, in increasing b; lags beyond the MA order are zero."""
+    d = sigma_eps.shape[0]
+    coeffs = np.array([np.eye(d)] + [np.asarray(t, dtype=float) for t in theta])
+    q = len(coeffs) - 1
+    prods = np.zeros((n_lags + q, q + 1, d, d))  # (a, b), zero for a > q
+    prods[:q + 1] = (coeffs @ sigma_eps)[:, None] @ coeffs.swapaxes(1, 2)
+    b = np.arange(q + 1)
+    return np.cumsum(prods[np.arange(n_lags)[:, None] + b, b], axis=1)[:, -1]
+
+
 def ma_roundtrip_error(gamma_U, theta, sigma_eps):
     """Round trip of an MA factor: the MA autocovariances of ``(theta,
     sigma_eps)`` against gamma_U over all lags, as the larger of the
     Frobenius error relative to ``max(1, ||gamma||_F)`` and the elementwise
-    error relative to ``max(1, max|gamma|)``.
-
-    All lags are one stacked pass: with Theta_0 = I, the products
-    ``Theta_a Sigma_eps Theta_b^T`` of every pair, and per lag l the sum over
-    b of those with a = b + l, in the order of ``ma_acvf``."""
+    error relative to ``max(1, max|gamma|)``."""
     want = np.array(gamma_U, dtype=float)
-    d = sigma_eps.shape[0]
-    coeffs = np.array([np.eye(d)] + [np.asarray(t, dtype=float) for t in theta])
-    q = len(coeffs) - 1
-    prods = np.zeros((len(want) + q, q + 1, d, d))  # (a, b), zero for a > q
-    prods[:q + 1] = (coeffs @ sigma_eps)[:, None] @ coeffs.swapaxes(1, 2)
-    b = np.arange(q + 1)
-    got = np.cumsum(prods[np.arange(len(want))[:, None] + b, b], axis=1)[:, -1]
-    diff = got - want
+    diff = _ma_acvfs(theta, sigma_eps, len(want)) - want
     fro = np.linalg.norm(diff, axis=(1, 2)) / np.maximum(
         1.0, np.linalg.norm(want, axis=(1, 2)))
     elem = np.abs(diff).max(axis=(1, 2)) / np.maximum(1.0, np.abs(want).max(axis=(1, 2)))
@@ -316,15 +321,7 @@ def fit_ma(gamma_U):
 
 def ma_acvf(theta, sigma_eps, lag):
     """MA autocovariance ``sum_k Theta_{k+l} Sigma_eps Theta_k^T`` (Theta_0=I)."""
-    d = sigma_eps.shape[0]
-    coeffs = [np.eye(d)] + [np.asarray(t, dtype=float) for t in theta]
-    q = len(coeffs) - 1
-    if lag > q:
-        return np.zeros((d, d))
-    acc = np.zeros((d, d))
-    for k in range(q - lag + 1):
-        acc += coeffs[k + lag] @ sigma_eps @ coeffs[k].T
-    return acc
+    return _ma_acvfs(theta, sigma_eps, lag + 1)[lag]
 
 
 def sampled_varma(decomp, h):

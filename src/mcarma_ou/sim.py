@@ -70,12 +70,6 @@ class DriverSpec:
         else:
             raise ValueError(f"unknown driver kind {self.kind!r}")
 
-    @property
-    def covariance_per_unit_time(self):
-        if self.kind == "brownian":
-            return np.asarray(self.sigma_L, dtype=float)
-        return self.rate * np.asarray(self.jump_cov, dtype=float)
-
 
 @dataclass(frozen=True)
 class PathGrid:
@@ -83,8 +77,6 @@ class PathGrid:
 
     ``max_imag`` is the largest imaginary residue of the modal read-out and
     ``imag_bound`` its certified bound, ``tolerances.PATH_LEAK * max(1, max|Y|)``.
-    ``U`` carries the AR-residual noise sequence when it was requested via
-    :func:`attach_noise`; it is None otherwise.
     """
 
     h: float
@@ -92,7 +84,6 @@ class PathGrid:
     Y: np.ndarray
     max_imag: float
     imag_bound: float
-    U: np.ndarray | None = None
 
 
 def _psd_factor(mat, what):
@@ -348,11 +339,3 @@ def extract_noise(path, phi):
     for j, coef in enumerate(phi, start=1):
         U -= Y[p - j:n - j] @ coef.T
     return U
-
-
-def attach_noise(path, phi):
-    """Copy of the path carrying its extracted noise sequence in ``U``."""
-    import dataclasses
-
-    return dataclasses.replace(path, U=extract_noise(path, phi))
-

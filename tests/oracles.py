@@ -10,7 +10,8 @@ factor of a (p-1)-dependent noise by the multivariate innovations recursion
 instead of doubling on its Riccati equation; a lambda-matrix by multiplying
 out its linear factors.  ``noise_acvf_loop`` is the per-term loop that
 ``sampling.noise_acvf`` replaced by batched products, kept to show that the
-batched sum rounds exactly as the loop does, and ``greedy_grouping`` the
+batched sum rounds exactly as the loop does, ``ma_acvf_loop`` the same for
+the stacked products of ``sampling.ma_acvf``, and ``greedy_grouping`` the
 grouping walk that ``matpoly.default_grouping`` replaced by scoring only
 real choices, kept to show that the groups are the same.  The oracles that
 ``mcarma-ou verify`` runs too live in ``mcarma_ou.verify``.
@@ -165,6 +166,17 @@ def noise_acvf_loop(S, residues, phi, sigma_L, h):
     if np.min(np.linalg.eigvalsh(out[0])) < -1e-10 * term_scale:
         raise NotPDError("gamma_U(0) not positive semidefinite")
     return out
+
+
+def ma_acvf_loop(theta, sigma_eps, lag):
+    """``sampling.ma_acvf`` as one 2-d product per term, summed in a loop."""
+    d = sigma_eps.shape[0]
+    coeffs = [np.eye(d)] + [np.asarray(t, dtype=float) for t in theta]
+    q = len(coeffs) - 1
+    acc = np.zeros((d, d))
+    for k in range(q - lag + 1):
+        acc += coeffs[k + lag] @ sigma_eps @ coeffs[k].T
+    return acc
 
 
 def block_bootstrap_sd(Y, lags, block_len, n_boot, seed):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -114,8 +115,8 @@ class TestSolvents:
 
     @pytest.mark.parametrize("argv", [
         ("varma", "--h", "0"), ("varma", "--h", "nan"), ("varma", "--h", "inf"),
-        ("acvf", "--h", "nan"), ("acvf", "--h", "-0.1"), ("simulate", "--steps", "0"),
-        ("verify", "--h", "inf")], ids=" ".join)
+        ("acvf", "--h", "nan"), ("acvf", "--h", "-0.1"), ("acvf", "--lags", "-1"),
+        ("simulate", "--steps", "0"), ("verify", "--h", "inf")], ids=" ".join)
     def test_bad_step_rejected(self, capsys, example_model_file, argv):
         code, out, err = run(capsys, argv[0], example_model_file, *argv[1:])
         assert code == 1 and out == ""
@@ -400,7 +401,7 @@ class TestModelLoading:
                          "jump_cov": [[0.5, 0], [0, 0.5]]}
         model, driver = cli.load_model_file(write_model(tmp_path, doc))
         assert driver.kind == "compound_poisson"
-        assert np.allclose(driver.covariance_per_unit_time, np.eye(2))
+        assert np.allclose(driver.rate * driver.jump_cov, np.eye(2))
 
     def test_compound_poisson_mismatch_rejected(self, capsys, tmp_path):
         doc = dict(FIRST_ORDER)
@@ -409,3 +410,47 @@ class TestModelLoading:
         code, _, err = run(capsys, "solvents", write_model(tmp_path, doc))
         assert code == 1
         assert "sigma_L" in err
+
+    def test_compound_poisson_negative_rate_rejected(self, capsys, tmp_path):
+        # rate * jump_cov = sigma_L holds; the sign of the rate is the error
+        doc = dict(FIRST_ORDER)
+        doc["driver"] = {"kind": "compound_poisson", "rate": -2.0,
+                         "jump_cov": [[-0.5, 0], [0, -0.5]]}
+        code, out, err = run(capsys, "solvents", write_model(tmp_path, doc))
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and "rate must be positive" in err
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class TestBenchmarkContract:
+    def test_verify_cli_inputs_pass_and_harness_names_resolve(
+            self, capsys, tmp_path, example_model_file, corpus):
+        # the verify-cli workload runs ``verify`` at default flags on
+        # carma2x2 and on benchmark corpus #8, written by perfbench's writer
+        spec = importlib.util.spec_from_file_location("perfbench_corpus",
+                                                      PERFBENCH / "corpus.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        d3p3 = bench.corpus_from(np.random.default_rng(20250810), 9)[8]
+        model = corpus[8]
+        for want, got in ((d3p3.A.coeffs, model.A.coeffs), (d3p3.B.coeffs, model.B.coeffs),
+                          (d3p3.sigma_L, model.sigma_L)):
+            assert np.array_equal(np.asarray(want), np.asarray(got))
+        for path in (example_model_file, bench.write_model(tmp_path / "d3p3.json", model)):
+            code, out, err = run(capsys, "verify", path)
+            assert (code, err) == (0, "")
+            assert out.splitlines()[-1] == "verification: PASS"
+
+        # building the corpus above called coeffs_from_solvent_matrices,
+        # latent_roots(...)[i].root and eig_multiset_distance; the rest of
+        # what the benchmark calls, or wraps by name:
+        assert all(map(callable, (cli.run_verification, cli.load_model_file, cli.main)))
+        decomp = mcarma.decompose(model, model.solvent_set())
+        assert decomp.statespace.A_star.shape == (9, 9)
+        assert model.latent_root_values.shape == (9,)
+        sv = sampling.sampled_varma(decomp, 0.25)
+        assert sampling.ma_acvf(sv.theta, sv.sigma_eps, 0).shape == (3, 3)
+        driver = sim.DriverSpec(kind="brownian", seed=0, sigma_L=model.sigma_L)
+        assert len(sim.empirical_acvf(sim.simulate(decomp, driver, 0.1, 100), 2)) == 3

@@ -106,7 +106,7 @@ class TestLatentRoots:
         # (z+1)^2 I perturbs into root clusters below the distinctness tolerance
         A = matpoly.LambdaMatrix((np.eye(2), 2 * np.eye(2), np.eye(2)))
         with pytest.raises((DuplicateLatentRootError, DefectiveCompanionError)):
-            matpoly.solvent_set(A)
+            matpoly.solvents_from_latents(A)
 
 
 class TestSolventsFromLatents:
@@ -132,13 +132,13 @@ class TestSolventsFromLatents:
         rng = np.random.default_rng(4)
         M = rng.standard_normal((3, 3))
         A = matpoly.LambdaMatrix((np.eye(3), M))
-        S = matpoly.solvent_set(A)
+        S = matpoly.solvents_from_latents(A)
         assert_allclose(S.matrices[0].real, -M, atol=1e-9)
 
     def test_split_conjugate_pair_is_valid(self):
         # d=1, p=2 with a conjugate root pair: groups of size one must split it
         A = scalar_poly(1.0, 2.0, 1.0 + np.pi ** 2)
-        S = matpoly.solvent_set(A)
+        S = matpoly.solvents_from_latents(A)
         assert len(S) == 2
         assert max(np.max(np.abs(R.imag)) for R in S.matrices) > 0.1
 
@@ -311,7 +311,7 @@ class TestCoeffsFromSolvents:
         model = random_stable_model(rng, d=int(rng.integers(2, 4)),
                                     p=int(rng.integers(2, 4)))
         A = model.A
-        S = matpoly.solvent_set(A)
+        S = matpoly.solvents_from_latents(A)
         back = matpoly.coeffs_from_solvent_matrices(S.matrices)
         for got, want in zip(back.coeffs, A.coeffs):
             scale = max(1.0, np.linalg.norm(want))
@@ -321,7 +321,7 @@ class TestCoeffsFromSolvents:
     def test_real_output_for_conjugate_closed_grouping(self, seed):
         rng = np.random.default_rng(200 + seed)
         model = random_stable_model(rng, d=2, p=2)
-        S = matpoly.solvent_set(model.A)  # default grouping is conjugate closed
+        S = matpoly.solvents_from_latents(model.A)  # default grouping is conjugate closed
         back = matpoly.coeffs_from_solvent_matrices(S.matrices)
         assert max(np.max(np.abs(c.imag)) for c in back.coeffs) < 1e-10
 
@@ -353,7 +353,7 @@ class TestLinearFactorization:
     def test_random_product(self, seed):
         rng = np.random.default_rng(300 + seed)
         model = random_stable_model(rng, d=2, p=3)
-        S = matpoly.solvent_set(model.A)
+        S = matpoly.solvents_from_latents(model.A)
         product = expand_factors(matpoly.linear_factorization(S.matrices))
         for got, want in zip(product.coeffs, model.A.coeffs):
             assert np.linalg.norm(got - want) < 1e-8 * max(1.0, np.linalg.norm(want))

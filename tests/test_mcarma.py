@@ -325,6 +325,11 @@ class TestKernel:
         assert_allclose(mcarma.kernel(decomp, 0.0),
                         model.B.coeffs[0].real, atol=1e-9)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+    def test_bad_time_rejected(self, example_decomp_12, t):
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            mcarma.kernel(example_decomp_12, t)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_kernel_identity_random(self, seed):
         rng = np.random.default_rng(800 + seed)

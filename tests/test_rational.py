@@ -73,7 +73,7 @@ class TestIrreducible:
     def test_reducible_fraction_rejected_in_residues(self, example_set_12):
         A = scalar_poly(1, 3, 2)
         F = rational.RationalLeftMatrix.build(A, scalar_poly(1, 1))
-        S = matpoly.solvent_set(A)
+        S = matpoly.solvents_from_latents(A)
         with pytest.raises(NotIrreducibleError):
             rational.residues(F, S)
 
@@ -105,7 +105,7 @@ class TestResidues:
         A = scalar_poly(1, 3, 2)
         B = scalar_poly(1)
         F = rational.RationalLeftMatrix.build(A, B)
-        S = matpoly.solvent_set(A)
+        S = matpoly.solvents_from_latents(A)
         for R, res in zip(S.matrices, rational.residues(F, S)):
             r = R[0, 0]
             expected = B.eval(r)[0, 0] / A.derivative().eval(r)[0, 0]

@@ -20,6 +20,7 @@ from oracles import (
     components,
     eigenbasis,
     innovations_ma,
+    ma_acvf_loop,
     noise_acvf_loop,
     noise_acvf_quadrature,
     quad_finite_gramian,
@@ -335,6 +336,18 @@ class TestFitMa:
             sampling.ma_roundtrip_error(sv.gamma_U, sv.theta, sv.sigma_eps))
         assert check.measured < check.bound
         assert sv.ma_margin > 1e-6
+
+    @pytest.mark.parametrize("h", [0.01, 0.25])
+    def test_ma_acvf_equals_loop(self, corpus_decomps, h):
+        # the stacked products and the ordered cumulative sum round exactly
+        # as one 2-d product per term summed in a loop; zero beyond lag p-1
+        for i, decomp in corpus_decomps.items():
+            if (i, h) in NO_MA_FACTOR:
+                continue
+            sv = sampling.sampled_varma(decomp, h)
+            for lag in range(decomp.p + 1):
+                got = sampling.ma_acvf(sv.theta, sv.sigma_eps, lag)
+                assert np.array_equal(got, ma_acvf_loop(sv.theta, sv.sigma_eps, lag)), (i, lag)
 
     @pytest.mark.parametrize("h", [0.25, 2.0])
     def test_matches_innovations_oracle(self, corpus_decomps, h):

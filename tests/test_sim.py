@@ -201,14 +201,6 @@ class TestExtractNoise:
         want = path.Y[n] - phi[0] @ path.Y[n - 1] - phi[1] @ path.Y[n - 2]
         assert_allclose(U[n - 2], want, atol=1e-12)
 
-    def test_attach_noise(self, example_decomp):
-        path = sim.simulate(example_decomp, brownian(2, np.eye(2)), 0.1, 50)
-        assert path.U is None
-        _, phi, _ = sampling.varma_ar(example_decomp.solvent_set, 0.1)
-        carried = sim.attach_noise(path, phi)
-        assert carried.U.shape == (48, 2)
-        assert np.array_equal(carried.Y, path.Y)
-
     def test_noise_acvf_matches_analytic(self, example_model, example_decomp):
         h, n = 0.1, 100_000
         path = sim.simulate(example_decomp, brownian(2024, np.eye(2)), h, n,

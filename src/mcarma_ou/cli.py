@@ -6,7 +6,7 @@ list (monic leading block required), the MA coefficient list, the driver
 covariance and a driver block; see ``models/carma2x2.json`` for the
 canonical instance.
 
-Exit codes: 0 success, 1 input error (parse/shape), 2 numerical
+Exit codes: 0 success, 1 input error (usage/parse/shape), 2 numerical
 certification failure, with the failed invariant named on stderr.  Floats
 round-trip exactly: JSON output writes them by ``repr`` (through
 ``json.dumps``) and CSV output with 17 significant digits.
@@ -71,8 +71,8 @@ def load_model_file(path, seed=0):
 
     try:
         model = mcarma.McarmaModel.build(
-            matpoly.LambdaMatrix(tuple(a_coeffs)),
-            matpoly.LambdaMatrix(tuple(b_coeffs)),
+            matpoly.LambdaMatrix(a_coeffs),
+            matpoly.LambdaMatrix(b_coeffs),
             sigma_L,
             mean_L=mean_L,
         )
@@ -200,10 +200,10 @@ def cmd_varma(args):
     sv = sampling.sampled_varma(decomp, args.h)
     payload = {
         "h": float(sv.h),
-        "Phi": list(sv.phi),
-        "Psi": list(sv.psi),
-        "gamma_U": list(sv.gamma_U),
-        "Theta": list(sv.theta),
+        "Phi": sv.phi,
+        "Psi": sv.psi,
+        "gamma_U": sv.gamma_U,
+        "Theta": sv.theta,
         "Sigma_eps": sv.sigma_eps,
         "schur_stable": bool(sv.schur_stable),
         "cond_sampled_V": float(sv.cond_sampled_V),
@@ -241,11 +241,12 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # verification suite
 
-def run_verification(model, driver, h, steps, seed):
+def run_verification(model, driver, h, steps):
     """Run the ``verify`` checks in row order; return the list of ``Check``.
 
-    The Monte-Carlo row needs a Brownian driver: its band is the Gaussian
-    CLT band (compound-Poisson sample ACVFs carry an extra kurtosis term).
+    The Monte-Carlo row simulates ``driver`` (seeded) and runs only for a
+    Brownian one: its band is the Gaussian CLT band (compound-Poisson
+    sample ACVFs carry an extra kurtosis term).
     ``mcarma_ou.verify`` is imported here, so only this command loads its
     scipy oracles.
     """
@@ -270,16 +271,14 @@ def run_verification(model, driver, h, steps, seed):
     if model.stationary:
         checks.append(verify.check_noise_acvf(decomp, sv.phi, sv.gamma_U, h))
         if driver.kind == "brownian":
-            driver_mc = sim.DriverSpec(kind="brownian", seed=seed,
-                                       sigma_L=driver.sigma_L)
-            path = sim.simulate(decomp, driver_mc, h, steps, stationary_start=True)
+            path = sim.simulate(decomp, driver, h, steps, stationary_start=True)
             checks.append(verify.check_noise_lag_p_zero(
-                sim.extract_noise(path, list(sv.phi)), sv.gamma_U))
+                sim.extract_noise(path, sv.phi), sv.gamma_U))
     return checks
 
 def cmd_verify(args):
     model, driver = load_model_file(args.model, seed=args.seed)
-    checks = run_verification(model, driver, args.h, args.steps, args.seed)
+    checks = run_verification(model, driver, args.h, args.steps)
     width = max(len(name) for name, *_ in checks)
     all_ok = True
     for name, measured, bound, ok in checks:
@@ -292,8 +291,14 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ModelFileError(message)
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcarma-ou",
         description="MCARMA models as sums of Ornstein-Uhlenbeck processes: "
                     "solvents, residues, sampled VARMA parameters, simulation.")
@@ -302,9 +307,10 @@ def build_parser():
     def add(name, fn, **flags):
         cmd = sub.add_parser(name)
         cmd.add_argument("model", help="model JSON file")
-        cmd.add_argument("--grouping", default="auto",
-                         help="'auto' or a JSON list of latent-root index groups")
-        cmd.add_argument("--out", default=None, help="output path (default stdout)")
+        if name != "verify":  # verify prints its report for the default grouping
+            cmd.add_argument("--grouping", default="auto",
+                             help="'auto' or a JSON list of latent-root index groups")
+            cmd.add_argument("--out", default=None, help="output path (default stdout)")
         if flags.get("h"):
             cmd.add_argument("--h", type=float, default=0.1, help="sampling step")
         if flags.get("steps"):
@@ -337,9 +343,8 @@ def _check_steps(args):
         raise ModelFileError(f"--lags must be at least 0, got {args.lags}")
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_steps(args)
         return args.fn(args)
     except ModelFileError as err:

@@ -50,23 +50,22 @@ def _readonly(arr):
 class LambdaMatrix:
     """Matrix polynomial ``A(z) = coeffs[0] z^p + ... + coeffs[p]``.
 
-    ``coeffs`` holds p+1 equally shaped (d, m) complex blocks in order of
-    decreasing power.  Instances are immutable; the stored arrays are marked
-    read-only.
+    ``coeffs`` is one read-only complex stack (p+1, d, m) of the blocks in
+    order of decreasing power, copied from any sequence of equally shaped
+    blocks or from a stack.  Instances are immutable.
     """
 
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(_readonly(_as_complex(c)) for c in self.coeffs)
-        if not blocks:
-            raise ValueError("a lambda-matrix needs at least one coefficient")
-        shape = blocks[0].shape
-        if len(shape) != 2:
-            raise ValueError("coefficients must be 2-d matrices")
-        if any(b.shape != shape for b in blocks):
+        if len({np.shape(c) for c in self.coeffs}) > 1:
             raise ValueError("all coefficients must share one shape")
-        object.__setattr__(self, "coeffs", blocks)
+        coeffs = np.array(self.coeffs, dtype=complex, order="C")
+        if not len(coeffs):
+            raise ValueError("a lambda-matrix needs at least one coefficient")
+        if coeffs.ndim != 3:
+            raise ValueError("coefficients must be 2-d matrices")
+        object.__setattr__(self, "coeffs", _readonly(coeffs))
 
     @property
     def degree(self):
@@ -74,7 +73,7 @@ class LambdaMatrix:
 
     @property
     def order(self):
-        return self.coeffs[0].shape
+        return self.coeffs.shape[1:]
 
     @property
     def is_square(self):
@@ -91,7 +90,7 @@ class LambdaMatrix:
 
     @cached_property
     def is_real(self):
-        return bool(max(np.max(np.abs(c.imag)) for c in self.coeffs) <= tol.STRUCTURE)
+        return bool(np.max(np.abs(self.coeffs.imag)) <= tol.STRUCTURE)
 
     def eval(self, lam):
         """Evaluate at a complex scalar by Horner's scheme; for an array of
@@ -126,8 +125,8 @@ class LambdaMatrix:
         """Coefficient-wise derivative, degree p-1."""
         p = self.degree
         if p == 0:
-            return LambdaMatrix((np.zeros_like(self.coeffs[0]),))
-        return LambdaMatrix(tuple((p - k) * self.coeffs[k] for k in range(p)))
+            return LambdaMatrix(np.zeros_like(self.coeffs))
+        return LambdaMatrix(np.arange(p, 0, -1)[:, None, None] * self.coeffs[:-1])
 
     def __mul__(self, other):
         """Polynomial product (coefficient convolution), self(z) * other(z)."""
@@ -138,11 +137,11 @@ class LambdaMatrix:
         m = other.order[1]
         if self.order[1] != other.order[0]:
             raise ValueError("inner orders do not match")
-        out = [np.zeros((d, m), dtype=complex) for _ in range(pa + pb + 1)]
+        out = np.zeros((pa + pb + 1, d, m), dtype=complex)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a @ b
-        return LambdaMatrix(tuple(out))
+                out[i + j] += a @ b
+        return LambdaMatrix(out)
 
 
 def identity_shift(R):
@@ -216,7 +215,7 @@ def companion_matrix(A):
     if p < 1:
         raise ValueError("companion matrix requires degree >= 1")
     C = np.eye(p * d, k=d, dtype=complex)
-    C[(p - 1) * d:] = -np.hstack(A.coeffs[:0:-1])
+    C[(p - 1) * d:] = -A.coeffs[:0:-1].swapaxes(0, 1).reshape(d, p * d)
     return C
 
 
@@ -529,17 +528,16 @@ def vandermonde_solve(mats):
     powers = _powers(mats, p)
     V, cond_V = _certified_vandermonde(powers)
     row = powers[p].transpose(1, 0, 2).reshape(d, p * d)
-    X = -np.linalg.solve(V.T, row.T).T
-    coeffs = [np.eye(d, dtype=complex)]
-    # X carries [A_p, ..., A_1]; unpack into descending-power order
-    for j in range(p - 1, -1, -1):
-        coeffs.append(X[:, j * d:(j + 1) * d])
-    return LambdaMatrix(tuple(coeffs)), cond_V
+    coeffs = np.empty((p + 1, d, d), dtype=complex)
+    coeffs[0] = np.eye(d)
+    # the solve gives the row [A_p, ..., A_1]; its blocks, reversed, follow I
+    coeffs[:0:-1] = -np.linalg.solve(V.T, row.T).T.reshape(d, p, d).swapaxes(0, 1)
+    return LambdaMatrix(coeffs), cond_V
 
 
 def linear_factorization(mats):
-    """Linear factors ``[R_1, R_2*, ..., R_p*]`` of the polynomial with the
-    complete solvent set ``mats`` (e.g. ``S.matrices``).
+    """Linear factors ``[R_1, R_2*, ..., R_p*]``, stacked (p, d, d), of the
+    polynomial with the complete solvent set ``mats`` (e.g. ``S.matrices``).
 
     The product ``(z I - R_p*) ... (z I - R_2*)(z I - R_1)`` reproduces the
     polynomial; each transformed factor is
@@ -551,13 +549,12 @@ def linear_factorization(mats):
     SingularFactorError
         If some partial product ``M_k(R_k)`` is numerically singular.
     """
-    mats = [_as_complex(R) for R in mats]
-    factors = [mats[0]]
+    mats = _as_complex(mats)
+    factors = mats.copy()
     partial = identity_shift(mats[0])
     for k in range(1, len(mats)):
         Mk = partial.eval_right(mats[k])
         tol.certify(SingularFactorError, "cond(M_k(R_k))", float(_cond(Mk)), tol.CONDITION)
-        Rk_star = Mk @ mats[k] @ np.linalg.inv(Mk)
-        factors.append(Rk_star)
-        partial = identity_shift(Rk_star) * partial
+        factors[k] = Mk @ mats[k] @ np.linalg.inv(Mk)
+        partial = identity_shift(factors[k]) * partial
     return factors

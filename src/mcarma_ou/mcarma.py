@@ -368,7 +368,7 @@ def stationary_acvf(decomp, lags):
 
     Returns
     -------
-    list of real (d, d) matrices, one per lag.  ``gamma(0)`` is certified
+    real stack (len(lags), d, d), one matrix per lag.  ``gamma(0)`` is certified
     symmetric PSD, and every lag is certified real before stripping the
     imaginary part.
 
@@ -392,4 +392,4 @@ def stationary_acvf(decomp, lags):
             tol.certify(ImaginaryLeakError, "gamma(0) min eig",
                         np.min(np.linalg.eigvalsh(0.5 * (acc + acc.T))),
                         -tol.PSD_FLOOR * max(1.0, np.trace(acc)), at_least=True)
-    return list(gammas)
+    return gammas

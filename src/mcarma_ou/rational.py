@@ -94,16 +94,12 @@ def sharp_matrices(A, B):
     """
     p = A.degree
     d = A.order[0]
-    m = B.order[1]
-    q = B.degree
     A_sharp = np.eye(p * d, dtype=complex)
     for i in range(1, p):
         for j in range(i):
             A_sharp[i * d:(i + 1) * d, j * d:(j + 1) * d] = A.coeffs[i - j]
-    B_sharp = np.zeros((p * d, m), dtype=complex)
-    offset = (p - (q + 1)) * d
-    for k in range(q + 1):
-        B_sharp[offset + k * d:offset + (k + 1) * d, :] = B.coeffs[k]
+    B_sharp = np.zeros((p * d, B.order[1]), dtype=complex)
+    B_sharp[(p - 1 - B.degree) * d:] = B.coeffs.reshape(-1, B.order[1])
     return A_sharp, B_sharp
 
 
@@ -111,16 +107,12 @@ def solve_sharp(A, B):
     """Forward block substitution for ``A# X = B#`` (unit triangular, exact),
     reading the blocks of A# and B# from the coefficients."""
     p = A.degree
-    d = A.order[0]
-    m = B.order[1]
-    offset = p - (B.degree + 1)  # leading zero blocks of B#
-    X = np.zeros((p * d, m), dtype=complex)
+    X = np.zeros((p, *B.order), dtype=complex)  # block i of B#, then of X
+    X[p - 1 - B.degree:] = B.coeffs
     for i in range(p):
-        acc = np.array(B.coeffs[i - offset]) if i >= offset else np.zeros((d, m), complex)
         for j in range(i):
-            acc -= A.coeffs[i - j] @ X[j * d:(j + 1) * d, :]
-        X[i * d:(i + 1) * d, :] = acc
-    return X
+            X[i] -= A.coeffs[i - j] @ X[j]
+    return X.reshape(-1, B.order[1])
 
 
 def residues(F, S):

@@ -56,21 +56,22 @@ DOUBLING_MAXIT = 64
 class SampledVarma:
     """Weak VARMA(p, p-1) parameters of the h-sampled process.
 
-    ``psi`` stores the monic AR coefficients (Psi_1, ..., Psi_p) with
-    Psi_0 = I implied; ``phi`` the normalized coefficients of
-    ``Phi(z) = I - Phi_1 z - ... - Phi_p z^p``; ``gamma_U`` the noise
-    autocovariances at lags 0..p-1 (zero beyond by construction);
-    ``theta``/``sigma_eps`` the fitted invertible MA(p-1); ``ma_margin``
+    Each sequence of matrices is one (n, d, d) stack.  ``psi`` stores the
+    monic AR coefficients (Psi_1, ..., Psi_p) with Psi_0 = I implied;
+    ``phi`` the normalized coefficients of ``Phi(z) = I - Phi_1 z - ... -
+    Phi_p z^p``; ``gamma_U`` the noise autocovariances at lags 0..p-1 (zero
+    beyond by construction); ``theta``/``sigma_eps`` the fitted invertible
+    MA(p-1), ``theta`` (p-1, d, d) and so empty for p = 1; ``ma_margin``
     the distance of the MA zeros to the closed unit disc; ``ma_steps`` the
     doubling steps of the MA fit and ``ma_roundtrip`` its certified round
     trip error (``ma_roundtrip_error``).
     """
 
     h: float
-    psi: tuple
-    phi: tuple
-    gamma_U: tuple
-    theta: tuple
+    psi: np.ndarray
+    phi: np.ndarray
+    gamma_U: np.ndarray
+    theta: np.ndarray
     sigma_eps: np.ndarray
     schur_stable: bool
     cond_sampled_V: float
@@ -110,32 +111,26 @@ def varma_ar(S, h):
 
     Returns
     -------
-    (psi, phi, info) : lists of p real matrices each, plus a dict with the
-    sampled Vandermonde condition number and the worst AR residual.
+    (psi, phi, info) : real stacks (p, d, d), plus a dict with the sampled
+    Vandermonde condition number and the worst AR residual.
     """
     if not 0 < h < np.inf:
         raise ValueError("sampling step h must be positive and finite")
     mats = sampled_solvent_matrices(S, h)
     psi_poly, cond_V = matpoly.vandermonde_solve(mats)
 
-    coeffs = np.array(psi_poly.coeffs)
+    coeffs = psi_poly.coeffs
     residual = float(np.linalg.norm(psi_poly.eval_right(mats), axis=(1, 2)).max())
     scale = max(1.0, float(np.linalg.norm(coeffs, axis=(1, 2)).max()))
     tol.certify(SingularVandermondeError, "AR residual", residual, tol.AR_RESIDUAL * scale)
     leak = float(np.abs(coeffs.imag).max())
     tol.certify(ImaginaryLeakError, "AR imaginary part", leak, tol.IMAG_LEAK * scale)
-    psi = list(coeffs[1:].real.copy())  # Psi_1 .. Psi_p
+    psi = coeffs[1:].real.copy()  # Psi_1 .. Psi_p
 
-    psi_p = psi[-1]
-    s = np.linalg.svd(psi_p, compute_uv=False)
+    s = np.linalg.svd(psi[-1], compute_uv=False)
     cond_psi_p = s[0] / s[-1] if s[-1] > 0 else np.inf
     tol.certify(SingularVandermondeError, "cond(Psi_p)", cond_psi_p, tol.CONDITION)
-    p = len(psi)
-    d = psi_p.shape[0]
-    phi = []
-    for j in range(1, p + 1):
-        prev = np.eye(d) if j == p else psi[p - j - 1]
-        phi.append(-np.linalg.solve(psi_p, prev))
+    phi = -np.linalg.solve(psi[-1], coeffs[-2::-1].real)  # Psi_{p-j}, j = 1..p
     return psi, phi, {"cond_sampled_V": cond_V, "ar_residual": residual}
 
 
@@ -165,7 +160,7 @@ def noise_acvf(S, residues, phi, sigma_L, h):
         coeff[j:] -= phi[j - 1] @ exp_h[:p - j]
     coeff_H = coeff.conj().swapaxes(-1, -2)
 
-    out = []
+    out = np.empty((p, d, d))
     term_scale = 1.0
     for lag in range(p):
         terms = coeff[lag:, :, None] @ gram @ coeff_H[:p - lag, None, :]
@@ -174,7 +169,7 @@ def noise_acvf(S, residues, phi, sigma_L, h):
         acc = np.cumsum(terms, axis=0)[-1]
         leak = float(np.max(np.abs(acc.imag)))
         tol.certify(ImaginaryLeakError, "gamma_U imaginary part", leak, tol.IMAG_LEAK * term_scale)
-        out.append(acc.real)
+        out[lag] = acc.real
 
     g0 = out[0]
     tol.certify(ImaginaryLeakError, "gamma_U(0) asymmetry", np.max(np.abs(g0 - g0.T)),
@@ -185,7 +180,7 @@ def noise_acvf(S, residues, phi, sigma_L, h):
     return out
 
 
-def _riccati_doubling(gammas):
+def _riccati_doubling(g0, G):
     """Stabilizing solution P of the MA(q) Faurre Riccati equation.
 
     With X = -P the equation is the filter DARE with F = A, H = C, Q = 0,
@@ -193,12 +188,10 @@ def _riccati_doubling(gammas):
     ``X = F~ X (I + C^T R^{-1} C X)^{-1} F~^T + Q~`` with F~ = A - G R^{-1} C
     and Q~ = -G R^{-1} G^T, and doubling on (A_k, G_k, H_k) from
     (F~^T, C^T R^{-1} C, Q~) squares the closed loop at each step while H_k
-    tends to X.  Returns (P, steps).
+    tends to X; ``G`` stacks gamma(1..q) as rows.  Returns (P, steps).
     """
-    d = gammas[0].shape[0]
-    n = d * (len(gammas) - 1)
-    G = np.vstack(gammas[1:])
-    Rinv = np.linalg.inv(gammas[0])
+    n, d = G.shape
+    Rinv = np.linalg.inv(g0)
     Ak = np.eye(n, k=-d)  # A^T - C^T R^{-1} G^T
     Ak[:d] -= Rinv @ G.T
     Gk = np.zeros((n, n))
@@ -237,7 +230,7 @@ def _ma_acvfs(theta, sigma_eps, n_lags):
     Theta_b^T`` of every pair, and per lag l the sum over b of those with
     a = b + l, in increasing b; lags beyond the MA order are zero."""
     d = sigma_eps.shape[0]
-    coeffs = np.array([np.eye(d)] + [np.asarray(t, dtype=float) for t in theta])
+    coeffs = np.concatenate([np.eye(d)[None], theta])
     q = len(coeffs) - 1
     prods = np.zeros((n_lags + q, q + 1, d, d))  # (a, b), zero for a > q
     prods[:q + 1] = (coeffs @ sigma_eps)[:, None] @ coeffs.swapaxes(1, 2)
@@ -250,7 +243,7 @@ def ma_roundtrip_error(gamma_U, theta, sigma_eps):
     sigma_eps)`` against gamma_U over all lags, as the larger of the
     Frobenius error relative to ``max(1, ||gamma||_F)`` and the elementwise
     error relative to ``max(1, max|gamma|)``."""
-    want = np.array(gamma_U, dtype=float)
+    want = np.asarray(gamma_U, dtype=float)
     diff = _ma_acvfs(theta, sigma_eps, len(want)) - want
     fro = np.linalg.norm(diff, axis=(1, 2)) / np.maximum(
         1.0, np.linalg.norm(want, axis=(1, 2)))
@@ -271,11 +264,11 @@ def fit_ma(gamma_U):
 
     Parameters
     ----------
-    gamma_U : list of p real (d, d) matrices, lags 0..p-1.
+    gamma_U : real (p, d, d) stack (or sequence of blocks), lags 0..p-1.
 
     Returns
     -------
-    (theta, sigma_eps, margin, info) : p-1 MA coefficient matrices, the
+    (theta, sigma_eps, margin, info) : the (p-1, d, d) MA coefficients, the
     innovation covariance, the invertibility margin min|zero| - 1 of
     ``det Theta(z)`` (inf when Theta(z) has no finite zeros), and
     ``{"steps": doubling steps, "roundtrip": round trip error}``.
@@ -291,22 +284,22 @@ def fit_ma(gamma_U):
         spectral density of gamma_U is negative somewhere), or the round
         trip exceeds its bound.
     """
-    gammas = [np.asarray(g, dtype=float) for g in gamma_U]
-    d = gammas[0].shape[0]
-    q = len(gammas) - 1
+    gammas = np.asarray(gamma_U, dtype=float)
+    q, d = len(gammas) - 1, gammas.shape[1]
     g0 = 0.5 * (gammas[0] + gammas[0].T)
     floor = np.nextafter(tol.PD_FLOOR * np.trace(g0), np.inf)  # strict: a zero gamma_U(0) fails
     tol.certify(NotPDError, "gamma_U(0) min eig", np.min(np.linalg.eigvalsh(g0)), floor,
                 at_least=True)
-    theta, sigma_eps, steps, margin = [], g0, 0, np.inf
+    theta, sigma_eps, steps, margin = np.zeros((0, d, d)), g0, 0, np.inf
     if q > 0:
-        P, steps = _riccati_doubling([g0] + gammas[1:])
+        G = gammas[1:].reshape(q * d, d)
+        P, steps = _riccati_doubling(g0, G)
         sigma_eps = g0 - P[:d, :d]
         tol.certify(NotPDError, "Sigma_eps min eig", np.min(np.linalg.eigvalsh(sigma_eps)), floor,
                     at_least=True)
         shifted_P = np.vstack([P[d:, :d], np.zeros((d, d))])  # A P C^T
-        K = np.linalg.solve(sigma_eps, (np.vstack(gammas[1:]) - shifted_P).T).T
-        theta = [K[j * d:(j + 1) * d] for j in range(q)]
+        K = np.linalg.solve(sigma_eps, (G - shifted_P).T).T
+        theta = K.reshape(q, d, d)
         # the filter's closed loop A - K C is the companion matrix of the
         # reversed MA polynomial: its eigenvalues are the reciprocal zeros
         # of det Theta(z), and those at 0 are zeros at infinity
@@ -342,10 +335,10 @@ def sampled_varma(decomp, h):
               noise_done - ar_done, time.perf_counter() - noise_done, ma_info["steps"])
     return SampledVarma(
         h=h,
-        psi=tuple(psi),
-        phi=tuple(phi),
-        gamma_U=tuple(gamma),
-        theta=tuple(theta),
+        psi=psi,
+        phi=phi,
+        gamma_U=gamma,
+        theta=theta,
         sigma_eps=sigma_eps,
         schur_stable=decomp.model.stationary,
         cond_sampled_V=info["cond_sampled_V"],

@@ -312,7 +312,8 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
 
 
 def empirical_acvf(path, max_lag):
-    """Biased sample autocovariances gamma_hat(0..max_lag) of a path.
+    """Biased sample autocovariances gamma_hat(0..max_lag) of a path,
+    stacked (max_lag + 1, d, d).
 
     ``gamma_hat(l) = (1/N) sum_n (Y_{n+l} - mean)(Y_n - mean)^T``; requires
     N > 10 * max_lag.
@@ -322,10 +323,10 @@ def empirical_acvf(path, max_lag):
     if n <= 10 * max_lag:
         raise TooShortError(f"need more than {10 * max_lag} samples, got {n}")
     centered = Y - Y.mean(axis=0)
-    out = []
+    out = np.empty((max_lag + 1, Y.shape[1], Y.shape[1]))
     for lag in range(max_lag + 1):
-        out.append(centered[lag:].T @ centered[:n - lag] / n)
-    return out
+        out[lag] = centered[lag:].T @ centered[:n - lag]
+    return out / n
 
 
 def extract_noise(path, phi):

@@ -64,7 +64,7 @@ def noise_acvf_from_continuous(decomp, phi, h):
     def gy(u):
         return gamma_y[u] if u >= 0 else gamma_y[-u].T
 
-    phi_t = [np.eye(d)] + [-f for f in phi]
+    phi_t = np.concatenate([np.eye(d)[None], -phi])
     return [sum(phi_t[i] @ gy(lag - i + j) @ phi_t[j].T
                 for i in range(p + 1) for j in range(p + 1))
             for lag in range(p)]

@@ -148,7 +148,7 @@ def test_criterion_6_noise_dependence(example_model, example_set_12):
     # Monte Carlo: extracted noise has vanishing ACVF at lags p..p+3
     driver = sim.DriverSpec(kind="brownian", seed=0, sigma_L=np.eye(2))
     path = sim.simulate(decomp, driver, h, 100_000, stationary_start=True)
-    lag_check = verify.check_noise_lag_p_zero(sim.extract_noise(path, list(phi2)), got2)
+    lag_check = verify.check_noise_lag_p_zero(sim.extract_noise(path, phi2), got2)
     elapsed = time.perf_counter() - start
     report(6, "noise-quadrature-d1", float(err1), 1e-7, elapsed)
     report(6, "noise-quadrature-d2", float(err2), 1e-6, elapsed)

@@ -26,13 +26,13 @@ LAGS = [k * H for k in range(11)]
 # per op at h = 0.25, not counting the one solve per doubling step of the MA
 # fit (5 steps on carma2x2, 9 on corpus #8), whose number rounding can move
 BUDGET = {
-    "carma2x2": Counter(svd=8, solve=5, inv=2, eigvalsh=4, eigvals=1),
-    "corpus-8": Counter(svd=13, solve=6, inv=2, eigvalsh=4, eigvals=1),
+    "carma2x2": Counter(svd=8, solve=4, inv=2, eigvalsh=4, eigvals=1),
+    "corpus-8": Counter(svd=13, solve=4, inv=2, eigvalsh=4, eigvals=1),
 }
 # the second op on the same model
 WARM_BUDGET = {
-    "carma2x2": Counter(svd=2, solve=5, inv=1, eigvalsh=4, eigvals=1),
-    "corpus-8": Counter(svd=2, solve=6, inv=1, eigvalsh=4, eigvals=1),
+    "carma2x2": Counter(svd=2, solve=4, inv=1, eigvalsh=4, eigvals=1),
+    "corpus-8": Counter(svd=2, solve=4, inv=1, eigvalsh=4, eigvals=1),
 }
 
 

@@ -116,11 +116,21 @@ class TestSolvents:
     @pytest.mark.parametrize("argv", [
         ("varma", "--h", "0"), ("varma", "--h", "nan"), ("varma", "--h", "inf"),
         ("acvf", "--h", "nan"), ("acvf", "--h", "-0.1"), ("acvf", "--lags", "-1"),
-        ("simulate", "--steps", "0"), ("verify", "--h", "inf")], ids=" ".join)
+        ("simulate", "--steps", "0"), ("verify", "--h", "inf"),
+        ("verify", "--steps", "abc"), ("verify", "--bogus"),
+        ("verify", "--out", "report.txt")], ids=" ".join)
     def test_bad_step_rejected(self, capsys, example_model_file, argv):
+        # a usage error argparse finds is an input error too, not its exit 2;
+        # verify takes no --out, which it would ignore and print to stdout
         code, out, err = run(capsys, argv[0], example_model_file, *argv[1:])
         assert code == 1 and out == ""
-        assert err.startswith("input error: --")
+        assert err.startswith("input error: ") and argv[1] in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--steps" in capsys.readouterr().out
 
     def test_nonmonic_rejected(self, capsys, tmp_path):
         doc = dict(FIRST_ORDER)

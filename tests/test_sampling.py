@@ -149,6 +149,16 @@ class TestVarmaAr:
         for a, b in zip(phi_a, phi_b):
             assert np.max(np.abs(a - b)) <= 1e-8
 
+    @pytest.mark.parametrize("h", [0.01, 0.25])
+    def test_stacked_phi_equals_per_lag_solve(self, corpus, h):
+        # the reference: Phi_j = -Psi_p^{-1} Psi_{p-j} (Psi_0 = I), one solve per j
+        for i, model in enumerate(corpus[:30]):
+            psi, phi, _ = sampling.varma_ar(model.solvent_set(), h)
+            p, d = psi.shape[:2]
+            for j in range(1, p + 1):
+                prev = np.eye(d) if j == p else psi[p - j - 1]
+                assert np.array_equal(phi[j - 1], -np.linalg.solve(psi[-1], prev)), (i, j)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_phi_real_random(self, seed):
         rng = np.random.default_rng(1000 + seed)
@@ -290,7 +300,7 @@ class TestFitMa:
     def test_first_order_passthrough(self):
         g0 = np.array([[2.0]])
         theta, sigma_eps, margin, _ = sampling.fit_ma([g0])
-        assert theta == []
+        assert theta.shape == (0, 1, 1)
         assert_allclose(sigma_eps, g0)
         assert margin == np.inf
 

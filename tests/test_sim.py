@@ -206,7 +206,7 @@ class TestExtractNoise:
         path = sim.simulate(example_decomp, brownian(2024, np.eye(2)), h, n,
                             stationary_start=True)
         sv = sampling.sampled_varma(example_decomp, h)
-        U = sim.extract_noise(path, list(sv.phi))
+        U = sim.extract_noise(path, sv.phi)
         centered = U - U.mean(axis=0)
         n_eff = U.shape[0]
         # lags 0..p-1 match the analytic values inside a generous CLT band
@@ -221,7 +221,7 @@ class TestExtractNoise:
         path = sim.simulate(example_decomp, brownian(31337, np.eye(2)), h, n,
                             stationary_start=True)
         sv = sampling.sampled_varma(example_decomp, h)
-        check = verify.check_noise_lag_p_zero(sim.extract_noise(path, list(sv.phi)),
+        check = verify.check_noise_lag_p_zero(sim.extract_noise(path, sv.phi),
                                               sv.gamma_U)
         assert check.measured < check.bound
 
@@ -233,7 +233,7 @@ class TestExtractNoise:
         path = simulate_statespace_twin(example_decomp, np.eye(2), h, n,
                                             seed=90210, stationary_start=True)
         sv = sampling.sampled_varma(example_decomp, h)
-        check = verify.check_noise_lag_p_zero(sim.extract_noise(path, list(sv.phi)),
+        check = verify.check_noise_lag_p_zero(sim.extract_noise(path, sv.phi),
                                               sv.gamma_U)
         assert check.measured < check.bound
 

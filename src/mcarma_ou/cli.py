@@ -82,6 +82,8 @@ def load_model_file(path, seed=0):
         raise ModelFileError(str(err)) from None
 
     driver_doc = doc.get("driver", {"kind": "brownian"})
+    if not isinstance(driver_doc, dict):
+        raise ModelFileError("driver must be a JSON object")
     kind = driver_doc.get("kind", "brownian")
     if kind == "brownian":
         driver = sim.DriverSpec(kind="brownian", seed=seed, sigma_L=sigma_L)
@@ -92,6 +94,9 @@ def load_model_file(path, seed=0):
         if not rate > 0:
             raise ModelFileError(f"driver.rate must be positive, got {rate!r}")
         jump_cov = _array(driver_doc["jump_cov"], "driver.jump_cov")
+        if jump_cov.shape != sigma_L.shape:
+            raise ModelFileError(f"driver.jump_cov must have the shape of sigma_L, "
+                                 f"{sigma_L.shape}")
         bound = tol.DRIVER_MATCH * max(1.0, np.max(np.abs(sigma_L)))
         if not np.max(np.abs(rate * jump_cov - sigma_L)) <= bound:
             raise ModelFileError("rate * jump_cov must equal sigma_L (Var L(1))")
@@ -134,21 +139,24 @@ def _emit(text, out_path):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _parse_grouping(spec_str):
-    if spec_str in (None, "auto"):
-        return None
+def _solvent_set(model, spec):
+    """The model's solvent set along the ``--grouping`` spec: ``auto``, or a
+    JSON list of p groups of d latent-root indices (JSON integers)."""
     try:
-        grouping = json.loads(spec_str)
-        return [[int(i) for i in group] for group in grouping]
+        grouping = None if spec == "auto" else json.loads(spec)
+        if grouping is not None and not all(type(i) is int for g in grouping for i in g):
+            raise ValueError("latent-root indices must be integers")
+        return model.solvent_set(grouping)
+    except CertificationError:
+        raise
     except (TypeError, ValueError) as err:
-        raise ModelFileError(f"bad grouping: {err}") from None
+        raise ModelFileError(f"bad --grouping: {err}") from None
 
 def _decomposition(args):
     """The model file's OU decomposition along the ``--grouping`` solvent
     set, and its driver (seeded by ``--seed`` where the command has one)."""
     model, driver = load_model_file(args.model, seed=getattr(args, "seed", 0))
-    S = model.solvent_set(_parse_grouping(args.grouping))
-    return mcarma.decompose(model, S), driver
+    return mcarma.decompose(model, _solvent_set(model, args.grouping)), driver
 
 def _solvent_payload(S):
     return {
@@ -161,7 +169,7 @@ def _solvent_payload(S):
             }
             for R, spectrum, norm in zip(S.matrices, S.spectrum, S.residual_norms)
         ],
-        "cond_V": float(S.cond_V),
+        "cond_V": S.cond_V.measured,
         "tolerances": {"solvent_residual": tol.SOLVENT_RESIDUAL,
                        "eigenvalue_match": tol.EIG_MATCH,
                        "coprimeness_rank": tol.COPRIME_RANK},
@@ -169,8 +177,7 @@ def _solvent_payload(S):
 
 def cmd_solvents(args):
     model, _ = load_model_file(args.model)
-    S = model.solvent_set(_parse_grouping(args.grouping))
-    _emit(dumps_json(_solvent_payload(S)), args.out)
+    _emit(dumps_json(_solvent_payload(_solvent_set(model, args.grouping))), args.out)
     return 0
 
 def cmd_decompose(args):
@@ -206,7 +213,7 @@ def cmd_varma(args):
         "Theta": sv.theta,
         "Sigma_eps": sv.sigma_eps,
         "schur_stable": bool(sv.schur_stable),
-        "cond_sampled_V": float(sv.cond_sampled_V),
+        "cond_sampled_V": sv.cond_sampled_V.measured,
         "ma_margin": float(sv.ma_margin),
     }
     _emit(dumps_json(payload), args.out)
@@ -220,7 +227,7 @@ def cmd_simulate(args):
     header = ["n"] + [f"Y_{i + 1}" for i in range(d)]
     U = None
     if args.emit_noise:
-        _, phi, _ = sampling.varma_ar(decomp.solvent_set, args.h)
+        _, phi, *_ = sampling.varma_ar(decomp.solvent_set, args.h)
         U = sim.extract_noise(path, phi)
         header += [f"U_{i + 1}" for i in range(d)]
     # one % per row writes what _fmt writes value by value
@@ -244,6 +251,7 @@ def cmd_simulate(args):
 def run_verification(model, driver, h, steps):
     """Run the ``verify`` checks in row order; return the list of ``Check``.
 
+    A row of a library certificate is the record its result keeps, renamed.
     The Monte-Carlo row simulates ``driver`` (seeded) and runs only for a
     Brownian one: its band is the Gaussian CLT band (compound-Poisson
     sample ACVFs carry an extra kurtosis term).
@@ -254,8 +262,8 @@ def run_verification(model, driver, h, steps):
 
     S = model.solvent_set()
     decomp = mcarma.decompose(model, S)
-    checks = [verify.check_solvent_residual(model, S),
-              verify.check_statespace_identity(decomp.statespace),
+    checks = [S.residual._replace(name="solvent-residual"),
+              decomp.statespace.sharp_identity._replace(name="statespace-identity"),
               verify.check_kernel_identity(decomp),
               verify.check_kernel_realness(decomp),
               verify.check_pf_reconstruction(decomp)]
@@ -265,8 +273,8 @@ def run_verification(model, driver, h, steps):
         checks += [verify.check_acvf_lyapunov(decomp, lags, gammas),
                    verify.check_acvf_symmetry(gammas[0])]
     sv = sampling.sampled_varma(decomp, h)
-    checks += [verify.check_varma_ar(sv.ar_residual),
-               verify.check_ma_roundtrip(sv.ma_roundtrip),
+    checks += [sv.ar_residual._replace(name="varma-ar-structure"),
+               sv.ma_roundtrip._replace(name="ma-roundtrip"),
                verify.check_ma_invertibility(sv.ma_margin)]
     if model.stationary:
         checks.append(verify.check_noise_acvf(decomp, sv.phi, sv.gamma_U, h))

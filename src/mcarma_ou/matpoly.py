@@ -170,8 +170,9 @@ class SolventSet:
     ``R_k = P_k diag(spectrum_k) P_k^{-1}`` stacked as ``spectrum`` (p, d)
     and ``P``, ``P_inv`` (p, d, d), so that ``expm`` and
     ``mcarma.ou_gramian`` take all p solvents in one call.
-    ``residual_norms`` (p,) are the certified ``||A_R(R_k)||_F`` and ``V`` the
-    block Vandermonde matrix with its certified condition number ``cond_V``.
+    ``residual_norms`` (p,) are the ``||A_R(R_k)||_F`` and ``V`` the block
+    Vandermonde matrix; ``residual`` (of the largest norm) and ``cond_V`` are
+    the ``tolerances.Check`` records of their certificates.
     Built by ``solvents_from_latents`` or ``certify_solvent_set``.
     """
 
@@ -181,7 +182,8 @@ class SolventSet:
     P_inv: np.ndarray
     residual_norms: np.ndarray
     V: np.ndarray
-    cond_V: float
+    residual: tol.Check
+    cond_V: tol.Check
 
     def expm(self, t):
         """``e^{tR_k} = P_k diag(e^{t spectrum_k}) P_k^{-1}`` of every solvent:
@@ -403,31 +405,29 @@ def vandermonde(mats):
 
 
 def _residual_norms(A, mats):
-    """``||A_R(R_k)||_F`` of a stack of candidate solvents, each certified
-    below ``tolerances.SOLVENT_RESIDUAL * max(1, ||A_p||_F)``."""
+    """``||A_R(R_k)||_F`` of a stack of candidate solvents and the record of
+    their certificate, ``<= tolerances.SOLVENT_RESIDUAL * max(1, ||A_p||_F)``."""
     scale = max(1.0, float(np.linalg.norm(A.coeffs[-1])))
     norms = np.linalg.norm(A.eval_right(mats), axis=(1, 2))
-    tol.certify(SolventResidualError, "||A_R(R)||_F", norms, tol.SOLVENT_RESIDUAL * scale)
-    return norms
+    return norms, tol.certify(SolventResidualError, "||A_R(R)||_F", norms,
+                              tol.SOLVENT_RESIDUAL * scale)
 
 
 def _certified_vandermonde(powers):
     """The block Vandermonde matrix of the p solvents whose ``_powers`` are
-    ``powers`` (at least p of them), with its condition number, certified at
-    most ``tolerances.CONDITION``."""
+    ``powers`` (at least p of them), and the record of its condition number,
+    certified at most ``tolerances.CONDITION``."""
     V = _block_vandermonde(powers[:powers.shape[1]])
-    cond_V = float(_cond(V))
-    tol.certify(SingularVandermondeError, "cond(V)", cond_V, tol.CONDITION)
-    return V, cond_V
+    return V, tol.certify(SingularVandermondeError, "cond(V)", float(_cond(V)), tol.CONDITION)
 
 
-def _certified_set(mats, spectrum, P, P_inv, residual_norms):
+def _certified_set(mats, spectrum, P, P_inv, residual_norms, residual):
     """The tail both construction routes share: the certified block
     Vandermonde matrix of solvents whose residuals are certified, and the
     read-only stacks."""
     V, cond_V = _certified_vandermonde(_powers(mats, len(mats) - 1))
     stacks = (mats, spectrum, P, P_inv, residual_norms, V)
-    return SolventSet(*(_readonly(a) for a in stacks), cond_V)
+    return SolventSet(*(_readonly(a) for a in stacks), residual, cond_V)
 
 
 def certify_solvent_set(A, mats):
@@ -449,7 +449,7 @@ def certify_solvent_set(A, mats):
     if any(np.shape(R) != (d, d) for R in mats):
         raise IncompleteSetError("solvent block shape mismatch")
     mats = _as_complex(mats)
-    residual_norms = _residual_norms(A, mats)
+    residuals = _residual_norms(A, mats)
     spectrum, P = np.linalg.eig(mats)
 
     gaps = np.abs(spectrum[:, None, :, None] - spectrum[None, :, None, :]).min(axis=(2, 3))
@@ -459,7 +459,7 @@ def certify_solvent_set(A, mats):
     roots = np.array([pr.root for pr in latent_roots(A)])
     err = eig_multiset_distance(spectrum.reshape(-1), roots)
     tol.certify(IncompleteSetError, "distance to the latent roots", err, tol.EIG_MATCH)
-    return _certified_set(mats, spectrum, P, np.linalg.inv(P), residual_norms)
+    return _certified_set(mats, spectrum, P, np.linalg.inv(P), *residuals)
 
 
 def solvents_from_latents(A, pairs=None, grouping=None):
@@ -506,7 +506,7 @@ def solvents_from_latents(A, pairs=None, grouping=None):
     tol.certify(SingularGroupError, "cond(P_k)", _cond(P), tol.GROUP_CONDITION)
     P_inv = np.linalg.inv(P)
     mats = (P * spectrum[:, None, :]) @ P_inv
-    return _certified_set(mats, spectrum, P, P_inv, _residual_norms(A, mats))
+    return _certified_set(mats, spectrum, P, P_inv, *_residual_norms(A, mats))
 
 
 def coeffs_from_solvent_matrices(mats):
@@ -521,8 +521,8 @@ def coeffs_from_solvent_matrices(mats):
 
 
 def vandermonde_solve(mats):
-    """:func:`coeffs_from_solvent_matrices` and the condition number of the
-    block Vandermonde matrix it inverts, certified at most ``tolerances.CONDITION``."""
+    """:func:`coeffs_from_solvent_matrices` and the record of the condition
+    number of the block Vandermonde matrix it inverts (``_certified_vandermonde``)."""
     mats = _as_complex(mats)
     p, d = mats.shape[:2]
     powers = _powers(mats, p)

@@ -131,7 +131,7 @@ class McarmaModel:
 
     @cached_property
     def fraction(self):
-        """``A^{-1} B`` with its coprimeness certificate and B*."""
+        """``A^{-1} B``, certified left coprime, with B*."""
         return rational.RationalLeftMatrix.build(self.A, self.B, list(self.latent_pairs))
 
     @cached_property
@@ -143,8 +143,8 @@ class McarmaModel:
 class StateSpace:
     """State space matrices (A*, B*, C*) with the sharp pair (A#, B#).
 
-    ``sharp_residual`` and ``sharp_bound`` are the measured value and the
-    bound of the certificate A# B* = B# (see ``build_state_space``).
+    ``sharp_identity`` is the ``tolerances.Check`` record of the certificate
+    A# B* = B# (see ``build_state_space``).
     """
 
     A_star: np.ndarray
@@ -152,8 +152,7 @@ class StateSpace:
     C_star: np.ndarray
     A_sharp: np.ndarray
     B_sharp: np.ndarray
-    sharp_residual: float
-    sharp_bound: float
+    sharp_identity: tol.Check
 
     @property
     def dim(self):
@@ -184,10 +183,10 @@ def build_state_space(F):
     A_sharp, B_sharp = A_sharp.real, B_sharp.real
     err = float(np.max(np.abs(A_sharp @ B_star - B_sharp)))
     bound = tol.SHARP_IDENTITY * float(np.max(np.abs(A_sharp) @ np.abs(B_star)))
-    tol.certify(SharpIdentityError, "max|A# B* - B#|", err, bound)
+    sharp_identity = tol.certify(SharpIdentityError, "max|A# B* - B#|", err, bound)
     for arr in (A_star, B_star, C_star, A_sharp, B_sharp):
         arr.setflags(write=False)
-    return StateSpace(A_star, B_star, C_star, A_sharp, B_sharp, err, bound)
+    return StateSpace(A_star, B_star, C_star, A_sharp, B_sharp, sharp_identity)
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,8 @@ class OuDecomposition:
     ``transform`` is the block Vandermonde T with A* = T diag(R_k) T^{-1},
     B* = T stack(Res_k) and C* T = (I, ..., I); the initial values satisfy
     the realness constraint T stack(Y_k(0)) in R^{pd}.
-    ``similarity_residual`` and ``similarity_bound`` are the measured value
-    and the bound of that certificate (see ``decompose``).
+    ``similarity`` is the ``tolerances.Check`` record of that certificate
+    (see ``decompose``).
     """
 
     model: McarmaModel
@@ -208,8 +207,7 @@ class OuDecomposition:
     solvent_set: matpoly.SolventSet
     residues: np.ndarray
     y0: np.ndarray
-    similarity_residual: float
-    similarity_bound: float
+    similarity: tol.Check
 
     @property
     def p(self):
@@ -269,11 +267,11 @@ def decompose(model, S, x0=None):
         1.0, np.linalg.norm(ss.B_star))
     row_err = np.linalg.norm(ss.C_star @ T - np.hstack([np.eye(d)] * p))
     worst = np.array([sim_err, res_err, row_err]).max()  # a NaN propagates
-    tol.certify(ImaginaryLeakError, "similarity residual", worst, tol.SIMILARITY)
+    similarity = tol.certify(ImaginaryLeakError, "similarity residual", worst, tol.SIMILARITY)
 
     y0 = y0.reshape(p, d)
     y0.setflags(write=False)
-    return OuDecomposition(model, ss, S, residues, y0, worst, tol.SIMILARITY)
+    return OuDecomposition(model, ss, S, residues, y0, similarity)
 
 
 def _real_sum(S, times, mats, what):

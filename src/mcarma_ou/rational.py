@@ -28,25 +28,22 @@ from .exceptions import NotIrreducibleError, PoleHitError, SingularVandermondeEr
 
 @dataclass(frozen=True)
 class RationalLeftMatrix:
-    """A(z)^{-1} B(z) with A monic of degree p and deg B <= p-1.
+    """A(z)^{-1} B(z) with A monic of degree p and deg B <= p-1, certified
+    left coprime (irreducible) by ``check_irreducible`` when built.
 
-    ``irreducible`` is a computed certificate (rank test at every latent
-    root of A); ``witness`` holds an offending latent root when it fails.
-    The rank threshold is ``tol.COPRIME_RANK * sigma_max``, reported alongside
-    the certificate because the coprimeness notion itself carries no
-    canonical numerical tolerance.  ``B_star`` is the read-only complex
-    (pd, m) stack ``[A#]^{-1} B#`` (``solve_sharp``), solved once here for
-    both the residues and the state space.
+    ``B_star`` is the read-only complex (pd, m) stack ``[A#]^{-1} B#``
+    (``solve_sharp``), solved once here for both the residues and the state
+    space.
     """
 
     A: matpoly.LambdaMatrix
     B: matpoly.LambdaMatrix
-    irreducible: bool
-    witness: complex | None
     B_star: np.ndarray
 
     @classmethod
     def build(cls, A, B, pairs=None):
+        """Raises ``NotIrreducibleError``, naming the latent root where
+        ``[A(lam) | B(lam)]`` loses rank, when A and B are not left coprime."""
         if not A.monic:
             raise ValueError("A must be monic")
         if B.order[0] != A.order[0]:
@@ -54,9 +51,11 @@ class RationalLeftMatrix:
         if B.degree > A.degree - 1:
             raise ValueError("strict properness requires deg B <= deg A - 1")
         ok, witness = check_irreducible(A, B, pairs)
+        if not ok:
+            raise NotIrreducibleError(f"rank deficiency at latent root {witness}")
         B_star = solve_sharp(A, B)
         B_star.setflags(write=False)
-        return cls(A, B, ok, witness, B_star)
+        return cls(A, B, B_star)
 
 
 def check_irreducible(A, B, pairs=None):
@@ -121,15 +120,12 @@ def residues(F, S):
     Parameters
     ----------
     F : RationalLeftMatrix
-        Must carry a positive irreducibility certificate.
     S : matpoly.SolventSet
 
     Returns
     -------
     Read-only complex array (p, d, m): ``Res_k`` of ``S.matrices[k]``.
     """
-    if not F.irreducible:
-        raise NotIrreducibleError(f"rank deficiency at latent root {F.witness}")
     try:
         stacked = np.linalg.solve(S.V, F.B_star)
     except np.linalg.LinAlgError as err:

@@ -63,8 +63,9 @@ class SampledVarma:
     beyond by construction); ``theta``/``sigma_eps`` the fitted invertible
     MA(p-1), ``theta`` (p-1, d, d) and so empty for p = 1; ``ma_margin``
     the distance of the MA zeros to the closed unit disc; ``ma_steps`` the
-    doubling steps of the MA fit and ``ma_roundtrip`` its certified round
-    trip error (``ma_roundtrip_error``).
+    doubling steps of the MA fit; and the ``tolerances.Check`` records
+    ``cond_sampled_V``, ``ar_residual`` and ``ma_roundtrip`` of ``varma_ar``
+    and ``fit_ma``.
     """
 
     h: float
@@ -74,11 +75,11 @@ class SampledVarma:
     theta: np.ndarray
     sigma_eps: np.ndarray
     schur_stable: bool
-    cond_sampled_V: float
-    ar_residual: float
+    cond_sampled_V: tol.Check
+    ar_residual: tol.Check
     ma_margin: float
     ma_steps: int
-    ma_roundtrip: float
+    ma_roundtrip: tol.Check
 
 
 def sampled_solvent_matrices(S, h):
@@ -111,8 +112,8 @@ def varma_ar(S, h):
 
     Returns
     -------
-    (psi, phi, info) : real stacks (p, d, d), plus a dict with the sampled
-    Vandermonde condition number and the worst AR residual.
+    (psi, phi, cond_V, residual) : real stacks (p, d, d), and the records of
+    the sampled Vandermonde condition number and of the worst AR residual.
     """
     if not 0 < h < np.inf:
         raise ValueError("sampling step h must be positive and finite")
@@ -120,9 +121,10 @@ def varma_ar(S, h):
     psi_poly, cond_V = matpoly.vandermonde_solve(mats)
 
     coeffs = psi_poly.coeffs
-    residual = float(np.linalg.norm(psi_poly.eval_right(mats), axis=(1, 2)).max())
     scale = max(1.0, float(np.linalg.norm(coeffs, axis=(1, 2)).max()))
-    tol.certify(SingularVandermondeError, "AR residual", residual, tol.AR_RESIDUAL * scale)
+    residual = tol.certify(SingularVandermondeError, "AR residual",
+                           np.linalg.norm(psi_poly.eval_right(mats), axis=(1, 2)).max(),
+                           tol.AR_RESIDUAL * scale)
     leak = float(np.abs(coeffs.imag).max())
     tol.certify(ImaginaryLeakError, "AR imaginary part", leak, tol.IMAG_LEAK * scale)
     psi = coeffs[1:].real.copy()  # Psi_1 .. Psi_p
@@ -131,7 +133,7 @@ def varma_ar(S, h):
     cond_psi_p = s[0] / s[-1] if s[-1] > 0 else np.inf
     tol.certify(SingularVandermondeError, "cond(Psi_p)", cond_psi_p, tol.CONDITION)
     phi = -np.linalg.solve(psi[-1], coeffs[-2::-1].real)  # Psi_{p-j}, j = 1..p
-    return psi, phi, {"cond_sampled_V": cond_V, "ar_residual": residual}
+    return psi, phi, cond_V, residual
 
 
 def noise_acvf(S, residues, phi, sigma_L, h):
@@ -268,10 +270,10 @@ def fit_ma(gamma_U):
 
     Returns
     -------
-    (theta, sigma_eps, margin, info) : the (p-1, d, d) MA coefficients, the
-    innovation covariance, the invertibility margin min|zero| - 1 of
-    ``det Theta(z)`` (inf when Theta(z) has no finite zeros), and
-    ``{"steps": doubling steps, "roundtrip": round trip error}``.
+    (theta, sigma_eps, margin, steps, roundtrip) : the (p-1, d, d) MA
+    coefficients, the innovation covariance, the invertibility margin
+    min|zero| - 1 of ``det Theta(z)`` (inf when Theta(z) has no finite
+    zeros), the doubling steps and the record of the round trip error.
 
     Raises
     ------
@@ -307,9 +309,9 @@ def fit_ma(gamma_U):
         rho = float(np.max(np.abs(np.linalg.eigvals(closed_loop))))
         if rho > tol.ZERO_AT_INFINITY:
             margin = 1.0 / rho - 1.0
-    roundtrip = ma_roundtrip_error(gammas, theta, sigma_eps)
-    tol.certify(NoConvergenceError, "MA factor round trip", roundtrip, tol.MA_ROUNDTRIP)
-    return theta, sigma_eps, margin, {"steps": steps, "roundtrip": roundtrip}
+    roundtrip = tol.certify(NoConvergenceError, "MA factor round trip",
+                            ma_roundtrip_error(gammas, theta, sigma_eps), tol.MA_ROUNDTRIP)
+    return theta, sigma_eps, margin, steps, roundtrip
 
 
 def ma_acvf(theta, sigma_eps, lag):
@@ -325,14 +327,14 @@ def sampled_varma(decomp, h):
     """
     S = decomp.solvent_set
     start = time.perf_counter()
-    psi, phi, info = varma_ar(S, h)
+    psi, phi, cond_V, ar_residual = varma_ar(S, h)
     ar_done = time.perf_counter()
     gamma = noise_acvf(S, decomp.residues, phi, decomp.model.sigma_L, h)
     noise_done = time.perf_counter()
-    theta, sigma_eps, margin, ma_info = fit_ma(gamma)
+    theta, sigma_eps, margin, steps, roundtrip = fit_ma(gamma)
     log.debug("sampled_varma: h=%g, varma_ar %.6f s, noise_acvf %.6f s, "
               "fit_ma %.6f s, %d doubling steps", h, ar_done - start,
-              noise_done - ar_done, time.perf_counter() - noise_done, ma_info["steps"])
+              noise_done - ar_done, time.perf_counter() - noise_done, steps)
     return SampledVarma(
         h=h,
         psi=psi,
@@ -341,9 +343,9 @@ def sampled_varma(decomp, h):
         theta=theta,
         sigma_eps=sigma_eps,
         schur_stable=decomp.model.stationary,
-        cond_sampled_V=info["cond_sampled_V"],
-        ar_residual=info["ar_residual"],
+        cond_sampled_V=cond_V,
+        ar_residual=ar_residual,
         ma_margin=margin,
-        ma_steps=ma_info["steps"],
-        ma_roundtrip=ma_info["roundtrip"],
+        ma_steps=steps,
+        ma_roundtrip=roundtrip,
     )

@@ -75,15 +75,15 @@ class DriverSpec:
 class PathGrid:
     """A simulated path on the grid 0, h, ..., (n_steps-1) h.
 
-    ``max_imag`` is the largest imaginary residue of the modal read-out and
-    ``imag_bound`` its certified bound, ``tolerances.PATH_LEAK * max(1, max|Y|)``.
+    ``imag_residue`` is the ``tolerances.Check`` record of the largest
+    imaginary residue of the modal read-out, certified at most
+    ``tolerances.PATH_LEAK * max(1, max|Y|)``.
     """
 
     h: float
     n_steps: int
     Y: np.ndarray
-    max_imag: float
-    imag_bound: float
+    imag_residue: tol.Check
 
 
 def _psd_factor(mat, what):
@@ -303,12 +303,12 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
 
     if not np.all(np.isfinite(Y)):
         raise CholeskyFailError("simulated path has non-finite entries")
-    imag_bound = tol.PATH_LEAK * max(1.0, float(np.max(np.abs(Y))))
-    tol.certify(CholeskyFailError, "path imaginary residue", max_imag, imag_bound)
+    imag_residue = tol.certify(CholeskyFailError, "path imaginary residue", max_imag,
+                               tol.PATH_LEAK * max(1.0, float(np.max(np.abs(Y)))))
     Y.setflags(write=False)
     log.debug("simulate: %s driver, %d steps, pd=%d, %.6f s",
               driver.kind, n_steps, lam.size, time.perf_counter() - start)
-    return PathGrid(h=h, n_steps=n_steps, Y=Y, max_imag=max_imag, imag_bound=imag_bound)
+    return PathGrid(h=h, n_steps=n_steps, Y=Y, imag_residue=imag_residue)
 
 
 def empirical_acvf(path, max_lag):

@@ -35,7 +35,7 @@ ACVF_ASYMMETRY = 1e-10    # gamma(0) asymmetry; max(1, top term), verify max(1, 
 PSD_FLOOR = 1e-10         # -min eig of gamma(0), gamma_U(0); max(1, trace), max(1, top term); abs
 SYLVESTER_GAP = 1e-12     # min|lam_a + conj(mu_b)| of a Gramian over [0, inf) (at least); 1; abs
 ALIAS = 1e-10             # |e^{-h lam_i} - e^{-h lam_j}|, lam_i, lam_j apart (at least); 1; abs
-AR_RESIDUAL = 1e-8        # max_k ||Psi_R(e^{-h R_k})||_F; max(1, max ||Psi_j||_F), verify 1; abs
+AR_RESIDUAL = 1e-8        # max_k ||Psi_R(e^{-h R_k})||_F; max(1, max ||Psi_j||_F); abs
 DOUBLING = 1e-13          # ||H_{k+1} - H_k||_F, when the MA doubling stops; ||H_{k+1}||_F
 PD_FLOOR = 1e-10          # min eig of gamma_U(0) and of Sigma_eps (exceeded); trace gamma_U(0)
 ZERO_AT_INFINITY = 1e-12  # spectral radius at or below which det Theta has no finite zero; 1; abs
@@ -50,7 +50,7 @@ CLT_BAND = 1.0            # sample ACVF of the noise at lags p..p+3; its 99% CLT
 
 
 class Check(NamedTuple):
-    """One ``verify`` row: ``ok`` is ``measured <= bound``, or ``>=`` for a margin."""
+    """A ``verify`` row or the record of a passed certificate (``certify``)."""
 
     name: str
     measured: float
@@ -68,12 +68,24 @@ def check(name, measured, bound, at_least=False):
     return Check(name, measured, bound, _ok(measured, bound, at_least))
 
 
+def _entry(x, shape, i):
+    """Flat entry ``i`` of ``x`` broadcast to ``shape``; a scalar is not broadcast."""
+    if type(x) is not np.ndarray:
+        return float(x)
+    return float((x if x.shape == shape else np.broadcast_to(x, shape)).flat[i])
+
+
 def certify(error, what, measured, bound, at_least=False):
     """Raise ``error`` unless ``measured <= bound`` (``>=`` with ``at_least``)
-    everywhere, naming ``what``, the first failing entry and its bound."""
+    everywhere, naming ``what``, the first failing entry and its bound; else
+    return the ``Check`` of ``what`` at the entry of least slack."""
     ok = _ok(measured, bound, at_least)
-    if ok.all() if type(ok) is np.ndarray else ok:
-        return
+    if type(ok) is not np.ndarray:
+        if ok:
+            return Check(what, float(measured), float(bound), True)
+    elif ok.all():
+        i = (measured - bound if at_least else bound - measured).argmin()
+        return Check(what, _entry(measured, ok.shape, i), _entry(bound, ok.shape, i), True)
     at = np.unravel_index(np.argmin(ok), np.shape(ok))
     m, b = np.broadcast_arrays(measured, bound)
     where = str([int(i) for i in at]) if at else ""

@@ -8,9 +8,9 @@ continuous-time ACVF, and the Gaussian CLT band of the sample ACVF of a
 (p-1)-dependent noise at lags >= p.
 
 Each ``check_*`` function measures one row of ``mcarma-ou verify`` and
-returns a ``tolerances.Check``.  ``cli.run_verification`` is the ordered
-list of these calls and the tests call the same functions, so a bound
-cannot differ between what the command certifies and what the tests assert.
+returns a ``tolerances.Check``.  ``cli.run_verification`` lists these and
+the records results keep of the library's certificates, and the tests read
+the same, so the library, the command and the tests judge by one bound.
 """
 
 from __future__ import annotations
@@ -81,15 +81,6 @@ def clt_band_for_zero_lags(gamma_U, n_eff):
 
 # checks, in the order of the ``verify`` rows
 
-def check_solvent_residual(model, S):
-    scale = max(1.0, float(np.linalg.norm(model.A.coeffs[-1])))
-    return tol.check("solvent-residual", S.residual_norms.max(), tol.SOLVENT_RESIDUAL * scale)
-
-
-def check_statespace_identity(ss):
-    return tol.check("statespace-identity", ss.sharp_residual, ss.sharp_bound)
-
-
 def check_kernel_identity(decomp):
     """``mcarma.kernel`` against ``C* e^{t A*} B*``.  A kernel that fails its
     realness certificate measures inf, so the remaining rows still run."""
@@ -130,16 +121,6 @@ def check_acvf_lyapunov(decomp, lags, gammas):
 def check_acvf_symmetry(gamma0):
     return tol.check("acvf-symmetry", np.max(np.abs(gamma0 - gamma0.T)),
                      tol.ACVF_ASYMMETRY * max(1.0, float(np.max(np.abs(gamma0)))))
-
-
-def check_varma_ar(ar_residual):
-    return tol.check("varma-ar-structure", ar_residual, tol.AR_RESIDUAL)
-
-
-def check_ma_roundtrip(roundtrip):
-    """An MA round trip error (``sampling.ma_roundtrip_error``) against the
-    bound ``fit_ma`` certifies."""
-    return tol.check("ma-roundtrip", roundtrip, tol.MA_ROUNDTRIP)
 
 
 def check_ma_invertibility(margin):

@@ -276,7 +276,8 @@ def simulate_statespace_twin(decomp, sigma_L, h, n_steps, seed, stationary_start
     for n in range(1, n_steps):
         x = eAh @ x + noise[:, n - 1]
         Y[n] = ss.C_star @ x
-    return sim.PathGrid(h=h, n_steps=n_steps, Y=Y, max_imag=0.0, imag_bound=0.0)
+    return sim.PathGrid(h=h, n_steps=n_steps, Y=Y,
+                        imag_residue=tolerances.check("path imaginary residue", 0.0, 0.0))
 
 
 def greedy_grouping(pairs, d, conjugate_closed=True):

@@ -118,10 +118,13 @@ class TestSolvents:
         ("acvf", "--h", "nan"), ("acvf", "--h", "-0.1"), ("acvf", "--lags", "-1"),
         ("simulate", "--steps", "0"), ("verify", "--h", "inf"),
         ("verify", "--steps", "abc"), ("verify", "--bogus"),
-        ("verify", "--out", "report.txt")], ids=" ".join)
+        ("verify", "--out", "report.txt"), ("solvents", "--grouping", "[[0,1],[2,3],[0]]"),
+        ("solvents", "--grouping", "[[0,1,2],[3]]"),
+        ("decompose", "--grouping", "[[0,1.9],[2,3]]")], ids=" ".join)
     def test_bad_step_rejected(self, capsys, example_model_file, argv):
         # a usage error argparse finds is an input error too, not its exit 2;
-        # verify takes no --out, which it would ignore and print to stdout
+        # verify takes no --out, which it would ignore and print to stdout;
+        # a grouping index is a JSON integer, never truncated
         code, out, err = run(capsys, argv[0], example_model_file, *argv[1:])
         assert code == 1 and out == ""
         assert err.startswith("input error: ") and argv[1] in err
@@ -276,7 +279,7 @@ class TestSimulate:
         d, p = model.d, model.p
         header = ["n"] + [f"Y_{i + 1}" for i in range(d)]
         if emit_noise:
-            _, phi, _ = sampling.varma_ar(decomp.solvent_set, 0.1)
+            _, phi, *_ = sampling.varma_ar(decomp.solvent_set, 0.1)
             U = sim.extract_noise(path, phi)
             header += [f"U_{i + 1}" for i in range(d)]
         lines = [",".join(header)]
@@ -313,7 +316,7 @@ class TestVerify:
             ("solvent-residual", 8.775e-8), ("statespace-identity", 1e-12),
             ("kernel-identity", 2.414e-8), ("kernel-realness", 1e-9),
             ("pf-reconstruction", 1e-8), ("acvf-lyapunov-oracle", 1e-8),
-            ("acvf-symmetry", 2.636e-10), ("varma-ar-structure", 1e-8),
+            ("acvf-symmetry", 2.636e-10), ("varma-ar-structure", 5.976e-8),
             ("ma-roundtrip", 1e-6), ("ma-invertibility", 1e-6),
             ("noise-acvf-consistency", 1e-7), ("noise-lag-p-zero", 1.0)]
         rows = verify_rows(out)
@@ -322,6 +325,24 @@ class TestVerify:
         for name, measured, bound, status in rows:
             assert status == "PASS"
             assert measured >= bound if name == "ma-invertibility" else measured <= bound
+
+    @pytest.mark.parametrize("index", [None, 8], ids=["carma2x2", "corpus-8"])
+    def test_library_rows_are_the_kept_records(self, example_model_file, corpus, index):
+        # each row of a library certificate is the record its result kept,
+        # with the same measured value and the same bound
+        if index is None:
+            model, driver = cli.load_model_file(example_model_file)
+        else:
+            model = corpus[index]
+            driver = sim.DriverSpec(kind="brownian", seed=0, sigma_L=model.sigma_L)
+        rows = {row.name: row for row in cli.run_verification(model, driver, 0.1, 200)}
+        S = model.solvent_set()
+        sv = sampling.sampled_varma(mcarma.decompose(model, S), 0.1)
+        for name, record in (("solvent-residual", S.residual),
+                             ("statespace-identity", model.statespace.sharp_identity),
+                             ("varma-ar-structure", sv.ar_residual),
+                             ("ma-roundtrip", sv.ma_roundtrip)):
+            assert rows[name] == (name, record.measured, record.bound, True)
 
     def test_deterministic_given_seed(self, capsys, example_model_file):
         args = ("verify", example_model_file, "--h", "0.1", "--steps", "20000",
@@ -420,6 +441,16 @@ class TestModelLoading:
         code, _, err = run(capsys, "solvents", write_model(tmp_path, doc))
         assert code == 1
         assert "sigma_L" in err
+
+    @pytest.mark.parametrize("driver, message", [
+        (5, "driver must be a JSON object"),
+        ({"kind": "compound_poisson", "rate": 2.0, "jump_cov": [[0.5]]},
+         "jump_cov must have the shape of sigma_L")], ids=["not-an-object", "jump-cov-shape"])
+    def test_malformed_driver_rejected(self, capsys, tmp_path, driver, message):
+        code, out, err = run(capsys, "solvents",
+                             write_model(tmp_path, dict(FIRST_ORDER, driver=driver)))
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and message in err
 
     def test_compound_poisson_negative_rate_rejected(self, capsys, tmp_path):
         # rate * jump_cov = sigma_L holds; the sign of the rate is the error

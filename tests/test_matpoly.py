@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
-from mcarma_ou import matpoly
+from mcarma_ou import matpoly, tolerances
 from mcarma_ou.exceptions import (
     DefectiveCompanionError,
     DuplicateLatentRootError,
@@ -206,6 +206,7 @@ class TestStackedRepresentation:
             self.assert_consistent(certified, roots)
             assert np.array_equal(certified.matrices, S.matrices), index
             assert np.array_equal(certified.residual_norms, S.residual_norms), index
+            assert certified.residual == S.residual, index
             assert certified.cond_V == S.cond_V, index
 
     def test_latent_route_agrees_with_certified_matrices(self, example_poly, example_set_12):
@@ -216,7 +217,8 @@ class TestStackedRepresentation:
         assert_allclose(S.matrices, example_set_12.matrices, rtol=0, atol=tol)
         assert_allclose(S.V, example_set_12.V, rtol=0, atol=tol)
         assert_allclose(S.residual_norms, example_set_12.residual_norms, rtol=0, atol=tol)
-        assert abs(S.cond_V - example_set_12.cond_V) <= tol * example_set_12.cond_V
+        want = example_set_12.cond_V.measured
+        assert abs(S.cond_V.measured - want) <= tol * want
         assert_allclose(np.sort_complex(S.roots), np.sort_complex(example_set_12.roots),
                         rtol=0, atol=tol)
         assert_allclose(S.expm(0.3), example_set_12.expm(0.3), rtol=0, atol=tol)
@@ -256,8 +258,11 @@ class TestCertify:
             matpoly.certify_solvent_set(example_poly, [R1, R])
 
     def test_example_pairs_certify(self, example_set_12, example_set_34):
-        assert np.isfinite(example_set_12.cond_V)
-        assert np.isfinite(example_set_34.cond_V)
+        # each set keeps the records of the certificates it passed
+        for S in (example_set_12, example_set_34):
+            assert S.residual == ("||A_R(R)||_F", S.residual_norms.max(),
+                                  tolerances.SOLVENT_RESIDUAL * np.linalg.norm(A2), True)
+            assert S.cond_V == ("cond(V)", np.linalg.cond(S.V), tolerances.CONDITION, True)
 
     @pytest.mark.parametrize("size", [1e-10, 1e-3, 1.0])
     def test_multiset_distance_is_assignment_distance(self, size):

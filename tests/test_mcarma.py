@@ -122,8 +122,7 @@ class TestDecompose:
     def test_time_rescaling_example(self, example_model, c):
         # [A(lam) | I] has full rank at every c, however large A(lam) gets
         model = rescale_time(example_model, c)
-        assert model.fraction.irreducible
-        mcarma.decompose(model, model.solvent_set())
+        mcarma.decompose(model, model.solvent_set())  # builds model.fraction
 
     def test_example_residues(self, example_decomp_12):
         R = example_decomp_12.solvent_set.matrices
@@ -215,12 +214,14 @@ class TestDecompose:
     def test_similarity_certificate_is_kept(self, corpus, monkeypatch):
         model = corpus[8]
         decomp = mcarma.decompose(model, model.solvent_set())
-        assert decomp.similarity_bound == tolerances.SIMILARITY
-        assert 0.0 < decomp.similarity_residual <= decomp.similarity_bound
+        record = decomp.similarity
+        assert record.name == "similarity residual" and record.ok
+        assert record.bound == tolerances.SIMILARITY
+        assert 0.0 < record.measured <= record.bound
         # the stored value is the one the certificate measures
         monkeypatch.setattr(tolerances, "SIMILARITY", 0.0)
         with pytest.raises(ImaginaryLeakError,
-                           match=f"similarity residual = {decomp.similarity_residual:.3e}"):
+                           match=f"similarity residual = {record.measured:.3e}"):
             mcarma.decompose(model, model.solvent_set())
 
 

@@ -32,8 +32,7 @@ def res_34(example_fraction, example_set_34):
 
 class TestIrreducible:
     def test_identity_numerator(self, example_fraction):
-        assert example_fraction.irreducible
-        assert example_fraction.witness is None
+        assert rational.check_irreducible(example_fraction.A, example_fraction.B) == (True, None)
 
     def test_common_scalar_root(self):
         A = scalar_poly(1, 3, 2)              # (z+1)(z+2)
@@ -70,12 +69,10 @@ class TestIrreducible:
         ok, witness = rational.check_irreducible(scalar_poly(1, 3, 2), scalar_poly(1))
         assert ok and witness is None
 
-    def test_reducible_fraction_rejected_in_residues(self, example_set_12):
-        A = scalar_poly(1, 3, 2)
-        F = rational.RationalLeftMatrix.build(A, scalar_poly(1, 1))
-        S = matpoly.solvents_from_latents(A)
-        with pytest.raises(NotIrreducibleError):
-            rational.residues(F, S)
+    def test_reducible_fraction_rejected_at_build(self):
+        # the fraction names the root where [A(lam) | B(lam)] loses rank
+        with pytest.raises(NotIrreducibleError, match=r"latent root \(-1"):
+            rational.RationalLeftMatrix.build(scalar_poly(1, 3, 2), scalar_poly(1, 1))
 
 
 class TestSharpSystem:

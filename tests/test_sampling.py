@@ -39,6 +39,14 @@ INNOVATIONS_STALLS = [(14, 0.01), (34, 0.01), (35, 0.01), (61, 0.01), (77, 0.01)
 NO_MA_FACTOR = [(143, 0.01)]
 
 
+def roundtrip_certified(sv):
+    """The kept MA round trip record measures the round trip error of the
+    fitted factor and holds against ``tolerances.MA_ROUNDTRIP``."""
+    record = sv.ma_roundtrip
+    error = sampling.ma_roundtrip_error(sv.gamma_U, sv.theta, sv.sigma_eps)
+    return record.measured == error <= record.bound == tolerances.MA_ROUNDTRIP
+
+
 # The fit ops of the hard-regime sample (conftest.hard_regime; models 0-11
 # are d=4 p=3, 12-23 d=5 p=4, 24-35 d=6 p=4, 36-47 d=4 p=6, 48-59 d=8 p=3)
 # that fail, by (model index, h).  The block Vandermonde of the sampled
@@ -88,14 +96,14 @@ class TestVarmaAr:
             matpoly.LambdaMatrix((np.eye(2),)), np.eye(2))
         S = model.solvent_set()
         h = 0.25
-        _, phi, _ = sampling.varma_ar(S, h)
+        _, phi, *_ = sampling.varma_ar(S, h)
         assert_allclose(phi[0], scipy.linalg.expm(h * M).real, atol=1e-12)
 
     def test_scalar_coefficients(self):
         model = scalar_model([1, 3, 2], [1.0])
         S = model.solvent_set()
         h = 0.5
-        _, phi, _ = sampling.varma_ar(S, h)
+        _, phi, *_ = sampling.varma_ar(S, h)
         assert_allclose(phi[0][0, 0], np.exp(-0.5) + np.exp(-1.0), atol=1e-12)
         assert_allclose(phi[1][0, 0], -np.exp(-1.5), atol=1e-12)
 
@@ -104,7 +112,7 @@ class TestVarmaAr:
         model = scalar_model([1, 3, 2], [1.0])
         S = model.solvent_set()
         for h in (0.1, 0.5, 1.0):
-            _, phi, _ = sampling.varma_ar(S, h)
+            _, phi, *_ = sampling.varma_ar(S, h)
             poly = np.polynomial.polynomial.polyfromroots(
                 [np.exp(1.0 * h), np.exp(2.0 * h)])
             poly = poly / poly[0]  # normalize constant term: 1 - phi1 z - phi2 z^2
@@ -113,18 +121,21 @@ class TestVarmaAr:
 
     @pytest.mark.parametrize("h", [0.1, 0.5, 1.0])
     def test_example_ar_structure(self, example_set_12, h):
-        psi, _, info = sampling.varma_ar(example_set_12, h)
+        psi, _, cond_V, residual = sampling.varma_ar(example_set_12, h)
         poly = monic_psi(psi)
         for R in example_set_12.matrices:
             E = scipy.linalg.expm(-h * R)
             assert np.linalg.norm(poly.eval_right(E)) <= 1e-8
-        assert info["ar_residual"] <= 1e-8
+        assert residual.measured <= 1e-8
+        assert residual.bound == tolerances.AR_RESIDUAL * max(
+            1.0, np.linalg.norm(psi, axis=(1, 2)).max())
         mats = sampling.sampled_solvent_matrices(example_set_12, h)
-        assert info["cond_sampled_V"] == np.linalg.cond(matpoly.vandermonde(mats))
+        assert cond_V == ("cond(V)", np.linalg.cond(matpoly.vandermonde(mats)),
+                          tolerances.CONDITION, True)
 
     def test_sampled_companion_spectrum(self, example_set_12):
         h = 0.3
-        psi, _, _ = sampling.varma_ar(example_set_12, h)
+        psi, _, *_ = sampling.varma_ar(example_set_12, h)
         comp = matpoly.companion_matrix(monic_psi(psi))
         got = np.linalg.eigvals(comp)
         want = np.exp(-h * example_set_12.roots)
@@ -144,8 +155,8 @@ class TestVarmaAr:
 
     def test_solvent_sets_give_same_phi(self, example_set_12, example_set_34):
         h = 0.1
-        _, phi_a, _ = sampling.varma_ar(example_set_12, h)
-        _, phi_b, _ = sampling.varma_ar(example_set_34, h)
+        _, phi_a, *_ = sampling.varma_ar(example_set_12, h)
+        _, phi_b, *_ = sampling.varma_ar(example_set_34, h)
         for a, b in zip(phi_a, phi_b):
             assert np.max(np.abs(a - b)) <= 1e-8
 
@@ -153,7 +164,7 @@ class TestVarmaAr:
     def test_stacked_phi_equals_per_lag_solve(self, corpus, h):
         # the reference: Phi_j = -Psi_p^{-1} Psi_{p-j} (Psi_0 = I), one solve per j
         for i, model in enumerate(corpus[:30]):
-            psi, phi, _ = sampling.varma_ar(model.solvent_set(), h)
+            psi, phi, *_ = sampling.varma_ar(model.solvent_set(), h)
             p, d = psi.shape[:2]
             for j in range(1, p + 1):
                 prev = np.eye(d) if j == p else psi[p - j - 1]
@@ -163,7 +174,7 @@ class TestVarmaAr:
     def test_phi_real_random(self, seed):
         rng = np.random.default_rng(1000 + seed)
         model = random_stable_model(rng)
-        _, phi, _ = sampling.varma_ar(model.solvent_set(), 0.2)
+        _, phi, *_ = sampling.varma_ar(model.solvent_set(), 0.2)
         for f in phi:
             assert np.isrealobj(f)
 
@@ -220,7 +231,7 @@ class TestNoiseAcvf:
         S = model.solvent_set()
         F = model.fraction
         residues = rational.residues(F, S)
-        _, phi, _ = sampling.varma_ar(S, 0.5)
+        _, phi, *_ = sampling.varma_ar(S, 0.5)
         gamma = sampling.noise_acvf(S, residues, phi, model.sigma_L, 0.5)
         assert len(gamma) == 1
         want = 1.5 ** 2 * 0.8 * (1 - np.exp(-2 * 2 * 0.5)) / (2 * 2)
@@ -231,7 +242,7 @@ class TestNoiseAcvf:
         S = model.solvent_set()
         residues = rational.residues(model.fraction, S)
         h = 0.5
-        _, phi, _ = sampling.varma_ar(S, h)
+        _, phi, *_ = sampling.varma_ar(S, h)
         got = sampling.noise_acvf(S, residues, phi, model.sigma_L, h)
         want = noise_acvf_quadrature(S, residues, phi, model.sigma_L, h)
         for g, w in zip(got, want):
@@ -240,7 +251,7 @@ class TestNoiseAcvf:
     def test_example_vs_continuous_route(self, example_model, example_set_12):
         decomp = mcarma.decompose(example_model, example_set_12)
         h = 0.1
-        _, phi, _ = sampling.varma_ar(example_set_12, h)
+        _, phi, *_ = sampling.varma_ar(example_set_12, h)
         got = sampling.noise_acvf(example_set_12, decomp.residues, phi,
                                   example_model.sigma_L, h)
         want = verify.noise_acvf_from_continuous(decomp, phi, h)
@@ -251,7 +262,7 @@ class TestNoiseAcvf:
         h = 0.1
         d12 = mcarma.decompose(example_model, example_set_12)
         d34 = mcarma.decompose(example_model, example_set_34)
-        _, phi, _ = sampling.varma_ar(example_set_12, h)
+        _, phi, *_ = sampling.varma_ar(example_set_12, h)
         a = sampling.noise_acvf(example_set_12, d12.residues, phi,
                                 example_model.sigma_L, h)
         b = sampling.noise_acvf(example_set_34, d34.residues, phi,
@@ -263,7 +274,7 @@ class TestNoiseAcvf:
     def test_h_sweep_vs_quadrature(self, example_model, h):
         S = example_model.solvent_set()
         decomp = mcarma.decompose(example_model, S)
-        _, phi, _ = sampling.varma_ar(S, h)
+        _, phi, *_ = sampling.varma_ar(S, h)
         got = sampling.noise_acvf(S, decomp.residues, phi,
                                   example_model.sigma_L, h)
         want = noise_acvf_quadrature(S, decomp.residues, phi,
@@ -277,7 +288,7 @@ class TestNoiseAcvf:
         # as one 2-d product per term summed in a loop
         for i, decomp in corpus_decomps.items():
             S, residues, sigma_L = decomp.solvent_set, decomp.residues, decomp.model.sigma_L
-            _, phi, _ = sampling.varma_ar(S, h)
+            _, phi, *_ = sampling.varma_ar(S, h)
             got = sampling.noise_acvf(S, residues, phi, sigma_L, h)
             want = noise_acvf_loop(S, residues, phi, sigma_L, h)
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), i
@@ -289,7 +300,7 @@ class TestNoiseAcvf:
         S = model.solvent_set()
         decomp = mcarma.decompose(model, S)
         h = 0.3
-        _, phi, _ = sampling.varma_ar(S, h)
+        _, phi, *_ = sampling.varma_ar(S, h)
         got = sampling.noise_acvf(S, decomp.residues, phi, model.sigma_L, h)
         want = verify.noise_acvf_from_continuous(decomp, phi, h)
         for g, w in zip(got, want):
@@ -299,7 +310,7 @@ class TestNoiseAcvf:
 class TestFitMa:
     def test_first_order_passthrough(self):
         g0 = np.array([[2.0]])
-        theta, sigma_eps, margin, _ = sampling.fit_ma([g0])
+        theta, sigma_eps, margin, *_ = sampling.fit_ma([g0])
         assert theta.shape == (0, 1, 1)
         assert_allclose(sigma_eps, g0)
         assert margin == np.inf
@@ -307,7 +318,7 @@ class TestFitMa:
     def test_scalar_ma1_identity(self):
         theta = 0.5
         gammas = [np.array([[1 + theta ** 2]]), np.array([[theta]])]
-        fitted, sigma_eps, margin, _ = sampling.fit_ma(gammas)
+        fitted, sigma_eps, margin, *_ = sampling.fit_ma(gammas)
         assert abs(fitted[0][0, 0] - theta) < 1e-8
         assert abs(sigma_eps[0, 0] - 1.0) < 1e-8
         assert margin > 1e-6  # zero at -2, outside the unit disc
@@ -316,16 +327,14 @@ class TestFitMa:
         # theta = 2 and theta = 0.5 share the ACVF shape; the invertible
         # representative has theta = 0.5 with rescaled innovation variance
         gammas = [np.array([[1 + 4.0]]), np.array([[2.0]])]
-        fitted, sigma_eps, _, _ = sampling.fit_ma(gammas)
+        fitted, sigma_eps, _, *_ = sampling.fit_ma(gammas)
         assert abs(fitted[0][0, 0] - 0.5) < 1e-6
         assert abs(sigma_eps[0, 0] - 4.0) < 1e-5
 
     def test_scalar_carma_roundtrip(self):
         model = scalar_model([1, 3, 2], [1.0])
         sv = sampling.sampled_varma(mcarma.decompose(model, model.solvent_set()), 0.5)
-        check = verify.check_ma_roundtrip(
-            sampling.ma_roundtrip_error(sv.gamma_U, sv.theta, sv.sigma_eps))
-        assert check.measured < check.bound
+        assert roundtrip_certified(sv)
         assert sv.ma_margin > 1e-6
 
     def test_rejects_indefinite_gamma0(self):
@@ -342,9 +351,7 @@ class TestFitMa:
         rng = np.random.default_rng(1200 + seed)
         model = random_stable_model(rng, d=2, p=int(rng.integers(2, 4)))
         sv = sampling.sampled_varma(mcarma.decompose(model, model.solvent_set()), 0.25)
-        check = verify.check_ma_roundtrip(
-            sampling.ma_roundtrip_error(sv.gamma_U, sv.theta, sv.sigma_eps))
-        assert check.measured < check.bound
+        assert roundtrip_certified(sv)
         assert sv.ma_margin > 1e-6
 
     @pytest.mark.parametrize("h", [0.01, 0.25])
@@ -376,17 +383,14 @@ class TestFitMa:
             if (i, h) in NO_MA_FACTOR:
                 continue
             sv = sampling.sampled_varma(decomp, h)
-            assert verify.check_ma_roundtrip(sampling.ma_roundtrip_error(
-                sv.gamma_U, sv.theta, sv.sigma_eps)).ok, i
+            assert roundtrip_certified(sv), i
             assert verify.check_ma_invertibility(sv.ma_margin).ok, i
             assert 1 <= sv.ma_steps <= sampling.DOUBLING_MAXIT
 
     @pytest.mark.parametrize("index, h", INNOVATIONS_STALLS)
     def test_near_unit_circle_zeros_fit(self, corpus_decomps, index, h):
         sv = sampling.sampled_varma(corpus_decomps[index], h)
-        assert sv.ma_roundtrip <= 1e-6
-        assert sv.ma_roundtrip == sampling.ma_roundtrip_error(
-            sv.gamma_U, sv.theta, sv.sigma_eps)
+        assert roundtrip_certified(sv)
         assert sv.ma_margin >= 1e-6
 
     @pytest.mark.parametrize("index, h", NO_MA_FACTOR)
@@ -397,12 +401,12 @@ class TestFitMa:
     def test_unit_root_settles_on_the_circle(self):
         # theta = 1: the factor exists but is not invertible; doubling
         # converges linearly there, and the margin shows it
-        theta, sigma_eps, margin, info = sampling.fit_ma(
+        theta, sigma_eps, margin, _, roundtrip = sampling.fit_ma(
             [np.array([[2.0]]), np.array([[1.0]])])
         assert abs(theta[0][0, 0] - 1.0) < 1e-6
         assert abs(sigma_eps[0, 0] - 1.0) < 1e-6
         assert margin < 1e-6
-        assert info["roundtrip"] <= 1e-6
+        assert roundtrip.measured <= roundtrip.bound == 1e-6
 
 
 class TestSampledVarma:
@@ -413,11 +417,10 @@ class TestSampledVarma:
         assert len(sv.phi) == 2 and len(sv.psi) == 2
         assert len(sv.gamma_U) == 2 and len(sv.theta) == 1
         assert sv.sigma_eps.shape == (2, 2)
-        assert sv.ar_residual <= 1e-8
-        assert np.isfinite(sv.cond_sampled_V)
+        assert sv.ar_residual.measured <= 1e-8
+        assert np.isfinite(sv.cond_sampled_V.measured)
         assert 1 <= sv.ma_steps <= sampling.DOUBLING_MAXIT
-        assert sv.ma_roundtrip == sampling.ma_roundtrip_error(
-            sv.gamma_U, sv.theta, sv.sigma_eps) <= tolerances.MA_ROUNDTRIP
+        assert roundtrip_certified(sv)
 
     def test_logs_stage_times_at_debug(self, example_model, caplog):
         decomp = mcarma.decompose(example_model, example_model.solvent_set())
@@ -478,10 +481,10 @@ class TestHardRegime:
                     assert type(exc) is not CertificationError
                     failures[index, h] = type(exc)
                     continue
-                # the AR residual is left out: the op certifies it relative to
-                # the coefficients, the verify row absolutely
-                checks = [verify.check_acvf_symmetry(gammas[0]),
-                          verify.check_ma_roundtrip(sv.ma_roundtrip),
+                # the varma-ar-structure and ma-roundtrip rows are the records
+                records = [sv.ar_residual, sv.ma_roundtrip]
+                checks = [verify.check_acvf_symmetry(gammas[0]), *records,
                           verify.check_ma_invertibility(sv.ma_margin)]
                 assert all(check.ok for check in checks), (index, h, checks)
+                assert all(r.measured <= r.bound for r in records), (index, h, records)
         assert failures == HARD_REGIME_FAILURES

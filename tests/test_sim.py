@@ -89,7 +89,7 @@ class TestDegenerateCases:
         path = sim.simulate(example_decomp, brownian(1, np.eye(2)), 0.25, 64)
         assert path.Y.shape == (64, 2)
         assert path.h == 0.25
-        assert path.max_imag <= 1e-8
+        assert path.imag_residue.measured <= 1e-8
 
 
 class TestInitialState:
@@ -158,7 +158,7 @@ class TestScalarOu:
         decomp = mcarma.decompose(model, model.solvent_set())
         path = sim.simulate(decomp, brownian(99, np.array([[1.0]])), h, n,
                             stationary_start=True)
-        _, phi, _ = sampling.varma_ar(decomp.solvent_set, h)
+        _, phi, *_ = sampling.varma_ar(decomp.solvent_set, h)
         U = sim.extract_noise(path, phi)
         want = res ** 2 * (1 - np.exp(-2 * a * h)) / (2 * a)
         got = U.var()
@@ -189,13 +189,13 @@ class TestEmpiricalAcvf:
 class TestExtractNoise:
     def test_shape(self, example_decomp):
         path = sim.simulate(example_decomp, brownian(2, np.eye(2)), 0.1, 1000)
-        _, phi, _ = sampling.varma_ar(example_decomp.solvent_set, 0.1)
+        _, phi, *_ = sampling.varma_ar(example_decomp.solvent_set, 0.1)
         U = sim.extract_noise(path, phi)
         assert U.shape == (998, 2)
 
     def test_recursion_inverts(self, example_decomp):
         path = sim.simulate(example_decomp, brownian(2, np.eye(2)), 0.1, 50)
-        _, phi, _ = sampling.varma_ar(example_decomp.solvent_set, 0.1)
+        _, phi, *_ = sampling.varma_ar(example_decomp.solvent_set, 0.1)
         U = sim.extract_noise(path, phi)
         n = 10
         want = path.Y[n] - phi[0] @ path.Y[n - 1] - phi[1] @ path.Y[n - 2]
@@ -346,7 +346,7 @@ class TestPsdRepair:
         path = sim.simulate(decomp, brownian(143, model.sigma_L), 0.1, 2000,
                             stationary_start=True)
         assert np.all(np.isfinite(path.Y))
-        assert path.max_imag <= tolerances.PATH_LEAK * np.max(np.abs(path.Y))
+        assert path.imag_residue.measured <= tolerances.PATH_LEAK * np.max(np.abs(path.Y))
 
     def test_small_step_gramian_factors(self, corpus):
         # corpus model #125 at h = 0.01: a Gramian solved from the Sylvester
@@ -518,8 +518,10 @@ class TestObservability:
         with caplog.at_level("DEBUG", logger=sim.log.name):
             path = sim.simulate(example_decomp, brownian(6, np.eye(2)), 0.1, 3000)
             sim.simulate(example_decomp, brownian(6, np.eye(2)), 0.1, 20)
-        assert path.max_imag <= path.imag_bound
-        assert path.imag_bound == tolerances.PATH_LEAK * max(1.0, np.max(np.abs(path.Y)))
+        record = path.imag_residue
+        assert record.name == "path imaginary residue" and record.ok
+        assert record.measured <= record.bound
+        assert record.bound == tolerances.PATH_LEAK * max(1.0, np.max(np.abs(path.Y)))
         records = [r for r in caplog.records
                    if r.name == sim.log.name and r.levelname == "DEBUG"]
         assert len(records) == 2

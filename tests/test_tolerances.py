@@ -35,6 +35,12 @@ def other_modules():
     return [path for path in sorted(SRC.glob("*.py")) if path.name != "tolerances.py"]
 
 
+def rows_read(paths):
+    """The table rows named in the code of ``paths``."""
+    return {tok.string for path in paths for tok in tokens(path)
+            if tok.type == tokenize.NAME} & table().keys()
+
+
 class TestOnePlace:
     def test_no_exponent_literal_outside_the_table(self):
         # docstrings and comments are not NUMBER tokens
@@ -55,6 +61,13 @@ class TestOnePlace:
         read = {tok.string for path in other_modules() for tok in tokens(path)
                 if tok.type == tokenize.NAME}
         assert sorted(set(table()) - read) == []
+
+    def test_verify_rederives_no_library_bound(self):
+        # a library certificate reaches verify as the record its result
+        # keeps; verify reads only the bounds of what no result keeps
+        library = [path for path in other_modules() if path.name != "verify.py"]
+        shared = rows_read([SRC / "verify.py"]) & rows_read(library)
+        assert sorted(shared) == ["ACVF_ASYMMETRY", "IMAG_LEAK"]
 
     def test_bounds_that_are_not_scale_free_are_marked(self):
         # absolute on a quantity that scales with time, or with a scale
@@ -104,6 +117,28 @@ class TestComparison:
                 raise AssertionError("formatted on the pass path")
 
         tolerances.certify(ImaginaryLeakError, Unformattable(), 0.5, 1.0)
+
+    def test_certify_returns_the_passed_check(self):
+        row = tolerances.certify(ImaginaryLeakError, "leak", np.float64(0.5), 1)
+        assert row == ("leak", 0.5, 1.0, True)
+        assert type(row.measured) is float and type(row.bound) is float
+        gap = tolerances.certify(ImaginaryLeakError, "gap", 2.0, 1.0, at_least=True)
+        assert gap == ("gap", 2.0, 1.0, True)
+
+    def test_stacked_certify_returns_the_least_slack_entry(self):
+        # not the largest measurement: slack is bound - measured per entry
+        measured = np.array([[0.5, 2.5], [0.9, 1.0]])
+        bound = np.array([[1.0, 3.0], [1.0, 4.0]])
+        row = tolerances.certify(ImaginaryLeakError, "leak", measured, bound)
+        assert row == ("leak", 0.9, 1.0, True)
+        assert type(row.measured) is float and type(row.bound) is float
+        # a bound broadcast along one axis
+        assert tolerances.certify(ImaginaryLeakError, "leak", measured,
+                                  np.array([[3.0], [1.0]])) == ("leak", 1.0, 1.0, True)
+        # for a margin, measured - bound; a scalar bound broadcasts
+        gaps = np.array([3.0, 1.5, 2.0])
+        assert tolerances.certify(ImaginaryLeakError, "gap", gaps, 1.0, at_least=True) == (
+            "gap", 1.5, 1.0, True)
 
     def test_check_is_a_row(self):
         row = tolerances.check("row", np.float64(0.5), 1)

@@ -15,9 +15,7 @@ from .matpoly import (
     companion_matrix,
     default_grouping,
     latent_roots,
-    linear_factorization,
     solvents_from_latents,
-    vandermonde,
 )
 from .rational import (
     RationalLeftMatrix,
@@ -78,13 +76,11 @@ __all__ = [
     "fit_ma",
     "kernel",
     "latent_roots",
-    "linear_factorization",
     "noise_acvf",
     "residues",
     "sampled_varma",
     "simulate",
     "solvents_from_latents",
     "stationary_acvf",
-    "vandermonde",
     "varma_ar",
 ]

@@ -55,12 +55,6 @@ class SingularVandermondeError(CertificationError):
     invariant = "SingularVandermonde"
 
 
-class SingularFactorError(CertificationError):
-    """A partial product M_k(R_k) in the linear factorization is singular."""
-
-    invariant = "SingularM_k"
-
-
 class NotIrreducibleError(CertificationError):
     invariant = "NotIrreducible"
 

@@ -6,12 +6,15 @@ admits matrix-valued "roots": right solvents ``R`` with
 solvents partitions the pd latent roots (zeros of ``det A(z)``) into p
 disjoint spectra and is certified by a nonsingular block Vandermonde matrix.
 This module computes latent roots through the block companion matrix, builds
-solvents from grouped latent pairs, and recovers coefficients and linear
-factorizations from a certified solvent set.
+solvents from grouped latent pairs, and recovers coefficients from a
+complete solvent set.
 
-A ``SolventSet`` holds the solvents and their eigenbases as read-only
-stacks; an eigenbasis is the group of latent pairs its solvent is built
-from, or, for bare matrices, comes from one stacked ``eig``.
+With simple latent roots a solvent is fixed by its spectrum (Dennis, Traub
+& Weber, SIAM J. Numer. Anal. 13 (1976)), so every ``SolventSet`` is built
+by one route, ``solvents_from_latents``: each eigenbasis is the group of
+latent pairs its solvent is built from.  Given matrices are certified by
+matching their eigenvalues to latent roots and building the set of that
+grouping.
 
 All arithmetic is done in complex double precision; realness is certified
 after the fact, never assumed.
@@ -30,7 +33,6 @@ from .exceptions import (
     DuplicateLatentRootError,
     IncompleteSetError,
     NonSquareError,
-    SingularFactorError,
     SingularGroupError,
     SingularVandermondeError,
     SolventResidualError,
@@ -121,34 +123,6 @@ class LambdaMatrix:
             out = out @ Z + block
         return out
 
-    def derivative(self):
-        """Coefficient-wise derivative, degree p-1."""
-        p = self.degree
-        if p == 0:
-            return LambdaMatrix(np.zeros_like(self.coeffs))
-        return LambdaMatrix(np.arange(p, 0, -1)[:, None, None] * self.coeffs[:-1])
-
-    def __mul__(self, other):
-        """Polynomial product (coefficient convolution), self(z) * other(z)."""
-        if not isinstance(other, LambdaMatrix):
-            return NotImplemented
-        pa, pb = self.degree, other.degree
-        d = self.order[0]
-        m = other.order[1]
-        if self.order[1] != other.order[0]:
-            raise ValueError("inner orders do not match")
-        out = np.zeros((pa + pb + 1, d, m), dtype=complex)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a @ b
-        return LambdaMatrix(out)
-
-
-def identity_shift(R):
-    """The linear lambda-matrix ``z I - R``."""
-    R = _as_complex(R)
-    return LambdaMatrix((np.eye(R.shape[0], dtype=complex), -R))
-
 
 @dataclass(frozen=True)
 class LatentPair:
@@ -173,7 +147,8 @@ class SolventSet:
     ``residual_norms`` (p,) are the ``||A_R(R_k)||_F`` and ``V`` the block
     Vandermonde matrix; ``residual`` (of the largest norm) and ``cond_V`` are
     the ``tolerances.Check`` records of their certificates.
-    Built by ``solvents_from_latents`` or ``certify_solvent_set``.
+    Built only by ``solvents_from_latents``, which ``certify_solvent_set``
+    calls for given matrices.
     """
 
     matrices: np.ndarray
@@ -398,12 +373,6 @@ def _block_vandermonde(powers):
     return powers.transpose(0, 2, 1, 3).reshape(p * d, p * d)
 
 
-def vandermonde(mats):
-    """Block Vandermonde matrix: block (i, k) is ``R_k^(i-1)``, i, k = 1..p."""
-    mats = _as_complex(mats)
-    return _block_vandermonde(_powers(mats, len(mats) - 1))
-
-
 def _residual_norms(A, mats):
     """``||A_R(R_k)||_F`` of a stack of candidate solvents and the record of
     their certificate, ``<= tolerances.SOLVENT_RESIDUAL * max(1, ||A_p||_F)``."""
@@ -421,26 +390,19 @@ def _certified_vandermonde(powers):
     return V, tol.certify(SingularVandermondeError, "cond(V)", float(_cond(V)), tol.CONDITION)
 
 
-def _certified_set(mats, spectrum, P, P_inv, residual_norms, residual):
-    """The tail both construction routes share: the certified block
-    Vandermonde matrix of solvents whose residuals are certified, and the
-    read-only stacks."""
-    V, cond_V = _certified_vandermonde(_powers(mats, len(mats) - 1))
-    stacks = (mats, spectrum, P, P_inv, residual_norms, V)
-    return SolventSet(*(_readonly(a) for a in stacks), residual, cond_V)
-
-
 def certify_solvent_set(A, mats):
     """Certify p candidate matrices as a complete set of regular right solvents.
 
-    Checks, in order: right-substitution residuals against ``A``, pairwise
-    disjoint spectra whose union matches the latent roots of ``A`` (one
-    stacked ``eig`` of the candidates, which also gives their eigenbases),
-    and a well-conditioned block Vandermonde matrix.
+    Certifies the right-substitution residuals against ``A``, matches each
+    eigenvalue of the candidates to its nearest latent root, one to one, and
+    builds the set of that grouping with ``solvents_from_latents``; each
+    built solvent must equal its candidate to ``tolerances.EIG_MATCH``
+    relative to ``||R_k||_F``.  Returns the built set, in the given order.
 
     Raises
     ------
-    SolventResidualError, IncompleteSetError, SingularVandermondeError
+    SolventResidualError, IncompleteSetError, and the errors of
+    ``solvents_from_latents``
     """
     p = A.degree
     d = A.order[0]
@@ -449,17 +411,20 @@ def certify_solvent_set(A, mats):
     if any(np.shape(R) != (d, d) for R in mats):
         raise IncompleteSetError("solvent block shape mismatch")
     mats = _as_complex(mats)
-    residuals = _residual_norms(A, mats)
-    spectrum, P = np.linalg.eig(mats)
-
-    gaps = np.abs(spectrum[:, None, :, None] - spectrum[None, :, None, :]).min(axis=(2, 3))
-    gaps[np.tril_indices(p)] = np.inf
-    tol.certify(IncompleteSetError, "spectrum gap", gaps, np.nextafter(tol.EIG_MATCH, np.inf),
-                at_least=True)
-    roots = np.array([pr.root for pr in latent_roots(A)])
-    err = eig_multiset_distance(spectrum.reshape(-1), roots)
-    tol.certify(IncompleteSetError, "distance to the latent roots", err, tol.EIG_MATCH)
-    return _certified_set(mats, spectrum, P, np.linalg.inv(P), *residuals)
+    _residual_norms(A, mats)
+    pairs = latent_roots(A)
+    roots = np.array([pr.root for pr in pairs])
+    dist = np.abs(np.linalg.eigvals(mats)[..., None] - roots)  # (p, d, pd)
+    index = dist.argmin(axis=-1)
+    tol.certify(IncompleteSetError, "distance to the latent roots",
+                np.take_along_axis(dist, index[..., None], -1), _distinct_tol(roots))
+    if sorted(index.flat) != list(range(p * d)):
+        raise IncompleteSetError("eigenvalues do not match the latent roots one to one")
+    S = solvents_from_latents(A, pairs, np.sort(index, axis=1).tolist())
+    tol.certify(SolventResidualError, "||built - given||_F",
+                np.linalg.norm(S.matrices - mats, axis=(1, 2)),
+                tol.EIG_MATCH * np.linalg.norm(mats, axis=(1, 2)))
+    return S
 
 
 def solvents_from_latents(A, pairs=None, grouping=None):
@@ -506,7 +471,10 @@ def solvents_from_latents(A, pairs=None, grouping=None):
     tol.certify(SingularGroupError, "cond(P_k)", _cond(P), tol.GROUP_CONDITION)
     P_inv = np.linalg.inv(P)
     mats = (P * spectrum[:, None, :]) @ P_inv
-    return _certified_set(mats, spectrum, P, P_inv, *_residual_norms(A, mats))
+    residual_norms, residual = _residual_norms(A, mats)
+    V, cond_V = _certified_vandermonde(_powers(mats, p - 1))
+    stacks = (mats, spectrum, P, P_inv, residual_norms, V)
+    return SolventSet(*(_readonly(a) for a in stacks), residual, cond_V)
 
 
 def coeffs_from_solvent_matrices(mats):
@@ -533,28 +501,3 @@ def vandermonde_solve(mats):
     # the solve gives the row [A_p, ..., A_1]; its blocks, reversed, follow I
     coeffs[:0:-1] = -np.linalg.solve(V.T, row.T).T.reshape(d, p, d).swapaxes(0, 1)
     return LambdaMatrix(coeffs), cond_V
-
-
-def linear_factorization(mats):
-    """Linear factors ``[R_1, R_2*, ..., R_p*]``, stacked (p, d, d), of the
-    polynomial with the complete solvent set ``mats`` (e.g. ``S.matrices``).
-
-    The product ``(z I - R_p*) ... (z I - R_2*)(z I - R_1)`` reproduces the
-    polynomial; each transformed factor is
-    ``R_k* = M_k(R_k) R_k M_k(R_k)^{-1}`` with ``M_k`` the right-evaluated
-    partial product of the factors found so far.
-
-    Raises
-    ------
-    SingularFactorError
-        If some partial product ``M_k(R_k)`` is numerically singular.
-    """
-    mats = _as_complex(mats)
-    factors = mats.copy()
-    partial = identity_shift(mats[0])
-    for k in range(1, len(mats)):
-        Mk = partial.eval_right(mats[k])
-        tol.certify(SingularFactorError, "cond(M_k(R_k))", float(_cond(Mk)), tol.CONDITION)
-        factors[k] = Mk @ mats[k] @ np.linalg.inv(Mk)
-        partial = identity_shift(factors[k]) * partial
-    return factors

@@ -129,9 +129,8 @@ def varma_ar(S, h):
     tol.certify(ImaginaryLeakError, "AR imaginary part", leak, tol.IMAG_LEAK * scale)
     psi = coeffs[1:].real.copy()  # Psi_1 .. Psi_p
 
-    s = np.linalg.svd(psi[-1], compute_uv=False)
-    cond_psi_p = s[0] / s[-1] if s[-1] > 0 else np.inf
-    tol.certify(SingularVandermondeError, "cond(Psi_p)", cond_psi_p, tol.CONDITION)
+    tol.certify(SingularVandermondeError, "cond(Psi_p)", float(matpoly._cond(psi[-1])),
+                tol.CONDITION)
     phi = -np.linalg.solve(psi[-1], coeffs[-2::-1].real)  # Psi_{p-j}, j = 1..p
     return psi, phi, cond_V, residual
 

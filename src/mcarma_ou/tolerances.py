@@ -18,11 +18,11 @@ import numpy as np
 
 STRUCTURE = 1e-14         # max|A_0 - I| (monic), max|Im A_i| (real); 1; abs
 LATENT_RESIDUAL = 1e-8    # ||A(lam) v|| of each latent pair; backward_scale(A, lam)
-CONDITION = 1e12          # cond of companion eigenvectors, V, M_k(R_k), Psi_p; 1
+CONDITION = 1e12          # cond of companion eigenvectors, V, Psi_p; 1
 GROUPING_TIE = 1e-12      # condition gain that places latent pairs in a later group; 1
 GROUP_CONDITION = 1e10    # cond(P_k) of the latent vectors of each solvent; 1
 SOLVENT_RESIDUAL = 1e-9   # ||A_R(R_k)||_F of each solvent; max(1, ||A_p||_F); abs
-EIG_MATCH = 1e-8          # gap at which two eigenvalues are one; 1 + max|lam|, 1 (solvents); abs
+EIG_MATCH = 1e-8          # eigenvalue gap, ||built - given R_k||_F; 1 + max|lam| (roots), ||R_k||_F (given solvents); abs
 COPRIME_RANK = 1e-8       # sigma_d of [A(lam) | B(lam)], scaled blocks (exceeded); sigma_max
 COPRIME_FLOOR = 1e-12     # sigma_max of that row, blocks over backward_scale (exceeded); 1
 POLE_GAP = 1e-10          # distance of an evaluation point to a latent root (at least); 1; abs

@@ -8,13 +8,17 @@ by the per-step component recursion with one ``expm`` per jump, or by the
 real state-space recursion, instead of the chunked eigenbasis scan; the MA
 factor of a (p-1)-dependent noise by the multivariate innovations recursion
 instead of doubling on its Riccati equation; a lambda-matrix by multiplying
-out its linear factors.  ``noise_acvf_loop`` is the per-term loop that
-``sampling.noise_acvf`` replaced by batched products, kept to show that the
-batched sum rounds exactly as the loop does, ``ma_acvf_loop`` the same for
-the stacked products of ``sampling.ma_acvf``, and ``greedy_grouping`` the
-grouping walk that ``matpoly.default_grouping`` replaced by scoring only
-real choices, kept to show that the groups are the same.  The oracles that
-``mcarma-ou verify`` runs too live in ``mcarma_ou.verify``.
+out its linear factors, and the block Vandermonde matrix by
+``np.linalg.matrix_power`` instead of stacked products.  The polynomial
+product and derivative and the linear factorization check the paper's
+identities; no production path uses them.  ``noise_acvf_loop`` is the
+per-term loop that ``sampling.noise_acvf`` replaced by batched products,
+kept to show that the batched sum rounds exactly as the loop does,
+``ma_acvf_loop`` the same for the stacked products of ``sampling.ma_acvf``,
+and ``greedy_grouping`` the grouping walk that ``matpoly.default_grouping``
+replaced by scoring only real choices, kept to show that the groups are the
+same.  The oracles that ``mcarma-ou verify`` runs too live in
+``mcarma_ou.verify``.
 """
 
 from types import SimpleNamespace
@@ -326,11 +330,56 @@ def greedy_grouping(pairs, d, conjugate_closed=True):
     return [sorted(g) for g in groups]
 
 
+def poly_product(a, b):
+    """Polynomial product (coefficient convolution) ``a(z) b(z)``."""
+    out = np.zeros((a.degree + b.degree + 1, a.order[0], b.order[1]), dtype=complex)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] += ai @ bj
+    return matpoly.LambdaMatrix(out)
+
+
+def poly_derivative(A):
+    """Coefficient-wise derivative ``A'(z)``, degree p-1."""
+    p = A.degree
+    if p == 0:
+        return matpoly.LambdaMatrix(np.zeros_like(A.coeffs))
+    return matpoly.LambdaMatrix(np.arange(p, 0, -1)[:, None, None] * A.coeffs[:-1])
+
+
+def identity_shift(R):
+    """The linear lambda-matrix ``z I - R``."""
+    R = np.asarray(R, dtype=complex)
+    return matpoly.LambdaMatrix((np.eye(R.shape[0]), -R))
+
+
+def vandermonde(mats):
+    """Block Vandermonde matrix: block (i, k) is ``R_k^(i-1)``, i, k = 1..p."""
+    mats = [np.asarray(R, dtype=complex) for R in mats]
+    return np.block([[np.linalg.matrix_power(R, i) for R in mats] for i in range(len(mats))])
+
+
+def linear_factorization(mats):
+    """Linear factors ``[R_1, R_2*, ..., R_p*]``, stacked (p, d, d), of the
+    polynomial with the complete solvent set ``mats``: the product
+    ``(z I - R_p*) ... (z I - R_2*)(z I - R_1)`` reproduces the polynomial,
+    with ``R_k* = M_k(R_k) R_k M_k(R_k)^{-1}`` and ``M_k`` the
+    right-evaluated partial product of the factors found so far."""
+    factors = np.array(mats, dtype=complex)
+    partial = identity_shift(factors[0])
+    for k in range(1, len(factors)):
+        Mk = partial.eval_right(factors[k])
+        assert np.linalg.cond(Mk) <= tolerances.CONDITION, f"M_{k}(R_{k}) is singular"
+        factors[k] = Mk @ factors[k] @ np.linalg.inv(Mk)
+        partial = poly_product(identity_shift(factors[k]), partial)
+    return factors
+
+
 def expand_factors(factors):
     """Multiply linear factors right-to-left into one lambda-matrix."""
-    out = matpoly.identity_shift(factors[0])
+    out = identity_shift(factors[0])
     for R in factors[1:]:
-        out = matpoly.identity_shift(R) * out
+        out = poly_product(identity_shift(R), out)
     return out
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from numpy.testing import assert_allclose
 
-from mcarma_ou import matpoly, tolerances
+from mcarma_ou import matpoly, rational, tolerances
 from mcarma_ou.exceptions import (
     DefectiveCompanionError,
     DuplicateLatentRootError,
@@ -13,8 +14,8 @@ from mcarma_ou.exceptions import (
     SolventResidualError,
 )
 
-from conftest import A1, A2, R1, R2, R3, R4, random_stable_model
-from oracles import expand_factors, greedy_grouping
+from conftest import A1, A2, R1, R2, R3, R4, RES1, RES2, random_stable_model
+from oracles import expand_factors, greedy_grouping, linear_factorization, vandermonde
 
 
 def scalar_poly(*coeffs):
@@ -204,24 +205,28 @@ class TestStackedRepresentation:
             self.assert_consistent(S, roots)
             certified = matpoly.certify_solvent_set(model.A, S.matrices)
             self.assert_consistent(certified, roots)
-            assert np.array_equal(certified.matrices, S.matrices), index
+            for name in ("matrices", "spectrum", "P", "P_inv"):
+                assert np.array_equal(getattr(certified, name), getattr(S, name)), (index, name)
             assert np.array_equal(certified.residual_norms, S.residual_norms), index
             assert certified.residual == S.residual, index
             assert certified.cond_V == S.cond_V, index
 
-    def test_latent_route_agrees_with_certified_matrices(self, example_poly, example_set_12):
+    def test_latent_route_agrees_with_certified_matrices(self, example_poly):
+        # against the exact solvents R1, R2 and what they give by other routes
         pairs = matpoly.latent_roots(example_poly)
         S = matpoly.solvents_from_latents(example_poly, pairs, [[0, 1], [2, 3]])
         # R = P diag(lam) P^{-1} rounds at about cond(P) eps max|lam| (1.8e-13)
         tol = 1e-12
-        assert_allclose(S.matrices, example_set_12.matrices, rtol=0, atol=tol)
-        assert_allclose(S.V, example_set_12.V, rtol=0, atol=tol)
-        assert_allclose(S.residual_norms, example_set_12.residual_norms, rtol=0, atol=tol)
-        want = example_set_12.cond_V.measured
+        given = np.array([R1, R2])
+        assert_allclose(S.matrices, given, rtol=0, atol=tol)
+        assert_allclose(S.V, vandermonde(given), rtol=0, atol=tol)
+        assert_allclose(S.residual_norms, np.linalg.norm(
+            example_poly.eval_right(given), axis=(1, 2)), rtol=0, atol=tol)
+        want = np.linalg.cond(vandermonde(given))
         assert abs(S.cond_V.measured - want) <= tol * want
-        assert_allclose(np.sort_complex(S.roots), np.sort_complex(example_set_12.roots),
+        assert_allclose(np.sort_complex(S.roots), [-4, -3, -2, -1], rtol=0, atol=tol)
+        assert_allclose(S.expm(0.3), [scipy.linalg.expm(0.3 * R) for R in given],
                         rtol=0, atol=tol)
-        assert_allclose(S.expm(0.3), example_set_12.expm(0.3), rtol=0, atol=tol)
 
     def test_latent_route_takes_no_eig(self, example_poly, monkeypatch):
         pairs = matpoly.latent_roots(example_poly)
@@ -251,7 +256,7 @@ class TestCertify:
             matpoly.certify_solvent_set(example_poly, [R1, R1])
 
     def test_nan_entry_rejected(self, example_poly):
-        # the NaN residual fails its bound before eig would meet the NaN
+        # the NaN residual fails its bound before eigvals would meet the NaN
         R = R2.copy()
         R[0, 1] = np.nan
         with pytest.raises(SolventResidualError):
@@ -263,6 +268,56 @@ class TestCertify:
             assert S.residual == ("||A_R(R)||_F", S.residual_norms.max(),
                                   tolerances.SOLVENT_RESIDUAL * np.linalg.norm(A2), True)
             assert S.cond_V == ("cond(V)", np.linalg.cond(S.V), tolerances.CONDITION, True)
+
+    @staticmethod
+    def grouping(S, A):
+        """The latent indices of each solvent's spectrum, in its order."""
+        roots = np.array([pr.root for pr in matpoly.latent_roots(A)])
+        return np.abs(S.spectrum[..., None] - roots).argmin(axis=-1).tolist()
+
+    @pytest.mark.parametrize("mats, grouping", [
+        ([R1, R2], [[0, 1], [2, 3]]),
+        ([R3, R4], [[0, 3], [1, 2]]),
+    ], ids=["12", "34"])
+    def test_example_sets_are_built_from_their_grouping(self, example_poly, mats, grouping):
+        S = matpoly.certify_solvent_set(example_poly, mats)
+        assert self.grouping(S, example_poly) == grouping
+        built = matpoly.solvents_from_latents(example_poly, grouping=grouping)
+        for name in ("matrices", "spectrum", "P", "P_inv", "residual_norms", "V"):
+            assert np.array_equal(getattr(S, name), getattr(built, name)), name
+
+    def test_given_order_is_kept(self, example_poly, example_model):
+        S = matpoly.certify_solvent_set(example_poly, [R2, R1])
+        assert self.grouping(S, example_poly) == [[2, 3], [0, 1]]
+        assert_allclose(S.matrices, [R2, R1], rtol=0, atol=1e-12)
+        res = rational.residues(example_model.fraction, S)
+        assert_allclose(res, [RES2, RES1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_time_rescaling(self, c):
+        # A_i -> c^i A_i, R -> c R: the verdict and the grouping stay, and
+        # each built solvent stays as close to its given one, relatively
+        A = matpoly.LambdaMatrix((np.eye(2), c * A1, c * c * A2))
+        for mats, grouping in (([R1, R2], [[0, 1], [2, 3]]), ([R3, R4], [[0, 3], [1, 2]])):
+            given = c * np.array(mats)
+            S = matpoly.certify_solvent_set(A, given)
+            assert self.grouping(S, A) == grouping
+            err = np.linalg.norm(S.matrices - given, axis=(1, 2))
+            assert np.all(err <= 1e-12 * np.linalg.norm(given, axis=(1, 2)))
+        with pytest.raises(IncompleteSetError, match="one to one"):
+            matpoly.certify_solvent_set(A, c * np.array([R1, R1]))
+
+    def test_small_scale_perturbation_rejected(self):
+        # at c = 1e-4 a move of 1e-10 passes the absolute residual bound and
+        # the eigenvalue match, but not the bound relative to ||R_k||_F
+        c = 1e-4
+        A = matpoly.LambdaMatrix((np.eye(2), c * A1, c * c * A2))
+        given = c * np.array([R1, R2])
+        given[0, 0, 0] += 1e-10
+        residuals = np.linalg.norm(A.eval_right(given), axis=(1, 2))
+        assert residuals.max() <= tolerances.SOLVENT_RESIDUAL
+        with pytest.raises(SolventResidualError, match=r"built - given"):
+            matpoly.certify_solvent_set(A, given)
 
     @pytest.mark.parametrize("size", [1e-10, 1e-3, 1.0])
     def test_multiset_distance_is_assignment_distance(self, size):
@@ -279,18 +334,25 @@ class TestCertify:
 
 class TestVandermonde:
     def test_first_order(self):
-        assert_allclose(matpoly.vandermonde([R1]).real, np.eye(2))
+        assert_allclose(vandermonde([R1]).real, np.eye(2))
 
     def test_example_blocks(self):
-        V = matpoly.vandermonde([R1, R2]).real
+        V = vandermonde([R1, R2]).real
         assert_allclose(V[:2, :2], np.eye(2))
         assert_allclose(V[:2, 2:], np.eye(2))
         assert_allclose(V[2:, :2], R1)
         assert_allclose(V[2:, 2:], R2)
 
     def test_scalar(self):
-        V = matpoly.vandermonde([np.array([[-1.0]]), np.array([[-2.0]])]).real
+        V = vandermonde([np.array([[-1.0]]), np.array([[-2.0]])]).real
         assert_allclose(V, [[1, 1], [-1, -2]])
+
+    def test_solvent_sets_keep_the_oracle_matrix(self, corpus):
+        # stacked products against one matrix_power per block
+        for index, model in enumerate(corpus):
+            S = model.solvent_set()
+            want = vandermonde(S.matrices)
+            assert np.max(np.abs(S.V - want)) <= 1e-12 * np.max(np.abs(want)), index
 
 
 class TestCoeffsFromSolvents:
@@ -339,17 +401,17 @@ class TestCoeffsFromSolvents:
 
 class TestLinearFactorization:
     def test_first_order(self):
-        factors = matpoly.linear_factorization([R1])
+        factors = linear_factorization([R1])
         assert len(factors) == 1
         assert_allclose(factors[0].real, R1)
 
     def test_scalar_factors_are_roots(self):
-        factors = matpoly.linear_factorization(
+        factors = linear_factorization(
             [np.array([[-1.0]]), np.array([[-2.0]])])
         assert_allclose(sorted(f[0, 0].real for f in factors), [-2.0, -1.0])
 
     def test_example_product(self, example_poly, example_set_12):
-        factors = matpoly.linear_factorization(example_set_12.matrices)
+        factors = linear_factorization(example_set_12.matrices)
         product = expand_factors(factors)
         for got, want in zip(product.coeffs, example_poly.coeffs):
             assert np.linalg.norm(got - want) < 1e-8 * max(1.0, np.linalg.norm(want))
@@ -359,6 +421,6 @@ class TestLinearFactorization:
         rng = np.random.default_rng(300 + seed)
         model = random_stable_model(rng, d=2, p=3)
         S = matpoly.solvents_from_latents(model.A)
-        product = expand_factors(matpoly.linear_factorization(S.matrices))
+        product = expand_factors(linear_factorization(S.matrices))
         for got, want in zip(product.coeffs, model.A.coeffs):
             assert np.linalg.norm(got - want) < 1e-8 * max(1.0, np.linalg.norm(want))

@@ -7,7 +7,7 @@ from mcarma_ou import matpoly, mcarma, rational, verify
 from mcarma_ou.exceptions import NotIrreducibleError, PoleHitError
 
 from conftest import A2, RES1, RES2, RES3, RES4, random_stable_model
-from oracles import contour_residue
+from oracles import contour_residue, poly_derivative
 
 
 def scalar_poly(*coeffs):
@@ -105,7 +105,7 @@ class TestResidues:
         S = matpoly.solvents_from_latents(A)
         for R, res in zip(S.matrices, rational.residues(F, S)):
             r = R[0, 0]
-            expected = B.eval(r)[0, 0] / A.derivative().eval(r)[0, 0]
+            expected = B.eval(r)[0, 0] / poly_derivative(A).eval(r)[0, 0]
             assert abs(res[0, 0] - expected) < 1e-12
 
     def test_contour_quadrature_cross_check(self, example_fraction, example_set_12,

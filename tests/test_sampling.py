@@ -24,6 +24,7 @@ from oracles import (
     noise_acvf_loop,
     noise_acvf_quadrature,
     quad_finite_gramian,
+    vandermonde,
 )
 
 # Corpus inputs (model index, h) on which the innovations recursion does not
@@ -130,7 +131,7 @@ class TestVarmaAr:
         assert residual.bound == tolerances.AR_RESIDUAL * max(
             1.0, np.linalg.norm(psi, axis=(1, 2)).max())
         mats = sampling.sampled_solvent_matrices(example_set_12, h)
-        assert cond_V == ("cond(V)", np.linalg.cond(matpoly.vandermonde(mats)),
+        assert cond_V == ("cond(V)", np.linalg.cond(vandermonde(mats)),
                           tolerances.CONDITION, True)
 
     def test_sampled_companion_spectrum(self, example_set_12):

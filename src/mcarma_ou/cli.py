@@ -252,6 +252,7 @@ def run_verification(model, driver, h, steps):
     """Run the ``verify`` checks in row order; return the list of ``Check``.
 
     A row of a library certificate is the record its result keeps, renamed.
+    The ACVF and noise oracles read one ``verify.sampled_state_space``.
     The Monte-Carlo row simulates ``driver`` (seeded) and runs only for a
     Brownian one: its band is the Gaussian CLT band (compound-Poisson
     sample ACVFs carry an extra kurtosis term).
@@ -268,16 +269,16 @@ def run_verification(model, driver, h, steps):
               verify.check_kernel_realness(decomp),
               verify.check_pf_reconstruction(decomp)]
     if model.stationary:
-        lags = [k * h for k in range(11)]
-        gammas = mcarma.stationary_acvf(decomp, lags)
-        checks += [verify.check_acvf_lyapunov(decomp, lags, gammas),
+        sampled = verify.sampled_state_space(decomp.statespace, model.sigma_L, h)
+        gammas = mcarma.stationary_acvf(decomp, [k * h for k in range(11)])
+        checks += [verify.check_acvf_lyapunov(sampled, gammas),
                    verify.check_acvf_symmetry(gammas[0])]
     sv = sampling.sampled_varma(decomp, h)
     checks += [sv.ar_residual._replace(name="varma-ar-structure"),
                sv.ma_roundtrip._replace(name="ma-roundtrip"),
                verify.check_ma_invertibility(sv.ma_margin)]
     if model.stationary:
-        checks.append(verify.check_noise_acvf(decomp, sv.phi, sv.gamma_U, h))
+        checks.append(verify.check_noise_acvf(sampled, sv.phi, sv.gamma_U))
         if driver.kind == "brownian":
             path = sim.simulate(decomp, driver, h, steps, stationary_start=True)
             checks.append(verify.check_noise_lag_p_zero(

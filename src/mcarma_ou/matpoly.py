@@ -249,8 +249,11 @@ def _distinct_tol(roots):
 
 def _cond(M):
     """2-norm condition number sigma_max / sigma_min of a matrix, or of each
-    matrix of a stack, from one SVD; inf where sigma_min is 0."""
-    s = np.linalg.svd(M, compute_uv=False)
+    matrix of a stack, from one SVD; inf where sigma_min is 0 or the SVD fails."""
+    try:
+        s = np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError:  # a non-finite entry
+        return np.full(np.shape(M)[:-2], np.inf)
     smax, smin = s[..., 0], s[..., -1]
     if smin.all():
         return smax / smin

@@ -294,16 +294,17 @@ def _real_sum(S, times, mats, what):
 
 
 def kernel(decomp, t):
-    """Kernel ``sum_k e^{t R_k} Res_k`` of the OU sum at time t >= 0.
+    """Kernel ``sum_k e^{t R_k} Res_k`` of the OU sum, (d, m) at each time t >= 0 of ``t``.
 
     Equals ``C* e^{A* t} B*``; the identity is exercised by the
     verification suite rather than recomputed here.  The imaginary part is
     certified below ``tolerances.IMAG_LEAK`` of the largest summand and stripped.
     """
-    if not 0 <= t < np.inf:
+    t = np.asarray(t, dtype=float)
+    if not ((t >= 0) & (t < np.inf)).all():
         raise ValueError(f"kernel is defined for finite t >= 0, got {t}")
-    out, _ = _real_sum(decomp.solvent_set, [t], decomp.residues, "kernel imaginary part")
-    return out[0]
+    out, _ = _real_sum(decomp.solvent_set, t.ravel(), decomp.residues, "kernel imaginary part")
+    return out.reshape(t.shape + out.shape[1:])
 
 
 def ou_gramian(s_i, s_j, M, h=np.inf):

@@ -44,7 +44,7 @@ PSD_CLIP = 1e-12          # -min eig of a Gramian factored with clipping; max|ei
 PATH_LEAK = 1e-8          # imaginary residue of a path's modal read-out; max(1, max|Y|); abs
 DRIVER_MATCH = 1e-10      # max|rate jump_cov - sigma_L| in a file; max(1, max|sigma_L|); abs
 ORACLE = 1e-8             # kernel, fraction, ACVF vs oracle; 1 + ||B*||, max(1, ||want||); abs
-NOISE_ACVF = 1e-7         # gamma_U against the continuous-time route; max(1, ||want||); abs
+NOISE_ACVF = 1e-7         # gamma_U against the sampled state space; max(1, ||want||); abs
 MA_MARGIN = 1e-6          # min|zero of det Theta| - 1 (at least); 1
 CLT_BAND = 1.0            # sample ACVF of the noise at lags p..p+3; its 99% CLT band
 

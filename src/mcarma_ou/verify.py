@@ -1,11 +1,12 @@
 """Independent oracles for the paper's identities and the checks of ``verify``.
 
-The oracles take routes the production code does not: the state-space
-kernel ``C* e^{t A*} B*`` and the Lyapunov ACVF through ``scipy.linalg.expm``
-of the companion matrix A* (Marquardt & Stelzer, "Multivariate CARMA
-processes", SPA 117 (2007)), the sampled noise ACVF through the
-continuous-time ACVF, and the Gaussian CLT band of the sample ACVF of a
-(p-1)-dependent noise at lags >= p.
+The oracles take routes the production code does not, with no solvent and
+no eigendecomposition: the kernel ``C* F^k B*``, the ACVF ``C* F^k Pi C*^T``
+and the sampled noise ACVF, a finite sum of ``Q_h`` terms, all read off the
+state space (A*, B*, C*) of Marquardt & Stelzer ("Multivariate CARMA
+processes", SPA 117 (2007)) sampled at one step (``sampled_state_space``),
+as in Chambers & Thornton (Econometric Theory 28 (2012)); and the Gaussian
+CLT band of the sample ACVF of a (p-1)-dependent noise at lags >= p.
 
 Each ``check_*`` function measures one row of ``mcarma-ou verify`` and
 returns a ``tolerances.Check``.  ``cli.run_verification`` lists these and
@@ -15,10 +16,12 @@ the same, so the library, the command and the tests judge by one bound.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.linalg
 
-from . import mcarma, rational, tolerances as tol
+from . import mcarma, rational, sim, tolerances as tol
 from .exceptions import ImaginaryLeakError
 
 KERNEL_TIMES = np.linspace(0.0, 5.0, 51)
@@ -26,48 +29,42 @@ Z_99 = 2.5758  # two-sided 99% normal quantile
 
 
 def _rel_err(got, want):
-    """Frobenius norm of the difference relative to ``max(1, ||want||)``."""
-    scale = max(1.0, float(np.linalg.norm(want)))
-    return float(np.linalg.norm(np.asarray(got) - np.asarray(want)) / scale)
+    """Frobenius norm of the difference relative to ``max(1, ||want||)``, the
+    largest over a stack of matrices."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.maximum(1.0, np.linalg.norm(want, axis=(-2, -1)))
+    return float(np.max(np.linalg.norm(got - want, axis=(-2, -1)) / scale))
 
 
 # oracles
 
-def statespace_kernel(ss, t):
-    """``C* e^{t A*} B*``."""
-    return ss.C_star @ scipy.linalg.expm(t * ss.A_star) @ ss.B_star
+# the state sampled at step h: X_n = F X_{n-1} + W_n, Cov W_n = Q, Cov X_n = pi, Y_n = C X_n
+SampledStateSpace = namedtuple("SampledStateSpace", "C F pi Q")
 
 
-def stationary_state_covariance(ss, sigma_L):
-    """State covariance Pi solving ``A* Pi + Pi A*^T = -B* Sigma_L B*^T``."""
-    rhs = -ss.B_star @ sigma_L @ ss.B_star.T
-    pi = scipy.linalg.solve_continuous_lyapunov(ss.A_star, rhs)
-    return 0.5 * (pi + pi.T)
+def sampled_state_space(ss, sigma_L, h):
+    """``F = e^{h A*}`` from one ``scipy.linalg.expm``, Pi solving
+    ``A* Pi + Pi A*^T = -B* Sigma_L B*^T`` and ``Q_h = Pi - F Pi F^T``."""
+    pi = scipy.linalg.solve_continuous_lyapunov(ss.A_star, -ss.B_star @ sigma_L @ ss.B_star.T)
+    pi = 0.5 * (pi + pi.T)
+    F = scipy.linalg.expm(h * ss.A_star)
+    return SampledStateSpace(ss.C_star, F, pi, pi - F @ pi @ F.T)
 
 
-def lyapunov_acvf(ss, sigma_L, lags):
-    """``gamma(l) = C* e^{A* l} Pi C*^T``, Pi from the Lyapunov equation."""
-    pi = stationary_state_covariance(ss, sigma_L)
-    return [ss.C_star @ scipy.linalg.expm(lag * ss.A_star) @ pi @ ss.C_star.T
-            for lag in lags]
+def _powers(F, X, n):
+    """``F^k X`` for k < n, stacked."""
+    return np.array([np.linalg.matrix_power(F, k) @ X for k in range(n)])
 
 
-def noise_acvf_from_continuous(decomp, phi, h):
+def sampled_noise_acvf(sampled, phi):
     """gamma_U(0..p-1) of ``U_n = Y_n - Phi_1 Y_{n-1} - ... - Phi_p Y_{n-p}``
-    from the continuous-time ACVF at the lags ``u h``."""
-    p, d = len(phi), decomp.d
-    needed = sorted({abs(l - i + j) for l in range(p)
-                     for i in range(p + 1) for j in range(p + 1)})
-    gamma_y = dict(zip(needed, mcarma.stationary_acvf(
-        decomp, [u * h for u in needed])))
-
-    def gy(u):
-        return gamma_y[u] if u >= 0 else gamma_y[-u].T
-
-    phi_t = np.concatenate([np.eye(d)[None], -phi])
-    return [sum(phi_t[i] @ gy(lag - i + j) @ phi_t[j].T
-                for i in range(p + 1) for j in range(p + 1))
-            for lag in range(p)]
+    as ``sum_r M_{r+l} Q_h M_r^T``: ``X_n = sum_r F^r W_{n-r}`` makes
+    ``U_n = sum_r M_r W_{n-r}`` with ``M_r = C F^r - sum_{j<=r} Phi_j C F^{r-j}``,
+    which vanishes for r >= p."""
+    p = len(phi)
+    CF = sampled.C @ _powers(sampled.F, np.eye(len(sampled.F)), p)
+    M = [CF[r] - sum(phi[j - 1] @ CF[r - j] for j in range(1, r + 1)) for r in range(p)]
+    return [sum(M[r + lag] @ sampled.Q @ M[r].T for r in range(p - lag)) for lag in range(p)]
 
 
 def clt_band_for_zero_lags(gamma_U, n_eff):
@@ -82,12 +79,13 @@ def clt_band_for_zero_lags(gamma_U, n_eff):
 # checks, in the order of the ``verify`` rows
 
 def check_kernel_identity(decomp):
-    """``mcarma.kernel`` against ``C* e^{t A*} B*``.  A kernel that fails its
-    realness certificate measures inf, so the remaining rows still run."""
+    """``mcarma.kernel`` against ``C* F^k B*``, ``F = e^{delta A*}`` at the step
+    delta of ``KERNEL_TIMES``; a kernel failing its realness certificate measures inf."""
     ss = decomp.statespace
+    step = scipy.linalg.expm(KERNEL_TIMES[1] * ss.A_star)
+    want = ss.C_star @ _powers(step, ss.B_star, len(KERNEL_TIMES))
     try:
-        err = np.max([np.linalg.norm(mcarma.kernel(decomp, t) - statespace_kernel(ss, t))
-                      for t in KERNEL_TIMES])
+        err = np.max(np.linalg.norm(mcarma.kernel(decomp, KERNEL_TIMES) - want, axis=(1, 2)))
     except ImaginaryLeakError:
         err = np.inf
     return tol.check("kernel-identity", err, tol.ORACLE * (1.0 + np.linalg.norm(ss.B_star)))
@@ -111,11 +109,11 @@ def check_pf_reconstruction(decomp):
     return tol.check("pf-reconstruction", err, tol.ORACLE)
 
 
-def check_acvf_lyapunov(decomp, lags, gammas):
-    """``gammas = mcarma.stationary_acvf(decomp, lags)`` against Lyapunov."""
-    want = lyapunov_acvf(decomp.statespace, decomp.model.sigma_L, lags)
-    return tol.check("acvf-lyapunov-oracle",
-                     np.max([_rel_err(g, w) for g, w in zip(gammas, want)]), tol.ORACLE)
+def check_acvf_lyapunov(sampled, gammas):
+    """``gammas``, the stationary ACVF at the lags ``k h``, against
+    ``C F^k Pi C^T`` of the state sampled at step h."""
+    want = sampled.C @ _powers(sampled.F, sampled.pi @ sampled.C.T, len(gammas))
+    return tol.check("acvf-lyapunov-oracle", _rel_err(gammas, want), tol.ORACLE)
 
 
 def check_acvf_symmetry(gamma0):
@@ -127,18 +125,15 @@ def check_ma_invertibility(margin):
     return tol.check("ma-invertibility", margin, tol.MA_MARGIN, at_least=True)
 
 
-def check_noise_acvf(decomp, phi, gamma_U, h):
-    want = noise_acvf_from_continuous(decomp, phi, h)
-    return tol.check("noise-acvf-consistency",
-                     np.max([_rel_err(g, w) for g, w in zip(gamma_U, want)]), tol.NOISE_ACVF)
+def check_noise_acvf(sampled, phi, gamma_U):
+    want = sampled_noise_acvf(sampled, phi)
+    return tol.check("noise-acvf-consistency", _rel_err(gamma_U, want), tol.NOISE_ACVF)
 
 
 def check_noise_lag_p_zero(U, gamma_U):
     """Sample ACVF of the extracted noise ``U`` at lags p..p+3, as the largest
-    ratio to the 99% CLT band."""
-    p, n = len(gamma_U), U.shape[0]
-    centered = U - U.mean(axis=0)
-    band = clt_band_for_zero_lags(gamma_U, n)
-    return tol.check("noise-lag-p-zero", np.max([
-        np.max(np.abs(centered[lag:].T @ centered[:n - lag] / n) / band)
-        for lag in range(p, p + 4)]), tol.CLT_BAND)
+    ratio to the 99% CLT band; a short path raises ``TooShortError``."""
+    p = len(gamma_U)
+    band = clt_band_for_zero_lags(gamma_U, U.shape[0])
+    return tol.check("noise-lag-p-zero",
+                     np.max(np.abs(sim.empirical_acvf(U, p + 3)[p:]) / band), tol.CLT_BAND)

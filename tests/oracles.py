@@ -270,7 +270,7 @@ def simulate_statespace_twin(decomp, sigma_L, h, n_steps, seed, stationary_start
     factor = sim._psd_factor(np.real(Q), "state Gramian")
 
     if stationary_start:
-        pi = verify.stationary_state_covariance(ss, sigma_L)
+        pi = verify.sampled_state_space(ss, sigma_L, h).pi
         x = sim._psd_factor(pi, "stationary state covariance") @ rng.standard_normal(nd)
     else:
         x = np.zeros(nd)

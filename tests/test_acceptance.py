@@ -85,8 +85,9 @@ def test_criterion_4_acvf_oracle(example_model, example_set_12, corpus):
     checks = []
     for model, S in [(example_model, example_set_12)] + [(m, m.solvent_set()) for m in corpus]:
         decomp = mcarma.decompose(model, S)
+        sampled = verify.sampled_state_space(decomp.statespace, model.sigma_L, 0.1)
         checks.append(verify.check_acvf_lyapunov(
-            decomp, lags, mcarma.stationary_acvf(decomp, lags)))
+            sampled, mcarma.stationary_acvf(decomp, lags)))
     report_worst(4, checks, time.perf_counter() - start)
 
 

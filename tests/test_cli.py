@@ -4,13 +4,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import mcarma_ou
-from mcarma_ou import cli, mcarma, rational, sampling, sim
+from mcarma_ou import cli, matpoly, mcarma, rational, sampling, sim, verify
 
 
 def run(capsys, *argv):
@@ -326,15 +327,19 @@ class TestVerify:
             assert status == "PASS"
             assert measured >= bound if name == "ma-invertibility" else measured <= bound
 
+    @staticmethod
+    def model_and_driver(example_model_file, corpus, index):
+        """carma2x2 from its file, or a corpus model with a Brownian driver."""
+        if index is None:
+            return cli.load_model_file(example_model_file)
+        model = corpus[index]
+        return model, sim.DriverSpec(kind="brownian", seed=0, sigma_L=model.sigma_L)
+
     @pytest.mark.parametrize("index", [None, 8], ids=["carma2x2", "corpus-8"])
     def test_library_rows_are_the_kept_records(self, example_model_file, corpus, index):
         # each row of a library certificate is the record its result kept,
         # with the same measured value and the same bound
-        if index is None:
-            model, driver = cli.load_model_file(example_model_file)
-        else:
-            model = corpus[index]
-            driver = sim.DriverSpec(kind="brownian", seed=0, sigma_L=model.sigma_L)
+        model, driver = self.model_and_driver(example_model_file, corpus, index)
         rows = {row.name: row for row in cli.run_verification(model, driver, 0.1, 200)}
         S = model.solvent_set()
         sv = sampling.sampled_varma(mcarma.decompose(model, S), 0.1)
@@ -343,6 +348,60 @@ class TestVerify:
                              ("varma-ar-structure", sv.ar_residual),
                              ("ma-roundtrip", sv.ma_roundtrip)):
             assert rows[name] == (name, record.measured, record.bound, True)
+
+    @pytest.mark.parametrize("index", [None, 8], ids=["carma2x2", "corpus-8"])
+    def test_oracles_read_one_sampled_state_space(self, monkeypatch, example_model_file,
+                                                  corpus, index):
+        # one expm at the kernel grid's step, one at h with its Lyapunov
+        # solve, and none per kernel time or ACVF lag
+        model, driver = self.model_and_driver(example_model_file, corpus, index)
+        calls = Counter()
+        for name in ("expm", "solve_continuous_lyapunov"):
+            def counting(*args, _name=name, _original=getattr(scipy.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counting)
+        checks = cli.run_verification(model, driver, 0.1, 200)
+        assert calls == {"expm": 2, "solve_continuous_lyapunov": 1}
+        assert len(checks) == 12
+
+    @pytest.mark.parametrize("index", [None, 8], ids=["carma2x2", "corpus-8"])
+    def test_oracles_take_no_modal_route(self, monkeypatch, example_model_file, corpus, index):
+        # the ACVF and noise oracles read the sampled state space only: they
+        # pass with the library's modal ACVF, Gramians and solvent exponentials
+        # made to raise after the library's values are formed
+        model, _ = self.model_and_driver(example_model_file, corpus, index)
+        h = 0.1
+        decomp = mcarma.decompose(model, model.solvent_set())
+        gammas = mcarma.stationary_acvf(decomp, [k * h for k in range(11)])
+        sv = sampling.sampled_varma(decomp, h)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle took the modal route")
+
+        monkeypatch.setattr(mcarma, "stationary_acvf", refuse)
+        monkeypatch.setattr(mcarma, "component_gramians", refuse)
+        monkeypatch.setattr(matpoly.SolventSet, "expm", refuse)
+        sampled = verify.sampled_state_space(decomp.statespace, model.sigma_L, h)
+        assert verify.check_acvf_lyapunov(sampled, gammas).ok
+        assert verify.check_noise_acvf(sampled, sv.phi, sv.gamma_U).ok
+
+    @pytest.mark.parametrize("argv, invariant", [
+        (("varma", "--h", "200"), "SingularVandermonde"),
+        (("verify", "--h", "200"), "SingularVandermonde"),
+        (("verify", "--steps", "5"), "TooShort"),
+        (("verify", "--steps", "52"), "TooShort")])
+    def test_typed_failure_without_traceback(self, capsys, example_model_file, argv, invariant):
+        # at h = 200 the sampled solvents overflow and cond(V) reads inf; the
+        # noise-lag-p-zero row needs more than p + 10 (p + 3) = 52 steps
+        code, out, err = run(capsys, argv[0], example_model_file, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"certification failure: {invariant}:")
+
+    def test_shortest_path_for_noise_lag_row(self, capsys, example_model_file):
+        code, out, _ = run(capsys, "verify", example_model_file, "--steps", "53")
+        assert "noise-lag-p-zero" in out
 
     def test_deterministic_given_seed(self, capsys, example_model_file):
         args = ("verify", example_model_file, "--h", "0.1", "--steps", "20000",

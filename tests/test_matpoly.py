@@ -354,6 +354,12 @@ class TestVandermonde:
             want = vandermonde(S.matrices)
             assert np.max(np.abs(S.V - want)) <= 1e-12 * np.max(np.abs(want)), index
 
+    def test_non_finite_matrix_reads_infinite_condition(self):
+        # the SVD of an overflowed Vandermonde matrix does not converge; its
+        # condition number reads inf, so the cond(V) certificate fails typed
+        bad = np.array([[np.inf, 1.0], [np.nan, 1.0]])
+        assert matpoly._cond(bad) == np.inf
+
 
 class TestCoeffsFromSolvents:
     def test_example_pair_12(self, example_set_12):

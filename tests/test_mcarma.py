@@ -41,6 +41,11 @@ def sharp_relative_residual(ss):
     return err / np.max(np.abs(ss.A_sharp) @ np.abs(ss.B_star))
 
 
+def sampled(decomp, h):
+    """The oracles' state space of ``decomp`` sampled at step h."""
+    return verify.sampled_state_space(decomp.statespace, decomp.model.sigma_L, h)
+
+
 @pytest.fixture(scope="module")
 def example_decomp_12(example_model, example_set_12):
     return mcarma.decompose(example_model, example_set_12)
@@ -331,6 +336,17 @@ class TestKernel:
         with pytest.raises(ValueError, match="finite t >= 0"):
             mcarma.kernel(example_decomp_12, t)
 
+    def test_time_grid_matches_scalar_calls(self, example_decomp_12, corpus):
+        # one modal sum over the grid; each entry is the call at its time
+        for decomp in [example_decomp_12] + [mcarma.decompose(m, m.solvent_set())
+                                             for m in corpus[:30]]:
+            grid = mcarma.kernel(decomp, verify.KERNEL_TIMES)
+            assert grid.shape == (len(verify.KERNEL_TIMES), decomp.d, decomp.residues.shape[2])
+            scale = max(1.0, np.max(np.abs(decomp.residues)))
+            for t, got in zip(verify.KERNEL_TIMES, grid):
+                assert np.max(np.abs(got - mcarma.kernel(decomp, t))) <= 1e-14 * scale
+        assert mcarma.kernel(example_decomp_12, np.full((2, 3), 0.5)).shape == (2, 3, 2, 2)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_kernel_identity_random(self, seed):
         rng = np.random.default_rng(800 + seed)
@@ -363,12 +379,12 @@ class TestStationaryAcvf:
 
     def test_example_lag_zero_vs_lyapunov(self, example_decomp_12):
         got = mcarma.stationary_acvf(example_decomp_12, [0.0])
-        assert verify.check_acvf_lyapunov(example_decomp_12, [0.0], got).ok
+        assert verify.check_acvf_lyapunov(sampled(example_decomp_12, 0.1), got).ok
 
     def test_lyapunov_oracle_on_lag_grid(self, example_decomp_12):
         lags = [k * 0.1 for k in range(11)]
         got = mcarma.stationary_acvf(example_decomp_12, lags)
-        assert verify.check_acvf_lyapunov(example_decomp_12, lags, got).ok
+        assert verify.check_acvf_lyapunov(sampled(example_decomp_12, 0.1), got).ok
 
     def test_solvent_sets_agree(self, example_decomp_12, example_decomp_34):
         lags = [0.0, 0.25, 1.0]
@@ -473,9 +489,9 @@ class TestStationaryAcvf:
         rng = np.random.default_rng(900 + seed)
         model = random_stable_model(rng)
         decomp = mcarma.decompose(model, model.solvent_set())
-        lags = [0.0, 0.2, 0.7, 1.4]
+        lags = [k * 0.35 for k in range(5)]
         got = mcarma.stationary_acvf(decomp, lags)
-        assert verify.check_acvf_lyapunov(decomp, lags, got).ok
+        assert verify.check_acvf_lyapunov(sampled(decomp, 0.35), got).ok
 
 
 class TestModelValidation:

@@ -255,7 +255,8 @@ class TestNoiseAcvf:
         _, phi, *_ = sampling.varma_ar(example_set_12, h)
         got = sampling.noise_acvf(example_set_12, decomp.residues, phi,
                                   example_model.sigma_L, h)
-        want = verify.noise_acvf_from_continuous(decomp, phi, h)
+        sampled = verify.sampled_state_space(decomp.statespace, example_model.sigma_L, h)
+        want = verify.sampled_noise_acvf(sampled, phi)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-7 * max(1.0, np.max(np.abs(w)))
 
@@ -303,7 +304,8 @@ class TestNoiseAcvf:
         h = 0.3
         _, phi, *_ = sampling.varma_ar(S, h)
         got = sampling.noise_acvf(S, decomp.residues, phi, model.sigma_L, h)
-        want = verify.noise_acvf_from_continuous(decomp, phi, h)
+        sampled = verify.sampled_state_space(decomp.statespace, model.sigma_L, h)
+        want = verify.sampled_noise_acvf(sampled, phi)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-6 * max(1.0, np.max(np.abs(w)))
 

@@ -18,7 +18,6 @@ from .matpoly import (
     solvents_from_latents,
 )
 from .rational import (
-    RationalLeftMatrix,
     check_irreducible,
     eval_partial_fraction,
     residues,
@@ -59,7 +58,6 @@ __all__ = [
     "ModelFileError",
     "OuDecomposition",
     "PathGrid",
-    "RationalLeftMatrix",
     "SampledVarma",
     "SolventSet",
     "StateSpace",

@@ -16,9 +16,10 @@ Ornstein-Uhlenbeck processes
 and the stationary autocovariance splits into per-component OU Gramians.
 The decomposition is certified here through the similarity transform
 T = V(R_1, ..., R_p).  An ``OuDecomposition`` holds the pairs (R_k, Res_k)
-once, as a solvent set and its residue stack (``rational.residues``).
-A ``McarmaModel`` builds its fraction A^{-1} B, state space and default
-solvent set once, on first use; ``decompose`` forms only what depends on S.
+once, as a solvent set and its residue stack (``rational.residues`` of the
+state space's B*).  A ``McarmaModel`` builds its state space, which
+certifies A^{-1} B left coprime and holds B*, and its default solvent set
+once, on first use; ``decompose`` forms only what depends on S.
 
 Every matrix function of a solvent is evaluated in its eigenbasis
 R_k = P_k diag(lam_k) P_k^{-1}, which a ``matpoly.SolventSet`` carries
@@ -42,6 +43,7 @@ import numpy as np
 from . import matpoly, rational, tolerances as tol
 from .exceptions import (
     ImaginaryLeakError,
+    NotIrreducibleError,
     NotStationaryError,
     SharpIdentityError,
     SylvesterSingularError,
@@ -66,9 +68,9 @@ class McarmaModel:
     The driver is assumed zero-mean with ``Var L(1) = sigma_L``; models with
     a nonzero driver mean are rejected at validation.  ``stationary`` holds
     iff every latent root of A has strictly negative real part.
-    ``fraction``, ``statespace`` and the default ``solvent_set()`` are built
-    on first use and kept; a failing certificate keeps nothing and raises
-    again on the next use.
+    ``statespace`` and the default ``solvent_set()`` are built on first use
+    and kept; a failing certificate keeps nothing and raises again on the
+    next use.
     """
 
     A: matpoly.LambdaMatrix
@@ -130,13 +132,8 @@ class McarmaModel:
         return matpoly.solvents_from_latents(self.A, list(self.latent_pairs))
 
     @cached_property
-    def fraction(self):
-        """``A^{-1} B``, certified left coprime, with B*."""
-        return rational.RationalLeftMatrix.build(self.A, self.B, list(self.latent_pairs))
-
-    @cached_property
     def statespace(self):
-        return build_state_space(self.fraction)
+        return build_state_space(self)
 
 
 @dataclass(frozen=True)
@@ -159,13 +156,16 @@ class StateSpace:
         return self.A_star.shape[0]
 
 
-def build_state_space(F):
-    """Assemble (A*, B*, C*, A#, B#) of a fraction ``F = A^{-1} B`` (a
-    ``rational.RationalLeftMatrix``, e.g. ``model.fraction``) and
+def build_state_space(model):
+    """Assemble (A*, B*, C*, A#, B#) of a ``McarmaModel`` (kept as
+    ``model.statespace``), once A^{-1} B is certified left coprime, and
     certify the identity A# B* = B#.
 
-    B* is the real part of ``F.B_star``, forward substitution on A#, so the
-    identity is exact up to rounding.  It is certified as
+    Left coprimeness is ``rational.check_irreducible`` over the model's
+    latent roots; a failure raises ``NotIrreducibleError`` naming the root
+    where ``[A(lam) | B(lam)]`` loses rank.  B* is solved by forward
+    substitution on A# (``rational.solve_sharp``), so the identity is exact
+    up to rounding.  It is certified as
     ``max|A# B* - B#| <= tolerances.SHARP_IDENTITY * max(|A#| |B*|)`` with absolute
     values taken elementwise: the rounding error of a computed product is
     bounded by a multiple of the unit roundoff times ``|A#| |B*|`` (Higham,
@@ -173,10 +173,13 @@ def build_state_space(F):
     the certificate does not depend on the scale of the coefficients.  A
     violation raises ``SharpIdentityError``.
     """
-    A, B = F.A, F.B
-    p, d = A.degree, A.order[0]
+    A, B = model.A, model.B
+    ok, witness = rational.check_irreducible(A, B, model.latent_pairs)
+    if not ok:
+        raise NotIrreducibleError(f"rank deficiency at latent root {witness}")
+    p, d = model.p, model.d
     A_star = matpoly.companion_matrix(A).real
-    B_star = F.B_star.real
+    B_star = rational.solve_sharp(A, B).real
     C_star = np.zeros((d, p * d))
     C_star[:, :d] = np.eye(d)
     A_sharp, B_sharp = rational.sharp_matrices(A, B)
@@ -225,8 +228,9 @@ class OuDecomposition:
 def decompose(model, S, x0=None):
     """Split an MCARMA model into p OU components along a solvent set.
 
-    The fraction and state space are the model's; the residues, the
-    similarity certificate (within ``tolerances.SIMILARITY``) and y0 are formed here.
+    The state space is the model's, read first; the residues (from its B*),
+    the similarity certificate (within ``tolerances.SIMILARITY``) and y0 are
+    formed here.
 
     Parameters
     ----------
@@ -244,8 +248,8 @@ def decompose(model, S, x0=None):
     NotIrreducibleError
         When A and B fail the left-coprimeness certificate.
     """
-    residues = rational.residues(model.fraction, S)
     ss = model.statespace
+    residues = rational.residues(ss.B_star, S)
     T = S.V
     p, d = model.p, model.d
     if x0 is None:

@@ -10,52 +10,19 @@ The residues come from the linear system
 
 where ``A#`` is the unit lower block triangular Toeplitz matrix built from
 the coefficients of A (its only eigenvalue is 1) and ``B#`` stacks the
-coefficients of B under zero padding.  B* is solved once per fraction, by
-forward block substitution (``solve_sharp``), and the state space of
-``mcarma.build_state_space`` reads the same stack.  A partial fraction is a
+coefficients of B under zero padding.  B* is found by forward block
+substitution (``solve_sharp``).  It is also the input matrix of the state
+space, which ``mcarma.build_state_space`` solves and certifies once per
+model, so ``residues`` takes the stack itself.  A partial fraction is a
 ``matpoly.SolventSet`` with its (p, d, m) residue stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import matpoly, tolerances as tol
-from .exceptions import NotIrreducibleError, PoleHitError, SingularVandermondeError
-
-
-@dataclass(frozen=True)
-class RationalLeftMatrix:
-    """A(z)^{-1} B(z) with A monic of degree p and deg B <= p-1, certified
-    left coprime (irreducible) by ``check_irreducible`` when built.
-
-    ``B_star`` is the read-only complex (pd, m) stack ``[A#]^{-1} B#``
-    (``solve_sharp``), solved once here for both the residues and the state
-    space.
-    """
-
-    A: matpoly.LambdaMatrix
-    B: matpoly.LambdaMatrix
-    B_star: np.ndarray
-
-    @classmethod
-    def build(cls, A, B, pairs=None):
-        """Raises ``NotIrreducibleError``, naming the latent root where
-        ``[A(lam) | B(lam)]`` loses rank, when A and B are not left coprime."""
-        if not A.monic:
-            raise ValueError("A must be monic")
-        if B.order[0] != A.order[0]:
-            raise ValueError("A and B must share their row dimension")
-        if B.degree > A.degree - 1:
-            raise ValueError("strict properness requires deg B <= deg A - 1")
-        ok, witness = check_irreducible(A, B, pairs)
-        if not ok:
-            raise NotIrreducibleError(f"rank deficiency at latent root {witness}")
-        B_star = solve_sharp(A, B)
-        B_star.setflags(write=False)
-        return cls(A, B, B_star)
+from .exceptions import PoleHitError, SingularVandermondeError
 
 
 def check_irreducible(A, B, pairs=None):
@@ -114,12 +81,12 @@ def solve_sharp(A, B):
     return X.reshape(-1, B.order[1])
 
 
-def residues(F, S):
-    """Matrix residues of F at the solvents of a certified SolventSet.
+def residues(B_star, S):
+    """Matrix residues of ``A^{-1} B`` at the solvents of a certified SolventSet.
 
     Parameters
     ----------
-    F : RationalLeftMatrix
+    B_star : (pd, m) stack ``[A#]^{-1} B#``, e.g. ``model.statespace.B_star``
     S : matpoly.SolventSet
 
     Returns
@@ -127,7 +94,7 @@ def residues(F, S):
     Read-only complex array (p, d, m): ``Res_k`` of ``S.matrices[k]``.
     """
     try:
-        stacked = np.linalg.solve(S.V, F.B_star)
+        stacked = np.linalg.solve(S.V, B_star)
     except np.linalg.LinAlgError as err:
         raise SingularVandermondeError(str(err)) from None
     res = stacked.reshape(len(S), S.block_dim, -1)

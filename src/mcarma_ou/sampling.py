@@ -117,8 +117,10 @@ def varma_ar(S, h):
     """
     if not 0 < h < np.inf:
         raise ValueError("sampling step h must be positive and finite")
-    mats = sampled_solvent_matrices(S, h)
-    psi_poly, cond_V = matpoly.vandermonde_solve(mats)
+    # at large h, e^{-h lam} overflows: the inf or NaN fails the alias gap or cond(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = sampled_solvent_matrices(S, h)
+        psi_poly, cond_V = matpoly.vandermonde_solve(mats)
 
     coeffs = psi_poly.coeffs
     scale = max(1.0, float(np.linalg.norm(coeffs, axis=(1, 2)).max()))

@@ -63,8 +63,8 @@ class DriverSpec:
             if self.sigma_L is None:
                 raise ValueError("brownian driver needs sigma_L")
         elif self.kind == "compound_poisson":
-            if self.rate is None or self.rate <= 0:
-                raise ValueError("compound_poisson driver needs rate > 0")
+            if self.rate is None or not 0 < self.rate < np.inf:
+                raise ValueError("compound_poisson driver needs a finite rate > 0")
             if self.jump_cov is None:
                 raise ValueError("compound_poisson driver needs jump_cov")
         else:

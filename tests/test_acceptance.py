@@ -39,9 +39,9 @@ def scalar_poly(*coeffs):
 
 def test_criterion_1_example_residues(example_model, example_set_12, example_set_34):
     start = time.perf_counter()
-    F = example_model.fraction
-    res12 = rational.residues(F, example_set_12)
-    res34 = rational.residues(F, example_set_34)
+    B_star = example_model.statespace.B_star
+    res12 = rational.residues(B_star, example_set_12)
+    res34 = rational.residues(B_star, example_set_34)
     err = max(
         np.max(np.abs(res12[0] - RES1)),
         np.max(np.abs(res12[1] - RES2)),
@@ -129,7 +129,7 @@ def test_criterion_6_noise_dependence(example_model, example_set_12):
     model1 = mcarma.McarmaModel.build(
         scalar_poly(1, 3, 2), scalar_poly(1.0), np.array([[1.0]]))
     S1 = model1.solvent_set()
-    res1 = rational.residues(model1.fraction, S1)
+    res1 = rational.residues(model1.statespace.B_star, S1)
     _, phi1, *_ = sampling.varma_ar(S1, 0.5)
     got1 = sampling.noise_acvf(S1, res1, phi1, model1.sigma_L, 0.5)
     quad1 = noise_acvf_quadrature(S1, res1, phi1, model1.sigma_L, 0.5)

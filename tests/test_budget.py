@@ -7,7 +7,7 @@ the machine.  These tests pin the counts reached so far: a change that adds
 a factorization to the op fails here.
 
 The first op on a model also builds what the model keeps (its default
-solvent set, fraction and state space); a later op on the same model reuses
+solvent set and state space); a later op on the same model reuses
 them.  Both are counted on a freshly built model, so the order in which
 tests touch the shared fixtures does not matter.
 """

@@ -387,14 +387,18 @@ class TestVerify:
         assert verify.check_acvf_lyapunov(sampled, gammas).ok
         assert verify.check_noise_acvf(sampled, sv.phi, sv.gamma_U).ok
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv, invariant", [
         (("varma", "--h", "200"), "SingularVandermonde"),
         (("verify", "--h", "200"), "SingularVandermonde"),
         (("verify", "--steps", "5"), "TooShort"),
-        (("verify", "--steps", "52"), "TooShort")])
+        (("verify", "--steps", "52"), "TooShort"),
+        (("varma", "--h", "400"), "AliasedSampling")])
     def test_typed_failure_without_traceback(self, capsys, example_model_file, argv, invariant):
-        # at h = 200 the sampled solvents overflow and cond(V) reads inf; the
-        # noise-lag-p-zero row needs more than p + 10 (p + 3) = 52 steps
+        # at h = 200 the sampled solvents overflow and cond(V) reads inf, and
+        # from h = 400 the NaN sampled roots fail the alias gap, both without
+        # a numpy warning; the noise-lag-p-zero row needs more than
+        # p + 10 (p + 3) = 52 steps
         code, out, err = run(capsys, argv[0], example_model_file, *argv[1:])
         assert (code, out) == (2, "")
         assert err.startswith(f"certification failure: {invariant}:")

@@ -290,7 +290,7 @@ class TestCertify:
         S = matpoly.certify_solvent_set(example_poly, [R2, R1])
         assert self.grouping(S, example_poly) == [[2, 3], [0, 1]]
         assert_allclose(S.matrices, [R2, R1], rtol=0, atol=1e-12)
-        res = rational.residues(example_model.fraction, S)
+        res = rational.residues(example_model.statespace.B_star, S)
         assert_allclose(res, [RES2, RES1], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2, 1e4])

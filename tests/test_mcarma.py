@@ -58,7 +58,7 @@ def example_decomp_34(example_model, example_set_34):
 
 class TestStateSpace:
     def test_example_b_star(self, example_model):
-        ss = mcarma.build_state_space(example_model.fraction)
+        ss = mcarma.build_state_space(example_model)
         assert_allclose(ss.B_star[:2], np.zeros((2, 2)))
         assert_allclose(ss.B_star[2:], np.eye(2))
         assert_allclose(ss.C_star, np.hstack([np.eye(2), np.zeros((2, 2))]))
@@ -69,7 +69,7 @@ class TestStateSpace:
         model = mcarma.McarmaModel.build(
             matpoly.LambdaMatrix((np.eye(2), -M)),
             matpoly.LambdaMatrix((np.eye(2),)), np.eye(2))
-        ss = mcarma.build_state_space(model.fraction)
+        ss = mcarma.build_state_space(model)
         assert_allclose(ss.A_star, M, atol=1e-14)
         assert_allclose(ss.B_star, np.eye(2))
         assert_allclose(ss.C_star, np.eye(2))
@@ -78,7 +78,7 @@ class TestStateSpace:
     def test_sharp_identity_random(self, seed):
         rng = np.random.default_rng(600 + seed)
         model = random_stable_model(rng)
-        ss = mcarma.build_state_space(model.fraction)
+        ss = mcarma.build_state_space(model)
         assert sharp_relative_residual(ss) <= tolerances.SHARP_IDENTITY
 
     def test_sharp_identity_large_coefficients(self, corpus):
@@ -86,20 +86,20 @@ class TestStateSpace:
         # rounding residual (1.7e-12) exceeds any absolute bound of 1e-12
         model = corpus[143]
         assert (model.d, model.p) == (3, 3)
-        ss = mcarma.build_state_space(model.fraction)
+        ss = mcarma.build_state_space(model)
         assert sharp_relative_residual(ss) <= tolerances.SHARP_IDENTITY
         mcarma.decompose(model, model.solvent_set())
 
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2, 1e4])
     def test_sharp_identity_time_rescaling_example(self, example_model, c):
-        ss = mcarma.build_state_space(rescale_time(example_model, c).fraction)
+        ss = mcarma.build_state_space(rescale_time(example_model, c))
         assert sharp_relative_residual(ss) <= tolerances.SHARP_IDENTITY
 
     # c = 1e4 is left out: McarmaModel.build rejects the rescaled #143 in
     # latent_roots (DefectiveCompanion) before the state space is formed.
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2])
     def test_sharp_identity_time_rescaling_corpus(self, corpus, c):
-        ss = mcarma.build_state_space(rescale_time(corpus[143], c).fraction)
+        ss = mcarma.build_state_space(rescale_time(corpus[143], c))
         assert sharp_relative_residual(ss) <= tolerances.SHARP_IDENTITY
 
     def test_sharp_identity_violation_is_typed(self, example_model, monkeypatch):
@@ -114,10 +114,10 @@ class TestStateSpace:
         # a fresh model: the session fixture may already hold its exact B*
         model = fresh(example_model)
         with pytest.raises(SharpIdentityError, match="SharpIdentity"):
-            mcarma.build_state_space(model.fraction)
+            mcarma.build_state_space(model)
 
     def test_companion_spectrum_is_latent(self, example_model):
-        ss = mcarma.build_state_space(example_model.fraction)
+        ss = mcarma.build_state_space(example_model)
         got = np.sort(np.linalg.eigvals(ss.A_star).real)
         assert_allclose(got, [-4, -3, -2, -1], atol=1e-8)
 
@@ -127,7 +127,7 @@ class TestDecompose:
     def test_time_rescaling_example(self, example_model, c):
         # [A(lam) | I] has full rank at every c, however large A(lam) gets
         model = rescale_time(example_model, c)
-        mcarma.decompose(model, model.solvent_set())  # builds model.fraction
+        mcarma.decompose(model, model.solvent_set())  # builds model.statespace
 
     def test_example_residues(self, example_decomp_12):
         R = example_decomp_12.solvent_set.matrices
@@ -167,7 +167,7 @@ class TestDecompose:
     def test_one_sharp_solve_per_decompose(self, example_model, example_set_12,
                                            example_set_34, monkeypatch):
         calls = []
-        for name in ("solve_sharp", "sharp_matrices"):
+        for name in ("check_irreducible", "solve_sharp", "sharp_matrices"):
             original = getattr(rational, name)
 
             def counted(*args, name=name, original=original):
@@ -177,8 +177,8 @@ class TestDecompose:
             monkeypatch.setattr(rational, name, counted)
         model = fresh(example_model)
         decomp = mcarma.decompose(model, example_set_12)
-        assert sorted(calls) == ["sharp_matrices", "solve_sharp"]
-        # a second decomposition, along the other solvent set, reuses both
+        assert sorted(calls) == ["check_irreducible", "sharp_matrices", "solve_sharp"]
+        # a second decomposition, along the other solvent set, reuses them all
         calls.clear()
         other = mcarma.decompose(model, example_set_34)
         assert calls == []
@@ -244,20 +244,22 @@ class TestModelCache:
         assert_allclose(other.matrices[0].real, R3, atol=1e-9)
         assert model.solvent_set() is S
 
-    def test_fraction_and_state_space_are_kept(self, example_model):
+    def test_state_space_is_kept(self, example_model):
         model = fresh(example_model)
         a = mcarma.decompose(model, model.solvent_set())
         b = mcarma.decompose(model, model.solvent_set([[0, 3], [1, 2]]))
         assert model.statespace is a.statespace is b.statespace
-        assert model.fraction is model.fraction
-        assert np.array_equal(model.statespace.B_star, model.fraction.B_star.real)
+        assert not model.statespace.B_star.flags.writeable
 
     def test_not_coprime_raises_on_every_decompose(self):
-        # A = (z + 1)(z + 2) and B = z + 1 share the root -1
+        # A = (z + 1)(z + 2) and B = z + 1 share the root -1, which the
+        # state space names; the solvents need no coprimeness
         model = scalar_model([1, 3, 2], [1, 1])
         S = model.solvent_set()
         for _ in range(2):
-            with pytest.raises(NotIrreducibleError):
+            with pytest.raises(NotIrreducibleError, match=r"latent root \(-1"):
+                model.statespace
+            with pytest.raises(NotIrreducibleError, match=r"latent root \(-1"):
                 mcarma.decompose(model, S)
 
     def test_failing_default_set_raises_on_every_call(self):

@@ -15,24 +15,18 @@ def scalar_poly(*coeffs):
 
 
 @pytest.fixture(scope="module")
-def example_fraction(example_poly):
-    B = matpoly.LambdaMatrix((np.eye(2),))
-    return rational.RationalLeftMatrix.build(example_poly, B)
+def res_12(example_model, example_set_12):
+    return rational.residues(example_model.statespace.B_star, example_set_12)
 
 
 @pytest.fixture(scope="module")
-def res_12(example_fraction, example_set_12):
-    return rational.residues(example_fraction, example_set_12)
-
-
-@pytest.fixture(scope="module")
-def res_34(example_fraction, example_set_34):
-    return rational.residues(example_fraction, example_set_34)
+def res_34(example_model, example_set_34):
+    return rational.residues(example_model.statespace.B_star, example_set_34)
 
 
 class TestIrreducible:
-    def test_identity_numerator(self, example_fraction):
-        assert rational.check_irreducible(example_fraction.A, example_fraction.B) == (True, None)
+    def test_identity_numerator(self, example_model):
+        assert rational.check_irreducible(example_model.A, example_model.B) == (True, None)
 
     def test_common_scalar_root(self):
         A = scalar_poly(1, 3, 2)              # (z+1)(z+2)
@@ -70,9 +64,11 @@ class TestIrreducible:
         assert ok and witness is None
 
     def test_reducible_fraction_rejected_at_build(self):
-        # the fraction names the root where [A(lam) | B(lam)] loses rank
+        # the model's state space names the root where [A(lam) | B(lam)] loses rank
+        model = mcarma.McarmaModel.build(scalar_poly(1, 3, 2), scalar_poly(1, 1),
+                                         np.array([[1.0]]))
         with pytest.raises(NotIrreducibleError, match=r"latent root \(-1"):
-            rational.RationalLeftMatrix.build(scalar_poly(1, 3, 2), scalar_poly(1, 1))
+            model.statespace
 
 
 class TestSharpSystem:
@@ -101,32 +97,28 @@ class TestResidues:
         # res at r is B(r)/A'(r) in dimension one
         A = scalar_poly(1, 3, 2)
         B = scalar_poly(1)
-        F = rational.RationalLeftMatrix.build(A, B)
         S = matpoly.solvents_from_latents(A)
-        for R, res in zip(S.matrices, rational.residues(F, S)):
+        for R, res in zip(S.matrices, rational.residues(rational.solve_sharp(A, B), S)):
             r = R[0, 0]
             expected = B.eval(r)[0, 0] / poly_derivative(A).eval(r)[0, 0]
             assert abs(res[0, 0] - expected) < 1e-12
 
-    def test_contour_quadrature_cross_check(self, example_fraction, example_set_12,
-                                            res_12):
+    def test_contour_quadrature_cross_check(self, example_model, example_set_12, res_12):
         spectra = [np.linalg.eigvals(R) for R in example_set_12.matrices]
         for k, res in enumerate(res_12):
             other = np.concatenate([s for i, s in enumerate(spectra) if i != k])
-            quad = contour_residue(example_fraction.A, example_fraction.B,
-                                   spectra[k], other)
+            quad = contour_residue(example_model.A, example_model.B, spectra[k], other)
             assert_allclose(res, quad, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_contour_quadrature_random(self, seed):
         rng = np.random.default_rng(400 + seed)
         model = random_stable_model(rng, d=2, p=2)
-        F = model.fraction
         S = model.solvent_set()
         spectra = [np.linalg.eigvals(R) for R in S.matrices]
-        for k, res in enumerate(rational.residues(F, S)):
+        for k, res in enumerate(rational.residues(model.statespace.B_star, S)):
             other = np.concatenate([s for i, s in enumerate(spectra) if i != k])
-            quad = contour_residue(F.A, F.B, spectra[k], other)
+            quad = contour_residue(model.A, model.B, spectra[k], other)
             assert np.max(np.abs(res - quad)) < 1e-7 * max(1.0, np.max(np.abs(res)))
 
 
@@ -151,12 +143,11 @@ class TestEvalPartialFraction:
         with pytest.raises(PoleHitError):
             rational.eval_partial_fraction(example_set_12, res_12, -1.0)
 
-    def test_reconstruction_on_circle(self, example_fraction, example_set_12, res_12):
+    def test_reconstruction_on_circle(self, example_model, example_set_12, res_12):
         radius = 2.0 * 4.0  # twice the largest latent root magnitude
         for theta in np.linspace(0, 2 * np.pi, 20, endpoint=False):
             z = radius * np.exp(1j * (theta + 0.03))
-            direct = np.linalg.solve(example_fraction.A.eval(z),
-                                     example_fraction.B.eval(z))
+            direct = np.linalg.solve(example_model.A.eval(z), example_model.B.eval(z))
             got = rational.eval_partial_fraction(example_set_12, res_12, z)
             assert np.linalg.norm(got - direct) <= 1e-8 * np.linalg.norm(direct) + 1e-15
 
@@ -196,9 +187,8 @@ class TestRealnessAndShapes:
         rng = np.random.default_rng(42)
         model = random_stable_model(rng, d=2, p=2, q=0)
         B = matpoly.LambdaMatrix((rng.standard_normal((2, 3)),))
-        F = rational.RationalLeftMatrix.build(model.A, B)
         S = model.solvent_set()
-        res = rational.residues(F, S)
+        res = rational.residues(rational.solve_sharp(model.A, B), S)
         assert res.shape == (2, 2, 3)
         z = 1.5 + 0.5j
         direct = np.linalg.solve(model.A.eval(z), B.eval(z))

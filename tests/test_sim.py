@@ -73,6 +73,12 @@ class TestDegenerateCases:
                             stationary_start=True)
         assert np.max(np.abs(path.Y)) == 0.0
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+    def test_rate_outside_positive_reals_rejected(self, rate):
+        # NaN and inf would otherwise reach numpy's Poisson sampler
+        with pytest.raises(ValueError, match="finite rate > 0"):
+            sim.DriverSpec(kind="compound_poisson", seed=0, rate=rate, jump_cov=np.eye(2))
+
     @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
     def test_step_outside_positive_reals_rejected(self, example_decomp, h):
         with pytest.raises(ValueError, match="finite h > 0"):

@@ -39,6 +39,7 @@ def _array(obj, name, ndim=2):
         raise ModelFileError(f"{name} has a non-finite entry")
     return arr
 
+
 def _coeff_list(obj, name):
     if not isinstance(obj, list) or not obj:
         raise ModelFileError(f"{name} must be a non-empty list of matrices")
@@ -46,6 +47,7 @@ def _coeff_list(obj, name):
     if any(m.shape != mats[0].shape for m in mats):
         raise ModelFileError(f"{name} blocks must share one shape")
     return mats
+
 
 def load_model_file(path, seed=0):
     """Parse a model JSON file into (McarmaModel, DriverSpec)."""
@@ -115,6 +117,7 @@ def _fmt(x):
         return f"{x:.17g}"
     return str(x)
 
+
 def _json_default(obj):
     """What ``json`` cannot encode itself: complex values (scalars or arrays)
     as ``{"re", "im"}``, arrays as nested lists, numpy scalars as Python's."""
@@ -124,9 +127,11 @@ def _json_default(obj):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
+
 def dumps_json(obj):
     """Serialize to indented JSON; ``json.dumps`` writes floats by ``repr``."""
     return json.dumps(obj, indent=2, default=_json_default) + "\n"
+
 
 def _emit(text, out_path):
     if out_path in (None, "-"):
@@ -152,11 +157,13 @@ def _solvent_set(model, spec):
     except (TypeError, ValueError) as err:
         raise ModelFileError(f"bad --grouping: {err}") from None
 
+
 def _decomposition(args):
     """The model file's OU decomposition along the ``--grouping`` solvent
     set, and its driver (seeded by ``--seed`` where the command has one)."""
     model, driver = load_model_file(args.model, seed=getattr(args, "seed", 0))
     return mcarma.decompose(model, _solvent_set(model, args.grouping)), driver
+
 
 def _solvent_payload(S):
     return {
@@ -175,10 +182,12 @@ def _solvent_payload(S):
                        "coprimeness_rank": tol.COPRIME_RANK},
     }
 
+
 def cmd_solvents(args):
     model, _ = load_model_file(args.model)
     _emit(dumps_json(_solvent_payload(_solvent_set(model, args.grouping))), args.out)
     return 0
+
 
 def cmd_decompose(args):
     decomp, _ = _decomposition(args)
@@ -189,6 +198,7 @@ def cmd_decompose(args):
     payload["irreducible"] = True
     _emit(dumps_json(payload), args.out)
     return 0
+
 
 def cmd_acvf(args):
     decomp, _ = _decomposition(args)
@@ -201,6 +211,7 @@ def cmd_acvf(args):
                 lines.append(f"{_fmt(lag)},{i},{j},{_fmt(float(gamma[i, j]))}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
+
 
 def cmd_varma(args):
     decomp, _ = _decomposition(args)
@@ -218,6 +229,7 @@ def cmd_varma(args):
     }
     _emit(dumps_json(payload), args.out)
     return 0
+
 
 def cmd_simulate(args):
     decomp, driver = _decomposition(args)
@@ -285,6 +297,7 @@ def run_verification(model, driver, h, steps):
                 sim.extract_noise(path, sv.phi), sv.gamma_U))
     return checks
 
+
 def cmd_verify(args):
     model, driver = load_model_file(args.model, seed=args.seed)
     checks = run_verification(model, driver, args.h, args.steps)
@@ -305,6 +318,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ModelFileError(message)
+
 
 def build_parser():
     parser = _Parser(
@@ -343,6 +357,7 @@ def build_parser():
     add("verify", cmd_verify, h=True, steps=True, seed=True)
     return parser
 
+
 def _check_steps(args):
     if "h" in args and not 0.0 < args.h < np.inf:
         raise ModelFileError(f"--h must be positive and finite, got {args.h}")
@@ -350,6 +365,7 @@ def _check_steps(args):
         raise ModelFileError(f"--steps must be at least 1, got {args.steps}")
     if "lags" in args and args.lags < 0:
         raise ModelFileError(f"--lags must be at least 0, got {args.lags}")
+
 
 def main(argv=None):
     try:

@@ -18,8 +18,13 @@ The decomposition is certified here through the similarity transform
 T = V(R_1, ..., R_p).  An ``OuDecomposition`` holds the pairs (R_k, Res_k)
 once, as a solvent set and its residue stack (``rational.residues`` of the
 state space's B*).  A ``McarmaModel`` builds its state space, which
-certifies A^{-1} B left coprime and holds B*, and its default solvent set
-once, on first use; ``decompose`` forms only what depends on S.
+certifies A^{-1} B left coprime and holds B*, its default solvent set and
+the decomposition along that set once, on first use; ``decompose`` builds a
+new decomposition only for another solvent set or an initial state.  An
+``OuDecomposition`` in turn keeps, on first use, what of the stationary law
+does not depend on a lag or a step h: the stationary component Gramians and
+their modal coefficients.  So a fit at a second h repeats only the sampled
+VARMA.
 
 Every matrix function of a solvent is evaluated in its eigenbasis
 R_k = P_k diag(lam_k) P_k^{-1}, which a ``matpoly.SolventSet`` carries
@@ -34,6 +39,8 @@ solvent pairs (``component_gramians``) and the modal sums over all lags
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -48,6 +55,8 @@ from .exceptions import (
     SharpIdentityError,
     SylvesterSingularError,
 )
+
+log = logging.getLogger(__name__)
 
 
 def _real_psd(mat, name):
@@ -68,9 +77,11 @@ class McarmaModel:
     The driver is assumed zero-mean with ``Var L(1) = sigma_L``; models with
     a nonzero driver mean are rejected at validation.  ``stationary`` holds
     iff every latent root of A has strictly negative real part.
-    ``statespace`` and the default ``solvent_set()`` are built on first use
-    and kept; a failing certificate keeps nothing and raises again on the
-    next use.
+    ``statespace``, the default ``solvent_set()`` and the decomposition
+    along it (what ``decompose(model, model.solvent_set())`` returns) are
+    built on first use and kept; a failing certificate keeps nothing and
+    raises again on the next use.  Building that decomposition logs its
+    seconds at DEBUG.
     """
 
     A: matpoly.LambdaMatrix
@@ -134,6 +145,14 @@ class McarmaModel:
     @cached_property
     def statespace(self):
         return build_state_space(self)
+
+    @cached_property
+    def _default_decomposition(self):
+        start = time.perf_counter()
+        decomp = _decompose(self, self._default_solvent_set)
+        log.debug("default decomposition: d=%d, p=%d, %.6f s", self.d, self.p,
+                  time.perf_counter() - start)
+        return decomp
 
 
 @dataclass(frozen=True)
@@ -203,6 +222,10 @@ class OuDecomposition:
     the realness constraint T stack(Y_k(0)) in R^{pd}.
     ``similarity`` is the ``tolerances.Check`` record of that certificate
     (see ``decompose``).
+
+    ``stationary_gramians`` and the modal coefficients of the stationary
+    component covariances (see ``stationary_acvf``) are built on first use
+    and kept; a failing certificate keeps nothing and raises again.
     """
 
     model: McarmaModel
@@ -224,13 +247,38 @@ class OuDecomposition:
     def transform(self):
         return self.solvent_set.V
 
+    @cached_property
+    def stationary_gramians(self):
+        """``component_gramians`` over [0, inf), read-only (p, p, d, d)."""
+        gram = component_gramians(self.solvent_set, self.residues, self.model.sigma_L)
+        gram.setflags(write=False)
+        return gram
+
+    @cached_property
+    def _stationary_modal(self):
+        """``P_k^{-1} Sigma_k`` with ``Sigma_k = sum_j stationary_gramians[k, j]``,
+        kept once ``gamma(0)`` is certified symmetric PSD: its asymmetry below
+        ``tolerances.ACVF_ASYMMETRY`` and its least eigenvalue above
+        ``-tolerances.PSD_FLOOR * max(1, trace)``."""
+        S = self.solvent_set
+        modal = S.P_inv @ self.stationary_gramians.sum(axis=1)
+        (g0,), (scale,) = _real_sum(S, [0.0], modal, "ACVF imaginary part")
+        tol.certify(ImaginaryLeakError, "gamma(0) asymmetry", np.max(np.abs(g0 - g0.T)),
+                    tol.ACVF_ASYMMETRY * scale)
+        tol.certify(ImaginaryLeakError, "gamma(0) min eig",
+                    np.min(np.linalg.eigvalsh(0.5 * (g0 + g0.T))),
+                    -tol.PSD_FLOOR * max(1.0, np.trace(g0)), at_least=True)
+        modal.setflags(write=False)
+        return modal
+
 
 def decompose(model, S, x0=None):
     """Split an MCARMA model into p OU components along a solvent set.
 
-    The state space is the model's, read first; the residues (from its B*),
-    the similarity certificate (within ``tolerances.SIMILARITY``) and y0 are
-    formed here.
+    Along the model's kept default set ``model.solvent_set()`` without x0,
+    this is the decomposition the model keeps.  Otherwise the state space is
+    the model's, read first; the residues (from its B*), the similarity
+    certificate (within ``tolerances.SIMILARITY``) and y0 are formed here.
 
     Parameters
     ----------
@@ -248,6 +296,13 @@ def decompose(model, S, x0=None):
     NotIrreducibleError
         When A and B fail the left-coprimeness certificate.
     """
+    # vars(): a set that is not the kept default builds no default
+    if x0 is None and S is vars(model).get("_default_solvent_set"):
+        return model._default_decomposition
+    return _decompose(model, S, x0)
+
+
+def _decompose(model, S, x0=None):
     ss = model.statespace
     residues = rational.residues(ss.B_star, S)
     T = S.V
@@ -278,10 +333,10 @@ def decompose(model, S, x0=None):
     return OuDecomposition(model, ss, S, residues, y0, similarity)
 
 
-def _real_sum(S, times, mats, what):
-    """``sum_k e^{t R_k} X_k`` with ``X_k = mats[k]`` for every t in ``times``,
-    as one modal product over the whole time grid: the terms are
-    ``P_k diag(e^{t lam_k}) (P_k^{-1} X_k)``.
+def _real_sum(S, times, modal, what):
+    """``sum_k e^{t R_k} X_k`` for every t in ``times`` from the modal
+    coefficients ``modal[k] = P_k^{-1} X_k``, as one modal product over the
+    whole time grid: the terms are ``P_k diag(e^{t lam_k}) modal[k]``.
 
     Each imaginary part, ``what``, is certified below ``tolerances.IMAG_LEAK``
     of its sum's largest term (the exact sum is real only up to roundoff
@@ -289,7 +344,7 @@ def _real_sum(S, times, mats, what):
     """
     times = np.asarray(times, dtype=float)
     scales = np.exp(np.multiply.outer(times, S.spectrum))[..., None, :]
-    terms = (S.P * scales) @ (S.P_inv @ mats)  # (len(times), p, d, m)
+    terms = (S.P * scales) @ modal  # (len(times), p, d, m)
     scale = np.abs(terms).max(axis=(1, 2, 3), initial=1.0)
     out = terms.sum(axis=1)
     tol.certify(ImaginaryLeakError, what, np.abs(out.imag).max(axis=(1, 2), initial=0.0),
@@ -307,7 +362,8 @@ def kernel(decomp, t):
     t = np.asarray(t, dtype=float)
     if not ((t >= 0) & (t < np.inf)).all():
         raise ValueError(f"kernel is defined for finite t >= 0, got {t}")
-    out, _ = _real_sum(decomp.solvent_set, t.ravel(), decomp.residues, "kernel imaginary part")
+    S = decomp.solvent_set
+    out, _ = _real_sum(S, t.ravel(), S.P_inv @ decomp.residues, "kernel imaginary part")
     return out.reshape(t.shape + out.shape[1:])
 
 
@@ -364,6 +420,10 @@ def stationary_acvf(decomp, lags):
     """Stationary autocovariance ``gamma(l) = sum_i e^{l R_i} Sigma_i`` with
     ``Sigma_i = sum_j int_0^inf e^{u R_i} Res_i Sigma_L Res_j^H e^{u R_j^H} du``.
 
+    The decomposition keeps ``Sigma_i`` in modal coordinates, with
+    ``gamma(0)`` certified symmetric PSD when they are built; each call forms
+    the lags as one modal product (``_real_sum``).
+
     Parameters
     ----------
     decomp : OuDecomposition
@@ -371,9 +431,8 @@ def stationary_acvf(decomp, lags):
 
     Returns
     -------
-    real stack (len(lags), d, d), one matrix per lag.  ``gamma(0)`` is certified
-    symmetric PSD, and every lag is certified real before stripping the
-    imaginary part.
+    real stack (len(lags), d, d), one matrix per lag, each certified real
+    before the imaginary part is stripped.
 
     Raises
     ------
@@ -385,14 +444,6 @@ def stationary_acvf(decomp, lags):
     lags = np.asarray(list(lags), dtype=float)
     if not ((lags >= 0) & (lags < np.inf)).all():
         raise ValueError("lags must be finite and nonnegative")
-    S = decomp.solvent_set
-    sigmas = component_gramians(S, decomp.residues, decomp.model.sigma_L).sum(axis=1)
-    gammas, term_scale = _real_sum(S, lags, sigmas, "ACVF imaginary part")
-    for lag, acc, scale in zip(lags, gammas, term_scale):
-        if lag == 0:
-            tol.certify(ImaginaryLeakError, "gamma(0) asymmetry", np.max(np.abs(acc - acc.T)),
-                        tol.ACVF_ASYMMETRY * scale)
-            tol.certify(ImaginaryLeakError, "gamma(0) min eig",
-                        np.min(np.linalg.eigvalsh(0.5 * (acc + acc.T))),
-                        -tol.PSD_FLOOR * max(1.0, np.trace(acc)), at_least=True)
+    gammas, _ = _real_sum(decomp.solvent_set, lags, decomp._stationary_modal,
+                          "ACVF imaginary part")
     return gammas

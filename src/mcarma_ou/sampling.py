@@ -83,16 +83,22 @@ class SampledVarma:
 
 
 def sampled_solvent_matrices(S, h):
-    """The sampled solvents ``e^{-h R_k}`` with an aliasing guard.
+    """The sampled solvents ``e^{-h R_k}`` with an overflow and an aliasing guard.
 
     Raises
     ------
+    SingularVandermondeError
+        If ``p h max(-Re lam)`` exceeds ``tolerances.EXP_OVERFLOW``: then
+        ``e^{-p h lam}``, the right-hand side of the sampled Vandermonde
+        system, overflows.  The product is invariant under rescaling time.
     AliasedSamplingError
         If two distinct latent roots map to the same sampled root
         ``e^{-h lam}`` (imaginary parts differing by a multiple of
         2 pi / h), which degenerates the sampled Vandermonde matrix.
     """
     roots = S.roots
+    tol.certify(SingularVandermondeError, "sampled exponent p h max(-Re lam)",
+                len(S) * h * np.max(-roots.real), tol.EXP_OVERFLOW)
     sampled = np.exp(-h * roots)
     distinct = np.triu(np.abs(roots[:, None] - roots) > tol.ALIAS, 1)
     gaps = np.where(distinct, np.abs(sampled[:, None] - sampled), np.inf)
@@ -117,7 +123,8 @@ def varma_ar(S, h):
     """
     if not 0 < h < np.inf:
         raise ValueError("sampling step h must be positive and finite")
-    # at large h, e^{-h lam} overflows: the inf or NaN fails the alias gap or cond(V)
+    # just below the overflow guard, the Vandermonde powers of e^{-h lam} can
+    # still overflow: the inf fails cond(V)
     with np.errstate(over="ignore", invalid="ignore"):
         mats = sampled_solvent_matrices(S, h)
         psi_poly, cond_V = matpoly.vandermonde_solve(mats)

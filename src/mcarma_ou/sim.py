@@ -116,11 +116,15 @@ def state_innovation_gramian(decomp, sigma_L, h):
     ``T [Sigma_{nu,mu}^{(h)}] T^H`` with the component Gramians of
     ``mcarma.component_gramians``; for h = inf, the stationary state
     covariance Pi."""
+    return _state_covariance(
+        decomp, mcarma.component_gramians(decomp.solvent_set, decomp.residues, sigma_L, h))
+
+
+def _state_covariance(decomp, G):
+    """Real ``T [G_{nu,mu}] T^H`` of component cross covariances G (p, p, d, d)."""
     pd_dim = decomp.p * decomp.d
-    G = mcarma.component_gramians(decomp.solvent_set, decomp.residues, sigma_L, h)
     T = decomp.transform
-    Q = T @ G.swapaxes(1, 2).reshape(pd_dim, pd_dim) @ T.conj().T
-    return np.real(Q)
+    return np.real(T @ G.swapaxes(1, 2).reshape(pd_dim, pd_dim) @ T.conj().T)
 
 
 def _stationary_state(decomp, rng):
@@ -130,7 +134,7 @@ def _stationary_state(decomp, rng):
                          "decompose without x0")
     if not decomp.model.stationary:
         raise NotStationaryError("stationary start requires a stable model")
-    pi = state_innovation_gramian(decomp, decomp.model.sigma_L, np.inf)
+    pi = _state_covariance(decomp, decomp.stationary_gramians)
     pd_dim = decomp.p * decomp.d
     return _psd_factor(pi, "stationary state covariance") @ rng.standard_normal(pd_dim)
 

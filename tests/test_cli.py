@@ -393,15 +393,21 @@ class TestVerify:
         (("verify", "--h", "200"), "SingularVandermonde"),
         (("verify", "--steps", "5"), "TooShort"),
         (("verify", "--steps", "52"), "TooShort"),
-        (("varma", "--h", "400"), "AliasedSampling")])
+        (("varma", "--h", "400"), "SingularVandermonde"),
+        (("varma", "--h", "100"), "SingularVandermonde"),
+        (("varma", "--h", "1000"), "SingularVandermonde")])
     def test_typed_failure_without_traceback(self, capsys, example_model_file, argv, invariant):
-        # at h = 200 the sampled solvents overflow and cond(V) reads inf, and
-        # from h = 400 the NaN sampled roots fail the alias gap, both without
-        # a numpy warning; the noise-lag-p-zero row needs more than
-        # p + 10 (p + 3) = 52 steps
+        # from h = 100, e^{-p h lam} at the root -4 (p = 2) would overflow: the
+        # sampled solvents' guard names p h max(-Re lam) = 8 h before any
+        # exponential, without a numpy warning; the noise-lag-p-zero row
+        # needs more than p + 10 (p + 3) = 52 steps
         code, out, err = run(capsys, argv[0], example_model_file, *argv[1:])
         assert (code, out) == (2, "")
         assert err.startswith(f"certification failure: {invariant}:")
+        if argv[1] == "--h":
+            assert err.startswith(
+                f"certification failure: {invariant}: sampled exponent p h max(-Re lam) = "
+                f"{8 * float(argv[2]):.3e} exceeds 7.098e+02")
 
     def test_shortest_path_for_noise_lag_row(self, capsys, example_model_file):
         code, out, _ = run(capsys, "verify", example_model_file, "--steps", "53")

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from mcarma_ou import matpoly, mcarma, rational, sampling, tolerances, verify
+from mcarma_ou import matpoly, mcarma, rational, sampling, sim, tolerances, verify
 from mcarma_ou.exceptions import (
     DuplicateLatentRootError,
     ImaginaryLeakError,
@@ -217,7 +218,7 @@ class TestDecompose:
 
 
     def test_similarity_certificate_is_kept(self, corpus, monkeypatch):
-        model = corpus[8]
+        model = fresh(corpus[8])
         decomp = mcarma.decompose(model, model.solvent_set())
         record = decomp.similarity
         assert record.name == "similarity residual" and record.ok
@@ -225,6 +226,7 @@ class TestDecompose:
         assert 0.0 < record.measured <= record.bound
         # the stored value is the one the certificate measures
         monkeypatch.setattr(tolerances, "SIMILARITY", 0.0)
+        model = fresh(corpus[8])
         with pytest.raises(ImaginaryLeakError,
                            match=f"similarity residual = {record.measured:.3e}"):
             mcarma.decompose(model, model.solvent_set())
@@ -271,18 +273,73 @@ class TestModelCache:
             with pytest.raises(DuplicateLatentRootError):
                 model.solvent_set()
 
-    def test_second_fit_equals_first(self, corpus):
-        h = 0.25
-        lags = [k * h for k in range(11)]
-        for index, model in enumerate(corpus):
-            model = fresh(model)
-            ops = []
-            for _ in range(2):
+    def test_default_decomposition_is_kept(self, example_model):
+        model = fresh(example_model)
+        # another set builds a new decomposition and leaves the default unbuilt
+        S = model.solvent_set([[0, 3], [1, 2]])
+        other = mcarma.decompose(model, S)
+        assert mcarma.decompose(model, S) is not other
+        assert "_default_solvent_set" not in vars(model)
+        kept = mcarma.decompose(model, model.solvent_set())
+        assert mcarma.decompose(model, model.solvent_set()) is kept
+        assert kept.solvent_set is model.solvent_set() and not kept.y0.any()
+        # an initial state builds a new one along the same set
+        x0 = np.arange(1.0, 5.0)
+        started = mcarma.decompose(model, model.solvent_set(), x0)
+        assert started is not kept and started.y0.any()
+        assert mcarma.decompose(model, model.solvent_set()) is kept
+
+    def test_failing_decomposition_raises_on_every_call(self, example_model, monkeypatch):
+        monkeypatch.setattr(tolerances, "SIMILARITY", 0.0)
+        model = fresh(example_model)
+        for _ in range(2):
+            with pytest.raises(ImaginaryLeakError, match="similarity residual"):
+                mcarma.decompose(model, model.solvent_set())
+        assert "_default_decomposition" not in vars(model)
+
+    def test_stationary_gramians_are_kept(self, example_model, monkeypatch):
+        model = fresh(example_model)
+        decomp = mcarma.decompose(model, model.solvent_set())
+        lags = [0.0, 0.5]
+        first = mcarma.stationary_acvf(decomp, lags)
+        assert not decomp.stationary_gramians.flags.writeable
+        steps = []
+
+        def counted(S, residues, sigma_L, h=np.inf, _fn=mcarma.component_gramians):
+            steps.append(h)
+            return _fn(S, residues, sigma_L, h)
+
+        monkeypatch.setattr(mcarma, "component_gramians", counted)
+        assert np.array_equal(mcarma.stationary_acvf(decomp, lags), first)
+        driver = sim.DriverSpec(kind="brownian", seed=3, sigma_L=model.sigma_L)
+        sim.simulate(decomp, driver, 0.1, 20, stationary_start=True)
+        assert steps == [0.1]  # the innovations' Gramians; none over [0, inf)
+
+    def test_default_decomposition_logs_once(self, example_model, caplog):
+        model = fresh(example_model)
+        with caplog.at_level(logging.DEBUG, logger="mcarma_ou.mcarma"):
+            for h in (0.25, 1.0):
                 decomp = mcarma.decompose(model, model.solvent_set())
-                sv = sampling.sampled_varma(decomp, h)
-                ops.append([decomp.residues, mcarma.stationary_acvf(decomp, lags),
-                            sv.psi, sv.phi, sv.gamma_U, sv.theta, sv.sigma_eps])
-            for first, second in zip(*ops):
+                mcarma.stationary_acvf(decomp, [k * h for k in range(11)])
+                sampling.sampled_varma(decomp, h)
+        lines = [r.getMessage() for r in caplog.records if r.name == "mcarma_ou.mcarma"]
+        assert len(lines) == 1
+        assert lines[0].startswith("default decomposition: d=2, p=2, ")
+        assert lines[0].endswith(" s")
+
+    def test_second_fit_equals_first(self, corpus):
+        # the second op on a model runs at another h and reuses what the
+        # first kept; it equals the same op on a model that kept nothing
+        def fit(model, h):
+            decomp = mcarma.decompose(model, model.solvent_set())
+            sv = sampling.sampled_varma(decomp, h)
+            return [decomp.residues, mcarma.stationary_acvf(decomp, [k * h for k in range(11)]),
+                    sv.psi, sv.phi, sv.gamma_U, sv.theta, sv.sigma_eps]
+
+        for index, model in enumerate(corpus):
+            warm = fresh(model)
+            fit(warm, 0.25)
+            for first, second in zip(fit(fresh(model), 1.0), fit(warm, 1.0)):
                 assert np.array_equal(first, second), index
 
 

@@ -158,6 +158,17 @@ class TestVarmaAr:
         with pytest.raises(AliasedSamplingError):
             sampling.varma_ar(S, h)
 
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_overflow_guard_is_scale_free(self, c):
+        # roots -c and -2c: p h max(-Re lam) = 4 c h, judged before any
+        # exponential, so roots times c and h over c keep the verdict
+        S = scalar_model([1, 3 * c, 2 * c * c], [1.0]).solvent_set()
+        assert np.isfinite(sampling.sampled_solvent_matrices(S, 170.0 / c)).all()
+        with pytest.raises(SingularVandermondeError,
+                           match=r"sampled exponent p h max\(-Re lam\) = 8\.000e\+02 "
+                                 r"exceeds 7\.098e\+02"):
+            sampling.sampled_solvent_matrices(S, 200.0 / c)
+
     def test_solvent_sets_give_same_phi(self, example_set_12, example_set_34):
         h = 0.1
         _, phi_a, *_ = sampling.varma_ar(example_set_12, h)

@@ -363,6 +363,8 @@ def _check_steps(args):
         raise ModelFileError(f"--h must be positive and finite, got {args.h}")
     if "steps" in args and args.steps < 1:
         raise ModelFileError(f"--steps must be at least 1, got {args.steps}")
+    if "seed" in args and args.seed < 0:
+        raise ModelFileError(f"--seed must be at least 0, got {args.seed}")
     if "lags" in args and args.lags < 0:
         raise ModelFileError(f"--lags must be at least 0, got {args.lags}")
 

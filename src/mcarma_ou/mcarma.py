@@ -23,8 +23,10 @@ the decomposition along that set once, on first use; ``decompose`` builds a
 new decomposition only for another solvent set or an initial state.  An
 ``OuDecomposition`` in turn keeps, on first use, what of the stationary law
 does not depend on a lag or a step h: the stationary component Gramians and
-their modal coefficients.  So a fit at a second h repeats only the sampled
-VARMA.
+their modal coefficients, and for simulation the real modal form
+(``ModalForm``) and the factor of the stationary state covariance.  So a
+fit at a second h repeats only the sampled VARMA, and a second path only
+the draws and the scan.
 
 Every matrix function of a solvent is evaluated in its eigenbasis
 R_k = P_k diag(lam_k) P_k^{-1}, which a ``matpoly.SolventSet`` carries
@@ -44,11 +46,13 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import matpoly, rational, tolerances as tol
 from .exceptions import (
+    CholeskyFailError,
     ImaginaryLeakError,
     NotIrreducibleError,
     NotStationaryError,
@@ -223,9 +227,12 @@ class OuDecomposition:
     ``similarity`` is the ``tolerances.Check`` record of that certificate
     (see ``decompose``).
 
-    ``stationary_gramians`` and the modal coefficients of the stationary
-    component covariances (see ``stationary_acvf``) are built on first use
-    and kept; a failing certificate keeps nothing and raises again.
+    ``stationary_gramians``, the modal coefficients of the stationary
+    component covariances (see ``stationary_acvf``), the factor
+    ``stationary_state_factor`` of the stationary state covariance and the
+    ``modal_form`` are built on first use and kept; a failing certificate
+    keeps nothing and raises again.  Building the modal form logs one line
+    at DEBUG.
     """
 
     model: McarmaModel
@@ -253,6 +260,25 @@ class OuDecomposition:
         gram = component_gramians(self.solvent_set, self.residues, self.model.sigma_L)
         gram.setflags(write=False)
         return gram
+
+    @cached_property
+    def stationary_state_factor(self):
+        """A real factor F of the stationary state covariance
+        ``Pi = T [stationary_gramians] T^H``, ``F F^T = Pi`` (``psd_factor``)."""
+        factor = psd_factor(state_covariance(self, self.stationary_gramians),
+                            "stationary state covariance")
+        factor.setflags(write=False)
+        return factor
+
+    @cached_property
+    def modal_form(self):
+        """The certified ``ModalForm`` of this decomposition."""
+        start = time.perf_counter()
+        form = _modal_form(self)
+        log.debug("modal form: pd=%d (%d real, %d pairs), fold %.3e, %.6f s",
+                  self.p * self.d, form.real.roots.size, form.pair.roots.size,
+                  form.fold.measured, time.perf_counter() - start)
+        return form
 
     @cached_property
     def _stationary_modal(self):
@@ -331,6 +357,119 @@ def _decompose(model, S, x0=None):
     y0 = y0.reshape(p, d)
     y0.setflags(write=False)
     return OuDecomposition(model, ss, S, residues, y0, similarity)
+
+
+class ModeGroup(NamedTuple):
+    """Modes of one arithmetic: latent roots (r,), rows (r, pd) of the modal
+    transform W (state to modes) and read-out columns (d, r) (modes to Y)."""
+
+    roots: np.ndarray
+    rows: np.ndarray
+    readout: np.ndarray
+
+
+@dataclass(frozen=True)
+class ModalForm:
+    """The OU sum in modal coordinates, one mode per conjugate pair.
+
+    The modes of a real state x are ``z = W x`` with the modal transform
+    ``W = blkdiag(P_k)^{-1} T^{-1}``, which diagonalizes A* into the stacked
+    latent roots; ``B = W^{-1} = T blkdiag(P_k)`` maps them back and
+    ``C* B = hstack(P_k)`` reads them out.  The two modes of a conjugate pair
+    are conjugate for a real x, so one representative carries both,
+    ``B_i z_i + B_j z_j = 2 Re(B_i z_i)``, and a real mode is real once its
+    row of W is scaled to real by the phase of its largest entry.  So
+    ``real`` holds the real modes in float: roots ``Re lam``, the rows
+    scaled to real and their read-out columns scaled back; ``pair`` holds
+    one representative (Im lam > 0) per pair in complex, with its read-out
+    columns doubled; ``Y = C* x = real.readout u + Re(pair.readout v)``.
+
+    A real mode is a root within ``matpoly._distinct_tol`` of its own
+    conjugate, the test of ``matpoly.default_grouping``; each representative
+    is matched one to one with its nearest conjugate.  ``fold`` is the
+    ``tolerances.Check`` record of what folding drops, certified at most
+    ``tolerances.PATH_LEAK``: the larger of the elementwise residual of the
+    folded reconstruction ``Re(sum_i B_i W_i) - I`` over ``|B| |W|`` (the
+    rounding of the product, Higham section 3.5) and ``max|Im lam|`` of the
+    real modes over ``max|lam|``.
+    """
+
+    real: ModeGroup
+    pair: ModeGroup
+    fold: tol.Check
+
+
+def _modal_transform(S):
+    """``W = blkdiag(P_k)^{-1} T^{-1}`` and ``B = T blkdiag(P_k)`` of a solvent set."""
+    p, d = S.P.shape[:2]
+    blocks = np.zeros((2, p, d, p, d), dtype=complex)
+    k = np.arange(p)
+    blocks[0, k, :, k] = S.P_inv
+    blocks[1, k, :, k] = S.P
+    P_inv, P = blocks.reshape(2, p * d, p * d)
+    return P_inv @ np.linalg.inv(S.V), S.V @ P
+
+
+def _modal_form(decomp):
+    """Split the modes into real ones and conjugate pairs, and certify the fold."""
+    lam = decomp.solvent_set.roots
+    W, B = _modal_transform(decomp.solvent_set)
+    near = matpoly._distinct_tol(lam)
+    real = np.flatnonzero(np.abs(lam.imag) <= near)
+    upper, lower = np.flatnonzero(lam.imag > near), np.flatnonzero(lam.imag < -near)
+    gaps = np.abs(lam[upper, None] - lam[lower].conj())
+    if upper.size != lower.size or upper.size and (
+            np.unique(gaps.argmin(axis=1)).size < upper.size
+            or not gaps.min(axis=1).max() < near):
+        raise ImaginaryLeakError("complex latent roots do not pair with their conjugates")
+    rows = W[real]
+    top = rows[np.arange(real.size), np.abs(rows).argmax(axis=1)]
+    phase = top / np.abs(top)
+    rows, cols = (rows / phase[:, None]).real.copy(), (B[:, real] * phase).real.copy()
+    folded = cols @ rows + 2.0 * (B[:, upper] @ W[upper]).real
+    tiny = np.finfo(float).tiny
+    residual = np.abs(folded - np.eye(lam.size)) / np.maximum(np.abs(B) @ np.abs(W), tiny)
+    drift = np.max(np.abs(lam[real].imag), initial=0.0) / max(np.max(np.abs(lam)), tiny)
+    fold = tol.certify(ImaginaryLeakError, "modal fold residual",
+                       max(np.max(residual), drift), tol.PATH_LEAK)
+    d = decomp.d
+    groups = (ModeGroup(lam[real].real.copy(), rows, cols[:d].copy()),
+              ModeGroup(lam[upper], W[upper], 2.0 * B[:d, upper]))
+    for arr in (a for group in groups for a in group):
+        arr.setflags(write=False)
+    return ModalForm(*groups, fold)
+
+
+def psd_factor(mat, what):
+    """Factor a (nearly) PSD matrix.
+
+    Cholesky where it succeeds.  Otherwise the symmetric PSD square root
+    ``V diag(sqrt(vals)) V^T`` of the eigendecomposition: unlike the
+    eigenvector factor ``V diag(sqrt(vals))`` it does not depend on the
+    arbitrary eigenvectors of a cluster of near-zero eigenvalues, so a
+    rounding change of ``mat`` moves it continuously.  Negative eigenvalues
+    down to ``-tolerances.PSD_CLIP * max|eig|`` are rounding and are
+    clipped with a warning; anything more negative aborts.  The bound scales
+    with the matrix, so ``c * mat`` passes or fails as ``mat`` does.
+    """
+    mat = 0.5 * (mat + mat.T)
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        pass
+    vals, vecs = np.linalg.eigh(mat)
+    tol.certify(CholeskyFailError, f"{what} min eig", np.min(vals),
+                -tol.PSD_CLIP * float(np.max(np.abs(vals))), at_least=True)
+    if np.min(vals) < 0.0:
+        log.warning("clipping %s eigenvalues at %.3e", what, np.min(vals))
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+def state_covariance(decomp, G):
+    """Real ``T [G_{nu,mu}] T^H`` of component cross covariances G (p, p, d, d)."""
+    pd_dim = decomp.p * decomp.d
+    T = decomp.transform
+    return np.real(T @ G.swapaxes(1, 2).reshape(pd_dim, pd_dim) @ T.conj().T)
 
 
 def _real_sum(S, times, modal, what):

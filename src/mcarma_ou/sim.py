@@ -3,24 +3,27 @@
 The sampled components follow ``Y_k,n = e^{h R_k} Y_k,n-1 + N_k,n`` with the
 jointly Gaussian innovation stack (Brownian driver) or per-jump sums
 (compound Poisson driver).  The joint stack is drawn through the real state
-space Gramian mapped back by the Vandermonde transform, which realizes the
-exact cross covariances Sigma_{nu,mu}^{(h)} of all p components at once
-while keeping the summed output real to machine precision; drawing the
-components independently would lose the cross terms, and a complex Cholesky
-of the block covariance alone would not pin down the joint law.
+space Gramian, which realizes the exact cross covariances
+Sigma_{nu,mu}^{(h)} of all p components at once; drawing the components
+independently would lose the cross terms, and a complex Cholesky of the
+block covariance alone would not pin down the joint law.
 
-The recursion runs in the solvents' eigenbasis ``R_k = P_k L_k P_k^{-1}``,
-where it is pd scalar complex AR(1) recursions; they are solved CHUNK steps
-at a time by a blocked scan (:func:`_scan`): batched matrix products
+The recursion runs in the decomposition's kept modal form
+(``mcarma.ModalForm``), where it is scalar AR(1) recursions, one per mode.
+The path is real, so of each conjugate pair of modes one carries both and
+the read-out doubles its real part, and a real mode runs in float on
+``e^{h Re lam}``: a model with pd modes, r of them real, scans r real and
+(pd - r) / 2 complex recursions.  Both groups are solved CHUNK steps at a
+time by the same blocked scan (:func:`_scan`): batched matrix products
 against per-mode triangular Toeplitz stacks of powers of ``e^{h lam}``, so
 no Python code runs per step and no ``expm`` is taken per jump.
 
 Reproducibility: one path owns one seeded PCG64 generator; identical seeds
 give bit-identical paths.  A Brownian path for a given seed equals that of
 earlier releases up to rounding, except where a Gramian is singular to
-rounding and ``_psd_factor`` falls back to its symmetric square root:
-that factor moves continuously with the Gramian, so a rounding change moves
-the path only slightly.  A compound-Poisson path for a given seed
+rounding and ``mcarma.psd_factor`` falls back to its symmetric square
+root: that factor moves continuously with the Gramian, so a rounding change
+moves the path only slightly.  A compound-Poisson path for a given seed
 differs from releases that simulated step by step, because the jump counts,
 offsets and sizes are now drawn a chunk at a time; its law is unchanged.
 For parallel paths split the seed with
@@ -59,6 +62,8 @@ class DriverSpec:
     jump_cov: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.kind == "brownian":
             if self.sigma_L is None:
                 raise ValueError("brownian driver needs sigma_L")
@@ -75,40 +80,15 @@ class DriverSpec:
 class PathGrid:
     """A simulated path on the grid 0, h, ..., (n_steps-1) h.
 
-    ``imag_residue`` is the ``tolerances.Check`` record of the largest
-    imaginary residue of the modal read-out, certified at most
-    ``tolerances.PATH_LEAK * max(1, max|Y|)``.
+    ``fold_residual`` is the ``tolerances.Check`` record of the fold of the
+    modal form the path ran in (``mcarma.ModalForm.fold``), certified at
+    most ``tolerances.PATH_LEAK``.
     """
 
     h: float
     n_steps: int
     Y: np.ndarray
-    imag_residue: tol.Check
-
-
-def _psd_factor(mat, what):
-    """Factor a (nearly) PSD matrix.
-
-    Cholesky where it succeeds.  Otherwise the symmetric PSD square root
-    ``V diag(sqrt(vals)) V^T`` of the eigendecomposition: unlike the
-    eigenvector factor ``V diag(sqrt(vals))`` it does not depend on the
-    arbitrary eigenvectors of a cluster of near-zero eigenvalues, so a
-    rounding change of ``mat`` moves it continuously.  Negative eigenvalues
-    down to ``-tolerances.PSD_CLIP * max|eig|`` are rounding and are
-    clipped with a warning; anything more negative aborts.  The bound scales
-    with the matrix, so ``c * mat`` passes or fails as ``mat`` does.
-    """
-    mat = 0.5 * (mat + mat.T)
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        pass
-    vals, vecs = np.linalg.eigh(mat)
-    tol.certify(CholeskyFailError, f"{what} min eig", np.min(vals),
-                -tol.PSD_CLIP * float(np.max(np.abs(vals))), at_least=True)
-    if np.min(vals) < 0.0:
-        log.warning("clipping %s eigenvalues at %.3e", what, np.min(vals))
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    fold_residual: tol.Check
 
 
 def state_innovation_gramian(decomp, sigma_L, h):
@@ -116,15 +96,8 @@ def state_innovation_gramian(decomp, sigma_L, h):
     ``T [Sigma_{nu,mu}^{(h)}] T^H`` with the component Gramians of
     ``mcarma.component_gramians``; for h = inf, the stationary state
     covariance Pi."""
-    return _state_covariance(
+    return mcarma.state_covariance(
         decomp, mcarma.component_gramians(decomp.solvent_set, decomp.residues, sigma_L, h))
-
-
-def _state_covariance(decomp, G):
-    """Real ``T [G_{nu,mu}] T^H`` of component cross covariances G (p, p, d, d)."""
-    pd_dim = decomp.p * decomp.d
-    T = decomp.transform
-    return np.real(T @ G.swapaxes(1, 2).reshape(pd_dim, pd_dim) @ T.conj().T)
 
 
 def _stationary_state(decomp, rng):
@@ -134,25 +107,8 @@ def _stationary_state(decomp, rng):
                          "decompose without x0")
     if not decomp.model.stationary:
         raise NotStationaryError("stationary start requires a stable model")
-    pi = _state_covariance(decomp, decomp.stationary_gramians)
-    pd_dim = decomp.p * decomp.d
-    return _psd_factor(pi, "stationary state covariance") @ rng.standard_normal(pd_dim)
-
-
-def _modal_form(decomp):
-    """Eigenbasis of the OU sum: ``R_k = P_k diag(lam_k) P_k^{-1}``.
-
-    Returns the stacked latent roots ``lam`` (length pd), the block diagonal
-    ``blkdiag(P_k)^{-1}`` that maps component coordinates to modal ones, and
-    the d x pd read-out ``hstack(P_k)``; the read-out sums the components
-    because ``C* T = (I, ..., I)``.  The solvent set carries the stacked
-    eigenbases.
-    """
-    S = decomp.solvent_set
-    p, d = S.P.shape[:2]
-    P_inv = np.zeros((p, d, p, d), dtype=complex)
-    P_inv[np.arange(p), :, np.arange(p)] = S.P_inv
-    return S.roots, P_inv.reshape(p * d, p * d), S.P.swapaxes(0, 1).reshape(d, p * d)
+    factor = decomp.stationary_state_factor
+    return factor @ rng.standard_normal(factor.shape[1])
 
 
 def _toeplitz_stack(powers):
@@ -167,7 +123,8 @@ def _toeplitz_stack(powers):
 
 
 def _transfer_stacks(h_lam, n):
-    """The per-mode stacks :func:`_scan` needs for a path of n steps.
+    """The per-mode stacks :func:`_scan` needs for a path of n steps, in the
+    dtype of ``h_lam`` (real modes real, pairs complex).
 
     Within a block ``e^{(j - i) h lam}`` (BLOCK x BLOCK); across the at most
     CHUNK / BLOCK block ends of a chunk, the same on ``e^{BLOCK h lam}``; and
@@ -185,66 +142,74 @@ def _transfer_stacks(h_lam, n):
 
 def _scan(w, z_prev, stacks):
     """States ``z_j = a z_{j-1} + w_j`` of one chunk of innovations ``w``
-    (pd, L), L <= CHUNK, started from ``z_prev``; ``a = e^{h lam}``.
+    (modes, L), L <= CHUNK, started from ``z_prev``; ``a = e^{h lam}``.
 
-    A two-level blocked scan.  The chunk, zero-padded to M whole blocks, is
-    reshaped to (pd, M, BLOCK), and one batched product with the Toeplitz
-    stack runs every block's recursion from zero.  The state entering each
-    block follows from the same construction on ``a^BLOCK`` over the vector
-    (z_prev, block ends), and is added to its block times ``a^(j + 1)``.
+    A two-level blocked scan, in the dtype of ``w``.  The chunk, zero-padded
+    to M whole blocks, is reshaped to (modes, M, BLOCK), and one batched
+    product with the Toeplitz stack runs every block's recursion from zero.
+    The state entering each block follows from the same construction on
+    ``a^BLOCK`` over the vector (z_prev, block ends), and is added to its
+    block times ``a^(j + 1)``.
     """
     local, across, lift = stacks
-    pd_dim, L = w.shape
+    modes, L = w.shape
     m = -(-L // BLOCK)
     if L % BLOCK:
-        w = np.concatenate([w, np.zeros((pd_dim, m * BLOCK - L), dtype=complex)], axis=1)
-    z = np.matmul(w.reshape(pd_dim, m, BLOCK), local)
-    ends = np.empty((pd_dim, 1, m), dtype=complex)
+        w = np.concatenate([w, np.zeros((modes, m * BLOCK - L), dtype=w.dtype)], axis=1)
+    z = np.matmul(w.reshape(modes, m, BLOCK), local)
+    ends = np.empty((modes, 1, m), dtype=w.dtype)
     ends[:, 0, 0] = z_prev
     ends[:, 0, 1:] = z[:, :-1, -1]
     entering = np.matmul(ends, across[:, :m, :m])
-    z += entering.reshape(pd_dim, m, 1) * lift[:, None, :]
-    return z.reshape(pd_dim, m * BLOCK)[:, :L]
+    z += entering.reshape(modes, m, 1) * lift[:, None, :]
+    return z.reshape(modes, m * BLOCK)[:, :L]
 
 
-def _complex_times_real(E, x):
-    """``E @ x`` for complex E and real x, as two real products written into
+def _times_real(E, x):
+    """``E @ x`` for real x; for complex E as two real products written into
     one complex array (``E @ x`` itself would cast x to complex)."""
+    if not np.iscomplexobj(E):
+        return E @ x
     w = np.empty((E.shape[0], x.shape[1]), dtype=complex)
     w.real = E.real @ x
     w.imag = E.imag @ x
     return w
 
 
-def _jump_innovations(rng, rate, h, lam, G, L):
-    """Modal innovations (pd, L) of L compound-Poisson steps.
+def _jump_innovations(rng, rate, h, kicks, L):
+    """Modal innovations of L compound-Poisson steps, one (modes, L) array
+    per ``(roots, G)`` of ``kicks``.
 
     A jump drawn as ``F xi`` (F a factor of jump_cov, xi standard normal) at
     age u, the time from the jump to the next grid point, adds
-    ``exp(u lam) * (G xi)`` with ``G = blkdiag(P_k)^{-1} stack(Res_k) F``;
-    the jumps of one step are summed by ``np.add.reduceat``.  Counts, offsets
-    and jumps of all L steps are drawn at once.
+    ``exp(u lam) * (G xi)`` to the modes with ``G = W B* F``; the jumps of
+    one step are summed by ``np.add.reduceat``.  Counts, ages and jumps of
+    all L steps are drawn once for all groups.
     """
     counts = rng.poisson(rate * h, size=L)
     total = int(counts.sum())
-    w = np.zeros((lam.size, L), dtype=complex)
+    w = [np.zeros((roots.size, L), dtype=G.dtype) for roots, G in kicks]
     if total:
         ages = h - rng.uniform(0.0, h, size=total)
-        kicks = np.exp(np.outer(lam, ages)) * _complex_times_real(
-            G, rng.standard_normal((G.shape[1], total)))
+        xi = rng.standard_normal((kicks[0][1].shape[1], total))
         hit = np.flatnonzero(counts)
-        w[:, hit] = np.add.reduceat(kicks, np.cumsum(counts)[hit] - counts[hit], axis=1)
+        first = np.cumsum(counts)[hit] - counts[hit]
+        for out, (roots, G) in zip(w, kicks):
+            jumps = np.exp(np.outer(roots, ages)) * _times_real(G, xi)
+            out[:, hit] = np.add.reduceat(jumps, first, axis=1)
     return w
 
 
 def simulate(decomp, driver, h, n_steps, stationary_start=False):
     """Simulate the OU components on the h-grid, exactly in distribution.
 
-    The sum runs as pd scalar recursions ``z_n = e^{h lam} z_{n-1} + e_n`` in
-    the solvents' eigenbasis (see :func:`_modal_form`), CHUNK steps at a
-    time by the blocked scan :func:`_scan`, and is read out as
-    ``Y_n = Re sum_k P_k z_{k,n}``.  Each call logs the driver kind, the
-    steps, pd and its wall time at DEBUG.
+    The sum runs as scalar recursions ``z_n = e^{h lam} z_{n-1} + e_n`` in
+    the decomposition's kept ``modal_form`` (``mcarma.ModalForm``): the real
+    modes in float on ``e^{h Re lam}``, one mode per conjugate pair in
+    complex.  Both groups are solved CHUNK steps at a time by the blocked
+    scan :func:`_scan` and read out as ``Y_n = R_r u_n + 2 Re(R_c v_n)``
+    (the pairs' read-out columns hold the 2).  Each call logs the driver kind, the
+    steps, pd with its real modes and pairs, and its wall time at DEBUG.
 
     Parameters
     ----------
@@ -264,55 +229,59 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     Returns
     -------
     PathGrid
+
+    Raises
+    ------
+    ImaginaryLeakError
+        When the modal form's fold fails its certificate.
     """
     if not 0 < h < np.inf or n_steps < 1:
         raise ValueError("need a finite h > 0 and n_steps >= 1")
     start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
-    lam, P_inv, readout = _modal_form(decomp)
-    to_modal = P_inv @ np.linalg.inv(decomp.transform)
+    form = decomp.modal_form
+    # a group without modes would only add numpy calls per chunk
+    groups = [g for g in (form.real, form.pair) if g.roots.size]
 
     if stationary_start:
-        z = to_modal @ _stationary_state(decomp, rng)
+        x = _stationary_state(decomp, rng)
     else:
-        z = P_inv @ decomp.y0.reshape(-1)
-    y0 = readout @ z
+        x = (decomp.transform @ decomp.y0.reshape(-1)).real
+    z = [g.rows @ x for g in groups]
     Y = np.empty((n_steps, decomp.d))
-    Y[0] = y0.real
-    max_imag = float(np.max(np.abs(y0.imag)))
+    Y[0] = sum((g.readout @ zg).real for g, zg in zip(groups, z))
 
     n = n_steps - 1
     if driver.kind == "brownian":
-        Q = state_innovation_gramian(decomp, driver.sigma_L, h)
-        E = to_modal @ _psd_factor(Q, "innovation Gramian")
-        xi = rng.standard_normal((lam.size, n))
+        F = mcarma.psd_factor(state_innovation_gramian(decomp, driver.sigma_L, h),
+                              "innovation Gramian")
+        E = [g.rows @ F for g in groups]
+        xi = rng.standard_normal((F.shape[1], n))
 
         def innovations(lo, hi):
-            return _complex_times_real(E, xi[:, lo:hi])
+            return [_times_real(Eg, xi[:, lo:hi]) for Eg in E]
     else:
-        jump_factor = _psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
-        G = P_inv @ decomp.residues.reshape(lam.size, -1) @ jump_factor
+        jump_factor = mcarma.psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
+        G = decomp.statespace.B_star @ jump_factor
+        kicks = [(g.roots, g.rows @ G) for g in groups]
 
         def innovations(lo, hi):
-            return _jump_innovations(rng, driver.rate, h, lam, G, hi - lo)
+            return _jump_innovations(rng, driver.rate, h, kicks, hi - lo)
 
-    stacks = _transfer_stacks(h * lam, n)
+    stacks = [_transfer_stacks(h * g.roots, n) for g in groups]
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        states = _scan(innovations(lo, hi), z, stacks)
-        z = states[:, -1]
-        out = readout @ states
-        max_imag = max(max_imag, float(np.max(np.abs(out.imag))))
-        Y[lo + 1:hi + 1] = out.real.T
+        states = [_scan(w, zg, st) for w, zg, st in zip(innovations(lo, hi), z, stacks)]
+        z = [s[:, -1] for s in states]
+        Y[lo + 1:hi + 1] = sum((g.readout @ s).real for g, s in zip(groups, states)).T
 
     if not np.all(np.isfinite(Y)):
         raise CholeskyFailError("simulated path has non-finite entries")
-    imag_residue = tol.certify(CholeskyFailError, "path imaginary residue", max_imag,
-                               tol.PATH_LEAK * max(1.0, float(np.max(np.abs(Y)))))
     Y.setflags(write=False)
-    log.debug("simulate: %s driver, %d steps, pd=%d, %.6f s",
-              driver.kind, n_steps, lam.size, time.perf_counter() - start)
-    return PathGrid(h=h, n_steps=n_steps, Y=Y, imag_residue=imag_residue)
+    log.debug("simulate: %s driver, %d steps, pd=%d (%d real, %d pairs), %.6f s",
+              driver.kind, n_steps, decomp.p * decomp.d, form.real.roots.size,
+              form.pair.roots.size, time.perf_counter() - start)
+    return PathGrid(h=h, n_steps=n_steps, Y=Y, fold_residual=form.fold)
 
 
 def empirical_acvf(path, max_lag):

@@ -145,6 +145,13 @@ def random_stable_model(rng, d=None, p=None, q=None, min_sep=0.1):
     raise RuntimeError("could not draw a stable model")
 
 
+def rescale_time(model, c):
+    """The model with latent roots times c: A_i -> c^i A_i, B_j -> c^j B_j."""
+    A = matpoly.LambdaMatrix(tuple(c ** i * a for i, a in enumerate(model.A.coeffs)))
+    B = matpoly.LambdaMatrix(tuple(c ** j * b for j, b in enumerate(model.B.coeffs)))
+    return mcarma.McarmaModel.build(A, B, model.sigma_L)
+
+
 def fresh(model):
     """A new model from the same coefficients, with nothing built yet."""
     return mcarma.McarmaModel.build(model.A, model.B, model.sigma_L)
@@ -190,3 +197,17 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def broken_fold(monkeypatch):
+    """Scale the row of the modal transform W of the first conjugate pair's
+    representative by 1 + 1e-6, which the fold of any model with a pair sees."""
+    transform = mcarma._modal_transform
+
+    def perturbed(S):
+        W, B = transform(S)
+        W[np.flatnonzero(S.roots.imag > 0)[0]] *= 1.0 + 1e-6
+        return W, B
+
+    monkeypatch.setattr(mcarma, "_modal_transform", perturbed)

@@ -219,11 +219,11 @@ def component_recursion(decomp, driver, h, n_steps, stationary_start, chunk):
     n = n_steps - 1
     if driver.kind == "brownian":
         Q = sim.state_innovation_gramian(decomp, driver.sigma_L, h)
-        W = T_inv @ sim._psd_factor(Q, "innovation Gramian")
+        W = T_inv @ mcarma.psd_factor(Q, "innovation Gramian")
         stacked = np.reshape(W @ rng.standard_normal((p * d, n)), (p, d, n))
         innovations = [stacked[:, :, i] for i in range(n)]
     else:
-        jump_factor = sim._psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
+        jump_factor = mcarma.psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
         innovations = []
         for lo in range(0, n, chunk):
             counts = rng.poisson(driver.rate * h, size=min(chunk, n - lo))
@@ -253,7 +253,7 @@ def simulate_statespace_twin(decomp, sigma_L, h, n_steps, seed, stationary_start
     by Van Loan's block exponential, and read off ``Y_n = C* X_n``.
 
     Used to validate that the component recursion matches the exact sampled
-    state space law; not the production path.
+    state space law; not the production path.  Returns the (n_steps, d) path.
     """
     ss = decomp.statespace
     nd = ss.dim
@@ -267,11 +267,11 @@ def simulate_statespace_twin(decomp, sigma_L, h, n_steps, seed, stationary_start
     big = scipy.linalg.expm(h * block)
     eAh = scipy.linalg.expm(h * A)
     Q = eAh @ big[:nd, nd:]
-    factor = sim._psd_factor(np.real(Q), "state Gramian")
+    factor = mcarma.psd_factor(np.real(Q), "state Gramian")
 
     if stationary_start:
         pi = verify.sampled_state_space(ss, sigma_L, h).pi
-        x = sim._psd_factor(pi, "stationary state covariance") @ rng.standard_normal(nd)
+        x = mcarma.psd_factor(pi, "stationary state covariance") @ rng.standard_normal(nd)
     else:
         x = np.zeros(nd)
     Y = np.empty((n_steps, ss.C_star.shape[0]))
@@ -280,8 +280,7 @@ def simulate_statespace_twin(decomp, sigma_L, h, n_steps, seed, stationary_start
     for n in range(1, n_steps):
         x = eAh @ x + noise[:, n - 1]
         Y[n] = ss.C_star @ x
-    return sim.PathGrid(h=h, n_steps=n_steps, Y=Y,
-                        imag_residue=tolerances.check("path imaginary residue", 0.0, 0.0))
+    return Y
 
 
 def greedy_grouping(pairs, d, conjugate_closed=True):

@@ -1,4 +1,4 @@
-"""Factorization budget of the fit op.
+"""Factorization budget of the fit op and of a simulated path.
 
 One fit op, ``solvent_set -> decompose -> stationary_acvf -> sampled_varma``,
 is bound by call overhead on small matrices, so the number of
@@ -10,20 +10,25 @@ The first op on a model also builds what the model keeps (its default
 solvent set, state space and decomposition, with the stationary Gramians);
 a later op on the same model, here at a second h, reuses them.  Both are
 counted on a freshly built model, so the order in which tests touch the
-shared fixtures does not matter.
+shared fixtures does not matter.  Likewise the first path on a decomposition
+builds its modal form and the factor of its stationary state covariance, and
+a second path reuses them.
 """
 
 from collections import Counter
 
 import pytest
 
-from mcarma_ou import mcarma, rational, sampling
+from mcarma_ou import mcarma, rational, sampling, sim
 
 from conftest import fresh
 
 H = 0.25
 WARM_H = 1.0
 
+# a second stationary-start Brownian path on a kept decomposition: the factor
+# of the innovation Gramian at its h, and nothing else
+PATH_BUDGET = Counter(cholesky=1)
 # per op at h = 0.25, not counting the one solve per doubling step of the MA
 # fit (5 steps on carma2x2, 9 on corpus #8), whose number rounding can move
 BUDGET = {
@@ -81,3 +86,23 @@ def test_decompose_solves_only_the_residues(example_model, corpus, linalg_calls)
         linalg_calls.clear()
         mcarma.decompose(model, S)
         assert linalg_calls["solve"] == 1
+
+
+@pytest.mark.parametrize("index", [None, 8, 17], ids=["carma2x2", "corpus-8", "corpus-17"])
+def test_second_path_within_budget(index, example_model, corpus, linalg_calls, monkeypatch):
+    model = fresh(example_model if index is None else corpus[index])
+    decomp = mcarma.decompose(model, model.solvent_set())
+    driver = sim.DriverSpec(kind="brownian", seed=1, sigma_L=model.sigma_L)
+    sim.simulate(decomp, driver, 0.1, 100, stationary_start=True)
+    builds = []
+
+    def counted(*args, _fn=mcarma._modal_form):
+        builds.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(mcarma, "_modal_form", counted)
+    linalg_calls.clear()
+    sim.simulate(decomp, driver, 0.1, 100, stationary_start=True)
+    over = linalg_calls - PATH_BUDGET
+    assert not over, f"second path over budget {dict(over)}"
+    assert builds == []

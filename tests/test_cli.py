@@ -117,7 +117,8 @@ class TestSolvents:
     @pytest.mark.parametrize("argv", [
         ("varma", "--h", "0"), ("varma", "--h", "nan"), ("varma", "--h", "inf"),
         ("acvf", "--h", "nan"), ("acvf", "--h", "-0.1"), ("acvf", "--lags", "-1"),
-        ("simulate", "--steps", "0"), ("verify", "--h", "inf"),
+        ("simulate", "--steps", "0"), ("simulate", "--seed", "-1"),
+        ("verify", "--seed", "-1"), ("verify", "--h", "inf"),
         ("verify", "--steps", "abc"), ("verify", "--bogus"),
         ("verify", "--out", "report.txt"), ("solvents", "--grouping", "[[0,1],[2,3],[0]]"),
         ("solvents", "--grouping", "[[0,1,2],[3]]"),
@@ -408,6 +409,14 @@ class TestVerify:
             assert err.startswith(
                 f"certification failure: {invariant}: sampled exponent p h max(-Re lam) = "
                 f"{8 * float(argv[2]):.3e} exceeds 7.098e+02")
+
+    def test_broken_modal_fold_exits_two(self, capsys, tmp_path, corpus, broken_fold):
+        # the Monte-Carlo row simulates in the modal form, whose fold sees the
+        # broken pair row (corpus #8 has three pairs)
+        code, out, err = run(capsys, "verify", write_model(tmp_path, model_doc(corpus[8])),
+                             "--steps", "200")
+        assert (code, out) == (2, "")
+        assert err.startswith("certification failure: ImaginaryLeak: modal fold residual = ")
 
     def test_shortest_path_for_noise_lag_row(self, capsys, example_model_file):
         code, out, _ = run(capsys, "verify", example_model_file, "--steps", "53")

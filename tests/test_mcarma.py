@@ -16,7 +16,7 @@ from mcarma_ou.exceptions import (
     SharpIdentityError,
 )
 
-from conftest import R1, R2, R3, RES1, RES2, fresh, random_stable_model
+from conftest import R1, R2, R3, RES1, RES2, fresh, random_stable_model, rescale_time
 from oracles import components, eigenbasis, expm_eig, quad_infinite_gramian
 
 
@@ -27,13 +27,6 @@ def scalar_poly(*coeffs):
 def scalar_model(a_coeffs, b_coeffs, sigma=1.0):
     return mcarma.McarmaModel.build(
         scalar_poly(*a_coeffs), scalar_poly(*b_coeffs), np.array([[sigma]]))
-
-
-def rescale_time(model, c):
-    """The model with latent roots times c: A_i -> c^i A_i, B_j -> c^j B_j."""
-    A = matpoly.LambdaMatrix(tuple(c ** i * a for i, a in enumerate(model.A.coeffs)))
-    B = matpoly.LambdaMatrix(tuple(c ** j * b for j, b in enumerate(model.B.coeffs)))
-    return mcarma.McarmaModel.build(A, B, model.sigma_L)
 
 
 def sharp_relative_residual(ss):
@@ -325,6 +318,18 @@ class TestModelCache:
         lines = [r.getMessage() for r in caplog.records if r.name == "mcarma_ou.mcarma"]
         assert len(lines) == 1
         assert lines[0].startswith("default decomposition: d=2, p=2, ")
+        assert lines[0].endswith(" s")
+
+    def test_modal_form_logs_once(self, example_model, caplog):
+        model = fresh(example_model)
+        decomp = mcarma.decompose(model, model.solvent_set())
+        driver = sim.DriverSpec(kind="brownian", seed=3, sigma_L=model.sigma_L)
+        with caplog.at_level(logging.DEBUG, logger="mcarma_ou.mcarma"):
+            for _ in range(2):
+                sim.simulate(decomp, driver, 0.1, 20, stationary_start=True)
+        lines = [r.getMessage() for r in caplog.records if r.name == "mcarma_ou.mcarma"]
+        assert len(lines) == 1
+        assert lines[0].startswith("modal form: pd=4 (4 real, 0 pairs), fold ")
         assert lines[0].endswith(" s")
 
     def test_second_fit_equals_first(self, corpus):

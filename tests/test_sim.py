@@ -6,9 +6,14 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from mcarma_ou import matpoly, mcarma, sampling, sim, tolerances, verify
-from mcarma_ou.exceptions import CholeskyFailError, NotStationaryError, TooShortError
+from mcarma_ou.exceptions import (
+    CholeskyFailError,
+    ImaginaryLeakError,
+    NotStationaryError,
+    TooShortError,
+)
 
-from conftest import random_stable_model
+from conftest import fresh, random_stable_model, rescale_time
 from oracles import component_recursion, simulate_statespace_twin
 
 
@@ -79,6 +84,11 @@ class TestDegenerateCases:
         with pytest.raises(ValueError, match="finite rate > 0"):
             sim.DriverSpec(kind="compound_poisson", seed=0, rate=rate, jump_cov=np.eye(2))
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence would raise its own ValueError only at simulate
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            brownian(-1, np.eye(2))
+
     @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
     def test_step_outside_positive_reals_rejected(self, example_decomp, h):
         with pytest.raises(ValueError, match="finite h > 0"):
@@ -95,7 +105,7 @@ class TestDegenerateCases:
         path = sim.simulate(example_decomp, brownian(1, np.eye(2)), 0.25, 64)
         assert path.Y.shape == (64, 2)
         assert path.h == 0.25
-        assert path.imag_residue.measured <= 1e-8
+        assert path.fold_residual.measured <= 1e-8
 
 
 class TestInitialState:
@@ -303,12 +313,12 @@ class TestDistributionalExactness:
 class TestPsdRepair:
     def test_tiny_negative_eigenvalue_clipped(self, caplog):
         mat = np.diag([1.0, -5e-13])
-        factor = sim._psd_factor(mat, "test matrix")
+        factor = mcarma.psd_factor(mat, "test matrix")
         assert np.allclose(factor @ factor.T, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_large_negative_eigenvalue_aborts(self):
         with pytest.raises(CholeskyFailError):
-            sim._psd_factor(np.diag([1.0, -1e-6]), "test matrix")
+            mcarma.psd_factor(np.diag([1.0, -1e-6]), "test matrix")
 
     def test_fallback_factor_is_continuous(self, corpus):
         # corpus #143 at h = 0.1: the innovation Gramian has eigenvalues from
@@ -318,7 +328,7 @@ class TestPsdRepair:
         Q = sim.state_innovation_gramian(decomp, model.sigma_L, 0.1)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(0.5 * (Q + Q.T))
-        factor = sim._psd_factor(Q, "innovation Gramian")
+        factor = mcarma.psd_factor(Q, "innovation Gramian")
         vals, vecs = np.linalg.eigh(0.5 * (Q + Q.T))
         clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         scale = np.max(np.abs(Q))
@@ -327,7 +337,7 @@ class TestPsdRepair:
             E = np.random.default_rng(seed).standard_normal(Q.shape)
             E = (E + E.T) / np.linalg.norm(E + E.T, 2)
             for eps in (1e-15, 1e-14, 1e-13, 1e-12):
-                moved = sim._psd_factor(Q + eps * scale * E, "innovation Gramian")
+                moved = mcarma.psd_factor(Q + eps * scale * E, "innovation Gramian")
                 assert np.max(np.abs(moved - factor)) <= 1e-6 * np.max(np.abs(factor))
 
     @pytest.mark.parametrize("mat", [np.diag([1.0, -5e-13]), np.diag([1.0, -1e-6]),
@@ -335,7 +345,7 @@ class TestPsdRepair:
     def test_scale_invariant(self, mat):
         def passes(m):
             try:
-                sim._psd_factor(m, "test matrix")
+                mcarma.psd_factor(m, "test matrix")
             except CholeskyFailError:
                 return False
             return True
@@ -352,7 +362,7 @@ class TestPsdRepair:
         path = sim.simulate(decomp, brownian(143, model.sigma_L), 0.1, 2000,
                             stationary_start=True)
         assert np.all(np.isfinite(path.Y))
-        assert path.imag_residue.measured <= tolerances.PATH_LEAK * np.max(np.abs(path.Y))
+        assert path.fold_residual.measured <= tolerances.PATH_LEAK
 
     def test_small_step_gramian_factors(self, corpus):
         # corpus model #125 at h = 0.01: a Gramian solved from the Sylvester
@@ -391,33 +401,45 @@ class TestModalEngine:
         assert gap <= 1e-11
 
     @pytest.mark.parametrize("kind", ["brownian", "compound_poisson"])
-    def test_innovations_formed_a_chunk_at_a_time(self, example_decomp, monkeypatch, kind):
-        # the innovations of a whole path would add pd * n complex numbers to
-        # the peak memory (about 14 MB at pd = 9, n = 1e5): no _scan call and
-        # no innovations draw may see more than CHUNK steps
+    def test_innovations_formed_a_chunk_at_a_time(self, example_decomp, corpus, monkeypatch,
+                                                  kind):
+        # the innovations of a whole path would add pd * n numbers to the
+        # peak memory (about 14 MB at pd = 9, n = 1e5): no _scan call and no
+        # innovations draw may see more than CHUNK steps, and each mode group
+        # scans all n - 1 steps: carma2x2 has 4 real modes and no pair,
+        # corpus #8 3 real modes and 3 pairs
         seen = []
 
         def spy(fn):
             def wrapped(*args):
                 out = fn(*args)
-                seen.append((fn.__name__, out.shape[1]))
+                for arr in (out if isinstance(out, list) else [out]):
+                    seen.append((fn.__name__, arr.dtype.type, arr.shape))
                 return out
             return wrapped
 
-        if kind == "brownian":
-            draw = "_complex_times_real"
-            driver = brownian(4, np.eye(2))
-        else:
-            draw = "_jump_innovations"
-            driver = sim.DriverSpec(kind="compound_poisson", seed=4, rate=2.0,
-                                    jump_cov=0.5 * np.eye(2))
+        draw = "_times_real" if kind == "brownian" else "_jump_innovations"
         for name in ("_scan", draw):
             monkeypatch.setattr(sim, name, spy(getattr(sim, name)))
         n_steps = 3 * sim.CHUNK + 7
-        sim.simulate(example_decomp, driver, 0.1, n_steps)
-        assert {name for name, _ in seen} == {"_scan", draw}
-        assert max(width for _, width in seen) <= sim.CHUNK
-        assert sum(width for name, width in seen if name == "_scan") == n_steps - 1
+        for decomp, groups in (
+                (example_decomp, {np.float64: 4}),
+                (mcarma.decompose(corpus[8], corpus[8].solvent_set()),
+                 {np.float64: 3, np.complex128: 3})):
+            sigma = decomp.model.sigma_L
+            driver = (brownian(4, sigma) if kind == "brownian" else
+                      sim.DriverSpec(kind="compound_poisson", seed=4, rate=2.0,
+                                     jump_cov=0.5 * sigma))
+            seen.clear()
+            sim.simulate(decomp, driver, 0.1, n_steps)
+            assert {name for name, *_ in seen} == {"_scan", draw}
+            assert max(width for *_, (_, width) in seen) <= sim.CHUNK
+            scanned = {}
+            for name, dtype, (modes, width) in seen:
+                if name == "_scan":
+                    assert modes == groups[dtype]
+                    scanned[dtype] = scanned.get(dtype, 0) + width
+            assert scanned == {dtype: n_steps - 1 for dtype in groups}
 
     def test_compound_poisson_matches_reference(self, example_decomp):
         driver = sim.DriverSpec(kind="compound_poisson", seed=21, rate=10.0,
@@ -427,12 +449,13 @@ class TestModalEngine:
     def test_compound_poisson_empty_chunks(self, example_decomp, monkeypatch):
         # about 0.5 jumps per 16-step chunk: some chunks draw none
         monkeypatch.setattr(sim, "CHUNK", 16)
-        empty = []
+        empty, widths = [], []
         draw = sim._jump_innovations
 
         def spy(*args):
             w = draw(*args)
-            empty.append(not np.any(w))
+            empty.append(not any(np.any(g) for g in w))
+            widths.append([g.shape[1] for g in w])
             return w
 
         monkeypatch.setattr(sim, "_jump_innovations", spy)
@@ -442,6 +465,10 @@ class TestModalEngine:
                             chunk=16)
         assert gap <= 1e-11
         assert any(empty) and not all(empty)
+        # the one mode group, carma2x2's real modes, takes all 399 steps, 16
+        # at a time
+        assert max(map(max, widths)) <= 16
+        assert np.sum(widths, axis=0).tolist() == [399]
 
     def test_compound_poisson_takes_no_expm(self, example_decomp, monkeypatch):
         calls = []
@@ -496,9 +523,77 @@ class TestModalEngine:
             assert np.max(np.abs(g - w)) < band
 
 
+class TestModalFold:
+    """Folded paths against the per-step component recursion, which runs
+    every component in complex and folds nothing."""
+
+    # corpus #8's default grouping splits one of its three pairs across two
+    # solvents; SPLIT splits two, (1, 2) and (3, 4)
+    SPLIT = [[0, 1, 3], [2, 4, 5], [6, 7, 8]]
+    CASES = {"all-complex": (22, None, 0, 2), "mixed": (8, None, 3, 3),
+             "split-pairs": (8, SPLIT, 3, 3)}
+
+    @pytest.mark.parametrize("kind", ["brownian", "compound_poisson"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_component_recursion(self, corpus, case, kind):
+        index, grouping, n_real, n_pairs = self.CASES[case]
+        model = corpus[index]
+        S = model.solvent_set(grouping)
+        decomp = mcarma.decompose(model, S)
+        form = decomp.modal_form
+        assert (form.real.roots.size, form.pair.roots.size) == (n_real, n_pairs)
+        assert form.real.rows.dtype == form.real.readout.dtype == float
+        assert form.fold.ok and form.fold.measured <= 1e-12
+        if kind == "brownian":
+            driver, n_steps = brownian(index, model.sigma_L), sim.CHUNK + 5
+        else:
+            driver = sim.DriverSpec(kind="compound_poisson", seed=index, rate=10.0,
+                                    jump_cov=model.sigma_L / 10.0)
+            n_steps = 300
+        assert reference_gap(decomp, driver, 0.1, n_steps) <= 1e-11
+
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_fold_is_scale_free(self, corpus, c):
+        # latent roots times c rescale W and B by powers of c row by row; the
+        # fold is measured relative to |B| |W| and max|lam|, so it stays at
+        # rounding (5e-15 to 6e-14 here)
+        for index in (8, 17, 22):
+            model = rescale_time(corpus[index], c)
+            form = mcarma.decompose(model, model.solvent_set()).modal_form
+            assert form.fold.measured <= 1e-12
+
+    def test_modal_form_is_kept(self, corpus):
+        model = fresh(corpus[8])
+        decomp = mcarma.decompose(model, model.solvent_set())
+        a = sim.simulate(decomp, brownian(1, model.sigma_L), 0.1, 50)
+        form = decomp.modal_form
+        b = sim.simulate(decomp, brownian(1, model.sigma_L), 0.1, 50)
+        assert decomp.modal_form is form and a.fold_residual is b.fold_residual is form.fold
+        assert not form.pair.rows.flags.writeable and not form.real.readout.flags.writeable
+
+    def test_broken_fold_raises(self, corpus, broken_fold):
+        model = fresh(corpus[8])
+        decomp = mcarma.decompose(model, model.solvent_set())
+        for _ in range(2):
+            with pytest.raises(ImaginaryLeakError, match="modal fold residual = "):
+                sim.simulate(decomp, brownian(0, model.sigma_L), 0.1, 10)
+        assert "modal_form" not in vars(decomp)
+
+    def test_unpaired_complex_root_raises(self, corpus, monkeypatch):
+        # a pair whose partner is not its conjugate cannot fold
+        model = fresh(corpus[22])
+        decomp = mcarma.decompose(model, model.solvent_set())
+        roots = decomp.solvent_set.roots.copy()
+        roots[roots.imag < 0] *= 1.0 + 1e-3
+        monkeypatch.setattr(type(decomp.solvent_set), "roots", property(lambda S: roots))
+        with pytest.raises(ImaginaryLeakError, match="do not pair with their conjugates"):
+            sim.simulate(decomp, brownian(0, model.sigma_L), 0.1, 10)
+
+
 class TestBlockedScan:
     # modes: fast (|a| = e^-20), slow (h |lam| = 1e-4), a rotation near
-    # Nyquist, an unstable root, and a damped rotation
+    # Nyquist, an unstable root, and a damped rotation; the real modes alone
+    # run in float
     H_LAM = np.array([-20.0, -1e-4, -0.01 + 1j * (np.pi - 1e-3), 0.05, -0.3 + 0.7j])
 
     @pytest.mark.parametrize("length", [1, sim.BLOCK - 1, sim.BLOCK, sim.BLOCK + 1,
@@ -508,15 +603,18 @@ class TestBlockedScan:
         shape = (self.H_LAM.size, length)
         w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         z_prev = rng.standard_normal(self.H_LAM.size) + 1j * rng.standard_normal(self.H_LAM.size)
-        got = sim._scan(w, z_prev, sim._transfer_stacks(self.H_LAM, length))
-        a, z = np.exp(self.H_LAM), z_prev
-        want = np.empty_like(w)
-        for j in range(length):
-            z = a * z + w[:, j]
-            want[:, j] = z
-        assert got.shape == want.shape
-        gap = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
-        assert np.all(gap <= 1e-12)
+        real = self.H_LAM.imag == 0
+        for h_lam, w, z_prev in ((self.H_LAM, w, z_prev),
+                                 (self.H_LAM[real].real, w[real].real, z_prev[real].real)):
+            got = sim._scan(w, z_prev, sim._transfer_stacks(h_lam, length))
+            a, z = np.exp(h_lam), z_prev
+            want = np.empty_like(w)
+            for j in range(length):
+                z = a * z + w[:, j]
+                want[:, j] = z
+            assert got.shape == want.shape and got.dtype == want.dtype
+            gap = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+            assert np.all(gap <= 1e-12)
 
 
 class TestObservability:
@@ -524,15 +622,23 @@ class TestObservability:
         with caplog.at_level("DEBUG", logger=sim.log.name):
             path = sim.simulate(example_decomp, brownian(6, np.eye(2)), 0.1, 3000)
             sim.simulate(example_decomp, brownian(6, np.eye(2)), 0.1, 20)
-        record = path.imag_residue
-        assert record.name == "path imaginary residue" and record.ok
-        assert record.measured <= record.bound
-        assert record.bound == tolerances.PATH_LEAK * max(1.0, np.max(np.abs(path.Y)))
+        record = path.fold_residual
+        assert record is example_decomp.modal_form.fold
+        assert record.name == "modal fold residual" and record.ok
+        assert record.measured <= record.bound == tolerances.PATH_LEAK
         records = [r for r in caplog.records
                    if r.name == sim.log.name and r.levelname == "DEBUG"]
         assert len(records) == 2
         assert "brownian" in records[0].getMessage()
-        assert "3000 steps" in records[0].getMessage()
+        assert "3000 steps, pd=4 (4 real, 0 pairs)," in records[0].getMessage()
+
+    def test_log_counts_real_modes_and_pairs(self, corpus, caplog):
+        model = corpus[8]
+        decomp = mcarma.decompose(model, model.solvent_set())
+        with caplog.at_level("DEBUG", logger=sim.log.name):
+            sim.simulate(decomp, brownian(6, model.sigma_L), 0.1, 20)
+        lines = [r.getMessage() for r in caplog.records if r.name == sim.log.name]
+        assert "pd=9 (3 real, 3 pairs)," in lines[-1]
 
 
 class TestRectangularDriver:

@@ -79,7 +79,7 @@ class TestOnePlace:
                      "SOLVENT_RESIDUAL", "AR_RESIDUAL", "MA_ROUNDTRIP"):
             assert rows[name][3], name
         for name in ("LATENT_RESIDUAL", "CONDITION", "SHARP_IDENTITY", "PSD_CLIP",
-                     "EXP_OVERFLOW"):
+                     "EXP_OVERFLOW", "PATH_LEAK"):
             assert not rows[name][3], name
 
 

@@ -1,0 +1,135 @@
+"""Per-layer timings of mcarma_ou on fixed models, written as one JSON file.
+
+Usage (from the repository root)::
+
+    PYTHONPATH=src python bench/layers.py --out BENCH.json [--reps 21]
+
+For each model file of ``MODELS`` it keeps one decomposition, warms every
+layer up once, and then times ``--reps`` calls of each layer in turn,
+reporting the median and the minimum in seconds: at each fit step h of
+``FIT_H`` ``mcarma.stationary_acvf`` (lags 0, h, ..., 10 h),
+``sampling.varma_ar``, ``sampling.noise_acvf``, ``sampling.fit_ma`` and
+``sampling.sampled_varma``, and ``sim.simulate`` per step for a Brownian
+and a compound-Poisson driver (stationary start, ``SIM_STEPS`` steps at
+``SIM_H``).  It also records the Python and numpy versions and the time of
+a numpy-only reference kernel, so that runs on different machines or days
+can be put side by side.  BLAS runs on one thread.  Only numpy and
+mcarma_ou are imported.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy loads BLAS
+
+import argparse
+import json
+import pathlib
+import platform
+import statistics
+import time
+
+import numpy as np
+
+from mcarma_ou import cli, mcarma, sampling, sim
+
+MODELS_DIR = pathlib.Path(__file__).resolve().parents[1] / "models"
+MODELS = ("carma2x2", "corpus8")
+FIT_H = (0.25, 0.01)
+FIT_LAGS = 10
+SIM_H = 0.1
+SIM_STEPS = 10_000
+CP_RATE = 10.0  # about one jump per step at SIM_H
+KERNEL_SIZE = 64  # the reference kernel: solve of a fixed system, KERNEL_CALLS times
+KERNEL_CALLS = 200
+
+
+def timed(fn, reps):
+    """Median and minimum seconds of ``reps`` calls of ``fn``, after one."""
+    fn()
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return {"median_s": statistics.median(times), "min_s": min(times)}
+
+
+def per_step(record, steps):
+    return {key: value / steps for key, value in record.items()}
+
+
+def reference_kernel(reps):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((KERNEL_SIZE, KERNEL_SIZE)) + KERNEL_SIZE * np.eye(KERNEL_SIZE)
+    b = rng.standard_normal(KERNEL_SIZE)
+
+    def kernel():
+        for _ in range(KERNEL_CALLS):
+            np.linalg.solve(a, b)
+
+    return timed(kernel, reps)
+
+
+def fit_layers(decomp, h, reps):
+    S, model = decomp.solvent_set, decomp.model
+    lags = [k * h for k in range(FIT_LAGS + 1)]
+    _, phi, *_ = sampling.varma_ar(S, h)
+    gamma_U = sampling.noise_acvf(S, decomp.residues, phi, model.sigma_L, h)
+    return {
+        "stationary_acvf": timed(lambda: mcarma.stationary_acvf(decomp, lags), reps),
+        "varma_ar": timed(lambda: sampling.varma_ar(S, h), reps),
+        "noise_acvf": timed(
+            lambda: sampling.noise_acvf(S, decomp.residues, phi, model.sigma_L, h), reps),
+        "fit_ma": timed(lambda: sampling.fit_ma(gamma_U), reps),
+        "sampled_varma": timed(lambda: sampling.sampled_varma(decomp, h), reps),
+    }
+
+
+def simulate_layers(decomp, reps):
+    sigma_L = decomp.model.sigma_L
+    drivers = {
+        "brownian": sim.DriverSpec(kind="brownian", seed=1, sigma_L=sigma_L),
+        "compound_poisson": sim.DriverSpec(kind="compound_poisson", seed=1, rate=CP_RATE,
+                                           jump_cov=sigma_L / CP_RATE),
+    }
+    return {kind: per_step(timed(lambda d=driver: sim.simulate(
+                decomp, d, SIM_H, SIM_STEPS, stationary_start=True), reps), SIM_STEPS - 1)
+            for kind, driver in drivers.items()}
+
+
+def run(reps):
+    out = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "reps": reps,
+        "reference_kernel": reference_kernel(reps),
+        "models": {},
+    }
+    for name in MODELS:
+        model, _ = cli.load_model_file(str(MODELS_DIR / f"{name}.json"))
+        decomp = mcarma.decompose(model, model.solvent_set())
+        out["models"][name] = {
+            "d": model.d,
+            "p": model.p,
+            "fit": {str(h): fit_layers(decomp, h, reps) for h in FIT_H},
+            "simulate_per_step": simulate_layers(decomp, reps),
+        }
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--reps", type=int, default=21, help="timed calls per layer")
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+    with open(args.out, "w") as fh:
+        json.dump(run(args.reps), fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -146,7 +146,10 @@ class SolventSet:
     ``mcarma.ou_gramian`` take all p solvents in one call.
     ``residual_norms`` (p,) are the ``||A_R(R_k)||_F`` and ``V`` the block
     Vandermonde matrix; ``residual`` (of the largest norm) and ``cond_V`` are
-    the ``tolerances.Check`` records of their certificates.
+    the ``tolerances.Check`` records of their certificates.  ``X``, the
+    latent vectors side by side, and ``distinct``, the mask of root pairs
+    that ``sampling.varma_ar``'s aliasing guard compares, are built on
+    first use and kept.
     Built only by ``solvents_from_latents``, which ``certify_solvent_set``
     calls for given matrices.
     """
@@ -169,6 +172,20 @@ class SolventSet:
     @property
     def roots(self):
         return self.spectrum.reshape(-1)
+
+    @cached_property
+    def X(self):
+        """The unit latent vectors side by side, read-only (d, pd): column a
+        belongs to ``roots[a]``, so ``(X, diag(roots))`` is a standard pair."""
+        p, d = self.P.shape[:2]
+        return _readonly(self.P.transpose(1, 0, 2).reshape(d, p * d))
+
+    @cached_property
+    def distinct(self):
+        """Read-only mask (pd, pd) of the pairs a < b of roots more than
+        ``tolerances.ALIAS`` apart."""
+        roots = self.roots
+        return _readonly(np.triu(np.abs(roots[:, None] - roots) > tol.ALIAS, 1))
 
     @property
     def block_dim(self):
@@ -486,21 +503,15 @@ def coeffs_from_solvent_matrices(mats):
     Implements the block Vandermonde inversion
     ``[A_p, ..., A_1] = -[R_1^p, ..., R_p^p] V^{-1}`` without certifying the
     solvents; pass ``S.matrices`` of a certified SolventSet for the
-    certified route.
+    certified route.  V is certified as ``_certified_vandermonde`` does.
     """
-    return vandermonde_solve(mats)[0]
-
-
-def vandermonde_solve(mats):
-    """:func:`coeffs_from_solvent_matrices` and the record of the condition
-    number of the block Vandermonde matrix it inverts (``_certified_vandermonde``)."""
     mats = _as_complex(mats)
     p, d = mats.shape[:2]
     powers = _powers(mats, p)
-    V, cond_V = _certified_vandermonde(powers)
+    V, _ = _certified_vandermonde(powers)
     row = powers[p].transpose(1, 0, 2).reshape(d, p * d)
     coeffs = np.empty((p + 1, d, d), dtype=complex)
     coeffs[0] = np.eye(d)
     # the solve gives the row [A_p, ..., A_1]; its blocks, reversed, follow I
     coeffs[:0:-1] = -np.linalg.solve(V.T, row.T).T.reshape(d, p, d).swapaxes(0, 1)
-    return LambdaMatrix(coeffs), cond_V
+    return LambdaMatrix(coeffs)

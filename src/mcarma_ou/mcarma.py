@@ -23,10 +23,11 @@ the decomposition along that set once, on first use; ``decompose`` builds a
 new decomposition only for another solvent set or an initial state.  An
 ``OuDecomposition`` in turn keeps, on first use, what of the stationary law
 does not depend on a lag or a step h: the stationary component Gramians and
-their modal coefficients, and for simulation the real modal form
-(``ModalForm``) and the factor of the stationary state covariance.  So a
-fit at a second h repeats only the sampled VARMA, and a second path only
-the draws and the scan.
+their modal coefficients, the modal residues of the sampled noise, and for
+simulation the real modal form (``ModalForm``, with the transfer stacks of
+the paths at each h) and the factor of the stationary state covariance.
+So a fit at a second h repeats only the sampled VARMA, and a second path
+only the draws and the scan.
 
 Every matrix function of a solvent is evaluated in its eigenbasis
 R_k = P_k diag(lam_k) P_k^{-1}, which a ``matpoly.SolventSet`` carries
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -228,7 +229,8 @@ class OuDecomposition:
     (see ``decompose``).
 
     ``stationary_gramians``, the modal coefficients of the stationary
-    component covariances (see ``stationary_acvf``), the factor
+    component covariances (see ``stationary_acvf``), the modal residues
+    ``[W B*, W B* Sigma_L]`` of ``sampling.noise_acvf``, the factor
     ``stationary_state_factor`` of the stationary state covariance and the
     ``modal_form`` are built on first use and kept; a failing certificate
     keeps nothing and raises again.  Building the modal form logs one line
@@ -296,6 +298,20 @@ class OuDecomposition:
                     -tol.PSD_FLOOR * max(1.0, np.trace(g0)), at_least=True)
         modal.setflags(write=False)
         return modal
+
+    @cached_property
+    def _noise_modal(self):
+        """``_modal_residues`` of this decomposition, for ``sampling.noise_acvf``."""
+        return _modal_residues(self.solvent_set, self.residues, self.model.sigma_L)
+
+
+def _modal_residues(S, residues, sigma_L):
+    """The modal residues ``W B*`` (pd, m), the stacked ``P_k^{-1} Res_k``, and
+    ``W B* Sigma_L`` side by side, read-only (pd, 2m)."""
+    wb = (S.P_inv @ np.asarray(residues)).reshape(len(S.roots), -1)
+    out = np.hstack([wb, wb @ sigma_L])
+    out.setflags(write=False)
+    return out
 
 
 def decompose(model, S, x0=None):
@@ -392,11 +408,16 @@ class ModalForm:
     folded reconstruction ``Re(sum_i B_i W_i) - I`` over ``|B| |W|`` (the
     rounding of the product, Higham section 3.5) and ``max|Im lam|`` of the
     real modes over ``max|lam|``.
+
+    ``stacks`` keeps the read-only transfer stacks of ``sim.simulate``, one
+    list per (h, min(n_steps - 1, sim.CHUNK)) for the last ``sim.KEPT_STACKS``
+    of them, so a second path at the same h builds none.
     """
 
     real: ModeGroup
     pair: ModeGroup
     fold: tol.Check
+    stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _modal_transform(S):

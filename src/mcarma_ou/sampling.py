@@ -3,18 +3,23 @@
 Sampling the OU-sum on the grid nh turns each component into a first-order
 recursion ``Y_k,n = e^{h R_k} Y_k,n-1 + N_k,n``.  The matrices
 ``e^{-h R_1}, ..., e^{-h R_p}`` form a complete set of regular right
-solvents of the monic AR polynomial Psi recovered by block Vandermonde
-inversion, the normalized AR coefficients are ``Phi_j = -Psi_p^{-1}
-Psi_{p-j}``, and the residual noise ``U_n = Phi(B) Y_n`` is (p-1)-dependent
-with an autocovariance built from the finite-horizon innovation Gramians
+solvents of the monic AR polynomial Psi; they share the latent vectors X of
+the R_k, so ``(X, diag(e^{-h lam}))`` is a standard pair of Psi (Gohberg,
+Lancaster & Rodman, Matrix Polynomials (1982), ch. 2; Chambers & Thornton,
+Econometric Theory 28 (2012)).  ``varma_ar`` reads Psi off that pair in
+delta form, ``z = 1 + omega w`` (Middleton & Goodwin, IEEE TAC 31 (1986)),
+by one pd x pd solve that needs no matrix exponential and no grouping of
+the roots; the normalized AR coefficients are ``Phi_j = -Psi_p^{-1}
+Psi_{p-j}``.  The residual noise ``U_n = Phi(B) Y_n`` is (p-1)-dependent:
 
-    Sigma_{nu,mu}^{(h)} = int_0^h e^{R_nu u} Res_nu Sigma_L Res_mu^H
-                          e^{R_mu^H u} du.
+    U_n = sum_{r<p} int_0^h k_r(s) dL(nh - rh - s),
+    k_r(s) = M_r diag(e^{s lam}) W B*,  M_r = X D^r - sum_{j<=r} Phi_j X D^{r-j},
 
-Exponentials and Gramians are evaluated in the solvents' eigenbases,
-stacked over all p solvents (``matpoly.SolventSet.expm`` and
-``mcarma.component_gramians``), and gamma_U sums its terms as one batched
-product per lag.
+with ``D = diag(e^{h lam})`` and the modal residues ``W B*``, and
+``noise_acvf`` integrates ``gamma_U(l) = sum_r int_0^h k_{r+l}(s) Sigma_L
+k_r(s)^H ds`` by Gauss-Legendre quadrature, each kernel projected before it
+is integrated.  Both read only X, the latent roots and W B*, which a
+solvent set and a decomposition keep.
 
 The invertible MA(p-1) factor of that noise is the steady state of the
 Kalman filter of its covariance realization: with the block up-shift A,
@@ -25,9 +30,10 @@ covariance P solves the Faurre Riccati equation
 
 whose stabilizing solution gives Sigma_eps = gamma_U(0) - C P C^T and the
 gain K = (G - A P C^T) Sigma_eps^{-1} = [Theta_1; ...; Theta_{p-1}].  It is
-computed by the structure-preserving doubling algorithm (Chu, Fan, Lin &
-Wang 2004), which converges quadratically where the innovations recursion
-converges linearly at a rate tending to 1 as h -> 0.
+computed, for the noise whitened to gamma_U(0) = I, by the
+structure-preserving doubling algorithm (Chu, Fan, Lin & Wang 2004), which
+converges quadratically where the innovations recursion converges linearly
+at a rate tending to 1 as h -> 0.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from math import ceil, comb, factorial
 
 import numpy as np
 
@@ -50,6 +58,15 @@ from .exceptions import (
 log = logging.getLogger(__name__)
 
 DOUBLING_MAXIT = 64
+GAUSS_NODES = 16
+QUADRATURE_CHUNK = 1024  # nodes per pass of the gamma_U quadrature; bounds memory
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_NODES)
+# The Gauss-Legendre remainder of int_0^L e^{s z} ds is at most
+# L^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) |z|^(2n) max|e^{s z}| (Abramowitz &
+# Stegun 25.4.30): relative to L max|e^{s z}| it stays below the unit
+# roundoff while L |z| <= PANEL_REACH (16.4 for n = 16).
+PANEL_REACH = (np.finfo(float).eps * (2 * GAUSS_NODES + 1) * factorial(2 * GAUSS_NODES) ** 3
+               / factorial(GAUSS_NODES) ** 4) ** (1.0 / (2 * GAUSS_NODES))
 
 
 @dataclass(frozen=True)
@@ -64,8 +81,8 @@ class SampledVarma:
     MA(p-1), ``theta`` (p-1, d, d) and so empty for p = 1; ``ma_margin``
     the distance of the MA zeros to the closed unit disc; ``ma_steps`` the
     doubling steps of the MA fit; and the ``tolerances.Check`` records
-    ``cond_sampled_V``, ``ar_residual`` and ``ma_roundtrip`` of ``varma_ar``
-    and ``fit_ma``.
+    ``cond_sampled_V`` (cond(Q) of the standard pair in ``varma_ar``),
+    ``ar_residual`` and ``ma_roundtrip`` of ``varma_ar`` and ``fit_ma``.
     """
 
     h: float
@@ -82,105 +99,146 @@ class SampledVarma:
     ma_roundtrip: tol.Check
 
 
-def sampled_solvent_matrices(S, h):
-    """The sampled solvents ``e^{-h R_k}`` with an overflow and an aliasing guard.
-
-    Raises
-    ------
-    SingularVandermondeError
-        If ``p h max(-Re lam)`` exceeds ``tolerances.EXP_OVERFLOW``: then
-        ``e^{-p h lam}``, the right-hand side of the sampled Vandermonde
-        system, overflows.  The product is invariant under rescaling time.
-    AliasedSamplingError
-        If two distinct latent roots map to the same sampled root
-        ``e^{-h lam}`` (imaginary parts differing by a multiple of
-        2 pi / h), which degenerates the sampled Vandermonde matrix.
-    """
-    roots = S.roots
-    tol.certify(SingularVandermondeError, "sampled exponent p h max(-Re lam)",
-                len(S) * h * np.max(-roots.real), tol.EXP_OVERFLOW)
-    sampled = np.exp(-h * roots)
-    distinct = np.triu(np.abs(roots[:, None] - roots) > tol.ALIAS, 1)
-    gaps = np.where(distinct, np.abs(sampled[:, None] - sampled), np.inf)
-    tol.certify(AliasedSamplingError, "sampled root gap", gaps, tol.ALIAS, at_least=True)
-    return S.expm(-h)
-
-
 def varma_ar(S, h):
     """AR coefficients (Psi, Phi) of the sampled process.
 
-    Implements ``[Psi_p, ..., Psi_1] = -[e^{-phR_1}, ..., e^{-phR_p}]
-    V^{-1}(e^{-hR_1}, ..., e^{-hR_p})`` and ``Phi_j = -Psi_p^{-1}
-    Psi_{p-j}``.  Psi_p is invertible because it is, up to sign, a product
-    of matrix exponentials; its conditioning is still checked.  The
-    right-substitution residuals of Psi at every sampled solvent are
-    certified below ``tolerances.AR_RESIDUAL`` of the largest coefficient.
+    The sampled solvents ``e^{-h R_k}`` have the latent vectors of S as
+    their eigenvectors, so the monic AR polynomial ``Psi(z) = z^p I +
+    Psi_1 z^(p-1) + ... + Psi_p`` has the standard pair ``(X, diag(z))``,
+    ``z = e^{-h lam}``, with ``X = S.X``.  In delta form ``z = 1 + omega w``,
+    ``w = expm1(-h lam) / omega`` and ``omega = max|expm1(-h lam)|``, so w
+    depends on h lam alone and does not crowd towards 0 as h -> 0; the
+    monic delta polynomial of the pair ``(X, diag(w))`` is one solve,
+    ``[Psi~_p, ..., Psi~_1] = -X diag(w)^p Q^{-1}`` with ``Q = col(X
+    diag(w)^i)_{i<p}``, and ``Psi(z) = sum_j omega^j Psi~_j (z - 1)^(p-j)``
+    exactly.  ``Phi_j = -Psi_p^{-1} Psi_{p-j}``.
+
+    Certified: ``p h max(-Re lam)`` at most ``tolerances.EXP_OVERFLOW``
+    before any exponential is formed (beyond it ``e^{-p h lam}``
+    overflows); the gaps between the sampled roots of distinct latent roots
+    (``S.distinct``) at least ``tolerances.ALIAS``; cond(Q) at most
+    ``tolerances.CONDITION``; the imaginary part of Psi~ below
+    ``tolerances.IMAG_LEAK`` of its largest entry; the residual
+    ``||sum_j Psi_j X diag(z)^(p-j)||`` of each latent vector below
+    ``tolerances.AR_RESIDUAL`` of ``max(1, max_j ||Psi_j||_F)``; and
+    cond(Psi_p).  Every quantity is a function of h lam, so rescaling time
+    does not change a verdict.
 
     Returns
     -------
-    (psi, phi, cond_V, residual) : real stacks (p, d, d), and the records of
-    the sampled Vandermonde condition number and of the worst AR residual.
+    (psi, phi, cond_Q, residual) : real stacks (p, d, d), and the records of
+    cond(Q) and of the worst AR residual.
+
+    Raises
+    ------
+    ValueError
+        If h is not positive and finite.
+    SingularVandermondeError
+        On the overflow guard, cond(Q), the AR residual or cond(Psi_p).
+    AliasedSamplingError
+        If two distinct latent roots map to the same sampled root (imaginary
+        parts differing by a multiple of 2 pi / h).
+    ImaginaryLeakError
+        If Psi~ is not real to rounding.
     """
     if not 0 < h < np.inf:
         raise ValueError("sampling step h must be positive and finite")
-    # just below the overflow guard, the Vandermonde powers of e^{-h lam} can
-    # still overflow: the inf fails cond(V)
+    lam, X = S.roots, S.X
+    p, d = len(S), S.block_dim
+    tol.certify(SingularVandermondeError, "sampled exponent p h max(-Re lam)",
+                -p * h * lam.real.min(), tol.EXP_OVERFLOW)
+    # just below the overflow guard the powers and norms can still overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        mats = sampled_solvent_matrices(S, h)
-        psi_poly, cond_V = matpoly.vandermonde_solve(mats)
+        z = np.exp(-h * lam)
+        gaps = np.where(S.distinct, np.abs(z[:, None] - z), np.inf)
+        tol.certify(AliasedSamplingError, "sampled root gap", gaps, tol.ALIAS, at_least=True)
+        w = np.expm1(-h * lam)
+        omega = float(np.abs(w).max()) or 1.0
+        pair = X * ((w / omega) ** np.arange(p + 1)[:, None, None])  # X diag(w)^i
+        Q = pair[:p].reshape(p * d, p * d)
+        cond_Q = tol.certify(SingularVandermondeError, "cond(Q)", float(matpoly._cond(Q)),
+                             tol.CONDITION)
+        tilde = -np.linalg.solve(Q.T, pair[p].T)  # rows: the blocks Psi~_p^T .. Psi~_1^T
+        tol.certify(ImaginaryLeakError, "AR imaginary part", np.abs(tilde.imag).max(),
+                    tol.IMAG_LEAK * np.abs(tilde).max())
+        delta = np.empty((p + 1, d * d))  # Psi~_0 = I, Psi~_1, ..., Psi~_p, flat
+        delta[0] = np.eye(d).ravel()
+        delta[:0:-1] = tilde.real.reshape(p, d, d).swapaxes(1, 2).reshape(p, d * d)
+        coeffs = ((_shift_to_z(p) * omega ** np.arange(p + 1)) @ delta).reshape(p + 1, d, d)
 
-    coeffs = psi_poly.coeffs
-    scale = max(1.0, float(np.linalg.norm(coeffs, axis=(1, 2)).max()))
-    residual = tol.certify(SingularVandermondeError, "AR residual",
-                           np.linalg.norm(psi_poly.eval_right(mats), axis=(1, 2)).max(),
-                           tol.AR_RESIDUAL * scale)
-    leak = float(np.abs(coeffs.imag).max())
-    tol.certify(ImaginaryLeakError, "AR imaginary part", leak, tol.IMAG_LEAK * scale)
-    psi = coeffs[1:].real.copy()  # Psi_1 .. Psi_p
-
+        # near the overflow guard the squares of these norms overflow: an inf fails
+        scale = max(1.0, float(np.linalg.norm(coeffs, axis=(1, 2)).max()))
+        tol.certify(SingularVandermondeError, "AR coefficient scale", scale, np.finfo(float).max)
+        powers = X * z ** np.arange(p, -1, -1)[:, None, None]  # X diag(z)^(p-j)
+        at_roots = coeffs.swapaxes(0, 1).reshape(d, -1) @ powers.reshape(-1, p * d)
+        residual = tol.certify(SingularVandermondeError, "AR residual",
+                               np.linalg.norm(at_roots, axis=0), tol.AR_RESIDUAL * scale)
+    psi = coeffs[1:]  # Psi_1 .. Psi_p
     tol.certify(SingularVandermondeError, "cond(Psi_p)", float(matpoly._cond(psi[-1])),
                 tol.CONDITION)
-    phi = -np.linalg.solve(psi[-1], coeffs[-2::-1].real)  # Psi_{p-j}, j = 1..p
-    return psi, phi, cond_V, residual
+    phi = -np.linalg.solve(psi[-1], coeffs[-2::-1])  # Psi_{p-j}, j = 1..p
+    return psi, phi, cond_Q, residual
 
 
-def noise_acvf(S, residues, phi, sigma_L, h):
-    """Autocovariances gamma_U(0..p-1) of the sampled AR residual noise.
+@lru_cache
+def _shift_to_z(p):
+    """Read-only ``E[k, j] = C(p-j, k-j) (-1)^(k-j)`` (0 for j > k): the
+    coefficient of z^(p-k) in ``(z - 1)^(p-j)``."""
+    out = np.array([[comb(p - j, k - j) * (-1) ** (k - j) if j <= k else 0
+                     for j in range(p + 1)] for k in range(p + 1)], dtype=float)
+    out.setflags(write=False)
+    return out
 
-    The noise splits as ``U_n = sum_{r=0}^{p-1} W_{r,n-r}`` with iid rows
-    ``W_{r,n} = sum_k C_{r,k} N_{k,n}`` and coefficients
-    ``C_{s,k} = e^{hsR_k} - sum_{j<=s} Phi_j e^{h(s-j)R_k}``, so
 
-        gamma_U(l) = sum_{r=0}^{p-1-l} sum_{nu,mu}
-                     C_{r+l,nu} Sigma_{nu,mu}^{(h)} C_{r,mu}^H,
+@lru_cache
+def _unit_panels(panels):
+    """Read-only Gauss-Legendre nodes and weights on [0, 1] in equal panels."""
+    nodes = (np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1.0)) / panels
+    out = (nodes.ravel(), np.tile(0.5 * _GL_WEIGHTS, panels) / panels)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
-    which vanishes for l >= p.  All C_{s,k} and all Gramians are formed at
-    once, and the terms of one lag are one batched product, summed in the
-    order (r, nu, mu) by a cumulative sum (``np.sum`` would reorder it).
-    Imaginary parts are certified below ``tolerances.IMAG_LEAK`` of the largest
-    term so far and stripped; gamma_U(0) is certified symmetric PSD.
-    """
-    p = len(S)
-    d = S.block_dim
-    gram = mcarma.component_gramians(S, residues, sigma_L, h)
 
-    exp_h = S.expm(h * np.arange(p))  # exp_h[s, k] = e^{h s R_k}
-    coeff = exp_h.copy()  # coeff[s, k] = C_{s,k}
+def _panels(h, lam):
+    """Gauss-Legendre nodes and weights on [0, h] for integrands ``e^{s z}``,
+    ``z = lam_a + conj(lam_b)``: one panel of ``GAUSS_NODES`` nodes, or as
+    many equal panels as keep ``(panel length) max|z|`` within ``PANEL_REACH``.
+    ``max|z|`` is ``2 max|lam|`` for the conjugate-closed roots of a real
+    model and at most that for any roots."""
+    nodes, weights = _unit_panels(max(1, ceil(2.0 * h * float(np.abs(lam).max())
+                                             / PANEL_REACH)))
+    return h * nodes, h * weights
+
+
+def _noise_acvf(S, modal, phi, h):
+    """``noise_acvf`` from the modal residues side by side, ``modal = [W B*,
+    W B* Sigma_L]`` (``mcarma._modal_residues``)."""
+    p, d = len(S), S.block_dim
+    lam, X = S.roots, S.X
+    m = modal.shape[1] // 2
+    XD = X * np.exp(np.multiply.outer(h * np.arange(p), lam))[:, None, :]  # X D^r
+    M = XD.copy()
     for j in range(1, p):
-        coeff[j:] -= phi[j - 1] @ exp_h[:p - j]
-    coeff_H = coeff.conj().swapaxes(-1, -2)
+        M[j:] -= phi[j - 1] @ XD[:p - j]
+    nodes, weights = _panels(h, lam)
+    terms = np.zeros((p, p, d, d), dtype=complex)  # [lag, r]: the integral of term r
+    for lo in range(0, len(nodes), QUADRATURE_CHUNK):
+        at, wt = nodes[lo:lo + QUADRATURE_CHUNK], weights[lo:lo + QUADRATURE_CHUNK]
+        # k_r(s) and k_r(s) Sigma_L at every node, one product: rows (r, d, node)
+        A = M[:, :, None, :] * np.exp(np.multiply.outer(at, lam))
+        k = (A.reshape(-1, len(lam)) @ modal).reshape(p, d, len(at), 2 * m)
+        k_sigma = (k[..., m:] * wt[:, None]).reshape(p, d, -1)
+        k_H = k[..., :m].conj().reshape(p, d, -1).swapaxes(1, 2)
+        for lag in range(p):
+            terms[lag, :p - lag] += k_sigma[lag:] @ k_H[:p - lag]
 
-    out = np.empty((p, d, d))
-    term_scale = 1.0
-    for lag in range(p):
-        terms = coeff[lag:, :, None] @ gram @ coeff_H[:p - lag, None, :]
-        terms = terms.reshape(-1, d, d)  # in the order (r, nu, mu)
-        term_scale = max(term_scale, float(np.max(np.abs(terms))))
-        acc = np.cumsum(terms, axis=0)[-1]
-        leak = float(np.max(np.abs(acc.imag)))
-        tol.certify(ImaginaryLeakError, "gamma_U imaginary part", leak, tol.IMAG_LEAK * term_scale)
-        out[lag] = acc.real
-
+    # the largest term up to each lag, and the sums (a term beyond p-1-l is 0)
+    scales = np.maximum.accumulate(np.maximum(np.abs(terms).max(axis=(1, 2, 3)), 1.0))
+    acc = terms.sum(axis=1)
+    tol.certify(ImaginaryLeakError, "gamma_U imaginary part", np.abs(acc.imag).max(axis=(1, 2)),
+                tol.IMAG_LEAK * scales)
+    out, term_scale = acc.real.copy(), float(scales[-1])
     g0 = out[0]
     tol.certify(ImaginaryLeakError, "gamma_U(0) asymmetry", np.max(np.abs(g0 - g0.T)),
                 tol.IMAG_LEAK * term_scale)
@@ -190,23 +248,46 @@ def noise_acvf(S, residues, phi, sigma_L, h):
     return out
 
 
-def _riccati_doubling(g0, G):
-    """Stabilizing solution P of the MA(q) Faurre Riccati equation.
+def noise_acvf(S, residues, phi, sigma_L, h):
+    """Autocovariances gamma_U(0..p-1) of the sampled AR residual noise.
+
+    The noise is ``U_n = sum_{r<p} int_0^h k_r(s) dL(nh - rh - s)`` with the
+    kernels ``k_r(s) = M_r diag(e^{s lam}) W B*``, where ``M_r = X D^r -
+    sum_{j<=r} Phi_j X D^{r-j}``, ``D = diag(e^{h lam})``, X = ``S.X`` and
+    ``W B*`` stacks the modal residues ``P_k^{-1} Res_k``, so
+
+        gamma_U(l) = sum_{r=0}^{p-1-l} int_0^h k_{r+l}(s) Sigma_L k_r(s)^H ds,
+
+    which vanishes for l >= p.  Each kernel is projected before it is
+    integrated, so the small noise covariance of a small h is not the
+    cancelling sum of O(h) component Gramians.  The integral is
+    Gauss-Legendre quadrature (``_panels``): the kernels at up to
+    ``QUADRATURE_CHUNK`` nodes are one product, and the terms of one lag, one
+    per r with its nodes summed inside, one batched product, summed in the
+    order of r.  Imaginary parts
+    are certified below ``tolerances.IMAG_LEAK`` of the largest term so far
+    and stripped; gamma_U(0) is certified symmetric PSD.
+    """
+    return _noise_acvf(S, mcarma._modal_residues(S, residues, sigma_L), phi, h)
+
+
+def _riccati_doubling(G):
+    """Stabilizing solution P of the MA(q) Faurre Riccati equation of a
+    whitened noise, gamma(0) = I.
 
     With X = -P the equation is the filter DARE with F = A, H = C, Q = 0,
-    R = gamma(0) and S = G.  Removing the cross term gives
-    ``X = F~ X (I + C^T R^{-1} C X)^{-1} F~^T + Q~`` with F~ = A - G R^{-1} C
-    and Q~ = -G R^{-1} G^T, and doubling on (A_k, G_k, H_k) from
-    (F~^T, C^T R^{-1} C, Q~) squares the closed loop at each step while H_k
-    tends to X; ``G`` stacks gamma(1..q) as rows.  Returns (P, steps).
+    R = I and S = G.  Removing the cross term gives
+    ``X = F~ X (I + C^T C X)^{-1} F~^T + Q~`` with F~ = A - G C and
+    Q~ = -G G^T, and doubling on (A_k, G_k, H_k) from (F~^T, C^T C, Q~)
+    squares the closed loop at each step while H_k tends to X; ``G`` stacks
+    gamma(1..q) as rows.  Returns (P, steps).
     """
     n, d = G.shape
-    Rinv = np.linalg.inv(g0)
-    Ak = np.eye(n, k=-d)  # A^T - C^T R^{-1} G^T
-    Ak[:d] -= Rinv @ G.T
+    Ak = np.eye(n, k=-d)  # A^T - C^T G^T
+    Ak[:d] -= G.T
     Gk = np.zeros((n, n))
-    Gk[:d, :d] = Rinv
-    Hk = -G @ Rinv @ G.T
+    Gk[:d, :d] = np.eye(d)
+    Hk = -G @ G.T
     eye = np.eye(n)
     rhs = np.empty((n, 2 * n))  # [A_k, G_k]
     for step in range(1, DOUBLING_MAXIT + 1):
@@ -265,12 +346,18 @@ def fit_ma(gamma_U):
     """Fit the invertible MA(p-1) representative of a (p-1)-dependent noise.
 
     Solves the steady state of the noise's innovations filter, the Faurre
-    Riccati equation of the module docstring, by doubling, reads off
+    Riccati equation of the module docstring, by doubling on the noise
+    whitened by ``W = diag(vals)^{-1/2} V^T`` from the eigendecomposition
+    ``gamma(0) = V diag(vals) V^T`` (an MA factor (Theta, Sigma_eps) of
+    gamma is ``(W^{-1} Theta W, W^{-1} Sigma_eps W^{-T})`` of one of the
+    whitened noise, and the doubling then inverts no ill-conditioned
+    gamma(0)), reads off
     ``Sigma_eps = gamma(0) - C P C^T`` and ``[Theta_1; ...; Theta_q] =
     (G - A P C^T) Sigma_eps^{-1}``, and certifies the round trip
     ``gamma(l) = sum_k Theta_{k+l} Sigma_eps Theta_k^T`` to
     ``tolerances.MA_ROUNDTRIP`` by ``ma_roundtrip_error``.  The invertibility
-    margin is measured, not enforced.
+    margin is measured; a margin below ``-tolerances.MA_MARGIN`` means the
+    doubling settled on a non-stabilizing solution, and fails.
 
     Parameters
     ----------
@@ -291,32 +378,45 @@ def fit_ma(gamma_U):
     NoConvergenceError
         If the doubling breaks down or does not settle in
         ``DOUBLING_MAXIT`` steps (no stabilizing solution, as when the
-        spectral density of gamma_U is negative somewhere), or the round
-        trip exceeds its bound.
+        spectral density of gamma_U is negative somewhere), settles where
+        the closed loop has spectral radius rho with ``1/rho - 1 <
+        -tolerances.MA_MARGIN`` (Theta is then not the invertible factor), or
+        the round trip exceeds its bound.
     """
     gammas = np.asarray(gamma_U, dtype=float)
     q, d = len(gammas) - 1, gammas.shape[1]
     g0 = 0.5 * (gammas[0] + gammas[0].T)
+    vals, vecs = np.linalg.eigh(g0)
     floor = np.nextafter(tol.PD_FLOOR * np.trace(g0), np.inf)  # strict: a zero gamma_U(0) fails
-    tol.certify(NotPDError, "gamma_U(0) min eig", np.min(np.linalg.eigvalsh(g0)), floor,
-                at_least=True)
+    tol.certify(NotPDError, "gamma_U(0) min eig", vals[0], floor, at_least=True)
     theta, sigma_eps, steps, margin = np.zeros((0, d, d)), g0, 0, np.inf
     if q > 0:
-        G = gammas[1:].reshape(q * d, d)
-        P, steps = _riccati_doubling(g0, G)
-        sigma_eps = g0 - P[:d, :d]
+        # fit the whitened W gamma(l) W^T, whose lag 0 is I, and map back
+        root = np.sqrt(vals)
+        W, W_inv = (vecs / root).T, vecs * root
+        G = (W @ gammas[1:] @ W.T).reshape(q * d, d)
+        P, steps = _riccati_doubling(G)
+        sigma_white = np.eye(d) - P[:d, :d]
+        sigma_eps = W_inv @ sigma_white @ W_inv.T
+        sigma_eps = 0.5 * (sigma_eps + sigma_eps.T)
         tol.certify(NotPDError, "Sigma_eps min eig", np.min(np.linalg.eigvalsh(sigma_eps)), floor,
                     at_least=True)
         shifted_P = np.vstack([P[d:, :d], np.zeros((d, d))])  # A P C^T
-        K = np.linalg.solve(sigma_eps, (G - shifted_P).T).T
-        theta = K.reshape(q, d, d)
+        K = np.linalg.solve(sigma_white, (G - shifted_P).T).T
+        theta = W_inv @ K.reshape(q, d, d) @ W
         # the filter's closed loop A - K C is the companion matrix of the
         # reversed MA polynomial: its eigenvalues are the reciprocal zeros
-        # of det Theta(z), and those at 0 are zeros at infinity
+        # of det Theta(z), and those at 0 are zeros at infinity; whitening
+        # is a similarity of it
         closed_loop = np.eye(q * d, k=d) - K @ np.eye(d, q * d)
         rho = float(np.max(np.abs(np.linalg.eigvals(closed_loop))))
         if rho > tol.ZERO_AT_INFINITY:
             margin = 1.0 / rho - 1.0
+        if not margin >= -tol.MA_MARGIN:
+            raise NoConvergenceError(
+                f"MA doubling settled on a non-stabilizing solution: closed-loop spectral "
+                f"radius rho = {rho:.6e}, margin 1/rho - 1 = {margin:.3e} below "
+                f"-{tol.MA_MARGIN:.0e}")
     roundtrip = tol.certify(NoConvergenceError, "MA factor round trip",
                             ma_roundtrip_error(gammas, theta, sigma_eps), tol.MA_ROUNDTRIP)
     return theta, sigma_eps, margin, steps, roundtrip
@@ -335,9 +435,9 @@ def sampled_varma(decomp, h):
     """
     S = decomp.solvent_set
     start = time.perf_counter()
-    psi, phi, cond_V, ar_residual = varma_ar(S, h)
+    psi, phi, cond_Q, ar_residual = varma_ar(S, h)
     ar_done = time.perf_counter()
-    gamma = noise_acvf(S, decomp.residues, phi, decomp.model.sigma_L, h)
+    gamma = _noise_acvf(S, decomp._noise_modal, phi, h)
     noise_done = time.perf_counter()
     theta, sigma_eps, margin, steps, roundtrip = fit_ma(gamma)
     log.debug("sampled_varma: h=%g, varma_ar %.6f s, noise_acvf %.6f s, "
@@ -351,7 +451,7 @@ def sampled_varma(decomp, h):
         theta=theta,
         sigma_eps=sigma_eps,
         schur_stable=decomp.model.stationary,
-        cond_sampled_V=cond_V,
+        cond_sampled_V=cond_Q,
         ar_residual=ar_residual,
         ma_margin=margin,
         ma_steps=steps,

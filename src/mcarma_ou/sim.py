@@ -15,8 +15,9 @@ the read-out doubles its real part, and a real mode runs in float on
 ``e^{h Re lam}``: a model with pd modes, r of them real, scans r real and
 (pd - r) / 2 complex recursions.  Both groups are solved CHUNK steps at a
 time by the same blocked scan (:func:`_scan`): batched matrix products
-against per-mode triangular Toeplitz stacks of powers of ``e^{h lam}``, so
-no Python code runs per step and no ``expm`` is taken per jump.
+against per-mode triangular Toeplitz stacks of powers of ``e^{h lam}``,
+which the modal form keeps per (h, path length), so no Python code runs
+per step and no ``expm`` is taken per jump.
 
 Reproducibility: one path owns one seeded PCG64 generator; identical seeds
 give bit-identical paths.  A Brownian path for a given seed equals that of
@@ -45,6 +46,7 @@ log = logging.getLogger(__name__)
 
 CHUNK = 1024  # grid steps per pass of the modal recursion; bounds powers and memory
 BLOCK = 32  # steps per block of the blocked scan, see _scan
+KEPT_STACKS = 8  # (h, path length) entries of transfer stacks a modal form keeps
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,21 @@ def _transfer_stacks(h_lam, n):
     powers = np.exp(np.outer(h_lam, np.minimum(np.arange(BLOCK + 1), n)))
     block_powers = np.exp(np.outer(BLOCK * h_lam, np.minimum(np.arange(ends), n // BLOCK)))
     return _toeplitz_stack(powers[:, :BLOCK]), _toeplitz_stack(block_powers), powers[:, 1:]
+
+
+def _kept_stacks(form, groups, h, n):
+    """The ``_transfer_stacks`` of each group for n steps at h, kept read-only
+    on the modal form (for n >= CHUNK they do not depend on n); the oldest
+    of ``KEPT_STACKS`` kept entries makes room for a new one."""
+    key = (h, min(n, CHUNK))
+    if key not in form.stacks:
+        if len(form.stacks) >= KEPT_STACKS:
+            del form.stacks[next(iter(form.stacks))]
+        stacks = [_transfer_stacks(h * g.roots, n) for g in groups]
+        for arr in (a for st in stacks for a in st):
+            arr.setflags(write=False)
+        form.stacks[key] = stacks
+    return form.stacks[key]
 
 
 def _scan(w, z_prev, stacks):
@@ -268,7 +285,7 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
         def innovations(lo, hi):
             return _jump_innovations(rng, driver.rate, h, kicks, hi - lo)
 
-    stacks = [_transfer_stacks(h * g.roots, n) for g in groups]
+    stacks = _kept_stacks(form, groups, h, n)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
         states = [_scan(w, zg, st) for w, zg, st in zip(innovations(lo, hi), z, stacks)]

@@ -18,7 +18,7 @@ import numpy as np
 
 STRUCTURE = 1e-14         # max|A_0 - I| (monic), max|Im A_i| (real); 1; abs
 LATENT_RESIDUAL = 1e-8    # ||A(lam) v|| of each latent pair; backward_scale(A, lam)
-CONDITION = 1e12          # cond of companion eigenvectors, V, Psi_p; 1
+CONDITION = 1e12          # cond of companion eigenvectors, V, sampled standard pair Q, Psi_p; 1
 GROUPING_TIE = 1e-12      # condition gain that places latent pairs in a later group; 1
 GROUP_CONDITION = 1e10    # cond(P_k) of the latent vectors of each solvent; 1
 SOLVENT_RESIDUAL = 1e-9   # ||A_R(R_k)||_F of each solvent; max(1, ||A_p||_F); abs
@@ -30,13 +30,13 @@ INPUT_COVARIANCE = 1e-12  # asymmetry, -min eig of sigma_L; max(1, max|sigma_L|)
 SHARP_IDENTITY = 1e-12    # max|A# B* - B#|; max(|A#| |B*|)
 INIT_LEAK = 1e-10         # max|Im T y0| of the component initials; max(1, max(|T| |y0|)); abs
 SIMILARITY = 1e-9         # A* T - T diag(R_k), B* - T Res, C* T - (I..I); see decompose; abs
-IMAG_LEAK = 1e-9          # Im of a real sum, gamma_U(0) asymmetry; max(1, top term), verify 1; abs
+IMAG_LEAK = 1e-9          # Im of a real sum, Im Psi~, gamma_U(0) asymmetry; max(1, top term), max|Psi~|, verify 1; abs
 ACVF_ASYMMETRY = 1e-10    # gamma(0) asymmetry; max(1, top term), verify max(1, max|gamma(0)|); abs
 PSD_FLOOR = 1e-10         # -min eig of gamma(0), gamma_U(0); max(1, trace), max(1, top term); abs
 SYLVESTER_GAP = 1e-12     # min|lam_a + conj(mu_b)| of a Gramian over [0, inf) (at least); 1; abs
 ALIAS = 1e-10             # |e^{-h lam_i} - e^{-h lam_j}|, lam_i, lam_j apart (at least); 1; abs
 EXP_OVERFLOW = float(np.log(np.finfo(float).max))  # p h max(-Re lam) of the sampled solvents; 1
-AR_RESIDUAL = 1e-8        # max_k ||Psi_R(e^{-h R_k})||_F; max(1, max ||Psi_j||_F); abs
+AR_RESIDUAL = 1e-8        # ||sum_j Psi_j x e^{-(p-j) h lam}|| of each latent pair (lam, x); max(1, max ||Psi_j||_F); abs
 DOUBLING = 1e-13          # ||H_{k+1} - H_k||_F, when the MA doubling stops; ||H_{k+1}||_F
 PD_FLOOR = 1e-10          # min eig of gamma_U(0) and of Sigma_eps (exceeded); trace gamma_U(0)
 ZERO_AT_INFINITY = 1e-12  # spectral radius at or below which det Theta has no finite zero; 1; abs
@@ -46,7 +46,7 @@ PATH_LEAK = 1e-8          # modal fold residual, max|Im lam| of its real modes; 
 DRIVER_MATCH = 1e-10      # max|rate jump_cov - sigma_L| in a file; max(1, max|sigma_L|); abs
 ORACLE = 1e-8             # kernel, fraction, ACVF vs oracle; 1 + ||B*||, max(1, ||want||); abs
 NOISE_ACVF = 1e-7         # gamma_U against the sampled state space; max(1, ||want||); abs
-MA_MARGIN = 1e-6          # min|zero of det Theta| - 1 (at least); 1
+MA_MARGIN = 1e-6          # min|zero of det Theta| - 1 (at least), fit_ma fails below -MA_MARGIN; 1
 CLT_BAND = 1.0            # sample ACVF of the noise at lags p..p+3; its 99% CLT band
 
 

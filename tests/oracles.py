@@ -11,9 +11,9 @@ instead of doubling on its Riccati equation; a lambda-matrix by multiplying
 out its linear factors, and the block Vandermonde matrix by
 ``np.linalg.matrix_power`` instead of stacked products.  The polynomial
 product and derivative and the linear factorization check the paper's
-identities; no production path uses them.  ``noise_acvf_loop`` is the
-per-term loop that ``sampling.noise_acvf`` replaced by batched products,
-kept to show that the batched sum rounds exactly as the loop does,
+identities; no production path uses them.  ``noise_acvf_loop`` is
+``sampling.noise_acvf`` as a per-term loop, kept to show that its batched
+products and sum round exactly as the loop does,
 ``ma_acvf_loop`` the same for the stacked products of ``sampling.ma_acvf``,
 and ``greedy_grouping`` the grouping walk that ``matpoly.default_grouping``
 replaced by scoring only real choices, kept to show that the groups are the
@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad_vec
 
-from mcarma_ou import matpoly, mcarma, sim, tolerances, verify
+from mcarma_ou import matpoly, mcarma, sampling, sim, tolerances, verify
 from mcarma_ou.exceptions import ImaginaryLeakError, NoConvergenceError, NotPDError
 
 INNOVATIONS_TOL = 1e-10
@@ -129,35 +129,36 @@ def noise_acvf_quadrature(S, residues, phi, sigma_L, h):
 
 
 def noise_acvf_loop(S, residues, phi, sigma_L, h):
-    """``sampling.noise_acvf`` as one 2-d product per term: every Gramian by
-    its own ``mcarma.ou_gramian`` call, every ``C_{s,k}`` and every term of
-    gamma_U in a Python loop, with the same certificates."""
-    sols = components(S)
-    p = len(sols)
-    d = S.block_dim
-    gram = [[mcarma.ou_gramian(s_nu, s_mu, res_nu @ sigma_L @ res_mu.conj().T, h)
-             for s_mu, res_mu in zip(sols, residues)]
-            for s_nu, res_nu in zip(sols, residues)]
-
-    exp_h = [[expm_eig(sol, h * s) for s in range(p)] for sol in sols]
-    coeff = [[None] * p for _ in range(p)]  # coeff[s][k] = C_{s,k}
-    for k in range(p):
-        for s in range(p):
-            acc = np.array(exp_h[k][s])
-            for j in range(1, s + 1):
-                acc -= phi[j - 1] @ exp_h[k][s - j]
-            coeff[s][k] = acc
+    """``sampling.noise_acvf`` in Python loops: every ``M_r``, the kernels
+    ``k_r(s)`` and ``k_r(s) Sigma_L`` at all nodes by one 2-d product per r,
+    and one 2-d product per term of gamma_U, with the same certificates."""
+    p, d = len(S), S.block_dim
+    lam, X = S.roots, np.hstack(list(S.P))
+    wb = np.vstack(list(S.P_inv @ residues))
+    modal = np.hstack([wb, wb @ sigma_L])
+    m = wb.shape[1]
+    XD = [X * np.exp((h * r) * lam) for r in range(p)]
+    M = [np.array(m_r) for m_r in XD]
+    for j in range(1, p):
+        for r in range(j, p):
+            M[r] -= phi[j - 1] @ XD[r - j]
+    nodes, weights = sampling._panels(h, lam)
+    n = len(nodes)
+    k, k_sigma = [], []  # per r: (d, node * m), the nodes side by side
+    for r in range(p):
+        rows = np.array([[M[r][a] * np.exp(s * lam) for s in nodes] for a in range(d)])
+        kern = (rows.reshape(d * n, -1) @ modal).reshape(d, n, 2 * m)
+        k.append(kern[..., :m].reshape(d, n * m))
+        k_sigma.append((kern[..., m:] * weights[:, None]).reshape(d, n * m))
 
     out = []
     term_scale = 1.0
     for lag in range(p):
         acc = np.zeros((d, d), dtype=complex)
         for r in range(p - lag):
-            for nu in range(p):
-                for mu in range(p):
-                    term = coeff[r + lag][nu] @ gram[nu][mu] @ coeff[r][mu].conj().T
-                    term_scale = max(term_scale, float(np.max(np.abs(term))))
-                    acc += term
+            term = k_sigma[r + lag] @ k[r].conj().T
+            term_scale = max(term_scale, float(np.max(np.abs(term))))
+            acc += term
         leak = float(np.max(np.abs(acc.imag)))
         if leak > tolerances.IMAG_LEAK * term_scale:
             raise ImaginaryLeakError(f"gamma_U imaginary part {leak:.3e} at lag {lag}")

@@ -12,7 +12,7 @@ a later op on the same model, here at a second h, reuses them.  Both are
 counted on a freshly built model, so the order in which tests touch the
 shared fixtures does not matter.  Likewise the first path on a decomposition
 builds its modal form and the factor of its stationary state covariance, and
-a second path reuses them.
+a second path at the same h reuses them and the transfer stacks of its scan.
 """
 
 from collections import Counter
@@ -30,15 +30,17 @@ WARM_H = 1.0
 # of the innovation Gramian at its h, and nothing else
 PATH_BUDGET = Counter(cholesky=1)
 # per op at h = 0.25, not counting the one solve per doubling step of the MA
-# fit (5 steps on carma2x2, 9 on corpus #8), whose number rounding can move
+# fit (5 steps on carma2x2, 9 on corpus #8), whose number rounding can move;
+# the MA fit whitens gamma_U by one eigh of gamma_U(0), which also gives its
+# PD certificate, so it takes neither an eigvalsh nor an inv of gamma_U(0)
 BUDGET = {
-    "carma2x2": Counter(svd=8, solve=4, inv=2, eigvalsh=4, eigvals=1),
-    "corpus-8": Counter(svd=13, solve=4, inv=2, eigvalsh=4, eigvals=1),
+    "carma2x2": Counter(svd=8, solve=4, inv=1, eigvalsh=3, eigh=1, eigvals=1),
+    "corpus-8": Counter(svd=13, solve=4, inv=1, eigvalsh=3, eigh=1, eigvals=1),
 }
 # the second op on the same model, at h = WARM_H: only the sampled VARMA
 WARM_BUDGET = {
-    "carma2x2": Counter(svd=2, solve=3, inv=1, eigvalsh=3, eigvals=1),
-    "corpus-8": Counter(svd=2, solve=3, inv=1, eigvalsh=3, eigvals=1),
+    "carma2x2": Counter(svd=2, solve=3, eigvalsh=2, eigh=1, eigvals=1),
+    "corpus-8": Counter(svd=2, solve=3, eigvalsh=2, eigh=1, eigvals=1),
 }
 
 
@@ -100,9 +102,20 @@ def test_second_path_within_budget(index, example_model, corpus, linalg_calls, m
         builds.append(args)
         return _fn(*args)
 
+    stacks = []
+
+    def counted_stacks(*args, _fn=sim._transfer_stacks):
+        stacks.append(args)
+        return _fn(*args)
+
     monkeypatch.setattr(mcarma, "_modal_form", counted)
+    monkeypatch.setattr(sim, "_transfer_stacks", counted_stacks)
     linalg_calls.clear()
     sim.simulate(decomp, driver, 0.1, 100, stationary_start=True)
     over = linalg_calls - PATH_BUDGET
     assert not over, f"second path over budget {dict(over)}"
-    assert builds == []
+    assert builds == stacks == []
+    # a path at a new h builds its own stacks, one per group of modes
+    sim.simulate(decomp, driver, 0.2, 100, stationary_start=True)
+    groups = decomp.modal_form
+    assert len(stacks) == sum(g.roots.size > 0 for g in (groups.real, groups.pair))

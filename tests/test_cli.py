@@ -228,9 +228,10 @@ class TestVarma:
         assert doc["Theta"] == []
 
     @pytest.mark.parametrize("h", ["0.01"])
-    def test_no_ma_factor_exit_two(self, capsys, tmp_path, corpus, h):
-        # corpus #143's gamma_U at this h has no invertible MA factor
-        code, out, err = run(capsys, "varma", write_model(tmp_path, model_doc(corpus[143])),
+    def test_no_ma_factor_exit_two(self, capsys, tmp_path, hard_regime, h):
+        # hard-regime #14 at this h has no invertible MA factor, even of its
+        # 50-digit gamma_U
+        code, out, err = run(capsys, "varma", write_model(tmp_path, model_doc(hard_regime[14])),
                              "--h", h)
         assert code == 2
         assert out == ""

@@ -66,10 +66,13 @@ class TestOnePlace:
 
     def test_verify_rederives_no_library_bound(self):
         # a library certificate reaches verify as the record its result
-        # keeps; verify reads only the bounds of what no result keeps
+        # keeps; verify reads only the bounds of what no result keeps.
+        # MA_MARGIN judges two verdicts on the kept margin: fit_ma fails
+        # below -MA_MARGIN (a non-stabilizing solution), the ma-invertibility
+        # row below +MA_MARGIN
         library = [path for path in other_modules() if path.name != "verify.py"]
         shared = rows_read([SRC / "verify.py"]) & rows_read(library)
-        assert sorted(shared) == ["ACVF_ASYMMETRY", "IMAG_LEAK"]
+        assert sorted(shared) == ["ACVF_ASYMMETRY", "IMAG_LEAK", "MA_MARGIN"]
 
     def test_bounds_that_are_not_scale_free_are_marked(self):
         # absolute on a quantity that scales with time, or with a scale

@@ -11,10 +11,15 @@ reporting the median and the minimum in seconds: at each fit step h of
 ``sampling.varma_ar``, ``sampling.noise_acvf``, ``sampling.fit_ma`` and
 ``sampling.sampled_varma``, and ``sim.simulate`` per step for a Brownian
 and a compound-Poisson driver (stationary start, ``SIM_STEPS`` steps at
-``SIM_H``).  It also records the Python and numpy versions and the time of
-a numpy-only reference kernel, so that runs on different machines or days
-can be put side by side.  BLAS runs on one thread.  Only numpy and
-mcarma_ou are imported.
+``SIM_H``).  The cold rows time the first calls on a model built afresh
+from the same coefficients, ``--reps`` models after one more:
+``McarmaModel.build``, ``solvent_set()``, the default ``decompose``, the
+first ``stationary_acvf`` (which builds the model's modes) and the first
+Brownian ``simulate`` path of ``COLD_STEPS`` steps (which builds the modal
+form and the stationary factor).  It also records the Python and numpy
+versions and the time of a numpy-only reference kernel, so that runs on
+different machines or days can be put side by side.  BLAS runs on one
+thread.  Only numpy and mcarma_ou are imported.
 """
 
 import os
@@ -40,6 +45,7 @@ FIT_LAGS = 10
 SIM_H = 0.1
 SIM_STEPS = 10_000
 CP_RATE = 10.0  # about one jump per step at SIM_H
+COLD_STEPS = 100  # a short first path, so that what it builds shows
 KERNEL_SIZE = 64  # the reference kernel: solve of a fixed system, KERNEL_CALLS times
 KERNEL_CALLS = 200
 
@@ -72,15 +78,14 @@ def reference_kernel(reps):
 
 
 def fit_layers(decomp, h, reps):
-    S, model = decomp.solvent_set, decomp.model
+    model = decomp.model
     lags = [k * h for k in range(FIT_LAGS + 1)]
-    _, phi, *_ = sampling.varma_ar(S, h)
-    gamma_U = sampling.noise_acvf(S, decomp.residues, phi, model.sigma_L, h)
+    _, phi, *_ = sampling.varma_ar(model, h)
+    gamma_U = sampling.noise_acvf(model, phi, h)
     return {
         "stationary_acvf": timed(lambda: mcarma.stationary_acvf(decomp, lags), reps),
-        "varma_ar": timed(lambda: sampling.varma_ar(S, h), reps),
-        "noise_acvf": timed(
-            lambda: sampling.noise_acvf(S, decomp.residues, phi, model.sigma_L, h), reps),
+        "varma_ar": timed(lambda: sampling.varma_ar(model, h), reps),
+        "noise_acvf": timed(lambda: sampling.noise_acvf(model, phi, h), reps),
         "fit_ma": timed(lambda: sampling.fit_ma(gamma_U), reps),
         "sampled_varma": timed(lambda: sampling.sampled_varma(decomp, h), reps),
     }
@@ -96,6 +101,32 @@ def simulate_layers(decomp, reps):
     return {kind: per_step(timed(lambda d=driver: sim.simulate(
                 decomp, d, SIM_H, SIM_STEPS, stationary_start=True), reps), SIM_STEPS - 1)
             for kind, driver in drivers.items()}
+
+
+def cold_layers(model, reps):
+    """Median and minimum seconds of each first call on ``reps`` models built
+    afresh from the coefficients of ``model``, after one more."""
+    lags = [k * FIT_H[0] for k in range(FIT_LAGS + 1)]
+    driver = sim.DriverSpec(kind="brownian", seed=1, sigma_L=model.sigma_L)
+    stages = {
+        "solvent_set": lambda new: new.solvent_set(),
+        "decompose": lambda new: mcarma.decompose(new, new.solvent_set()),
+        "stationary_acvf": lambda new: mcarma.stationary_acvf(
+            mcarma.decompose(new, new.solvent_set()), lags),
+        "simulate": lambda new: sim.simulate(mcarma.decompose(new, new.solvent_set()), driver,
+                                             SIM_H, COLD_STEPS, stationary_start=True),
+    }
+    times = {name: [] for name in ("build", *stages)}
+    for _ in range(reps + 1):
+        start = time.perf_counter()
+        new = mcarma.McarmaModel.build(model.A, model.B, model.sigma_L)
+        times["build"].append(time.perf_counter() - start)
+        for name, stage in stages.items():
+            start = time.perf_counter()
+            stage(new)
+            times[name].append(time.perf_counter() - start)
+    return {name: {"median_s": statistics.median(t[1:]), "min_s": min(t[1:])}
+            for name, t in times.items()}
 
 
 def run(reps):
@@ -115,6 +146,7 @@ def run(reps):
             "p": model.p,
             "fit": {str(h): fit_layers(decomp, h, reps) for h in FIT_H},
             "simulate_per_step": simulate_layers(decomp, reps),
+            "cold": cold_layers(model, reps),
         }
     return out
 

@@ -239,7 +239,7 @@ def cmd_simulate(args):
     header = ["n"] + [f"Y_{i + 1}" for i in range(d)]
     U = None
     if args.emit_noise:
-        _, phi, *_ = sampling.varma_ar(decomp.solvent_set, args.h)
+        _, phi, *_ = sampling.varma_ar(decomp.model, args.h)
         U = sim.extract_noise(path, phi)
         header += [f"U_{i + 1}" for i in range(d)]
     # one % per row writes what _fmt writes value by value

@@ -142,14 +142,13 @@ class SolventSet:
 
     ``matrices`` (p, d, d) holds the solvents R_k, each with its eigenbasis
     ``R_k = P_k diag(spectrum_k) P_k^{-1}`` stacked as ``spectrum`` (p, d)
-    and ``P``, ``P_inv`` (p, d, d), so that ``expm`` and
-    ``mcarma.ou_gramian`` take all p solvents in one call.
-    ``residual_norms`` (p,) are the ``||A_R(R_k)||_F`` and ``V`` the block
-    Vandermonde matrix; ``residual`` (of the largest norm) and ``cond_V`` are
-    the ``tolerances.Check`` records of their certificates.  ``X``, the
-    latent vectors side by side, and ``distinct``, the mask of root pairs
-    that ``sampling.varma_ar``'s aliasing guard compares, are built on
-    first use and kept.
+    and ``P``, ``P_inv`` (p, d, d): column j of ``P_k`` is the unit latent
+    vector of root ``spectrum[k, j]``.  ``residual_norms`` (p,) are the
+    ``||A_R(R_k)||_F`` and ``V`` the block Vandermonde matrix; ``residual``
+    (of the largest norm) and ``cond_V`` are the ``tolerances.Check``
+    records of their certificates.  A set is the paper's presentation of a
+    grouping of the latent roots (``rational.residues`` and
+    ``mcarma.decompose`` read it); no fit or path route does.
     Built only by ``solvents_from_latents``, which ``certify_solvent_set``
     calls for given matrices.
     """
@@ -163,29 +162,9 @@ class SolventSet:
     residual: tol.Check
     cond_V: tol.Check
 
-    def expm(self, t):
-        """``e^{tR_k} = P_k diag(e^{t spectrum_k}) P_k^{-1}`` of every solvent:
-        for an array of times the result is indexed (time, solvent, d, d)."""
-        scales = np.exp(np.multiply.outer(t, self.spectrum))[..., None, :]
-        return (self.P * scales) @ self.P_inv
-
     @property
     def roots(self):
         return self.spectrum.reshape(-1)
-
-    @cached_property
-    def X(self):
-        """The unit latent vectors side by side, read-only (d, pd): column a
-        belongs to ``roots[a]``, so ``(X, diag(roots))`` is a standard pair."""
-        p, d = self.P.shape[:2]
-        return _readonly(self.P.transpose(1, 0, 2).reshape(d, p * d))
-
-    @cached_property
-    def distinct(self):
-        """Read-only mask (pd, pd) of the pairs a < b of roots more than
-        ``tolerances.ALIAS`` apart."""
-        roots = self.roots
-        return _readonly(np.triu(np.abs(roots[:, None] - roots) > tol.ALIAS, 1))
 
     @property
     def block_dim(self):
@@ -213,11 +192,12 @@ def companion_matrix(A):
     return C
 
 
-def backward_scale(P, lam):
-    """``sum_i ||P_i||_F |lam|^(deg - i)``, which bounds the rounding of
+def backward_scale(coeffs, lam):
+    """``sum_i ||P_i||_F |lam|^(deg - i)`` of the coefficient stack ``coeffs``
+    (P_0 first) of a matrix polynomial P, which bounds the rounding of
     ``P(lam)`` and scales with it under ``P_i -> c^i P_i``, ``lam -> c lam``
     (Tisseur, Linear Algebra Appl. 309 (2000)); ``lam`` may be an array."""
-    return np.polyval(np.linalg.norm(P.coeffs, axis=(1, 2)), np.abs(lam))
+    return np.polyval(np.linalg.norm(coeffs, axis=(1, 2)), np.abs(lam))
 
 
 def latent_roots(A):
@@ -243,7 +223,7 @@ def latent_roots(A):
     vals, vecs = np.linalg.eig(C)
     tol.certify(DefectiveCompanionError, "cond(eigenvectors)", float(_cond(vecs)), tol.CONDITION)
     pairs = []
-    for lam, vec, scale in zip(vals, vecs.T, backward_scale(A, vals)):
+    for lam, vec, scale in zip(vals, vecs.T, backward_scale(A.coeffs, vals)):
         lead = vec[:d]
         norm = np.linalg.norm(lead)
         if norm == 0.0:

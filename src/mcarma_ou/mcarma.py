@@ -1,4 +1,4 @@
-"""MCARMA models, their state space form, and the OU-sum decomposition.
+"""MCARMA models, their state space form, their modes, and the OU-sum decomposition.
 
 A d-dimensional MCARMA(p, q) process driven by a zero-mean, square
 integrable Levy process solves the state space system
@@ -6,38 +6,40 @@ integrable Levy process solves the state space system
     Y(t) = C* X(t),   dX(t) = A* X(t) dt + B* dL(t),
 
 with the block companion A*, C* = (I, 0, ..., 0) and B* obtained from a
-backward recursion in the AR and MA coefficients.  Given a complete set of
-regular right solvents R_1..R_p of the AR polynomial with residues Res_k of
-A(z)^{-1} B(z), the process equals the sum of p complex matrix-valued
-Ornstein-Uhlenbeck processes
+backward recursion in the AR and MA coefficients.  With simple latent roots
+lam_a and unit latent vectors x_a, ``A(lam_a) x_a = 0``, the columns of the
+modal basis ``B = col(X diag(lam)^i)_{i<p}``, ``X = (x_1, ..., x_pd)``, are
+the eigenvectors of A* (``A* B = B diag(lam)``), so the process is a sum of
+pd complex OU processes, one per latent root:
+
+    Y(t) = X z(t),   dz_a(t) = lam_a z_a(t) dt + (W B*)_a dL(t),
+
+with the modal residues ``W B* = B^{-1} B*``.  Its law depends on lam, X,
+W B* and Sigma_L alone.  With ``K = W B* Sigma_L (W B*)^H``,
+``z_ab = lam_a + conj(lam_b)`` and elementwise products ``o``,
+
+    kernel(t) = C* e^{t A*} B* = Re X diag(e^{t lam}) W B*,
+    gamma(l) = Re X diag(e^{l lam}) G X^H,   Pi = Re B G B^H,   G = K o (-1/z),
+    Q_h = int_0^h e^{u A*} B* Sigma_L B*^T e^{u A*^T} du = Re B [K o expm1(h z)/z] B^H
+
+are the kernel, the stationary autocovariance, the stationary state
+covariance and the innovation covariance of one step h.  A ``McarmaModel``
+keeps these ``Modes`` once, on first use, next to its state space, and
+every fit and path route reads them (``stationary_acvf``, ``kernel``,
+``sampling`` and ``sim``), so none depends on how the roots are grouped.
+
+Grouping the roots into p right solvents R_k with residues Res_k gives the
+paper's presentation, the sum of p matrix-valued OU processes
 
     Y_k(t) = e^{R_k t} Y_k(0) + int_0^t e^{R_k (t-u)} Res_k dL(u),
 
-and the stationary autocovariance splits into per-component OU Gramians.
-The decomposition is certified here through the similarity transform
-T = V(R_1, ..., R_p).  An ``OuDecomposition`` holds the pairs (R_k, Res_k)
-once, as a solvent set and its residue stack (``rational.residues`` of the
-state space's B*).  A ``McarmaModel`` builds its state space, which
-certifies A^{-1} B left coprime and holds B*, its default solvent set and
-the decomposition along that set once, on first use; ``decompose`` builds a
-new decomposition only for another solvent set or an initial state.  An
-``OuDecomposition`` in turn keeps, on first use, what of the stationary law
-does not depend on a lag or a step h: the stationary component Gramians and
-their modal coefficients, the modal residues of the sampled noise, and for
-simulation the real modal form (``ModalForm``, with the transfer stacks of
-the paths at each h) and the factor of the stationary state covariance.
-So a fit at a second h repeats only the sampled VARMA, and a second path
-only the draws and the scan.
-
-Every matrix function of a solvent is evaluated in its eigenbasis
-R_k = P_k diag(lam_k) P_k^{-1}, which a ``matpoly.SolventSet`` carries
-stacked over all p solvents: ``e^{t R_k}`` by ``SolventSet.expm`` and the
-OU Gramians by ``ou_gramian`` (Moler & Van Loan, "Nineteen dubious ways to
-compute the exponential of a matrix, twenty-five years later", SIAM Rev. 45
-(2003), method 14; its error grows with cond(P_k), which
-``matpoly.solvents_from_latents`` bounds).  So the p^2 Gramians of all
-solvent pairs (``component_gramians``) and the modal sums over all lags
-(``stationary_acvf``, ``kernel``) are each a few stacked products.
+which ``decompose`` certifies through the similarity transform
+T = V(R_1, ..., R_p).  An ``OuDecomposition`` holds the pairs (R_k, Res_k),
+as a solvent set and its residue stack (``rational.residues`` of the state
+space's B*), and the component initials of an initial state;
+``component_gramians`` gives their OU Gramians.  They serve the paper's
+outputs: the ``solvents`` and ``decompose`` commands, a user grouping and
+x0.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import logging
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -82,11 +83,11 @@ class McarmaModel:
     The driver is assumed zero-mean with ``Var L(1) = sigma_L``; models with
     a nonzero driver mean are rejected at validation.  ``stationary`` holds
     iff every latent root of A has strictly negative real part.
-    ``statespace``, the default ``solvent_set()`` and the decomposition
-    along it (what ``decompose(model, model.solvent_set())`` returns) are
-    built on first use and kept; a failing certificate keeps nothing and
-    raises again on the next use.  Building that decomposition logs its
-    seconds at DEBUG.
+    ``statespace``, the ``modes``, the default ``solvent_set()`` and the
+    decomposition along it (what ``decompose(model, model.solvent_set())``
+    returns) are built on first use and kept; a failing certificate keeps
+    nothing and raises again on the next use.  Building that decomposition
+    logs its seconds at DEBUG.
     """
 
     A: matpoly.LambdaMatrix
@@ -150,6 +151,10 @@ class McarmaModel:
     @cached_property
     def statespace(self):
         return build_state_space(self)
+
+    @cached_property
+    def modes(self):
+        return _modes(self)
 
     @cached_property
     def _default_decomposition(self):
@@ -217,8 +222,94 @@ def build_state_space(model):
 
 
 @dataclass(frozen=True)
+class Modes:
+    """The modes of a model, one complex OU mode per latent root.
+
+    ``roots`` (pd,) and the unit latent vectors ``X`` (d, pd) in
+    ``latent_pairs`` order; the modal basis ``B = col(X diag(roots)^i)_{i<p}``;
+    the modal residues ``residues = W B* = B^{-1} B*`` (pd, m); the mask
+    ``distinct`` of the root pairs a < b more than ``tolerances.ALIAS``
+    apart (``sampling.varma_ar``'s aliasing guard); and the model's
+    ``sigma_L``, all read-only.  Built on first use and kept (a failing
+    certificate keeps nothing): ``W = B^{-1}``, the residues of
+    ``sampling.noise_acvf``, the coefficients ``G X^H`` of
+    ``stationary_acvf`` with gamma(0) certified, the factor
+    ``stationary_state_factor`` of Pi, and the ``modal_form`` of
+    ``sim.simulate``, whose build logs one line at DEBUG.
+    """
+
+    roots: np.ndarray
+    X: np.ndarray
+    B: np.ndarray
+    residues: np.ndarray
+    distinct: np.ndarray
+    sigma_L: np.ndarray
+
+    @cached_property
+    def W(self):
+        """``B^{-1}``, read-only: row a maps a state to mode a."""
+        return matpoly._readonly(np.linalg.inv(self.B))
+
+    def state_gramian(self, sigma_L, h):
+        """``Re B [K o w] B^H`` with K and the weights w of ``_gramian``: the
+        covariance of the state innovation over a step h for a driver of
+        covariance ``sigma_L``; for h = inf, the stationary covariance Pi."""
+        return (self.B @ _gramian(self.residues, sigma_L, self.roots, h) @ self.B.conj().T).real
+
+    @cached_property
+    def _residues_sigma(self):
+        """``[W B*, W B* sigma_L]`` side by side (pd, 2m), read-only, so that
+        ``sampling.noise_acvf`` forms its kernels k_r and k_r sigma_L in one
+        product."""
+        return matpoly._readonly(np.hstack([self.residues, self.residues @ self.sigma_L]))
+
+    @cached_property
+    def _stationary(self):
+        """``G X^H`` (pd, d), kept once ``gamma(0) = Re X G X^H`` is certified
+        symmetric PSD: its asymmetry below ``tolerances.ACVF_ASYMMETRY`` and
+        its least eigenvalue above ``-tolerances.PSD_FLOOR * max(1, trace)``."""
+        modal = _gramian(self.residues, self.sigma_L, self.roots, np.inf) @ self.X.conj().T
+        sums, scales = _modal_sum(self, [0.0], modal)
+        g0 = _real(sums, scales, "ACVF imaginary part")[0]
+        tol.certify(ImaginaryLeakError, "gamma(0) asymmetry", np.max(np.abs(g0 - g0.T)),
+                    tol.ACVF_ASYMMETRY * scales[0])
+        tol.certify(ImaginaryLeakError, "gamma(0) min eig",
+                    np.min(np.linalg.eigvalsh(0.5 * (g0 + g0.T))),
+                    -tol.PSD_FLOOR * max(1.0, np.trace(g0)), at_least=True)
+        return matpoly._readonly(modal)
+
+    @cached_property
+    def stationary_state_factor(self):
+        """A real factor F of the stationary state covariance,
+        ``F F^T = Pi`` (``psd_factor``), read-only."""
+        return matpoly._readonly(psd_factor(self.state_gramian(self.sigma_L, np.inf),
+                                            "stationary state covariance"))
+
+    @cached_property
+    def modal_form(self):
+        """The certified ``ModalForm`` of these modes."""
+        start = time.perf_counter()
+        form = _modal_form(self)
+        log.debug("modal form: pd=%d (%d real, %d pairs), fold %.3e, %.6f s",
+                  self.roots.size, form.real.roots.size, form.pair.roots.size,
+                  form.fold.measured, time.perf_counter() - start)
+        return form
+
+
+def _modes(model):
+    """The ``Modes`` of a model; the residues are one solve with B."""
+    lam = model.latent_root_values
+    X = np.array([pr.vector for pr in model.latent_pairs]).T.copy()
+    B = (X * (lam ** np.arange(model.p)[:, None])[:, None, :]).reshape(lam.size, lam.size)
+    residues = np.linalg.solve(B, model.statespace.B_star)
+    distinct = np.triu(np.abs(lam[:, None] - lam) > tol.ALIAS, 1)
+    arrays = (lam, X, B, residues, distinct)
+    return Modes(*(matpoly._readonly(a) for a in arrays), model.sigma_L)
+
+
+@dataclass(frozen=True)
 class OuDecomposition:
-    """Certified OU-sum representation of an MCARMA model.
+    """Certified OU-sum representation of an MCARMA model along a solvent set.
 
     Component k is R_k = ``solvent_set.matrices[k]`` with the read-only
     ``residues[k]`` and ``y0[k]``, stacked (p, d, m) and (p, d).
@@ -226,15 +317,8 @@ class OuDecomposition:
     B* = T stack(Res_k) and C* T = (I, ..., I); the initial values satisfy
     the realness constraint T stack(Y_k(0)) in R^{pd}.
     ``similarity`` is the ``tolerances.Check`` record of that certificate
-    (see ``decompose``).
-
-    ``stationary_gramians``, the modal coefficients of the stationary
-    component covariances (see ``stationary_acvf``), the modal residues
-    ``[W B*, W B* Sigma_L]`` of ``sampling.noise_acvf``, the factor
-    ``stationary_state_factor`` of the stationary state covariance and the
-    ``modal_form`` are built on first use and kept; a failing certificate
-    keeps nothing and raises again.  Building the modal form logs one line
-    at DEBUG.
+    (see ``decompose``).  The fit and path routes read the model's
+    ``modes``, not the decomposition; a path reads only its ``y0``.
     """
 
     model: McarmaModel
@@ -256,63 +340,6 @@ class OuDecomposition:
     def transform(self):
         return self.solvent_set.V
 
-    @cached_property
-    def stationary_gramians(self):
-        """``component_gramians`` over [0, inf), read-only (p, p, d, d)."""
-        gram = component_gramians(self.solvent_set, self.residues, self.model.sigma_L)
-        gram.setflags(write=False)
-        return gram
-
-    @cached_property
-    def stationary_state_factor(self):
-        """A real factor F of the stationary state covariance
-        ``Pi = T [stationary_gramians] T^H``, ``F F^T = Pi`` (``psd_factor``)."""
-        factor = psd_factor(state_covariance(self, self.stationary_gramians),
-                            "stationary state covariance")
-        factor.setflags(write=False)
-        return factor
-
-    @cached_property
-    def modal_form(self):
-        """The certified ``ModalForm`` of this decomposition."""
-        start = time.perf_counter()
-        form = _modal_form(self)
-        log.debug("modal form: pd=%d (%d real, %d pairs), fold %.3e, %.6f s",
-                  self.p * self.d, form.real.roots.size, form.pair.roots.size,
-                  form.fold.measured, time.perf_counter() - start)
-        return form
-
-    @cached_property
-    def _stationary_modal(self):
-        """``P_k^{-1} Sigma_k`` with ``Sigma_k = sum_j stationary_gramians[k, j]``,
-        kept once ``gamma(0)`` is certified symmetric PSD: its asymmetry below
-        ``tolerances.ACVF_ASYMMETRY`` and its least eigenvalue above
-        ``-tolerances.PSD_FLOOR * max(1, trace)``."""
-        S = self.solvent_set
-        modal = S.P_inv @ self.stationary_gramians.sum(axis=1)
-        (g0,), (scale,) = _real_sum(S, [0.0], modal, "ACVF imaginary part")
-        tol.certify(ImaginaryLeakError, "gamma(0) asymmetry", np.max(np.abs(g0 - g0.T)),
-                    tol.ACVF_ASYMMETRY * scale)
-        tol.certify(ImaginaryLeakError, "gamma(0) min eig",
-                    np.min(np.linalg.eigvalsh(0.5 * (g0 + g0.T))),
-                    -tol.PSD_FLOOR * max(1.0, np.trace(g0)), at_least=True)
-        modal.setflags(write=False)
-        return modal
-
-    @cached_property
-    def _noise_modal(self):
-        """``_modal_residues`` of this decomposition, for ``sampling.noise_acvf``."""
-        return _modal_residues(self.solvent_set, self.residues, self.model.sigma_L)
-
-
-def _modal_residues(S, residues, sigma_L):
-    """The modal residues ``W B*`` (pd, m), the stacked ``P_k^{-1} Res_k``, and
-    ``W B* Sigma_L`` side by side, read-only (pd, 2m)."""
-    wb = (S.P_inv @ np.asarray(residues)).reshape(len(S.roots), -1)
-    out = np.hstack([wb, wb @ sigma_L])
-    out.setflags(write=False)
-    return out
-
 
 def decompose(model, S, x0=None):
     """Split an MCARMA model into p OU components along a solvent set.
@@ -320,7 +347,12 @@ def decompose(model, S, x0=None):
     Along the model's kept default set ``model.solvent_set()`` without x0,
     this is the decomposition the model keeps.  Otherwise the state space is
     the model's, read first; the residues (from its B*), the similarity
-    certificate (within ``tolerances.SIMILARITY``) and y0 are formed here.
+    certificate and y0 are formed here.
+
+    The similarity certificate judges ``A* T - T diag(R_k)``, ``B* - T
+    stack(Res_k)`` and ``C* T - (I, ..., I)`` elementwise against the
+    rounding of their products (Higham, section 3.5), so rescaling time
+    does not change its verdict.
 
     Parameters
     ----------
@@ -337,11 +369,19 @@ def decompose(model, S, x0=None):
     ------
     NotIrreducibleError
         When A and B fail the left-coprimeness certificate.
+    ImaginaryLeakError
+        When the similarity or the initial state fails its certificate.
     """
     # vars(): a set that is not the kept default builds no default
     if x0 is None and S is vars(model).get("_default_solvent_set"):
         return model._default_decomposition
     return _decompose(model, S, x0)
+
+
+def _relative(residual, scale):
+    """Largest ``|residual| / scale`` elementwise; a zero scale, where the
+    exact products vanish, leaves only a zero residual at zero."""
+    return np.max(np.abs(residual) / np.maximum(scale, np.finfo(float).tiny))
 
 
 def _decompose(model, S, x0=None):
@@ -361,13 +401,12 @@ def _decompose(model, S, x0=None):
         tol.certify(ImaginaryLeakError, "initial-state imaginary part", leak, bound)
     # A* T = T diag(R_k), block column by block column: A* T_k = T_k R_k
     columns = T.reshape(p * d, p, d).swapaxes(0, 1)
-    scale = max(1.0, np.linalg.norm(ss.A_star) * np.linalg.norm(T))
-    sim_err = np.linalg.norm(
-        ss.A_star @ columns - columns @ S.matrices) / scale
-    res_err = np.linalg.norm(ss.B_star - T @ residues.reshape(p * d, -1)) / max(
-        1.0, np.linalg.norm(ss.B_star))
-    row_err = np.linalg.norm(ss.C_star @ T - np.hstack([np.eye(d)] * p))
-    worst = np.array([sim_err, res_err, row_err]).max()  # a NaN propagates
+    abs_columns, stacked = np.abs(columns), residues.reshape(p * d, -1)
+    parts = [_relative(ss.A_star @ columns - columns @ S.matrices,
+                       np.abs(ss.A_star) @ abs_columns + abs_columns @ np.abs(S.matrices)),
+             _relative(ss.B_star - T @ stacked, np.abs(T) @ np.abs(stacked)),
+             _relative(ss.C_star @ T - np.hstack([np.eye(d)] * p), np.abs(ss.C_star) @ np.abs(T))]
+    worst = np.array(parts).max()  # a NaN propagates
     similarity = tol.certify(ImaginaryLeakError, "similarity residual", worst, tol.SIMILARITY)
 
     y0 = y0.reshape(p, d)
@@ -376,8 +415,8 @@ def _decompose(model, S, x0=None):
 
 
 class ModeGroup(NamedTuple):
-    """Modes of one arithmetic: latent roots (r,), rows (r, pd) of the modal
-    transform W (state to modes) and read-out columns (d, r) (modes to Y)."""
+    """Modes of one arithmetic: latent roots (r,), rows (r, pd) of W (state
+    to modes) and read-out columns (d, r) (modes to Y)."""
 
     roots: np.ndarray
     rows: np.ndarray
@@ -388,17 +427,16 @@ class ModeGroup(NamedTuple):
 class ModalForm:
     """The OU sum in modal coordinates, one mode per conjugate pair.
 
-    The modes of a real state x are ``z = W x`` with the modal transform
-    ``W = blkdiag(P_k)^{-1} T^{-1}``, which diagonalizes A* into the stacked
-    latent roots; ``B = W^{-1} = T blkdiag(P_k)`` maps them back and
-    ``C* B = hstack(P_k)`` reads them out.  The two modes of a conjugate pair
-    are conjugate for a real x, so one representative carries both,
-    ``B_i z_i + B_j z_j = 2 Re(B_i z_i)``, and a real mode is real once its
-    row of W is scaled to real by the phase of its largest entry.  So
-    ``real`` holds the real modes in float: roots ``Re lam``, the rows
-    scaled to real and their read-out columns scaled back; ``pair`` holds
-    one representative (Im lam > 0) per pair in complex, with its read-out
-    columns doubled; ``Y = C* x = real.readout u + Re(pair.readout v)``.
+    The modes of a real state x are ``z = W x`` with ``W = B^{-1}`` of the
+    modal basis B (``Modes``), which diagonalizes A* into the latent roots;
+    B maps them back and ``C* B = X`` reads them out.  The two modes of a
+    conjugate pair are conjugate for a real x, so one representative
+    carries both, ``B_i z_i + B_j z_j = 2 Re(B_i z_i)``, and a real mode is
+    real once its row of W is scaled to real by the phase of its largest
+    entry.  So ``real`` holds the real modes in float: roots ``Re lam``, the
+    rows scaled to real and their read-out columns scaled back; ``pair``
+    holds one representative (Im lam > 0) per pair in complex, with its
+    read-out columns doubled; ``Y = C* x = real.readout u + Re(pair.readout v)``.
 
     A real mode is a root within ``matpoly._distinct_tol`` of its own
     conjugate, the test of ``matpoly.default_grouping``; each representative
@@ -420,21 +458,9 @@ class ModalForm:
     stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _modal_transform(S):
-    """``W = blkdiag(P_k)^{-1} T^{-1}`` and ``B = T blkdiag(P_k)`` of a solvent set."""
-    p, d = S.P.shape[:2]
-    blocks = np.zeros((2, p, d, p, d), dtype=complex)
-    k = np.arange(p)
-    blocks[0, k, :, k] = S.P_inv
-    blocks[1, k, :, k] = S.P
-    P_inv, P = blocks.reshape(2, p * d, p * d)
-    return P_inv @ np.linalg.inv(S.V), S.V @ P
-
-
-def _modal_form(decomp):
+def _modal_form(modes):
     """Split the modes into real ones and conjugate pairs, and certify the fold."""
-    lam = decomp.solvent_set.roots
-    W, B = _modal_transform(decomp.solvent_set)
+    lam, W, B = modes.roots, modes.W, modes.B
     near = matpoly._distinct_tol(lam)
     real = np.flatnonzero(np.abs(lam.imag) <= near)
     upper, lower = np.flatnonzero(lam.imag > near), np.flatnonzero(lam.imag < -near)
@@ -448,12 +474,12 @@ def _modal_form(decomp):
     phase = top / np.abs(top)
     rows, cols = (rows / phase[:, None]).real.copy(), (B[:, real] * phase).real.copy()
     folded = cols @ rows + 2.0 * (B[:, upper] @ W[upper]).real
-    tiny = np.finfo(float).tiny
-    residual = np.abs(folded - np.eye(lam.size)) / np.maximum(np.abs(B) @ np.abs(W), tiny)
-    drift = np.max(np.abs(lam[real].imag), initial=0.0) / max(np.max(np.abs(lam)), tiny)
+    drift = np.max(np.abs(lam[real].imag), initial=0.0) / max(np.max(np.abs(lam)),
+                                                                np.finfo(float).tiny)
     fold = tol.certify(ImaginaryLeakError, "modal fold residual",
-                       max(np.max(residual), drift), tol.PATH_LEAK)
-    d = decomp.d
+                       max(_relative(folded - np.eye(lam.size), np.abs(B) @ np.abs(W)), drift),
+                       tol.PATH_LEAK)
+    d = modes.X.shape[0]
     groups = (ModeGroup(lam[real].real.copy(), rows, cols[:d].copy()),
               ModeGroup(lam[upper], W[upper], 2.0 * B[:d, upper]))
     for arr in (a for group in groups for a in group):
@@ -486,103 +512,88 @@ def psd_factor(mat, what):
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def state_covariance(decomp, G):
-    """Real ``T [G_{nu,mu}] T^H`` of component cross covariances G (p, p, d, d)."""
-    pd_dim = decomp.p * decomp.d
-    T = decomp.transform
-    return np.real(T @ G.swapaxes(1, 2).reshape(pd_dim, pd_dim) @ T.conj().T)
-
-
-def _real_sum(S, times, modal, what):
-    """``sum_k e^{t R_k} X_k`` for every t in ``times`` from the modal
-    coefficients ``modal[k] = P_k^{-1} X_k``, as one modal product over the
-    whole time grid: the terms are ``P_k diag(e^{t lam_k}) modal[k]``.
-
-    Each imaginary part, ``what``, is certified below ``tolerances.IMAG_LEAK``
-    of its sum's largest term (the exact sum is real only up to roundoff
-    amplified by the term magnitudes).  Returns the real sums and those scales.
-    """
-    times = np.asarray(times, dtype=float)
-    scales = np.exp(np.multiply.outer(times, S.spectrum))[..., None, :]
-    terms = (S.P * scales) @ modal  # (len(times), p, d, m)
-    scale = np.abs(terms).max(axis=(1, 2, 3), initial=1.0)
-    out = terms.sum(axis=1)
-    tol.certify(ImaginaryLeakError, what, np.abs(out.imag).max(axis=(1, 2), initial=0.0),
-                tol.IMAG_LEAK * scale)
-    return out.real.copy(), scale
-
-
-def kernel(decomp, t):
-    """Kernel ``sum_k e^{t R_k} Res_k`` of the OU sum, (d, m) at each time t >= 0 of ``t``.
-
-    Equals ``C* e^{A* t} B*``; the identity is exercised by the
-    verification suite rather than recomputed here.  The imaginary part is
-    certified below ``tolerances.IMAG_LEAK`` of the largest summand and stripped.
-    """
-    t = np.asarray(t, dtype=float)
-    if not ((t >= 0) & (t < np.inf)).all():
-        raise ValueError(f"kernel is defined for finite t >= 0, got {t}")
-    S = decomp.solvent_set
-    out, _ = _real_sum(S, t.ravel(), S.P_inv @ decomp.residues, "kernel imaginary part")
-    return out.reshape(t.shape + out.shape[1:])
-
-
-def ou_gramian(s_i, s_j, M, h=np.inf):
-    """OU Gramian ``int_0^h e^{u R_i} M e^{u R_j^H} du`` of two solvents.
-
-    With ``R_i = P_i diag(lam) P_i^{-1}`` and ``R_j = P_j diag(mu) P_j^{-1}``
-    the integral is ``P_i ((P_i^{-1} M P_j^{-H}) * W) P_j^H`` (elementwise
-    product) with, for ``z_ab = lam_a + conj(mu_b)``, the weights
-    ``W = expm1(h z) / z`` (``h`` where z = 0), or ``W = -1/z`` for h = inf.
-    ``expm1`` keeps the small-h and near-collision weights accurate to
-    rounding, where forming ``e^{h z} - 1`` would cancel.
-
-    ``s_i`` and ``s_j`` may also be stacks of eigenbases, as a
-    ``matpoly.SolventSet`` carries them: their ``spectrum`` (..., d) and
-    ``P``, ``P_inv`` (..., d, d) broadcast with ``M`` (..., d, d) over the
-    leading axes, one Gramian per stack entry (see ``component_gramians``).
+def _gramian(M, sigma_L, roots, h):
+    """``(M sigma_L M^H) o w``, the modal coefficients of an OU Gramian over
+    [0, h] of modes ``roots`` with residues M: ``w_ab = int_0^h e^{u z_ab} du``
+    for ``z_ab = roots_a + conj(roots_b)``, that is ``expm1(h z) / z`` (``h``
+    where z = 0), or ``-1/z`` for h = inf.  ``expm1`` keeps the small-h and
+    near-collision weights accurate to rounding, where forming ``e^{h z} -
+    1`` would cancel.
 
     Raises
     ------
     SylvesterSingularError
         For h = inf, if some z is within ``tolerances.SYLVESTER_GAP`` of zero
-        (the spectra of R_i and -R_j^H nearly intersect and the integral diverges).
+        (the integral diverges).
     """
-    z = s_i.spectrum[..., :, None] + s_j.spectrum.conj()[..., None, :]
+    z = roots[:, None] + roots.conj()
     if np.isinf(h):
-        gap = np.min(np.abs(z))
-        tol.certify(SylvesterSingularError, "min|z|", gap, tol.SYLVESTER_GAP, at_least=True)
-        W = -1.0 / z
+        tol.certify(SylvesterSingularError, "min|z|", np.min(np.abs(z)), tol.SYLVESTER_GAP,
+                    at_least=True)
+        w = -1.0 / z
     else:
         zero = z == 0
-        W = np.where(zero, h, np.expm1(h * z) / np.where(zero, 1.0, z))
-    K = s_i.P_inv @ M @ s_j.P_inv.conj().swapaxes(-1, -2)
-    return s_i.P @ (K * W) @ s_j.P.conj().swapaxes(-1, -2)
+        w = np.where(zero, h, np.expm1(h * z) / np.where(zero, 1.0, z))
+    return (M @ sigma_L @ M.conj().T) * w
 
 
 def component_gramians(S, residues, sigma_L, h=np.inf):
     """The p x p OU Gramians ``int_0^h e^{u R_i} Res_i Sigma_L Res_j^H
     e^{u R_j^H} du`` of all pairs of a solvent set, stacked (p, p, d, d) by
-    (i, j), from one ``ou_gramian`` call.
+    (i, j): ``P_i G_ij P_j^H``, with G the ``_gramian`` of the stacked modal
+    residues ``P_k^{-1} Res_k`` in blocks.
 
     For finite h they are the cross covariances Sigma_{i,j}^{(h)} of the
     components' innovations over one sampling step; for h = inf, those of
     the stationary components.
     """
-    res = np.asarray(residues)
-    M = res[:, None] @ sigma_L @ res.conj().swapaxes(1, 2)
-    rows = SimpleNamespace(spectrum=S.spectrum[:, None], P=S.P[:, None],
-                           P_inv=S.P_inv[:, None])
-    return ou_gramian(rows, S, M, h)
+    p, d = S.P.shape[:2]
+    modal = (S.P_inv @ np.asarray(residues)).reshape(p * d, -1)
+    G = _gramian(modal, sigma_L, S.spectrum.ravel(), h).reshape(p, d, p, d).swapaxes(1, 2)
+    return S.P[:, None] @ G @ S.P.conj().swapaxes(1, 2)
+
+
+def _modal_sum(modes, times, right):
+    """``X diag(e^{t lam}) right`` at every t of ``times``, complex
+    (len(times), d, cols), and per t the largest entry of its terms
+    ``x_a e^{t lam_a} right_a``, at least 1."""
+    scales = np.exp(np.multiply.outer(np.asarray(times, dtype=float), modes.roots))
+    top = np.abs(modes.X).max(axis=0) * np.abs(right).max(axis=1)
+    return (modes.X * scales[:, None, :]) @ right, (np.abs(scales) * top).max(axis=1, initial=1.0)
+
+
+def _real(sums, scales, what):
+    """The real part of ``_modal_sum`` sums, each imaginary part, ``what``,
+    certified below ``tolerances.IMAG_LEAK`` of its sum's largest term (the
+    exact sum is real only up to roundoff amplified by the term magnitudes)."""
+    tol.certify(ImaginaryLeakError, what, np.abs(sums.imag).max(axis=(1, 2), initial=0.0),
+                tol.IMAG_LEAK * scales)
+    return sums.real.copy()
+
+
+def kernel(decomp, t):
+    """Kernel ``C* e^{A* t} B* = Re X diag(e^{t lam}) W B*`` of the OU sum,
+    (d, m) at each time t >= 0 of ``t``, from the model's ``modes``.
+
+    Equals ``sum_k e^{t R_k} Res_k`` of any solvent set; the identities are
+    exercised by the verification suite rather than recomputed here.  The
+    imaginary part is certified below ``tolerances.IMAG_LEAK`` of the largest
+    term and stripped.
+    """
+    t = np.asarray(t, dtype=float)
+    if not ((t >= 0) & (t < np.inf)).all():
+        raise ValueError(f"kernel is defined for finite t >= 0, got {t}")
+    modes = decomp.model.modes
+    out = _real(*_modal_sum(modes, t.ravel(), modes.residues), "kernel imaginary part")
+    return out.reshape(t.shape + out.shape[1:])
 
 
 def stationary_acvf(decomp, lags):
-    """Stationary autocovariance ``gamma(l) = sum_i e^{l R_i} Sigma_i`` with
-    ``Sigma_i = sum_j int_0^inf e^{u R_i} Res_i Sigma_L Res_j^H e^{u R_j^H} du``.
+    """Stationary autocovariance ``gamma(l) = Re X diag(e^{l lam}) G X^H``,
+    ``G = K o (-1/z)`` (module docstring), from the model's ``modes``.
 
-    The decomposition keeps ``Sigma_i`` in modal coordinates, with
-    ``gamma(0)`` certified symmetric PSD when they are built; each call forms
-    the lags as one modal product (``_real_sum``).
+    The modes keep ``G X^H``, with ``gamma(0)`` certified symmetric PSD when
+    it is built; each call forms the lags as one modal product.
 
     Parameters
     ----------
@@ -604,6 +615,5 @@ def stationary_acvf(decomp, lags):
     lags = np.asarray(list(lags), dtype=float)
     if not ((lags >= 0) & (lags < np.inf)).all():
         raise ValueError("lags must be finite and nonnegative")
-    gammas, _ = _real_sum(decomp.solvent_set, lags, decomp._stationary_modal,
-                          "ACVF imaginary part")
-    return gammas
+    modes = decomp.model.modes
+    return _real(*_modal_sum(modes, lags, modes._stationary), "ACVF imaginary part")

@@ -40,8 +40,8 @@ def check_irreducible(A, B, pairs=None):
     d = A.order[0]
     roots = np.array([pr.root for pr in pairs])
     tiny = np.finfo(float).tiny  # a zero scale goes with an exactly zero block
-    scale_a = np.maximum(matpoly.backward_scale(A, roots), tiny)[:, None, None]
-    scale_b = np.maximum(matpoly.backward_scale(B, roots), tiny)[:, None, None]
+    scale_a = np.maximum(matpoly.backward_scale(A.coeffs, roots), tiny)[:, None, None]
+    scale_b = np.maximum(matpoly.backward_scale(B.coeffs, roots), tiny)[:, None, None]
     stacked = np.concatenate([A.eval(roots) / scale_a, B.eval(roots) / scale_b], axis=2)
     s = np.linalg.svd(stacked, compute_uv=False)
     # floor: at a common zero the whole stacked row vanishes and sigma_max

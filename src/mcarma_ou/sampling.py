@@ -1,15 +1,16 @@
 """Exact weak VARMA(p, p-1) structure of the h-sampled process.
 
-Sampling the OU-sum on the grid nh turns each component into a first-order
-recursion ``Y_k,n = e^{h R_k} Y_k,n-1 + N_k,n``.  The matrices
-``e^{-h R_1}, ..., e^{-h R_p}`` form a complete set of regular right
-solvents of the monic AR polynomial Psi; they share the latent vectors X of
-the R_k, so ``(X, diag(e^{-h lam}))`` is a standard pair of Psi (Gohberg,
-Lancaster & Rodman, Matrix Polynomials (1982), ch. 2; Chambers & Thornton,
-Econometric Theory 28 (2012)).  ``varma_ar`` reads Psi off that pair in
-delta form, ``z = 1 + omega w`` (Middleton & Goodwin, IEEE TAC 31 (1986)),
-by one pd x pd solve that needs no matrix exponential and no grouping of
-the roots; the normalized AR coefficients are ``Phi_j = -Psi_p^{-1}
+Sampling the modes of the model (``mcarma.Modes``) on the grid nh turns
+each into a first-order recursion ``z_a,n = e^{h lam_a} z_a,n-1 + e_a,n``,
+so ``(X, diag(e^{-h lam}))``, with the unit latent vectors X side by side,
+is a standard pair of the monic AR polynomial Psi of the sampled process
+(Gohberg, Lancaster & Rodman, Matrix Polynomials (1982), ch. 2; Chambers &
+Thornton, Econometric Theory 28 (2012)); the sampled solvents
+``e^{-h R_k}`` of any grouping of the roots are a complete set of its
+right solvents.  ``varma_ar`` reads Psi off that pair in delta form,
+``z = 1 + omega w`` (Middleton & Goodwin, IEEE TAC 31 (1986)), by one
+pd x pd solve that needs no matrix exponential and no grouping of the
+roots; the normalized AR coefficients are ``Phi_j = -Psi_p^{-1}
 Psi_{p-j}``.  The residual noise ``U_n = Phi(B) Y_n`` is (p-1)-dependent:
 
     U_n = sum_{r<p} int_0^h k_r(s) dL(nh - rh - s),
@@ -18,8 +19,8 @@ Psi_{p-j}``.  The residual noise ``U_n = Phi(B) Y_n`` is (p-1)-dependent:
 with ``D = diag(e^{h lam})`` and the modal residues ``W B*``, and
 ``noise_acvf`` integrates ``gamma_U(l) = sum_r int_0^h k_{r+l}(s) Sigma_L
 k_r(s)^H ds`` by Gauss-Legendre quadrature, each kernel projected before it
-is integrated.  Both read only X, the latent roots and W B*, which a
-solvent set and a decomposition keep.
+is integrated.  Both read only the model's modes: X, the latent roots and
+W B*.
 
 The invertible MA(p-1) factor of that noise is the steady state of the
 Kalman filter of its covariance realization: with the block up-shift A,
@@ -46,7 +47,7 @@ from math import ceil, comb, factorial
 
 import numpy as np
 
-from . import matpoly, mcarma, tolerances as tol
+from . import matpoly, tolerances as tol
 from .exceptions import (
     AliasedSamplingError,
     ImaginaryLeakError,
@@ -99,13 +100,12 @@ class SampledVarma:
     ma_roundtrip: tol.Check
 
 
-def varma_ar(S, h):
-    """AR coefficients (Psi, Phi) of the sampled process.
+def varma_ar(model, h):
+    """AR coefficients (Psi, Phi) of the sampled process of a model.
 
-    The sampled solvents ``e^{-h R_k}`` have the latent vectors of S as
-    their eigenvectors, so the monic AR polynomial ``Psi(z) = z^p I +
-    Psi_1 z^(p-1) + ... + Psi_p`` has the standard pair ``(X, diag(z))``,
-    ``z = e^{-h lam}``, with ``X = S.X``.  In delta form ``z = 1 + omega w``,
+    The monic AR polynomial ``Psi(z) = z^p I + Psi_1 z^(p-1) + ... + Psi_p``
+    has the standard pair ``(X, diag(z))``, ``z = e^{-h lam}``, of the
+    model's ``modes``.  In delta form ``z = 1 + omega w``,
     ``w = expm1(-h lam) / omega`` and ``omega = max|expm1(-h lam)|``, so w
     depends on h lam alone and does not crowd towards 0 as h -> 0; the
     monic delta polynomial of the pair ``(X, diag(w))`` is one solve,
@@ -116,13 +116,13 @@ def varma_ar(S, h):
     Certified: ``p h max(-Re lam)`` at most ``tolerances.EXP_OVERFLOW``
     before any exponential is formed (beyond it ``e^{-p h lam}``
     overflows); the gaps between the sampled roots of distinct latent roots
-    (``S.distinct``) at least ``tolerances.ALIAS``; cond(Q) at most
+    (``modes.distinct``) at least ``tolerances.ALIAS``; cond(Q) at most
     ``tolerances.CONDITION``; the imaginary part of Psi~ below
     ``tolerances.IMAG_LEAK`` of its largest entry; the residual
-    ``||sum_j Psi_j X diag(z)^(p-j)||`` of each latent vector below
-    ``tolerances.AR_RESIDUAL`` of ``max(1, max_j ||Psi_j||_F)``; and
-    cond(Psi_p).  Every quantity is a function of h lam, so rescaling time
-    does not change a verdict.
+    ``||sum_j Psi_j x_a z_a^(p-j)||`` of each latent pair below
+    ``tolerances.AR_RESIDUAL`` of the rounding of Psi(z_a),
+    ``matpoly.backward_scale(Psi, z_a)``; and cond(Psi_p).  Every quantity
+    is a function of h lam, so rescaling time does not change a verdict.
 
     Returns
     -------
@@ -143,14 +143,15 @@ def varma_ar(S, h):
     """
     if not 0 < h < np.inf:
         raise ValueError("sampling step h must be positive and finite")
-    lam, X = S.roots, S.X
-    p, d = len(S), S.block_dim
+    modes = model.modes
+    lam, X = modes.roots, modes.X
+    p, d = model.p, model.d
     tol.certify(SingularVandermondeError, "sampled exponent p h max(-Re lam)",
                 -p * h * lam.real.min(), tol.EXP_OVERFLOW)
     # just below the overflow guard the powers and norms can still overflow
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.exp(-h * lam)
-        gaps = np.where(S.distinct, np.abs(z[:, None] - z), np.inf)
+        gaps = np.where(modes.distinct, np.abs(z[:, None] - z), np.inf)
         tol.certify(AliasedSamplingError, "sampled root gap", gaps, tol.ALIAS, at_least=True)
         w = np.expm1(-h * lam)
         omega = float(np.abs(w).max()) or 1.0
@@ -166,13 +167,11 @@ def varma_ar(S, h):
         delta[:0:-1] = tilde.real.reshape(p, d, d).swapaxes(1, 2).reshape(p, d * d)
         coeffs = ((_shift_to_z(p) * omega ** np.arange(p + 1)) @ delta).reshape(p + 1, d, d)
 
-        # near the overflow guard the squares of these norms overflow: an inf fails
-        scale = max(1.0, float(np.linalg.norm(coeffs, axis=(1, 2)).max()))
-        tol.certify(SingularVandermondeError, "AR coefficient scale", scale, np.finfo(float).max)
         powers = X * z ** np.arange(p, -1, -1)[:, None, None]  # X diag(z)^(p-j)
         at_roots = coeffs.swapaxes(0, 1).reshape(d, -1) @ powers.reshape(-1, p * d)
         residual = tol.certify(SingularVandermondeError, "AR residual",
-                               np.linalg.norm(at_roots, axis=0), tol.AR_RESIDUAL * scale)
+                               np.linalg.norm(at_roots, axis=0),
+                               tol.AR_RESIDUAL * matpoly.backward_scale(coeffs, z))
     psi = coeffs[1:]  # Psi_1 .. Psi_p
     tol.certify(SingularVandermondeError, "cond(Psi_p)", float(matpoly._cond(psi[-1])),
                 tol.CONDITION)
@@ -211,12 +210,31 @@ def _panels(h, lam):
     return h * nodes, h * weights
 
 
-def _noise_acvf(S, modal, phi, h):
-    """``noise_acvf`` from the modal residues side by side, ``modal = [W B*,
-    W B* Sigma_L]`` (``mcarma._modal_residues``)."""
-    p, d = len(S), S.block_dim
-    lam, X = S.roots, S.X
-    m = modal.shape[1] // 2
+def noise_acvf(model, phi, h):
+    """Autocovariances gamma_U(0..p-1) of the sampled AR residual noise.
+
+    The noise is ``U_n = sum_{r<p} int_0^h k_r(s) dL(nh - rh - s)`` with the
+    kernels ``k_r(s) = M_r diag(e^{s lam}) W B*``, where ``M_r = X D^r -
+    sum_{j<=r} Phi_j X D^{r-j}``, ``D = diag(e^{h lam})`` and the model's
+    modes: the latent vectors X, the roots lam and the modal residues
+    ``W B*`` (``mcarma.Modes``), so
+
+        gamma_U(l) = sum_{r=0}^{p-1-l} int_0^h k_{r+l}(s) Sigma_L k_r(s)^H ds,
+
+    which vanishes for l >= p.  Each kernel is projected before it is
+    integrated, so the small noise covariance of a small h is not the
+    cancelling sum of O(h) component Gramians.  The integral is
+    Gauss-Legendre quadrature (``_panels``): the kernels at up to
+    ``QUADRATURE_CHUNK`` nodes are one product, and the terms of one lag, one
+    per r with its nodes summed inside, one batched product, summed in the
+    order of r.  Imaginary parts
+    are certified below ``tolerances.IMAG_LEAK`` of the largest term so far
+    and stripped; gamma_U(0) is certified symmetric PSD.
+    """
+    modes = model.modes
+    p, d, m = model.p, model.d, model.m
+    lam, X = modes.roots, modes.X
+    modal = modes._residues_sigma
     XD = X * np.exp(np.multiply.outer(h * np.arange(p), lam))[:, None, :]  # X D^r
     M = XD.copy()
     for j in range(1, p):
@@ -246,29 +264,6 @@ def _noise_acvf(S, modal, phi, h):
     tol.certify(NotPDError, "gamma_U(0) min eig", np.min(np.linalg.eigvalsh(out[0])),
                 -tol.PSD_FLOOR * term_scale, at_least=True)
     return out
-
-
-def noise_acvf(S, residues, phi, sigma_L, h):
-    """Autocovariances gamma_U(0..p-1) of the sampled AR residual noise.
-
-    The noise is ``U_n = sum_{r<p} int_0^h k_r(s) dL(nh - rh - s)`` with the
-    kernels ``k_r(s) = M_r diag(e^{s lam}) W B*``, where ``M_r = X D^r -
-    sum_{j<=r} Phi_j X D^{r-j}``, ``D = diag(e^{h lam})``, X = ``S.X`` and
-    ``W B*`` stacks the modal residues ``P_k^{-1} Res_k``, so
-
-        gamma_U(l) = sum_{r=0}^{p-1-l} int_0^h k_{r+l}(s) Sigma_L k_r(s)^H ds,
-
-    which vanishes for l >= p.  Each kernel is projected before it is
-    integrated, so the small noise covariance of a small h is not the
-    cancelling sum of O(h) component Gramians.  The integral is
-    Gauss-Legendre quadrature (``_panels``): the kernels at up to
-    ``QUADRATURE_CHUNK`` nodes are one product, and the terms of one lag, one
-    per r with its nodes summed inside, one batched product, summed in the
-    order of r.  Imaginary parts
-    are certified below ``tolerances.IMAG_LEAK`` of the largest term so far
-    and stripped; gamma_U(0) is certified symmetric PSD.
-    """
-    return _noise_acvf(S, mcarma._modal_residues(S, residues, sigma_L), phi, h)
 
 
 def _riccati_doubling(G):
@@ -430,14 +425,16 @@ def ma_acvf(theta, sigma_eps, lag):
 def sampled_varma(decomp, h):
     """Full sampled-VARMA summary (Psi, Phi, gamma_U, Theta, Sigma_eps).
 
-    Each call logs the seconds of ``varma_ar``, ``noise_acvf`` and
-    ``fit_ma`` and the doubling steps at DEBUG.
+    The fit reads the model's modes, not the decomposition's solvent set,
+    so every grouping gives the same result.  Each call logs the seconds of
+    ``varma_ar``, ``noise_acvf`` and ``fit_ma`` and the doubling steps at
+    DEBUG.
     """
-    S = decomp.solvent_set
+    model = decomp.model
     start = time.perf_counter()
-    psi, phi, cond_Q, ar_residual = varma_ar(S, h)
+    psi, phi, cond_Q, ar_residual = varma_ar(model, h)
     ar_done = time.perf_counter()
-    gamma = _noise_acvf(S, decomp._noise_modal, phi, h)
+    gamma = noise_acvf(model, phi, h)
     noise_done = time.perf_counter()
     theta, sigma_eps, margin, steps, roundtrip = fit_ma(gamma)
     log.debug("sampled_varma: h=%g, varma_ar %.6f s, noise_acvf %.6f s, "

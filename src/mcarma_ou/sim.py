@@ -1,32 +1,32 @@
-"""Exact-in-distribution path simulation of the OU components on the h-grid.
+"""Exact-in-distribution path simulation of the OU sum on the h-grid.
 
-The sampled components follow ``Y_k,n = e^{h R_k} Y_k,n-1 + N_k,n`` with the
-jointly Gaussian innovation stack (Brownian driver) or per-jump sums
-(compound Poisson driver).  The joint stack is drawn through the real state
-space Gramian, which realizes the exact cross covariances
-Sigma_{nu,mu}^{(h)} of all p components at once; drawing the components
-independently would lose the cross terms, and a complex Cholesky of the
-block covariance alone would not pin down the joint law.
+The modes of the model (``mcarma.Modes``) follow ``z_a,n = e^{h lam_a}
+z_a,n-1 + e_a,n`` with jointly Gaussian innovations (Brownian driver),
+drawn through the real state covariance ``Q_h`` of one step so that every
+cross term is exact, or per-jump sums (compound Poisson driver).  No solvent
+set is read, so a path does not depend on how the roots are grouped.
 
-The recursion runs in the decomposition's kept modal form
-(``mcarma.ModalForm``), where it is scalar AR(1) recursions, one per mode.
-The path is real, so of each conjugate pair of modes one carries both and
-the read-out doubles its real part, and a real mode runs in float on
-``e^{h Re lam}``: a model with pd modes, r of them real, scans r real and
-(pd - r) / 2 complex recursions.  Both groups are solved CHUNK steps at a
-time by the same blocked scan (:func:`_scan`): batched matrix products
-against per-mode triangular Toeplitz stacks of powers of ``e^{h lam}``,
-which the modal form keeps per (h, path length), so no Python code runs
-per step and no ``expm`` is taken per jump.
+The recursion runs in the model's kept modal form (``mcarma.ModalForm``),
+one scalar AR(1) recursion per mode.  The path is real, so of each
+conjugate pair of modes one carries both and the read-out doubles its real
+part, and a real mode runs in float on ``e^{h Re lam}``: a model with pd
+modes, r of them real, scans r real and (pd - r) / 2 complex recursions.
+Both groups are solved CHUNK steps at a time by the same blocked scan
+(:func:`_scan`): batched matrix products against per-mode triangular
+Toeplitz stacks of powers of ``e^{h lam}``, which the modal form keeps per
+(h, path length), so no Python code runs per step and no ``expm`` is taken
+per jump.
 
 Reproducibility: one path owns one seeded PCG64 generator; identical seeds
-give bit-identical paths.  A Brownian path for a given seed equals that of
-earlier releases up to rounding, except where a Gramian is singular to
-rounding and ``mcarma.psd_factor`` falls back to its symmetric square
-root: that factor moves continuously with the Gramian, so a rounding change
-moves the path only slightly.  A compound-Poisson path for a given seed
+give bit-identical paths, for every grouping of the roots.  A Brownian path
+for a given seed equals that of earlier releases up to the rounding of Q_h
+and of the stationary covariance Pi, except where a Gramian is singular to
+rounding and ``mcarma.psd_factor`` takes its symmetric square root instead
+of Cholesky (or the other way round): that root moves continuously with
+the Gramian, but the switch between the two factors moves the path to
+another path of the same law.  A compound-Poisson path for a given seed
 differs from releases that simulated step by step, because the jump counts,
-offsets and sizes are now drawn a chunk at a time; its law is unchanged.
+offsets and sizes are drawn a chunk at a time; its law is unchanged.
 For parallel paths split the seed with
 ``np.random.SeedSequence(seed).spawn(n)`` and give each path one child.
 """
@@ -94,12 +94,12 @@ class PathGrid:
 
 
 def state_innovation_gramian(decomp, sigma_L, h):
-    """Real pd x pd covariance of the stacked state innovation over one step,
-    ``T [Sigma_{nu,mu}^{(h)}] T^H`` with the component Gramians of
-    ``mcarma.component_gramians``; for h = inf, the stationary state
+    """Real pd x pd covariance ``int_0^h e^{u A*} B* sigma_L B*^T e^{u A*^T}
+    du`` of the state innovation over one step, for a driver of covariance
+    ``sigma_L``: ``Re B [K o expm1(h z)/z] B^H`` in the model's modes
+    (``mcarma.Modes.state_gramian``); for h = inf, the stationary state
     covariance Pi."""
-    return mcarma.state_covariance(
-        decomp, mcarma.component_gramians(decomp.solvent_set, decomp.residues, sigma_L, h))
+    return decomp.model.modes.state_gramian(sigma_L, h)
 
 
 def _stationary_state(decomp, rng):
@@ -109,7 +109,7 @@ def _stationary_state(decomp, rng):
                          "decompose without x0")
     if not decomp.model.stationary:
         raise NotStationaryError("stationary start requires a stable model")
-    factor = decomp.stationary_state_factor
+    factor = decomp.model.modes.stationary_state_factor
     return factor @ rng.standard_normal(factor.shape[1])
 
 
@@ -221,7 +221,7 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     """Simulate the OU components on the h-grid, exactly in distribution.
 
     The sum runs as scalar recursions ``z_n = e^{h lam} z_{n-1} + e_n`` in
-    the decomposition's kept ``modal_form`` (``mcarma.ModalForm``): the real
+    the model's kept ``modes.modal_form`` (``mcarma.ModalForm``): the real
     modes in float on ``e^{h Re lam}``, one mode per conjugate pair in
     complex.  Both groups are solved CHUNK steps at a time by the blocked
     scan :func:`_scan` and read out as ``Y_n = R_r u_n + 2 Re(R_c v_n)``
@@ -256,7 +256,7 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
         raise ValueError("need a finite h > 0 and n_steps >= 1")
     start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
-    form = decomp.modal_form
+    form = decomp.model.modes.modal_form
     # a group without modes would only add numpy calls per chunk
     groups = [g for g in (form.real, form.pair) if g.roots.size]
 

@@ -5,9 +5,10 @@ One line per bound, ``NAME = value  # quantity; scale``: the bound is
 and Stability of Numerical Algorithms, 2nd ed., section 3.5, for products;
 Tisseur, Linear Algebra Appl. 309 (2000), ``matpoly.backward_scale``, for
 matrix polynomials).  ``abs`` marks a bound that is not scale-free: rescaling
-time can change its verdict.  A certificate holds when ``measured <= bound``,
-or ``>=`` for a bound marked ``at least``, elementwise, so a NaN fails; one
-marked ``exceeded`` is strict and passes ``np.nextafter(bound, np.inf)``.
+time can change its verdict.  A certificate holds when ``measured <= bound <
+inf``, or ``>=`` for a bound marked ``at least``, elementwise, so a NaN or an
+overflowed bound fails; one marked ``exceeded`` is strict and passes
+``np.nextafter(bound, np.inf)``.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ POLE_GAP = 1e-10          # distance of an evaluation point to a latent root (at
 INPUT_COVARIANCE = 1e-12  # asymmetry, -min eig of sigma_L; max(1, max|sigma_L|), 1; abs
 SHARP_IDENTITY = 1e-12    # max|A# B* - B#|; max(|A#| |B*|)
 INIT_LEAK = 1e-10         # max|Im T y0| of the component initials; max(1, max(|T| |y0|)); abs
-SIMILARITY = 1e-9         # A* T - T diag(R_k), B* - T Res, C* T - (I..I); see decompose; abs
+SIMILARITY = 1e-9         # A* T - T diag(R_k), B* - T Res, C* T - (I..I); |A*| |T| + |T| |R|, |T| |Res|, |C*| |T| elementwise
 IMAG_LEAK = 1e-9          # Im of a real sum, Im Psi~, gamma_U(0) asymmetry; max(1, top term), max|Psi~|, verify 1; abs
 ACVF_ASYMMETRY = 1e-10    # gamma(0) asymmetry; max(1, top term), verify max(1, max|gamma(0)|); abs
 PSD_FLOOR = 1e-10         # -min eig of gamma(0), gamma_U(0); max(1, trace), max(1, top term); abs
 SYLVESTER_GAP = 1e-12     # min|lam_a + conj(mu_b)| of a Gramian over [0, inf) (at least); 1; abs
 ALIAS = 1e-10             # |e^{-h lam_i} - e^{-h lam_j}|, lam_i, lam_j apart (at least); 1; abs
 EXP_OVERFLOW = float(np.log(np.finfo(float).max))  # p h max(-Re lam) of the sampled solvents; 1
-AR_RESIDUAL = 1e-8        # ||sum_j Psi_j x e^{-(p-j) h lam}|| of each latent pair (lam, x); max(1, max ||Psi_j||_F); abs
+AR_RESIDUAL = 1e-8        # ||sum_j Psi_j x z^(p-j)|| of each latent pair (lam, x), z = e^{-h lam}; backward_scale(Psi, z)
 DOUBLING = 1e-13          # ||H_{k+1} - H_k||_F, when the MA doubling stops; ||H_{k+1}||_F
 PD_FLOOR = 1e-10          # min eig of gamma_U(0) and of Sigma_eps (exceeded); trace gamma_U(0)
 ZERO_AT_INFINITY = 1e-12  # spectral radius at or below which det Theta has no finite zero; 1; abs
@@ -60,7 +61,11 @@ class Check(NamedTuple):
 
 
 def _ok(measured, bound, at_least):
-    return measured >= bound if at_least else measured <= bound
+    if at_least:
+        return measured >= bound
+    if type(bound) is np.ndarray:
+        return (measured <= bound) & (bound < np.inf)
+    return measured <= (bound if bound < np.inf else np.nan)  # nothing is <= nan
 
 
 def check(name, measured, bound, at_least=False):

@@ -201,13 +201,13 @@ def linalg_calls(monkeypatch):
 
 @pytest.fixture
 def broken_fold(monkeypatch):
-    """Scale the row of the modal transform W of the first conjugate pair's
+    """Scale the row of W = B^{-1} of the first conjugate pair's
     representative by 1 + 1e-6, which the fold of any model with a pair sees."""
-    transform = mcarma._modal_transform
+    inverse = mcarma.Modes.W.func
 
-    def perturbed(S):
-        W, B = transform(S)
-        W[np.flatnonzero(S.roots.imag > 0)[0]] *= 1.0 + 1e-6
-        return W, B
+    def perturbed(modes):
+        W = inverse(modes).copy()
+        W[np.flatnonzero(modes.roots.imag > 0)[0]] *= 1.0 + 1e-6
+        return W
 
-    monkeypatch.setattr(mcarma, "_modal_transform", perturbed)
+    monkeypatch.setattr(mcarma.Modes, "W", property(perturbed))

@@ -3,7 +3,7 @@
 Each oracle takes a different route from the production code: residues by
 contour quadrature instead of the Vandermonde linear system; Gramians and
 the sampled-noise ACVF by adaptive quadrature of ``scipy.linalg.expm``
-products instead of the eigenbasis formula of ``mcarma.ou_gramian``; paths
+products instead of the modal weights of ``mcarma._gramian``; paths
 by the per-step component recursion with one ``expm`` per jump, or by the
 real state-space recursion, instead of the chunked eigenbasis scan; the MA
 factor of a (p-1)-dependent noise by the multivariate innovations recursion
@@ -35,11 +35,19 @@ INNOVATIONS_MAXIT = 10000
 
 
 def eigenbasis(R):
-    """One matrix with its eigenbasis ``R = P diag(spectrum) P^{-1}``, in the
-    form ``mcarma.ou_gramian`` reads, for Gramians of bare matrices."""
+    """One matrix with its eigenbasis ``R = P diag(spectrum) P^{-1}``."""
     R = np.asarray(R, dtype=complex)
     spectrum, P = np.linalg.eig(R)
     return SimpleNamespace(R=R, spectrum=spectrum, P=P, P_inv=np.linalg.inv(P))
+
+
+def stack(mats):
+    """The eigenbases of square matrices stacked as a ``matpoly.SolventSet``
+    stacks them (``spectrum``, ``P``, ``P_inv``), the form
+    ``mcarma.component_gramians`` reads, for Gramians of bare matrices."""
+    bases = [eigenbasis(R) for R in mats]
+    return SimpleNamespace(**{key: np.array([getattr(b, key) for b in bases])
+                              for key in ("spectrum", "P", "P_inv")})
 
 
 def components(S):
@@ -128,14 +136,14 @@ def noise_acvf_quadrature(S, residues, phi, sigma_L, h):
     return out
 
 
-def noise_acvf_loop(S, residues, phi, sigma_L, h):
+def noise_acvf_loop(model, phi, h):
     """``sampling.noise_acvf`` in Python loops: every ``M_r``, the kernels
     ``k_r(s)`` and ``k_r(s) Sigma_L`` at all nodes by one 2-d product per r,
     and one 2-d product per term of gamma_U, with the same certificates."""
-    p, d = len(S), S.block_dim
-    lam, X = S.roots, np.hstack(list(S.P))
-    wb = np.vstack(list(S.P_inv @ residues))
-    modal = np.hstack([wb, wb @ sigma_L])
+    modes = model.modes
+    p, d = model.p, model.d
+    lam, X, wb = modes.roots, modes.X, modes.residues
+    modal = np.hstack([wb, wb @ model.sigma_L])
     m = wb.shape[1]
     XD = [X * np.exp((h * r) * lam) for r in range(p)]
     M = [np.array(m_r) for m_r in XD]

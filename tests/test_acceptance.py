@@ -91,11 +91,11 @@ def test_criterion_4_acvf_oracle(example_model, example_set_12, corpus):
     report_worst(4, checks, time.perf_counter() - start)
 
 
-def test_criterion_5_sampled_ar_structure(example_set_12, corpus):
+def test_criterion_5_sampled_ar_structure(example_model, example_set_12, corpus):
     start = time.perf_counter()
     worst = 0.0
     for h in (0.1, 0.5, 1.0):
-        psi, _, *_ = sampling.varma_ar(example_set_12, h)
+        psi, _, *_ = sampling.varma_ar(example_model, h)
         poly = matpoly.LambdaMatrix(
             tuple([np.eye(2, dtype=complex)] + [c.astype(complex) for c in psi]))
         for R in example_set_12.matrices:
@@ -108,7 +108,7 @@ def test_criterion_5_sampled_ar_structure(example_set_12, corpus):
     for model in scalar_models:
         roots = np.array([pr.root for pr in model.latent_pairs])
         for h in (0.1, 0.5):
-            _, phi, *_ = sampling.varma_ar(model.solvent_set(), h)
+            _, phi, *_ = sampling.varma_ar(model, h)
             # prod_k (1 - e^{r_k h} z) = prod_k (z - e^{-r_k h}) scaled so the
             # constant term is one; ascending coefficients are 1, -phi_1, ...
             poly = np.polynomial.polynomial.polyfromroots(np.exp(-h * roots))
@@ -130,17 +130,16 @@ def test_criterion_6_noise_dependence(example_model, example_set_12):
         scalar_poly(1, 3, 2), scalar_poly(1.0), np.array([[1.0]]))
     S1 = model1.solvent_set()
     res1 = rational.residues(model1.statespace.B_star, S1)
-    _, phi1, *_ = sampling.varma_ar(S1, 0.5)
-    got1 = sampling.noise_acvf(S1, res1, phi1, model1.sigma_L, 0.5)
+    _, phi1, *_ = sampling.varma_ar(model1, 0.5)
+    got1 = sampling.noise_acvf(model1, phi1, 0.5)
     quad1 = noise_acvf_quadrature(S1, res1, phi1, model1.sigma_L, 0.5)
     err1 = max(np.max(np.abs(g - q)) / max(1.0, np.max(np.abs(q)))
                for g, q in zip(got1, quad1))
 
     # d = 2: matrix quadrature on the reference example
     decomp = mcarma.decompose(example_model, example_set_12)
-    _, phi2, *_ = sampling.varma_ar(example_set_12, h)
-    got2 = sampling.noise_acvf(example_set_12, decomp.residues, phi2,
-                               example_model.sigma_L, h)
+    _, phi2, *_ = sampling.varma_ar(example_model, h)
+    got2 = sampling.noise_acvf(example_model, phi2, h)
     quad2 = noise_acvf_quadrature(example_set_12, decomp.residues, phi2,
                                   example_model.sigma_L, h)
     err2 = max(np.max(np.abs(g - q)) / max(1.0, np.max(np.abs(q)))
@@ -171,6 +170,8 @@ def test_criterion_7_ma_roundtrip(corpus):
 
 def test_criterion_8_solvent_set_consistency(
         example_model, example_set_12, example_set_34):
+    # the fit and path routes read the model's modes, so each solvent set's
+    # OU sum must reproduce their kernel, ACVF and sampled AR polynomial
     start = time.perf_counter()
     d12 = mcarma.decompose(example_model, example_set_12)
     d34 = mcarma.decompose(example_model, example_set_34)
@@ -180,20 +181,26 @@ def test_criterion_8_solvent_set_consistency(
         for a, b in zip(d12.solvent_set.matrices, d34.solvent_set.matrices))
     assert pair_gap > 0.5, "solvent pairs should be genuinely different"
 
-    kernel_err = max(
-        np.max(np.abs(mcarma.kernel(d12, t) - mcarma.kernel(d34, t)))
-        for t in np.linspace(0.0, 5.0, 26))
     lags = [0.0, 0.1, 0.5, 1.0]
-    acvf_err = max(
-        np.max(np.abs(a - b))
-        for a, b in zip(mcarma.stationary_acvf(d12, lags),
-                        mcarma.stationary_acvf(d34, lags)))
-    _, phi_a, *_ = sampling.varma_ar(example_set_12, 0.1)
-    _, phi_b, *_ = sampling.varma_ar(example_set_34, 0.1)
-    phi_err = max(np.max(np.abs(a - b)) for a, b in zip(phi_a, phi_b))
+    h = 0.1
+    psi, _, *_ = sampling.varma_ar(example_model, h)
+    poly = matpoly.LambdaMatrix(
+        tuple([np.eye(2, dtype=complex)] + [c.astype(complex) for c in psi]))
+    gammas = mcarma.stationary_acvf(d12, lags)
+    errs = []
+    for decomp in (d12, d34):
+        S, res = decomp.solvent_set, decomp.residues
+        errs += [np.max(np.abs(mcarma.kernel(decomp, t) - sum(
+            scipy.linalg.expm(t * R) @ r for R, r in zip(S.matrices, res)).real))
+            for t in np.linspace(0.0, 5.0, 26)]
+        sigmas = mcarma.component_gramians(S, res, example_model.sigma_L).sum(axis=1)
+        errs += [np.max(np.abs(g - sum(scipy.linalg.expm(lag * R) @ s
+                                       for R, s in zip(S.matrices, sigmas)).real))
+                 for lag, g in zip(lags, gammas)]
+        errs += [np.linalg.norm(poly.eval_right(scipy.linalg.expm(-h * R)))
+                 for R in S.matrices]
     elapsed = time.perf_counter() - start
-    report(8, "solvent-set-consistency",
-           float(max(kernel_err, acvf_err, phi_err)), 1e-8, elapsed)
+    report(8, "solvent-set-consistency", float(max(errs)), 1e-8, elapsed)
 
 
 def test_criterion_9_simulation_agreement(example_model, example_set_12):

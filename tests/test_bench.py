@@ -15,6 +15,7 @@ from conftest import MODELS_DIR
 
 LAYERS = MODELS_DIR.parent / "bench" / "layers.py"
 FIT_LAYERS = {"stationary_acvf", "varma_ar", "noise_acvf", "fit_ma", "sampled_varma"}
+COLD_LAYERS = {"build", "solvent_set", "decompose", "stationary_acvf", "simulate"}
 TIMES = {"median_s", "min_s"}
 
 
@@ -40,10 +41,12 @@ def test_layers_script_writes_its_keys(tmp_path):
     assert doc["reps"] == 1 and set(doc["reference_kernel"]) == TIMES
     assert set(doc["models"]) == {"carma2x2", "corpus8"}
     for entry in doc["models"].values():
-        assert set(entry) == {"d", "p", "fit", "simulate_per_step"}
+        assert set(entry) == {"d", "p", "fit", "simulate_per_step", "cold"}
         assert set(entry["fit"]) == {"0.25", "0.01"}
         for layers in entry["fit"].values():
             assert set(layers) == FIT_LAYERS
             assert all(set(times) == TIMES for times in layers.values())
         assert set(entry["simulate_per_step"]) == {"brownian", "compound_poisson"}
         assert all(set(times) == TIMES for times in entry["simulate_per_step"].values())
+        assert set(entry["cold"]) == COLD_LAYERS
+        assert all(set(times) == TIMES for times in entry["cold"].values())

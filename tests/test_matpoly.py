@@ -225,7 +225,8 @@ class TestStackedRepresentation:
         want = np.linalg.cond(vandermonde(given))
         assert abs(S.cond_V.measured - want) <= tol * want
         assert_allclose(np.sort_complex(S.roots), [-4, -3, -2, -1], rtol=0, atol=tol)
-        assert_allclose(S.expm(0.3), [scipy.linalg.expm(0.3 * R) for R in given],
+        eigenbasis = (S.P * np.exp(0.3 * S.spectrum)[:, None, :]) @ S.P_inv
+        assert_allclose(eigenbasis, [scipy.linalg.expm(0.3 * R) for R in given],
                         rtol=0, atol=tol)
 
     def test_latent_route_takes_no_eig(self, example_poly, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -174,7 +175,7 @@ class TestScalarOu:
         decomp = mcarma.decompose(model, model.solvent_set())
         path = sim.simulate(decomp, brownian(99, np.array([[1.0]])), h, n,
                             stationary_start=True)
-        _, phi, *_ = sampling.varma_ar(decomp.solvent_set, h)
+        _, phi, *_ = sampling.varma_ar(decomp.model, h)
         U = sim.extract_noise(path, phi)
         want = res ** 2 * (1 - np.exp(-2 * a * h)) / (2 * a)
         got = U.var()
@@ -205,13 +206,13 @@ class TestEmpiricalAcvf:
 class TestExtractNoise:
     def test_shape(self, example_decomp):
         path = sim.simulate(example_decomp, brownian(2, np.eye(2)), 0.1, 1000)
-        _, phi, *_ = sampling.varma_ar(example_decomp.solvent_set, 0.1)
+        _, phi, *_ = sampling.varma_ar(example_decomp.model, 0.1)
         U = sim.extract_noise(path, phi)
         assert U.shape == (998, 2)
 
     def test_recursion_inverts(self, example_decomp):
         path = sim.simulate(example_decomp, brownian(2, np.eye(2)), 0.1, 50)
-        _, phi, *_ = sampling.varma_ar(example_decomp.solvent_set, 0.1)
+        _, phi, *_ = sampling.varma_ar(example_decomp.model, 0.1)
         U = sim.extract_noise(path, phi)
         n = 10
         want = path.Y[n] - phi[0] @ path.Y[n - 1] - phi[1] @ path.Y[n - 2]
@@ -368,7 +369,7 @@ class TestPsdRepair:
         # corpus model #125 at h = 0.01: a Gramian solved from the Sylvester
         # right-hand side e^{hR} M e^{hR^H} - M lost its small eigenvalues to
         # cancellation (-1.2e-12 against a largest one of 0.21) and failed to
-        # factor; the expm1 weights of mcarma.ou_gramian do not cancel
+        # factor; the expm1 weights of mcarma._gramian do not cancel
         model = corpus[125]
         decomp = mcarma.decompose(model, model.solvent_set())
         vals = np.linalg.eigvalsh(sim.state_innovation_gramian(decomp, model.sigma_L, 0.01))
@@ -540,7 +541,7 @@ class TestModalFold:
         model = corpus[index]
         S = model.solvent_set(grouping)
         decomp = mcarma.decompose(model, S)
-        form = decomp.modal_form
+        form = model.modes.modal_form
         assert (form.real.roots.size, form.pair.roots.size) == (n_real, n_pairs)
         assert form.real.rows.dtype == form.real.readout.dtype == float
         assert form.fold.ok and form.fold.measured <= 1e-12
@@ -559,16 +560,16 @@ class TestModalFold:
         # rounding (5e-15 to 6e-14 here)
         for index in (8, 17, 22):
             model = rescale_time(corpus[index], c)
-            form = mcarma.decompose(model, model.solvent_set()).modal_form
+            form = model.modes.modal_form
             assert form.fold.measured <= 1e-12
 
     def test_modal_form_is_kept(self, corpus):
         model = fresh(corpus[8])
         decomp = mcarma.decompose(model, model.solvent_set())
         a = sim.simulate(decomp, brownian(1, model.sigma_L), 0.1, 50)
-        form = decomp.modal_form
+        form = model.modes.modal_form
         b = sim.simulate(decomp, brownian(1, model.sigma_L), 0.1, 50)
-        assert decomp.modal_form is form and a.fold_residual is b.fold_residual is form.fold
+        assert model.modes.modal_form is form and a.fold_residual is b.fold_residual is form.fold
         assert not form.pair.rows.flags.writeable and not form.real.readout.flags.writeable
 
     def test_broken_fold_raises(self, corpus, broken_fold):
@@ -577,15 +578,15 @@ class TestModalFold:
         for _ in range(2):
             with pytest.raises(ImaginaryLeakError, match="modal fold residual = "):
                 sim.simulate(decomp, brownian(0, model.sigma_L), 0.1, 10)
-        assert "modal_form" not in vars(decomp)
+        assert "modal_form" not in vars(model.modes)
 
     def test_unpaired_complex_root_raises(self, corpus, monkeypatch):
         # a pair whose partner is not its conjugate cannot fold
         model = fresh(corpus[22])
         decomp = mcarma.decompose(model, model.solvent_set())
-        roots = decomp.solvent_set.roots.copy()
+        roots = model.modes.roots.copy()
         roots[roots.imag < 0] *= 1.0 + 1e-3
-        monkeypatch.setattr(type(decomp.solvent_set), "roots", property(lambda S: roots))
+        monkeypatch.setitem(vars(model), "modes", dataclasses.replace(model.modes, roots=roots))
         with pytest.raises(ImaginaryLeakError, match="do not pair with their conjugates"):
             sim.simulate(decomp, brownian(0, model.sigma_L), 0.1, 10)
 
@@ -623,7 +624,7 @@ class TestObservability:
             path = sim.simulate(example_decomp, brownian(6, np.eye(2)), 0.1, 3000)
             sim.simulate(example_decomp, brownian(6, np.eye(2)), 0.1, 20)
         record = path.fold_residual
-        assert record is example_decomp.modal_form.fold
+        assert record is example_decomp.model.modes.modal_form.fold
         assert record.name == "modal fold residual" and record.ok
         assert record.measured <= record.bound == tolerances.PATH_LEAK
         records = [r for r in caplog.records

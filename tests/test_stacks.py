@@ -59,10 +59,9 @@ def test_fit_outputs_are_stacks(example_model):
     decomp = mcarma.decompose(example_model, example_model.solvent_set())
     p, d = decomp.p, decomp.d
     assert is_stack(mcarma.stationary_acvf(decomp, [0.0, 0.1, 0.2]), 3, d)
-    psi, phi, *_ = sampling.varma_ar(decomp.solvent_set, 0.1)
+    psi, phi, *_ = sampling.varma_ar(example_model, 0.1)
     assert is_stack(psi, p, d) and is_stack(phi, p, d)
-    gamma_U = sampling.noise_acvf(decomp.solvent_set, decomp.residues, phi,
-                                  example_model.sigma_L, 0.1)
+    gamma_U = sampling.noise_acvf(example_model, phi, 0.1)
     assert is_stack(gamma_U, p, d)
     sv = sampling.sampled_varma(decomp, 0.1)
     for name, n in (("psi", p), ("phi", p), ("gamma_U", p), ("theta", p - 1)):

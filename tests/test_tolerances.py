@@ -79,10 +79,10 @@ class TestOnePlace:
         # floored at 1 (the open half of making every certificate scale-free)
         rows = table()
         for name in ("STRUCTURE", "EIG_MATCH", "POLE_GAP", "SYLVESTER_GAP", "ALIAS",
-                     "SOLVENT_RESIDUAL", "AR_RESIDUAL", "MA_ROUNDTRIP"):
+                     "SOLVENT_RESIDUAL", "MA_ROUNDTRIP"):
             assert rows[name][3], name
         for name in ("LATENT_RESIDUAL", "CONDITION", "SHARP_IDENTITY", "PSD_CLIP",
-                     "EXP_OVERFLOW", "PATH_LEAK"):
+                     "EXP_OVERFLOW", "PATH_LEAK", "AR_RESIDUAL", "SIMILARITY"):
             assert not rows[name][3], name
 
 
@@ -95,6 +95,24 @@ class TestComparison:
         with pytest.raises(ImaginaryLeakError, match=r"leak\[1\] = nan"):
             tolerances.certify(ImaginaryLeakError, "leak", np.array([1.0, np.nan]),
                                1.0, at_least)
+
+    def test_infinite_bound_fails(self):
+        # a bound that overflowed to inf certifies nothing, not even inf
+        for measured in (0.0, 1.0, np.inf):
+            assert not tolerances.check("row", measured, np.inf).ok
+            with pytest.raises(ImaginaryLeakError, match="exceeds inf"):
+                tolerances.certify(ImaginaryLeakError, "leak", measured, np.inf)
+        with pytest.raises(ImaginaryLeakError, match=r"leak\[1\] = 1\.000e\+00 exceeds inf"):
+            tolerances.certify(ImaginaryLeakError, "leak", np.array([1.0, 1.0]),
+                               np.array([2.0, np.inf]))
+
+    def test_at_least_accepts_infinite_measured(self):
+        # a masked gap of inf is as large as a gap can be
+        record = tolerances.certify(ImaginaryLeakError, "gap", np.array([np.inf, 1.0]),
+                                    1e-10, at_least=True)
+        assert record == ("gap", 1.0, 1e-10, True)
+        assert tolerances.check("margin", np.inf, 1.0, at_least=True).ok
+        tolerances.certify(ImaginaryLeakError, "gap", np.inf, 1e-10, at_least=True)
 
     def test_equality_passes_both_ways(self):
         tolerances.certify(ImaginaryLeakError, "leak", 1.0, 1.0)

@@ -38,8 +38,10 @@ T = V(R_1, ..., R_p).  An ``OuDecomposition`` holds the pairs (R_k, Res_k),
 as a solvent set and its residue stack (``rational.residues`` of the state
 space's B*), and the component initials of an initial state;
 ``component_gramians`` gives their OU Gramians.  They serve the paper's
-outputs: the ``solvents`` and ``decompose`` commands, a user grouping and
-x0.
+outputs, the ``solvents`` and ``decompose`` commands, a user grouping and
+x0; with the eigenbases ``R_k = P_k diag(lam_k) P_k^{-1}`` of the default
+solvents, ``B = T blkdiag(P_k)``, and the modes read ``W B* =
+blkdiag(P_k^{-1}) Res`` off the default decomposition.
 """
 
 from __future__ import annotations
@@ -225,17 +227,15 @@ def build_state_space(model):
 class Modes:
     """The modes of a model, one complex OU mode per latent root.
 
-    ``roots`` (pd,) and the unit latent vectors ``X`` (d, pd) in
-    ``latent_pairs`` order; the modal basis ``B = col(X diag(roots)^i)_{i<p}``;
-    the modal residues ``residues = W B* = B^{-1} B*`` (pd, m); the mask
-    ``distinct`` of the root pairs a < b more than ``tolerances.ALIAS``
-    apart (``sampling.varma_ar``'s aliasing guard); and the model's
-    ``sigma_L``, all read-only.  Built on first use and kept (a failing
-    certificate keeps nothing): ``W = B^{-1}``, the residues of
-    ``sampling.noise_acvf``, the coefficients ``G X^H`` of
-    ``stationary_acvf`` with gamma(0) certified, the factor
-    ``stationary_state_factor`` of Pi, and the ``modal_form`` of
-    ``sim.simulate``, whose build logs one line at DEBUG.
+    ``roots`` (pd,) and the unit latent vectors ``X`` (d, pd) in the order
+    of the default solvent set, the modal basis ``B``, the modal residues
+    ``residues = W B*`` (pd, m) (module docstring), the mask ``distinct`` of
+    the root pairs a < b more than ``tolerances.ALIAS`` apart
+    (``sampling.varma_ar``'s aliasing guard) and the model's ``sigma_L``,
+    all read-only.  Built on first use and kept (a failing certificate keeps
+    nothing): ``W = B^{-1}``, the stationary G and ``G X^H`` with gamma(0)
+    certified, the factor of Pi and the ``modal_form`` of ``sim.simulate``,
+    whose build logs one line at DEBUG.
     """
 
     roots: np.ndarray
@@ -250,12 +250,6 @@ class Modes:
         """``B^{-1}``, read-only: row a maps a state to mode a."""
         return matpoly._readonly(np.linalg.inv(self.B))
 
-    def state_gramian(self, sigma_L, h):
-        """``Re B [K o w] B^H`` with K and the weights w of ``_gramian``: the
-        covariance of the state innovation over a step h for a driver of
-        covariance ``sigma_L``; for h = inf, the stationary covariance Pi."""
-        return (self.B @ _gramian(self.residues, sigma_L, self.roots, h) @ self.B.conj().T).real
-
     @cached_property
     def _residues_sigma(self):
         """``[W B*, W B* sigma_L]`` side by side (pd, 2m), read-only, so that
@@ -264,11 +258,16 @@ class Modes:
         return matpoly._readonly(np.hstack([self.residues, self.residues @ self.sigma_L]))
 
     @cached_property
+    def _stationary_gramian(self):
+        """G, the stationary ``_gramian`` of the model's ``sigma_L``, read-only."""
+        return matpoly._readonly(_gramian(self.residues, self.sigma_L, self.roots, np.inf))
+
+    @cached_property
     def _stationary(self):
         """``G X^H`` (pd, d), kept once ``gamma(0) = Re X G X^H`` is certified
         symmetric PSD: its asymmetry below ``tolerances.ACVF_ASYMMETRY`` and
         its least eigenvalue above ``-tolerances.PSD_FLOOR * max(1, trace)``."""
-        modal = _gramian(self.residues, self.sigma_L, self.roots, np.inf) @ self.X.conj().T
+        modal = self._stationary_gramian @ self.X.conj().T
         sums, scales = _modal_sum(self, [0.0], modal)
         g0 = _real(sums, scales, "ACVF imaginary part")[0]
         tol.certify(ImaginaryLeakError, "gamma(0) asymmetry", np.max(np.abs(g0 - g0.T)),
@@ -280,10 +279,10 @@ class Modes:
 
     @cached_property
     def stationary_state_factor(self):
-        """A real factor F of the stationary state covariance,
-        ``F F^T = Pi`` (``psd_factor``), read-only."""
-        return matpoly._readonly(psd_factor(self.state_gramian(self.sigma_L, np.inf),
-                                            "stationary state covariance"))
+        """A real factor F of the stationary state covariance
+        ``Pi = Re B G B^H``, ``F F^T = Pi`` (``psd_factor``), read-only."""
+        pi = (self.B @ self._stationary_gramian @ self.B.conj().T).real
+        return matpoly._readonly(psd_factor(pi, "stationary state covariance"))
 
     @cached_property
     def modal_form(self):
@@ -297,14 +296,17 @@ class Modes:
 
 
 def _modes(model):
-    """The ``Modes`` of a model; the residues are one solve with B."""
-    lam = model.latent_root_values
-    X = np.array([pr.vector for pr in model.latent_pairs]).T.copy()
-    B = (X * (lam ** np.arange(model.p)[:, None])[:, None, :]).reshape(lam.size, lam.size)
-    residues = np.linalg.solve(B, model.statespace.B_star)
+    """The ``Modes`` of a model off its default decomposition, whose residues
+    give ``W B* = blkdiag(P_k^{-1}) Res`` without a solve with B (some MA
+    fits at p = 6, h <= 0.05 flip with the rounding of W B*)."""
+    decomp = model._default_decomposition
+    S = decomp.solvent_set
+    (p, d), lam = S.P.shape[:2], S.roots
+    X = S.P.transpose(1, 0, 2).reshape(d, p * d)
+    B = (X * (lam ** np.arange(p)[:, None])[:, None, :]).reshape(lam.size, lam.size)
+    residues = (S.P_inv @ decomp.residues).reshape(p * d, -1)
     distinct = np.triu(np.abs(lam[:, None] - lam) > tol.ALIAS, 1)
-    arrays = (lam, X, B, residues, distinct)
-    return Modes(*(matpoly._readonly(a) for a in arrays), model.sigma_L)
+    return Modes(*map(matpoly._readonly, (lam, X, B, residues, distinct)), model.sigma_L)
 
 
 @dataclass(frozen=True)
@@ -318,7 +320,8 @@ class OuDecomposition:
     the realness constraint T stack(Y_k(0)) in R^{pd}.
     ``similarity`` is the ``tolerances.Check`` record of that certificate
     (see ``decompose``).  The fit and path routes read the model's
-    ``modes``, not the decomposition; a path reads only its ``y0``.
+    ``modes``, which the model reads off its default decomposition, and
+    not the decomposition they are given; a path reads only its ``y0``.
     """
 
     model: McarmaModel

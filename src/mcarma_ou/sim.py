@@ -96,10 +96,12 @@ class PathGrid:
 def state_innovation_gramian(decomp, sigma_L, h):
     """Real pd x pd covariance ``int_0^h e^{u A*} B* sigma_L B*^T e^{u A*^T}
     du`` of the state innovation over one step, for a driver of covariance
-    ``sigma_L``: ``Re B [K o expm1(h z)/z] B^H`` in the model's modes
-    (``mcarma.Modes.state_gramian``); for h = inf, the stationary state
-    covariance Pi."""
-    return decomp.model.modes.state_gramian(sigma_L, h)
+    ``sigma_L``: ``Re B [K o expm1(h z)/z] B^H`` in the model's modes, K of
+    the driver's ``sigma_L`` (``mcarma._gramian``); for h = inf, the
+    stationary state covariance Pi."""
+    modes = decomp.model.modes
+    return (modes.B @ mcarma._gramian(modes.residues, sigma_L, modes.roots, h)
+            @ modes.B.conj().T).real
 
 
 def _stationary_state(decomp, rng):

@@ -9,6 +9,7 @@ at ``DIGITS`` significant digits,
   ..., C F, C) = C F^p``;
 - the stationary state covariance Pi from the Kronecker form of the
   Lyapunov equation, ``(I (x) A* + A* (x) I) vec Pi = -vec(B* Sigma_L B*^T)``;
+- the stationary autocovariance ``gamma(l) = C e^{l A*} Pi C^T``;
 - gamma_U(l) = ``sum_r M_{r+l} Q_h M_r^T`` with ``Q_h = Pi - F Pi F^T`` and
   ``M_r = C F^r - sum_{j<=r} Phi_j C F^{r-j}`` (Chambers & Thornton,
   Econometric Theory 28 (2012)).
@@ -32,6 +33,34 @@ def _np(m):
     return np.array(m.tolist(), dtype=float)
 
 
+def _stationary_covariance(A, BSB):
+    """Pi of ``A Pi + Pi A^T = -BSB`` by the Kronecker form, symmetrized."""
+    n = A.rows
+    kron = mpmath.matrix(n * n, n * n)  # column-major vec: vec(A Pi + Pi A^T)
+    for a in range(n):
+        for b in range(n):
+            for k in range(n):
+                kron[a + n * b, k + n * b] += A[a, k]
+                kron[a + n * b, a + n * k] += A[b, k]
+    vec = mpmath.lu_solve(kron, mpmath.matrix([-BSB[a, b] for b in range(n) for a in range(n)]))
+    pi = mpmath.matrix(n, n)
+    for a in range(n):
+        for b in range(n):
+            pi[a, b] = vec[a + n * b]
+    return (pi + pi.T) / 2
+
+
+def stationary_acvf_reference(model, lags):
+    """The stationary autocovariance ``C e^{l A*} Pi C^T`` of ``model`` at
+    each lag, as a float stack (len(lags), d, d) rounded from ``DIGITS``
+    digits."""
+    ss = model.statespace
+    with mpmath.workdps(DIGITS):
+        A, B, C = _mp(ss.A_star), _mp(ss.B_star), _mp(ss.C_star)
+        pi_ct = _stationary_covariance(A, B * _mp(model.sigma_L) * B.T) * C.T
+        return np.array([_np(C * mpmath.expm(mpmath.mpf(lag) * A) * pi_ct) for lag in lags])
+
+
 def sampled_varma_reference(model, h):
     """(Phi, gamma_U) of ``model`` sampled at step h, as float stacks
     (p, d, d) rounded from ``DIGITS`` digits."""
@@ -52,19 +81,7 @@ def sampled_varma_reference(model, h):
         phi_row = CF[p] * mpmath.inverse(obs)  # [Phi_1, ..., Phi_p]
         phi = [phi_row[:, j * d:(j + 1) * d] for j in range(p)]
 
-        kron = mpmath.matrix(n * n, n * n)  # column-major vec: vec(A Pi + Pi A^T)
-        for a in range(n):
-            for b in range(n):
-                for k in range(n):
-                    kron[a + n * b, k + n * b] += A[a, k]
-                    kron[a + n * b, a + n * k] += A[b, k]
-        rhs = -(B * _mp(model.sigma_L) * B.T)
-        vec = mpmath.lu_solve(kron, mpmath.matrix([rhs[a, b] for b in range(n) for a in range(n)]))
-        pi = mpmath.matrix(n, n)
-        for a in range(n):
-            for b in range(n):
-                pi[a, b] = vec[a + n * b]
-        pi = (pi + pi.T) / 2
+        pi = _stationary_covariance(A, B * _mp(model.sigma_L) * B.T)
         Q = pi - F * pi * F.T
 
         M = []

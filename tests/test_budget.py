@@ -33,11 +33,10 @@ PATH_BUDGET = Counter(cholesky=1)
 # per op at h = 0.25, not counting the one solve per doubling step of the MA
 # fit (5 steps on carma2x2, 9 on corpus #8), whose number rounding can move;
 # the MA fit whitens gamma_U by one eigh of gamma_U(0), which also gives its
-# PD certificate, so it takes neither an eigvalsh nor an inv of gamma_U(0);
-# the model's modes take one solve, W B* = B^{-1} B*
+# PD certificate, so it takes neither an eigvalsh nor an inv of gamma_U(0)
 BUDGET = {
-    "carma2x2": Counter(svd=8, solve=5, inv=1, eigvalsh=3, eigh=1, eigvals=1),
-    "corpus-8": Counter(svd=13, solve=5, inv=1, eigvalsh=3, eigh=1, eigvals=1),
+    "carma2x2": Counter(svd=8, solve=4, inv=1, eigvalsh=3, eigh=1, eigvals=1),
+    "corpus-8": Counter(svd=13, solve=4, inv=1, eigvalsh=3, eigh=1, eigvals=1),
 }
 # the second op on the same model, at h = WARM_H: only the sampled VARMA
 WARM_BUDGET = {

@@ -16,8 +16,14 @@ from mcarma_ou.exceptions import (
     SharpIdentityError,
 )
 
+import mp_oracles
 from conftest import R1, R2, R3, RES1, RES2, fresh, random_stable_model, rescale_time
 from oracles import components, expm_eig, quad_infinite_gramian, stack
+
+# Corpus models whose stationary ACVF is judged against the 50-digit
+# reference rather than the per-component route, with the bound relative to
+# max|gamma(0)| (see ``test_matches_per_component_sum``)
+REFERENCE_JUDGED = {143: 3.5e-12}
 
 
 def scalar_poly(*coeffs):
@@ -318,7 +324,7 @@ class TestModelCache:
         modes = model.modes
         assert mcarma.decompose(model, model.solvent_set([[0, 3], [1, 2]])).model.modes is modes
         for arr in (modes.roots, modes.X, modes.B, modes.residues, modes.distinct,
-                    modes._stationary):
+                    modes._stationary_gramian, modes._stationary):
             assert not arr.flags.writeable
         steps = []
 
@@ -331,8 +337,9 @@ class TestModelCache:
         driver = sim.DriverSpec(kind="brownian", seed=3, sigma_L=model.sigma_L)
         sim.simulate(decomp, driver, 0.1, 20, stationary_start=True)
         sim.simulate(decomp, driver, 0.1, 20, stationary_start=True)
-        # the innovations' Gramian of each path, and Pi once
-        assert steps == [np.inf, 0.1, 0.1]
+        # Pi reads the stationary G that gamma kept; each path forms the
+        # Gramian of its innovations
+        assert steps == [0.1, 0.1]
 
     def test_default_decomposition_logs_once(self, example_model, caplog):
         model = fresh(example_model)
@@ -597,22 +604,28 @@ class TestStationaryAcvf:
                     assert np.max(np.abs(got[i, j] - want)) <= 3e-12 * scale, (index, i, j)
 
     def test_matches_per_component_sum(self, corpus):
-        # gamma(l) = sum_i e^{l R_i} Sigma_i, one component at a time; the
-        # two routes differ by the sum of their errors, which against a
-        # 40-digit gamma reach 3.1e-12 (components) and 1.8e-12 (modes) of
-        # max|gamma(0)| on corpus #143
+        # gamma(l) = sum_i e^{l R_i} Sigma_i, one component at a time.  On
+        # corpus #143 the two routes differ by 1.6e-12 of max|gamma(0)|
+        # while each is within 1.8e-12 of the 50-digit gamma (components
+        # 1.3e-12, modes 1.75e-12), so there the modes are judged against
+        # that reference, at twice their measured error
         lags = [0.25 * k for k in range(11)]
         for index, model in enumerate(corpus):
             decomp = mcarma.decompose(model, model.solvent_set())
-            sigmas = mcarma.component_gramians(decomp.solvent_set, decomp.residues,
-                                               model.sigma_L).sum(axis=1)
-            comps = components(decomp.solvent_set)
-            want = [sum(expm_eig(s, lag) @ sig for s, sig in zip(comps, sigmas)).real
-                    for lag in lags]
             got = mcarma.stationary_acvf(decomp, lags)
+            if index in REFERENCE_JUDGED:
+                want = mp_oracles.stationary_acvf_reference(model, lags)
+                bound = REFERENCE_JUDGED[index]
+            else:
+                sigmas = mcarma.component_gramians(decomp.solvent_set, decomp.residues,
+                                                   model.sigma_L).sum(axis=1)
+                comps = components(decomp.solvent_set)
+                want = [sum(expm_eig(s, lag) @ sig for s, sig in zip(comps, sigmas)).real
+                        for lag in lags]
+                bound = 1e-12
             scale = np.max(np.abs(want[0]))
             for g, w in zip(got, want):
-                assert np.max(np.abs(g - w)) <= 5e-12 * scale, index
+                assert np.max(np.abs(g - w)) <= bound * scale, index
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lyapunov_oracle_random(self, seed):

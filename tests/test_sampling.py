@@ -52,20 +52,14 @@ def roundtrip_certified(sv):
 # that fail, by (model index, h).  All are MA fits at h <= 0.05, where the
 # MA zeros approach the unit circle: the doubling does not settle, settles
 # on a non-stabilizing solution, or leaves a round trip or Sigma_eps beyond
-# its bound.  Nine of the 17 fail on their 40-digit gamma_U too (#17, 31,
-# 32, 36, 41, 42, 44 at 0.01 and #36, 44 at 0.05); the others
-# fail on the error of their gamma_U, up to 8e-5 of max|gamma_U(0)| at
-# p = 6, or on the rounding of the doubling.  The set moves with rounding:
-# the modal residues B^{-1} B* of the model's modes instead of the
-# solvents' P_k^{-1} Res_k took it from 18 to 17 (#23, 26 at 0.01 and #41
-# at 0.05 fit, as their 40-digit gamma_U does; #31 and #37 at 0.01 fail,
-# #31 as its 40-digit gamma_U does).
+# its bound.  Nine of the 18 fail on their 50-digit gamma_U too; the others
+# fail on the error of their gamma_U, up to 2e-6 of max|gamma_U(0)| at
+# p = 6, or on the rounding of the doubling.
 HARD_REGIME_FAILURES = {
     **{(i, 0.01): NoConvergenceError
-       for i in (14, 17, 31, 32, 36, 37, 38, 39, 40, 41, 42, 45)},
-    **{(i, 0.05): NoConvergenceError for i in (44, 46)},
-    **{(i, 0.01): NotPDError for i in (44, 46)},
-    (36, 0.05): NotPDError,
+       for i in (14, 17, 23, 26, 32, 38, 39, 40, 41, 42, 45, 46)},
+    **{(i, 0.05): NoConvergenceError for i in (36, 41, 44, 46)},
+    **{(i, 0.01): NotPDError for i in (36, 44)},
 }
 
 # Errors of (Phi, gamma_U) against the 50-digit state-space reference
@@ -148,15 +142,15 @@ class TestVarmaAr:
             assert np.linalg.norm(poly.eval_right(E)) <= 1e-8
         # each latent pair's residual against the rounding of Psi at its
         # sampled root z: sum_j ||Psi_j||_F |z|^(p-j), Psi_0 = I
-        lam = example_model.latent_root_values
+        lam = example_model.modes.roots
         z = np.abs(np.exp(-h * lam))
         scales = np.sqrt(2.0) * z ** 2 + sum(np.linalg.norm(c) * z ** (1 - j)
                                              for j, c in enumerate(psi))
         assert residual.measured <= 1e-8
         assert np.isclose(residual.bound, tolerances.AR_RESIDUAL * scales, rtol=1e-14).any()
-        # Q = [X; X diag(w)] with the latent vectors X and the delta roots w
-        # scaled to unit largest modulus
-        X = np.array([pr.vector for pr in example_model.latent_pairs]).T
+        # Q = [X; X diag(w)] with the modes' latent vectors X and the delta
+        # roots w scaled to unit largest modulus
+        X = example_model.modes.X
         w = np.expm1(-h * lam)
         Q = np.vstack([X, X * (w / np.abs(w).max())])
         assert cond_Q == ("cond(Q)", np.linalg.cond(Q), tolerances.CONDITION, True)
@@ -488,10 +482,9 @@ class TestFitMa:
                 sampling.sampled_varma(mcarma.decompose(model, model.solvent_set()), 0.01)
 
     def test_non_stabilizing_solution_raises(self, hard_regime):
-        # hard-regime #31 at h = 0.01: the doubling settles where the closed
-        # loop has spectral radius above 1, so Theta is not invertible; it
-        # does so on the 40-digit gamma_U too
-        model = hard_regime[31]
+        # hard-regime #42 at h = 0.01: the doubling settles where the closed
+        # loop has spectral radius above 1, so Theta is not invertible
+        model = hard_regime[42]
         decomp = mcarma.decompose(model, model.solvent_set())
         with pytest.raises(NoConvergenceError, match="non-stabilizing solution: closed-loop "
                                                      "spectral radius rho = "):

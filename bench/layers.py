@@ -16,10 +16,14 @@ from the same coefficients, ``--reps`` models after one more:
 ``McarmaModel.build``, ``solvent_set()``, the default ``decompose``, the
 first ``stationary_acvf`` (which builds the model's modes) and the first
 Brownian ``simulate`` path of ``COLD_STEPS`` steps (which builds the modal
-form and the stationary factor).  It also records the Python and numpy
-versions and the time of a numpy-only reference kernel, so that runs on
-different machines or days can be put side by side.  BLAS runs on one
-thread.  Only numpy and mcarma_ou are imported.
+form and the stationary factor).  The whole-run rows time ``verify`` at
+the CLI's default flags: ``cli.run_verification`` in process on a model
+file loaded afresh per call, and ``python -m mcarma_ou.cli verify`` as a
+child process; ``cli_help`` is the child's cold start, ``--help``.  It also
+records the Python and numpy versions and the time of a numpy-only
+reference kernel, so that runs on different machines or days can be put
+side by side.  BLAS runs on one thread, in the children too.  Only numpy
+and mcarma_ou are imported.
 """
 
 import os
@@ -32,10 +36,13 @@ import json
 import pathlib
 import platform
 import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import mcarma_ou
 from mcarma_ou import cli, mcarma, sampling, sim
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parents[1] / "models"
@@ -129,6 +136,28 @@ def cold_layers(model, reps):
             for name, t in times.items()}
 
 
+def child(*argv):
+    """Run ``python -m mcarma_ou.cli argv`` on the tree this script imported."""
+    src = str(pathlib.Path(mcarma_ou.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "mcarma_ou.cli", *argv], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def whole_run(path, reps):
+    """``verify`` on the model file at ``path`` at the CLI's default flags,
+    in process and as a child process."""
+    args = cli.build_parser().parse_args(["verify", str(path)])
+
+    def in_process():
+        model, driver = cli.load_model_file(args.model, seed=args.seed)
+        cli.run_verification(model, driver, args.h, args.steps)
+
+    return {"run_verification": timed(in_process, reps),
+            "cli_verify": timed(lambda: child("verify", str(path)), reps)}
+
+
 def run(reps):
     out = {
         "python": platform.python_version(),
@@ -136,10 +165,12 @@ def run(reps):
         "machine": platform.machine(),
         "reps": reps,
         "reference_kernel": reference_kernel(reps),
+        "cli_help": timed(lambda: child("--help"), reps),
         "models": {},
     }
     for name in MODELS:
-        model, _ = cli.load_model_file(str(MODELS_DIR / f"{name}.json"))
+        path = MODELS_DIR / f"{name}.json"
+        model, _ = cli.load_model_file(str(path))
         decomp = mcarma.decompose(model, model.solvent_set())
         out["models"][name] = {
             "d": model.d,
@@ -147,6 +178,7 @@ def run(reps):
             "fit": {str(h): fit_layers(decomp, h, reps) for h in FIT_H},
             "simulate_per_step": simulate_layers(decomp, reps),
             "cold": cold_layers(model, reps),
+            "whole_run": whole_run(path, reps),
         }
     return out
 

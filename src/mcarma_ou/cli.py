@@ -159,10 +159,9 @@ def _solvent_set(model, spec):
 
 
 def _decomposition(args):
-    """The model file's OU decomposition along the ``--grouping`` solvent
-    set, and its driver (seeded by ``--seed`` where the command has one)."""
+    """The model file's default OU decomposition and driver, seeded by ``--seed`` if given."""
     model, driver = load_model_file(args.model, seed=getattr(args, "seed", 0))
-    return mcarma.decompose(model, _solvent_set(model, args.grouping)), driver
+    return mcarma.decompose(model, model.solvent_set()), driver
 
 
 def _solvent_payload(S):
@@ -190,7 +189,8 @@ def cmd_solvents(args):
 
 
 def cmd_decompose(args):
-    decomp, _ = _decomposition(args)
+    model, _ = load_model_file(args.model)
+    decomp = mcarma.decompose(model, _solvent_set(model, args.grouping))
     S = decomp.solvent_set
     payload = _solvent_payload(S)
     payload["components"] = [
@@ -266,8 +266,8 @@ def run_verification(model, driver, h, steps):
     A row of a library certificate is the record its result keeps, renamed.
     The ACVF and noise oracles read one ``verify.sampled_state_space``.
     The Monte-Carlo row simulates ``driver`` (seeded) and runs only for a
-    Brownian one: its band is the Gaussian CLT band (compound-Poisson
-    sample ACVFs carry an extra kurtosis term).
+    Brownian one: its chi^2 statistic takes the Gaussian covariance of the
+    sample ACVF (compound-Poisson sample ACVFs carry an extra kurtosis term).
     ``mcarma_ou.verify`` is imported here, so only this command loads its
     scipy oracles.
     """
@@ -330,9 +330,10 @@ def build_parser():
     def add(name, fn, **flags):
         cmd = sub.add_parser(name)
         cmd.add_argument("model", help="model JSON file")
-        if name != "verify":  # verify prints its report for the default grouping
+        if flags.get("grouping"):  # no other output reads the grouping of the roots
             cmd.add_argument("--grouping", default="auto",
                              help="'auto' or a JSON list of latent-root index groups")
+        if name != "verify":
             cmd.add_argument("--out", default=None, help="output path (default stdout)")
         if flags.get("h"):
             cmd.add_argument("--h", type=float, default=0.1, help="sampling step")
@@ -349,8 +350,8 @@ def build_parser():
         cmd.set_defaults(fn=fn)
         return cmd
 
-    add("solvents", cmd_solvents)
-    add("decompose", cmd_decompose)
+    add("solvents", cmd_solvents, grouping=True)
+    add("decompose", cmd_decompose, grouping=True)
     add("acvf", cmd_acvf, h=True, lags=True)
     add("varma", cmd_varma, h=True)
     add("simulate", cmd_simulate, h=True, steps=True, seed=True, sim=True)

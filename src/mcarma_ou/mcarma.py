@@ -279,8 +279,7 @@ class Modes:
 
     @cached_property
     def stationary_state_factor(self):
-        """A real factor F of the stationary state covariance
-        ``Pi = Re B G B^H``, ``F F^T = Pi`` (``psd_factor``), read-only."""
+        """``psd_factor`` of the stationary state covariance ``Pi = Re B G B^H``, read-only."""
         pi = (self.B @ self._stationary_gramian @ self.B.conj().T).real
         return matpoly._readonly(psd_factor(pi, "stationary state covariance"))
 
@@ -491,27 +490,17 @@ def _modal_form(modes):
 
 
 def psd_factor(mat, what):
-    """Factor a (nearly) PSD matrix.
-
-    Cholesky where it succeeds.  Otherwise the symmetric PSD square root
-    ``V diag(sqrt(vals)) V^T`` of the eigendecomposition: unlike the
-    eigenvector factor ``V diag(sqrt(vals))`` it does not depend on the
-    arbitrary eigenvectors of a cluster of near-zero eigenvalues, so a
-    rounding change of ``mat`` moves it continuously.  Negative eigenvalues
-    down to ``-tolerances.PSD_CLIP * max|eig|`` are rounding and are
-    clipped with a warning; anything more negative aborts.  The bound scales
-    with the matrix, so ``c * mat`` passes or fails as ``mat`` does.
-    """
-    mat = 0.5 * (mat + mat.T)
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        pass
-    vals, vecs = np.linalg.eigh(mat)
+    """The symmetric PSD square root ``V diag(sqrt(vals)) V^T`` of a (nearly)
+    PSD matrix, from one ``eigh``: unlike Cholesky or ``V diag(sqrt(vals))``
+    it moves continuously with ``mat``, near-zero eigenvalues included.
+    Eigenvalues down to ``-tolerances.PSD_CLIP * max|eig|`` are rounding,
+    clipped and logged at DEBUG; anything more negative aborts, so ``c *
+    mat`` passes or fails as ``mat`` does."""
+    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     tol.certify(CholeskyFailError, f"{what} min eig", np.min(vals),
                 -tol.PSD_CLIP * float(np.max(np.abs(vals))), at_least=True)
     if np.min(vals) < 0.0:
-        log.warning("clipping %s eigenvalues at %.3e", what, np.min(vals))
+        log.debug("clipping %s eigenvalues at %.3e", what, np.min(vals))
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 

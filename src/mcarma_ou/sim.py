@@ -18,17 +18,13 @@ Toeplitz stacks of powers of ``e^{h lam}``, which the modal form keeps per
 per jump.
 
 Reproducibility: one path owns one seeded PCG64 generator; identical seeds
-give bit-identical paths, for every grouping of the roots.  A Brownian path
-for a given seed equals that of earlier releases up to the rounding of Q_h
-and of the stationary covariance Pi, except where a Gramian is singular to
-rounding and ``mcarma.psd_factor`` takes its symmetric square root instead
-of Cholesky (or the other way round): that root moves continuously with
-the Gramian, but the switch between the two factors moves the path to
-another path of the same law.  A compound-Poisson path for a given seed
-differs from releases that simulated step by step, because the jump counts,
-offsets and sizes are drawn a chunk at a time; its law is unchanged.
-For parallel paths split the seed with
-``np.random.SeedSequence(seed).spawn(n)`` and give each path one child.
+give bit-identical paths, for every grouping of the roots.  Every Gaussian
+draw goes through the symmetric square root of its covariance
+(``mcarma.psd_factor``), so a seeded path moves with the rounding of Q_h
+and Pi and no more.  A compound-Poisson path differs from releases that
+simulated step by step, as jump counts, ages and sizes are drawn a chunk
+at a time; its law is unchanged.  For parallel paths give each path one
+child of ``np.random.SeedSequence(seed).spawn(n)``.
 """
 
 from __future__ import annotations

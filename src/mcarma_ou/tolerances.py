@@ -48,7 +48,7 @@ DRIVER_MATCH = 1e-10      # max|rate jump_cov - sigma_L| in a file; max(1, max|s
 ORACLE = 1e-8             # kernel, fraction, ACVF vs oracle; 1 + ||B*||, max(1, ||want||); abs
 NOISE_ACVF = 1e-7         # gamma_U against the sampled state space; max(1, ||want||); abs
 MA_MARGIN = 1e-6          # min|zero of det Theta| - 1 (at least), fit_ma fails below -MA_MARGIN; 1
-CLT_BAND = 1.0            # sample ACVF of the noise at lags p..p+3; its 99% CLT band
+CLT_BAND = 1.0            # chi^2 statistic of the noise's sample ACVF at lags p..p+3; its 99% quantile
 
 
 class Check(NamedTuple):

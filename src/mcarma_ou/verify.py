@@ -6,7 +6,7 @@ and the sampled noise ACVF, a finite sum of ``Q_h`` terms, all read off the
 state space (A*, B*, C*) of Marquardt & Stelzer ("Multivariate CARMA
 processes", SPA 117 (2007)) sampled at one step (``sampled_state_space``),
 as in Chambers & Thornton (Econometric Theory 28 (2012)); and the Gaussian
-CLT band of the sample ACVF of a (p-1)-dependent noise at lags >= p.
+covariance of the sample ACVF of a (p-1)-dependent noise at lags >= p.
 
 Each ``check_*`` function measures one row of ``mcarma-ou verify`` and
 returns a ``tolerances.Check``.  ``cli.run_verification`` lists these and
@@ -17,6 +17,7 @@ the same, so the library, the command and the tests judge by one bound.
 from __future__ import annotations
 
 from collections import namedtuple
+from statistics import NormalDist
 
 import numpy as np
 import scipy.linalg
@@ -25,7 +26,6 @@ from . import mcarma, rational, sim, tolerances as tol
 from .exceptions import ImaginaryLeakError
 
 KERNEL_TIMES = np.linspace(0.0, 5.0, 51)
-Z_99 = 2.5758  # two-sided 99% normal quantile
 
 
 def _rel_err(got, want):
@@ -67,13 +67,22 @@ def sampled_noise_acvf(sampled, phi):
     return [sum(M[r + lag] @ sampled.Q @ M[r].T for r in range(p - lag)) for lag in range(p)]
 
 
-def clt_band_for_zero_lags(gamma_U, n_eff):
-    """Entrywise 99% CLT band of the sample ACVF at lags >= p of a Gaussian
-    (p-1)-dependent series with ACVF ``gamma_U``."""
-    p = len(gamma_U)
-    var = sum(np.outer(np.diag(gamma_U[abs(u)]), np.diag(gamma_U[abs(u)]))
-              for u in range(1 - p, p))
-    return Z_99 * np.sqrt(var / n_eff)
+def lag_p_covariance(gamma_U, n, lags=4):
+    """Gaussian covariance of ``empirical_acvf(U, p+lags-1)[p:].reshape(-1)``
+    for a (p-1)-dependent U of length n with ACVF ``gamma_U`` (Bartlett 1946):
+    block (l, m) is ``sum_{|u|<p} kron(gamma(u+l-m), gamma(u)) / n``, ``gamma(-k)
+    = gamma(k)^T``; the second Bartlett term vanishes at lags >= p."""
+    p, zero = len(gamma_U), np.zeros_like(gamma_U[0])
+    gamma = {-k: g.T for k, g in enumerate(gamma_U)} | dict(enumerate(gamma_U))
+    return np.block([[sum(np.kron(gamma.get(u + l - m, zero), gamma[u])
+                          for u in range(1 - p, p)) for m in range(lags)]
+                     for l in range(lags)]) / n
+
+
+def chi2_quantile_99(df):
+    """99% quantile of chi^2(df) by Wilson & Hilferty (PNAS 17 (1931))."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + NormalDist().inv_cdf(0.99) * np.sqrt(c)) ** 3
 
 
 # checks, in the order of the ``verify`` rows
@@ -133,9 +142,14 @@ def check_noise_acvf(sampled, phi, gamma_U):
 
 
 def check_noise_lag_p_zero(U, gamma_U):
-    """Sample ACVF of the extracted noise ``U`` at lags p..p+3, as the largest
-    ratio to the 99% CLT band; a short path raises ``TooShortError``."""
+    """The portmanteau ``v^T Sigma^{-1} v`` (Hosking, JASA 75 (1980)) of the
+    noise's sample ACVF v at lags p..p+3 over the 99% quantile of chi^2(4 d^2),
+    Sigma its ``lag_p_covariance``; a singular Sigma measures inf, and a short
+    path raises ``TooShortError``."""
     p = len(gamma_U)
-    band = clt_band_for_zero_lags(gamma_U, U.shape[0])
-    return tol.check("noise-lag-p-zero",
-                     np.max(np.abs(sim.empirical_acvf(U, p + 3)[p:]) / band), tol.CLT_BAND)
+    v = sim.empirical_acvf(U, p + 3)[p:].reshape(-1)
+    try:
+        stat = v @ np.linalg.solve(lag_p_covariance(gamma_U, U.shape[0]), v)
+    except np.linalg.LinAlgError:
+        stat = np.inf
+    return tol.check("noise-lag-p-zero", stat / chi2_quantile_99(v.size), tol.CLT_BAND)

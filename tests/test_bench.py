@@ -16,6 +16,7 @@ from conftest import MODELS_DIR
 LAYERS = MODELS_DIR.parent / "bench" / "layers.py"
 FIT_LAYERS = {"stationary_acvf", "varma_ar", "noise_acvf", "fit_ma", "sampled_varma"}
 COLD_LAYERS = {"build", "solvent_set", "decompose", "stationary_acvf", "simulate"}
+WHOLE_RUN = {"run_verification", "cli_verify"}
 TIMES = {"median_s", "min_s"}
 
 
@@ -37,11 +38,13 @@ def test_layers_script_writes_its_keys(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
-    assert set(doc) == {"python", "numpy", "machine", "reps", "reference_kernel", "models"}
-    assert doc["reps"] == 1 and set(doc["reference_kernel"]) == TIMES
+    assert set(doc) == {"python", "numpy", "machine", "reps", "reference_kernel", "cli_help",
+                        "models"}
+    assert doc["reps"] == 1
+    assert set(doc["reference_kernel"]) == set(doc["cli_help"]) == TIMES
     assert set(doc["models"]) == {"carma2x2", "corpus8"}
     for entry in doc["models"].values():
-        assert set(entry) == {"d", "p", "fit", "simulate_per_step", "cold"}
+        assert set(entry) == {"d", "p", "fit", "simulate_per_step", "cold", "whole_run"}
         assert set(entry["fit"]) == {"0.25", "0.01"}
         for layers in entry["fit"].values():
             assert set(layers) == FIT_LAYERS
@@ -50,3 +53,5 @@ def test_layers_script_writes_its_keys(tmp_path):
         assert all(set(times) == TIMES for times in entry["simulate_per_step"].values())
         assert set(entry["cold"]) == COLD_LAYERS
         assert all(set(times) == TIMES for times in entry["cold"].values())
+        assert set(entry["whole_run"]) == WHOLE_RUN
+        assert all(set(times) == TIMES for times in entry["whole_run"].values())

@@ -28,8 +28,8 @@ H = 0.25
 WARM_H = 1.0
 
 # a second stationary-start Brownian path on a kept decomposition: the factor
-# of the innovation Gramian at its h, and nothing else
-PATH_BUDGET = Counter(cholesky=1)
+# of the innovation Gramian at its h (one eigh, mcarma.psd_factor), and nothing else
+PATH_BUDGET = Counter(eigh=1)
 # per op at h = 0.25, not counting the one solve per doubling step of the MA
 # fit (5 steps on carma2x2, 9 on corpus #8), whose number rounding can move;
 # the MA fit whitens gamma_U by one eigh of gamma_U(0), which also gives its

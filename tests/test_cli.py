@@ -122,11 +122,14 @@ class TestSolvents:
         ("verify", "--steps", "abc"), ("verify", "--bogus"),
         ("verify", "--out", "report.txt"), ("solvents", "--grouping", "[[0,1],[2,3],[0]]"),
         ("solvents", "--grouping", "[[0,1,2],[3]]"),
-        ("decompose", "--grouping", "[[0,1.9],[2,3]]")], ids=" ".join)
+        ("decompose", "--grouping", "[[0,1.9],[2,3]]"), ("acvf", "--grouping", "auto"),
+        ("varma", "--grouping", "[[0,1],[2,3]]"), ("simulate", "--grouping", "auto")],
+        ids=" ".join)
     def test_bad_step_rejected(self, capsys, example_model_file, argv):
         # a usage error argparse finds is an input error too, not its exit 2;
         # verify takes no --out, which it would ignore and print to stdout;
-        # a grouping index is a JSON integer, never truncated
+        # a grouping index is a JSON integer, never truncated; only solvents
+        # and decompose print what the grouping changes, so only they take it
         code, out, err = run(capsys, argv[0], example_model_file, *argv[1:])
         assert code == 1 and out == ""
         assert err.startswith("input error: ") and argv[1] in err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
+from scipy.stats import chi2
 
 from mcarma_ou import matpoly, mcarma, sampling, sim, tolerances, verify
 from mcarma_ou.exceptions import (
@@ -226,11 +227,15 @@ class TestExtractNoise:
         U = sim.extract_noise(path, sv.phi)
         centered = U - U.mean(axis=0)
         n_eff = U.shape[0]
-        # lags 0..p-1 match the analytic values inside a generous CLT band
-        for lag in range(2):
+        # lags 0..p-1 match the analytic values inside a generous CLT band:
+        # four standard deviations of a sample ACVF beyond lag p-1, plus four
+        # of the lag's own value
+        p = len(sv.gamma_U)
+        diag = [np.diag(sv.gamma_U[abs(u)]) for u in range(1 - p, p)]
+        sd = np.sqrt(sum(np.outer(g, g) for g in diag) / n_eff)
+        for lag in range(p):
             est = centered[lag:].T @ centered[:n_eff - lag] / n_eff
-            band = (4.0 / verify.Z_99) * verify.clt_band_for_zero_lags(sv.gamma_U, n_eff) \
-                + 4.0 * np.abs(sv.gamma_U[lag]) / np.sqrt(n_eff)
+            band = 4.0 * sd + 4.0 * np.abs(sv.gamma_U[lag]) / np.sqrt(n_eff)
             assert np.all(np.abs(est - sv.gamma_U[lag]) < band)
 
     def test_noise_vanishes_beyond_lag_p(self, example_model, example_decomp):
@@ -253,6 +258,75 @@ class TestExtractNoise:
         check = verify.check_noise_lag_p_zero(sim.extract_noise(path, sv.phi),
                                               sv.gamma_U)
         assert check.measured < check.bound
+
+
+def bartlett_covariance(gamma_U, n, lags=4):
+    """n Cov of the sample ACVF entries at lags p..p+lags-1, both Bartlett
+    terms summed entry by entry over every u."""
+    p, d = len(gamma_U), gamma_U[0].shape[0]
+
+    def gamma(k):
+        return np.zeros((d, d)) if abs(k) >= p else gamma_U[k] if k >= 0 else gamma_U[-k].T
+
+    idx = [(l, a, b) for l in range(p, p + lags) for a in range(d) for b in range(d)]
+    us = range(-2 * (p + lags), 2 * (p + lags))
+    return np.array([[sum(gamma(u + l - m)[a, c] * gamma(u)[b, e]
+                          + gamma(u + l)[a, e] * gamma(u - m)[b, c] for u in us)
+                      for m, c, e in idx] for l, a, b in idx]) / n
+
+
+class TestNoiseLagStatistic:
+    """The ``noise-lag-p-zero`` row: a chi^2 statistic of the noise's sample
+    ACVF at lags p..p+3 against its Gaussian covariance."""
+
+    def test_covariance_p1_closed_form(self):
+        g0 = np.array([[2.0, 0.3], [0.3, 0.5]])
+        want = np.kron(np.eye(4), np.kron(g0, g0)) / 1000
+        assert_allclose(verify.lag_p_covariance(g0[None], 1000), want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("index", [None, 8], ids=["carma2x2", "corpus-8"])
+    def test_covariance_matches_bartlett(self, example_decomp, corpus, index):
+        model = example_decomp.model if index is None else corpus[index]
+        gamma_U = sampling.sampled_varma(mcarma.decompose(model, model.solvent_set()),
+                                         0.1).gamma_U
+        want = bartlett_covariance(gamma_U, 500)
+        got = verify.lag_p_covariance(gamma_U, 500)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("df, rel", [(4, 2.5e-3), (16, 1e-3), (36, 4e-4), (64, 2e-4)])
+    def test_wilson_hilferty_quantile(self, df, rel):
+        # measured 2.2e-3, 8.4e-4, 3.5e-4 and 1.7e-4 relative to scipy
+        assert abs(verify.chi2_quantile_99(df) / chi2.ppf(0.99, df) - 1.0) <= rel
+
+    @pytest.mark.parametrize("index", [None, 8], ids=["carma2x2", "corpus-8"])
+    def test_false_rejections_near_one_percent(self, example_decomp, corpus, index):
+        # 500 short paths of a correct model: a 1% test rejects Binomial(500,
+        # 0.01) of them, 1..12 with probability 0.991 (5 on carma2x2, 8 on #8)
+        model = example_decomp.model if index is None else corpus[index]
+        decomp = mcarma.decompose(model, model.solvent_set())
+        sv = sampling.sampled_varma(decomp, 0.1)
+        rejected = 0
+        for seed in range(500):
+            path = sim.simulate(decomp, brownian(seed, model.sigma_L), 0.1, 2000,
+                                stationary_start=True)
+            rejected += not verify.check_noise_lag_p_zero(sim.extract_noise(path, sv.phi),
+                                                          sv.gamma_U).ok
+        assert 1 <= rejected <= 12
+
+    def test_perturbed_phi_rejected(self, corpus):
+        model = corpus[8]
+        decomp = mcarma.decompose(model, model.solvent_set())
+        sv = sampling.sampled_varma(decomp, 0.1)
+        path = sim.simulate(decomp, brownian(1000, model.sigma_L), 0.1, 100_000,
+                            stationary_start=True)
+        checks = [verify.check_noise_lag_p_zero(sim.extract_noise(path, phi), sv.gamma_U)
+                  for phi in (sv.phi, 1.005 * sv.phi)]
+        assert [c.ok for c in checks] == [True, False]
+
+    def test_singular_covariance_fails(self):
+        U = np.random.default_rng(0).standard_normal((200, 2))
+        check = verify.check_noise_lag_p_zero(U, np.zeros((1, 2, 2)))
+        assert check.measured == np.inf and not check.ok
 
 
 class TestDistributionalExactness:
@@ -321,25 +395,29 @@ class TestPsdRepair:
         with pytest.raises(CholeskyFailError):
             mcarma.psd_factor(np.diag([1.0, -1e-6]), "test matrix")
 
-    def test_fallback_factor_is_continuous(self, corpus):
-        # corpus #143 at h = 0.1: the innovation Gramian has eigenvalues from
-        # -2.6e-9 to 9.7e6, so Cholesky fails and the eigenvalue route runs
-        model = corpus[143]
+    # corpus #143 at h = 0.1: the innovation Gramian has eigenvalues from
+    # -1.8e-9 to 9.7e6, so Cholesky fails on it and succeeds on Q + cI from
+    # c = 2e-9; #178 and #188 at h = 0.01 are as near that switch from the
+    # other side (min eig 5e-16 against 1e2, 4e-15 against 4e3)
+    @pytest.mark.parametrize("index, h", [(143, 0.1), (178, 0.01), (188, 0.01)])
+    def test_factor_is_continuous(self, corpus, index, h):
+        model = corpus[index]
         decomp = mcarma.decompose(model, model.solvent_set())
-        Q = sim.state_innovation_gramian(decomp, model.sigma_L, 0.1)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(0.5 * (Q + Q.T))
+        Q = sim.state_innovation_gramian(decomp, model.sigma_L, h)
         factor = mcarma.psd_factor(Q, "innovation Gramian")
         vals, vecs = np.linalg.eigh(0.5 * (Q + Q.T))
         clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         scale = np.max(np.abs(Q))
         assert np.max(np.abs(factor @ factor.T - clipped)) <= 1e-12 * scale
+        # across the switch of #143 (Q + cI), and along random directions
+        moves = [Q + c * np.eye(len(Q)) for c in (1e-9, 2e-9, 3e-9, 1e-8) if index == 143]
         for seed in range(3):
             E = np.random.default_rng(seed).standard_normal(Q.shape)
             E = (E + E.T) / np.linalg.norm(E + E.T, 2)
-            for eps in (1e-15, 1e-14, 1e-13, 1e-12):
-                moved = mcarma.psd_factor(Q + eps * scale * E, "innovation Gramian")
-                assert np.max(np.abs(moved - factor)) <= 1e-6 * np.max(np.abs(factor))
+            moves += [Q + eps * scale * E for eps in (1e-15, 1e-14, 1e-13, 1e-12)]
+        for moved in moves:
+            diff = mcarma.psd_factor(moved, "innovation Gramian") - factor
+            assert np.max(np.abs(diff)) <= 1e-6 * np.max(np.abs(factor))
 
     @pytest.mark.parametrize("mat", [np.diag([1.0, -5e-13]), np.diag([1.0, -1e-6]),
                                      np.diag([2.0, 1.0]), np.zeros((2, 2))])

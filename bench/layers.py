@@ -19,7 +19,8 @@ Brownian ``simulate`` path of ``COLD_STEPS`` steps (which builds the modal
 form and the stationary factor).  The whole-run rows time ``verify`` at
 the CLI's default flags: ``cli.run_verification`` in process on a model
 file loaded afresh per call, and ``python -m mcarma_ou.cli verify`` as a
-child process; ``cli_help`` is the child's cold start, ``--help``.  It also
+child process, with its exit code (2 if a row fails; the time counts
+either way); ``cli_help`` is the child's cold start, ``--help``.  It also
 records the Python and numpy versions and the time of a numpy-only
 reference kernel, so that runs on different machines or days can be put
 side by side.  BLAS runs on one thread, in the children too.  Only numpy
@@ -137,25 +138,33 @@ def cold_layers(model, reps):
 
 
 def child(*argv):
-    """Run ``python -m mcarma_ou.cli argv`` on the tree this script imported."""
+    """Run ``python -m mcarma_ou.cli argv`` on the tree this script imported and
+    return its exit code; 2, a failed ``verify`` row, is timed like 0, and any
+    other code raises ``CalledProcessError``."""
     src = str(pathlib.Path(mcarma_ou.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-m", "mcarma_ou.cli", *argv], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    cmd = [sys.executable, "-m", "mcarma_ou.cli", *argv]
+    code = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
+    if code not in (0, 2):
+        raise subprocess.CalledProcessError(code, cmd)
+    return code
 
 
 def whole_run(path, reps):
     """``verify`` on the model file at ``path`` at the CLI's default flags,
-    in process and as a child process."""
+    in process and as a child process, with the child's largest exit code."""
     args = cli.build_parser().parse_args(["verify", str(path)])
 
     def in_process():
         model, driver = cli.load_model_file(args.model, seed=args.seed)
         cli.run_verification(model, driver, args.h, args.steps)
 
-    return {"run_verification": timed(in_process, reps),
-            "cli_verify": timed(lambda: child("verify", str(path)), reps)}
+    codes = []
+    record = {"run_verification": timed(in_process, reps)}
+    record["cli_verify"] = timed(lambda: codes.append(child("verify", str(path))), reps)
+    record["cli_verify"]["exit_code"] = max(codes)
+    return record
 
 
 def run(reps):

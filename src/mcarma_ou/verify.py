@@ -26,6 +26,7 @@ from . import mcarma, rational, sim, tolerances as tol
 from .exceptions import ImaginaryLeakError
 
 KERNEL_TIMES = np.linspace(0.0, 5.0, 51)
+NOISE_LAGS = 4  # noise-lag-p-zero reads the noise's sample ACVF at lags p..p+NOISE_LAGS-1
 
 
 def _rel_err(got, want):
@@ -67,16 +68,16 @@ def sampled_noise_acvf(sampled, phi):
     return [sum(M[r + lag] @ sampled.Q @ M[r].T for r in range(p - lag)) for lag in range(p)]
 
 
-def lag_p_covariance(gamma_U, n, lags=4):
-    """Gaussian covariance of ``empirical_acvf(U, p+lags-1)[p:].reshape(-1)``
+def lag_p_covariance(gamma_U, n):
+    """Gaussian covariance of ``empirical_acvf(U, p+NOISE_LAGS-1)[p:].reshape(-1)``
     for a (p-1)-dependent U of length n with ACVF ``gamma_U`` (Bartlett 1946):
     block (l, m) is ``sum_{|u|<p} kron(gamma(u+l-m), gamma(u)) / n``, ``gamma(-k)
     = gamma(k)^T``; the second Bartlett term vanishes at lags >= p."""
     p, zero = len(gamma_U), np.zeros_like(gamma_U[0])
     gamma = {-k: g.T for k, g in enumerate(gamma_U)} | dict(enumerate(gamma_U))
     return np.block([[sum(np.kron(gamma.get(u + l - m, zero), gamma[u])
-                          for u in range(1 - p, p)) for m in range(lags)]
-                     for l in range(lags)]) / n
+                          for u in range(1 - p, p)) for m in range(NOISE_LAGS)]
+                     for l in range(NOISE_LAGS)]) / n
 
 
 def chi2_quantile_99(df):
@@ -142,12 +143,11 @@ def check_noise_acvf(sampled, phi, gamma_U):
 
 
 def check_noise_lag_p_zero(U, gamma_U):
-    """The portmanteau ``v^T Sigma^{-1} v`` (Hosking, JASA 75 (1980)) of the
-    noise's sample ACVF v at lags p..p+3 over the 99% quantile of chi^2(4 d^2),
-    Sigma its ``lag_p_covariance``; a singular Sigma measures inf, and a short
-    path raises ``TooShortError``."""
+    """The portmanteau ``v^T Sigma^{-1} v`` (Hosking, JASA 75 (1980)) of the noise's
+    sample ACVF v at the ``NOISE_LAGS`` lags from p over the 99% quantile of chi^2(v.size),
+    Sigma its ``lag_p_covariance``; a singular Sigma measures inf, a short path raises."""
     p = len(gamma_U)
-    v = sim.empirical_acvf(U, p + 3)[p:].reshape(-1)
+    v = sim.empirical_acvf(U, p + NOISE_LAGS - 1)[p:].reshape(-1)
     try:
         stat = v @ np.linalg.solve(lag_p_covariance(gamma_U, U.shape[0]), v)
     except np.linalg.LinAlgError:

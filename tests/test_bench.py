@@ -54,4 +54,6 @@ def test_layers_script_writes_its_keys(tmp_path):
         assert set(entry["cold"]) == COLD_LAYERS
         assert all(set(times) == TIMES for times in entry["cold"].values())
         assert set(entry["whole_run"]) == WHOLE_RUN
-        assert all(set(times) == TIMES for times in entry["whole_run"].values())
+        assert set(entry["whole_run"]["run_verification"]) == TIMES
+        assert set(entry["whole_run"]["cli_verify"]) == TIMES | {"exit_code"}
+        assert entry["whole_run"]["cli_verify"]["exit_code"] == 0  # verification: PASS

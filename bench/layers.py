@@ -9,19 +9,21 @@ layer up once, and then times ``--reps`` calls of each layer in turn,
 reporting the median and the minimum in seconds: at each fit step h of
 ``FIT_H`` ``mcarma.stationary_acvf`` (lags 0, h, ..., 10 h),
 ``sampling.varma_ar``, ``sampling.noise_acvf``, ``sampling.fit_ma`` and
-``sampling.sampled_varma``, and ``sim.simulate`` per step for a Brownian
-and a compound-Poisson driver (stationary start, ``SIM_STEPS`` steps at
-``SIM_H``).  The cold rows time the first calls on a model built afresh
-from the same coefficients, ``--reps`` models after one more:
-``McarmaModel.build``, ``solvent_set()``, the default ``decompose``, the
+``sampling.sampled_varma``, ``sim.simulate`` per step for a Brownian and a
+compound-Poisson driver (stationary start, ``SIM_STEPS`` steps at
+``SIM_H``), and ``short_path``, a Brownian path of ``COLD_STEPS`` steps,
+where what the modal form keeps per step shows.  The cold rows time the
+first calls on a model built afresh from the same coefficients, ``--reps``
+models after one more: ``McarmaModel.build``, ``matpoly.latent_roots`` of
+its AR polynomial alone, ``solvent_set()``, the default ``decompose``, the
 first ``stationary_acvf`` (which builds the model's modes) and the first
 Brownian ``simulate`` path of ``COLD_STEPS`` steps (which builds the modal
-form and the stationary factor).  The whole-run rows time ``verify`` at
-the CLI's default flags: ``cli.run_verification`` in process on a model
-file loaded afresh per call, and ``python -m mcarma_ou.cli verify`` as a
-child process, with its exit code (2 if a row fails; the time counts
-either way); ``cli_help`` is the child's cold start, ``--help``.  It also
-records the Python and numpy versions and the time of a numpy-only
+form, the stationary factor and the step entry).  The whole-run rows time
+``verify`` at the CLI's default flags: ``cli.run_verification`` in process
+on a model file loaded afresh per call, and ``python -m mcarma_ou.cli
+verify`` as a child process, with its exit code (2 if a row fails; the time
+counts either way); ``cli_help`` is the child's cold start, ``--help``.  It
+also records the Python and numpy versions and the time of a numpy-only
 reference kernel, so that runs on different machines or days can be put
 side by side.  BLAS runs on one thread, in the children too.  Only numpy
 and mcarma_ou are imported.
@@ -44,7 +46,7 @@ import time
 import numpy as np
 
 import mcarma_ou
-from mcarma_ou import cli, mcarma, sampling, sim
+from mcarma_ou import cli, matpoly, mcarma, sampling, sim
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parents[1] / "models"
 MODELS = ("carma2x2", "corpus8")
@@ -99,24 +101,36 @@ def fit_layers(decomp, h, reps):
     }
 
 
-def simulate_layers(decomp, reps):
-    sigma_L = decomp.model.sigma_L
-    drivers = {
+# sigma_L given (the model's), so that the script also times trees whose
+# Brownian driver needs it
+def drivers(sigma_L):
+    return {
         "brownian": sim.DriverSpec(kind="brownian", seed=1, sigma_L=sigma_L),
         "compound_poisson": sim.DriverSpec(kind="compound_poisson", seed=1, rate=CP_RATE,
                                            jump_cov=sigma_L / CP_RATE),
     }
+
+
+def simulate_layers(decomp, reps):
     return {kind: per_step(timed(lambda d=driver: sim.simulate(
                 decomp, d, SIM_H, SIM_STEPS, stationary_start=True), reps), SIM_STEPS - 1)
-            for kind, driver in drivers.items()}
+            for kind, driver in drivers(decomp.model.sigma_L).items()}
+
+
+def short_path(decomp, reps):
+    """Seconds of a Brownian path of COLD_STEPS steps on a kept decomposition."""
+    driver = drivers(decomp.model.sigma_L)["brownian"]
+    return timed(lambda: sim.simulate(decomp, driver, SIM_H, COLD_STEPS,
+                                      stationary_start=True), reps)
 
 
 def cold_layers(model, reps):
     """Median and minimum seconds of each first call on ``reps`` models built
     afresh from the coefficients of ``model``, after one more."""
     lags = [k * FIT_H[0] for k in range(FIT_LAGS + 1)]
-    driver = sim.DriverSpec(kind="brownian", seed=1, sigma_L=model.sigma_L)
+    driver = drivers(model.sigma_L)["brownian"]
     stages = {
+        "latent_roots": lambda new: matpoly.latent_roots(new.A),
         "solvent_set": lambda new: new.solvent_set(),
         "decompose": lambda new: mcarma.decompose(new, new.solvent_set()),
         "stationary_acvf": lambda new: mcarma.stationary_acvf(
@@ -186,6 +200,7 @@ def run(reps):
             "p": model.p,
             "fit": {str(h): fit_layers(decomp, h, reps) for h in FIT_H},
             "simulate_per_step": simulate_layers(decomp, reps),
+            "short_path": short_path(decomp, reps),
             "cold": cold_layers(model, reps),
             "whole_run": whole_run(path, reps),
         }

@@ -88,24 +88,20 @@ def load_model_file(path, seed=0):
         raise ModelFileError("driver must be a JSON object")
     kind = driver_doc.get("kind", "brownian")
     if kind == "brownian":
-        driver = sim.DriverSpec(kind="brownian", seed=seed, sigma_L=sigma_L)
-    elif kind == "compound_poisson":
-        if "rate" not in driver_doc or "jump_cov" not in driver_doc:
-            raise ModelFileError("compound_poisson driver needs rate and jump_cov")
-        rate = float(_array(driver_doc["rate"], "driver.rate", ndim=0))
-        if not rate > 0:
-            raise ModelFileError(f"driver.rate must be positive, got {rate!r}")
-        jump_cov = _array(driver_doc["jump_cov"], "driver.jump_cov")
-        if jump_cov.shape != sigma_L.shape:
-            raise ModelFileError(f"driver.jump_cov must have the shape of sigma_L, "
-                                 f"{sigma_L.shape}")
-        bound = tol.DRIVER_MATCH * max(1.0, np.max(np.abs(sigma_L)))
-        if not np.max(np.abs(rate * jump_cov - sigma_L)) <= bound:
-            raise ModelFileError("rate * jump_cov must equal sigma_L (Var L(1))")
-        driver = sim.DriverSpec(kind="compound_poisson", seed=seed,
-                                rate=rate, jump_cov=jump_cov)
-    else:
+        return model, sim.DriverSpec(kind="brownian", seed=seed)
+    if kind != "compound_poisson":
         raise ModelFileError(f"unknown driver kind {kind!r}")
+    if "rate" not in driver_doc or "jump_cov" not in driver_doc:
+        raise ModelFileError("compound_poisson driver needs rate and jump_cov")
+    rate = float(_array(driver_doc["rate"], "driver.rate", ndim=0))
+    if not rate > 0:
+        raise ModelFileError(f"driver.rate must be positive, got {rate!r}")
+    driver = sim.DriverSpec(kind="compound_poisson", seed=seed, rate=rate,
+                            jump_cov=_array(driver_doc["jump_cov"], "driver.jump_cov"))
+    try:
+        sim.check_driver(driver, model.sigma_L)
+    except ValueError as err:
+        raise ModelFileError(str(err)) from None
     return model, driver
 
 

@@ -36,12 +36,12 @@ paper's presentation, the sum of p matrix-valued OU processes
 which ``decompose`` certifies through the similarity transform
 T = V(R_1, ..., R_p).  An ``OuDecomposition`` holds the pairs (R_k, Res_k),
 as a solvent set and its residue stack (``rational.residues`` of the state
-space's B*), and the component initials of an initial state;
+space's B*), and an initial state x0 with its component initials;
 ``component_gramians`` gives their OU Gramians.  They serve the paper's
-outputs, the ``solvents`` and ``decompose`` commands, a user grouping and
-x0; with the eigenbases ``R_k = P_k diag(lam_k) P_k^{-1}`` of the default
-solvents, ``B = T blkdiag(P_k)``, and the modes read ``W B* =
-blkdiag(P_k^{-1}) Res`` off the default decomposition.
+outputs, the ``solvents`` and ``decompose`` commands and a user grouping
+(a path reads only x0); with the eigenbases ``R_k = P_k diag(lam_k)
+P_k^{-1}`` of the default solvents, ``B = T blkdiag(P_k)``, and the modes
+read ``W B* = blkdiag(P_k^{-1}) Res`` off the default decomposition.
 """
 
 from __future__ import annotations
@@ -229,20 +229,18 @@ class Modes:
 
     ``roots`` (pd,) and the unit latent vectors ``X`` (d, pd) in the order
     of the default solvent set, the modal basis ``B``, the modal residues
-    ``residues = W B*`` (pd, m) (module docstring), the mask ``distinct`` of
-    the root pairs a < b more than ``tolerances.ALIAS`` apart
-    (``sampling.varma_ar``'s aliasing guard) and the model's ``sigma_L``,
-    all read-only.  Built on first use and kept (a failing certificate keeps
-    nothing): ``W = B^{-1}``, the stationary G and ``G X^H`` with gamma(0)
-    certified, the factor of Pi and the ``modal_form`` of ``sim.simulate``,
-    whose build logs one line at DEBUG.
+    ``residues = W B*`` (pd, m) (module docstring) and the model's
+    ``sigma_L``, all read-only; the default set certifies the roots pairwise
+    apart (``matpoly.solvents_from_latents``).  Built on first use and kept
+    (a failing certificate keeps nothing): ``W = B^{-1}``, the stationary G
+    and ``G X^H`` with gamma(0) certified, the factor of Pi and the
+    ``modal_form`` of ``sim.simulate``, whose build logs one line at DEBUG.
     """
 
     roots: np.ndarray
     X: np.ndarray
     B: np.ndarray
     residues: np.ndarray
-    distinct: np.ndarray
     sigma_L: np.ndarray
 
     @cached_property
@@ -304,8 +302,7 @@ def _modes(model):
     X = S.P.transpose(1, 0, 2).reshape(d, p * d)
     B = (X * (lam ** np.arange(p)[:, None])[:, None, :]).reshape(lam.size, lam.size)
     residues = (S.P_inv @ decomp.residues).reshape(p * d, -1)
-    distinct = np.triu(np.abs(lam[:, None] - lam) > tol.ALIAS, 1)
-    return Modes(*map(matpoly._readonly, (lam, X, B, residues, distinct)), model.sigma_L)
+    return Modes(*map(matpoly._readonly, (lam, X, B, residues)), model.sigma_L)
 
 
 @dataclass(frozen=True)
@@ -319,8 +316,8 @@ class OuDecomposition:
     the realness constraint T stack(Y_k(0)) in R^{pd}.
     ``similarity`` is the ``tolerances.Check`` record of that certificate
     (see ``decompose``).  The fit and path routes read the model's
-    ``modes``, which the model reads off its default decomposition, and
-    not the decomposition they are given; a path reads only its ``y0``.
+    ``modes``, which the model reads off its default decomposition; a path
+    reads only the read-only ``x0`` it was given (zeros without one).
     """
 
     model: McarmaModel
@@ -328,6 +325,7 @@ class OuDecomposition:
     solvent_set: matpoly.SolventSet
     residues: np.ndarray
     y0: np.ndarray
+    x0: np.ndarray
     similarity: tol.Check
 
     @property
@@ -392,9 +390,9 @@ def _decompose(model, S, x0=None):
     T = S.V
     p, d = model.p, model.d
     if x0 is None:
-        y0 = np.zeros(p * d, dtype=complex)
+        x0, y0 = np.zeros(p * d), np.zeros(p * d, dtype=complex)
     else:
-        x0 = np.asarray(x0, dtype=float)
+        x0 = np.array(x0, dtype=float)
         if x0.shape != (p * d,) or not np.isfinite(x0).all():
             raise ValueError(f"x0 must be {p * d} finite values")
         y0 = np.linalg.solve(T, x0.astype(complex))
@@ -411,9 +409,8 @@ def _decompose(model, S, x0=None):
     worst = np.array(parts).max()  # a NaN propagates
     similarity = tol.certify(ImaginaryLeakError, "similarity residual", worst, tol.SIMILARITY)
 
-    y0 = y0.reshape(p, d)
-    y0.setflags(write=False)
-    return OuDecomposition(model, ss, S, residues, y0, similarity)
+    y0, x0 = map(matpoly._readonly, (y0.reshape(p, d), x0))
+    return OuDecomposition(model, ss, S, residues, y0, x0, similarity)
 
 
 class ModeGroup(NamedTuple):
@@ -449,15 +446,15 @@ class ModalForm:
     rounding of the product, Higham section 3.5) and ``max|Im lam|`` of the
     real modes over ``max|lam|``.
 
-    ``stacks`` keeps the read-only transfer stacks of ``sim.simulate``, one
-    list per (h, min(n_steps - 1, sim.CHUNK)) for the last ``sim.KEPT_STACKS``
-    of them, so a second path at the same h builds none.
+    ``step`` holds ``sim.simulate``'s one step entry, under the last (h,
+    min(n_steps - 1, sim.CHUNK)): the read-only transfer stacks and, once a
+    Brownian path formed them, the rows of Q_h's factor, for the next path.
     """
 
     real: ModeGroup
     pair: ModeGroup
     fold: tol.Check
-    stacks: dict = field(default_factory=dict, repr=False, compare=False)
+    step: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _modal_form(modes):

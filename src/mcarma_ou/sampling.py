@@ -115,8 +115,8 @@ def varma_ar(model, h):
 
     Certified: ``p h max(-Re lam)`` at most ``tolerances.EXP_OVERFLOW``
     before any exponential is formed (beyond it ``e^{-p h lam}``
-    overflows); the gaps between the sampled roots of distinct latent roots
-    (``modes.distinct``) at least ``tolerances.ALIAS``; cond(Q) at most
+    overflows); the gaps between the sampled roots of any two latent roots
+    (``mcarma.Modes``) at least ``tolerances.ALIAS``; cond(Q) at most
     ``tolerances.CONDITION``; the imaginary part of Psi~ below
     ``tolerances.IMAG_LEAK`` of its largest entry; the residual
     ``||sum_j Psi_j x_a z_a^(p-j)||`` of each latent pair below
@@ -151,7 +151,7 @@ def varma_ar(model, h):
     # just below the overflow guard the powers and norms can still overflow
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.exp(-h * lam)
-        gaps = np.where(modes.distinct, np.abs(z[:, None] - z), np.inf)
+        gaps = np.where(~np.tri(lam.size, dtype=bool), np.abs(z[:, None] - z), np.inf)
         tol.certify(AliasedSamplingError, "sampled root gap", gaps, tol.ALIAS, at_least=True)
         w = np.expm1(-h * lam)
         omega = float(np.abs(w).max()) or 1.0

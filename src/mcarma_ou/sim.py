@@ -1,10 +1,11 @@
 """Exact-in-distribution path simulation of the OU sum on the h-grid.
 
 The modes of the model (``mcarma.Modes``) follow ``z_a,n = e^{h lam_a}
-z_a,n-1 + e_a,n`` with jointly Gaussian innovations (Brownian driver),
-drawn through the real state covariance ``Q_h`` of one step so that every
-cross term is exact, or per-jump sums (compound Poisson driver).  No solvent
-set is read, so a path does not depend on how the roots are grouped.
+z_a,n-1 + e_a,n`` with jointly Gaussian innovations (Brownian driver), drawn
+through the real state covariance ``Q_h`` of one step so that every cross
+term is exact, or per-jump sums (compound Poisson driver), both of the
+model's ``Var L(1)``.  No solvent set is read and a path starts at its
+decomposition's x0, so a path does not depend on how the roots are grouped.
 
 The recursion runs in the model's kept modal form (``mcarma.ModalForm``),
 one scalar AR(1) recursion per mode.  The path is real, so of each
@@ -13,18 +14,18 @@ part, and a real mode runs in float on ``e^{h Re lam}``: a model with pd
 modes, r of them real, scans r real and (pd - r) / 2 complex recursions.
 Both groups are solved CHUNK steps at a time by the same blocked scan
 (:func:`_scan`): batched matrix products against per-mode triangular
-Toeplitz stacks of powers of ``e^{h lam}``, which the modal form keeps per
-(h, path length), so no Python code runs per step and no ``expm`` is taken
-per jump.
+Toeplitz stacks of powers of ``e^{h lam}``, which the modal form keeps with
+the rows of Q_h's factor, so no Python code runs per step and no ``expm``
+is taken per jump.
 
-Reproducibility: one path owns one seeded PCG64 generator; identical seeds
-give bit-identical paths, for every grouping of the roots.  Every Gaussian
-draw goes through the symmetric square root of its covariance
-(``mcarma.psd_factor``), so a seeded path moves with the rounding of Q_h
-and Pi and no more.  A compound-Poisson path differs from releases that
-simulated step by step, as jump counts, ages and sizes are drawn a chunk
-at a time; its law is unchanged.  For parallel paths give each path one
-child of ``np.random.SeedSequence(seed).spawn(n)``.
+Reproducibility: a Brownian driver is just a seed, and one path owns one
+PCG64 generator seeded by it; identical seeds give bit-identical paths, for
+every grouping of the roots.  Every Gaussian draw goes through the symmetric
+square root of its covariance (``mcarma.psd_factor``), so a seeded path
+moves with the rounding of Q_h and Pi and no more.  A compound-Poisson path
+differs from releases that simulated step by step, as jump counts, ages and
+sizes are drawn a chunk at a time; its law is unchanged.  For parallel paths
+give each path one child of ``np.random.SeedSequence(seed).spawn(n)``.
 """
 
 from __future__ import annotations
@@ -35,22 +36,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mcarma, tolerances as tol
+from . import matpoly, mcarma, tolerances as tol
 from .exceptions import CholeskyFailError, NotStationaryError, TooShortError
 
 log = logging.getLogger(__name__)
 
 CHUNK = 1024  # grid steps per pass of the modal recursion; bounds powers and memory
 BLOCK = 32  # steps per block of the blocked scan, see _scan
-KEPT_STACKS = 8  # (h, path length) entries of transfer stacks a modal form keeps
 
 
 @dataclass(frozen=True)
 class DriverSpec:
     """Zero-mean Levy driver: Brownian or compound Poisson with Gaussian jumps.
 
-    ``Var L(1)`` is ``sigma_L`` (brownian) or ``rate * jump_cov`` (compound
-    Poisson, jumps drawn N(0, jump_cov)).
+    ``Var L(1)`` is the model's: a Brownian driver is just a seed, and an
+    optional ``sigma_L`` or ``rate * jump_cov`` (jumps N(0, jump_cov)) must match it.
     """
 
     kind: str
@@ -62,16 +62,26 @@ class DriverSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
-        if self.kind == "brownian":
-            if self.sigma_L is None:
-                raise ValueError("brownian driver needs sigma_L")
-        elif self.kind == "compound_poisson":
+        if self.kind == "compound_poisson":
             if self.rate is None or not 0 < self.rate < np.inf:
                 raise ValueError("compound_poisson driver needs a finite rate > 0")
             if self.jump_cov is None:
                 raise ValueError("compound_poisson driver needs jump_cov")
-        else:
+        elif self.kind != "brownian":
             raise ValueError(f"unknown driver kind {self.kind!r}")
+
+
+def check_driver(driver, sigma_L):
+    """Raise ``ValueError`` unless the Var L(1) a driver states is the model's ``sigma_L``."""
+    cp = driver.kind == "compound_poisson"
+    if not cp and driver.sigma_L is None:
+        return
+    name, var = (("jump_cov", driver.rate * np.asarray(driver.jump_cov, dtype=float)) if cp
+                 else ("sigma_L", np.asarray(driver.sigma_L, dtype=float)))
+    if var.shape != sigma_L.shape:
+        raise ValueError(f"driver.{name} must have the shape of sigma_L, {sigma_L.shape}")
+    if not np.max(np.abs(var - sigma_L)) <= tol.DRIVER_MATCH * max(1.0, np.max(np.abs(sigma_L))):
+        raise ValueError(f"{'rate * ' if cp else 'driver.'}{name} must equal sigma_L (Var L(1))")
 
 
 @dataclass(frozen=True)
@@ -89,22 +99,20 @@ class PathGrid:
     fold_residual: tol.Check
 
 
-def state_innovation_gramian(decomp, sigma_L, h):
+def state_innovation_gramian(decomp, h):
     """Real pd x pd covariance ``int_0^h e^{u A*} B* sigma_L B*^T e^{u A*^T}
-    du`` of the state innovation over one step, for a driver of covariance
-    ``sigma_L``: ``Re B [K o expm1(h z)/z] B^H`` in the model's modes, K of
-    the driver's ``sigma_L`` (``mcarma._gramian``); for h = inf, the
-    stationary state covariance Pi."""
+    du`` of the state innovation over one step, ``sigma_L`` the model's
+    ``Var L(1)``: ``Re B [K o expm1(h z)/z] B^H`` in the model's modes
+    (``mcarma._gramian``); for h = inf, the stationary state covariance Pi."""
     modes = decomp.model.modes
-    return (modes.B @ mcarma._gramian(modes.residues, sigma_L, modes.roots, h)
+    return (modes.B @ mcarma._gramian(modes.residues, modes.sigma_L, modes.roots, h)
             @ modes.B.conj().T).real
 
 
 def _stationary_state(decomp, rng):
     """A draw of X(0) from the stationary Gaussian state law."""
-    if np.any(decomp.y0):
-        raise ValueError("stationary_start draws the initial state: "
-                         "decompose without x0")
+    if np.any(decomp.x0):
+        raise ValueError("stationary_start draws the initial state: decompose without x0")
     if not decomp.model.stationary:
         raise NotStationaryError("stationary start requires a stable model")
     factor = decomp.model.modes.stationary_state_factor
@@ -140,19 +148,18 @@ def _transfer_stacks(h_lam, n):
     return _toeplitz_stack(powers[:, :BLOCK]), _toeplitz_stack(block_powers), powers[:, 1:]
 
 
-def _kept_stacks(form, groups, h, n):
-    """The ``_transfer_stacks`` of each group for n steps at h, kept read-only
-    on the modal form (for n >= CHUNK they do not depend on n); the oldest
-    of ``KEPT_STACKS`` kept entries makes room for a new one."""
+def _kept_step(form, groups, h, n):
+    """The modal form's one step entry, replaced at another (h, min(n, CHUNK)):
+    the read-only ``_transfer_stacks`` of each group (for n >= CHUNK they do
+    not depend on n), to which a Brownian path adds the rows of Q_h's factor."""
     key = (h, min(n, CHUNK))
-    if key not in form.stacks:
-        if len(form.stacks) >= KEPT_STACKS:
-            del form.stacks[next(iter(form.stacks))]
+    step = form.step.get(key)
+    if step is None:
         stacks = [_transfer_stacks(h * g.roots, n) for g in groups]
-        for arr in (a for st in stacks for a in st):
-            arr.setflags(write=False)
-        form.stacks[key] = stacks
-    return form.stacks[key]
+        step = {"stacks": [[*map(matpoly._readonly, st)] for st in stacks]}
+        form.step.clear()
+        form.step[key] = step
+    return step
 
 
 def _scan(w, z_prev, stacks):
@@ -223,23 +230,22 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     modes in float on ``e^{h Re lam}``, one mode per conjugate pair in
     complex.  Both groups are solved CHUNK steps at a time by the blocked
     scan :func:`_scan` and read out as ``Y_n = R_r u_n + 2 Re(R_c v_n)``
-    (the pairs' read-out columns hold the 2).  Each call logs the driver kind, the
-    steps, pd with its real modes and pairs, and its wall time at DEBUG.
+    (the pairs' read-out columns hold the 2).  Each call logs the driver kind,
+    the steps, pd with its real modes and pairs, and its wall time at DEBUG.
 
     Parameters
     ----------
     decomp : mcarma.OuDecomposition
-    driver : DriverSpec
+    driver : DriverSpec, whose ``Var L(1)`` is the model's (:func:`check_driver`)
     h : finite positive step size
     n_steps : number of grid points (the path includes t = 0)
     stationary_start : bool
         Draw X(0) from the stationary Gaussian state law instead of
-        starting at the decomposition's initial values ``decomp.y0`` (the
-        components of its x0, zero by default), which must then be zero.
-        Exact for the Brownian driver; for the compound Poisson driver the
-        stationary law has no closed form and the Gaussian draw is a
-        documented approximation (alternatively burn in for about
-        20 / |max Re latent root| time units).
+        starting at the decomposition's ``x0`` (zero by default), which must
+        then be zero.  Exact for the Brownian driver; for the compound
+        Poisson driver the stationary law has no closed form and the
+        Gaussian draw is a documented approximation (alternatively burn in
+        for about 20 / |max Re latent root| time units).
 
     Returns
     -------
@@ -252,29 +258,28 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     """
     if not 0 < h < np.inf or n_steps < 1:
         raise ValueError("need a finite h > 0 and n_steps >= 1")
+    check_driver(driver, decomp.model.sigma_L)
     start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
     form = decomp.model.modes.modal_form
     # a group without modes would only add numpy calls per chunk
     groups = [g for g in (form.real, form.pair) if g.roots.size]
 
-    if stationary_start:
-        x = _stationary_state(decomp, rng)
-    else:
-        x = (decomp.transform @ decomp.y0.reshape(-1)).real
+    x = _stationary_state(decomp, rng) if stationary_start else decomp.x0
     z = [g.rows @ x for g in groups]
     Y = np.empty((n_steps, decomp.d))
     Y[0] = sum((g.readout @ zg).real for g, zg in zip(groups, z))
 
     n = n_steps - 1
+    step = _kept_step(form, groups, h, n)
     if driver.kind == "brownian":
-        F = mcarma.psd_factor(state_innovation_gramian(decomp, driver.sigma_L, h),
-                              "innovation Gramian")
-        E = [g.rows @ F for g in groups]
-        xi = rng.standard_normal((F.shape[1], n))
+        if "rows" not in step:
+            F = mcarma.psd_factor(state_innovation_gramian(decomp, h), "innovation Gramian")
+            step["rows"] = [matpoly._readonly(g.rows @ F) for g in groups]
+        xi = rng.standard_normal((x.size, n))  # one normal per state coordinate
 
         def innovations(lo, hi):
-            return [_times_real(Eg, xi[:, lo:hi]) for Eg in E]
+            return [_times_real(E, xi[:, lo:hi]) for E in step["rows"]]
     else:
         jump_factor = mcarma.psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
         G = decomp.statespace.B_star @ jump_factor
@@ -283,10 +288,9 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
         def innovations(lo, hi):
             return _jump_innovations(rng, driver.rate, h, kicks, hi - lo)
 
-    stacks = _kept_stacks(form, groups, h, n)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        states = [_scan(w, zg, st) for w, zg, st in zip(innovations(lo, hi), z, stacks)]
+        states = [_scan(w, zg, st) for w, zg, st in zip(innovations(lo, hi), z, step["stacks"])]
         z = [s[:, -1] for s in states]
         Y[lo + 1:hi + 1] = sum((g.readout @ s).real for g, s in zip(groups, states)).T
 

@@ -44,7 +44,7 @@ ZERO_AT_INFINITY = 1e-12  # spectral radius at or below which det Theta has no f
 MA_ROUNDTRIP = 1e-6       # MA round trip error; max(1, ||gamma_U(l)||), see fit_ma; abs
 PSD_CLIP = 1e-12          # -min eig of a Gramian factored with clipping; max|eig|
 PATH_LEAK = 1e-8          # modal fold residual, max|Im lam| of its real modes; |B| |W| elementwise, max|lam|
-DRIVER_MATCH = 1e-10      # max|rate jump_cov - sigma_L| in a file; max(1, max|sigma_L|); abs
+DRIVER_MATCH = 1e-10      # max|Var L(1) a driver states - model sigma_L|, sim.check_driver; max(1, max|sigma_L|); abs
 ORACLE = 1e-8             # kernel, fraction, ACVF vs oracle; 1 + ||B*||, max(1, ||want||); abs
 NOISE_ACVF = 1e-7         # gamma_U against the sampled state space; max(1, ||want||); abs
 MA_MARGIN = 1e-6          # min|zero of det Theta| - 1 (at least), fit_ma fails below -MA_MARGIN; 1

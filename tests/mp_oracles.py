@@ -12,7 +12,12 @@ at ``DIGITS`` significant digits,
 - the stationary autocovariance ``gamma(l) = C e^{l A*} Pi C^T``;
 - gamma_U(l) = ``sum_r M_{r+l} Q_h M_r^T`` with ``Q_h = Pi - F Pi F^T`` and
   ``M_r = C F^r - sum_{j<=r} Phi_j C F^{r-j}`` (Chambers & Thornton,
-  Econometric Theory 28 (2012)).
+  Econometric Theory 28 (2012));
+- Theta and Sigma_eps from that gamma_U by the recursion of
+  ``sampling.fit_ma``: whiten gamma_U(0) = L L^T (Cholesky; the MA factor
+  does not depend on the whitening), run ``sampling._riccati_doubling``
+  until the step changes H_k by less than ``DOUBLING_STOP`` of it, and map
+  back.
 
 ``Q_h`` cancels at small h, but that costs only a few of the 50 digits.  A
 reference at pd = 6 takes about 0.2 s and at pd = 9 about 1.5 s, most of
@@ -23,6 +28,8 @@ import mpmath
 import numpy as np
 
 DIGITS = 50
+DOUBLING_STOP = mpmath.mpf(10) ** (10 - DIGITS)
+DOUBLING_MAXIT = 200
 
 
 def _mp(a):
@@ -61,9 +68,49 @@ def stationary_acvf_reference(model, lags):
         return np.array([_np(C * mpmath.expm(mpmath.mpf(lag) * A) * pi_ct) for lag in lags])
 
 
+def _ma_factor(gamma):
+    """(Theta, Sigma_eps) of the MA(q) noise with autocovariances ``gamma``
+    (mpmath d x d, lags 0..q), in the steps of ``sampling.fit_ma``."""
+    q, d = len(gamma) - 1, gamma[0].rows
+    n = q * d
+    L = mpmath.cholesky(gamma[0])
+    W = mpmath.inverse(L)  # W gamma(0) W^T = I
+    G = mpmath.matrix(n, d)  # gamma(1..q) whitened, stacked as rows
+    for lag in range(1, q + 1):
+        G[(lag - 1) * d:lag * d, :] = W * gamma[lag] * W.T
+    # sampling._riccati_doubling from (A^T - C^T G^T, C^T C, -G G^T)
+    Ak = mpmath.zeros(n, n)
+    for i in range(d, n):
+        Ak[i, i - d] = 1
+    Ak[:d, :] = Ak[:d, :] - G.T
+    Gk = mpmath.zeros(n, n)
+    Gk[:d, :d] = mpmath.eye(d)
+    Hk = -G * G.T
+    for _ in range(DOUBLING_MAXIT):
+        inv = mpmath.inverse(mpmath.eye(n) + Gk * Hk)
+        H_next = Hk + Ak.T * Hk * inv * Ak
+        Gk = Gk + Ak * inv * Gk * Ak.T
+        Ak = Ak * inv * Ak
+        H_next = (H_next + H_next.T) / 2
+        step = mpmath.mnorm(H_next - Hk, "f")
+        Hk = H_next
+        if step <= DOUBLING_STOP * mpmath.mnorm(Hk, "f"):
+            break
+    else:
+        raise RuntimeError(f"MA doubling did not settle in {DOUBLING_MAXIT} steps")
+    P = -Hk
+    sigma_white = mpmath.eye(d) - P[:d, :d]
+    shifted = mpmath.zeros(n, d)  # A P C^T
+    shifted[:n - d, :] = P[d:, :d]
+    K = (G - shifted) * mpmath.inverse(sigma_white)
+    theta = [L * K[j * d:(j + 1) * d, :] * W for j in range(q)]
+    return theta, L * sigma_white * L.T
+
+
 def sampled_varma_reference(model, h):
-    """(Phi, gamma_U) of ``model`` sampled at step h, as float stacks
-    (p, d, d) rounded from ``DIGITS`` digits."""
+    """(Phi, gamma_U, Theta, Sigma_eps) of ``model`` sampled at step h, as
+    float stacks (p, d, d), (p, d, d), (p - 1, d, d) and (d, d) rounded from
+    ``DIGITS`` digits."""
     ss = model.statespace
     p, d = model.p, model.d
     n = p * d
@@ -96,4 +143,6 @@ def sampled_varma_reference(model, h):
             for r in range(p - lag):
                 acc += M[r + lag] * Q * M[r].T
             gamma.append(acc)
-        return np.array([_np(m) for m in phi]), np.array([_np(g) for g in gamma])
+        theta, sigma_eps = _ma_factor(gamma)
+        return (np.array([_np(m) for m in phi]), np.array([_np(g) for g in gamma]),
+                np.array([_np(t) for t in theta]).reshape(p - 1, d, d), _np(sigma_eps))

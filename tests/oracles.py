@@ -227,7 +227,7 @@ def component_recursion(decomp, driver, h, n_steps, stationary_start, chunk):
         y = np.array(decomp.y0)
     n = n_steps - 1
     if driver.kind == "brownian":
-        Q = sim.state_innovation_gramian(decomp, driver.sigma_L, h)
+        Q = sim.state_innovation_gramian(decomp, h)
         W = T_inv @ mcarma.psd_factor(Q, "innovation Gramian")
         stacked = np.reshape(W @ rng.standard_normal((p * d, n)), (p, d, n))
         innovations = [stacked[:, :, i] for i in range(n)]

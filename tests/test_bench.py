@@ -15,7 +15,8 @@ from conftest import MODELS_DIR
 
 LAYERS = MODELS_DIR.parent / "bench" / "layers.py"
 FIT_LAYERS = {"stationary_acvf", "varma_ar", "noise_acvf", "fit_ma", "sampled_varma"}
-COLD_LAYERS = {"build", "solvent_set", "decompose", "stationary_acvf", "simulate"}
+COLD_LAYERS = {"build", "latent_roots", "solvent_set", "decompose", "stationary_acvf",
+               "simulate"}
 WHOLE_RUN = {"run_verification", "cli_verify"}
 TIMES = {"median_s", "min_s"}
 
@@ -44,13 +45,15 @@ def test_layers_script_writes_its_keys(tmp_path):
     assert set(doc["reference_kernel"]) == set(doc["cli_help"]) == TIMES
     assert set(doc["models"]) == {"carma2x2", "corpus8"}
     for entry in doc["models"].values():
-        assert set(entry) == {"d", "p", "fit", "simulate_per_step", "cold", "whole_run"}
+        assert set(entry) == {"d", "p", "fit", "simulate_per_step", "short_path", "cold",
+                              "whole_run"}
         assert set(entry["fit"]) == {"0.25", "0.01"}
         for layers in entry["fit"].values():
             assert set(layers) == FIT_LAYERS
             assert all(set(times) == TIMES for times in layers.values())
         assert set(entry["simulate_per_step"]) == {"brownian", "compound_poisson"}
         assert all(set(times) == TIMES for times in entry["simulate_per_step"].values())
+        assert set(entry["short_path"]) == TIMES
         assert set(entry["cold"]) == COLD_LAYERS
         assert all(set(times) == TIMES for times in entry["cold"].values())
         assert set(entry["whole_run"]) == WHOLE_RUN

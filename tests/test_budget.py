@@ -12,8 +12,9 @@ stationary modal coefficients); a later op on the same model, here at a
 second h, reuses them.  Both are counted on a freshly built model, so the
 order in which tests touch the shared fixtures does not matter.  Likewise
 the first path on a model builds the modal form of its modes and the factor
-of its stationary state covariance, and a second path at the same h reuses
-them and the transfer stacks of its scan.
+of its stationary state covariance, and the first path at a step builds the
+form's step entry, the transfer stacks of its scan and, for a Brownian
+driver, the rows of Q_h's factor; a second path at that step reuses them all.
 """
 
 from collections import Counter
@@ -27,9 +28,9 @@ from conftest import fresh
 H = 0.25
 WARM_H = 1.0
 
-# a second stationary-start Brownian path on a kept decomposition: the factor
-# of the innovation Gramian at its h (one eigh, mcarma.psd_factor), and nothing else
-PATH_BUDGET = Counter(eigh=1)
+# a second stationary-start Brownian path at the same step on a kept
+# decomposition: the first kept the factor of Q_h with the transfer stacks
+PATH_BUDGET = Counter()
 # per op at h = 0.25, not counting the one solve per doubling step of the MA
 # fit (5 steps on carma2x2, 9 on corpus #8), whose number rounding can move;
 # the MA fit whitens gamma_U by one eigh of gamma_U(0), which also gives its
@@ -95,28 +96,32 @@ def test_decompose_solves_only_the_residues(example_model, corpus, linalg_calls)
 def test_second_path_within_budget(index, example_model, corpus, linalg_calls, monkeypatch):
     model = fresh(example_model if index is None else corpus[index])
     decomp = mcarma.decompose(model, model.solvent_set())
-    driver = sim.DriverSpec(kind="brownian", seed=1, sigma_L=model.sigma_L)
+    driver = sim.DriverSpec(kind="brownian", seed=1)
     sim.simulate(decomp, driver, 0.1, 100, stationary_start=True)
-    builds = []
+    calls = Counter()
+    for module, name in ((mcarma, "_modal_form"), (sim, "_transfer_stacks"),
+                         (sim, "state_innovation_gramian")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
 
-    def counted(*args, _fn=mcarma._modal_form):
-        builds.append(args)
-        return _fn(*args)
-
-    stacks = []
-
-    def counted_stacks(*args, _fn=sim._transfer_stacks):
-        stacks.append(args)
-        return _fn(*args)
-
-    monkeypatch.setattr(mcarma, "_modal_form", counted)
-    monkeypatch.setattr(sim, "_transfer_stacks", counted_stacks)
+        monkeypatch.setattr(module, name, counted)
     linalg_calls.clear()
     sim.simulate(decomp, driver, 0.1, 100, stationary_start=True)
     over = linalg_calls - PATH_BUDGET
     assert not over, f"second path over budget {dict(over)}"
-    assert builds == stacks == []
-    # a path at a new h builds its own stacks, one per group of modes
+    assert not calls
+    # a path at a new h builds its own stacks, one per group of modes, and
+    # takes one eigh, the factor of its Q_h
     sim.simulate(decomp, driver, 0.2, 100, stationary_start=True)
-    groups = model.modes.modal_form
-    assert len(stacks) == sum(g.roots.size > 0 for g in (groups.real, groups.pair))
+    form = model.modes.modal_form
+    groups = sum(g.roots.size > 0 for g in (form.real, form.pair))
+    assert calls == Counter(_transfer_stacks=groups, state_innovation_gramian=1)
+    assert linalg_calls == Counter(eigh=1)
+    # a compound-Poisson path at another new h factors only its m x m jump_cov
+    calls.clear()
+    linalg_calls.clear()
+    cp = sim.DriverSpec(kind="compound_poisson", seed=1, rate=2.0, jump_cov=model.sigma_L / 2.0)
+    sim.simulate(decomp, cp, 0.3, 100, stationary_start=True)
+    assert calls == Counter(_transfer_stacks=groups)
+    assert linalg_calls == Counter(eigh=1)

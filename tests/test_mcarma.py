@@ -302,10 +302,14 @@ class TestModelCache:
         kept = mcarma.decompose(model, model.solvent_set())
         assert mcarma.decompose(model, model.solvent_set()) is kept
         assert kept.solvent_set is model.solvent_set() and not kept.y0.any()
-        # an initial state builds a new one along the same set
+        assert not kept.x0.any() and kept.x0.shape == (4,)
+        # an initial state builds a new one along the same set, which keeps
+        # its own read-only copy of x0
         x0 = np.arange(1.0, 5.0)
         started = mcarma.decompose(model, model.solvent_set(), x0)
         assert started is not kept and started.y0.any()
+        assert np.array_equal(started.x0, x0) and started.x0 is not x0
+        assert not started.x0.flags.writeable and x0.flags.writeable
         assert mcarma.decompose(model, model.solvent_set()) is kept
 
     def test_failing_decomposition_raises_on_every_call(self, example_model, monkeypatch):
@@ -323,7 +327,7 @@ class TestModelCache:
         first = mcarma.stationary_acvf(decomp, lags)
         modes = model.modes
         assert mcarma.decompose(model, model.solvent_set([[0, 3], [1, 2]])).model.modes is modes
-        for arr in (modes.roots, modes.X, modes.B, modes.residues, modes.distinct,
+        for arr in (modes.roots, modes.X, modes.B, modes.residues,
                     modes._stationary_gramian, modes._stationary):
             assert not arr.flags.writeable
         steps = []
@@ -337,9 +341,9 @@ class TestModelCache:
         driver = sim.DriverSpec(kind="brownian", seed=3, sigma_L=model.sigma_L)
         sim.simulate(decomp, driver, 0.1, 20, stationary_start=True)
         sim.simulate(decomp, driver, 0.1, 20, stationary_start=True)
-        # Pi reads the stationary G that gamma kept; each path forms the
-        # Gramian of its innovations
-        assert steps == [0.1, 0.1]
+        # Pi reads the stationary G that gamma kept; the first path at a step
+        # forms the Gramian of its innovations, which the modal form keeps
+        assert steps == [0.1]
 
     def test_default_decomposition_logs_once(self, example_model, caplog):
         model = fresh(example_model)
@@ -387,16 +391,19 @@ class TestGroupingInvariance:
     @pytest.mark.parametrize("case", ["carma2x2", "corpus-22"])
     def test_fit_and_paths_are_bit_identical(self, example_model, example_set_12,
                                              example_set_34, corpus, case):
-        # carma2x2 along the paper's sets {R1, R2} and {R3, R4}; corpus #22
-        # (d = 2, p = 2, two conjugate pairs) along its default grouping and
-        # one that splits both pairs; each decomposition on a fresh model
+        # carma2x2 along the paper's sets {R1, R2} and {R3, R4} and its
+        # default set; corpus #22 (d = 2, p = 2, two conjugate pairs) along
+        # its default grouping and one that splits both pairs; each
+        # decomposition on a fresh model
         if case == "carma2x2":
             runs = [(fresh(example_model), S) for S in (example_set_12, example_set_34)]
+            runs.append((fresh(example_model), None))
         else:
             runs = [(model, model.solvent_set(grouping)) for model, grouping in
                     ((fresh(corpus[22]), None), (fresh(corpus[22]), [[0, 2], [1, 3]]))]
         outputs = []
         for model, S in runs:
+            S = model.solvent_set() if S is None else S
             decomp = mcarma.decompose(model, S)
             out = [mcarma.stationary_acvf(decomp, [0.3 * k for k in range(11)]),
                    mcarma.kernel(decomp, np.linspace(0.0, 5.0, 11))]
@@ -407,11 +414,15 @@ class TestGroupingInvariance:
                            sim.DriverSpec(kind="compound_poisson", seed=5, rate=4.0,
                                           jump_cov=model.sigma_L / 4.0)):
                 out.append(sim.simulate(decomp, driver, 0.1, 500, stationary_start=True).Y)
+                # from x0: the path starts at x0 itself, not at T y0
+                started = mcarma.decompose(model, S, np.linspace(-1.0, 2.0, 4))
+                out.append(sim.simulate(started, driver, 0.1, 500).Y)
             outputs.append(out)
-        first, second = outputs
+        first, *others = outputs
         assert not np.array_equal(runs[0][1].matrices, runs[1][1].matrices)
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
+        for other in others:
+            for a, b in zip(first, other):
+                assert np.array_equal(a, b)
 
 
 class TestKernel:

@@ -68,9 +68,15 @@ HARD_REGIME_FAILURES = {
 # and 5.9e-13 and 1.6e-12 on #143 at h = 0.01; the bounds are about ten
 # times those.  Phi from the block Vandermonde of the sampled solvents errs
 # by 1.2e-10, 6.5e-13 and 1.3e-9, and gamma_U projected from component
-# Gramians integrated first by 4.6e-4, 7.3e-7 and 4.7e-9.
-REFERENCE_BOUNDS = {(88, 0.01): (2e-13, 6e-9), (88, 0.05): (2e-13, 1.2e-10),
-                    (143, 0.01): (6e-12, 2e-11)}
+# Gramians integrated first by 4.6e-4, 7.3e-7 and 4.7e-9.  Theta and
+# Sigma_eps, relative to max|Theta| and max|Sigma_eps|, measured 9.5e-10 and
+# 9.8e-10, 2.8e-11 and 3.7e-11, and 1.7e-5 and 4.2e-7 (#143 at h = 0.01 has
+# an MA zero 1.25e-3 from the unit circle, and fit_ma on the rounded
+# reference gamma_U alone already errs by 2.3e-7); bounds again about ten
+# times those.
+REFERENCE_BOUNDS = {(88, 0.01): (2e-13, 6e-9, 1e-8, 1e-8),
+                    (88, 0.05): (2e-13, 1.2e-10, 3e-10, 4e-10),
+                    (143, 0.01): (6e-12, 2e-11, 2e-4, 5e-6)}
 # gamma_U from the reference Phi, where the quadrature is not small: corpus
 # #88 at h = 2 (one panel, h max|lam_a + conj lam_b| = 7.8) measured 1.7e-13
 # and with its roots times 10 at h = 0.5 (two panels) 1.3e-13
@@ -87,6 +93,14 @@ def corpus_decomps(corpus):
     """Corpus index -> decomposition, for the models with an MA part (p >= 2)."""
     return {i: mcarma.decompose(m, m.solvent_set())
             for i, m in enumerate(corpus) if m.p >= 2}
+
+
+@pytest.fixture(scope="module")
+def references(corpus_decomps):
+    """(index, h) -> the 50-digit (Phi, gamma_U, Theta, Sigma_eps) of each
+    ``REFERENCE_BOUNDS`` case, about 1.4 s in all."""
+    return {(index, h): mp_oracles.sampled_varma_reference(corpus_decomps[index].model, h)
+            for index, h in REFERENCE_BOUNDS}
 
 
 def scalar_poly(*coeffs):
@@ -560,14 +574,22 @@ class TestSampledVarma:
 
 class TestFiftyDigitReference:
     @pytest.mark.parametrize("index, h", sorted(REFERENCE_BOUNDS))
-    def test_phi_and_gamma_U(self, corpus_decomps, index, h):
-        decomp = corpus_decomps[index]
-        phi_ref, gamma_ref = mp_oracles.sampled_varma_reference(decomp.model, h)
-        sv = sampling.sampled_varma(decomp, h)
-        phi_bound, gamma_bound = REFERENCE_BOUNDS[index, h]
+    def test_phi_and_gamma_U(self, corpus_decomps, references, index, h):
+        phi_ref, gamma_ref, *_ = references[index, h]
+        sv = sampling.sampled_varma(corpus_decomps[index], h)
+        phi_bound, gamma_bound, *_ = REFERENCE_BOUNDS[index, h]
         assert np.max(np.abs(sv.phi - phi_ref)) <= phi_bound * np.max(np.abs(phi_ref))
         assert np.max(np.abs(sv.gamma_U - gamma_ref)) <= gamma_bound * np.max(
             np.abs(gamma_ref[0]))
+
+    @pytest.mark.parametrize("index, h", sorted(REFERENCE_BOUNDS))
+    def test_theta_and_sigma_eps(self, corpus_decomps, references, index, h):
+        *_, theta_ref, sigma_ref = references[index, h]
+        sv = sampling.sampled_varma(corpus_decomps[index], h)
+        *_, theta_bound, sigma_bound = REFERENCE_BOUNDS[index, h]
+        assert np.max(np.abs(sv.theta - theta_ref)) <= theta_bound * np.max(np.abs(theta_ref))
+        assert np.max(np.abs(sv.sigma_eps - sigma_ref)) <= sigma_bound * np.max(
+            np.abs(sigma_ref))
 
     @pytest.mark.parametrize("c, h, nodes", [(1.0, 2.0, 16), (10.0, 0.5, 32)])
     def test_quadrature_where_h_lam_is_not_small(self, corpus, c, h, nodes):
@@ -575,7 +597,7 @@ class TestFiftyDigitReference:
         decomp = mcarma.decompose(model, model.solvent_set())
         S = decomp.solvent_set
         assert len(sampling._panels(h, S.roots)[0]) == nodes
-        phi_ref, gamma_ref = mp_oracles.sampled_varma_reference(model, h)
+        phi_ref, gamma_ref, *_ = mp_oracles.sampled_varma_reference(model, h)
         got = sampling.noise_acvf(model, phi_ref, h)
         assert np.max(np.abs(got - gamma_ref)) <= PANEL_BOUND * np.max(np.abs(gamma_ref[0]))
 

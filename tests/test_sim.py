@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -37,6 +38,11 @@ def brownian(seed, sigma):
     return sim.DriverSpec(kind="brownian", seed=seed, sigma_L=sigma)
 
 
+def without_driver(model):
+    """The model's A and B with Sigma_L = 0: its paths are the free response."""
+    return mcarma.McarmaModel.build(model.A, model.B, np.zeros_like(model.sigma_L))
+
+
 def reference_gap(decomp, driver, h, n_steps, stationary_start=True, chunk=sim.CHUNK):
     """max|Y - Y_ref| / max|Y_ref| against the per-step component recursion."""
     got = sim.simulate(decomp, driver, h, n_steps, stationary_start=stationary_start)
@@ -67,7 +73,7 @@ class TestReproducibility:
 
 class TestDegenerateCases:
     def test_zero_driver_zero_path(self, example_model, example_set_12):
-        decomp = mcarma.decompose(example_model, example_set_12)
+        decomp = mcarma.decompose(without_driver(example_model), example_set_12)
         driver = brownian(0, np.zeros((2, 2)))
         path = sim.simulate(decomp, driver, 0.1, 200)
         assert np.max(np.abs(path.Y)) == 0.0
@@ -123,7 +129,7 @@ class TestInitialState:
     @pytest.mark.parametrize("unstable", [False, True])
     def test_zero_driver_follows_state_space(self, example_model, unstable):
         # Y_n = C* e^{n h A*} x0, the paper's representation for any roots
-        model = self.unstable_model(example_model) if unstable else example_model
+        model = without_driver(self.unstable_model(example_model) if unstable else example_model)
         decomp = mcarma.decompose(model, model.solvent_set(), self.X0)
         h, n = 0.1, 40
         path = sim.simulate(decomp, brownian(0, np.zeros((2, 2))), h, n)
@@ -146,7 +152,7 @@ class TestInitialState:
         assert np.array_equal(zero.Y, explicit_zero.Y)
         assert np.all(zero.Y[0] == 0.0)
         moved = sim.simulate(mcarma.decompose(example_model, S, self.X0), driver, 0.1, 300)
-        free = sim.simulate(mcarma.decompose(example_model, S, self.X0),
+        free = sim.simulate(mcarma.decompose(without_driver(example_model), S, self.X0),
                             brownian(0, np.zeros((2, 2))), 0.1, 300)
         assert np.max(np.abs(moved.Y - zero.Y - free.Y)) <= 1e-12 * np.max(np.abs(moved.Y))
 
@@ -403,7 +409,7 @@ class TestPsdRepair:
     def test_factor_is_continuous(self, corpus, index, h):
         model = corpus[index]
         decomp = mcarma.decompose(model, model.solvent_set())
-        Q = sim.state_innovation_gramian(decomp, model.sigma_L, h)
+        Q = sim.state_innovation_gramian(decomp, h)
         factor = mcarma.psd_factor(Q, "innovation Gramian")
         vals, vecs = np.linalg.eigh(0.5 * (Q + Q.T))
         clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
@@ -450,7 +456,7 @@ class TestPsdRepair:
         # factor; the expm1 weights of mcarma._gramian do not cancel
         model = corpus[125]
         decomp = mcarma.decompose(model, model.solvent_set())
-        vals = np.linalg.eigvalsh(sim.state_innovation_gramian(decomp, model.sigma_L, 0.01))
+        vals = np.linalg.eigvalsh(sim.state_innovation_gramian(decomp, 0.01))
         assert vals[0] >= -tolerances.PSD_CLIP * vals[-1]
         path = sim.simulate(decomp, brownian(125, model.sigma_L), 0.01, 2000,
                             stationary_start=True)
@@ -526,7 +532,8 @@ class TestModalEngine:
         assert reference_gap(example_decomp, driver, 0.1, sim.CHUNK + 5) <= 1e-11
 
     def test_compound_poisson_empty_chunks(self, example_decomp, monkeypatch):
-        # about 0.5 jumps per 16-step chunk: some chunks draw none
+        # about 0.5 jumps per 16-step chunk: some chunks draw none; jump_cov
+        # makes rate * jump_cov the model's Sigma_L = I
         monkeypatch.setattr(sim, "CHUNK", 16)
         empty, widths = [], []
         draw = sim._jump_innovations
@@ -539,7 +546,7 @@ class TestModalEngine:
 
         monkeypatch.setattr(sim, "_jump_innovations", spy)
         driver = sim.DriverSpec(kind="compound_poisson", seed=8, rate=0.3,
-                                jump_cov=np.eye(2))
+                                jump_cov=np.eye(2) / 0.3)
         gap = reference_gap(example_decomp, driver, 0.1, 400, stationary_start=False,
                             chunk=16)
         assert gap <= 1e-11
@@ -720,6 +727,36 @@ class TestObservability:
         assert "pd=9 (3 real, 3 pairs)," in lines[-1]
 
 
+class TestDriverMatch:
+    """A path reads Var L(1) off its model; a driver that states another
+    fails before anything is drawn."""
+
+    @pytest.mark.parametrize("index", [8, 17])
+    def test_brownian_driver_is_a_seed(self, corpus, index):
+        # sigma_L = the model's, or off by rounding, or not given: one path
+        model = corpus[index]
+        decomp = mcarma.decompose(model, model.solvent_set())
+        for start in (False, True):
+            paths = [sim.simulate(decomp, driver, 0.1, 300, stationary_start=start).Y
+                     for driver in (sim.DriverSpec(kind="brownian", seed=9),
+                                    brownian(9, model.sigma_L),
+                                    brownian(9, model.sigma_L * (1.0 + 1e-13)))]
+            assert all(np.array_equal(paths[0], Y) for Y in paths[1:])
+
+    @pytest.mark.parametrize("driver, message", [
+        (brownian(0, 2.0 * np.eye(2)), "driver.sigma_L must equal sigma_L (Var L(1))"),
+        (brownian(0, np.eye(2) + 2e-10), "driver.sigma_L must equal sigma_L (Var L(1))"),
+        (brownian(0, np.eye(3)), "driver.sigma_L must have the shape of sigma_L, (2, 2)"),
+        (sim.DriverSpec(kind="compound_poisson", seed=0, rate=2.0, jump_cov=np.eye(2)),
+         "rate * jump_cov must equal sigma_L (Var L(1))"),
+        (sim.DriverSpec(kind="compound_poisson", seed=0, rate=1.0, jump_cov=np.eye(1)),
+         "driver.jump_cov must have the shape of sigma_L, (2, 2)")],
+        ids=["brownian-scale", "brownian-offset", "brownian-shape", "cp-scale", "cp-shape"])
+    def test_mismatched_driver_rejected(self, example_decomp, driver, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sim.simulate(example_decomp, driver, 0.1, 10)
+
+
 class TestRectangularDriver:
     def test_driving_dimension_differs(self):
         # d = 2 output, m = 1 driver channel
@@ -741,7 +778,7 @@ class TestGramianConsistency:
     def test_state_gramian_matches_block_transform(self, example_decomp):
         # T [Sigma_{nu,mu}] T^H is the Gramian of the real state innovation
         h = 0.1
-        Q = sim.state_innovation_gramian(example_decomp, np.eye(2), h)
+        Q = sim.state_innovation_gramian(example_decomp, h)
         ss = example_decomp.statespace
         import scipy.linalg as sla
         nd = ss.dim
@@ -756,7 +793,7 @@ class TestGramianConsistency:
         # h = inf gives the stationary start's Pi without a Lyapunov solve
         for index, model in enumerate(corpus):
             decomp = mcarma.decompose(model, model.solvent_set())
-            got = sim.state_innovation_gramian(decomp, model.sigma_L, np.inf)
+            got = sim.state_innovation_gramian(decomp, np.inf)
             want = verify.sampled_state_space(decomp.statespace, model.sigma_L, 1.0).pi
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), index
 
@@ -766,6 +803,6 @@ class TestGramianConsistency:
         model = random_stable_model(rng, d=2, p=2)
         decomp = mcarma.decompose(model, model.solvent_set())
         h = 0.2
-        Q = sim.state_innovation_gramian(decomp, model.sigma_L, h)
+        Q = sim.state_innovation_gramian(decomp, h)
         assert np.max(np.abs(Q - Q.T)) < 1e-10 * max(1.0, np.max(np.abs(Q)))
         assert np.min(np.linalg.eigvalsh(Q)) > -1e-12

@@ -22,7 +22,10 @@ form, the stationary factor and the step entry).  The whole-run rows time
 ``verify`` at the CLI's default flags: ``cli.run_verification`` in process
 on a model file loaded afresh per call, and ``python -m mcarma_ou.cli
 verify`` as a child process, with its exit code (2 if a row fails; the time
-counts either way); ``cli_help`` is the child's cold start, ``--help``.  It
+counts either way) and its peak RSS in MB, the largest over the calls, both
+read by a small launcher process (``LAUNCHER``) that spawns the child and
+waits for it with ``os.wait4``; ``cli_help`` is the child's cold start,
+``--help``.  It
 also records the Python and numpy versions and the time of a numpy-only
 reference kernel, so that runs on different machines or days can be put
 side by side.  BLAS runs on one thread, in the children too.  Only numpy
@@ -60,6 +63,10 @@ KERNEL_SIZE = 64  # the reference kernel: solve of a fixed system, KERNEL_CALLS 
 KERNEL_CALLS = 200
 
 
+def summary(times):
+    return {"median_s": statistics.median(times), "min_s": min(times)}
+
+
 def timed(fn, reps):
     """Median and minimum seconds of ``reps`` calls of ``fn``, after one."""
     fn()
@@ -68,7 +75,7 @@ def timed(fn, reps):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return {"median_s": statistics.median(times), "min_s": min(times)}
+    return summary(times)
 
 
 def per_step(record, steps):
@@ -151,34 +158,56 @@ def cold_layers(model, reps):
             for name, t in times.items()}
 
 
+# Spawns the command after it, its stdout to /dev/null, and prints its exit
+# code, wall seconds and peak RSS (ru_maxrss, KiB).  The CLI children start
+# from this small interpreter rather than from the script: on Linux exec
+# carries the peak RSS of the spawning process into the child's ru_maxrss,
+# so a child of the script would read at least the script's own RSS.
+LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+"""
+
+
 def child(*argv):
-    """Run ``python -m mcarma_ou.cli argv`` on the tree this script imported and
-    return its exit code; 2, a failed ``verify`` row, is timed like 0, and any
-    other code raises ``CalledProcessError``."""
+    """Run ``python -m mcarma_ou.cli argv`` on the tree this script imported,
+    through LAUNCHER, and return its exit code, wall seconds and peak RSS in
+    MB; 2, a failed ``verify`` row, counts like 0, and any other code raises
+    ``CalledProcessError``."""
     src = str(pathlib.Path(mcarma_ou.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "mcarma_ou.cli", *argv]
-    code = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
-    if code not in (0, 2):
-        raise subprocess.CalledProcessError(code, cmd)
-    return code
+    report = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, *cmd], env=env,
+                            stdout=subprocess.PIPE, text=True, check=True).stdout
+    code, seconds, kib = report.split()
+    if int(code) not in (0, 2):
+        raise subprocess.CalledProcessError(int(code), cmd)
+    return int(code), float(seconds), int(kib) / 1024
+
+
+def children(reps, *argv):
+    """``reps`` CLI children after one: the median and minimum seconds, with
+    the largest exit code and the largest peak RSS in MB."""
+    codes, seconds, peaks = zip(*(child(*argv) for _ in range(reps + 1)))
+    return {**summary(seconds[1:]), "exit_code": max(codes), "peak_rss_mb": max(peaks)}
 
 
 def whole_run(path, reps):
     """``verify`` on the model file at ``path`` at the CLI's default flags,
-    in process and as a child process, with the child's largest exit code."""
+    in process and as a child process."""
     args = cli.build_parser().parse_args(["verify", str(path)])
 
     def in_process():
         model, driver = cli.load_model_file(args.model, seed=args.seed)
         cli.run_verification(model, driver, args.h, args.steps)
 
-    codes = []
-    record = {"run_verification": timed(in_process, reps)}
-    record["cli_verify"] = timed(lambda: codes.append(child("verify", str(path))), reps)
-    record["cli_verify"]["exit_code"] = max(codes)
-    return record
+    return {"run_verification": timed(in_process, reps),
+            "cli_verify": children(reps, "verify", str(path))}
 
 
 def run(reps):
@@ -188,7 +217,7 @@ def run(reps):
         "machine": platform.machine(),
         "reps": reps,
         "reference_kernel": reference_kernel(reps),
-        "cli_help": timed(lambda: child("--help"), reps),
+        "cli_help": summary([child("--help")[1] for _ in range(reps + 1)][1:]),
         "models": {},
     }
     for name in MODELS:

@@ -44,6 +44,7 @@ from .sim import (
     PathGrid,
     empirical_acvf,
     extract_noise,
+    path_blocks,
     simulate,
 )
 
@@ -75,6 +76,7 @@ __all__ = [
     "kernel",
     "latent_roots",
     "noise_acvf",
+    "path_blocks",
     "residues",
     "sampled_varma",
     "simulate",

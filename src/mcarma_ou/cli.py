@@ -15,6 +15,8 @@ round-trip exactly: JSON output writes them by ``repr`` (through
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
@@ -129,12 +131,19 @@ def dumps_json(obj):
     return json.dumps(obj, indent=2, default=_json_default) + "\n"
 
 
-def _emit(text, out_path):
+@contextlib.contextmanager
+def _output(out_path):
+    """The text stream of ``--out``: stdout for None or ``-``, else the file."""
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text, out_path):
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -228,28 +237,43 @@ def cmd_varma(args):
 
 
 def cmd_simulate(args):
+    """Write the path as CSV a block of ``sim.path_blocks`` at a time, so the
+    command holds O(CHUNK) rows at any ``--steps``; a certificate that fails
+    before the first row writes nothing."""
     decomp, driver = _decomposition(args)
-    path = sim.simulate(decomp, driver, args.h, args.steps,
-                        stationary_start=args.stationary_start)
     d = decomp.d
+    blocks = sim.path_blocks(decomp, driver, args.h, args.steps,
+                             stationary_start=args.stationary_start)
     header = ["n"] + [f"Y_{i + 1}" for i in range(d)]
-    U = None
     if args.emit_noise:
         _, phi, *_ = sampling.varma_ar(decomp.model, args.h)
-        U = sim.extract_noise(path, phi)
+        sim.require_samples(args.steps, decomp.p)  # the noise starts at n = p
+        blocks, feed = itertools.tee(blocks)
+        noise = sim.extract_noise(feed, phi)
         header += [f"U_{i + 1}" for i in range(d)]
-    # one % per row writes what _fmt writes value by value
-    row = "%d" + ",%.17g" * d
-    Y = path.Y.tolist()
-    lines = [",".join(header)]
-    if U is None:
-        lines += [row % (n, *y) for n, y in enumerate(Y)]
     else:
-        p = decomp.p
-        lines += [(row + "," * d) % (n, *y) for n, y in enumerate(Y[:p])]
-        lines += [(row + ",%.17g" * d) % (n, *y, *u)
-                  for n, (y, u) in enumerate(zip(Y[p:], U.tolist()), start=p)]
-    _emit("\n".join(lines) + "\n", args.out)
+        noise = itertools.repeat(np.empty((0, d)))
+    # one % per row writes what _fmt writes value by value; the U cells of
+    # the rows n < p, which have no noise, are blank
+    row = "%d" + ",%.17g" * d
+    bare = row + ("," * d if args.emit_noise else "")
+    full = row + ",%.17g" * d
+
+    def text():
+        start = 0
+        for Y, U in zip(blocks, noise):
+            Y, U = Y.tolist(), U.tolist()
+            k = len(Y) - len(U)
+            yield "".join([bare % (n, *y) + "\n" for n, y in enumerate(Y[:k], start)]
+                          + [full % (n, *y, *u) + "\n"
+                             for n, (y, u) in enumerate(zip(Y[k:], U), start + k)])
+            start += len(Y)
+
+    rows = text()
+    first = ",".join(header) + "\n" + next(rows)
+    with _output(args.out) as out:
+        out.write(first)
+        out.writelines(rows)
     return 0
 
 
@@ -264,6 +288,8 @@ def run_verification(model, driver, h, steps):
     The Monte-Carlo row simulates ``driver`` (seeded) and runs only for a
     Brownian one: its chi^2 statistic takes the Gaussian covariance of the
     sample ACVF (compound-Poisson sample ACVFs carry an extra kurtosis term).
+    The path streams through the noise and its sample ACVF a block at a
+    time and is never held, so the row's memory does not grow with ``steps``.
     ``mcarma_ou.verify`` is imported here, so only this command loads its
     scipy oracles.
     """
@@ -288,9 +314,9 @@ def run_verification(model, driver, h, steps):
     if model.stationary:
         checks.append(verify.check_noise_acvf(sampled, sv.phi, sv.gamma_U))
         if driver.kind == "brownian":
-            path = sim.simulate(decomp, driver, h, steps, stationary_start=True)
+            blocks = sim.path_blocks(decomp, driver, h, steps, stationary_start=True)
             checks.append(verify.check_noise_lag_p_zero(
-                sim.extract_noise(path, sv.phi), sv.gamma_U))
+                sim.extract_noise(blocks, sv.phi), sv.gamma_U, n=max(steps - model.p, 0)))
     return checks
 
 

@@ -448,7 +448,8 @@ class ModalForm:
 
     ``step`` holds ``sim.simulate``'s one step entry, under the last (h,
     min(n_steps - 1, sim.CHUNK)): the read-only transfer stacks and, once a
-    Brownian path formed them, the rows of Q_h's factor, for the next path.
+    Brownian path formed them, the real rows of ``W F`` (F a factor of Q_h),
+    for the next path.
     """
 
     real: ModeGroup

@@ -16,13 +16,19 @@ Both groups are solved CHUNK steps at a time by the same blocked scan
 (:func:`_scan`): batched matrix products against per-mode triangular
 Toeplitz stacks of powers of ``e^{h lam}``, which the modal form keeps with
 the rows of Q_h's factor, so no Python code runs per step and no ``expm``
-is taken per jump.
+is taken per jump.  :func:`path_blocks` yields the path one chunk at a
+time and :func:`simulate` collects it; :func:`extract_noise` and
+:func:`empirical_acvf` read a path or its blocks, so a consumer of the
+blocks holds O(CHUNK pd) numbers at any path length.
 
 Reproducibility: a Brownian driver is just a seed, and one path owns one
 PCG64 generator seeded by it; identical seeds give bit-identical paths, for
 every grouping of the roots.  Every Gaussian draw goes through the symmetric
 square root of its covariance (``mcarma.psd_factor``), so a seeded path
-moves with the rounding of Q_h and Pi and no more.  A compound-Poisson path
+moves with the rounding of Q_h and Pi and no more.  The normals of a
+Brownian chunk of L steps are one time-major (L, pd) draw, so the stream
+takes them step by step and a seeded path is, to rounding, the start of
+every longer path with its seed.  A compound-Poisson path
 differs from releases that simulated step by step, as jump counts, ages and
 sizes are drawn a chunk at a time; its law is unchanged.  For parallel paths
 give each path one child of ``np.random.SeedSequence(seed).spawn(n)``.
@@ -198,6 +204,25 @@ def _times_real(E, x):
     return w
 
 
+def _gaussian_innovations(rng, rows, n_real, L):
+    """Modal innovations of L Brownian steps, one (modes, L) array per
+    non-empty group of modes, the real modes first.
+
+    The steps' standard normals are one time-major (L, pd) draw.  ``rows``
+    stacks the rows of ``W F`` (F a factor of Q_h) of the real modes and
+    the real and then the imaginary parts of those of the pairs, so that
+    one real product against the transposed draw serves every group.
+    """
+    parts = rows @ rng.standard_normal((L, rows.shape[1])).T
+    n_pair = (len(rows) - n_real) // 2
+    w = [parts[:n_real]] if n_real else []
+    if n_pair:
+        pair = np.empty((n_pair, L), dtype=complex)
+        pair.real, pair.imag = parts[n_real:n_real + n_pair], parts[n_real + n_pair:]
+        w.append(pair)
+    return w
+
+
 def _jump_innovations(rng, rate, h, kicks, L):
     """Modal innovations of L compound-Poisson steps, one (modes, L) array
     per ``(roots, G)`` of ``kicks``.
@@ -222,6 +247,60 @@ def _jump_innovations(rng, rate, h, kicks, L):
     return w
 
 
+def path_blocks(decomp, driver, h, n_steps, stationary_start=False):
+    """Yield the path of :func:`simulate` as row blocks: its start point
+    ``Y_0`` as one (1, d) block, then the grid points of each CHUNK steps.
+
+    Every block is certified finite before it is yielded, and everything a
+    path needs before its first step (the start, the modal form, the factor
+    of Q_h) is built before the first block.  A Brownian chunk of L steps
+    draws its standard normals as one time-major (L, pd) array, so a path
+    holds O(CHUNK pd) numbers at any length, and a seeded path of n points
+    is, to rounding, the first n points of every longer path with its seed.  Arguments and
+    errors as :func:`simulate`; they are checked at the first ``next``.
+    """
+    if not 0 < h < np.inf or n_steps < 1:
+        raise ValueError("need a finite h > 0 and n_steps >= 1")
+    check_driver(driver, decomp.model.sigma_L)
+    rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
+    form = decomp.model.modes.modal_form
+    # a group without modes would only add numpy calls per chunk
+    groups = [g for g in (form.real, form.pair) if g.roots.size]
+
+    x = _stationary_state(decomp, rng) if stationary_start else decomp.x0
+    z = [g.rows @ x for g in groups]
+    n = n_steps - 1
+    step = _kept_step(form, groups, h, n)
+    if driver.kind == "brownian":
+        if "rows" not in step:
+            F = mcarma.psd_factor(state_innovation_gramian(decomp, h), "innovation Gramian")
+            pair = form.pair.rows @ F
+            step["rows"] = matpoly._readonly(
+                np.concatenate([form.real.rows @ F, pair.real, pair.imag]))
+
+        def innovations(L):
+            return _gaussian_innovations(rng, step["rows"], form.real.roots.size, L)
+    else:
+        jump_factor = mcarma.psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
+        G = decomp.statespace.B_star @ jump_factor
+        kicks = [(g.roots, g.rows @ G) for g in groups]
+
+        def innovations(L):
+            return _jump_innovations(rng, driver.rate, h, kicks, L)
+
+    def finite(block):
+        if not np.isfinite(block).all():
+            raise CholeskyFailError("simulated path has non-finite entries")
+        return block
+
+    yield finite(sum((g.readout @ zg).real for g, zg in zip(groups, z))[None])
+    for lo in range(0, n, CHUNK):
+        states = [_scan(w, zg, st) for w, zg, st in
+                  zip(innovations(min(CHUNK, n - lo)), z, step["stacks"])]
+        z = [s[:, -1] for s in states]
+        yield finite(sum((g.readout @ s).real for g, s in zip(groups, states)).T)
+
+
 def simulate(decomp, driver, h, n_steps, stationary_start=False):
     """Simulate the OU components on the h-grid, exactly in distribution.
 
@@ -230,8 +309,9 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     modes in float on ``e^{h Re lam}``, one mode per conjugate pair in
     complex.  Both groups are solved CHUNK steps at a time by the blocked
     scan :func:`_scan` and read out as ``Y_n = R_r u_n + 2 Re(R_c v_n)``
-    (the pairs' read-out columns hold the 2).  Each call logs the driver kind,
-    the steps, pd with its real modes and pairs, and its wall time at DEBUG.
+    (the pairs' read-out columns hold the 2); the path is the blocks of
+    :func:`path_blocks` collected.  Each call logs the driver kind, the
+    steps, pd with its real modes and pairs, and its wall time at DEBUG.
 
     Parameters
     ----------
@@ -256,51 +336,27 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     ImaginaryLeakError
         When the modal form's fold fails its certificate.
     """
-    if not 0 < h < np.inf or n_steps < 1:
-        raise ValueError("need a finite h > 0 and n_steps >= 1")
-    check_driver(driver, decomp.model.sigma_L)
     start = time.perf_counter()
-    rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
-    form = decomp.model.modes.modal_form
-    # a group without modes would only add numpy calls per chunk
-    groups = [g for g in (form.real, form.pair) if g.roots.size]
-
-    x = _stationary_state(decomp, rng) if stationary_start else decomp.x0
-    z = [g.rows @ x for g in groups]
-    Y = np.empty((n_steps, decomp.d))
-    Y[0] = sum((g.readout @ zg).real for g, zg in zip(groups, z))
-
-    n = n_steps - 1
-    step = _kept_step(form, groups, h, n)
-    if driver.kind == "brownian":
-        if "rows" not in step:
-            F = mcarma.psd_factor(state_innovation_gramian(decomp, h), "innovation Gramian")
-            step["rows"] = [matpoly._readonly(g.rows @ F) for g in groups]
-        xi = rng.standard_normal((x.size, n))  # one normal per state coordinate
-
-        def innovations(lo, hi):
-            return [_times_real(E, xi[:, lo:hi]) for E in step["rows"]]
-    else:
-        jump_factor = mcarma.psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
-        G = decomp.statespace.B_star @ jump_factor
-        kicks = [(g.roots, g.rows @ G) for g in groups]
-
-        def innovations(lo, hi):
-            return _jump_innovations(rng, driver.rate, h, kicks, hi - lo)
-
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        states = [_scan(w, zg, st) for w, zg, st in zip(innovations(lo, hi), z, step["stacks"])]
-        z = [s[:, -1] for s in states]
-        Y[lo + 1:hi + 1] = sum((g.readout @ s).real for g, s in zip(groups, states)).T
-
-    if not np.all(np.isfinite(Y)):
-        raise CholeskyFailError("simulated path has non-finite entries")
+    Y = np.concatenate(list(path_blocks(decomp, driver, h, n_steps, stationary_start)))
     Y.setflags(write=False)
+    form = decomp.model.modes.modal_form
     log.debug("simulate: %s driver, %d steps, pd=%d (%d real, %d pairs), %.6f s",
               driver.kind, n_steps, decomp.p * decomp.d, form.real.roots.size,
               form.pair.roots.size, time.perf_counter() - start)
     return PathGrid(h=h, n_steps=n_steps, Y=Y, fold_residual=form.fold)
+
+
+def require_samples(n, need):
+    """Raise ``TooShortError`` unless a path has more than ``need`` samples."""
+    if n <= need:
+        raise TooShortError(f"need more than {need} samples, got {n}")
+
+
+def _blocks(path):
+    """A path's rows as an iterable of row blocks: a PathGrid or an array is one block."""
+    if isinstance(path, PathGrid):
+        path = path.Y
+    return (path,) if isinstance(path, np.ndarray) else path
 
 
 def empirical_acvf(path, max_lag):
@@ -308,27 +364,70 @@ def empirical_acvf(path, max_lag):
     stacked (max_lag + 1, d, d).
 
     ``gamma_hat(l) = (1/N) sum_n (Y_{n+l} - mean)(Y_n - mean)^T``; requires
-    N > 10 * max_lag.
+    N > 10 * max_lag.  ``path`` is a PathGrid, an (N, d) array or an
+    iterable of (rows, d) blocks in path order, read once.  The sums run on
+    ``x = Y - c``, c the first block's mean, and carry the last max_lag rows
+    from block to block; with xbar the mean of x and head_l, tail_l the sums
+    of its first and last l rows, ``N gamma_hat(l) = sum_n x_{n+l} x_n^T -
+    (N + l) xbar xbar^T + head_l xbar^T + xbar tail_l^T``, so no second,
+    centring pass is needed.
     """
-    Y = path.Y if isinstance(path, PathGrid) else np.asarray(path, dtype=float)
-    n = Y.shape[0]
-    if n <= 10 * max_lag:
-        raise TooShortError(f"need more than {10 * max_lag} samples, got {n}")
-    centered = Y - Y.mean(axis=0)
-    out = np.empty((max_lag + 1, Y.shape[1], Y.shape[1]))
-    for lag in range(max_lag + 1):
-        out[lag] = centered[lag:].T @ centered[:n - lag]
-    return out / n
+    n, sums = 0, None
+    for block in _blocks(path):
+        block = np.asarray(block, dtype=float)
+        if not len(block):
+            continue
+        if sums is None:
+            shift = block.mean(axis=0)
+            sums = np.zeros((max_lag + 1, block.shape[1], block.shape[1]))
+            total = np.zeros(block.shape[1])
+            head = tail = block[:0]
+        x = block - shift
+        total += x.sum(axis=0)
+        if len(tail):
+            x = np.concatenate([tail, x])
+        for lag in range(max_lag + 1):
+            first = max(len(tail), lag)  # the first row of x pairing into this block
+            sums[lag] += x[first:].T @ x[first - lag:len(x) - lag]
+        if len(head) < max_lag:  # tail held every earlier row
+            head = x[:max_lag]
+        tail = x[max(0, len(x) - max_lag):]
+        n += len(block)
+    require_samples(n, 10 * max_lag)
+    xbar = total / n
+    zero = np.zeros((1, len(xbar)))
+    head_l = np.cumsum(np.concatenate([zero, head]), axis=0)
+    tail_l = np.cumsum(np.concatenate([zero, tail[::-1]]), axis=0)
+    lags = np.arange(max_lag + 1)[:, None, None]
+    return (sums - (n + lags) * np.outer(xbar, xbar) + head_l[:, :, None] * xbar
+            + xbar[:, None] * tail_l[:, None, :]) / n
+
+
+def _noise_blocks(blocks, phi):
+    """U of each block of Y, carrying the last p rows of Y to the next block."""
+    p = len(phi)
+    n, tail = 0, None
+    for block in blocks:
+        Y = np.asarray(block, dtype=float)
+        n += len(Y)
+        if tail is not None:
+            Y = np.concatenate([tail, Y])
+        U = np.array(Y[p:])
+        for j, coef in enumerate(phi, start=1):
+            U -= Y[p - j:p - j + len(U)] @ coef.T
+        tail = Y[max(0, len(Y) - p):]
+        yield U
+    require_samples(n, p)
 
 
 def extract_noise(path, phi):
-    """AR residual sequence ``U_n = Y_n - sum_j Phi_j Y_{n-j}``, n = p..N-1."""
-    Y = path.Y if isinstance(path, PathGrid) else np.asarray(path, dtype=float)
-    p = len(phi)
-    n = Y.shape[0]
-    if n <= p:
-        raise TooShortError(f"need more than {p} samples, got {n}")
-    U = np.array(Y[p:])
-    for j, coef in enumerate(phi, start=1):
-        U -= Y[p - j:n - j] @ coef.T
-    return U
+    """AR residual sequence ``U_n = Y_n - sum_j Phi_j Y_{n-j}``, n = p..N-1.
+
+    U as one array for a PathGrid or an (N, d) array; for an iterable of
+    row blocks of Y, an iterator of U blocks, one per Y block and aligned
+    with its last rows (a block's rows n < p have none).
+    """
+    if isinstance(path, (PathGrid, np.ndarray)):
+        (U,) = _noise_blocks(_blocks(path), phi)
+        return U
+    return _noise_blocks(path, phi)

@@ -72,12 +72,20 @@ def lag_p_covariance(gamma_U, n):
     """Gaussian covariance of ``empirical_acvf(U, p+NOISE_LAGS-1)[p:].reshape(-1)``
     for a (p-1)-dependent U of length n with ACVF ``gamma_U`` (Bartlett 1946):
     block (l, m) is ``sum_{|u|<p} kron(gamma(u+l-m), gamma(u)) / n``, ``gamma(-k)
-    = gamma(k)^T``; the second Bartlett term vanishes at lags >= p."""
-    p, zero = len(gamma_U), np.zeros_like(gamma_U[0])
-    gamma = {-k: g.T for k, g in enumerate(gamma_U)} | dict(enumerate(gamma_U))
-    return np.block([[sum(np.kron(gamma.get(u + l - m, zero), gamma[u])
-                          for u in range(1 - p, p)) for m in range(NOISE_LAGS)]
-                     for l in range(NOISE_LAGS)]) / n
+    = gamma(k)^T``; the second Bartlett term vanishes at lags >= p.  A block
+    depends on l - m alone, so the 2 NOISE_LAGS - 1 distinct blocks come from
+    one ``einsum`` over u and are tiled."""
+    gamma_U = np.asarray(gamma_U)
+    p, d, k = len(gamma_U), gamma_U.shape[-1], NOISE_LAGS - 1
+    # gamma(v) at g[v + p - 1 + k], |v| < p + k, zero from |v| = p on
+    g = np.zeros((2 * (p + k) - 1, d, d))
+    g[k:k + p] = gamma_U[::-1].transpose(0, 2, 1)
+    g[k + p - 1:k + 2 * p - 1] = gamma_U
+    u = np.arange(k, k + 2 * p - 1)
+    blocks = np.einsum("tuia,ujb->tijab", g[u + np.arange(-k, k + 1)[:, None]], g[u])
+    lag = np.arange(NOISE_LAGS)
+    tiled = blocks.reshape(2 * k + 1, d * d, d * d)[lag[:, None] - lag + k]
+    return tiled.transpose(0, 2, 1, 3).reshape(NOISE_LAGS * d * d, -1) / n
 
 
 def chi2_quantile_99(df):
@@ -142,14 +150,20 @@ def check_noise_acvf(sampled, phi, gamma_U):
     return tol.check("noise-acvf-consistency", _rel_err(gamma_U, want), tol.NOISE_ACVF)
 
 
-def check_noise_lag_p_zero(U, gamma_U):
+def check_noise_lag_p_zero(U, gamma_U, n=None):
     """The portmanteau ``v^T Sigma^{-1} v`` (Hosking, JASA 75 (1980)) of the noise's
     sample ACVF v at the ``NOISE_LAGS`` lags from p over the 99% quantile of chi^2(v.size),
-    Sigma its ``lag_p_covariance``; a singular Sigma measures inf, a short path raises."""
+    Sigma its ``lag_p_covariance``; a singular Sigma measures inf.
+
+    U is the noise as an array, or as an iterable of n rows in row blocks
+    (``sim.extract_noise`` of ``sim.path_blocks``), read once; a path too
+    short for the sample ACVF raises before the first block is read."""
     p = len(gamma_U)
+    n = U.shape[0] if n is None else n
+    sim.require_samples(n, 10 * (p + NOISE_LAGS - 1))
     v = sim.empirical_acvf(U, p + NOISE_LAGS - 1)[p:].reshape(-1)
     try:
-        stat = v @ np.linalg.solve(lag_p_covariance(gamma_U, U.shape[0]), v)
+        stat = v @ np.linalg.solve(lag_p_covariance(gamma_U, n), v)
     except np.linalg.LinAlgError:
         stat = np.inf
     return tol.check("noise-lag-p-zero", stat / chi2_quantile_99(v.size), tol.CLT_BAND)

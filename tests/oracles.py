@@ -213,7 +213,8 @@ def component_recursion(decomp, driver, h, n_steps, stationary_start, chunk):
     at a time in component coordinates, with ``expm`` per jump.
 
     It draws from the seeded generator in the order ``sim.simulate`` does
-    (compound-Poisson counts, offsets and jumps ``chunk`` steps at a time),
+    (Brownian normals time-major, compound-Poisson counts, offsets and jumps
+    ``chunk`` steps at a time),
     so for the same seed both give the same path up to rounding.
     """
     rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
@@ -229,7 +230,7 @@ def component_recursion(decomp, driver, h, n_steps, stationary_start, chunk):
     if driver.kind == "brownian":
         Q = sim.state_innovation_gramian(decomp, h)
         W = T_inv @ mcarma.psd_factor(Q, "innovation Gramian")
-        stacked = np.reshape(W @ rng.standard_normal((p * d, n)), (p, d, n))
+        stacked = np.reshape(W @ rng.standard_normal((n, p * d)).T, (p, d, n))
         innovations = [stacked[:, :, i] for i in range(n)]
     else:
         jump_factor = mcarma.psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")

@@ -58,5 +58,6 @@ def test_layers_script_writes_its_keys(tmp_path):
         assert all(set(times) == TIMES for times in entry["cold"].values())
         assert set(entry["whole_run"]) == WHOLE_RUN
         assert set(entry["whole_run"]["run_verification"]) == TIMES
-        assert set(entry["whole_run"]["cli_verify"]) == TIMES | {"exit_code"}
+        assert set(entry["whole_run"]["cli_verify"]) == TIMES | {"exit_code", "peak_rss_mb"}
+        assert 10 < entry["whole_run"]["cli_verify"]["peak_rss_mb"] < 1000
         assert entry["whole_run"]["cli_verify"]["exit_code"] == 0  # verification: PASS

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,8 @@ import scipy.linalg
 
 import mcarma_ou
 from mcarma_ou import cli, mcarma, rational, sampling, sim, verify
+
+from conftest import MODELS_DIR
 
 
 def run(capsys, *argv):
@@ -272,29 +275,33 @@ class TestSimulate:
         assert lines[3].count(",") == 4 and not lines[3].endswith(",")
 
     @pytest.mark.parametrize("emit_noise", [False, True])
-    def test_rows_match_per_value_format(self, capsys, example_model_file, emit_noise):
-        # the row writer gives the text of _fmt applied value by value, the
-        # blank U cells of n < p included
+    def test_rows_match_per_value_format(self, capsys, emit_noise):
+        # the row writer gives the text of _fmt applied value by value to the
+        # collected path, the blank U cells of n < p included, across the
+        # blocks it writes one at a time
+        steps = 2 * sim.CHUNK + 50
         flags = ["--emit-noise"] if emit_noise else []
-        code, out, _ = run(capsys, "simulate", example_model_file, "--h", "0.1",
-                           "--steps", "300", "--seed", "9", "--stationary-start", *flags)
-        assert code == 0
-        model, driver = cli.load_model_file(example_model_file, seed=9)
-        decomp = mcarma.decompose(model, model.solvent_set())
-        path = sim.simulate(decomp, driver, 0.1, 300, stationary_start=True)
-        d, p = model.d, model.p
-        header = ["n"] + [f"Y_{i + 1}" for i in range(d)]
-        if emit_noise:
-            _, phi, *_ = sampling.varma_ar(model, 0.1)
-            U = sim.extract_noise(path, phi)
-            header += [f"U_{i + 1}" for i in range(d)]
-        lines = [",".join(header)]
-        for n in range(300):
-            row = [str(n)] + [cli._fmt(float(v)) for v in path.Y[n]]
+        for name in ("carma2x2", "corpus8"):
+            path_file = str(MODELS_DIR / f"{name}.json")
+            code, out, _ = run(capsys, "simulate", path_file, "--h", "0.1", "--steps",
+                               str(steps), "--seed", "9", "--stationary-start", *flags)
+            assert code == 0
+            model, driver = cli.load_model_file(path_file, seed=9)
+            decomp = mcarma.decompose(model, model.solvent_set())
+            path = sim.simulate(decomp, driver, 0.1, steps, stationary_start=True)
+            d, p = model.d, model.p
+            header = ["n"] + [f"Y_{i + 1}" for i in range(d)]
             if emit_noise:
-                row += [cli._fmt(float(v)) for v in U[n - p]] if n >= p else [""] * d
-            lines.append(",".join(row))
-        assert out == "\n".join(lines) + "\n"
+                _, phi, *_ = sampling.varma_ar(model, 0.1)
+                U = sim.extract_noise(path, phi)
+                header += [f"U_{i + 1}" for i in range(d)]
+            lines = [",".join(header)]
+            for n in range(steps):
+                row = [str(n)] + [cli._fmt(float(v)) for v in path.Y[n]]
+                if emit_noise:
+                    row += [cli._fmt(float(v)) for v in U[n - p]] if n >= p else [""] * d
+                lines.append(",".join(row))
+            assert out == "\n".join(lines) + "\n"
 
     def test_floats_roundtrip(self, capsys, example_model_file):
         code, out, _ = run(capsys, "simulate", example_model_file, "--h", "0.1",
@@ -339,6 +346,36 @@ class TestVerify:
             return cli.load_model_file(example_model_file)
         model = corpus[index]
         return model, sim.DriverSpec(kind="brownian", seed=0, sigma_L=model.sigma_L)
+
+    @pytest.mark.parametrize("index", [None, 8], ids=["carma2x2", "corpus-8"])
+    def test_streamed_row_is_the_statistic_of_the_collected_noise(self, example_model_file,
+                                                                  corpus, index):
+        # the Monte-Carlo row streams its path through the noise and the
+        # noise's sample ACVF; the collected path gives the same statistic
+        model, driver = self.model_and_driver(example_model_file, corpus, index)
+        row = cli.run_verification(model, driver, 0.1, 20_000)[-1]
+        decomp = mcarma.decompose(model, model.solvent_set())
+        sv = sampling.sampled_varma(decomp, 0.1)
+        path = sim.simulate(decomp, driver, 0.1, 20_000, stationary_start=True)
+        want = verify.check_noise_lag_p_zero(sim.extract_noise(path, sv.phi), sv.gamma_U)
+        assert (row.name, row.bound) == (want.name, want.bound)
+        assert abs(row.measured / want.measured - 1.0) <= 1e-12
+
+    def test_memory_does_not_grow_with_steps(self, corpus):
+        # the path is never held, so the row's memory is O(CHUNK pd) at any
+        # length; holding the path's pd normals alone would take 14.4 MB at
+        # 200,000 steps on #8 (pd = 9)
+        model, driver = self.model_and_driver(None, corpus, 8)
+        cli.run_verification(model, driver, 0.1, 2000)  # what the model keeps
+        peaks = []
+        for steps in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                cli.run_verification(model, driver, 0.1, steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     @pytest.mark.parametrize("index", [None, 8], ids=["carma2x2", "corpus-8"])
     def test_library_rows_are_the_kept_records(self, example_model_file, corpus, index):

@@ -63,6 +63,21 @@ class TestReproducibility:
         b = sim.simulate(example_decomp, brownian(8, np.eye(2)), 0.1, 500)
         assert not np.array_equal(a.Y, b.Y)
 
+    @pytest.mark.parametrize("stationary_start", [False, True])
+    @pytest.mark.parametrize("index", [None, 8], ids=["carma2x2", "corpus-8"])
+    def test_path_is_prefix_of_longer_path(self, example_decomp, corpus, index,
+                                           stationary_start):
+        # the Brownian normals are drawn time-major, so a seeded path takes the
+        # draws of the start of every longer one; the scans of a path shorter
+        # than CHUNK and of a shorter last chunk differ only in rounding
+        decomp = (example_decomp if index is None
+                  else mcarma.decompose(corpus[index], corpus[index].solvent_set()))
+        driver = brownian(6, decomp.model.sigma_L)
+        long = sim.simulate(decomp, driver, 0.1, 3000, stationary_start=stationary_start).Y
+        for n in (10, 1500):
+            short = sim.simulate(decomp, driver, 0.1, n, stationary_start=stationary_start).Y
+            assert np.max(np.abs(short - long[:n])) <= 1e-12 * np.max(np.abs(long[:n]))
+
     def test_compound_poisson_reproducible(self, example_decomp):
         driver = sim.DriverSpec(kind="compound_poisson", seed=3, rate=2.0,
                                 jump_cov=0.5 * np.eye(2))
@@ -208,6 +223,22 @@ class TestEmpiricalAcvf:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             sim.empirical_acvf(np.zeros((50, 1)), 5)
+        with pytest.raises(TooShortError, match="got 50"):
+            sim.empirical_acvf(iter(np.split(np.zeros((50, 1)), [1, 7])), 5)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_blocks_match_two_pass(self, offset):
+        # a path read once in uneven blocks against the two-pass centred sums;
+        # offset by 1e6 the path's own rounding is 1e6 eps = 2.2e-10, and an
+        # uncentred one-pass sum would lose about 1e12 eps = 1e-4
+        rng = np.random.default_rng(17)
+        Y = offset + np.cumsum(rng.standard_normal((3000, 3)), axis=0) / 30
+        centered = Y - Y.mean(axis=0)
+        want = np.array([centered[lag:].T @ centered[:3000 - lag] for lag in range(7)]) / 3000
+        rtol = 1e-13 if offset == 0.0 else 1e-9
+        for path in (Y, iter(np.split(Y, [1, 8, 1032]))):
+            got = sim.empirical_acvf(path, 6)
+            assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 class TestExtractNoise:
@@ -216,6 +247,19 @@ class TestExtractNoise:
         _, phi, *_ = sampling.varma_ar(example_decomp.model, 0.1)
         U = sim.extract_noise(path, phi)
         assert U.shape == (998, 2)
+
+    def test_blocks_match_array(self, corpus):
+        # one U block per Y block, aligned with its last rows; the first
+        # blocks, shorter than p = 3 in all, have none
+        rng = np.random.default_rng(4)
+        Y = rng.standard_normal((3000, 3))
+        phi = sampling.varma_ar(corpus[8], 0.1)[1]
+        blocks = np.split(Y, [1, 2, 9, 1033])
+        U = list(sim.extract_noise(iter(blocks), phi))
+        assert [len(u) for u in U] == [0, 0, 6, 1024, 1967]
+        assert np.max(np.abs(np.concatenate(U) - sim.extract_noise(Y, phi))) == 0.0
+        with pytest.raises(TooShortError, match="got 2"):
+            list(sim.extract_noise(iter(blocks[:2]), phi))
 
     def test_recursion_inverts(self, example_decomp):
         path = sim.simulate(example_decomp, brownian(2, np.eye(2)), 0.1, 50)
@@ -503,7 +547,7 @@ class TestModalEngine:
                 return out
             return wrapped
 
-        draw = "_times_real" if kind == "brownian" else "_jump_innovations"
+        draw = "_gaussian_innovations" if kind == "brownian" else "_jump_innovations"
         for name in ("_scan", draw):
             monkeypatch.setattr(sim, name, spy(getattr(sim, name)))
         n_steps = 3 * sim.CHUNK + 7

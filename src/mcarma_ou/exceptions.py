@@ -88,6 +88,10 @@ class NoConvergenceError(CertificationError):
 
 
 class CholeskyFailError(CertificationError):
+    """A covariance to be factored is not PSD to rounding (``mcarma.psd_factor``
+    takes its symmetric square root; no Cholesky is left), or a simulated path
+    has non-finite entries.  The name is kept for callers."""
+
     invariant = "CholeskyFail"
 
 

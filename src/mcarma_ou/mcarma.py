@@ -50,7 +50,6 @@ import logging
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -287,7 +286,7 @@ class Modes:
         start = time.perf_counter()
         form = _modal_form(self)
         log.debug("modal form: pd=%d (%d real, %d pairs), fold %.3e, %.6f s",
-                  self.roots.size, form.real.roots.size, form.pair.roots.size,
+                  self.roots.size, form.real_roots.size, form.pair_roots.size,
                   form.fold.measured, time.perf_counter() - start)
         return form
 
@@ -413,47 +412,46 @@ def _decompose(model, S, x0=None):
     return OuDecomposition(model, ss, S, residues, y0, x0, similarity)
 
 
-class ModeGroup(NamedTuple):
-    """Modes of one arithmetic: latent roots (r,), rows (r, pd) of W (state
-    to modes) and read-out columns (d, r) (modes to Y)."""
-
-    roots: np.ndarray
-    rows: np.ndarray
-    readout: np.ndarray
-
-
 @dataclass(frozen=True)
 class ModalForm:
-    """The OU sum in modal coordinates, one mode per conjugate pair.
+    """The OU sum in real modal coordinates, one mode per conjugate pair.
 
     The modes of a real state x are ``z = W x`` with ``W = B^{-1}`` of the
     modal basis B (``Modes``), which diagonalizes A* into the latent roots;
-    B maps them back and ``C* B = X`` reads them out.  The two modes of a
-    conjugate pair are conjugate for a real x, so one representative
-    carries both, ``B_i z_i + B_j z_j = 2 Re(B_i z_i)``, and a real mode is
-    real once its row of W is scaled to real by the phase of its largest
-    entry.  So ``real`` holds the real modes in float: roots ``Re lam``, the
-    rows scaled to real and their read-out columns scaled back; ``pair``
-    holds one representative (Im lam > 0) per pair in complex, with its
-    read-out columns doubled; ``Y = C* x = real.readout u + Re(pair.readout v)``.
+    B maps them back.  A real mode is real once its row of W is scaled to
+    real by the phase of its largest entry and its column of B scaled back.
+    The two modes of a conjugate pair are conjugate for a real x, so one
+    representative (Im lam > 0) carries both: ``B_i z_i + B_j z_j = 2 Re(B_i
+    z_i)``.  So the fold is one real change of basis, two pd x pd matrices:
 
-    A real mode is a root within ``matpoly._distinct_tol`` of its own
-    conjugate, the test of ``matpoly.default_grouping``; each representative
-    is matched one to one with its nearest conjugate.  ``fold`` is the
-    ``tolerances.Check`` record of what folding drops, certified at most
-    ``tolerances.PATH_LEAK``: the larger of the elementwise residual of the
-    folded reconstruction ``Re(sum_i B_i W_i) - I`` over ``|B| |W|`` (the
-    rounding of the product, Higham section 3.5) and ``max|Im lam|`` of the
-    real modes over ``max|lam|``.
+    - ``to_modes`` stacks the scaled rows of W of the r real modes, then the
+      real and then the imaginary parts of the representatives' rows, so
+      ``to_modes @ x = [u; Re v; Im v]`` holds the real modes u and the
+      pairs' modes v;
+    - ``from_modes`` stacks the matching scaled columns of B, then ``2 Re``
+      and ``-2 Im`` of the representatives' columns, so ``x = from_modes @
+      [u; Re v; Im v]`` and its first d rows read out ``Y = C* x``.
+
+    ``real_roots`` (``Re lam``, float) and ``pair_roots`` (complex) are the
+    roots of u and v, all four arrays read-only.  A real mode is a root
+    within ``matpoly._distinct_tol`` of its own conjugate, the test of
+    ``matpoly.default_grouping``; each representative is matched one to one
+    with its nearest conjugate.  ``fold`` is the ``tolerances.Check`` record
+    of what folding drops, certified at most ``tolerances.PATH_LEAK``: the
+    larger of the elementwise residual of ``from_modes @ to_modes - I`` over
+    ``|B| |W|`` (the rounding of the product, Higham section 3.5) and
+    ``max|Im lam|`` of the real modes over ``max|lam|``.
 
     ``step`` holds ``sim.simulate``'s one step entry, under the last (h,
     min(n_steps - 1, sim.CHUNK)): the read-only transfer stacks and, once a
-    Brownian path formed them, the real rows of ``W F`` (F a factor of Q_h),
-    for the next path.
+    Brownian path formed them, the rows ``to_modes @ F`` (F a factor of
+    Q_h), for the next path.
     """
 
-    real: ModeGroup
-    pair: ModeGroup
+    real_roots: np.ndarray
+    pair_roots: np.ndarray
+    to_modes: np.ndarray
+    from_modes: np.ndarray
     fold: tol.Check
     step: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -472,19 +470,16 @@ def _modal_form(modes):
     rows = W[real]
     top = rows[np.arange(real.size), np.abs(rows).argmax(axis=1)]
     phase = top / np.abs(top)
-    rows, cols = (rows / phase[:, None]).real.copy(), (B[:, real] * phase).real.copy()
-    folded = cols @ rows + 2.0 * (B[:, upper] @ W[upper]).real
+    pair_rows, pair_cols = W[upper], 2.0 * B[:, upper]
+    to_modes = np.concatenate([(rows / phase[:, None]).real, pair_rows.real, pair_rows.imag])
+    from_modes = np.hstack([(B[:, real] * phase).real, pair_cols.real, -pair_cols.imag])
     drift = np.max(np.abs(lam[real].imag), initial=0.0) / max(np.max(np.abs(lam)),
                                                                 np.finfo(float).tiny)
-    fold = tol.certify(ImaginaryLeakError, "modal fold residual",
-                       max(_relative(folded - np.eye(lam.size), np.abs(B) @ np.abs(W)), drift),
+    residual = _relative(from_modes @ to_modes - np.eye(lam.size), np.abs(B) @ np.abs(W))
+    fold = tol.certify(ImaginaryLeakError, "modal fold residual", max(residual, drift),
                        tol.PATH_LEAK)
-    d = modes.X.shape[0]
-    groups = (ModeGroup(lam[real].real.copy(), rows, cols[:d].copy()),
-              ModeGroup(lam[upper], W[upper], 2.0 * B[:d, upper]))
-    for arr in (a for group in groups for a in group):
-        arr.setflags(write=False)
-    return ModalForm(*groups, fold)
+    return ModalForm(*map(matpoly._readonly, (lam[real].real, lam[upper], to_modes,
+                                              from_modes)), fold)
 
 
 def psd_factor(mat, what):

@@ -9,10 +9,15 @@ decomposition's x0, so a path does not depend on how the roots are grouped.
 
 The recursion runs in the model's kept modal form (``mcarma.ModalForm``),
 one scalar AR(1) recursion per mode.  The path is real, so of each
-conjugate pair of modes one carries both and the read-out doubles its real
-part, and a real mode runs in float on ``e^{h Re lam}``: a model with pd
-modes, r of them real, scans r real and (pd - r) / 2 complex recursions.
-Both groups are solved CHUNK steps at a time by the same blocked scan
+conjugate pair of modes one carries both, and a real mode runs in float on
+``e^{h Re lam}``: a model with pd modes, r of them real, scans r real and
+(pd - r) / 2 complex recursions.  The fold is one real change of basis,
+``to_modes`` and ``from_modes``, and every product of a path goes through
+it: the start ``to_modes @ x``, the Brownian rows ``to_modes @ F`` (F a
+factor of Q_h), the compound-Poisson kicks ``to_modes @ B* F_J`` and the
+read-out ``from_modes[:d]``; :func:`_split` splits a packed real product
+[u; Re v; Im v] into the real modes u and the pairs' modes v.  Both
+groups are solved CHUNK steps at a time by the same blocked scan
 (:func:`_scan`): batched matrix products against per-mode triangular
 Toeplitz stacks of powers of ``e^{h lam}``, which the modal form keeps with
 the rows of Q_h's factor, so no Python code runs per step and no ``expm``
@@ -154,14 +159,14 @@ def _transfer_stacks(h_lam, n):
     return _toeplitz_stack(powers[:, :BLOCK]), _toeplitz_stack(block_powers), powers[:, 1:]
 
 
-def _kept_step(form, groups, h, n):
+def _kept_step(form, h, n):
     """The modal form's one step entry, replaced at another (h, min(n, CHUNK)):
-    the read-only ``_transfer_stacks`` of each group (for n >= CHUNK they do
-    not depend on n), to which a Brownian path adds the rows of Q_h's factor."""
+    the read-only ``_transfer_stacks`` of each group of :func:`_roots` (for n
+    >= CHUNK they do not depend on n), to which a Brownian path adds its rows."""
     key = (h, min(n, CHUNK))
     step = form.step.get(key)
     if step is None:
-        stacks = [_transfer_stacks(h * g.roots, n) for g in groups]
+        stacks = [_transfer_stacks(h * r, n) for r in _roots(form)]
         step = {"stacks": [[*map(matpoly._readonly, st)] for st in stacks]}
         form.step.clear()
         form.step[key] = step
@@ -193,57 +198,53 @@ def _scan(w, z_prev, stacks):
     return z.reshape(modes, m * BLOCK)[:, :L]
 
 
-def _times_real(E, x):
-    """``E @ x`` for real x; for complex E as two real products written into
-    one complex array (``E @ x`` itself would cast x to complex)."""
-    if not np.iscomplexobj(E):
-        return E @ x
-    w = np.empty((E.shape[0], x.shape[1]), dtype=complex)
-    w.real = E.real @ x
-    w.imag = E.imag @ x
-    return w
+def _roots(form):
+    """The roots of the modal form's non-empty groups of modes, the real
+    modes (float) first; an empty group would only add numpy calls per chunk."""
+    return [r for r in (form.real_roots, form.pair_roots) if r.size]
 
 
-def _gaussian_innovations(rng, rows, n_real, L):
-    """Modal innovations of L Brownian steps, one (modes, L) array per
-    non-empty group of modes, the real modes first.
-
-    The steps' standard normals are one time-major (L, pd) draw.  ``rows``
-    stacks the rows of ``W F`` (F a factor of Q_h) of the real modes and
-    the real and then the imaginary parts of those of the pairs, so that
-    one real product against the transposed draw serves every group.
-    """
-    parts = rows @ rng.standard_normal((L, rows.shape[1])).T
-    n_pair = (len(rows) - n_real) // 2
-    w = [parts[:n_real]] if n_real else []
-    if n_pair:
-        pair = np.empty((n_pair, L), dtype=complex)
-        pair.real, pair.imag = parts[n_real:n_real + n_pair], parts[n_real + n_pair:]
-        w.append(pair)
-    return w
+def _split(form, packed):
+    """The non-empty groups of modes of a packed real product such as
+    ``to_modes @ x``, whose rows are [u; Re v; Im v]: the real modes u in
+    float, then the pairs' modes v in complex."""
+    r, k = form.real_roots.size, form.pair_roots.size
+    groups = [packed[:r]] if r else []
+    if k:
+        v = np.empty((k, *packed.shape[1:]), dtype=complex)
+        v.real, v.imag = packed[r:r + k], packed[r + k:]
+        groups.append(v)
+    return groups
 
 
-def _jump_innovations(rng, rate, h, kicks, L):
+def _pack(groups):
+    """The rows [u; Re v; Im v] of the groups' modes, as :func:`_split` reads them."""
+    return np.concatenate([part for g in groups
+                           for part in ((g.real, g.imag) if np.iscomplexobj(g) else (g,))])
+
+
+def _jump_innovations(rng, rate, h, form, kicks, L):
     """Modal innovations of L compound-Poisson steps, one (modes, L) array
-    per ``(roots, G)`` of ``kicks``.
+    per group of :func:`_roots`.
 
     A jump drawn as ``F xi`` (F a factor of jump_cov, xi standard normal) at
-    age u, the time from the jump to the next grid point, adds
-    ``exp(u lam) * (G xi)`` to the modes with ``G = W B* F``; the jumps of
-    one step are summed by ``np.add.reduceat``.  Counts, ages and jumps of
-    all L steps are drawn once for all groups.
+    age u, the time from the jump to the next grid point, adds ``exp(u lam)
+    * (G xi)`` to the modes, G the rows of ``kicks = to_modes @ B* F`` split
+    into the groups; the jumps of one step are summed by
+    ``np.add.reduceat``.  Counts, ages and jumps of all L steps are drawn
+    once for all groups.
     """
     counts = rng.poisson(rate * h, size=L)
     total = int(counts.sum())
-    w = [np.zeros((roots.size, L), dtype=G.dtype) for roots, G in kicks]
+    roots = _roots(form)
+    w = [np.zeros((r.size, L), dtype=r.dtype) for r in roots]
     if total:
         ages = h - rng.uniform(0.0, h, size=total)
-        xi = rng.standard_normal((kicks[0][1].shape[1], total))
+        xi = rng.standard_normal((kicks.shape[1], total))
         hit = np.flatnonzero(counts)
         first = np.cumsum(counts)[hit] - counts[hit]
-        for out, (roots, G) in zip(w, kicks):
-            jumps = np.exp(np.outer(roots, ages)) * _times_real(G, xi)
-            out[:, hit] = np.add.reduceat(jumps, first, axis=1)
+        for out, r, g in zip(w, roots, _split(form, kicks @ xi)):
+            out[:, hit] = np.add.reduceat(np.exp(np.outer(r, ages)) * g, first, axis=1)
     return w
 
 
@@ -264,41 +265,37 @@ def path_blocks(decomp, driver, h, n_steps, stationary_start=False):
     check_driver(driver, decomp.model.sigma_L)
     rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
     form = decomp.model.modes.modal_form
-    # a group without modes would only add numpy calls per chunk
-    groups = [g for g in (form.real, form.pair) if g.roots.size]
+    readout = form.from_modes[:decomp.model.d]
 
     x = _stationary_state(decomp, rng) if stationary_start else decomp.x0
-    z = [g.rows @ x for g in groups]
+    z = _split(form, form.to_modes @ x)
     n = n_steps - 1
-    step = _kept_step(form, groups, h, n)
+    step = _kept_step(form, h, n)
     if driver.kind == "brownian":
         if "rows" not in step:
             F = mcarma.psd_factor(state_innovation_gramian(decomp, h), "innovation Gramian")
-            pair = form.pair.rows @ F
-            step["rows"] = matpoly._readonly(
-                np.concatenate([form.real.rows @ F, pair.real, pair.imag]))
+            step["rows"] = matpoly._readonly(form.to_modes @ F)
 
         def innovations(L):
-            return _gaussian_innovations(rng, step["rows"], form.real.roots.size, L)
+            return _split(form, step["rows"] @ rng.standard_normal((L, len(x))).T)
     else:
         jump_factor = mcarma.psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
-        G = decomp.statespace.B_star @ jump_factor
-        kicks = [(g.roots, g.rows @ G) for g in groups]
+        kicks = form.to_modes @ (decomp.statespace.B_star @ jump_factor)
 
         def innovations(L):
-            return _jump_innovations(rng, driver.rate, h, kicks, L)
+            return _jump_innovations(rng, driver.rate, h, form, kicks, L)
 
     def finite(block):
         if not np.isfinite(block).all():
             raise CholeskyFailError("simulated path has non-finite entries")
         return block
 
-    yield finite(sum((g.readout @ zg).real for g, zg in zip(groups, z))[None])
+    yield finite(readout @ _pack(z))[None]
     for lo in range(0, n, CHUNK):
         states = [_scan(w, zg, st) for w, zg, st in
                   zip(innovations(min(CHUNK, n - lo)), z, step["stacks"])]
         z = [s[:, -1] for s in states]
-        yield finite(sum((g.readout @ s).real for g, s in zip(groups, states)).T)
+        yield finite(readout @ _pack(states)).T
 
 
 def simulate(decomp, driver, h, n_steps, stationary_start=False):
@@ -306,12 +303,12 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
 
     The sum runs as scalar recursions ``z_n = e^{h lam} z_{n-1} + e_n`` in
     the model's kept ``modes.modal_form`` (``mcarma.ModalForm``): the real
-    modes in float on ``e^{h Re lam}``, one mode per conjugate pair in
+    modes u in float on ``e^{h Re lam}``, one mode v per conjugate pair in
     complex.  Both groups are solved CHUNK steps at a time by the blocked
-    scan :func:`_scan` and read out as ``Y_n = R_r u_n + 2 Re(R_c v_n)``
-    (the pairs' read-out columns hold the 2); the path is the blocks of
-    :func:`path_blocks` collected.  Each call logs the driver kind, the
-    steps, pd with its real modes and pairs, and its wall time at DEBUG.
+    scan :func:`_scan` and read out as ``Y_n = from_modes[:d] @ [u_n; Re
+    v_n; Im v_n]``; the path is the blocks of :func:`path_blocks` collected.
+    Each call logs the driver kind, the steps, pd with its real modes and
+    pairs, and its wall time at DEBUG.
 
     Parameters
     ----------
@@ -341,8 +338,8 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     Y.setflags(write=False)
     form = decomp.model.modes.modal_form
     log.debug("simulate: %s driver, %d steps, pd=%d (%d real, %d pairs), %.6f s",
-              driver.kind, n_steps, decomp.p * decomp.d, form.real.roots.size,
-              form.pair.roots.size, time.perf_counter() - start)
+              driver.kind, n_steps, len(form.to_modes), form.real_roots.size,
+              form.pair_roots.size, time.perf_counter() - start)
     return PathGrid(h=h, n_steps=n_steps, Y=Y, fold_residual=form.fold)
 
 

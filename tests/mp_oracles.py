@@ -4,24 +4,26 @@ No latent root, solvent or eigendecomposition enters: with the model's
 state space (A*, B*, C*) and the driver covariance Sigma_L, in ``mpmath``
 at ``DIGITS`` significant digits,
 
-- ``F = e^{h A*}`` by ``mp.expm``;
+- ``F = e^{h A*}`` and the innovation covariance of one step, ``Q_h =
+  int_0^h e^{u A*} B* Sigma_L B*^T e^{u A*^T} du``, from one Van Loan block
+  exponential ``exp(h [[-A*, B* Sigma_L B*^T], [0, A*^T]])`` by ``mp.expm``;
 - Phi from the observability matrix, ``[Phi_1, ..., Phi_p] col(C F^(p-1),
   ..., C F, C) = C F^p``;
-- the stationary state covariance Pi from the Kronecker form of the
-  Lyapunov equation, ``(I (x) A* + A* (x) I) vec Pi = -vec(B* Sigma_L B*^T)``;
-- the stationary autocovariance ``gamma(l) = C e^{l A*} Pi C^T``;
-- gamma_U(l) = ``sum_r M_{r+l} Q_h M_r^T`` with ``Q_h = Pi - F Pi F^T`` and
-  ``M_r = C F^r - sum_{j<=r} Phi_j C F^{r-j}`` (Chambers & Thornton,
-  Econometric Theory 28 (2012));
+- gamma_U(l) = ``sum_r M_{r+l} Q_h M_r^T`` with ``M_r = C F^r - sum_{j<=r}
+  Phi_j C F^{r-j}`` (Chambers & Thornton, Econometric Theory 28 (2012));
 - Theta and Sigma_eps from that gamma_U by the recursion of
   ``sampling.fit_ma``: whiten gamma_U(0) = L L^T (Cholesky; the MA factor
   does not depend on the whitening), run ``sampling._riccati_doubling``
   until the step changes H_k by less than ``DOUBLING_STOP`` of it, and map
-  back.
+  back;
+- the stationary state covariance ``Pi = sum_k F^k Q_h F^kT`` of one Van
+  Loan step, by doubling, and the stationary autocovariance ``gamma(l) =
+  C e^{l A*} Pi C^T``.
 
-``Q_h`` cancels at small h, but that costs only a few of the 50 digits.  A
-reference at pd = 6 takes about 0.2 s and at pd = 9 about 1.5 s, most of
-it the Kronecker solve.
+No Lyapunov solve and no difference ``Pi - F Pi F^T`` enter, so ``Q_h``
+does not cancel at small h, and gamma_U and Theta need no Pi.  A sampled
+VARMA reference at pd = 9 takes about 0.5 s and a stationary ACVF at 11
+lags about 0.8 s, most of it ``mp.expm``.
 """
 
 import mpmath
@@ -40,21 +42,33 @@ def _np(m):
     return np.array(m.tolist(), dtype=float)
 
 
-def _stationary_covariance(A, BSB):
-    """Pi of ``A Pi + Pi A^T = -BSB`` by the Kronecker form, symmetrized."""
+def _van_loan(A, BSB, h):
+    """``(F, Q_h)`` of one step h: ``F = e^{h A}`` and ``Q_h = int_0^h e^{u A}
+    BSB e^{u A^T} du``, read off one block exponential ``exp(h [[-A, BSB],
+    [0, A^T]]) = [[., E12], [0, E22]]`` as ``F = E22^T`` and ``Q_h = F E12``
+    (Van Loan, IEEE Trans. Automat. Control 23 (1978)), symmetrized."""
     n = A.rows
-    kron = mpmath.matrix(n * n, n * n)  # column-major vec: vec(A Pi + Pi A^T)
-    for a in range(n):
-        for b in range(n):
-            for k in range(n):
-                kron[a + n * b, k + n * b] += A[a, k]
-                kron[a + n * b, a + n * k] += A[b, k]
-    vec = mpmath.lu_solve(kron, mpmath.matrix([-BSB[a, b] for b in range(n) for a in range(n)]))
-    pi = mpmath.matrix(n, n)
-    for a in range(n):
-        for b in range(n):
-            pi[a, b] = vec[a + n * b]
-    return (pi + pi.T) / 2
+    M = mpmath.zeros(2 * n, 2 * n)
+    M[:n, :n] = -A
+    M[:n, n:] = BSB
+    M[n:, n:] = A.T
+    E = mpmath.expm(mpmath.mpf(h) * M)
+    F = E[n:, n:].T
+    Q = F * E[:n, n:]
+    return F, (Q + Q.T) / 2
+
+
+def _stationary_covariance(A, BSB):
+    """Pi of ``A Pi + Pi A^T = -BSB``, ``sum_k F^k Q_h F^kT`` of the Van Loan
+    step h = 1 / ||A||_1, summed by doubling (``Q <- Q + F Q F^T``, ``F <-
+    F^2``) until F falls below the working precision."""
+    F, pi = _van_loan(A, BSB, 1 / mpmath.mnorm(A, 1))
+    for _ in range(DOUBLING_MAXIT):
+        if mpmath.mnorm(F, 1) <= mpmath.eps:
+            return pi
+        pi = pi + F * pi * F.T
+        F = F * F
+    raise RuntimeError(f"stationary doubling did not settle in {DOUBLING_MAXIT} steps")
 
 
 def stationary_acvf_reference(model, lags):
@@ -116,7 +130,7 @@ def sampled_varma_reference(model, h):
     n = p * d
     with mpmath.workdps(DIGITS):
         A, B, C = _mp(ss.A_star), _mp(ss.B_star), _mp(ss.C_star)
-        F = mpmath.expm(mpmath.mpf(h) * A)
+        F, Q = _van_loan(A, B * _mp(model.sigma_L) * B.T, h)
         CF = [C]  # C F^k, k = 0..p
         for _ in range(p):
             CF.append(CF[-1] * F)
@@ -127,9 +141,6 @@ def sampled_varma_reference(model, h):
                     obs[i * d + r, c] = CF[p - 1 - i][r, c]
         phi_row = CF[p] * mpmath.inverse(obs)  # [Phi_1, ..., Phi_p]
         phi = [phi_row[:, j * d:(j + 1) * d] for j in range(p)]
-
-        pi = _stationary_covariance(A, B * _mp(model.sigma_L) * B.T)
-        Q = pi - F * pi * F.T
 
         M = []
         for r in range(p):

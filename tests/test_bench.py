@@ -1,14 +1,11 @@
 """The layer bench (bench/layers.py) and its fixed model files."""
 
+import importlib.util
 import json
 import os
-import pathlib
-import subprocess
-import sys
 
 import numpy as np
 
-import mcarma_ou
 from mcarma_ou import cli
 
 from conftest import MODELS_DIR
@@ -29,21 +26,24 @@ def test_corpus8_file_is_corpus_8(corpus):
         assert np.array_equal(np.asarray(got), np.asarray(expected))
 
 
-def test_layers_script_writes_its_keys(tmp_path):
-    # one repetition: the keys, not the times
-    src = str(pathlib.Path(mcarma_ou.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+def test_layers_script_writes_its_keys(tmp_path, monkeypatch):
+    # one repetition on one model file, in process: the keys, not the times;
+    # test_corpus8_file_is_corpus_8 covers the other file.  The script pins
+    # its children's BLAS threads in os.environ, restored here afterwards
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    monkeypatch.setattr(layers, "MODELS", ("carma2x2",))
     out = tmp_path / "bench.json"
-    proc = subprocess.run([sys.executable, str(LAYERS), "--out", str(out), "--reps", "1"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    layers.main(["--out", str(out), "--reps", "1"])
     doc = json.loads(out.read_text())
     assert set(doc) == {"python", "numpy", "machine", "reps", "reference_kernel", "cli_help",
                         "models"}
     assert doc["reps"] == 1
     assert set(doc["reference_kernel"]) == set(doc["cli_help"]) == TIMES
-    assert set(doc["models"]) == {"carma2x2", "corpus8"}
+    assert set(doc["models"]) == {"carma2x2"}
     for entry in doc["models"].values():
         assert set(entry) == {"d", "p", "fit", "simulate_per_step", "short_path", "cold",
                               "whole_run"}

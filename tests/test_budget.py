@@ -115,7 +115,7 @@ def test_second_path_within_budget(index, example_model, corpus, linalg_calls, m
     # takes one eigh, the factor of its Q_h
     sim.simulate(decomp, driver, 0.2, 100, stationary_start=True)
     form = model.modes.modal_form
-    groups = sum(g.roots.size > 0 for g in (form.real, form.pair))
+    groups = sum(r.size > 0 for r in (form.real_roots, form.pair_roots))
     assert calls == Counter(_transfer_stacks=groups, state_innovation_gramian=1)
     assert linalg_calls == Counter(eigh=1)
     # a compound-Poisson path at another new h factors only its m x m jump_cov

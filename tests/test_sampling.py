@@ -52,9 +52,12 @@ def roundtrip_certified(sv):
 # that fail, by (model index, h).  All are MA fits at h <= 0.05, where the
 # MA zeros approach the unit circle: the doubling does not settle, settles
 # on a non-stabilizing solution, or leaves a round trip or Sigma_eps beyond
-# its bound.  Nine of the 18 fail on their 50-digit gamma_U too; the others
-# fail on the error of their gamma_U, up to 2e-6 of max|gamma_U(0)| at
-# p = 6, or on the rounding of the doubling.
+# its bound.  These are failures of the double-precision fit, not of the
+# method: nine of the 18 also fail when fit_ma runs on their 50-digit
+# gamma_U rounded to double, and the others fail on the error of their
+# gamma_U, up to 2e-6 of max|gamma_U(0)| at p = 6, or on the rounding of the
+# doubling.  Where it was checked (#14, #17, #38, #40, #42 at h = 0.01), a
+# 40-digit doubling on a 40-digit gamma_U settles on a stabilizing factor.
 HARD_REGIME_FAILURES = {
     **{(i, 0.01): NoConvergenceError
        for i in (14, 17, 23, 26, 32, 38, 39, 40, 41, 42, 45, 46)},
@@ -98,7 +101,7 @@ def corpus_decomps(corpus):
 @pytest.fixture(scope="module")
 def references(corpus_decomps):
     """(index, h) -> the 50-digit (Phi, gamma_U, Theta, Sigma_eps) of each
-    ``REFERENCE_BOUNDS`` case, about 1.4 s in all."""
+    ``REFERENCE_BOUNDS`` case, about 0.8 s in all."""
     return {(index, h): mp_oracles.sampled_varma_reference(corpus_decomps[index].model, h)
             for index, h in REFERENCE_BOUNDS}
 
@@ -486,8 +489,10 @@ class TestFitMa:
     @pytest.mark.parametrize("case", ["scalar-ma1", "hard-14-h0.01"])
     def test_no_invertible_factor_raises(self, hard_regime, case):
         # gamma_U = [1, 0.6] has the spectral density 1 + 1.2 cos w, negative
-        # near w = pi; hard-regime #14 at h = 0.01 fails on its 50-digit
-        # gamma_U as well
+        # near w = pi.  Hard-regime #14 at h = 0.01 pins a failure of the
+        # double-precision fit: fit_ma fails on its 50-digit gamma_U rounded
+        # to double as well, while a 40-digit doubling finds a stabilizing
+        # factor (closed-loop margin 1.04e-3)
         with pytest.raises(NoConvergenceError):
             if case == "scalar-ma1":
                 sampling.fit_ma([np.array([[1.0]]), np.array([[0.6]])])
@@ -496,8 +501,10 @@ class TestFitMa:
                 sampling.sampled_varma(mcarma.decompose(model, model.solvent_set()), 0.01)
 
     def test_non_stabilizing_solution_raises(self, hard_regime):
-        # hard-regime #42 at h = 0.01: the doubling settles where the closed
-        # loop has spectral radius above 1, so Theta is not invertible
+        # hard-regime #42 at h = 0.01: the double-precision doubling settles
+        # where the closed loop has spectral radius above 1, so its Theta is
+        # not invertible.  A failure of double precision, not of the method:
+        # a 40-digit doubling finds a stabilizing factor (margin 2.0e-3)
         model = hard_regime[42]
         decomp = mcarma.decompose(model, model.solvent_set())
         with pytest.raises(NoConvergenceError, match="non-stabilizing solution: closed-loop "

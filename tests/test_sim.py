@@ -536,18 +536,20 @@ class TestModalEngine:
         # peak memory (about 14 MB at pd = 9, n = 1e5): no _scan call and no
         # innovations draw may see more than CHUNK steps, and each mode group
         # scans all n - 1 steps: carma2x2 has 4 real modes and no pair,
-        # corpus #8 3 real modes and 3 pairs
+        # corpus #8 3 real modes and 3 pairs.  A Brownian draw is split into
+        # the groups by _split, which also splits the start, one state vector
         seen = []
 
         def spy(fn):
             def wrapped(*args):
                 out = fn(*args)
                 for arr in (out if isinstance(out, list) else [out]):
-                    seen.append((fn.__name__, arr.dtype.type, arr.shape))
+                    if arr.ndim == 2:
+                        seen.append((fn.__name__, arr.dtype.type, arr.shape))
                 return out
             return wrapped
 
-        draw = "_gaussian_innovations" if kind == "brownian" else "_jump_innovations"
+        draw = "_split" if kind == "brownian" else "_jump_innovations"
         for name in ("_scan", draw):
             monkeypatch.setattr(sim, name, spy(getattr(sim, name)))
         n_steps = 3 * sim.CHUNK + 7
@@ -671,8 +673,9 @@ class TestModalFold:
         S = model.solvent_set(grouping)
         decomp = mcarma.decompose(model, S)
         form = model.modes.modal_form
-        assert (form.real.roots.size, form.pair.roots.size) == (n_real, n_pairs)
-        assert form.real.rows.dtype == form.real.readout.dtype == float
+        assert (form.real_roots.size, form.pair_roots.size) == (n_real, n_pairs)
+        assert form.real_roots.dtype == form.to_modes.dtype == form.from_modes.dtype == float
+        assert form.to_modes.shape == form.from_modes.shape == (model.p * model.d,) * 2
         assert form.fold.ok and form.fold.measured <= 1e-12
         if kind == "brownian":
             driver, n_steps = brownian(index, model.sigma_L), sim.CHUNK + 5
@@ -699,7 +702,22 @@ class TestModalFold:
         form = model.modes.modal_form
         b = sim.simulate(decomp, brownian(1, model.sigma_L), 0.1, 50)
         assert model.modes.modal_form is form and a.fold_residual is b.fold_residual is form.fold
-        assert not form.pair.rows.flags.writeable and not form.real.readout.flags.writeable
+        assert not any(arr.flags.writeable for arr in (form.real_roots, form.pair_roots,
+                                                       form.to_modes, form.from_modes))
+
+    def test_change_of_basis_packs_the_modes(self, corpus):
+        # to_modes @ x = [u; Re v; Im v]: the real modes of W x scaled to
+        # real, then the real and imaginary parts of one mode per pair; the
+        # first d rows of from_modes read Y = C* x back out
+        model = corpus[8]
+        form, modes = model.modes.modal_form, model.modes
+        x = np.random.default_rng(0).standard_normal(model.p * model.d)
+        u, v = sim._split(form, form.to_modes @ x)
+        z, near = modes.W @ x, matpoly._distinct_tol(modes.roots)
+        assert_allclose(np.abs(u), np.abs(z[np.abs(modes.roots.imag) <= near]), rtol=1e-12)
+        assert_allclose(v, z[modes.roots.imag > near], rtol=1e-12)
+        assert_allclose(form.from_modes[:model.d] @ sim._pack([u, v]), x[:model.d],
+                        atol=1e-12 * np.max(np.abs(z)))
 
     def test_broken_fold_raises(self, corpus, broken_fold):
         model = fresh(corpus[8])

@@ -93,13 +93,14 @@ def load_model_file(path, seed=0):
         return model, sim.DriverSpec(kind="brownian", seed=seed)
     if kind != "compound_poisson":
         raise ModelFileError(f"unknown driver kind {kind!r}")
-    if "rate" not in driver_doc or "jump_cov" not in driver_doc:
-        raise ModelFileError("compound_poisson driver needs rate and jump_cov")
+    if "rate" not in driver_doc:
+        raise ModelFileError("compound_poisson driver needs a rate")
     rate = float(_array(driver_doc["rate"], "driver.rate", ndim=0))
     if not rate > 0:
         raise ModelFileError(f"driver.rate must be positive, got {rate!r}")
-    driver = sim.DriverSpec(kind="compound_poisson", seed=seed, rate=rate,
-                            jump_cov=_array(driver_doc["jump_cov"], "driver.jump_cov"))
+    jump_cov = driver_doc.get("jump_cov")  # optional; checked below when given
+    driver = sim.DriverSpec(kind="compound_poisson", seed=seed, rate=rate, jump_cov=(
+        None if jump_cov is None else _array(jump_cov, "driver.jump_cov")))
     try:
         sim.check_driver(driver, model.sigma_L)
     except ValueError as err:

@@ -443,7 +443,9 @@ def solvents_from_latents(A, pairs=None, grouping=None):
     pairs : list of LatentPair, optional
         Defaults to ``latent_roots(A)``.
     grouping : list of p index lists of size d, optional
-        Defaults to the conjugate-closed greedy grouping.
+        Defaults to the greedy grouping, conjugate-closed for a real A, or
+        without closure where a pair's parallel latent vectors (real up to
+        a phase, as for a decoupled coordinate) make a P_k singular.
 
     Raises
     ------
@@ -458,6 +460,7 @@ def solvents_from_latents(A, pairs=None, grouping=None):
     gaps = np.abs(np.subtract.outer(roots, roots))
     gaps[np.tril_indices(len(roots))] = np.inf  # each pair once
     tol.certify(DuplicateLatentRootError, "root gap", gaps, _distinct_tol(roots), at_least=True)
+    retry = grouping is None and A.is_real
     if grouping is None:
         grouping = default_grouping(pairs, d, conjugate_closed=A.is_real)
     if len(grouping) != p or sorted(i for g in grouping for i in g) != list(range(p * d)):
@@ -465,10 +468,15 @@ def solvents_from_latents(A, pairs=None, grouping=None):
     if any(len(group) != d for group in grouping):
         raise ValueError("every group must have exactly d latent pairs")
     index = np.array(grouping)
-    spectrum = roots[index]
     vectors = np.array([pr.vector for pr in pairs])
     P = np.ascontiguousarray(vectors[index].swapaxes(1, 2))  # columns: the group's vectors
-    tol.certify(SingularGroupError, "cond(P_k)", _cond(P), tol.GROUP_CONDITION)
+    conds = _cond(P)
+    if retry and not conds.max() <= tol.GROUP_CONDITION:
+        index = np.array(default_grouping(pairs, d, conjugate_closed=False))
+        P = np.ascontiguousarray(vectors[index].swapaxes(1, 2))
+        conds = _cond(P)
+    tol.certify(SingularGroupError, "cond(P_k)", conds, tol.GROUP_CONDITION)
+    spectrum = roots[index]
     P_inv = np.linalg.inv(P)
     mats = (P * spectrum[:, None, :]) @ P_inv
     residual_norms, residual = _residual_norms(A, mats)

@@ -274,11 +274,19 @@ class Modes:
                     -tol.PSD_FLOOR * max(1.0, np.trace(g0)), at_least=True)
         return matpoly._readonly(modal)
 
+    def gramian(self, h):
+        """Real pd x pd covariance ``int_0^h e^{u A*} B* sigma_L B*^T e^{u A*^T}
+        du`` of the state innovation over one step h, ``Re B [K o expm1(h
+        z)/z] B^H`` (``_gramian``); for h = inf, Pi from the kept G: the one
+        place both are formed."""
+        G = (self._stationary_gramian if np.isinf(h)
+             else _gramian(self.residues, self.sigma_L, self.roots, h))
+        return (self.B @ G @ self.B.conj().T).real
+
     @cached_property
     def stationary_state_factor(self):
-        """``psd_factor`` of the stationary state covariance ``Pi = Re B G B^H``, read-only."""
-        pi = (self.B @ self._stationary_gramian @ self.B.conj().T).real
-        return matpoly._readonly(psd_factor(pi, "stationary state covariance"))
+        """``psd_factor`` of the stationary state covariance ``gramian(inf)``, read-only."""
+        return matpoly._readonly(psd_factor(self.gramian(np.inf), "stationary state covariance"))
 
     @cached_property
     def modal_form(self):
@@ -433,7 +441,8 @@ class ModalForm:
       [u; Re v; Im v]`` and its first d rows read out ``Y = C* x``.
 
     ``real_roots`` (``Re lam``, float) and ``pair_roots`` (complex) are the
-    roots of u and v, all four arrays read-only.  A real mode is a root
+    roots of u and v, all four arrays read-only; ``split``, ``pack`` and
+    ``groups`` own the packed layout.  A real mode is a root
     within ``matpoly._distinct_tol`` of its own conjugate, the test of
     ``matpoly.default_grouping``; each representative is matched one to one
     with its nearest conjugate.  ``fold`` is the ``tolerances.Check`` record
@@ -445,7 +454,7 @@ class ModalForm:
     ``step`` holds ``sim.simulate``'s one step entry, under the last (h,
     min(n_steps - 1, sim.CHUNK)): the read-only transfer stacks and, once a
     Brownian path formed them, the rows ``to_modes @ F`` (F a factor of
-    Q_h), for the next path.
+    ``Modes.gramian(h)``), for the next path.
     """
 
     real_roots: np.ndarray
@@ -454,6 +463,30 @@ class ModalForm:
     from_modes: np.ndarray
     fold: tol.Check
     step: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def groups(self):
+        """The roots of the non-empty groups of modes, the real modes (float)
+        first; an empty group would only add numpy calls per chunk."""
+        return [r for r in (self.real_roots, self.pair_roots) if r.size]
+
+    def split(self, packed):
+        """The non-empty groups of modes of a packed real product such as
+        ``to_modes @ x``, whose rows are [u; Re v; Im v]: the real modes u in
+        float, then the pairs' modes v in complex."""
+        r, k = self.real_roots.size, self.pair_roots.size
+        groups = [packed[:r]] if r else []
+        if k:
+            v = np.empty((k, *packed.shape[1:]), dtype=complex)
+            v.real, v.imag = packed[r:r + k], packed[r + k:]
+            groups.append(v)
+        return groups
+
+    @staticmethod
+    def pack(groups):
+        """The rows [u; Re v; Im v] of the groups' modes, as ``split`` reads them."""
+        return np.concatenate([part for g in groups
+                               for part in ((g.real, g.imag) if np.iscomplexobj(g) else (g,))])
 
 
 def _modal_form(modes):

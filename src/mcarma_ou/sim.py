@@ -1,41 +1,30 @@
 """Exact-in-distribution path simulation of the OU sum on the h-grid.
 
-The modes of the model (``mcarma.Modes``) follow ``z_a,n = e^{h lam_a}
-z_a,n-1 + e_a,n`` with jointly Gaussian innovations (Brownian driver), drawn
-through the real state covariance ``Q_h`` of one step so that every cross
-term is exact, or per-jump sums (compound Poisson driver), both of the
-model's ``Var L(1)``.  No solvent set is read and a path starts at its
-decomposition's x0, so a path does not depend on how the roots are grouped.
+A path reads only its model and the x0 its decomposition was given, so it
+does not depend on how the roots are grouped.  The model owns the law: the
+one-step covariance Q_h of the Brownian innovations and the stationary
+start's Pi (``mcarma.Modes.gramian``), the compound-Poisson jumps N(0,
+sigma_L / rate), and the modal form (``mcarma.ModalForm``), a real change of
+basis with its packed layout [u; Re v; Im v] of real modes u and one mode v
+per conjugate pair.  This module holds the rest: the draws, the blocked
+scan (:func:`_scan`), which solves each group of modes ``z_n = e^{h lam}
+z_{n-1} + e_n`` CHUNK steps at a time by batched products against Toeplitz
+stacks of powers of ``e^{h lam}``, so no Python code runs per step and no
+``expm`` is taken per jump; the step entry that keeps those stacks and the
+Brownian rows ``to_modes @ F`` (F a factor of Q_h) per h
+(:func:`_kept_step`); and the read-out ``from_modes[:d]``.
+:func:`path_blocks` yields the path one chunk at a time and :func:`simulate`
+collects it; :func:`extract_noise` and :func:`empirical_acvf` read a path or
+its blocks, so a consumer of the blocks holds O(CHUNK pd) numbers.
 
-The recursion runs in the model's kept modal form (``mcarma.ModalForm``),
-one scalar AR(1) recursion per mode.  The path is real, so of each
-conjugate pair of modes one carries both, and a real mode runs in float on
-``e^{h Re lam}``: a model with pd modes, r of them real, scans r real and
-(pd - r) / 2 complex recursions.  The fold is one real change of basis,
-``to_modes`` and ``from_modes``, and every product of a path goes through
-it: the start ``to_modes @ x``, the Brownian rows ``to_modes @ F`` (F a
-factor of Q_h), the compound-Poisson kicks ``to_modes @ B* F_J`` and the
-read-out ``from_modes[:d]``; :func:`_split` splits a packed real product
-[u; Re v; Im v] into the real modes u and the pairs' modes v.  Both
-groups are solved CHUNK steps at a time by the same blocked scan
-(:func:`_scan`): batched matrix products against per-mode triangular
-Toeplitz stacks of powers of ``e^{h lam}``, which the modal form keeps with
-the rows of Q_h's factor, so no Python code runs per step and no ``expm``
-is taken per jump.  :func:`path_blocks` yields the path one chunk at a
-time and :func:`simulate` collects it; :func:`extract_noise` and
-:func:`empirical_acvf` read a path or its blocks, so a consumer of the
-blocks holds O(CHUNK pd) numbers at any path length.
-
-Reproducibility: a Brownian driver is just a seed, and one path owns one
-PCG64 generator seeded by it; identical seeds give bit-identical paths, for
-every grouping of the roots.  Every Gaussian draw goes through the symmetric
-square root of its covariance (``mcarma.psd_factor``), so a seeded path
-moves with the rounding of Q_h and Pi and no more.  The normals of a
-Brownian chunk of L steps are one time-major (L, pd) draw, so the stream
-takes them step by step and a seeded path is, to rounding, the start of
-every longer path with its seed.  A compound-Poisson path
-differs from releases that simulated step by step, as jump counts, ages and
-sizes are drawn a chunk at a time; its law is unchanged.  For parallel paths
+Reproducibility: one path owns one PCG64 generator seeded by its driver's
+seed; identical seeds give bit-identical paths, for every grouping of the
+roots.  Every Gaussian draw goes through the symmetric square root of its
+covariance (``mcarma.psd_factor``), so a seeded path moves with the rounding
+of Q_h, Pi and sigma_L / rate and no more.  The normals of a Brownian chunk
+of L steps are one time-major (L, pd) draw, so a seeded path is, to
+rounding, the start of every longer path with its seed.  Compound-Poisson
+counts, ages and sizes are drawn a chunk at a time.  For parallel paths
 give each path one child of ``np.random.SeedSequence(seed).spawn(n)``.
 """
 
@@ -60,8 +49,11 @@ BLOCK = 32  # steps per block of the blocked scan, see _scan
 class DriverSpec:
     """Zero-mean Levy driver: Brownian or compound Poisson with Gaussian jumps.
 
-    ``Var L(1)`` is the model's: a Brownian driver is just a seed, and an
-    optional ``sigma_L`` or ``rate * jump_cov`` (jumps N(0, jump_cov)) must match it.
+    ``Var L(1)`` is the model's ``sigma_L``: a Brownian driver is a seed, and
+    a compound-Poisson driver a seed and a rate, whose jumps are N(0,
+    sigma_L / rate).  An optional ``sigma_L``, or ``jump_cov`` with ``rate *
+    jump_cov``, restates it and is checked against the model
+    (:func:`check_driver`); a path reads only the model's.
     """
 
     kind: str
@@ -76,19 +68,19 @@ class DriverSpec:
         if self.kind == "compound_poisson":
             if self.rate is None or not 0 < self.rate < np.inf:
                 raise ValueError("compound_poisson driver needs a finite rate > 0")
-            if self.jump_cov is None:
-                raise ValueError("compound_poisson driver needs jump_cov")
         elif self.kind != "brownian":
             raise ValueError(f"unknown driver kind {self.kind!r}")
 
 
 def check_driver(driver, sigma_L):
-    """Raise ``ValueError`` unless the Var L(1) a driver states is the model's ``sigma_L``."""
+    """Raise ``ValueError`` unless the Var L(1) a driver states, if any, is the
+    model's ``sigma_L``."""
     cp = driver.kind == "compound_poisson"
-    if not cp and driver.sigma_L is None:
+    stated = driver.jump_cov if cp else driver.sigma_L
+    if stated is None:
         return
-    name, var = (("jump_cov", driver.rate * np.asarray(driver.jump_cov, dtype=float)) if cp
-                 else ("sigma_L", np.asarray(driver.sigma_L, dtype=float)))
+    name, var = (("jump_cov", driver.rate * np.asarray(stated, dtype=float)) if cp
+                 else ("sigma_L", np.asarray(stated, dtype=float)))
     if var.shape != sigma_L.shape:
         raise ValueError(f"driver.{name} must have the shape of sigma_L, {sigma_L.shape}")
     if not np.max(np.abs(var - sigma_L)) <= tol.DRIVER_MATCH * max(1.0, np.max(np.abs(sigma_L))):
@@ -108,16 +100,6 @@ class PathGrid:
     n_steps: int
     Y: np.ndarray
     fold_residual: tol.Check
-
-
-def state_innovation_gramian(decomp, h):
-    """Real pd x pd covariance ``int_0^h e^{u A*} B* sigma_L B*^T e^{u A*^T}
-    du`` of the state innovation over one step, ``sigma_L`` the model's
-    ``Var L(1)``: ``Re B [K o expm1(h z)/z] B^H`` in the model's modes
-    (``mcarma._gramian``); for h = inf, the stationary state covariance Pi."""
-    modes = decomp.model.modes
-    return (modes.B @ mcarma._gramian(modes.residues, modes.sigma_L, modes.roots, h)
-            @ modes.B.conj().T).real
 
 
 def _stationary_state(decomp, rng):
@@ -161,12 +143,12 @@ def _transfer_stacks(h_lam, n):
 
 def _kept_step(form, h, n):
     """The modal form's one step entry, replaced at another (h, min(n, CHUNK)):
-    the read-only ``_transfer_stacks`` of each group of :func:`_roots` (for n
-    >= CHUNK they do not depend on n), to which a Brownian path adds its rows."""
+    the read-only ``_transfer_stacks`` of each of ``form.groups`` (for n >=
+    CHUNK they do not depend on n), to which a Brownian path adds its rows."""
     key = (h, min(n, CHUNK))
     step = form.step.get(key)
     if step is None:
-        stacks = [_transfer_stacks(h * r, n) for r in _roots(form)]
+        stacks = [_transfer_stacks(h * r, n) for r in form.groups]
         step = {"stacks": [[*map(matpoly._readonly, st)] for st in stacks]}
         form.step.clear()
         form.step[key] = step
@@ -198,52 +180,27 @@ def _scan(w, z_prev, stacks):
     return z.reshape(modes, m * BLOCK)[:, :L]
 
 
-def _roots(form):
-    """The roots of the modal form's non-empty groups of modes, the real
-    modes (float) first; an empty group would only add numpy calls per chunk."""
-    return [r for r in (form.real_roots, form.pair_roots) if r.size]
-
-
-def _split(form, packed):
-    """The non-empty groups of modes of a packed real product such as
-    ``to_modes @ x``, whose rows are [u; Re v; Im v]: the real modes u in
-    float, then the pairs' modes v in complex."""
-    r, k = form.real_roots.size, form.pair_roots.size
-    groups = [packed[:r]] if r else []
-    if k:
-        v = np.empty((k, *packed.shape[1:]), dtype=complex)
-        v.real, v.imag = packed[r:r + k], packed[r + k:]
-        groups.append(v)
-    return groups
-
-
-def _pack(groups):
-    """The rows [u; Re v; Im v] of the groups' modes, as :func:`_split` reads them."""
-    return np.concatenate([part for g in groups
-                           for part in ((g.real, g.imag) if np.iscomplexobj(g) else (g,))])
-
-
 def _jump_innovations(rng, rate, h, form, kicks, L):
     """Modal innovations of L compound-Poisson steps, one (modes, L) array
-    per group of :func:`_roots`.
+    per group of ``form.groups``.
 
-    A jump drawn as ``F xi`` (F a factor of jump_cov, xi standard normal) at
-    age u, the time from the jump to the next grid point, adds ``exp(u lam)
-    * (G xi)`` to the modes, G the rows of ``kicks = to_modes @ B* F`` split
-    into the groups; the jumps of one step are summed by
+    A jump drawn as ``F xi`` (F a factor of sigma_L / rate, xi standard
+    normal) at age u, the time from the jump to the next grid point, adds
+    ``exp(u lam) * (G xi)`` to the modes, G the rows of ``kicks = to_modes @
+    B* F`` split into the groups; the jumps of one step are summed by
     ``np.add.reduceat``.  Counts, ages and jumps of all L steps are drawn
     once for all groups.
     """
     counts = rng.poisson(rate * h, size=L)
     total = int(counts.sum())
-    roots = _roots(form)
+    roots = form.groups
     w = [np.zeros((r.size, L), dtype=r.dtype) for r in roots]
     if total:
         ages = h - rng.uniform(0.0, h, size=total)
         xi = rng.standard_normal((kicks.shape[1], total))
         hit = np.flatnonzero(counts)
         first = np.cumsum(counts)[hit] - counts[hit]
-        for out, r, g in zip(w, roots, _split(form, kicks @ xi)):
+        for out, r, g in zip(w, roots, form.split(kicks @ xi)):
             out[:, hit] = np.add.reduceat(np.exp(np.outer(r, ages)) * g, first, axis=1)
     return w
 
@@ -262,25 +219,26 @@ def path_blocks(decomp, driver, h, n_steps, stationary_start=False):
     """
     if not 0 < h < np.inf or n_steps < 1:
         raise ValueError("need a finite h > 0 and n_steps >= 1")
-    check_driver(driver, decomp.model.sigma_L)
+    model = decomp.model
+    check_driver(driver, model.sigma_L)
     rng = np.random.default_rng(np.random.SeedSequence(driver.seed))
-    form = decomp.model.modes.modal_form
-    readout = form.from_modes[:decomp.model.d]
+    form = model.modes.modal_form
+    readout = form.from_modes[:model.d]
 
     x = _stationary_state(decomp, rng) if stationary_start else decomp.x0
-    z = _split(form, form.to_modes @ x)
+    z = form.split(form.to_modes @ x)
     n = n_steps - 1
     step = _kept_step(form, h, n)
     if driver.kind == "brownian":
         if "rows" not in step:
-            F = mcarma.psd_factor(state_innovation_gramian(decomp, h), "innovation Gramian")
+            F = mcarma.psd_factor(model.modes.gramian(h), "innovation Gramian")
             step["rows"] = matpoly._readonly(form.to_modes @ F)
 
         def innovations(L):
-            return _split(form, step["rows"] @ rng.standard_normal((L, len(x))).T)
+            return form.split(step["rows"] @ rng.standard_normal((L, len(x))).T)
     else:
-        jump_factor = mcarma.psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
-        kicks = form.to_modes @ (decomp.statespace.B_star @ jump_factor)
+        jump_factor = mcarma.psd_factor(model.sigma_L / driver.rate, "jump covariance")
+        kicks = form.to_modes @ (model.statespace.B_star @ jump_factor)
 
         def innovations(L):
             return _jump_innovations(rng, driver.rate, h, form, kicks, L)
@@ -290,25 +248,20 @@ def path_blocks(decomp, driver, h, n_steps, stationary_start=False):
             raise CholeskyFailError("simulated path has non-finite entries")
         return block
 
-    yield finite(readout @ _pack(z))[None]
+    yield finite(readout @ form.pack(z))[None]
     for lo in range(0, n, CHUNK):
         states = [_scan(w, zg, st) for w, zg, st in
                   zip(innovations(min(CHUNK, n - lo)), z, step["stacks"])]
         z = [s[:, -1] for s in states]
-        yield finite(readout @ _pack(states)).T
+        yield finite(readout @ form.pack(states)).T
 
 
 def simulate(decomp, driver, h, n_steps, stationary_start=False):
     """Simulate the OU components on the h-grid, exactly in distribution.
 
-    The sum runs as scalar recursions ``z_n = e^{h lam} z_{n-1} + e_n`` in
-    the model's kept ``modes.modal_form`` (``mcarma.ModalForm``): the real
-    modes u in float on ``e^{h Re lam}``, one mode v per conjugate pair in
-    complex.  Both groups are solved CHUNK steps at a time by the blocked
-    scan :func:`_scan` and read out as ``Y_n = from_modes[:d] @ [u_n; Re
-    v_n; Im v_n]``; the path is the blocks of :func:`path_blocks` collected.
-    Each call logs the driver kind, the steps, pd with its real modes and
-    pairs, and its wall time at DEBUG.
+    The path is the blocks of :func:`path_blocks` collected.  Each call
+    logs the driver kind, the steps, pd with its real modes and pairs, and
+    its wall time at DEBUG.
 
     Parameters
     ----------

@@ -228,12 +228,12 @@ def component_recursion(decomp, driver, h, n_steps, stationary_start, chunk):
         y = np.array(decomp.y0)
     n = n_steps - 1
     if driver.kind == "brownian":
-        Q = sim.state_innovation_gramian(decomp, h)
+        Q = decomp.model.modes.gramian(h)
         W = T_inv @ mcarma.psd_factor(Q, "innovation Gramian")
         stacked = np.reshape(W @ rng.standard_normal((n, p * d)).T, (p, d, n))
         innovations = [stacked[:, :, i] for i in range(n)]
     else:
-        jump_factor = mcarma.psd_factor(np.asarray(driver.jump_cov, dtype=float), "jump_cov")
+        jump_factor = mcarma.psd_factor(decomp.model.sigma_L / driver.rate, "jump covariance")
         innovations = []
         for lo in range(0, n, chunk):
             counts = rng.poisson(driver.rate * h, size=min(chunk, n - lo))

@@ -100,7 +100,7 @@ def test_second_path_within_budget(index, example_model, corpus, linalg_calls, m
     sim.simulate(decomp, driver, 0.1, 100, stationary_start=True)
     calls = Counter()
     for module, name in ((mcarma, "_modal_form"), (sim, "_transfer_stacks"),
-                         (sim, "state_innovation_gramian")):
+                         (mcarma.Modes, "gramian")):
         def counted(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -116,9 +116,9 @@ def test_second_path_within_budget(index, example_model, corpus, linalg_calls, m
     sim.simulate(decomp, driver, 0.2, 100, stationary_start=True)
     form = model.modes.modal_form
     groups = sum(r.size > 0 for r in (form.real_roots, form.pair_roots))
-    assert calls == Counter(_transfer_stacks=groups, state_innovation_gramian=1)
+    assert calls == Counter(_transfer_stacks=groups, gramian=1)
     assert linalg_calls == Counter(eigh=1)
-    # a compound-Poisson path at another new h factors only its m x m jump_cov
+    # a compound-Poisson path at another new h factors only its m x m sigma_L / rate
     calls.clear()
     linalg_calls.clear()
     cp = sim.DriverSpec(kind="compound_poisson", seed=1, rate=2.0, jump_cov=model.sigma_L / 2.0)

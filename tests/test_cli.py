@@ -544,6 +544,36 @@ class TestVerifyNonStationary:
             "ma-roundtrip", "ma-invertibility"]
 
 
+def decoupled_pair_doc(A1, A2):
+    """A(z) = z^2 I + A1 z + A2 with B = I and Sigma_L = I."""
+    return {"A": [np.eye(2).tolist(), np.asarray(A1).tolist(), np.asarray(A2).tolist()],
+            "B": [np.eye(2).tolist()], "sigma_L": np.eye(2).tolist()}
+
+
+_Q = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))[0]
+
+
+class TestDecoupledPair:
+    # a conjugate pair whose latent vectors are real up to a phase (a
+    # decoupled coordinate, also rotated by a real orthogonal Q) makes the
+    # conjugate-closed grouping's P_k singular (cond inf, inf and 1.3e15);
+    # the default grouping then drops conjugate closure, and no command
+    # depends on the grouping
+    @pytest.mark.parametrize("doc", [
+        decoupled_pair_doc(np.diag([3.0, 3.0]), np.diag([2.5, 2.0])),
+        decoupled_pair_doc(np.diag([0.02, 0.03]), np.diag([1e4, 2e4])),
+        decoupled_pair_doc(_Q @ np.diag([1.0, 1.5]) @ _Q.T, _Q @ np.diag([4.0, 6.0]) @ _Q.T)],
+        ids=["diag", "stiff", "rotated"])
+    def test_every_command_succeeds(self, capsys, tmp_path, doc):
+        model_file = write_model(tmp_path, doc)
+        for command in ("solvents", "decompose", "acvf", "varma", "simulate"):
+            code, _, err = run(capsys, command, model_file)
+            assert code == 0, (command, err)
+        code, out, err = run(capsys, "verify", model_file)
+        assert code == 0, err
+        assert out.splitlines()[-1] == "verification: PASS"
+
+
 class TestModelLoading:
     def test_compound_poisson_consistency(self, tmp_path):
         doc = dict(FIRST_ORDER)
@@ -552,6 +582,20 @@ class TestModelLoading:
         model, driver = cli.load_model_file(write_model(tmp_path, doc))
         assert driver.kind == "compound_poisson"
         assert np.allclose(driver.rate * driver.jump_cov, np.eye(2))
+
+    def test_compound_poisson_jump_cov_is_optional(self, capsys, tmp_path):
+        # a rate alone gives the path of the stated jump_cov = sigma_L / rate
+        stated = dict(FIRST_ORDER, driver={"kind": "compound_poisson", "rate": 2.0,
+                                           "jump_cov": [[0.5, 0], [0, 0.5]]})
+        rate_only = dict(FIRST_ORDER, driver={"kind": "compound_poisson", "rate": 2.0})
+        _, driver = cli.load_model_file(write_model(tmp_path, rate_only))
+        assert driver.kind == "compound_poisson" and driver.jump_cov is None
+        outputs = []
+        for doc in (stated, rate_only):
+            code, out, _ = run(capsys, "simulate", write_model(tmp_path, doc), "--steps", "300")
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_compound_poisson_mismatch_rejected(self, capsys, tmp_path):
         doc = dict(FIRST_ORDER)
@@ -564,7 +608,10 @@ class TestModelLoading:
     @pytest.mark.parametrize("driver, message", [
         (5, "driver must be a JSON object"),
         ({"kind": "compound_poisson", "rate": 2.0, "jump_cov": [[0.5]]},
-         "jump_cov must have the shape of sigma_L")], ids=["not-an-object", "jump-cov-shape"])
+         "jump_cov must have the shape of sigma_L"),
+        ({"kind": "compound_poisson", "jump_cov": [[0.5, 0], [0, 0.5]]},
+         "compound_poisson driver needs a rate")],
+        ids=["not-an-object", "jump-cov-shape", "no-rate"])
     def test_malformed_driver_rejected(self, capsys, tmp_path, driver, message):
         code, out, err = run(capsys, "solvents",
                              write_model(tmp_path, dict(FIRST_ORDER, driver=driver)))

@@ -620,12 +620,13 @@ class TestStationaryAcvf:
         # while each is within 1.8e-12 of the 50-digit gamma (components
         # 1.3e-12, modes 1.75e-12), so there the modes are judged against
         # that reference, at twice their measured error
-        lags = [0.25 * k for k in range(11)]
+        step, count = 0.25, 11
+        lags = [step * k for k in range(count)]
         for index, model in enumerate(corpus):
             decomp = mcarma.decompose(model, model.solvent_set())
             got = mcarma.stationary_acvf(decomp, lags)
             if index in REFERENCE_JUDGED:
-                want = mp_oracles.stationary_acvf_reference(model, lags)
+                want = mp_oracles.stationary_acvf_reference(model, step, count)
                 bound = REFERENCE_JUDGED[index]
             else:
                 sigmas = mcarma.component_gramians(decomp.solvent_set, decomp.residues,

@@ -453,7 +453,7 @@ class TestPsdRepair:
     def test_factor_is_continuous(self, corpus, index, h):
         model = corpus[index]
         decomp = mcarma.decompose(model, model.solvent_set())
-        Q = sim.state_innovation_gramian(decomp, h)
+        Q = decomp.model.modes.gramian(h)
         factor = mcarma.psd_factor(Q, "innovation Gramian")
         vals, vecs = np.linalg.eigh(0.5 * (Q + Q.T))
         clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
@@ -500,7 +500,7 @@ class TestPsdRepair:
         # factor; the expm1 weights of mcarma._gramian do not cancel
         model = corpus[125]
         decomp = mcarma.decompose(model, model.solvent_set())
-        vals = np.linalg.eigvalsh(sim.state_innovation_gramian(decomp, 0.01))
+        vals = np.linalg.eigvalsh(decomp.model.modes.gramian(0.01))
         assert vals[0] >= -tolerances.PSD_CLIP * vals[-1]
         path = sim.simulate(decomp, brownian(125, model.sigma_L), 0.01, 2000,
                             stationary_start=True)
@@ -537,7 +537,8 @@ class TestModalEngine:
         # innovations draw may see more than CHUNK steps, and each mode group
         # scans all n - 1 steps: carma2x2 has 4 real modes and no pair,
         # corpus #8 3 real modes and 3 pairs.  A Brownian draw is split into
-        # the groups by _split, which also splits the start, one state vector
+        # the groups by the modal form's split, which also splits the start,
+        # one state vector
         seen = []
 
         def spy(fn):
@@ -549,9 +550,10 @@ class TestModalEngine:
                 return out
             return wrapped
 
-        draw = "_split" if kind == "brownian" else "_jump_innovations"
-        for name in ("_scan", draw):
-            monkeypatch.setattr(sim, name, spy(getattr(sim, name)))
+        draw = "split" if kind == "brownian" else "_jump_innovations"
+        owner = mcarma.ModalForm if kind == "brownian" else sim
+        monkeypatch.setattr(sim, "_scan", spy(sim._scan))
+        monkeypatch.setattr(owner, draw, spy(getattr(owner, draw)))
         n_steps = 3 * sim.CHUNK + 7
         for decomp, groups in (
                 (example_decomp, {np.float64: 4}),
@@ -712,11 +714,11 @@ class TestModalFold:
         model = corpus[8]
         form, modes = model.modes.modal_form, model.modes
         x = np.random.default_rng(0).standard_normal(model.p * model.d)
-        u, v = sim._split(form, form.to_modes @ x)
+        u, v = form.split(form.to_modes @ x)
         z, near = modes.W @ x, matpoly._distinct_tol(modes.roots)
         assert_allclose(np.abs(u), np.abs(z[np.abs(modes.roots.imag) <= near]), rtol=1e-12)
         assert_allclose(v, z[modes.roots.imag > near], rtol=1e-12)
-        assert_allclose(form.from_modes[:model.d] @ sim._pack([u, v]), x[:model.d],
+        assert_allclose(form.from_modes[:model.d] @ form.pack([u, v]), x[:model.d],
                         atol=1e-12 * np.max(np.abs(z)))
 
     def test_broken_fold_raises(self, corpus, broken_fold):
@@ -805,6 +807,20 @@ class TestDriverMatch:
                                     brownian(9, model.sigma_L * (1.0 + 1e-13)))]
             assert all(np.array_equal(paths[0], Y) for Y in paths[1:])
 
+    @pytest.mark.parametrize("index", [8, 17])
+    def test_compound_poisson_driver_is_a_seed_and_a_rate(self, corpus, index):
+        # jump_cov = sigma_L / rate, off by rounding, or not given: one path,
+        # whose jumps the model's sigma_L / rate gives
+        model = corpus[index]
+        decomp = mcarma.decompose(model, model.solvent_set())
+        for start in (False, True):
+            paths = [sim.simulate(decomp, sim.DriverSpec(
+                         kind="compound_poisson", seed=9, rate=3.0, jump_cov=jump_cov),
+                         0.1, 300, stationary_start=start).Y
+                     for jump_cov in (None, model.sigma_L / 3.0,
+                                      model.sigma_L / 3.0 * (1.0 + 1e-13))]
+            assert all(np.array_equal(paths[0], Y) for Y in paths[1:])
+
     @pytest.mark.parametrize("driver, message", [
         (brownian(0, 2.0 * np.eye(2)), "driver.sigma_L must equal sigma_L (Var L(1))"),
         (brownian(0, np.eye(2) + 2e-10), "driver.sigma_L must equal sigma_L (Var L(1))"),
@@ -840,7 +856,7 @@ class TestGramianConsistency:
     def test_state_gramian_matches_block_transform(self, example_decomp):
         # T [Sigma_{nu,mu}] T^H is the Gramian of the real state innovation
         h = 0.1
-        Q = sim.state_innovation_gramian(example_decomp, h)
+        Q = example_decomp.model.modes.gramian(h)
         ss = example_decomp.statespace
         import scipy.linalg as sla
         nd = ss.dim
@@ -855,7 +871,7 @@ class TestGramianConsistency:
         # h = inf gives the stationary start's Pi without a Lyapunov solve
         for index, model in enumerate(corpus):
             decomp = mcarma.decompose(model, model.solvent_set())
-            got = sim.state_innovation_gramian(decomp, np.inf)
+            got = decomp.model.modes.gramian(np.inf)
             want = verify.sampled_state_space(decomp.statespace, model.sigma_L, 1.0).pi
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), index
 
@@ -865,6 +881,6 @@ class TestGramianConsistency:
         model = random_stable_model(rng, d=2, p=2)
         decomp = mcarma.decompose(model, model.solvent_set())
         h = 0.2
-        Q = sim.state_innovation_gramian(decomp, h)
+        Q = decomp.model.modes.gramian(h)
         assert np.max(np.abs(Q - Q.T)) < 1e-10 * max(1.0, np.max(np.abs(Q)))
         assert np.min(np.linalg.eigvalsh(Q)) > -1e-12

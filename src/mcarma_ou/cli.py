@@ -6,7 +6,8 @@ list (monic leading block required), the MA coefficient list, the driver
 covariance and a driver block; see ``models/carma2x2.json`` for the
 canonical instance.
 
-Exit codes: 0 success, 1 input error (usage/parse/shape), 2 numerical
+Exit codes: 0 success, 1 input error (usage/parse/shape, or output that
+cannot be written: an unwritable ``--out`` or a closed stdout), 2 numerical
 certification failure, with the failed invariant named on stderr.  Floats
 round-trip exactly: JSON output writes them by ``repr`` (through
 ``json.dumps``) and CSV output with 17 significant digits.
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -88,20 +90,12 @@ def load_model_file(path, seed=0):
     driver_doc = doc.get("driver", {"kind": "brownian"})
     if not isinstance(driver_doc, dict):
         raise ModelFileError("driver must be a JSON object")
-    kind = driver_doc.get("kind", "brownian")
-    if kind == "brownian":
-        return model, sim.DriverSpec(kind="brownian", seed=seed)
-    if kind != "compound_poisson":
-        raise ModelFileError(f"unknown driver kind {kind!r}")
-    if "rate" not in driver_doc:
-        raise ModelFileError("compound_poisson driver needs a rate")
-    rate = float(_array(driver_doc["rate"], "driver.rate", ndim=0))
-    if not rate > 0:
-        raise ModelFileError(f"driver.rate must be positive, got {rate!r}")
-    jump_cov = driver_doc.get("jump_cov")  # optional; checked below when given
-    driver = sim.DriverSpec(kind="compound_poisson", seed=seed, rate=rate, jump_cov=(
-        None if jump_cov is None else _array(jump_cov, "driver.jump_cov")))
-    try:
+    rate, jump_cov = driver_doc.get("rate"), driver_doc.get("jump_cov")
+    try:  # sim.DriverSpec and sim.check_driver own a driver's rules
+        driver = sim.DriverSpec(
+            kind=driver_doc.get("kind", "brownian"), seed=seed,
+            rate=float(_array(rate, "driver.rate", ndim=0)) if "rate" in driver_doc else None,
+            jump_cov=None if jump_cov is None else _array(jump_cov, "driver.jump_cov"))
         sim.check_driver(driver, model.sigma_L)
     except ValueError as err:
         raise ModelFileError(str(err)) from None
@@ -132,21 +126,6 @@ def dumps_json(obj):
     return json.dumps(obj, indent=2, default=_json_default) + "\n"
 
 
-@contextlib.contextmanager
-def _output(out_path):
-    """The text stream of ``--out``: stdout for None or ``-``, else the file."""
-    if out_path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(out_path, "w") as fh:
-            yield fh
-
-
-def _emit(text, out_path):
-    with _output(out_path) as fh:
-        fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -155,12 +134,13 @@ def _solvent_set(model, spec):
     JSON list of p groups of d latent-root indices (JSON integers)."""
     try:
         grouping = None if spec == "auto" else json.loads(spec)
-        if grouping is not None and not all(type(i) is int for g in grouping for i in g):
-            raise ValueError("latent-root indices must be integers")
+        if spec != "auto" and not (type(grouping) is list and all(
+                type(g) is list and all(type(i) is int for i in g) for g in grouping)):
+            raise ValueError("not 'auto' or a JSON list of lists of JSON integers")
         return model.solvent_set(grouping)
     except CertificationError:
         raise
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ModelFileError(f"bad --grouping: {err}") from None
 
 
@@ -190,8 +170,7 @@ def _solvent_payload(S):
 
 def cmd_solvents(args):
     model, _ = load_model_file(args.model)
-    _emit(dumps_json(_solvent_payload(_solvent_set(model, args.grouping))), args.out)
-    return 0
+    return 0, [dumps_json(_solvent_payload(_solvent_set(model, args.grouping)))]
 
 
 def cmd_decompose(args):
@@ -202,8 +181,7 @@ def cmd_decompose(args):
     payload["components"] = [
         {"R": R, "residue": res} for R, res in zip(S.matrices, decomp.residues)]
     payload["irreducible"] = True
-    _emit(dumps_json(payload), args.out)
-    return 0
+    return 0, [dumps_json(payload)]
 
 
 def cmd_acvf(args):
@@ -215,8 +193,7 @@ def cmd_acvf(args):
         for i in range(decomp.d):
             for j in range(decomp.d):
                 lines.append(f"{_fmt(lag)},{i},{j},{_fmt(float(gamma[i, j]))}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, ["\n".join(lines) + "\n"]
 
 
 def cmd_varma(args):
@@ -233,14 +210,13 @@ def cmd_varma(args):
         "cond_sampled_V": sv.cond_sampled_V.measured,
         "ma_margin": float(sv.ma_margin),
     }
-    _emit(dumps_json(payload), args.out)
-    return 0
+    return 0, [dumps_json(payload)]
 
 
 def cmd_simulate(args):
-    """Write the path as CSV a block of ``sim.path_blocks`` at a time, so the
-    command holds O(CHUNK) rows at any ``--steps``; a certificate that fails
-    before the first row writes nothing."""
+    """The path as CSV, a block of ``sim.path_blocks`` a chunk, so the command
+    holds O(CHUNK) rows at any ``--steps``; the first chunk is the header and
+    the first block."""
     decomp, driver = _decomposition(args)
     d = decomp.d
     blocks = sim.path_blocks(decomp, driver, args.h, args.steps,
@@ -271,11 +247,7 @@ def cmd_simulate(args):
             start += len(Y)
 
     rows = text()
-    first = ",".join(header) + "\n" + next(rows)
-    with _output(args.out) as out:
-        out.write(first)
-        out.writelines(rows)
-    return 0
+    return 0, itertools.chain([",".join(header) + "\n" + next(rows)], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +298,13 @@ def cmd_verify(args):
     checks = run_verification(model, driver, args.h, args.steps)
     width = max(len(name) for name, *_ in checks)
     all_ok = True
+    lines = []
     for name, measured, bound, ok in checks:
         status = "PASS" if ok else "FAIL"
         all_ok &= ok
-        print(f"{name:<{width}}  measured={measured:.6e}  bound={bound:.6e}  {status}")
-    print("verification:", "PASS" if all_ok else "FAIL")
-    return 0 if all_ok else 2
+        lines.append(f"{name:<{width}}  measured={measured:.6e}  bound={bound:.6e}  {status}\n")
+    lines.append(f"verification: {'PASS' if all_ok else 'FAIL'}\n")
+    return 0 if all_ok else 2, lines
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +367,33 @@ def _check_steps(args):
 
 
 def main(argv=None):
+    """Run one command; return its exit code.
+
+    A command returns ``(exit_code, chunks)``, chunks an iterable of its text
+    whose first chunk is computed before it returns: a command that fails
+    before its first row writes nothing and creates no ``--out`` file.
+    ``main`` is the one writer.  It writes the chunks as they come (so
+    ``simulate`` streams) to stdout, or to ``--out`` unless that is ``-``,
+    and an output it cannot open or write, a closed pipe too, is exit 1.
+    """
     try:
         args = build_parser().parse_args(argv)
         _check_steps(args)
-        return args.fn(args)
+        code, chunks = args.fn(args)
+        to_stdout = getattr(args, "out", None) in (None, "-")
+        try:
+            with (contextlib.nullcontext(sys.stdout) if to_stdout
+                  else open(args.out, "w")) as out:
+                out.writelines(chunks)
+                out.flush()
+        except OSError as err:
+            if to_stdout and sys.stdout is sys.__stdout__:
+                # the interpreter flushes stdout again at exit: send what is
+                # still buffered to devnull, not to the broken pipe or device
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ModelFileError(f"cannot write {'stdout' if to_stdout else args.out}: "
+                                 f"{err.strerror or err}") from None
+        return code
     except ModelFileError as err:
         print(f"input error: {err}", file=sys.stderr)
         return 1

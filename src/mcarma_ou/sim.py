@@ -53,7 +53,8 @@ class DriverSpec:
     a compound-Poisson driver a seed and a rate, whose jumps are N(0,
     sigma_L / rate).  An optional ``sigma_L``, or ``jump_cov`` with ``rate *
     jump_cov``, restates it and is checked against the model
-    (:func:`check_driver`); a path reads only the model's.
+    (:func:`check_driver`); a path reads only the model's.  This class and
+    :func:`check_driver` own a driver's rules; the CLI maps their ValueError.
     """
 
     kind: str
@@ -66,8 +67,10 @@ class DriverSpec:
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.kind == "compound_poisson":
-            if self.rate is None or not 0 < self.rate < np.inf:
-                raise ValueError("compound_poisson driver needs a finite rate > 0")
+            if self.rate is None:
+                raise ValueError("compound_poisson driver needs a rate")
+            if not 0 < self.rate < np.inf:
+                raise ValueError(f"rate must be positive (a finite rate > 0), got {self.rate!r}")
         elif self.kind != "brownian":
             raise ValueError(f"unknown driver kind {self.kind!r}")
 

@@ -126,13 +126,17 @@ class TestSolvents:
         ("verify", "--out", "report.txt"), ("solvents", "--grouping", "[[0,1],[2,3],[0]]"),
         ("solvents", "--grouping", "[[0,1,2],[3]]"),
         ("decompose", "--grouping", "[[0,1.9],[2,3]]"), ("acvf", "--grouping", "auto"),
-        ("varma", "--grouping", "[[0,1],[2,3]]"), ("simulate", "--grouping", "auto")],
+        ("varma", "--grouping", "[[0,1],[2,3]]"), ("simulate", "--grouping", "auto"),
+        ("solvents", "--grouping", "null"), ("solvents", "--grouping", "[0,1,2,3]"),
+        ("solvents", "--grouping", "{}"), ("solvents", "--grouping", '"[[0,1],[2,3]]"')],
         ids=" ".join)
     def test_bad_step_rejected(self, capsys, example_model_file, argv):
         # a usage error argparse finds is an input error too, not its exit 2;
         # verify takes no --out, which it would ignore and print to stdout;
-        # a grouping index is a JSON integer, never truncated; only solvents
-        # and decompose print what the grouping changes, so only they take it
+        # a grouping index is a JSON integer, never truncated, and a grouping
+        # is 'auto' or a JSON list of lists, never null (which is not auto);
+        # only solvents and decompose print what the grouping changes, so
+        # only they take it
         code, out, err = run(capsys, argv[0], example_model_file, *argv[1:])
         assert code == 1 and out == ""
         assert err.startswith("input error: ") and argv[1] in err
@@ -480,14 +484,18 @@ class TestVerify:
         assert out.strip().splitlines()[-1] == "verification: PASS"
 
 
+def child_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(pathlib.Path(mcarma_ou.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestColdPath:
     @staticmethod
     def run_child(script):
         """Run ``script`` in a fresh interpreter that imports this package."""
-        src = str(pathlib.Path(mcarma_ou.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
@@ -522,6 +530,35 @@ class TestOutFile:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,Y_1,Y_2"
         assert len(lines) == 31
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("command", ["solvents", "decompose", "acvf", "varma", "simulate"])
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, example_model_file,
+                                              command, where):
+        # an --out in a directory that does not exist, or onto a directory
+        target = tmp_path / "missing" / "out.txt" if where == "missing-dir" else tmp_path
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(capsys, command, example_model_file, "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("input error: cannot write ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_closed_pipe_exits_one_without_traceback(self, example_model_file):
+        # the reader of stdout goes away after the first line: one input
+        # error line, not a BrokenPipeError traceback, and no error when the
+        # interpreter flushes stdout at exit
+        for _ in range(5):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "mcarma_ou.cli", "simulate", example_model_file,
+                 "--steps", "300000"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+            assert proc.stdout.readline() == b"n,Y_1,Y_2\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+            assert proc.wait(timeout=120) == 1
+            assert err.startswith("input error: cannot write stdout") and err.count("\n") == 1
+            assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestVerifyNonStationary:
@@ -617,6 +654,25 @@ class TestModelLoading:
                              write_model(tmp_path, dict(FIRST_ORDER, driver=driver)))
         assert code == 1 and out == ""
         assert err.startswith("input error:") and message in err
+
+    @pytest.mark.parametrize("driver", [
+        {"kind": "levy"},
+        {"kind": "compound_poisson"},
+        {"kind": "compound_poisson", "rate": -1.0},
+        {"kind": "compound_poisson", "rate": 2.0, "jump_cov": [[0.5]]},
+        {"kind": "compound_poisson", "rate": 2.0, "jump_cov": [[1.0, 0], [0, 1.0]]}],
+        ids=["unknown-kind", "no-rate", "negative-rate", "jump-cov-shape", "mismatch"])
+    def test_driver_error_is_the_library_error(self, capsys, tmp_path, driver):
+        # the CLI states no driver rule of its own: it reports the ValueError
+        # of sim.DriverSpec or sim.check_driver for the same driver
+        with pytest.raises(ValueError) as exc:
+            spec = sim.DriverSpec(seed=0, **{
+                key: np.asarray(value) if key == "jump_cov" else value
+                for key, value in driver.items()})
+            sim.check_driver(spec, np.eye(2))
+        code, out, err = run(capsys, "solvents",
+                             write_model(tmp_path, dict(FIRST_ORDER, driver=driver)))
+        assert (code, out, err) == (1, "", f"input error: {exc.value}\n")
 
     def test_compound_poisson_negative_rate_rejected(self, capsys, tmp_path):
         # rate * jump_cov = sigma_L holds; the sign of the rate is the error

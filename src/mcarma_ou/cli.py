@@ -258,11 +258,14 @@ def run_verification(model, driver, h, steps):
 
     A row of a library certificate is the record its result keeps, renamed.
     The ACVF and noise oracles read one ``verify.sampled_state_space``.
-    The Monte-Carlo row simulates ``driver`` (seeded) and runs only for a
-    Brownian one: its chi^2 statistic takes the Gaussian covariance of the
-    sample ACVF (compound-Poisson sample ACVFs carry an extra kurtosis term).
-    The path streams through the noise and its sample ACVF a block at a
-    time and is never held, so the row's memory does not grow with ``steps``.
+    The Monte-Carlo row simulates ``driver`` (seeded), of either kind: its
+    chi^2 statistic takes the Gaussian (Bartlett) covariance of the noise's
+    sample ACVF at lags >= p, and that needs only the driver's second
+    moments.  U_{t+l} and U_t with l >= p read disjoint windows of the
+    driver, so the fourth-cumulant term of a compound-Poisson driver
+    vanishes at those lags.  The path streams through the noise and its
+    sample ACVF a block at a time and is never held, so the row's memory
+    does not grow with ``steps``.
     ``mcarma_ou.verify`` is imported here, so only this command loads its
     scipy oracles.
     """
@@ -286,10 +289,9 @@ def run_verification(model, driver, h, steps):
                verify.check_ma_invertibility(sv.ma_margin)]
     if model.stationary:
         checks.append(verify.check_noise_acvf(sampled, sv.phi, sv.gamma_U))
-        if driver.kind == "brownian":
-            blocks = sim.path_blocks(decomp, driver, h, steps, stationary_start=True)
-            checks.append(verify.check_noise_lag_p_zero(
-                sim.extract_noise(blocks, sv.phi), sv.gamma_U, n=max(steps - model.p, 0)))
+        blocks = sim.path_blocks(decomp, driver, h, steps, stationary_start=True)
+        checks.append(verify.check_noise_lag_p_zero(
+            sim.extract_noise(blocks, sv.phi), sv.gamma_U, n=max(steps - model.p, 0)))
     return checks
 
 

@@ -45,16 +45,23 @@ CHUNK = 1024  # grid steps per pass of the modal recursion; bounds powers and me
 BLOCK = 32  # steps per block of the blocked scan, see _scan
 
 
+# the fields of DriverSpec that each kind does not read
+_UNREAD = {"brownian": ("rate", "jump_cov"), "compound_poisson": ("sigma_L",)}
+
+
 @dataclass(frozen=True)
 class DriverSpec:
     """Zero-mean Levy driver: Brownian or compound Poisson with Gaussian jumps.
 
     ``Var L(1)`` is the model's ``sigma_L``: a Brownian driver is a seed, and
     a compound-Poisson driver a seed and a rate, whose jumps are N(0,
-    sigma_L / rate).  An optional ``sigma_L``, or ``jump_cov`` with ``rate *
-    jump_cov``, restates it and is checked against the model
-    (:func:`check_driver`); a path reads only the model's.  This class and
-    :func:`check_driver` own a driver's rules; the CLI maps their ValueError.
+    sigma_L / rate).  Each kind may restate it, checked against the model
+    by :func:`check_driver`: a Brownian driver as ``sigma_L``, a
+    compound-Poisson one as ``jump_cov`` with ``rate * jump_cov``.  A path
+    reads only the model's.  A field its kind does not read (``rate`` or
+    ``jump_cov`` of a Brownian driver, ``sigma_L`` of a compound-Poisson
+    one) is a ValueError.  This class and :func:`check_driver` own a
+    driver's rules; the CLI maps their ValueError.
     """
 
     kind: str
@@ -66,13 +73,17 @@ class DriverSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
+        unread = _UNREAD.get(self.kind)
+        if unread is None:
+            raise ValueError(f"unknown driver kind {self.kind!r}")
+        for name in unread:
+            if getattr(self, name) is not None:
+                raise ValueError(f"a {self.kind} driver takes no {name}")
         if self.kind == "compound_poisson":
             if self.rate is None:
                 raise ValueError("compound_poisson driver needs a rate")
             if not 0 < self.rate < np.inf:
                 raise ValueError(f"rate must be positive (a finite rate > 0), got {self.rate!r}")
-        elif self.kind != "brownian":
-            raise ValueError(f"unknown driver kind {self.kind!r}")
 
 
 def check_driver(driver, sigma_L):
@@ -231,10 +242,15 @@ def path_blocks(decomp, driver, h, n_steps, stationary_start=False):
     x = _stationary_state(decomp, rng) if stationary_start else decomp.x0
     z = form.split(form.to_modes @ x)
     n = n_steps - 1
-    step = _kept_step(form, h, n)
+    # only a latent root with Re >= 0 overflows a power, Q_h or a state:
+    # such a path forms its step entry and each block with over/invalid
+    # ignored, so finite() and psd_factor judge; a stable path pays no errstate
+    quiet = ((lambda fn: fn) if model.stationary
+             else np.errstate(over="ignore", invalid="ignore"))
+    step = quiet(_kept_step)(form, h, n)
     if driver.kind == "brownian":
         if "rows" not in step:
-            F = mcarma.psd_factor(model.modes.gramian(h), "innovation Gramian")
+            F = mcarma.psd_factor(quiet(model.modes.gramian)(h), "innovation Gramian")
             step["rows"] = matpoly._readonly(form.to_modes @ F)
 
         def innovations(L):
@@ -251,12 +267,15 @@ def path_blocks(decomp, driver, h, n_steps, stationary_start=False):
             raise CholeskyFailError("simulated path has non-finite entries")
         return block
 
+    @quiet
+    def advance(z, L):
+        states = [_scan(w, zg, st) for w, zg, st in zip(innovations(L), z, step["stacks"])]
+        return [s[:, -1] for s in states], readout @ form.pack(states)
+
     yield finite(readout @ form.pack(z))[None]
     for lo in range(0, n, CHUNK):
-        states = [_scan(w, zg, st) for w, zg, st in
-                  zip(innovations(min(CHUNK, n - lo)), z, step["stacks"])]
-        z = [s[:, -1] for s in states]
-        yield finite(readout @ form.pack(states)).T
+        z, block = advance(z, min(CHUNK, n - lo))
+        yield finite(block).T
 
 
 def simulate(decomp, driver, h, n_steps, stationary_start=False):
@@ -288,6 +307,9 @@ def simulate(decomp, driver, h, n_steps, stationary_start=False):
     ------
     ImaginaryLeakError
         When the modal form's fold fails its certificate.
+    CholeskyFailError
+        When the path or its Q_h is not finite (an unstable model's path
+        overflows).
     """
     start = time.perf_counter()
     Y = np.concatenate(list(path_blocks(decomp, driver, h, n_steps, stationary_start)))

@@ -145,6 +145,15 @@ def random_stable_model(rng, d=None, p=None, q=None, min_sep=0.1):
     raise RuntimeError("could not draw a stable model")
 
 
+def scalar_poly(*coeffs):
+    return matpoly.LambdaMatrix(tuple(np.array([[c]], dtype=float) for c in coeffs))
+
+
+def scalar_model(a_coeffs, b_coeffs, sigma=1.0):
+    return mcarma.McarmaModel.build(
+        scalar_poly(*a_coeffs), scalar_poly(*b_coeffs), np.array([[sigma]]))
+
+
 def rescale_time(model, c):
     """The model with latent roots times c: A_i -> c^i A_i, B_j -> c^j B_j."""
     A = matpoly.LambdaMatrix(tuple(c ** i * a for i, a in enumerate(model.A.coeffs)))

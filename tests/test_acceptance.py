@@ -12,7 +12,7 @@ import scipy.linalg
 from mcarma_ou import matpoly, mcarma, rational, sampling, sim, verify
 
 from conftest import (
-    A2, R1, R2, R3, R4, RES1, RES2, RES3, RES4,
+    A2, R1, R2, R3, R4, RES1, RES2, RES3, RES4, scalar_poly,
 )
 from oracles import block_bootstrap_sd, noise_acvf_quadrature
 
@@ -31,10 +31,6 @@ def report_worst(criterion, checks, elapsed, larger_ok=False):
     pick = min if larger_ok else max
     worst = pick(checks, key=lambda c: c.measured / c.bound)
     report(criterion, worst.name, worst.measured, worst.bound, elapsed, larger_ok)
-
-
-def scalar_poly(*coeffs):
-    return matpoly.LambdaMatrix(tuple(np.array([[c]], dtype=float) for c in coeffs))
 
 
 def test_criterion_1_example_residues(example_model, example_set_12, example_set_34):

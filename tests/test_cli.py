@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 import mcarma_ou
 from mcarma_ou import cli, mcarma, rational, sampling, sim, verify
@@ -463,6 +464,37 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("certification failure: ImaginaryLeak: modal fold residual = ")
 
+    @pytest.mark.parametrize("rate", [1.0, 10.0])
+    def test_compound_poisson_runs_the_monte_carlo_row(self, capsys, tmp_path,
+                                                        example_model_file, rate):
+        # the row's Bartlett covariance needs only the driver's second moments
+        doc = json.loads(pathlib.Path(example_model_file).read_text())
+        doc["driver"] = {"kind": "compound_poisson", "rate": rate}
+        code, out, err = run(capsys, "verify", write_model(tmp_path, doc))
+        assert (code, err) == (0, "")
+        name, *_, status = verify_rows(out)[-1]
+        assert (name, status) == ("noise-lag-p-zero", "PASS")
+        assert out.splitlines()[-1] == "verification: PASS"
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("driver", [
+        {"kind": "brownian"}, {"kind": "compound_poisson", "rate": 1.0},
+        {"kind": "compound_poisson", "rate": 10.0}], ids=["brownian", "cp-rate-1", "cp-rate-10"])
+    @pytest.mark.parametrize("name", ["carma2x2", "corpus8"])
+    def test_monte_carlo_row_level_over_200_seeds(self, name, driver):
+        # the row is a 1% test for every driver: over seeds 0-199 at default
+        # flags it fails at most the 99.5% binomial quantile of a 1% row
+        model, _ = cli.load_model_file(str(MODELS_DIR / f"{name}.json"))
+        failed = []
+        for seed in range(200):
+            row = cli.run_verification(model, sim.DriverSpec(seed=seed, **driver),
+                                       0.1, 100_000)[-1]
+            assert row.name == "noise-lag-p-zero"
+            if not row.ok:
+                failed.append(seed)
+        assert scipy.stats.binom.ppf(0.995, 200, 0.01) == 6
+        assert len(failed) <= 6, failed
+
     def test_shortest_path_for_noise_lag_row(self, capsys, example_model_file):
         code, out, _ = run(capsys, "verify", example_model_file, "--steps", "53")
         assert "noise-lag-p-zero" in out
@@ -655,13 +687,49 @@ class TestModelLoading:
         assert code == 1 and out == ""
         assert err.startswith("input error:") and message in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "model document must be a JSON object"),
+        ({"A": FIRST_ORDER["A"], "sigma_L": FIRST_ORDER["sigma_L"]}, "missing key 'B'"),
+        (dict(FIRST_ORDER, A=[]), "A must be a non-empty list of matrices"),
+        (dict(FIRST_ORDER, A=["x"]), "A[0] is not numeric"),
+        (dict(FIRST_ORDER, sigma_L=[1, 1]), "sigma_L must have 2 dimensions"),
+        (dict(FIRST_ORDER, sigma_L=[[1, 0, 0], [0, 1, 0]]), "sigma_L must be square"),
+        (dict(FIRST_ORDER, sigma_L=[[1, 0.5], [0, 1]]), "sigma_L must be symmetric"),
+        (dict(FIRST_ORDER, B=[[[1, 0]]]), "A and B must share their row dimension"),
+        (dict(FIRST_ORDER, B=[[[1], [0]]]), "sigma_L dimension must match the MA column count")],
+        ids=["array", "no-B", "empty-A", "string-A", "1-D-sigma", "non-square-sigma",
+             "asymmetric-sigma", "row-count", "sigma-size"])
+    def test_malformed_document_rejected(self, capsys, tmp_path, doc, message):
+        code, out, err = run(capsys, "solvents", write_model(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, doc, invariant", [
+        (("solvents",), {"A": [[[1]], [[0]], [[0]]], "B": [[[1]]], "sigma_L": [[1]]},
+         "DefectiveCompanion"),
+        (("simulate", "--h", "1", "--steps", "2000"),
+         {"A": [[[1]], [[-1]]], "B": [[[1]]], "sigma_L": [[1]]}, "CholeskyFail"),
+        (("simulate", "--h", "400", "--steps", "3"),
+         {"A": [[[1]], [[-1]]], "B": [[[1]]], "sigma_L": [[1]]}, "CholeskyFail")],
+        ids=["double-root-at-zero", "overflowing-path", "overflowing-gramian"])
+    def test_certification_failure_is_one_line(self, capsys, tmp_path, argv, doc, invariant):
+        # A(z) = z^2 has a defective companion; A(z) = z - 1 (root +1)
+        # overflows within its first chunk at h = 1, and its Q_h at h = 400:
+        # the path's finite check or psd_factor reports it, not a numpy warning
+        code, _, err = run(capsys, argv[0], write_model(tmp_path, doc), *argv[1:])
+        assert code == 2
+        assert err.startswith(f"certification failure: {invariant}:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("driver", [
         {"kind": "levy"},
         {"kind": "compound_poisson"},
         {"kind": "compound_poisson", "rate": -1.0},
         {"kind": "compound_poisson", "rate": 2.0, "jump_cov": [[0.5]]},
-        {"kind": "compound_poisson", "rate": 2.0, "jump_cov": [[1.0, 0], [0, 1.0]]}],
-        ids=["unknown-kind", "no-rate", "negative-rate", "jump-cov-shape", "mismatch"])
+        {"kind": "compound_poisson", "rate": 2.0, "jump_cov": [[1.0, 0], [0, 1.0]]},
+        {"kind": "brownian", "rate": 2.0},
+        {"kind": "brownian", "jump_cov": [[1.0, 0], [0, 1.0]]}],
+        ids=["unknown-kind", "no-rate", "negative-rate", "jump-cov-shape", "mismatch",
+             "brownian-rate", "brownian-jump-cov"])
     def test_driver_error_is_the_library_error(self, capsys, tmp_path, driver):
         # the CLI states no driver rule of its own: it reports the ValueError
         # of sim.DriverSpec or sim.check_driver for the same driver

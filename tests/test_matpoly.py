@@ -14,12 +14,9 @@ from mcarma_ou.exceptions import (
     SolventResidualError,
 )
 
-from conftest import A1, A2, R1, R2, R3, R4, RES1, RES2, random_stable_model
+from conftest import (A1, A2, R1, R2, R3, R4, RES1, RES2, random_stable_model,
+                      scalar_poly)
 from oracles import expand_factors, greedy_grouping, linear_factorization, vandermonde
-
-
-def scalar_poly(*coeffs):
-    return matpoly.LambdaMatrix(tuple(np.array([[c]], dtype=float) for c in coeffs))
 
 
 class TestEval:
@@ -163,12 +160,25 @@ class TestSolventsFromLatents:
             matpoly.solvents_from_latents(example_poly, tweaked, [[0, 1], [2, 3]])
 
 
+class TestCompanion:
+    @pytest.mark.parametrize("A, message", [
+        (scalar_poly(2, 1), "requires a monic lambda-matrix"),
+        (scalar_poly(1), "requires degree >= 1")], ids=["non-monic", "degree-0"])
+    def test_needs_monic_degree_one(self, A, message):
+        with pytest.raises(ValueError, match=message):
+            matpoly.companion_matrix(A)
+
+
 class TestDefaultGrouping:
     """The grouping scores only real choices and keeps the greedy groups."""
 
     @staticmethod
     def groups(model, grouping):
         return grouping(list(model.latent_pairs), model.d, conjugate_closed=model.A.is_real)
+
+    def test_count_not_a_multiple_of_d_rejected(self, example_poly):
+        with pytest.raises(ValueError, match="multiple of d"):
+            matpoly.default_grouping(matpoly.latent_roots(example_poly)[:3], 2)
 
     def test_same_groups_as_greedy_on_corpus(self, corpus):
         for model in corpus:
@@ -255,6 +265,13 @@ class TestCertify:
     def test_overlapping_spectra_rejected(self, example_poly):
         with pytest.raises((IncompleteSetError, SolventResidualError)):
             matpoly.certify_solvent_set(example_poly, [R1, R1])
+
+    @pytest.mark.parametrize("mats, message", [
+        ([R1], "need 2 solvents, got 1"), ([R1, np.eye(3)], "solvent block shape mismatch")],
+        ids=["count", "block-shape"])
+    def test_incomplete_set_rejected(self, example_poly, mats, message):
+        with pytest.raises(IncompleteSetError, match=f"^IncompleteSet: {message}$"):
+            matpoly.certify_solvent_set(example_poly, mats)
 
     def test_nan_entry_rejected(self, example_poly):
         # the NaN residual fails its bound before eigvals would meet the NaN

@@ -17,22 +17,14 @@ from mcarma_ou.exceptions import (
 )
 
 import mp_oracles
-from conftest import R1, R2, R3, RES1, RES2, fresh, random_stable_model, rescale_time
+from conftest import (R1, R2, R3, RES1, RES2, fresh, random_stable_model, rescale_time,
+                      scalar_model)
 from oracles import components, expm_eig, quad_infinite_gramian, stack
 
 # Corpus models whose stationary ACVF is judged against the 50-digit
 # reference rather than the per-component route, with the bound relative to
 # max|gamma(0)| (see ``test_matches_per_component_sum``)
 REFERENCE_JUDGED = {143: 3.5e-12}
-
-
-def scalar_poly(*coeffs):
-    return matpoly.LambdaMatrix(tuple(np.array([[c]], dtype=float) for c in coeffs))
-
-
-def scalar_model(a_coeffs, b_coeffs, sigma=1.0):
-    return mcarma.McarmaModel.build(
-        scalar_poly(*a_coeffs), scalar_poly(*b_coeffs), np.array([[sigma]]))
 
 
 def sharp_relative_residual(ss):
@@ -655,6 +647,11 @@ class TestModelValidation:
             mcarma.McarmaModel.build(
                 example_poly, matpoly.LambdaMatrix((np.eye(2),)), np.eye(2),
                 mean_L=np.array([1.0, 0.0]))
+
+    def test_rejects_complex_coefficients(self, example_poly):
+        with pytest.raises(ValueError, match="must be real"):
+            mcarma.McarmaModel.build(
+                example_poly, matpoly.LambdaMatrix((np.eye(2) * (1 + 1j),)), np.eye(2))
 
     def test_rejects_improper_orders(self):
         with pytest.raises(ValueError, match="p > q"):

@@ -6,12 +6,8 @@ from numpy.testing import assert_allclose
 from mcarma_ou import matpoly, mcarma, rational, verify
 from mcarma_ou.exceptions import NotIrreducibleError, PoleHitError
 
-from conftest import A2, RES1, RES2, RES3, RES4, random_stable_model
+from conftest import A2, RES1, RES2, RES3, RES4, random_stable_model, scalar_poly
 from oracles import contour_residue, poly_derivative
-
-
-def scalar_poly(*coeffs):
-    return matpoly.LambdaMatrix(tuple(np.array([[c]], dtype=float) for c in coeffs))
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from mcarma_ou.exceptions import (
 )
 
 import mp_oracles
-from conftest import random_stable_model, rescale_time
+from conftest import random_stable_model, rescale_time, scalar_model
 from oracles import (
     innovations_ma,
     ma_acvf_loop,
@@ -104,15 +104,6 @@ def references(corpus_decomps):
     ``REFERENCE_BOUNDS`` case, about 0.8 s in all."""
     return {(index, h): mp_oracles.sampled_varma_reference(corpus_decomps[index].model, h)
             for index, h in REFERENCE_BOUNDS}
-
-
-def scalar_poly(*coeffs):
-    return matpoly.LambdaMatrix(tuple(np.array([[c]], dtype=float) for c in coeffs))
-
-
-def scalar_model(a_coeffs, b_coeffs, sigma=1.0):
-    return mcarma.McarmaModel.build(
-        scalar_poly(*a_coeffs), scalar_poly(*b_coeffs), np.array([[sigma]]))
 
 
 def monic_psi(psi):

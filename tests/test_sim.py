@@ -16,17 +16,8 @@ from mcarma_ou.exceptions import (
     TooShortError,
 )
 
-from conftest import fresh, random_stable_model, rescale_time
+from conftest import fresh, random_stable_model, rescale_time, scalar_model
 from oracles import component_recursion, simulate_statespace_twin
-
-
-def scalar_poly(*coeffs):
-    return matpoly.LambdaMatrix(tuple(np.array([[c]], dtype=float) for c in coeffs))
-
-
-def scalar_model(a_coeffs, b_coeffs, sigma=1.0):
-    return mcarma.McarmaModel.build(
-        scalar_poly(*a_coeffs), scalar_poly(*b_coeffs), np.array([[sigma]]))
 
 
 @pytest.fixture(scope="module")
@@ -643,6 +634,32 @@ class TestModalEngine:
                                 stationary_start=False)
         assert gap <= 1e-11
 
+    def test_transfer_stacks_clip_at_the_path_length(self):
+        # an unstable path forms its stacks with overflow ignored, so the
+        # clipping is checked here: root +50 at 2 steps forms no power
+        # beyond e^{100}, where a block of BLOCK steps would reach e^{1600}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacks = sim._transfer_stacks(np.array([50.0]), 2)
+        assert all(np.isfinite(st).all() for st in stacks)
+
+    @pytest.mark.parametrize("kind", ["brownian", "compound_poisson"])
+    def test_overflowing_path_is_a_typed_failure(self, kind):
+        # A(z) = z - 1, root +1, at h = 1: the powers and the states of its
+        # first chunk overflow.  Under the suite's error::RuntimeWarning filter that is the
+        # typed failure of the finite check, and the caller's floating-point
+        # error state is its own between blocks
+        model = scalar_model([1, -1], [1.0])
+        driver = sim.DriverSpec(kind=kind, seed=0, rate=None if kind == "brownian" else 2.0)
+        blocks = sim.path_blocks(mcarma.decompose(model, model.solvent_set()), driver,
+                                 1.0, 2000)
+        before = np.geterr()
+        assert np.array_equal(next(blocks), [[0.0]])
+        assert np.geterr() == before
+        with pytest.raises(CholeskyFailError, match="non-finite"):
+            next(blocks)
+        assert np.geterr() == before
+
     def test_compound_poisson_cross_acvf(self, example_decomp):
         # d = 2: the cross terms of gamma(l) match the stationary ACVF too
         h, n = 0.1, 100_000
@@ -820,6 +837,17 @@ class TestDriverMatch:
                      for jump_cov in (None, model.sigma_L / 3.0,
                                       model.sigma_L / 3.0 * (1.0 + 1e-13))]
             assert all(np.array_equal(paths[0], Y) for Y in paths[1:])
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("brownian", "rate", 2.0), ("brownian", "jump_cov", np.eye(2)),
+        ("compound_poisson", "sigma_L", np.eye(2))],
+        ids=["brownian-rate", "brownian-jump-cov", "cp-sigma-L"])
+    def test_field_its_kind_does_not_read_rejected(self, kind, field, value):
+        # a Brownian driver is a seed and a compound-Poisson one a seed and a
+        # rate; each may restate Var L(1) only in its own field
+        rate = {"rate": 2.0} if kind == "compound_poisson" else {}
+        with pytest.raises(ValueError, match=f"^a {kind} driver takes no {field}$"):
+            sim.DriverSpec(kind=kind, seed=0, **rate, **{field: value})
 
     @pytest.mark.parametrize("driver, message", [
         (brownian(0, 2.0 * np.eye(2)), "driver.sigma_L must equal sigma_L (Var L(1))"),

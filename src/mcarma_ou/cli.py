@@ -32,7 +32,7 @@ from .exceptions import CertificationError, ModelFileError
 # model file handling
 
 def _array(obj, name, ndim=2):
-    """``obj`` as a finite float array of ``ndim`` dimensions (any if None)."""
+    """``obj`` as a finite float array of ``ndim`` dimensions (any if None; a float if 0)."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as err:
@@ -41,7 +41,7 @@ def _array(obj, name, ndim=2):
         raise ModelFileError(f"{name} must have {ndim} dimensions")
     if not np.isfinite(arr).all():
         raise ModelFileError(f"{name} has a non-finite entry")
-    return arr
+    return float(arr) if ndim == 0 else arr
 
 
 def _coeff_list(obj, name):
@@ -90,12 +90,14 @@ def load_model_file(path, seed=0):
     driver_doc = doc.get("driver", {"kind": "brownian"})
     if not isinstance(driver_doc, dict):
         raise ModelFileError("driver must be a JSON object")
-    rate, jump_cov = driver_doc.get("rate"), driver_doc.get("jump_cov")
+    ndims = {"rate": 0, "jump_cov": 2, "sigma_L": 2}  # the numeric fields of sim.DriverSpec
+    unknown = sorted(driver_doc.keys() - {"kind", *ndims})
+    if unknown:
+        raise ModelFileError(f"driver key {unknown[0]!r} is not one of kind, {', '.join(ndims)}")
+    fields = {key: _array(value, f"driver.{key}", ndims[key])
+              for key, value in driver_doc.items() if key != "kind"}
     try:  # sim.DriverSpec and sim.check_driver own a driver's rules
-        driver = sim.DriverSpec(
-            kind=driver_doc.get("kind", "brownian"), seed=seed,
-            rate=float(_array(rate, "driver.rate", ndim=0)) if "rate" in driver_doc else None,
-            jump_cov=None if jump_cov is None else _array(jump_cov, "driver.jump_cov"))
+        driver = sim.DriverSpec(kind=driver_doc.get("kind", "brownian"), seed=seed, **fields)
         sim.check_driver(driver, model.sigma_L)
     except ValueError as err:
         raise ModelFileError(str(err)) from None

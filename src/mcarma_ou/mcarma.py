@@ -521,7 +521,9 @@ def psd_factor(mat, what):
     it moves continuously with ``mat``, near-zero eigenvalues included.
     Eigenvalues down to ``-tolerances.PSD_CLIP * max|eig|`` are rounding,
     clipped and logged at DEBUG; anything more negative aborts, so ``c *
-    mat`` passes or fails as ``mat`` does."""
+    mat`` passes or fails as ``mat`` does; a non-finite entry aborts first."""
+    if not np.isfinite(mat).all():
+        raise CholeskyFailError(f"{what} has non-finite entries")
     vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     tol.certify(CholeskyFailError, f"{what} min eig", np.min(vals),
                 -tol.PSD_CLIP * float(np.max(np.abs(vals))), at_least=True)

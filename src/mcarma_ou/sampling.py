@@ -116,13 +116,12 @@ def varma_ar(model, h):
     Certified: ``p h max(-Re lam)`` at most ``tolerances.EXP_OVERFLOW``
     before any exponential is formed (beyond it ``e^{-p h lam}``
     overflows); the gaps between the sampled roots of any two latent roots
-    (``mcarma.Modes``) at least ``tolerances.ALIAS``; cond(Q) at most
-    ``tolerances.CONDITION``; the imaginary part of Psi~ below
-    ``tolerances.IMAG_LEAK`` of its largest entry; the residual
-    ``||sum_j Psi_j x_a z_a^(p-j)||`` of each latent pair below
-    ``tolerances.AR_RESIDUAL`` of the rounding of Psi(z_a),
-    ``matpoly.backward_scale(Psi, z_a)``; and cond(Psi_p).  Every quantity
-    is a function of h lam, so rescaling time does not change a verdict.
+    (``mcarma.Modes``) at least ``tolerances.ALIAS``; cond(Q) and cond(Psi_p)
+    at most ``tolerances.CONDITION``; and the returned Phi by the weak VARMA
+    identity ``Phi(z_a) x_a = 0``: its residual at each latent pair below
+    ``tolerances.AR_RESIDUAL`` of the rounding of Phi(z_a),
+    ``matpoly.backward_scale(Phi, z_a)``.  Every quantity is a function of
+    h lam, so rescaling time does not change a verdict.
 
     Returns
     -------
@@ -134,12 +133,10 @@ def varma_ar(model, h):
     ValueError
         If h is not positive and finite.
     SingularVandermondeError
-        On the overflow guard, cond(Q), the AR residual or cond(Psi_p).
+        On the overflow guard, cond(Q), cond(Psi_p) or the AR residual.
     AliasedSamplingError
         If two distinct latent roots map to the same sampled root (imaginary
         parts differing by a multiple of 2 pi / h).
-    ImaginaryLeakError
-        If Psi~ is not real to rounding.
     """
     if not 0 < h < np.inf:
         raise ValueError("sampling step h must be positive and finite")
@@ -160,22 +157,21 @@ def varma_ar(model, h):
         cond_Q = tol.certify(SingularVandermondeError, "cond(Q)", float(matpoly._cond(Q)),
                              tol.CONDITION)
         tilde = -np.linalg.solve(Q.T, pair[p].T)  # rows: the blocks Psi~_p^T .. Psi~_1^T
-        tol.certify(ImaginaryLeakError, "AR imaginary part", np.abs(tilde.imag).max(),
-                    tol.IMAG_LEAK * np.abs(tilde).max())
         delta = np.empty((p + 1, d * d))  # Psi~_0 = I, Psi~_1, ..., Psi~_p, flat
         delta[0] = np.eye(d).ravel()
         delta[:0:-1] = tilde.real.reshape(p, d, d).swapaxes(1, 2).reshape(p, d * d)
         coeffs = ((_shift_to_z(p) * omega ** np.arange(p + 1)) @ delta).reshape(p + 1, d, d)
+        psi = coeffs[1:]  # Psi_1 .. Psi_p
+        tol.certify(SingularVandermondeError, "cond(Psi_p)", float(matpoly._cond(psi[-1])),
+                    tol.CONDITION)
+        phi = -np.linalg.solve(psi[-1], coeffs[-2::-1])  # Psi_{p-j}, j = 1..p
 
+        poly = np.concatenate([-phi[::-1], np.eye(d)[None]])  # Phi(z): -Phi_p, .., -Phi_1, I
         powers = X * z ** np.arange(p, -1, -1)[:, None, None]  # X diag(z)^(p-j)
-        at_roots = coeffs.swapaxes(0, 1).reshape(d, -1) @ powers.reshape(-1, p * d)
+        at_roots = poly.swapaxes(0, 1).reshape(d, -1) @ powers.reshape(-1, p * d)
         residual = tol.certify(SingularVandermondeError, "AR residual",
                                np.linalg.norm(at_roots, axis=0),
-                               tol.AR_RESIDUAL * matpoly.backward_scale(coeffs, z))
-    psi = coeffs[1:]  # Psi_1 .. Psi_p
-    tol.certify(SingularVandermondeError, "cond(Psi_p)", float(matpoly._cond(psi[-1])),
-                tol.CONDITION)
-    phi = -np.linalg.solve(psi[-1], coeffs[-2::-1])  # Psi_{p-j}, j = 1..p
+                               tol.AR_RESIDUAL * matpoly.backward_scale(poly, z))
     return psi, phi, cond_Q, residual
 
 

@@ -73,7 +73,7 @@ class DriverSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
-        unread = _UNREAD.get(self.kind)
+        unread = _UNREAD.get(self.kind) if isinstance(self.kind, str) else None
         if unread is None:
             raise ValueError(f"unknown driver kind {self.kind!r}")
         for name in unread:

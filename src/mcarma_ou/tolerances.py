@@ -31,13 +31,13 @@ INPUT_COVARIANCE = 1e-12  # asymmetry, -min eig of sigma_L; max(1, max|sigma_L|)
 SHARP_IDENTITY = 1e-12    # max|A# B* - B#|; max(|A#| |B*|)
 INIT_LEAK = 1e-10         # max|Im T y0| of the component initials; max(1, max(|T| |y0|)); abs
 SIMILARITY = 1e-9         # A* T - T diag(R_k), B* - T Res, C* T - (I..I); |A*| |T| + |T| |R|, |T| |Res|, |C*| |T| elementwise
-IMAG_LEAK = 1e-9          # Im of a real sum, Im Psi~, gamma_U(0) asymmetry; max(1, top term), max|Psi~|, verify 1; abs
+IMAG_LEAK = 1e-9          # Im of a real sum, gamma_U(0) asymmetry; max(1, top term), verify 1; abs
 ACVF_ASYMMETRY = 1e-10    # gamma(0) asymmetry; max(1, top term), verify max(1, max|gamma(0)|); abs
 PSD_FLOOR = 1e-10         # -min eig of gamma(0), gamma_U(0); max(1, trace), max(1, top term); abs
 SYLVESTER_GAP = 1e-12     # min|lam_a + conj(mu_b)| of a Gramian over [0, inf) (at least); 1; abs
 ALIAS = 1e-10             # |e^{-h lam_i} - e^{-h lam_j}|, lam_i, lam_j apart (at least); 1; abs
 EXP_OVERFLOW = float(np.log(np.finfo(float).max))  # p h max(-Re lam) of the sampled solvents; 1
-AR_RESIDUAL = 1e-8        # ||sum_j Psi_j x z^(p-j)|| of each latent pair (lam, x), z = e^{-h lam}; backward_scale(Psi, z)
+AR_RESIDUAL = 1e-8        # ||Phi(z) x|| of each latent pair (lam, x), z = e^{-h lam}; backward_scale(Phi, z)
 DOUBLING = 1e-13          # ||H_{k+1} - H_k||_F, when the MA doubling stops; ||H_{k+1}||_F
 PD_FLOOR = 1e-10          # min eig of gamma_U(0) and of Sigma_eps (exceeded); trace gamma_U(0)
 ZERO_AT_INFINITY = 1e-12  # spectral radius at or below which det Theta has no finite zero; 1; abs

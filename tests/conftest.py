@@ -161,6 +161,14 @@ def rescale_time(model, c):
     return mcarma.McarmaModel.build(A, B, model.sigma_L)
 
 
+def rotate(model, Q):
+    """The model in the coordinates Q Y, Q orthogonal, with its driver turned
+    alike: A_i -> Q A_i Q^T, B_j -> Q B_j Q^T, Sigma_L -> Q Sigma_L Q^T."""
+    A = matpoly.LambdaMatrix(tuple(Q @ a @ Q.T for a in model.A.coeffs))
+    B = matpoly.LambdaMatrix(tuple(Q @ b @ Q.T for b in model.B.coeffs))
+    return mcarma.McarmaModel.build(A, B, Q @ model.sigma_L @ Q.T)
+
+
 def fresh(model):
     """A new model from the same coefficients, with nothing built yet."""
     return mcarma.McarmaModel.build(model.A, model.B, model.sigma_L)

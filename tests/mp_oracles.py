@@ -8,7 +8,8 @@ at ``DIGITS`` significant digits,
   int_0^h e^{u A*} B* Sigma_L B*^T e^{u A*^T} du``, from one Van Loan block
   exponential ``exp(h [[-A*, B* Sigma_L B*^T], [0, A*^T]])`` by ``mp.expm``;
 - Phi from the observability matrix, ``[Phi_1, ..., Phi_p] col(C F^(p-1),
-  ..., C F, C) = C F^p``;
+  ..., C F, C) = C F^p`` (``sampled_phi_reference`` forms only this, with F
+  from ``mp.expm(h A*)``);
 - gamma_U(l) = ``sum_r M_{r+l} Q_h M_r^T`` with ``M_r = C F^r - sum_{j<=r}
   Phi_j C F^{r-j}`` (Chambers & Thornton, Econometric Theory 28 (2012));
 - Theta and Sigma_eps from that gamma_U by the recursion of
@@ -128,26 +129,42 @@ def _ma_factor(gamma):
     return theta, L * sigma_white * L.T
 
 
+def _observed_phi(C, F, p):
+    """``(CF, phi)``: the powers ``C F^k``, k = 0..p, and Phi_1..Phi_p from
+    ``[Phi_1, ..., Phi_p] col(C F^(p-1), ..., C F, C) = C F^p``."""
+    d, n = C.rows, C.cols
+    CF = [C]
+    for _ in range(p):
+        CF.append(CF[-1] * F)
+    obs = mpmath.matrix(n, n)
+    for i in range(p):  # block row i is C F^(p-1-i)
+        for r in range(d):
+            for c in range(n):
+                obs[i * d + r, c] = CF[p - 1 - i][r, c]
+    phi_row = CF[p] * mpmath.inverse(obs)  # [Phi_1, ..., Phi_p]
+    return CF, [phi_row[:, j * d:(j + 1) * d] for j in range(p)]
+
+
+def sampled_phi_reference(model, h):
+    """Phi of ``model`` sampled at step h, a float stack (p, d, d) rounded
+    from ``DIGITS`` digits, with ``F = e^{h A*}`` from one ``mp.expm``."""
+    ss = model.statespace
+    with mpmath.workdps(DIGITS):
+        F = mpmath.expm(mpmath.mpf(h) * _mp(ss.A_star))
+        _, phi = _observed_phi(_mp(ss.C_star), F, model.p)
+        return np.array([_np(m) for m in phi])
+
+
 def sampled_varma_reference(model, h):
     """(Phi, gamma_U, Theta, Sigma_eps) of ``model`` sampled at step h, as
     float stacks (p, d, d), (p, d, d), (p - 1, d, d) and (d, d) rounded from
     ``DIGITS`` digits."""
     ss = model.statespace
     p, d = model.p, model.d
-    n = p * d
     with mpmath.workdps(DIGITS):
         A, B, C = _mp(ss.A_star), _mp(ss.B_star), _mp(ss.C_star)
         F, Q = _van_loan(A, B * _mp(model.sigma_L) * B.T, h)
-        CF = [C]  # C F^k, k = 0..p
-        for _ in range(p):
-            CF.append(CF[-1] * F)
-        obs = mpmath.matrix(n, n)
-        for i in range(p):  # block row i is C F^(p-1-i)
-            for r in range(d):
-                for c in range(n):
-                    obs[i * d + r, c] = CF[p - 1 - i][r, c]
-        phi_row = CF[p] * mpmath.inverse(obs)  # [Phi_1, ..., Phi_p]
-        phi = [phi_row[:, j * d:(j + 1) * d] for j in range(p)]
+        CF, phi = _observed_phi(C, F, p)
 
         M = []
         for r in range(p):

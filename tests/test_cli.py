@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -334,7 +335,7 @@ class TestVerify:
             ("solvent-residual", 8.775e-8), ("statespace-identity", 1e-12),
             ("kernel-identity", 2.414e-8), ("kernel-realness", 1e-9),
             ("pf-reconstruction", 1e-8), ("acvf-lyapunov-oracle", 1e-8),
-            ("acvf-symmetry", 2.636e-10), ("varma-ar-structure", 1.392e-7),
+            ("acvf-symmetry", 2.636e-10), ("varma-ar-structure", 7.911e-8),
             ("ma-roundtrip", 1e-6), ("ma-invertibility", 1e-6),
             ("noise-acvf-consistency", 1e-7), ("noise-lag-p-zero", 1.0)]
         rows = verify_rows(out)
@@ -679,8 +680,13 @@ class TestModelLoading:
         ({"kind": "compound_poisson", "rate": 2.0, "jump_cov": [[0.5]]},
          "jump_cov must have the shape of sigma_L"),
         ({"kind": "compound_poisson", "jump_cov": [[0.5, 0], [0, 0.5]]},
-         "compound_poisson driver needs a rate")],
-        ids=["not-an-object", "jump-cov-shape", "no-rate"])
+         "compound_poisson driver needs a rate"),
+        ({"kind": "compound_poisson", "rate": 2.0, "jmp_cov": [[0.5, 0], [0, 0.5]]},
+         "driver key 'jmp_cov' is not one of kind, rate, jump_cov, sigma_L"),
+        ({"kind": "brownian", "seed": 3}, "driver key 'seed' is not one of"),
+        ({"kind": "brownian", "sigma_L": [1, 1]}, "driver.sigma_L must have 2 dimensions")],
+        ids=["not-an-object", "jump-cov-shape", "no-rate", "misspelled-key", "seed-key",
+             "sigma-L-1-D"])
     def test_malformed_driver_rejected(self, capsys, tmp_path, driver, message):
         code, out, err = run(capsys, "solvents",
                              write_model(tmp_path, dict(FIRST_ORDER, driver=driver)))
@@ -704,43 +710,61 @@ class TestModelLoading:
         assert (code, out) == (1, "")
         assert err.startswith(f"input error: {message}") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv, doc, invariant", [
+    @pytest.mark.parametrize("argv, doc, message", [
         (("solvents",), {"A": [[[1]], [[0]], [[0]]], "B": [[[1]]], "sigma_L": [[1]]},
-         "DefectiveCompanion"),
+         "DefectiveCompanion:"),
         (("simulate", "--h", "1", "--steps", "2000"),
-         {"A": [[[1]], [[-1]]], "B": [[[1]]], "sigma_L": [[1]]}, "CholeskyFail"),
+         {"A": [[[1]], [[-1]]], "B": [[[1]]], "sigma_L": [[1]]}, "CholeskyFail:"),
         (("simulate", "--h", "400", "--steps", "3"),
-         {"A": [[[1]], [[-1]]], "B": [[[1]]], "sigma_L": [[1]]}, "CholeskyFail")],
+         {"A": [[[1]], [[-1]]], "B": [[[1]]], "sigma_L": [[1]]},
+         "CholeskyFail: innovation Gramian has non-finite entries\n")],
         ids=["double-root-at-zero", "overflowing-path", "overflowing-gramian"])
-    def test_certification_failure_is_one_line(self, capsys, tmp_path, argv, doc, invariant):
+    def test_certification_failure_is_one_line(self, capsys, tmp_path, argv, doc, message):
         # A(z) = z^2 has a defective companion; A(z) = z - 1 (root +1)
         # overflows within its first chunk at h = 1, and its Q_h at h = 400:
         # the path's finite check or psd_factor reports it, not a numpy warning
         code, _, err = run(capsys, argv[0], write_model(tmp_path, doc), *argv[1:])
         assert code == 2
-        assert err.startswith(f"certification failure: {invariant}:") and err.count("\n") == 1
+        assert err.startswith(f"certification failure: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("driver", [
         {"kind": "levy"},
+        {"kind": ["brownian"]},
         {"kind": "compound_poisson"},
         {"kind": "compound_poisson", "rate": -1.0},
         {"kind": "compound_poisson", "rate": 2.0, "jump_cov": [[0.5]]},
         {"kind": "compound_poisson", "rate": 2.0, "jump_cov": [[1.0, 0], [0, 1.0]]},
         {"kind": "brownian", "rate": 2.0},
-        {"kind": "brownian", "jump_cov": [[1.0, 0], [0, 1.0]]}],
-        ids=["unknown-kind", "no-rate", "negative-rate", "jump-cov-shape", "mismatch",
-             "brownian-rate", "brownian-jump-cov"])
+        {"kind": "brownian", "jump_cov": [[1.0, 0], [0, 1.0]]},
+        {"kind": "brownian", "sigma_L": [[5.0, 0], [0, 5.0]]},
+        {"kind": "brownian", "sigma_L": [[1.0]]},
+        {"kind": "compound_poisson", "rate": 2.0, "sigma_L": [[1.0, 0], [0, 1.0]]}],
+        ids=["unknown-kind", "list-kind", "no-rate", "negative-rate", "jump-cov-shape", "mismatch",
+             "brownian-rate", "brownian-jump-cov", "brownian-sigma-L-mismatch",
+             "brownian-sigma-L-shape", "cp-sigma-L"])
     def test_driver_error_is_the_library_error(self, capsys, tmp_path, driver):
         # the CLI states no driver rule of its own: it reports the ValueError
         # of sim.DriverSpec or sim.check_driver for the same driver
         with pytest.raises(ValueError) as exc:
             spec = sim.DriverSpec(seed=0, **{
-                key: np.asarray(value) if key == "jump_cov" else value
+                key: value if key in ("kind", "rate") else np.asarray(value)
                 for key, value in driver.items()})
             sim.check_driver(spec, np.eye(2))
         code, out, err = run(capsys, "solvents",
                              write_model(tmp_path, dict(FIRST_ORDER, driver=driver)))
         assert (code, out, err) == (1, "", f"input error: {exc.value}\n")
+
+    def test_driver_block_takes_the_driver_fields(self, tmp_path):
+        # a Brownian driver may restate sigma_L, which reaches sim.DriverSpec;
+        # the top-level comment key is free text
+        doc = dict(FIRST_ORDER, comment="restated", driver={"kind": "brownian",
+                                                            "sigma_L": FIRST_ORDER["sigma_L"]})
+        _, driver = cli.load_model_file(write_model(tmp_path, doc), seed=4)
+        assert (driver.kind, driver.seed, driver.rate, driver.jump_cov) == ("brownian", 4,
+                                                                            None, None)
+        assert np.array_equal(driver.sigma_L, np.eye(2))
+        assert {f.name for f in dataclasses.fields(sim.DriverSpec)} == {
+            "kind", "seed", "rate", "jump_cov", "sigma_L"}
 
     def test_compound_poisson_negative_rate_rejected(self, capsys, tmp_path):
         # rate * jump_cov = sigma_L holds; the sign of the rate is the error

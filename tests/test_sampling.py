@@ -15,7 +15,7 @@ from mcarma_ou.exceptions import (
 )
 
 import mp_oracles
-from conftest import random_stable_model, rescale_time, scalar_model
+from conftest import random_stable_model, rescale_time, rotate, scalar_model
 from oracles import (
     innovations_ma,
     ma_acvf_loop,
@@ -91,6 +91,23 @@ PANEL_BOUND = 2e-12
 HARD_REGIME_ACVF_FAILURES = {(23, 1.0)}
 
 
+# The corpus fits at h in {8, 12} whose Phi the AR residual rejects, by h.
+# There |z| = |e^{-h lam}| reaches e^30 and the delta-form solve loses the
+# digits of Phi: against the 50-digit Phi each rejected Phi errs by 3.5e-8
+# (#131 at h = 12) to 3.45 (#151 at h = 12) of max|Phi|, while the 320 fits
+# that pass err by at most 8.1e-8 (#134 at h = 12).  Corpus #7, #35, #178 and
+# #188 at h = 12 fail cond(Q) first.
+LARGE_H_REJECTIONS = {
+    8.0: {7, 17, 26, 35, 44, 53, 71, 79, 80, 89, 122, 124, 125, 151, 152, 161, 169, 178,
+          188, 196, 197},
+    12.0: {4, 13, 16, 17, 23, 25, 26, 38, 43, 44, 50, 53, 61, 70, 71, 76, 77, 79, 80, 83, 86,
+           88, 89, 95, 98, 104, 106, 107, 110, 113, 115, 116, 122, 124, 125, 131, 133, 142,
+           143, 146, 151, 152, 158, 160, 161, 169, 170, 173, 176, 183, 185, 186, 192, 196,
+           197},
+}
+LARGE_H_PASS_ERROR = 2e-7
+
+
 @pytest.fixture(scope="module")
 def corpus_decomps(corpus):
     """Corpus index -> decomposition, for the models with an MA part (p >= 2)."""
@@ -110,6 +127,27 @@ def monic_psi(psi):
     d = psi[0].shape[0]
     return matpoly.LambdaMatrix(tuple([np.eye(d, dtype=complex)] +
                                       [np.asarray(c, dtype=complex) for c in psi]))
+
+
+def phi_error(phi, want):
+    """max|Phi - want| relative to max|want|."""
+    return float(np.max(np.abs(phi - want)) / np.max(np.abs(want)))
+
+
+def phi_backward_error(model, phi, h):
+    """The AR residual of ``varma_ar`` over its scale, one latent pair at a
+    time: the largest ``||x - sum_j Phi_j x z^j|| / (||I||_F + sum_j
+    ||Phi_j||_F |z|^j)`` over the pairs (lam, x) of the model's modes,
+    z = e^{-h lam}."""
+    modes = model.modes
+    worst = 0.0
+    for lam, x in zip(modes.roots, modes.X.T):
+        z = np.exp(-h * lam)
+        residual = x - sum(f @ x * z ** j for j, f in enumerate(phi, 1))
+        scale = np.sqrt(model.d) + sum(np.linalg.norm(f) * abs(z) ** j
+                                       for j, f in enumerate(phi, 1))
+        worst = max(worst, np.linalg.norm(residual) / scale)
+    return worst
 
 
 class TestVarmaAr:
@@ -143,17 +181,16 @@ class TestVarmaAr:
 
     @pytest.mark.parametrize("h", [0.1, 0.5, 1.0])
     def test_example_ar_structure(self, example_model, example_set_12, h):
-        psi, _, cond_Q, residual = sampling.varma_ar(example_model, h)
+        psi, phi, cond_Q, residual = sampling.varma_ar(example_model, h)
         poly = monic_psi(psi)
         for R in example_set_12.matrices:
             E = scipy.linalg.expm(-h * R)
             assert np.linalg.norm(poly.eval_right(E)) <= 1e-8
-        # each latent pair's residual against the rounding of Psi at its
-        # sampled root z: sum_j ||Psi_j||_F |z|^(p-j), Psi_0 = I
+        # each latent pair's residual against the rounding of Phi at its
+        # sampled root z: ||I||_F + sum_j ||Phi_j||_F |z|^j
         lam = example_model.modes.roots
         z = np.abs(np.exp(-h * lam))
-        scales = np.sqrt(2.0) * z ** 2 + sum(np.linalg.norm(c) * z ** (1 - j)
-                                             for j, c in enumerate(psi))
+        scales = np.sqrt(2.0) + sum(np.linalg.norm(f) * z ** j for j, f in enumerate(phi, 1))
         assert residual.measured <= 1e-8
         assert np.isclose(residual.bound, tolerances.AR_RESIDUAL * scales, rtol=1e-14).any()
         # Q = [X; X diag(w)] with the modes' latent vectors X and the delta
@@ -186,14 +223,13 @@ class TestVarmaAr:
     def test_overflow_guard_is_scale_free(self, c):
         # roots -c and -2c: p h max(-Re lam) = 4 c h, judged before any
         # exponential, so roots times c and h over c keep the verdict; just
-        # below the guard the AR residual's scale overflows, and an inf bound
-        # fails
+        # below the guard Phi, whose scale stays finite, is still the closed
+        # form Phi_1 = e^{-ch} + e^{-2ch}, Phi_2 = -e^{-3ch}
         model = scalar_model([1, 3 * c, 2 * c * c], [1.0])
-        _, phi, *_ = sampling.varma_ar(model, 10.0 / c)
-        assert_allclose(phi[:, 0, 0], [np.exp(-10.0) + np.exp(-20.0), -np.exp(-30.0)],
-                        rtol=1e-12)
-        with pytest.raises(SingularVandermondeError, match=r"AR residual\[0\] = .* exceeds inf"):
-            sampling.varma_ar(model, 170.0 / c)
+        for ch in (10.0, 170.0):
+            _, phi, *_ = sampling.varma_ar(model, ch / c)
+            assert_allclose(phi[:, 0, 0], [np.exp(-ch) + np.exp(-2 * ch), -np.exp(-3 * ch)],
+                            rtol=1e-12)
         with pytest.raises(SingularVandermondeError,
                            match=r"sampled exponent p h max\(-Re lam\) = 8\.000e\+02 "
                                  r"exceeds 7\.098e\+02"):
@@ -201,11 +237,87 @@ class TestVarmaAr:
 
     def test_ar_residual_judged_by_rounding_at_large_h(self, corpus):
         # corpus #148 (roots -0.31 +- 1.60i, -1.66 +- 1.78i) at h = 12: |z|
-        # reaches e^20, so Psi(z) x rounds at sum_j ||Psi_j|| |z|^(p-j) and
-        # not at max ||Psi_j||; it read 1.4e3 against 5.4e2 with that scale
-        # and reads 1.4e-2 of its backward scale
+        # reaches e^20, so Phi(z) x rounds at sum_j ||Phi_j|| |z|^j and not
+        # at max ||Phi_j||; it reads 3.7e-2 of that backward scale
         _, _, _, residual = sampling.varma_ar(corpus[148], 12.0)
         assert residual.ok and residual.measured <= 0.1 * residual.bound
+
+    @pytest.mark.parametrize("h", [0.01, 0.25, 1.0])
+    def test_planted_phi_error_rejected(self, corpus, monkeypatch, h):
+        # Phi_1 times 1 + 1e-6 after its solve leaves Phi(z_a) x_a at about
+        # 1e-6 of Phi_1 x_a z_a, far above the rounding of Phi(z_a): every
+        # corpus fit that passes is rejected
+        for model in corpus:  # each passes, and builds its modes before the patch
+            sampling.varma_ar(model, h)
+        solve = np.linalg.solve
+
+        def planted(a, b):
+            out = solve(a, b)
+            if np.ndim(b) == 3:  # the Phi solve, against the stack of Psi_{p-j}
+                out[0] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", planted)
+        for model in corpus:
+            with pytest.raises(SingularVandermondeError, match="AR residual"):
+                sampling.varma_ar(model, h)
+
+    def test_wrong_phi_at_large_h_rejected(self, corpus):
+        # corpus #161 at h = 12: the fit's Phi errs by 12% of max|Phi| and is
+        # rejected, while the 50-digit Phi reads 1.0e-13 on the same residual
+        model = corpus[161]
+        with pytest.raises(SingularVandermondeError, match="AR residual"):
+            sampling.varma_ar(model, 12.0)
+        want = mp_oracles.sampled_phi_reference(model, 12.0)
+        assert phi_backward_error(model, want, 12.0) <= 1e-12
+
+    @pytest.mark.parametrize("h", [0.25, 1.0])
+    def test_ar_residual_is_scale_and_rotation_free(self, corpus, h):
+        # Phi of the rotated model is Q Phi_j Q^T and of the rescaled one
+        # Phi itself, so the record moves only by rounding: its measured over
+        # its scale (bound / AR_RESIDUAL) by at most 1.1e-14, here 1e-13, and
+        # its bound by 3.5e-11 relative, here 1e-9; every fit passes
+        for index, model in enumerate(corpus):
+            if model.d == 1:
+                continue
+            Q = np.linalg.qr(np.random.default_rng(1).standard_normal((model.d, model.d)))[0]
+            base = sampling.varma_ar(model, h)[3]
+            for moved, step in ((rotate(model, Q), h), (rescale_time(model, 1e-3), 1e3 * h),
+                                (rescale_time(model, 1e3), 1e-3 * h)):
+                record = sampling.varma_ar(moved, step)[3]
+                assert abs(record.measured / record.bound
+                           - base.measured / base.bound) <= 1e-5, index
+                assert abs(record.bound / base.bound - 1.0) <= 1e-9, index
+
+    @pytest.mark.slow
+    def test_large_h_rejections_are_wrong_phis(self, corpus, monkeypatch):
+        # each rejected Phi, formed with the certificate skipped, errs by
+        # more than 1e-8 against the 50-digit Phi; each passing Phi by less
+        # than LARGE_H_PASS_ERROR
+        certify = tolerances.certify
+
+        def skip_ar_residual(error, what, measured, bound, at_least=False):
+            if what != "AR residual":
+                return certify(error, what, measured, bound, at_least)
+
+        for h, want_rejected in LARGE_H_REJECTIONS.items():
+            rejected = set()
+            for index, model in enumerate(corpus):
+                try:
+                    phi = sampling.varma_ar(model, h)[1]
+                except SingularVandermondeError as exc:
+                    if "AR residual" not in str(exc):
+                        continue  # cond(Q) fails first
+                    rejected.add(index)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(tolerances, "certify", skip_ar_residual)
+                        phi = sampling.varma_ar(model, h)[1]
+                error = phi_error(phi, mp_oracles.sampled_phi_reference(model, h))
+                if index in rejected:
+                    assert error > 1e-8, (index, h, error)
+                else:
+                    assert error <= LARGE_H_PASS_ERROR, (index, h, error)
+            assert rejected == want_rejected, h
 
     def test_solvent_sets_give_same_phi(self, example_model, example_set_12, example_set_34):
         # each set's sampled solvents e^{-h R_k} give Psi by the block

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python bench/layers.py --out BENCH.json [--reps 21]
+    PYTHONPATH=src python bench/layers.py --out BENCH.json [--reps 21] [--tier1]
 
 For each model file of ``MODELS`` it keeps one decomposition, warms every
 layer up once, and then times ``--reps`` calls of each layer in turn,
@@ -25,7 +25,10 @@ verify`` as a child process, with its exit code (2 if a row fails; the time
 counts either way) and its peak RSS in MB, the largest over the calls, both
 read by a small launcher process (``LAUNCHER``) that spawns the child and
 waits for it with ``os.wait4``; ``cli_help`` is the child's cold start,
-``--help``.  It
+``--help``.  With ``--tier1`` it also runs the tier-1 test command
+(``TIER1``) once, as a child process in the script's own checkout, and
+records its wall seconds with the passed and deselected counts of pytest's
+summary line.  It
 also records the Python and numpy versions and the time of a numpy-only
 reference kernel, so that runs on different machines or days can be put
 side by side.  BLAS runs on one thread, in the children too.  Only numpy
@@ -41,6 +44,7 @@ import argparse
 import json
 import pathlib
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -51,7 +55,8 @@ import numpy as np
 import mcarma_ou
 from mcarma_ou import cli, matpoly, mcarma, sampling, sim
 
-MODELS_DIR = pathlib.Path(__file__).resolve().parents[1] / "models"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODELS_DIR = ROOT / "models"
 MODELS = ("carma2x2", "corpus8")
 FIT_H = (0.25, 0.01)
 FIT_LAGS = 10
@@ -61,6 +66,7 @@ CP_RATE = 10.0  # about one jump per step at SIM_H
 COLD_STEPS = 100  # a short first path, so that what it builds shows
 KERNEL_SIZE = 64  # the reference kernel: solve of a fixed system, KERNEL_CALLS times
 KERNEL_CALLS = 200
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def summary(times):
@@ -210,7 +216,24 @@ def whole_run(path, reps):
             "cli_verify": children(reps, "verify", str(path))}
 
 
-def run(reps):
+def tier1():
+    """Wall seconds of one run of ``TIER1`` in ``ROOT`` with ``ROOT/src`` first
+    on PYTHONPATH and BLAS on one thread, its exit code, and the passed and
+    deselected counts of its summary line (0 where the line names none)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run(TIER1, cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True)
+    seconds = time.perf_counter() - start
+    summary_line = done.stdout.rstrip().rsplit("\n", 1)[-1]
+    counts = {key: int(m.group(1)) if (m := re.search(rf"(\d+) {key}", summary_line)) else 0
+              for key in ("passed", "deselected")}
+    return {"wall_s": seconds, "exit_code": done.returncode, **counts}
+
+
+def run(reps, with_tier1=False):
     out = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -233,6 +256,8 @@ def run(reps):
             "cold": cold_layers(model, reps),
             "whole_run": whole_run(path, reps),
         }
+    if with_tier1:
+        out["tier1"] = tier1()
     return out
 
 
@@ -240,11 +265,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--reps", type=int, default=21, help="timed calls per layer")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also time one run of the tier-1 test suite")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
     with open(args.out, "w") as fh:
-        json.dump(run(args.reps), fh, indent=1)
+        json.dump(run(args.reps, args.tier1), fh, indent=1)
         fh.write("\n")
 
 

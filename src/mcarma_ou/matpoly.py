@@ -23,7 +23,7 @@ after the fact, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -192,12 +192,21 @@ def companion_matrix(A):
     return C
 
 
+def _norms(x, axis):
+    """2-norms of ``x`` over ``axis`` (Frobenius norms over two axes):
+    ``np.linalg.norm``'s own branch for them, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
 def backward_scale(coeffs, lam):
     """``sum_i ||P_i||_F |lam|^(deg - i)`` of the coefficient stack ``coeffs``
     (P_0 first) of a matrix polynomial P, which bounds the rounding of
     ``P(lam)`` and scales with it under ``P_i -> c^i P_i``, ``lam -> c lam``
-    (Tisseur, Linear Algebra Appl. 309 (2000)); ``lam`` may be an array."""
-    return np.polyval(np.linalg.norm(coeffs, axis=(1, 2)), np.abs(lam))
+    (Tisseur, Linear Algebra Appl. 309 (2000)); ``lam`` may be an array.
+    It is ``np.polyval(np.linalg.norm(coeffs, axis=(1, 2)), np.abs(lam))``
+    bit for bit: the same Horner steps from zero."""
+    x = np.abs(lam)
+    return reduce(lambda y, c: y * x + c, _norms(coeffs, (1, 2)), np.zeros_like(x))
 
 
 def latent_roots(A):

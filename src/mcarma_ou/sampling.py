@@ -43,7 +43,7 @@ import logging
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, sqrt
 
 import numpy as np
 
@@ -148,7 +148,7 @@ def varma_ar(model, h):
     # just below the overflow guard the powers and norms can still overflow
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.exp(-h * lam)
-        gaps = np.where(~np.tri(lam.size, dtype=bool), np.abs(z[:, None] - z), np.inf)
+        gaps = np.where(_above_diagonal(lam.size), np.abs(z[:, None] - z), np.inf)
         tol.certify(AliasedSamplingError, "sampled root gap", gaps, tol.ALIAS, at_least=True)
         w = np.expm1(-h * lam)
         omega = float(np.abs(w).max()) or 1.0
@@ -158,7 +158,7 @@ def varma_ar(model, h):
                              tol.CONDITION)
         tilde = -np.linalg.solve(Q.T, pair[p].T)  # rows: the blocks Psi~_p^T .. Psi~_1^T
         delta = np.empty((p + 1, d * d))  # Psi~_0 = I, Psi~_1, ..., Psi~_p, flat
-        delta[0] = np.eye(d).ravel()
+        delta[0] = _identity(d).ravel()
         delta[:0:-1] = tilde.real.reshape(p, d, d).swapaxes(1, 2).reshape(p, d * d)
         coeffs = ((_shift_to_z(p) * omega ** np.arange(p + 1)) @ delta).reshape(p + 1, d, d)
         psi = coeffs[1:]  # Psi_1 .. Psi_p
@@ -166,11 +166,11 @@ def varma_ar(model, h):
                     tol.CONDITION)
         phi = -np.linalg.solve(psi[-1], coeffs[-2::-1])  # Psi_{p-j}, j = 1..p
 
-        poly = np.concatenate([-phi[::-1], np.eye(d)[None]])  # Phi(z): -Phi_p, .., -Phi_1, I
+        poly = np.concatenate([-phi[::-1], _identity(d)[None]])  # Phi(z): -Phi_p, .., -Phi_1, I
         powers = X * z ** np.arange(p, -1, -1)[:, None, None]  # X diag(z)^(p-j)
         at_roots = poly.swapaxes(0, 1).reshape(d, -1) @ powers.reshape(-1, p * d)
         residual = tol.certify(SingularVandermondeError, "AR residual",
-                               np.linalg.norm(at_roots, axis=0),
+                               matpoly._norms(at_roots, 0),
                                tol.AR_RESIDUAL * matpoly.backward_scale(poly, z))
     return psi, phi, cond_Q, residual
 
@@ -179,20 +179,29 @@ def varma_ar(model, h):
 def _shift_to_z(p):
     """Read-only ``E[k, j] = C(p-j, k-j) (-1)^(k-j)`` (0 for j > k): the
     coefficient of z^(p-k) in ``(z - 1)^(p-j)``."""
-    out = np.array([[comb(p - j, k - j) * (-1) ** (k - j) if j <= k else 0
-                     for j in range(p + 1)] for k in range(p + 1)], dtype=float)
-    out.setflags(write=False)
-    return out
+    return matpoly._readonly(np.array([[comb(p - j, k - j) * (-1) ** (k - j) if j <= k else 0
+                                        for j in range(p + 1)] for k in range(p + 1)],
+                                      dtype=float))
+
+
+@lru_cache
+def _above_diagonal(n):
+    """Read-only boolean n x n mask of the entries above the diagonal."""
+    return matpoly._readonly(~np.tri(n, dtype=bool))
+
+
+@lru_cache
+def _identity(n):
+    """Read-only n x n identity."""
+    return matpoly._readonly(np.eye(n))
 
 
 @lru_cache
 def _unit_panels(panels):
     """Read-only Gauss-Legendre nodes and weights on [0, 1] in equal panels."""
     nodes = (np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1.0)) / panels
-    out = (nodes.ravel(), np.tile(0.5 * _GL_WEIGHTS, panels) / panels)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    return tuple(map(matpoly._readonly, (nodes.ravel(),
+                                         np.tile(0.5 * _GL_WEIGHTS, panels) / panels)))
 
 
 def _panels(h, lam):
@@ -254,10 +263,10 @@ def noise_acvf(model, phi, h):
                 tol.IMAG_LEAK * scales)
     out, term_scale = acc.real.copy(), float(scales[-1])
     g0 = out[0]
-    tol.certify(ImaginaryLeakError, "gamma_U(0) asymmetry", np.max(np.abs(g0 - g0.T)),
+    tol.certify(ImaginaryLeakError, "gamma_U(0) asymmetry", np.abs(g0 - g0.T).max(),
                 tol.IMAG_LEAK * term_scale)
     out[0] = 0.5 * (g0 + g0.T)
-    tol.certify(NotPDError, "gamma_U(0) min eig", np.min(np.linalg.eigvalsh(out[0])),
+    tol.certify(NotPDError, "gamma_U(0) min eig", np.linalg.eigvalsh(out[0]).min(),
                 -tol.PSD_FLOOR * term_scale, at_least=True)
     return out
 
@@ -277,9 +286,9 @@ def _riccati_doubling(G):
     Ak = np.eye(n, k=-d)  # A^T - C^T G^T
     Ak[:d] -= G.T
     Gk = np.zeros((n, n))
-    Gk[:d, :d] = np.eye(d)
+    Gk[:d, :d] = _identity(d)
     Hk = -G @ G.T
-    eye = np.eye(n)
+    eye = _identity(n)
     rhs = np.empty((n, 2 * n))  # [A_k, G_k]
     for step in range(1, DOUBLING_MAXIT + 1):
         rhs[:, :n] = Ak
@@ -298,7 +307,7 @@ def _riccati_doubling(G):
         diff = (H_next - Hk).ravel()
         Hk = H_next
         flat = Hk.ravel()
-        if np.sqrt(diff @ diff) <= tol.DOUBLING * np.sqrt(flat @ flat):
+        if sqrt(float(diff @ diff)) <= tol.DOUBLING * sqrt(float(flat @ flat)):
             return -Hk, step
     raise NoConvergenceError(
         f"MA doubling did not settle in {DOUBLING_MAXIT} steps")
@@ -312,7 +321,7 @@ def _ma_acvfs(theta, sigma_eps, n_lags):
     Theta_b^T`` of every pair, and per lag l the sum over b of those with
     a = b + l, in increasing b; lags beyond the MA order are zero."""
     d = sigma_eps.shape[0]
-    coeffs = np.concatenate([np.eye(d)[None], theta])
+    coeffs = np.concatenate([_identity(d)[None], theta])
     q = len(coeffs) - 1
     prods = np.zeros((n_lags + q, q + 1, d, d))  # (a, b), zero for a > q
     prods[:q + 1] = (coeffs @ sigma_eps)[:, None] @ coeffs.swapaxes(1, 2)
@@ -327,8 +336,7 @@ def ma_roundtrip_error(gamma_U, theta, sigma_eps):
     error relative to ``max(1, max|gamma|)``."""
     want = np.asarray(gamma_U, dtype=float)
     diff = _ma_acvfs(theta, sigma_eps, len(want)) - want
-    fro = np.linalg.norm(diff, axis=(1, 2)) / np.maximum(
-        1.0, np.linalg.norm(want, axis=(1, 2)))
+    fro = matpoly._norms(diff, (1, 2)) / np.maximum(1.0, matpoly._norms(want, (1, 2)))
     elem = np.abs(diff).max(axis=(1, 2)) / np.maximum(1.0, np.abs(want).max(axis=(1, 2)))
     return float(max(fro.max(), elem.max()))
 
@@ -378,7 +386,7 @@ def fit_ma(gamma_U):
     q, d = len(gammas) - 1, gammas.shape[1]
     g0 = 0.5 * (gammas[0] + gammas[0].T)
     vals, vecs = np.linalg.eigh(g0)
-    floor = np.nextafter(tol.PD_FLOOR * np.trace(g0), np.inf)  # strict: a zero gamma_U(0) fails
+    floor = np.nextafter(tol.PD_FLOOR * g0.trace(), np.inf)  # strict: a zero gamma_U(0) fails
     tol.certify(NotPDError, "gamma_U(0) min eig", vals[0], floor, at_least=True)
     theta, sigma_eps, steps, margin = np.zeros((0, d, d)), g0, 0, np.inf
     if q > 0:
@@ -387,20 +395,22 @@ def fit_ma(gamma_U):
         W, W_inv = (vecs / root).T, vecs * root
         G = (W @ gammas[1:] @ W.T).reshape(q * d, d)
         P, steps = _riccati_doubling(G)
-        sigma_white = np.eye(d) - P[:d, :d]
+        sigma_white = _identity(d) - P[:d, :d]
         sigma_eps = W_inv @ sigma_white @ W_inv.T
         sigma_eps = 0.5 * (sigma_eps + sigma_eps.T)
-        tol.certify(NotPDError, "Sigma_eps min eig", np.min(np.linalg.eigvalsh(sigma_eps)), floor,
+        tol.certify(NotPDError, "Sigma_eps min eig", np.linalg.eigvalsh(sigma_eps).min(), floor,
                     at_least=True)
-        shifted_P = np.vstack([P[d:, :d], np.zeros((d, d))])  # A P C^T
-        K = np.linalg.solve(sigma_white, (G - shifted_P).T).T
+        innovation = G.copy()  # G - A P C^T: A shifts the blocks of P C^T up one
+        innovation[:-d] -= P[d:, :d]
+        K = np.linalg.solve(sigma_white, innovation.T).T
         theta = W_inv @ K.reshape(q, d, d) @ W
         # the filter's closed loop A - K C is the companion matrix of the
         # reversed MA polynomial: its eigenvalues are the reciprocal zeros
         # of det Theta(z), and those at 0 are zeros at infinity; whitening
         # is a similarity of it
-        closed_loop = np.eye(q * d, k=d) - K @ np.eye(d, q * d)
-        rho = float(np.max(np.abs(np.linalg.eigvals(closed_loop))))
+        closed_loop = np.eye(q * d, k=d)
+        closed_loop[:, :d] -= K
+        rho = float(np.abs(np.linalg.eigvals(closed_loop)).max())
         if rho > tol.ZERO_AT_INFINITY:
             margin = 1.0 / rho - 1.0
         if not margin >= -tol.MA_MARGIN:

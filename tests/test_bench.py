@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -61,3 +62,25 @@ def test_layers_script_writes_its_keys(tmp_path, monkeypatch):
         assert set(entry["whole_run"]["cli_verify"]) == TIMES | {"exit_code", "peak_rss_mb"}
         assert 10 < entry["whole_run"]["cli_verify"]["peak_rss_mb"] < 1000
         assert entry["whole_run"]["cli_verify"]["exit_code"] == 0  # verification: PASS
+
+
+def test_tier1_row_reads_the_summary_line(monkeypatch):
+    # stand-ins for the suite, so that the test does not run the suite inside
+    # itself; the first exits 3 unless its BLAS runs on one thread with the
+    # checkout's src first on PYTHONPATH
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    src = str(MODELS_DIR.parent / "src")
+    script = ("import os, sys; print('....'); print('656 passed, 7 deselected in 15.80s'); "
+              "sys.exit(0 if os.environ['OPENBLAS_NUM_THREADS'] == '1' and "
+              f"os.environ['PYTHONPATH'].split(os.pathsep)[0] == {src!r} else 3)")
+    monkeypatch.setattr(layers, "TIER1", [sys.executable, "-c", script])
+    row = layers.tier1()
+    assert set(row) == {"wall_s", "exit_code", "passed", "deselected"}
+    assert (row["exit_code"], row["passed"], row["deselected"]) == (0, 656, 7)
+    assert 0 < row["wall_s"] < 60
+    monkeypatch.setattr(layers, "TIER1", [sys.executable, "-c", "print('1 failed, 3 passed')"])
+    row = layers.tier1()
+    assert (row["passed"], row["deselected"]) == (3, 0)

@@ -15,10 +15,14 @@ the first path on a model builds the modal form of its modes and the factor
 of its stationary state covariance, and the first path at a step builds the
 form's step entry, the transfer stacks of its scan and, for a Brownian
 driver, the rows of Q_h's factor; a second path at that step reuses them all.
+
+The second op also calls none of the numpy functions of ``NUMPY_WRAPPERS``,
+whose Python dispatch costs as much as their arithmetic on such matrices.
 """
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from mcarma_ou import mcarma, rational, sampling, sim
@@ -82,6 +86,28 @@ def test_second_fit_op_within_warm_budget(name, example_model, corpus, linalg_ca
     over = op_calls(model, linalg_calls, WARM_H) - WARM_BUDGET[name]
     assert not over, f"{name}: second op over budget {dict(over)}"
     assert residue_calls == []
+
+
+# numpy functions that only dispatch to a ufunc or a method in Python; on
+# matrices of order at most 20 that dispatch costs about as much as the work
+NUMPY_WRAPPERS = ((np, "polyval"), (np.linalg, "norm"), (np, "tri"), (np, "vstack"),
+                  (np, "trace"), (np, "min"), (np, "max"))
+
+
+@pytest.mark.parametrize("name", sorted(WARM_BUDGET))
+def test_second_fit_op_calls_no_numpy_wrapper(name, example_model, corpus, monkeypatch):
+    model = fresh(example_model if name == "carma2x2" else corpus[8])
+    calls = Counter()
+    for namespace, fn_name in NUMPY_WRAPPERS:
+        def counted(*args, _fn=getattr(namespace, fn_name), _name=fn_name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(namespace, fn_name, counted)
+    fit_op(model)
+    calls.clear()
+    fit_op(model, WARM_H)
+    assert not calls, f"{name}: second op calls numpy wrappers {dict(calls)}"
 
 
 def test_decompose_solves_only_the_residues(example_model, corpus, linalg_calls):

@@ -59,6 +59,42 @@ class TestEvalRight:
         assert np.linalg.norm(example_poly.eval_right(Z)) > 1.0
 
 
+def _stack(kind):
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((4, 3, 3))
+    return stack + 1j * rng.standard_normal((4, 3, 3)) if kind == "complex" else stack
+
+
+class TestBackwardScale:
+    """``backward_scale`` and ``_norms`` are numpy's own arithmetic without its
+    wrappers, so they must equal the wrapped calls bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("lam", [
+        0.7 - 1.3j, 0.0, -2.5, np.array([0.0, 1e-3, -4.0 + 2.0j, 1e3j]),
+        1e102 * (0.6 + 0.8j), np.array([1e102, 1e103, 1e200])],
+        ids=["complex", "zero", "real", "array", "near-overflow", "overflowing"])
+    def test_is_polyval_of_the_norms(self, kind, lam):
+        coeffs = _stack(kind)
+        with np.errstate(over="ignore"):  # as in varma_ar, near the overflow guard
+            got = matpoly.backward_scale(coeffs, lam)
+            want = np.polyval(np.linalg.norm(coeffs, axis=(1, 2)), np.abs(lam))
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+
+    def test_overflow_reaches_inf(self):
+        with np.errstate(over="ignore"):
+            assert np.isinf(matpoly.backward_scale(_stack("real"), 1e200))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("axis", [0, (1, 2)], ids=["axis-0", "axes-1-2"])
+    def test_norms_are_linalg_norm(self, kind, axis):
+        x = _stack(kind) * np.logspace(-150, 150, 4)[:, None, None]
+        got = matpoly._norms(x, axis)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.linalg.norm(x, axis=axis))
+
+
 class TestLatentRoots:
     def test_example_roots(self, example_poly):
         roots = sorted(pr.root.real for pr in matpoly.latent_roots(example_poly))

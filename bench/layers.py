@@ -270,9 +270,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
-    with open(args.out, "w") as fh:
-        json.dump(run(args.reps, args.tier1), fh, indent=1)
-        fh.write("\n")
+    text = json.dumps(run(args.reps, args.tier1), indent=1) + "\n"
+    # written next to --out and renamed over it, so that a run that fails or
+    # is cut leaves a kept record as it was
+    tmp = f"{args.out}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, args.out)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 if __name__ == "__main__":

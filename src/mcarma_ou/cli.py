@@ -108,9 +108,7 @@ def load_model_file(path, seed=0):
 # output formatting (round-trip safe)
 
 def _fmt(x):
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}"
 
 
 def _json_default(obj):

@@ -54,7 +54,7 @@ class LambdaMatrix:
 
     ``coeffs`` is one read-only complex stack (p+1, d, m) of the blocks in
     order of decreasing power, copied from any sequence of equally shaped
-    blocks or from a stack.  Instances are immutable.
+    finite blocks or from a stack.  Instances are immutable.
     """
 
     coeffs: np.ndarray
@@ -67,6 +67,8 @@ class LambdaMatrix:
             raise ValueError("a lambda-matrix needs at least one coefficient")
         if coeffs.ndim != 3:
             raise ValueError("coefficients must be 2-d matrices")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", _readonly(coeffs))
 
     @property
@@ -230,9 +232,12 @@ def latent_roots(A):
     C = companion_matrix(A)
     d = A.order[0]
     vals, vecs = np.linalg.eig(C)
-    tol.certify(DefectiveCompanionError, "cond(eigenvectors)", float(_cond(vecs)), tol.CONDITION)
+    # a huge coefficient or root overflows these to inf, a bound nothing passes
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cond, scales = float(_cond(vecs)), backward_scale(A.coeffs, vals)
+    tol.certify(DefectiveCompanionError, "cond(eigenvectors)", cond, tol.CONDITION)
     pairs = []
-    for lam, vec, scale in zip(vals, vecs.T, backward_scale(A.coeffs, vals)):
+    for lam, vec, scale in zip(vals, vecs.T, scales):
         lead = vec[:d]
         norm = np.linalg.norm(lead)
         if norm == 0.0:
@@ -334,8 +339,7 @@ def default_grouping(pairs, d, conjugate_closed=True):
                     break
             if partner is not None and place([i, partner]):
                 continue
-        if not place([i]):
-            raise SingularGroupError("grouping heuristic ran out of free slots")
+        place([i])
     return [sorted(g) for g in groups]
 
 

@@ -47,7 +47,7 @@ from math import ceil, comb, factorial, sqrt
 
 import numpy as np
 
-from . import matpoly, tolerances as tol
+from . import matpoly, mcarma, tolerances as tol
 from .exceptions import (
     AliasedSamplingError,
     ImaginaryLeakError,
@@ -232,9 +232,9 @@ def noise_acvf(model, phi, h):
     Gauss-Legendre quadrature (``_panels``): the kernels at up to
     ``QUADRATURE_CHUNK`` nodes are one product, and the terms of one lag, one
     per r with its nodes summed inside, one batched product, summed in the
-    order of r.  Imaginary parts
-    are certified below ``tolerances.IMAG_LEAK`` of the largest term so far
-    and stripped; gamma_U(0) is certified symmetric PSD.
+    order of r.  Imaginary parts are stripped by ``mcarma._real``, certified
+    below ``tolerances.IMAG_LEAK`` of the largest term so far; gamma_U(0) is
+    certified symmetric, and ``fit_ma`` certifies it positive definite.
     """
     modes = model.modes
     p, d, m = model.p, model.d, model.m
@@ -258,16 +258,11 @@ def noise_acvf(model, phi, h):
 
     # the largest term up to each lag, and the sums (a term beyond p-1-l is 0)
     scales = np.maximum.accumulate(np.maximum(np.abs(terms).max(axis=(1, 2, 3)), 1.0))
-    acc = terms.sum(axis=1)
-    tol.certify(ImaginaryLeakError, "gamma_U imaginary part", np.abs(acc.imag).max(axis=(1, 2)),
-                tol.IMAG_LEAK * scales)
-    out, term_scale = acc.real.copy(), float(scales[-1])
+    out = mcarma._real(terms.sum(axis=1), scales, "gamma_U imaginary part")
     g0 = out[0]
     tol.certify(ImaginaryLeakError, "gamma_U(0) asymmetry", np.abs(g0 - g0.T).max(),
-                tol.IMAG_LEAK * term_scale)
+                tol.IMAG_LEAK * scales[-1])
     out[0] = 0.5 * (g0 + g0.T)
-    tol.certify(NotPDError, "gamma_U(0) min eig", np.linalg.eigvalsh(out[0]).min(),
-                -tol.PSD_FLOOR * term_scale, at_least=True)
     return out
 
 

@@ -33,7 +33,7 @@ INIT_LEAK = 1e-10         # max|Im T y0| of the component initials; max(1, max(|
 SIMILARITY = 1e-9         # A* T - T diag(R_k), B* - T Res, C* T - (I..I); |A*| |T| + |T| |R|, |T| |Res|, |C*| |T| elementwise
 IMAG_LEAK = 1e-9          # Im of a real sum, gamma_U(0) asymmetry; max(1, top term), verify 1; abs
 ACVF_ASYMMETRY = 1e-10    # gamma(0) asymmetry; max(1, top term), verify max(1, max|gamma(0)|); abs
-PSD_FLOOR = 1e-10         # -min eig of gamma(0), gamma_U(0); max(1, trace), max(1, top term); abs
+PSD_FLOOR = 1e-10         # -min eig of gamma(0); max(1, trace); abs
 SYLVESTER_GAP = 1e-12     # min|lam_a + conj(mu_b)| of a Gramian over [0, inf) (at least); 1; abs
 ALIAS = 1e-10             # |e^{-h lam_i} - e^{-h lam_j}|, lam_i, lam_j apart (at least); 1; abs
 EXP_OVERFLOW = float(np.log(np.finfo(float).max))  # p h max(-Re lam) of the sampled solvents; 1
@@ -83,8 +83,9 @@ def _entry(x, shape, i):
 
 def certify(error, what, measured, bound, at_least=False):
     """Raise ``error`` unless ``measured <= bound`` (``>=`` with ``at_least``)
-    everywhere, naming ``what``, the first failing entry and its bound; else
-    return the ``Check`` of ``what`` at the entry of least slack."""
+    everywhere, naming ``what``, the first failing entry and its bound, and
+    whether that bound overflowed (is not finite); else return the ``Check``
+    of ``what`` at the entry of least slack."""
     ok = _ok(measured, bound, at_least)
     if type(ok) is not np.ndarray:
         if ok:
@@ -95,4 +96,6 @@ def certify(error, what, measured, bound, at_least=False):
     at = np.unravel_index(np.argmin(ok), np.shape(ok))
     m, b = np.broadcast_arrays(measured, bound)
     where = str([int(i) for i in at]) if at else ""
-    raise error(f"{what}{where} = {m[at]:.3e} {'below' if at_least else 'exceeds'} {b[at]:.3e}")
+    overflowed = "" if np.isfinite(b[at]) else " (the bound overflowed)"
+    raise error(f"{what}{where} = {m[at]:.3e} {'below' if at_least else 'exceeds'} "
+                f"{b[at]:.3e}{overflowed}")

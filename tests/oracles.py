@@ -28,7 +28,7 @@ import scipy.linalg
 from scipy.integrate import quad_vec
 
 from mcarma_ou import matpoly, mcarma, sampling, sim, tolerances, verify
-from mcarma_ou.exceptions import ImaginaryLeakError, NoConvergenceError, NotPDError
+from mcarma_ou.exceptions import ImaginaryLeakError, NoConvergenceError
 
 INNOVATIONS_TOL = 1e-10
 INNOVATIONS_MAXIT = 10000
@@ -176,8 +176,6 @@ def noise_acvf_loop(model, phi, h):
     if np.max(np.abs(g0 - g0.T)) > 1e-9 * term_scale:
         raise ImaginaryLeakError("gamma_U(0) asymmetric")
     out[0] = 0.5 * (g0 + g0.T)
-    if np.min(np.linalg.eigvalsh(out[0])) < -1e-10 * term_scale:
-        raise NotPDError("gamma_U(0) not positive semidefinite")
     return out
 
 

@@ -6,6 +6,7 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 from mcarma_ou import cli
 
@@ -27,15 +28,21 @@ def test_corpus8_file_is_corpus_8(corpus):
         assert np.array_equal(np.asarray(got), np.asarray(expected))
 
 
-def test_layers_script_writes_its_keys(tmp_path, monkeypatch):
-    # one repetition on one model file, in process: the keys, not the times;
-    # test_corpus8_file_is_corpus_8 covers the other file.  The script pins
-    # its children's BLAS threads in os.environ, restored here afterwards
+def load_layers(monkeypatch):
+    """The layer bench as a module.  It pins its children's BLAS threads in
+    os.environ on import, restored here after the test."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
     spec = importlib.util.spec_from_file_location("layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_layers_script_writes_its_keys(tmp_path, monkeypatch):
+    # one repetition on one model file, in process: the keys, not the times;
+    # test_corpus8_file_is_corpus_8 covers the other file
+    layers = load_layers(monkeypatch)
     monkeypatch.setattr(layers, "MODELS", ("carma2x2",))
     out = tmp_path / "bench.json"
     layers.main(["--out", str(out), "--reps", "1"])
@@ -64,13 +71,28 @@ def test_layers_script_writes_its_keys(tmp_path, monkeypatch):
         assert entry["whole_run"]["cli_verify"]["exit_code"] == 0  # verification: PASS
 
 
+def test_failed_run_keeps_the_out_file(tmp_path, monkeypatch):
+    # the document is built before anything is written: a run that fails
+    # leaves a kept record byte for byte, and no temporary file
+    layers = load_layers(monkeypatch)
+    out = tmp_path / "BENCH_1.json"
+    out.write_text('{"kept": true}\n')
+
+    def failing(*args):
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(layers, "run", failing)
+    with pytest.raises(RuntimeError, match="run failed"):
+        layers.main(["--out", str(out), "--reps", "1"])
+    assert out.read_text() == '{"kept": true}\n'
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_tier1_row_reads_the_summary_line(monkeypatch):
     # stand-ins for the suite, so that the test does not run the suite inside
     # itself; the first exits 3 unless its BLAS runs on one thread with the
     # checkout's src first on PYTHONPATH
-    spec = importlib.util.spec_from_file_location("layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = load_layers(monkeypatch)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     src = str(MODELS_DIR.parent / "src")
     script = ("import os, sys; print('....'); print('656 passed, 7 deselected in 15.80s'); "

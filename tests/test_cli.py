@@ -717,12 +717,18 @@ class TestModelLoading:
          {"A": [[[1]], [[-1]]], "B": [[[1]]], "sigma_L": [[1]]}, "CholeskyFail:"),
         (("simulate", "--h", "400", "--steps", "3"),
          {"A": [[[1]], [[-1]]], "B": [[[1]]], "sigma_L": [[1]]},
-         "CholeskyFail: innovation Gramian has non-finite entries\n")],
-        ids=["double-root-at-zero", "overflowing-path", "overflowing-gramian"])
+         "CholeskyFail: innovation Gramian has non-finite entries\n"),
+        (("acvf",), {"A": [[[1]], [[-1e300]]], "B": [[[2]]], "sigma_L": [[1e-8]]},
+         "DefectiveCompanion: latent residual = 0.000e+00 exceeds inf "
+         "(the bound overflowed)\n")],
+        ids=["double-root-at-zero", "overflowing-path", "overflowing-gramian",
+             "overflowing-root-scale"])
     def test_certification_failure_is_one_line(self, capsys, tmp_path, argv, doc, message):
         # A(z) = z^2 has a defective companion; A(z) = z - 1 (root +1)
-        # overflows within its first chunk at h = 1, and its Q_h at h = 400:
-        # the path's finite check or psd_factor reports it, not a numpy warning
+        # overflows within its first chunk at h = 1, and its Q_h at h = 400;
+        # the residual scale of the root of A(z) = z - 1e300 overflows: the
+        # path's finite check, psd_factor or the latent residual's certificate
+        # reports it, not a numpy warning
         code, _, err = run(capsys, argv[0], write_model(tmp_path, doc), *argv[1:])
         assert code == 2
         assert err.startswith(f"certification failure: {message}") and err.count("\n") == 1

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from mcarma_ou import matpoly, mcarma, rational, sampling, sim, tolerances, verify
 from mcarma_ou.exceptions import (
+    DefectiveCompanionError,
     DuplicateLatentRootError,
     ImaginaryLeakError,
     NotIrreducibleError,
@@ -662,6 +663,14 @@ class TestModelValidation:
             mcarma.McarmaModel.build(
                 example_poly, matpoly.LambdaMatrix((np.eye(2),)),
                 np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    def test_overflowing_root_scale_is_one_typed_failure(self):
+        # A(z) = z - 1e300: the rounding scale of the latent residual
+        # overflows, and the failure says so instead of a numpy warning
+        with pytest.raises(DefectiveCompanionError,
+                           match=r"latent residual = 0\.000e\+00 exceeds inf "
+                                 r"\(the bound overflowed\)$"):
+            scalar_model([1, -1e300], [2.0], sigma=1e-8)
 
     def test_stationary_flag(self, example_model):
         assert example_model.stationary

@@ -469,6 +469,22 @@ class TestNoiseAcvf:
             want = noise_acvf_loop(model, phi, h)
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), i
 
+    @pytest.mark.parametrize("sample, hs", [("corpus", (0.01, 0.05, 0.25, 1.0)),
+                                            ("hard_regime", (0.01, 0.05))])
+    def test_lag_zero_is_psd(self, request, sample, hs):
+        # noise_acvf certifies gamma_U(0) symmetric only; each lag-0 term is
+        # a Gramian with positive weights, so its least eigenvalue stays above
+        # -PSD_FLOOR max|gamma_U(0)| (measured: at least +1.6e-8 of it)
+        for i, model in enumerate(request.getfixturevalue(sample)):
+            for h in hs:
+                try:
+                    _, phi, *_ = sampling.varma_ar(model, h)
+                except CertificationError:
+                    continue
+                g0 = sampling.noise_acvf(model, phi, h)[0]
+                floor = -tolerances.PSD_FLOOR * np.abs(g0).max()
+                assert np.linalg.eigvalsh(g0).min() >= floor, (sample, i, h)
+
     def test_fast_oscillation_in_chunks(self, monkeypatch):
         # roots -0.5 +- 300i at h = 1: 37 panels, 592 nodes, taken 128 at a
         # time, against the sampled state space
@@ -653,8 +669,8 @@ class TestSampledVarma:
         assert f"{sv.ma_steps} doubling steps" in message
 
     def test_zero_driver_has_no_ma_factor(self, example_model):
-        # gamma_U(0) = 0 meets the PSD floor of noise_acvf with equality and
-        # fails the strict positive-definite floor of fit_ma
+        # gamma_U(0) = 0 is symmetric, so noise_acvf returns it, and fails the
+        # strict positive-definite floor of fit_ma, its one definiteness check
         model = mcarma.McarmaModel.build(example_model.A, example_model.B, np.zeros((2, 2)))
         decomp = mcarma.decompose(model, model.solvent_set())
         with pytest.raises(NotPDError, match="gamma_U\\(0\\) min eig = 0.000e\\+00"):

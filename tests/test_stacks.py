@@ -37,7 +37,9 @@ def test_coeffs_copy_the_blocks():
     ((np.ones(2), np.ones(2)), "coefficients must be 2-d matrices"),
     ((np.eye(2), np.eye(3)), "all coefficients must share one shape"),
     ((np.eye(2), np.ones(2)), "all coefficients must share one shape"),
-], ids=["empty", "1-d", "ragged", "mixed"])
+    ((np.eye(2), np.full((2, 2), np.nan)), "coefficients must be finite"),
+    ((np.eye(2), np.diag([1.0, -np.inf])), "coefficients must be finite"),
+], ids=["empty", "1-d", "ragged", "mixed", "nan", "inf"])
 def test_malformed_coeffs_rejected(coeffs, message):
     with pytest.raises(ValueError, match=message):
         matpoly.LambdaMatrix(coeffs)
